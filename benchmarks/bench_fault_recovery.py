@@ -15,7 +15,13 @@ threads the warm Dijkstra rerun is nearly free and checkpointing can only
 lose.
 """
 
-from repro import AnytimeAnywhereCloseness, AnytimeConfig, FaultPlan, HealthPolicy
+from repro import (
+    AnytimeAnywhereCloseness,
+    AnytimeConfig,
+    FaultPlan,
+    HealthPolicy,
+    ResilienceConfig,
+)
 from repro.graph import barabasi_albert
 from repro.model.cost import DEFAULT_COST
 from repro.runtime.chaos import RECOVERY_POLICIES
@@ -112,9 +118,11 @@ def run_policy_sweep(scale):
                 )
                 engine.setup()
                 res = engine.run(
-                    fault_plan=FaultPlan.single_crash(fault_step, victim),
-                    recovery=policy,
-                    checkpoint_interval=interval,
+                    resilience=ResilienceConfig(
+                        fault_plan=FaultPlan.single_crash(fault_step, victim),
+                        recovery=policy,
+                        checkpoint_interval=interval,
+                    )
                 )
                 ckpt = sum(
                     p.modeled_total
@@ -168,16 +176,16 @@ def test_recovery_policy_sweep(benchmark, scale, emit):
     assert over[1] > over[8]
 
 
-def _run_once(graph, scale, *, fault_plan=None, health=None, **cfg_kwargs):
+def _run_once(graph, scale, *, health=None, **resilience):
     engine = AnytimeAnywhereCloseness(
         graph.copy(),
         AnytimeConfig(
             nprocs=scale.nprocs, seed=scale.seed, collect_snapshots=False,
-            health=health, **cfg_kwargs,
+            health=health, resilience=ResilienceConfig(**resilience),
         ),
     )
     engine.setup()
-    return engine.run(fault_plan=fault_plan)
+    return engine.run()
 
 
 def run_straggler_mitigation(scale):

@@ -25,6 +25,13 @@ def build(scale):
     return graph, w
 
 
+def superstep(w):
+    """One RC superstep on a lone worker: prepare -> kernel -> apply."""
+    task = w.superstep_prepare()
+    result = w.tier.run_superstep(task, w.dv, w.local_apsp)
+    w.superstep_apply(task, result)
+
+
 def test_initial_approximation_kernel(benchmark, scale):
     graph, w = build(scale)
     benchmark(w.run_initial_approximation)
@@ -33,7 +40,7 @@ def test_initial_approximation_kernel(benchmark, scale):
 def test_edge_row_relaxation_kernel(benchmark, scale):
     _graph, w = build(scale)
     w.run_initial_approximation()
-    w.propagate_local()
+    superstep(w)
     a, b = w.owned[0], w.owned[-1]
     row_a, row_b = w.dv_row(a), w.dv_row(b)
 
@@ -43,7 +50,7 @@ def test_edge_row_relaxation_kernel(benchmark, scale):
 def test_cut_relaxation_kernel(benchmark, scale):
     _graph, w = build(scale)
     w.run_initial_approximation()
-    w.propagate_local()
+    superstep(w)
     rng = np.random.default_rng(1)
     ext_rows = {
         x: rng.uniform(1.0, 10.0, size=w.n_cols) for x in w.cut_by_ext
@@ -51,7 +58,7 @@ def test_cut_relaxation_kernel(benchmark, scale):
 
     def relax():
         w.receive_rows(ext_rows)
-        w.relax_cut_edges()
+        superstep(w)
 
     benchmark(relax)
 

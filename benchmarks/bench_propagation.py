@@ -5,7 +5,7 @@ step performs a full Floyd–Warshall-style local DV update; because the
 local APSP matrix is transitively closed, folding only the *changed* rows
 over the *dirty* columns is equivalent.  This kernel benchmark measures
 the real-time gap between the two on identical state (the modeled clock
-charges the paper's dense cost either way — see worker.propagate_local).
+charges the paper's dense cost either way — see Worker.superstep_apply).
 """
 
 import numpy as np
@@ -18,6 +18,13 @@ from repro.runtime import GlobalIndex, Worker
 COLUMNS = ["variant", "seconds_per_fold"]
 
 
+def superstep(w):
+    """One RC superstep on a lone worker: prepare -> kernel -> apply."""
+    task = w.superstep_prepare()
+    result = w.tier.run_superstep(task, w.dv, w.local_apsp)
+    w.superstep_apply(task, result)
+
+
 def build_worker(scale):
     graph = barabasi_albert(scale.n_base, scale.m, seed=scale.seed)
     part = MultilevelPartitioner(seed=scale.seed).partition(
@@ -28,7 +35,7 @@ def build_worker(scale):
     sub = extract_local_subgraph(graph, part.block(0), part.assignment, 0)
     w.load_subgraph(sub)
     w.run_initial_approximation()
-    w.propagate_local()
+    superstep(w)
     return w
 
 
@@ -48,7 +55,7 @@ def test_restricted_fold(benchmark, scale):
 
     def fold():
         perturb(w)
-        w.propagate_local()
+        superstep(w)
 
     benchmark(fold)
 
@@ -59,6 +66,6 @@ def test_full_fold(benchmark, scale):
     def fold():
         perturb(w)
         w.request_full_repropagate()
-        w.propagate_local()
+        superstep(w)
 
     benchmark(fold)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
@@ -100,16 +99,6 @@ class AnytimeConfig:
         (:class:`ResilienceConfig`: ``recovery``,
         ``checkpoint_interval``, ``fault_plan``).  Always populated
         after construction; defaults are built when omitted.
-    recovery:
-        Deprecated — pass ``resilience=ResilienceConfig(recovery=...)``.
-        Kept one release as a shim: a non-``None`` value emits a
-        :class:`DeprecationWarning` and is folded into ``resilience``.
-        After construction the attribute mirrors
-        ``resilience.recovery`` for readers.
-    checkpoint_interval:
-        Deprecated — pass
-        ``resilience=ResilienceConfig(checkpoint_interval=...)``.  Same
-        shim + mirror behavior as ``recovery``.
     health:
         Optional :class:`~repro.runtime.health.HealthPolicy` enabling the
         self-healing runtime for fault-injected runs: per-rank liveness
@@ -173,8 +162,6 @@ class AnytimeConfig:
     worker_speeds: Optional[List[float]] = None
     strategy_policy: str = "signals"
     resilience: Optional[ResilienceConfig] = None
-    recovery: Optional[str] = None
-    checkpoint_interval: Optional[int] = None
     health: Optional["HealthPolicy"] = None
     wire_format: str = "delta"
     backend: str = field(
@@ -196,7 +183,8 @@ class AnytimeConfig:
             )
         if not self.strategy_policy:
             raise ConfigurationError("strategy_policy must be a policy name")
-        self._fold_resilience()
+        if self.resilience is None:
+            self.resilience = ResilienceConfig()
         if self.health is not None:
             # lazy import: the runtime package is only pulled in when the
             # self-healing features are actually requested
@@ -256,53 +244,3 @@ class AnytimeConfig:
             self.cutedge_partitioner = MultilevelPartitioner(seed=self.seed + 1)
         if self.schedule is None:
             self.schedule = SequentialAllToAll()
-
-    def _fold_resilience(self) -> None:
-        """Fold the deprecated flat kwargs into the ``resilience`` group.
-
-        Legacy ``recovery`` / ``checkpoint_interval`` values warn and
-        seed the group; values that merely *match* an explicit group
-        pass silently so ``dataclasses.replace`` round-trips (the
-        mirror writes both forms back onto the instance).  Conflicting
-        values are a configuration error, never a silent pick.
-        """
-        given = {
-            name: value
-            for name, value in (
-                ("recovery", self.recovery),
-                ("checkpoint_interval", self.checkpoint_interval),
-            )
-            if value is not None
-        }
-        res = self.resilience
-        if res is None:
-            if given:
-                warnings.warn(
-                    f"AnytimeConfig({', '.join(sorted(given))}=...) is"
-                    " deprecated; pass"
-                    " resilience=ResilienceConfig(...) instead"
-                    " (the flat kwargs will be removed next release)",
-                    DeprecationWarning,
-                    stacklevel=4,
-                )
-            self.resilience = res = ResilienceConfig(
-                recovery=given.get("recovery", "warm"),  # type: ignore[arg-type]
-                checkpoint_interval=given.get(  # type: ignore[arg-type]
-                    "checkpoint_interval", 8
-                ),
-            )
-        else:
-            conflicts = sorted(
-                name
-                for name, value in given.items()
-                if value != getattr(res, name)
-            )
-            if conflicts:
-                raise ConfigurationError(
-                    "conflicting resilience settings: deprecated"
-                    f" {conflicts} disagree with resilience=..."
-                )
-        # mirror the resolved group onto the flat fields so readers of
-        # the deprecated attributes keep seeing concrete values
-        self.recovery = res.recovery
-        self.checkpoint_interval = res.checkpoint_interval

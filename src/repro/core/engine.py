@@ -25,13 +25,10 @@ comparison point.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
-import warnings
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -49,17 +46,16 @@ from ..graph.graph import Graph
 from ..obs import build_hub
 from ..obs.observer import ObserverHub
 from ..obs.registry import MetricsRegistry, SignalView
+from ..runtime.chaos import FaultInjector
 from ..runtime.cluster import Cluster
+from ..runtime.health import HealthMonitor
 from ..runtime.metrics import LoadSnapshot, snapshot_load
+from ..runtime.supervisor import Supervisor
 from ..types import FloatArray, VertexId
 from .config import AnytimeConfig, ResilienceConfig
 from .recombination import run_recombination
 from .snapshots import AnytimeSnapshot, take_snapshot
 from .strategies import DynamicStrategy, make_strategy
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..runtime.chaos import FaultPlan
-    from ..runtime.health import HealthMonitor
 
 logger = logging.getLogger("repro.engine")
 
@@ -249,46 +245,17 @@ class AnytimeAnywhereCloseness:
     # running
     # ------------------------------------------------------------------
     def _resolve_resilience(
-        self,
-        resilience: Optional[ResilienceConfig],
-        fault_plan: Optional["FaultPlan"],
-        recovery: Optional[str],
-        checkpoint_interval: Optional[int],
+        self, resilience: Optional[ResilienceConfig]
     ) -> ResilienceConfig:
-        """Merge the run-level resilience override with the legacy kwargs.
-
-        The flat ``fault_plan`` / ``recovery`` / ``checkpoint_interval``
-        kwargs are deprecated shims: they warn, then override the
-        corresponding group fields for this call only.
-        """
-        legacy = {
-            name: value
-            for name, value in (
-                ("fault_plan", fault_plan),
-                ("recovery", recovery),
-                ("checkpoint_interval", checkpoint_interval),
-            )
-            if value is not None
-        }
-        if legacy:
-            warnings.warn(
-                f"run({', '.join(sorted(legacy))}=...) is deprecated; pass"
-                " resilience=ResilienceConfig(...) instead (the flat"
-                " kwargs will be removed next release)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        base = resilience if resilience is not None else self.config.resilience
-        assert base is not None  # config always populates the group
-        effective = dataclasses.replace(base, **legacy) if legacy else base
-        if effective.fault_plan is None and (
-            recovery is not None
-            or checkpoint_interval is not None
-        ):
+        """The run-level override, or the config's group."""
+        if resilience is None:
+            assert self.config.resilience is not None  # built when omitted
+            return self.config.resilience
+        if resilience.fault_plan is None and resilience != ResilienceConfig():
             raise ConfigurationError(
                 "recovery/checkpoint_interval only apply with a fault_plan"
             )
-        return effective
+        return resilience
 
     def run(
         self,
@@ -298,9 +265,6 @@ class AnytimeAnywhereCloseness:
         budget_modeled_seconds: Optional[float] = None,
         step_budget: Optional[int] = None,
         resilience: Optional[ResilienceConfig] = None,
-        fault_plan: Optional["FaultPlan"] = None,
-        recovery: Optional[str] = None,
-        checkpoint_interval: Optional[int] = None,
     ) -> RunResult:
         """Run the RC phase to convergence, absorbing ``changes``.
 
@@ -324,14 +288,13 @@ class AnytimeAnywhereCloseness:
         :class:`~repro.core.config.ResilienceConfig` group for this call
         — its ``fault_plan`` runs the step under deterministic fault
         injection (see :class:`~repro.runtime.chaos.FaultPlan`): the
-        boundary exchange switches to the sequenced ack/retry protocol
-        and the supervisor answers scheduled crashes with the group's
+        always-sequenced boundary exchange loses, duplicates and retries
+        packets as the plan dictates and puts its acks on the wire, and
+        the supervisor answers scheduled crashes with the group's
         ``recovery`` policy (``"warm"`` | ``"checkpoint"`` |
         ``"redistribute"`` | ``"escalate"``) and
         ``checkpoint_interval``.  The result carries the fault/recovery
-        accounting and the canonical event trace.  The flat
-        ``fault_plan`` / ``recovery`` / ``checkpoint_interval`` kwargs
-        are deprecated shims for the group (one-release migration).
+        accounting and the canonical event trace.
 
         With ``config.health`` set (or ``recovery="escalate"``, which
         builds a default policy), the self-healing runtime engages:
@@ -345,22 +308,14 @@ class AnytimeAnywhereCloseness:
         """
         cluster = self._require_cluster()
         cfg = self.config
-        res = self._resolve_resilience(
-            resilience, fault_plan, recovery, checkpoint_interval
-        )
+        res = self._resolve_resilience(resilience)
         plan = res.fault_plan
         dyn = self.resolve_strategy(strategy) if changes else None
-        injector = None
         supervisor = None
         monitor = None
         if plan is not None:
-            from ..runtime.chaos import FaultInjector
-            from ..runtime.supervisor import Supervisor
-
             injector = FaultInjector(plan, cfg.nprocs)
             if cfg.health is not None:
-                from ..runtime.health import HealthMonitor
-
                 monitor = HealthMonitor(
                     cfg.health, cfg.nprocs, seed=plan.seed
                 )
@@ -377,6 +332,9 @@ class AnytimeAnywhereCloseness:
             cluster.attach_chaos(injector)
             if monitor is not None:
                 cluster.attach_health(monitor)
+        # the fault policy this run reports from: the plan's injector,
+        # or the null policy (no faults, no events) without a plan
+        injector = cluster.chaos
 
         completed_steps = 0
 
@@ -420,7 +378,6 @@ class AnytimeAnywhereCloseness:
                 raise
             steps = completed_steps
             degraded_reason = "retry-budget"
-            assert injector is not None
             injector.record_degraded(
                 self._next_step + steps, "retry-budget"
             )
@@ -435,7 +392,7 @@ class AnytimeAnywhereCloseness:
                 )
             raise
         finally:
-            if injector is not None:
+            if plan is not None:
                 cluster.detach_chaos()
             if monitor is not None:
                 cluster.detach_health()
@@ -475,10 +432,8 @@ class AnytimeAnywhereCloseness:
             snapshots=list(self.snapshots),
             load=snapshot_load(cluster),
             converged=converged,
-            faults_injected=(
-                injector.stats.faults_injected if injector else 0
-            ),
-            retries=injector.stats.retries if injector else 0,
+            faults_injected=injector.stats.faults_injected,
+            retries=injector.stats.retries,
             recoveries=supervisor.recoveries if supervisor else 0,
             recovery_modeled_seconds=(
                 supervisor.recovery_modeled_seconds if supervisor else 0.0
@@ -499,7 +454,7 @@ class AnytimeAnywhereCloseness:
             mttr_by_rung=(
                 dict(supervisor.mttr_by_rung) if supervisor else {}
             ),
-            fault_events=injector.trace_lines() if injector else [],
+            fault_events=injector.trace_lines(),
             wire_words=cluster.tracer.total_words,
             boundary_words=cluster.boundary_words,
             boundary_rows_dense=cluster.boundary_rows_dense,
@@ -605,7 +560,7 @@ class AnytimeAnywhereCloseness:
     # degraded-result quality
     # ------------------------------------------------------------------
     def _partial_quality(
-        self, monitor: Optional["HealthMonitor"]
+        self, monitor: Optional[HealthMonitor]
     ) -> Dict[str, float]:
         """Quantify how good a degraded partial result is.
 
@@ -757,9 +712,6 @@ def closeness(
     config: Optional[AnytimeConfig] = None,
     budget_modeled_seconds: Optional[float] = None,
     resilience: Optional[ResilienceConfig] = None,
-    fault_plan: Optional["FaultPlan"] = None,
-    recovery: Optional[str] = None,
-    checkpoint_interval: Optional[int] = None,
 ) -> RunResult:
     """One-shot closeness: a :func:`repro.session` opened for one run.
 
@@ -787,9 +739,8 @@ def closeness(
     Pass ``config`` for full control (it supplies ``nprocs``; passing
     both with conflicting values is an error).  Keep a session open
     instead when you need incremental feeds, anytime reads, or live
-    signals.  The flat ``fault_plan`` / ``recovery`` /
-    ``checkpoint_interval`` kwargs are deprecated shims for
-    ``resilience`` (one-release migration).
+    signals.  ``resilience`` overrides the config's fault-tolerance
+    group for the run, exactly as in :meth:`.run`.
     """
     from ..serve.session import session
 
@@ -800,32 +751,6 @@ def closeness(
             f"conflicting nprocs: argument {nprocs} vs config"
             f" {config.nprocs}"
         )
-    # fold the legacy flat kwargs here so the DeprecationWarning points
-    # at the caller of closeness(), not at the session facade
-    legacy = {
-        name: value
-        for name, value in (
-            ("fault_plan", fault_plan),
-            ("recovery", recovery),
-            ("checkpoint_interval", checkpoint_interval),
-        )
-        if value is not None
-    }
-    if legacy:
-        warnings.warn(
-            f"closeness({', '.join(sorted(legacy))}=...) is deprecated;"
-            " pass resilience=ResilienceConfig(...) instead (the flat"
-            " kwargs will be removed next release)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        base = resilience if resilience is not None else config.resilience
-        assert base is not None
-        resilience = dataclasses.replace(base, **legacy)
-        if resilience.fault_plan is None:
-            raise ConfigurationError(
-                "recovery/checkpoint_interval only apply with a fault_plan"
-            )
     # session context: backend resources (process-pool shm segments) are
     # released and exporters flushed even when the run raises mid-phase
     with session(graph, config) as s:

@@ -2,29 +2,28 @@
 
 A backend decides *where* the per-rank compute kernels of the two
 parallelizable phases run — the IA-phase local Dijkstra and the RC-step
-superstep (cut-edge relaxation + local min-plus propagation).  Everything
-else (exchanges, modeled clock, tracing, chaos, checkpointing, dynamic
-change strategies) stays in the coordinating process and is backend-
-agnostic.
+superstep (cut-edge relaxation + local min-plus propagation) — and does
+nothing else: the cluster prepares every rank's task
+(``Worker.ia_prepare`` / ``superstep_prepare``), hands the list to the
+backend, and applies the outcomes itself in rank order
+(``Worker.ia_apply`` / ``superstep_apply``).  Exchanges, modeled clock,
+tracing, fault injection, checkpointing and dynamic change strategies
+all stay in the coordinating process and are backend-agnostic.
 
-The contract that keeps every backend bitwise-identical to serial:
-
-* each rank's kernels between two ``sync_compute`` barriers are
-  independent (they touch only that rank's ``dv`` / ``local_apsp``), so
-  execution order across ranks cannot matter;
-* a backend must run, per rank, the exact kernel functions in
-  :mod:`repro.runtime.kernels` and merge outcomes via the worker's
-  ``*_apply`` methods **in rank order**, which replays the serial charge
-  sequence and queue updates exactly.
+Why every backend is bitwise-identical: each rank's kernels between two
+``sync_compute`` barriers are independent (they touch only that rank's
+``dv`` / ``local_apsp``), so execution order across ranks cannot matter,
+and every charge and queue update happens in the cluster's apply loop,
+which no backend can reorder.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List
+from typing import List, Optional
 
 from ...types import FloatArray
-from ..kernels import SuperstepResult, SuperstepTask, run_superstep
+from ..kernels import IATask, SuperstepResult, SuperstepTask, run_superstep
 from ..shm import ArrayAllocator
 from ..worker import Worker
 
@@ -41,12 +40,18 @@ class ExecutionBackend(ABC):
     allocator: ArrayAllocator
 
     @abstractmethod
-    def run_ia(self, workers: List[Worker]) -> None:
-        """Run the IA phase (local APSP + DV fold) on every worker."""
+    def run_ia(
+        self, workers: List[Worker], tasks: List[Optional[IATask]]
+    ) -> None:
+        """Execute each rank's IA kernel (local APSP + DV fold) against
+        its worker's matrices; ``None`` marks a rank that owns nothing."""
 
     @abstractmethod
-    def relax_and_propagate(self, workers: List[Worker]) -> bool:
-        """Run one RC superstep on every worker; True if anything improved."""
+    def relax_and_propagate(
+        self, workers: List[Worker], tasks: List[SuperstepTask]
+    ) -> List[SuperstepResult]:
+        """Execute each rank's RC-superstep kernel against its worker's
+        matrices; returns the outcomes in rank order."""
 
     def run_speculative(
         self, task: SuperstepTask, dv: FloatArray, apsp: FloatArray

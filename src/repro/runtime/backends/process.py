@@ -12,10 +12,9 @@ coordinating process, which runs the exchanges, modeled clock, chaos
 injection and checkpointing unchanged.
 
 Determinism: the children execute the exact kernel functions the serial
-backend runs, one rank per task, and the coordinator merges outcomes via
-``Worker.ia_apply`` / ``Worker.superstep_apply`` in rank order — the
-same statements in the same order as serial, hence bitwise-identical
-results, traces and modeled clocks.
+backend runs, one rank per task, and the cluster applies the outcomes
+in rank order whatever the backend — hence bitwise-identical results,
+traces and modeled clocks.
 """
 
 from __future__ import annotations
@@ -164,44 +163,40 @@ class ProcessBackend(ExecutionBackend):
             self.allocator.descriptor(w.local_apsp),
         )
 
-    def run_ia(self, workers: List[Worker]) -> None:
+    def run_ia(
+        self, workers: List[Worker], tasks: List[Optional[IATask]]
+    ) -> None:
         slots = max(self.nprocs, len(workers))
         pool = _get_pool(slots)
-        tasks = [w.ia_prepare() for w in workers]
-        futures: List[List["Future[None]"]] = []
+        futures: List["Future[None]"] = []
         for w, task in zip(workers, tasks):
             if task is None:
-                futures.append([])
                 continue
             dv_desc, apsp_desc = self._descriptors(w)
             chunks = make_tier(task.tier).ia_chunks(task, slots)
             if len(chunks) == 1:
                 # whole-rank task: the pre-tier fast path, one future
                 futures.append(
-                    [pool.submit(_child_ia, dv_desc, apsp_desc, task)]
+                    pool.submit(_child_ia, dv_desc, apsp_desc, task)
                 )
             else:
                 # source-parallel IA: one rank's Dijkstra fans out across
                 # the whole pool (chunks write disjoint rows, see
                 # _child_ia_chunk), lifting the speedup cap beyond the
                 # rank count
-                futures.append(
-                    [
-                        pool.submit(
-                            _child_ia_chunk, dv_desc, apsp_desc, task, lo, hi
-                        )
-                        for lo, hi in chunks
-                    ]
+                futures.extend(
+                    pool.submit(
+                        _child_ia_chunk, dv_desc, apsp_desc, task, lo, hi
+                    )
+                    for lo, hi in chunks
                 )
-        for w, task, futs in zip(workers, tasks, futures):
-            for fut in futs:
-                fut.result()
-            if task is not None:
-                w.ia_apply(task)
+        for fut in futures:
+            fut.result()
 
-    def relax_and_propagate(self, workers: List[Worker]) -> bool:
+    def relax_and_propagate(
+        self, workers: List[Worker], tasks: List[SuperstepTask]
+    ) -> List[SuperstepResult]:
         pool = _get_pool(max(self.nprocs, len(workers)))
-        tasks = [w.superstep_prepare() for w in workers]
         futures: List[Optional["Future[SuperstepResult]"]] = []
         for w, task in zip(workers, tasks):
             if task.n == 0 or (
@@ -217,12 +212,10 @@ class ProcessBackend(ExecutionBackend):
             futures.append(
                 pool.submit(_child_superstep, dv_desc, apsp_desc, task)
             )
-        changed = False
-        for w, task, fut in zip(workers, tasks, futures):
-            result = fut.result() if fut is not None else SuperstepResult()
-            c = w.superstep_apply(task, result)
-            changed = changed or c
-        return changed
+        return [
+            fut.result() if fut is not None else SuperstepResult()
+            for fut in futures
+        ]
 
     def run_speculative(
         self, task: SuperstepTask, dv: FloatArray, apsp: FloatArray

@@ -1,9 +1,10 @@
-"""The in-process backend: today's loop, unchanged default."""
+"""The in-process backend: every kernel runs in the coordinator."""
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
+from ..kernels import IATask, SuperstepResult, SuperstepTask
 from ..shm import ArrayAllocator
 from ..worker import Worker
 from .base import ExecutionBackend
@@ -19,14 +20,17 @@ class SerialBackend(ExecutionBackend):
     def __init__(self) -> None:
         self.allocator = ArrayAllocator()
 
-    def run_ia(self, workers: List[Worker]) -> None:
-        for w in workers:
-            w.run_initial_approximation()
+    def run_ia(
+        self, workers: List[Worker], tasks: List[Optional[IATask]]
+    ) -> None:
+        for w, task in zip(workers, tasks):
+            if task is not None:
+                w.tier.ia_kernel(task, w.dv, w.local_apsp)
 
-    def relax_and_propagate(self, workers: List[Worker]) -> bool:
-        changed = False
-        for w in workers:
-            c1 = w.relax_cut_edges()
-            c2 = w.propagate_local()
-            changed = changed or c1 or c2
-        return changed
+    def relax_and_propagate(
+        self, workers: List[Worker], tasks: List[SuperstepTask]
+    ) -> List[SuperstepResult]:
+        return [
+            w.tier.run_superstep(task, w.dv, w.local_apsp)
+            for w, task in zip(workers, tasks)
+        ]

@@ -28,7 +28,7 @@ only decides *what goes wrong, and when*.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -203,9 +203,18 @@ class FaultInjector:
     :meth:`crashes_at` at the start of every RC step.  All consulted
     randomness comes from one seeded generator, so the recorded
     :attr:`events` trace is byte-identical across identical runs.
+
+    ``plan=None`` is the null policy every cluster holds when no plan is
+    attached: every packet is ``ok``, no ack is lost, nothing crashes.
     """
 
-    def __init__(self, plan: FaultPlan, nprocs: int) -> None:
+    def __init__(self, plan: Optional[FaultPlan], nprocs: int) -> None:
+        #: no plan at all: the network is reliable, so the exchange acks
+        #: locally (no ack on the wire).  Any plan — even crash-only —
+        #: keeps the priced one-word acks.
+        self.reliable = plan is None
+        if plan is None:
+            plan = FaultPlan()
         for _step, rank in plan.crashes:
             if rank >= nprocs:
                 raise ConfigurationError(

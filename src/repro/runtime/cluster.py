@@ -21,6 +21,7 @@ slowest worker's compute.  Communication is priced by the configured
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,6 +45,7 @@ from ..obs.observer import NULL_HUB, ObserverHub
 from ..partition.base import Partition, Partitioner
 from ..types import FloatArray, Rank, VertexId
 from .backends import BackendSpec, make_backend
+from .chaos import FaultInjector
 from .index import GlobalIndex
 from .kernels import SuperstepTask, TierSpec, make_tier
 from .message import DeltaRows, dense_row_words, dv_payload_words
@@ -51,7 +53,6 @@ from .tracing import Tracer
 from .worker import Worker
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .chaos import FaultInjector
     from .health import HealthMonitor
 
 #: per-rank speculative-execution capture: the rank's superstep task plus
@@ -143,8 +144,9 @@ class Cluster:
             for w, sp in zip(self.workers, worker_speeds):
                 w.speed = float(sp)
         self.partition: Optional[Partition] = None
-        #: active fault injector (None = reliable network)
-        self.chaos: Optional["FaultInjector"] = None
+        #: the fault policy every boundary exchange consults; without an
+        #: attached plan it is the null policy (reliable network)
+        self.chaos = FaultInjector(None, nprocs)
         self._pre_chaos_speeds: Optional[List[float]] = None
         #: active health monitor (None = no self-healing instrumentation)
         self.health: Optional["HealthMonitor"] = None
@@ -365,15 +367,19 @@ class Cluster:
     # ------------------------------------------------------------------
     def run_initial_approximation(self) -> None:
         self.tracer.begin("initial_approximation")
-        self.backend.run_ia(self.workers)
+        tasks = [w.ia_prepare() for w in self.workers]
+        self.backend.run_ia(self.workers, tasks)
+        for w, task in zip(self.workers, tasks):
+            if task is not None:
+                w.ia_apply(task)
         self.sync_compute()
         self.tracer.end()
 
     # ------------------------------------------------------------------
     # fault injection
     # ------------------------------------------------------------------
-    def attach_chaos(self, injector: "FaultInjector") -> None:
-        """Route the boundary exchange through ``injector`` and apply its
+    def attach_chaos(self, injector: FaultInjector) -> None:
+        """Make ``injector`` the exchange's fault policy and apply its
         straggler slowdowns.  Detach with :meth:`detach_chaos`."""
         if injector.nprocs != self.nprocs:
             raise ConfigurationError(
@@ -389,9 +395,9 @@ class Cluster:
         """Restore the reliable network and original worker speeds.
 
         Any rows still awaiting acknowledgement move back to the pending
-        queues so the reliable exchange path completes their delivery.
+        queues, so the next exchange completes their delivery.
         """
-        self.chaos = None
+        self.chaos = FaultInjector(None, self.nprocs)
         if self._pre_chaos_speeds is not None:
             for w, sp in zip(self.workers, self._pre_chaos_speeds):
                 w.speed = sp
@@ -423,52 +429,18 @@ class Cluster:
     def exchange_boundary(self) -> int:
         """Personalized all-to-all exchange of queued boundary-DV rows.
 
-        Returns the number of DV rows delivered.  Prices the exchange under
-        the configured schedule and charges pack/unpack compute.  With a
-        fault injector attached, the exchange runs the sequenced
-        ack/retry protocol instead (see :meth:`_exchange_with_chaos`).
-        """
-        if self.chaos is not None:
-            return self._exchange_with_chaos()
-        payloads: Dict[Tuple[Rank, Rank], DeltaRows] = {}
-        messages: List[Tuple[Rank, Rank, int]] = []
-        delivered = 0
-        for src in range(self.nprocs):
-            w = self.workers[src]
-            for dst in range(self.nprocs):
-                if dst == src:
-                    continue
-                rows = w.build_payload(dst)
-                if not rows:
-                    continue
-                payloads[(src, dst)] = rows
-                messages.append((src, dst, rows.words()))
-                self._count_boundary(rows)
-                delivered += len(rows)
-        self.charge_comm_words(messages)
-        for (src, dst), rows in payloads.items():
-            self.workers[dst].receive_rows(rows)
-        return delivered
-
-    def _count_boundary(self, payload: DeltaRows, copies: int = 1) -> None:
-        """Accumulate bench counters for one boundary payload on the wire."""
-        self.boundary_words += copies * payload.words()
-        self.boundary_rows_dense += copies * len(payload.dense)
-        self.boundary_rows_sparse += copies * len(payload.sparse)
-
-    def _exchange_with_chaos(self) -> int:
-        """Sequenced, acknowledged boundary exchange under fault injection.
-
-        Every packet carries a per-channel sequence number; the sender
-        keeps it buffered until the destination's ack arrives, so the RC
-        fixed-point vote cannot falsely converge while an update sits
-        undelivered.  Lost packets (and lost acks) are retried at the next
-        exchange; duplicates are deduplicated by sequence number.  All
-        traffic — including retries, duplicates and the 1-word acks — is
-        priced by the LogP schedule.
+        Returns the number of DV rows delivered.  Every packet carries a
+        per-channel sequence number; the sender keeps it buffered until
+        the destination's ack arrives, so the RC fixed-point vote cannot
+        falsely converge while an update sits undelivered.  The fault
+        policy (:attr:`chaos`) decides each packet's fate: lost packets
+        (and lost acks) are retried at the next exchange; duplicates are
+        deduplicated by sequence number.  All traffic — including
+        retries, duplicates and the 1-word acks — is priced by the LogP
+        schedule.  On a reliable network (no fault plan) delivery *is*
+        the acknowledgement, so no ack goes on the wire.
         """
         chaos = self.chaos
-        assert chaos is not None
         max_retries = chaos.plan.max_retries
         messages: List[Tuple[Rank, Rank, int]] = []
         #: (src, dst, seq, payload, copies delivered on the wire)
@@ -496,24 +468,28 @@ class Cluster:
                     outcome = chaos.send_outcome(src, dst, seq)
                     if outcome == "send_failure":
                         continue  # never hit the wire; retried next step
-                    words = rows.words()
                     copies = 2 if outcome == "duplicated" else 1
-                    for _ in range(copies):
-                        messages.append((src, dst, words))
-                    self._count_boundary(rows, copies)
+                    words = rows.words()
+                    messages.extend([(src, dst, words)] * copies)
+                    self.boundary_words += copies * words
+                    self.boundary_rows_dense += copies * len(rows.dense)
+                    self.boundary_rows_sparse += copies * len(rows.sparse)
                     if outcome == "lost":
                         continue
                     deliveries.append((src, dst, seq, rows, copies))
         delivered = 0
-        acks: List[Tuple[Rank, Rank, int]] = []
         for src, dst, seq, rows, copies in deliveries:
-            if self.workers[dst].receive_packet(src, seq, rows):
+            sender = self.workers[src]
+            if self.workers[dst].receive_packet(
+                src, seq, rows, sender.send_floor(dst)
+            ):
                 delivered += len(rows)
             for _ in range(copies):
-                acks.append((dst, src, 1))  # 1-word ack on the wire
+                if not chaos.reliable:
+                    messages.append((dst, src, 1))  # 1-word ack on the wire
                 if not chaos.ack_lost(src, dst, seq):
-                    self.workers[src].ack_packet(dst, seq)
-        self.charge_comm_words(messages + acks)
+                    sender.ack_packet(dst, seq)
+        self.charge_comm_words(messages)
         if backoff:
             # backoff is wait time on the modeled clock, priced like comm
             self.tracer.add_comm(backoff)
@@ -530,21 +506,31 @@ class Cluster:
     def relax_and_propagate(self) -> bool:
         """Cut-edge relaxation + local min-plus propagation on all workers.
 
+        The one superstep driver: every rank's task is prepared here,
+        the backend only executes the kernels, and the outcomes are
+        applied in rank order — so the charge sequence and queue updates
+        cannot depend on where the kernels ran.
+
         With a health monitor attached this is the *mitigated* superstep:
-        before running the backend, each known-slow rank's task and array
-        state are captured so :meth:`_mitigated_barrier` can speculatively
-        re-execute its kernel if the rank misses the deadline.  Only this
-        superstep barrier is mitigated — the IA phase and recovery
-        barriers run unmodified (one-shot phases, no deadline baseline).
+        each known-slow rank's prepared task and array state are captured
+        so :meth:`_mitigated_barrier` can speculatively re-execute its
+        kernel if the rank misses the deadline.  Only this superstep
+        barrier is mitigated — the IA phase and recovery barriers run
+        unmodified (one-shot phases, no deadline baseline).
         """
+        tasks = [w.superstep_prepare() for w in self.workers]
         if self.health is not None:
             ctx: SpecContext = {}
             pre = self._pre_chaos_speeds
             if pre is not None and self.health.policy.speculate:
                 for r, w in enumerate(self.workers):
                     if w.speed < pre[r]:
+                        # the real kernel extends its task's dirty mask
+                        # in place, so the backup gets a private copy
                         ctx[r] = (
-                            w.peek_superstep_task(),
+                            replace(
+                                tasks[r], dirty_cols=tasks[r].dirty_cols.copy()
+                            ),
                             w.dv.copy(),
                             w.local_apsp.copy(),
                         )
@@ -552,7 +538,10 @@ class Cluster:
             # observe every superstep even when nothing can be speculated
             self._spec_context = ctx
         try:
-            changed = self.backend.relax_and_propagate(self.workers)
+            results = self.backend.relax_and_propagate(self.workers, tasks)
+            changed = False
+            for w, task, result in zip(self.workers, tasks, results):
+                changed = w.superstep_apply(task, result) or changed
             self.sync_compute()
         finally:
             self._spec_context = None
@@ -654,7 +643,7 @@ class Cluster:
                 float(w.unacked_row_count()),
                 rank=str(w.rank),
             )
-        if self.chaos is not None:
+        if not self.chaos.reliable:
             stats = self.chaos.stats
             reg.counter_set(series.RETRIES, float(stats.retries))
             reg.counter_set(series.FAULTS, float(stats.faults_injected))
@@ -738,13 +727,3 @@ class Cluster:
 
     def converged_vote(self) -> bool:
         return not any(w.has_pending() for w in self.workers)
-
-    def load_report(self) -> Dict[str, List[float]]:
-        """Per-worker load statistics (vertices, cut edges, compute ops)."""
-        return {
-            "vertices": [float(w.n_local) for w in self.workers],
-            "cut_edges": [
-                float(sum(len(d) for d in w.cut_adj.values()))
-                for w in self.workers
-            ],
-        }

@@ -23,7 +23,7 @@ The consumers:
   :meth:`HealthMonitor.observe_superstep` and uses the deadline to run
   speculative re-execution of straggling rank kernels (first completion
   wins; results are verified bitwise-identical),
-* :meth:`Cluster._exchange_with_chaos` charges
+* :meth:`Cluster.exchange_boundary` charges
   :meth:`HealthMonitor.backoff_delay` per retransmission (seeded
   exponential backoff + jitter on the LogP clock),
 * the :class:`~repro.runtime.supervisor.Supervisor` climbs its recovery

@@ -164,11 +164,15 @@ class KernelTier:
     ) -> SuperstepResult:
         """One rank's full RC superstep: relaxation then propagation.
 
-        Mirrors the serial ``relax_cut_edges`` + ``propagate_local``
-        pair decision-for-decision; the only difference is that
-        change-tracking state arrives snapshotted inside ``task`` and
-        the outcomes travel back in a :class:`SuperstepResult` instead
-        of mutating the worker.
+        Change-tracking state arrives snapshotted inside ``task`` and
+        the outcomes travel back in a :class:`SuperstepResult`; the
+        worker itself is never touched, so the kernel can run anywhere.
+
+        Because ``local_apsp`` is transitively closed, a single fold
+        from the rows that changed since the last propagation is
+        complete: for any target ``t``,
+        ``d(x,t) <- min_k apsp(x,k) + d(k,t)`` over the changed sources
+        ``k`` cannot be improved by chaining two local hops.
         """
         dirty = task.dirty_cols
         relax_improved = self.relax_cut(dv, dirty, task.relax_items)

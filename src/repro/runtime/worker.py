@@ -119,7 +119,12 @@ class Worker:
         ]
         #: per destination: seq -> send attempts so far
         self._attempts: List[Dict[int, int]] = [{} for _ in range(nprocs)]
-        #: per source: sequence numbers already delivered (dedup filter)
+        #: per source: the dedup filter.  ``_seen_floor`` is the watermark
+        #: — the sender has settled every sequence number below it and
+        #: will never resend one — and ``_seen_seq`` holds the numbers at
+        #: or above it already delivered (at most the sender's in-flight
+        #: retries, so O(1) on a lossless channel)
+        self._seen_floor: List[int] = [0] * nprocs
         self._seen_seq: List[Set[int]] = [set() for _ in range(nprocs)]
 
         # --- delta-exchange baselines ---------------------------------
@@ -259,6 +264,7 @@ class Worker:
         self._send_seq = [0] * self.nprocs
         self._unacked = [{} for _ in range(self.nprocs)]
         self._attempts = [{} for _ in range(self.nprocs)]
+        self._seen_floor = [0] * self.nprocs
         self._seen_seq = [set() for _ in range(self.nprocs)]
         self._sent_rows = [{} for _ in range(self.nprocs)]
 
@@ -393,7 +399,7 @@ class Worker:
         return sum(len(q) for q in self._pending)
 
     def unacked_row_count(self) -> int:
-        """Rows in flight awaiting acknowledgement (chaos exchanges)."""
+        """Rows in flight awaiting acknowledgement."""
         return sum(
             len(ids) for chan in self._unacked for ids in chan.values()
         )
@@ -442,10 +448,15 @@ class Worker:
             baselines.clear()
 
     def build_payload(self, dst: Rank) -> DeltaRows:
-        """Encoded DV rows queued for ``dst``; clears the queue."""
+        """Encoded DV rows queued for ``dst``; clears the queue.
+
+        A queued vertex that migrated away since it was queued is
+        skipped: its new owner re-sends it.
+        """
         out = DeltaRows()
         for v in sorted(self._pending[dst]):
-            self._encode_row(dst, v, out)
+            if v in self.row_of:
+                self._encode_row(dst, v, out)
         self._pending[dst].clear()
         return out
 
@@ -484,7 +495,8 @@ class Worker:
             self._fresh_ext.add(v)
 
     # ------------------------------------------------------------------
-    # loss-tolerant channels (chaos-mode exchange path)
+    # sequenced channels (every boundary exchange; see
+    # Cluster.exchange_boundary)
     # ------------------------------------------------------------------
     def outbound_packets(
         self, dst: Rank, max_retries: int
@@ -496,13 +508,12 @@ class Worker:
         the current DV, which only sharpens the delivered upper bounds and
         stays correct even when the original delta was lost or the
         retransmission is deduplicated at the receiver), then at most one
-        fresh packet draining the pending queue.  Fresh rows are
-        delta-encoded exactly like :meth:`build_payload`; the baseline
-        advances at build time, which is safe because retries are dense
-        and the baseline is never advanced past values the receiver could
-        permanently miss.  The pending set moves into the unacked buffer,
-        so the convergence vote cannot pass until delivery is
-        acknowledged.
+        fresh packet draining the pending queue through
+        :meth:`build_payload`.  The delta baseline advances at build
+        time, which is safe because retries are dense and the baseline
+        is never advanced past values the receiver could permanently
+        miss.  The pending set moves into the unacked buffer, so the
+        convergence vote cannot pass until delivery is acknowledged.
 
         Raises :class:`~repro.errors.WorkerError` once a packet exhausts
         ``max_retries`` — a partition, not a transient fault.
@@ -528,17 +539,13 @@ class Worker:
                 dense={v: self.dv[self.row_of[v]].copy() for v in ids}
             )
             packets.append((seq, payload, n > 1))
-        fresh = sorted(v for v in self._pending[dst] if v in self.row_of)
-        self._pending[dst].clear()
-        if fresh:
-            payload = DeltaRows()
-            sent = [v for v in fresh if self._encode_row(dst, v, payload)]
-            if sent:
-                seq = self._send_seq[dst]
-                self._send_seq[dst] += 1
-                unacked[seq] = sent
-                attempts[seq] = 1
-                packets.append((seq, payload, False))
+        payload = self.build_payload(dst)
+        if payload:
+            seq = self._send_seq[dst]
+            self._send_seq[dst] += 1
+            unacked[seq] = payload.vertices()
+            attempts[seq] = 1
+            packets.append((seq, payload, False))
         return packets
 
     def ack_packet(self, dst: Rank, seq: int) -> None:
@@ -554,16 +561,37 @@ class Worker:
         """
         return self._attempts[dst].get(seq, 1)
 
+    def send_floor(self, dst: Rank) -> int:
+        """Lowest sequence number this rank may still (re)send to ``dst``.
+
+        Everything below it was acknowledged or abandoned
+        (:meth:`flush_unacked`, rows that migrated away), so the
+        receiver may forget it — the header field that keeps the dedup
+        filter bounded (cf. SCTP's forward-TSN).
+        """
+        unacked = self._unacked[dst]
+        return min(unacked) if unacked else self._send_seq[dst]
+
     def receive_packet(
         self,
         src: Rank,
         seq: int,
         rows: Union[Dict[VertexId, FloatArray], DeltaRows],
+        floor: int = 0,
     ) -> bool:
-        """Deliver a sequenced packet; returns False for a duplicate."""
-        if seq in self._seen_seq[src]:
+        """Deliver a sequenced packet; returns False for a duplicate.
+
+        ``floor`` is the sender's :meth:`send_floor` riding on the
+        packet: the watermark rises to it and delivered numbers below
+        it are forgotten.
+        """
+        seen = self._seen_seq[src]
+        if floor > self._seen_floor[src]:
+            seen.difference_update(range(self._seen_floor[src], floor))
+            self._seen_floor[src] = floor
+        if seq < self._seen_floor[src] or seq in seen:
             return False
-        self._seen_seq[src].add(seq)
+        seen.add(seq)
         self.receive_rows(rows)
         return True
 
@@ -577,6 +605,7 @@ class Worker:
         self._send_seq[peer] = 0
         self._unacked[peer].clear()
         self._attempts[peer].clear()
+        self._seen_floor[peer] = 0
         self._seen_seq[peer].clear()
         self._pending[peer].clear()
         self._sent_rows[peer].clear()
@@ -584,9 +613,9 @@ class Worker:
     def flush_unacked(self) -> None:
         """Move unacknowledged rows back to the pending queues.
 
-        Used when chaos mode detaches mid-computation (e.g. an anytime
-        budget interrupt): the reliable exchange path takes over delivery
-        of whatever was still in flight.
+        Used when a fault plan detaches mid-computation (e.g. an anytime
+        budget interrupt): the next exchange delivers whatever was still
+        in flight as one fresh packet instead of per-packet retries.
         """
         for dst in range(self.nprocs):
             for ids in self._unacked[dst].values():
@@ -600,10 +629,14 @@ class Worker:
             self._attempts[dst].clear()
 
     # ------------------------------------------------------------------
-    # RC-step kernels
+    # RC superstep: prepare -> kernel (any backend) -> apply
     # ------------------------------------------------------------------
-    def _relax_items(self) -> RelaxItems:
-        """Consume the fresh-external set into relaxation work items.
+    def superstep_prepare(self) -> SuperstepTask:
+        """Snapshot one RC superstep's inputs for the kernel.
+
+        Consumes the fresh-external set but leaves the change-tracking
+        flags in place; :meth:`superstep_apply` clears them once the
+        kernel's outcome is known.
 
         Relaxation order over fresh external rows must not depend on set
         hash order: min() is order-independent per entry, but the compute
@@ -614,111 +647,9 @@ class Worker:
         items: RelaxItems = []
         for x in sorted(fresh):
             pairs = self.cut_by_ext.get(x)
-            if not pairs:
-                continue
             row_x = self.ext_dvs.get(x)
-            if row_x is None:
-                continue
-            items.append((row_x, [(self.row_of[u], w) for u, w in pairs]))
-        return items
-
-    def relax_cut_edges(self) -> bool:
-        """Relax cut edges against freshly received external rows.
-
-        ``d(u, t) <- min(d(u, t), w(u, x) + d(x, t))`` for each cut edge
-        ``(u, x)`` whose external row arrived since the last call.
-        """
-        items = self._relax_items()
-        improved = self.tier.relax_cut(self.dv, self._dirty_cols, items)
-        for _row_x, pairs in items:
-            for _ in pairs:
-                self._charge(self.cost.relax_time(self.n_cols))
-        for r in improved:
-            self._mark_row_changed(r)
-        return bool(improved)
-
-    def propagate_local(self) -> bool:
-        """Min-plus propagation through the local sub-graph (paper's local
-        Floyd–Warshall update).
-
-        Because ``local_apsp`` is transitively closed, a single pass from
-        the rows that changed since the last propagation is complete: for
-        any target ``t``, ``d(x,t) <- min_k apsp(x,k) + d(k,t)`` over the
-        changed sources ``k`` cannot be improved by chaining two local hops.
-        """
-        n = self.n_local
-        if n == 0:
-            # nothing to fold, but pending flags must still clear or an
-            # empty worker would block the convergence vote forever
-            self._full_repropagate = False
-            self._changed_rows.clear()
-            if self._dirty_cols.size:
-                self._dirty_cols[:] = False
-            return False
-        if self._full_repropagate:
-            rows = list(range(n))
-            col_mask = np.ones(self.n_cols, dtype=bool)
-            self._full_repropagate = False
-        else:
-            rows = sorted(self._changed_rows)
-            col_mask = self._dirty_cols
-        if not rows or not col_mask.any():
-            self._changed_rows.clear()
-            self._dirty_cols[:] = False
-            return False
-        cols = np.flatnonzero(col_mask)
-        # The paper's recombination strategy performs the full local
-        # Floyd–Warshall-style DV update each active RC step; the modeled
-        # cost charges that dense fold.  The simulation computes only the
-        # changed-rows x dirty-columns restriction — a pure wall-clock
-        # optimization (sources that did not change cannot improve anything
-        # through a transitively-closed local APSP).
-        self._charge(self.cost.minplus_time(n, n, self.n_cols))
-        improved_rows = self.tier.minplus_fold(
-            self.local_apsp, self.dv, rows, cols
-        )
-        self._changed_rows.clear()
-        self._dirty_cols[:] = False
-        # Improved rows need only be *sent* to subscribers, not re-used as
-        # local sources: local_apsp is transitively closed, so chaining two
-        # local hops can never beat the single-hop fold just performed.
-        for r in improved_rows:
-            self._queue_row(self.owned[r])
-        return bool(improved_rows)
-
-    # ------------------------------------------------------------------
-    # superstep task protocol (process backend)
-    # ------------------------------------------------------------------
-    def superstep_prepare(self) -> SuperstepTask:
-        """Snapshot one RC superstep's inputs for an off-process kernel.
-
-        Consumes the fresh-external set (exactly like the serial
-        :meth:`relax_cut_edges`) but leaves the change-tracking flags in
-        place; :meth:`superstep_apply` clears them once the kernel's
-        outcome is known.
-        """
-        return SuperstepTask(
-            n=self.n_local,
-            n_cols=self.n_cols,
-            relax_items=self._relax_items(),
-            changed_rows=sorted(self._changed_rows),
-            dirty_cols=self._dirty_cols.copy(),
-            full_repropagate=self._full_repropagate,
-            tier=self.tier.name,
-        )
-
-    def peek_superstep_task(self) -> SuperstepTask:
-        """Snapshot the next superstep's inputs *without* consuming them.
-
-        Used by the straggler-mitigation path to capture a speculative
-        copy of a suspect rank's work before the real superstep runs.
-        :meth:`_relax_items` consumes the fresh-external set, so it is
-        saved and restored around the call; the returned task holds the
-        same item list (same sorted order) the real superstep will see.
-        """
-        saved_fresh = set(self._fresh_ext)
-        items = self._relax_items()
-        self._fresh_ext = saved_fresh
+            if pairs and row_x is not None:
+                items.append((row_x, [(self.row_of[u], w) for u, w in pairs]))
         return SuperstepTask(
             n=self.n_local,
             n_cols=self.n_cols,
@@ -734,30 +665,40 @@ class Worker:
     ) -> bool:
         """Charges + bookkeeping for a completed superstep kernel.
 
-        Replays the exact charge sequence of the serial
-        ``relax_cut_edges`` + ``propagate_local`` pair (one relax charge
-        per cut-edge relaxation, then the min-plus charge iff the fold
-        ran), queues improved rows to subscribers, and leaves the
-        change-tracking state exactly as the serial pair would.
+        One relax charge per cut-edge relaxation
+        (``d(u, t) <- min(d(u, t), w(u, x) + d(x, t))`` for each cut edge
+        ``(u, x)`` whose external row arrived), then the min-plus charge
+        iff the local propagation fold ran; improved rows are queued to
+        their subscribers.
         """
         for _ in range(task.n_relaxations):
             self._charge(self.cost.relax_time(self.n_cols))
         for r in result.relax_improved:
             self._mark_row_changed(r)
-        # the serial pair always ends a superstep with clean tracking
-        # state: propagation either consumed it or cleared it unused
+        # a superstep always ends with clean tracking state — the fold
+        # either consumed it or had nothing to do — or an empty worker
+        # would block the convergence vote forever
         self._full_repropagate = False
         self._changed_rows.clear()
         if self._dirty_cols.size:
             self._dirty_cols[:] = False
         if result.prop_charged:
+            # The paper's recombination strategy performs the full local
+            # Floyd–Warshall-style DV update each active RC step; the
+            # modeled cost charges that dense fold.  The kernel computes
+            # only the changed-rows x dirty-columns restriction — a pure
+            # wall-clock optimization (sources that did not change cannot
+            # improve anything through a transitively-closed local APSP).
             self._charge(self.cost.minplus_time(task.n, task.n, self.n_cols))
+        # Improved rows need only be *sent* to subscribers, not re-used as
+        # local sources: local_apsp is transitively closed, so chaining two
+        # local hops can never beat the single-hop fold just performed.
         for r in result.prop_improved:
             self._queue_row(self.owned[r])
         return result.improved
 
     def request_full_repropagate(self) -> None:
-        """Force the next :meth:`propagate_local` to use all rows/columns
+        """Force the next superstep's fold to use all rows/columns
         (called after local structural changes invalidate the incremental
         change tracking).  The delta baselines are invalidated with it:
         a full re-propagation pairs with a full (dense) boundary refresh."""

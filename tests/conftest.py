@@ -54,6 +54,15 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return Graph.from_edges(edges)
 
 
+def superstep(worker):
+    """One RC superstep on a lone worker: prepare -> kernel -> apply
+    (what ``Cluster.relax_and_propagate`` does for every rank)."""
+    task = worker.superstep_prepare()
+    result = worker.tier.run_superstep(task, worker.dv, worker.local_apsp)
+    worker.superstep_apply(task, result)
+    return result
+
+
 def run_and_verify(
     base: Graph,
     *,

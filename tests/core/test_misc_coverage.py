@@ -9,6 +9,7 @@ from repro.errors import ConfigurationError
 from repro.graph import barabasi_albert
 from repro.model import DEFAULT_COST
 from repro.runtime import Cluster, GlobalIndex, Worker
+from repro.runtime.metrics import snapshot_load
 
 from ..conftest import path_graph
 
@@ -94,6 +95,6 @@ def test_cluster_load_report_keys():
     from repro.partition import MultilevelPartitioner
 
     cluster.decompose(MultilevelPartitioner(seed=1))
-    report = cluster.load_report()
-    assert set(report) == {"vertices", "cut_edges"}
-    assert sum(report["vertices"]) == 30
+    report = snapshot_load(cluster)
+    assert sum(report.vertices) == 30
+    assert sum(report.cut_edges) == 2 * report.total_cut_edges > 0

@@ -1,4 +1,4 @@
-"""ResilienceConfig consolidation + deprecation shims (one-release window)."""
+"""ResilienceConfig is the only spelling of the fault-tolerance knobs."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+import repro
 from repro import (
     AnytimeAnywhereCloseness,
     AnytimeConfig,
@@ -35,57 +36,43 @@ class TestResilienceConfig:
             ResilienceConfig(checkpoint_interval=0)
 
     def test_config_always_populates_the_group(self):
-        cfg = AnytimeConfig(nprocs=4)
-        assert cfg.resilience == ResilienceConfig()
-        # mirrored legacy fields reflect the group
-        assert cfg.recovery == "warm"
-        assert cfg.checkpoint_interval == 8
+        assert AnytimeConfig(nprocs=4).resilience == ResilienceConfig()
+        assert (
+            AnytimeConfig(nprocs=4, resilience=None).resilience
+            == ResilienceConfig()
+        )
 
     def test_group_flows_through(self):
         res = ResilienceConfig(recovery="escalate", checkpoint_interval=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            cfg = AnytimeConfig(nprocs=4, resilience=res)
+        cfg = AnytimeConfig(nprocs=4, resilience=res)
         assert cfg.resilience is res
-        assert cfg.recovery == "escalate"
-        assert cfg.checkpoint_interval == 3
+        assert dataclasses.replace(cfg).resilience is res
 
 
 class TestLegacyConfigKwargs:
-    def test_legacy_kwargs_warn_and_fold_into_group(self):
-        with pytest.warns(DeprecationWarning, match="resilience"):
-            cfg = AnytimeConfig(
-                nprocs=4, recovery="checkpoint", checkpoint_interval=5
-            )
-        assert cfg.resilience == ResilienceConfig(
-            recovery="checkpoint", checkpoint_interval=5
-        )
+    """The flat ``recovery`` / ``checkpoint_interval`` fields are gone."""
+
+    def test_legacy_kwargs_raise_type_error(self):
+        with pytest.raises(TypeError, match="recovery"):
+            AnytimeConfig(nprocs=4, recovery="checkpoint")
+        with pytest.raises(TypeError, match="checkpoint_interval"):
+            AnytimeConfig(nprocs=4, checkpoint_interval=5)
+        cfg = AnytimeConfig(nprocs=4)
+        assert not hasattr(cfg, "recovery")
+        assert not hasattr(cfg, "checkpoint_interval")
 
     def test_conflicting_legacy_and_group_raise(self):
-        with pytest.raises(ConfigurationError, match="recovery"):
+        with pytest.raises(TypeError, match="recovery"):
             AnytimeConfig(
                 nprocs=4,
                 recovery="warm",
                 resilience=ResilienceConfig(recovery="escalate"),
             )
 
-    def test_matching_legacy_and_group_pass_silently(self):
-        """dataclasses.replace() round-trips re-pass the mirrored legacy
-        fields; values matching the group must not warn or raise."""
-        with pytest.warns(DeprecationWarning):
-            cfg = AnytimeConfig(nprocs=4, recovery="checkpoint")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            clone = dataclasses.replace(cfg)
-        assert clone.resilience == cfg.resilience
-
-    def test_legacy_recovery_still_validated(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                AnytimeConfig(nprocs=4, recovery="nonsense")
-
 
 class TestLegacyRunKwargs:
+    """``run()`` / ``closeness()`` take the group, never the flat kwargs."""
+
     def _engine(self):
         eng = AnytimeAnywhereCloseness(
             _graph(), AnytimeConfig(nprocs=3, collect_snapshots=False)
@@ -93,12 +80,18 @@ class TestLegacyRunKwargs:
         eng.setup()
         return eng
 
-    def test_run_fault_plan_kwarg_warns_but_works(self):
+    def test_run_flat_kwargs_raise_type_error(self):
         eng = self._engine()
         plan = FaultPlan(seed=0, loss_prob=0.05)
-        with pytest.warns(DeprecationWarning, match="fault_plan"):
-            result = eng.run(fault_plan=plan)
-        assert result.converged
+        for kwargs in (
+            {"fault_plan": plan},
+            {"recovery": "warm"},
+            {"checkpoint_interval": 4},
+        ):
+            with pytest.raises(TypeError):
+                eng.run(**kwargs)
+            with pytest.raises(TypeError):
+                repro.closeness(_graph(), nprocs=3, **kwargs)
 
     def test_run_resilience_group_does_not_warn(self):
         eng = self._engine()
@@ -108,23 +101,14 @@ class TestLegacyRunKwargs:
             result = eng.run(resilience=ResilienceConfig(fault_plan=plan))
         assert result.converged
 
-    def test_legacy_and_group_runs_are_bitwise_identical(self):
-        plan = FaultPlan(seed=3, loss_prob=0.1, dup_prob=0.05)
-        eng1, eng2 = self._engine(), self._engine()
-        with pytest.warns(DeprecationWarning):
-            legacy = eng1.run(fault_plan=plan, recovery="warm")
-        grouped = eng2.run(
-            resilience=ResilienceConfig(recovery="warm", fault_plan=plan)
-        )
-        assert legacy.closeness == grouped.closeness
-        assert legacy.modeled_seconds == grouped.modeled_seconds
-        assert legacy.fault_events == grouped.fault_events
-
     def test_recovery_without_fault_plan_still_raises(self):
+        """A run-level override that sets a recovery policy but no plan
+        would silently do nothing — rejected.  The all-defaults group is
+        the one plan-less override that means something: it switches a
+        configured plan off for one run."""
         eng = self._engine()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError, match="fault_plan"):
-                eng.run(recovery="warm")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError, match="fault_plan"):
-                eng.run(checkpoint_interval=4)
+        with pytest.raises(ConfigurationError, match="fault_plan"):
+            eng.run(resilience=ResilienceConfig(recovery="checkpoint"))
+        with pytest.raises(ConfigurationError, match="fault_plan"):
+            eng.run(resilience=ResilienceConfig(checkpoint_interval=4))
+        assert eng.run(resilience=ResilienceConfig()).converged

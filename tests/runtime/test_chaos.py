@@ -200,15 +200,122 @@ class TestLossyExchange:
         assert w._seen_seq[1] == set()
 
 
+class TestSequencedChannelState:
+    """The sequenced exchange is the default path: its per-channel state
+    must stay O(1) on a reliable network and price nothing extra."""
+
+    @staticmethod
+    def _forge_send(cluster):
+        """Queue one boundary row (dense) on some channel; returns
+        ``(sender, dst)``."""
+        w = next(w for w in cluster.workers if w.subscribers)
+        v = min(w.subscribers)
+        dst = min(w.subscribers[v])
+        w._pending[dst].add(v)
+        w._sent_rows[dst].pop(v, None)
+        return w, dst
+
+    def test_lossless_exchanges_leave_constant_dedup_state(self):
+        _g, engine = fresh_engine(n=30, nprocs=3)
+        engine.run()
+        cluster = engine.cluster
+        for _ in range(2000):
+            w, dst = self._forge_send(cluster)
+            assert cluster.exchange_boundary() == 1
+        assert w._send_seq[dst] >= 2000
+        for receiver in cluster.workers:
+            assert all(len(seen) <= 1 for seen in receiver._seen_seq)
+        assert cluster.workers[dst]._seen_floor[w.rank] >= 1999
+
+    def test_abandoned_packets_do_not_stall_the_watermark(self):
+        """An interrupted lossy run abandons its lost packets
+        (``flush_unacked``); the receivers' filters must not wait for
+        those sequence numbers forever."""
+        _g, engine = fresh_engine()
+        engine.run(
+            resilience=ResilienceConfig(
+                fault_plan=FaultPlan(seed=3, loss_prob=0.5)
+            ),
+            step_budget=2,
+        )
+        engine.run()
+        cluster = engine.cluster
+        for _ in range(200):
+            self._forge_send(cluster)
+            cluster.exchange_boundary()
+        for receiver in cluster.workers:
+            assert all(len(seen) <= 1 for seen in receiver._seen_seq)
+
+    def test_reordered_retry_and_duplicate_still_dedup(self):
+        _g, engine = fresh_engine()
+        engine.run()
+        src, dst = 0, 1
+        w = engine.cluster.workers[dst]
+        v = engine.cluster.workers[src].owned[0]
+        rows = {v: engine.cluster.workers[src].dv_row(v)}
+        lost = w._seen_floor[src] + 1  # a packet the network dropped
+        # the next packet overtakes it, and that one's ack is lost too
+        assert w.receive_packet(src, lost + 1, rows, floor=lost)
+        assert not w.receive_packet(src, lost + 1, rows, floor=lost)
+        assert w.receive_packet(src, lost, rows, floor=lost)  # late retry
+        assert not w.receive_packet(src, lost, rows, floor=lost)
+        assert w._seen_seq[src] == {lost, lost + 1}
+        # both acknowledged: the sender's floor moves past them
+        assert w.receive_packet(src, lost + 2, rows, floor=lost + 2)
+        assert w._seen_seq[src] == {lost + 2}
+        assert not w.receive_packet(src, lost + 1, rows, floor=lost + 2)
+
+    def test_reset_and_reload_clear_the_watermark(self):
+        _g, engine = fresh_engine()
+        engine.run()
+        w = engine.cluster.workers[1]
+        assert any(w._seen_floor)
+        w.reset_channel(0)
+        assert w._seen_floor[0] == 0 and w._seen_seq[0] == set()
+        engine.crash_worker(1)  # reloads the sub-graph
+        assert w._seen_floor == [0] * 4
+        assert all(not seen for seen in w._seen_seq)
+
+    @staticmethod
+    def _one_exchange(cluster):
+        """(payload words, wire words, messages) of one exchange."""
+        before = cluster.boundary_words
+        rec = cluster.tracer.begin("rc_step", 0)
+        cluster.exchange_boundary()
+        cluster.tracer.end()
+        return cluster.boundary_words - before, rec.words, rec.messages
+
+    def test_no_plan_acks_locally_and_prices_no_ack_words(self):
+        _g, engine = fresh_engine()
+        cluster = engine.cluster
+        assert cluster.chaos.reliable
+        exchanges = 0
+        while cluster.any_pending():
+            payload, wire, messages = self._one_exchange(cluster)
+            assert wire == payload  # not one ack word
+            assert all(
+                not chan for w in cluster.workers for chan in w._unacked
+            )
+            cluster.relax_and_propagate()
+            exchanges += 1 if messages else 0
+        assert exchanges > 0
+
+    def test_any_plan_keeps_the_priced_acks(self):
+        _g, engine = fresh_engine()
+        cluster = engine.cluster
+        cluster.attach_chaos(FaultInjector(FaultPlan(), nprocs=4))
+        payload, wire, messages = self._one_exchange(cluster)
+        packets = messages // 2  # every packet is answered by one ack
+        assert packets > 0 and wire == payload + packets
+
+
 class TestEngineIntegration:
     def test_recovery_without_plan_rejected(self):
         _g, engine = fresh_engine()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                engine.run(recovery="warm")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                engine.run(checkpoint_interval=4)
+        with pytest.raises(ConfigurationError):
+            engine.run(resilience=ResilienceConfig(recovery="checkpoint"))
+        with pytest.raises(ConfigurationError):
+            engine.run(resilience=ResilienceConfig(checkpoint_interval=4))
 
     def test_attach_requires_matching_nprocs(self):
         _g, engine = fresh_engine(nprocs=4)

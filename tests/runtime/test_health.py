@@ -55,7 +55,7 @@ class TestHealthPolicy:
         cfg = AnytimeConfig(
             nprocs=2, resilience=ResilienceConfig(recovery="escalate")
         )
-        assert cfg.recovery == "escalate"
+        assert cfg.resilience.recovery == "escalate"
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Edge cases of the blocked batched min-plus kernel.
 
-The fold in :func:`repro.runtime.kernels.minplus_fold` (used by
-``Worker.propagate_local``) processes sources in blocks, clamps the
+The fold in :func:`repro.runtime.kernels.minplus_fold` (the RC
+superstep's local propagation) processes sources in blocks, clamps the
 block size to 1 when ``n * c`` exceeds the broadcast-temporary element
 budget, and skips blocks whose sources are all infinite.  Every variant
 must be bitwise-equal to a naive unblocked reference fold.
@@ -22,7 +22,7 @@ from repro.graph import extract_local_subgraph
 from repro.model import DEFAULT_COST
 from repro.runtime import GlobalIndex, Worker
 
-from ..conftest import path_graph
+from ..conftest import path_graph, superstep
 
 
 def unblocked_reference(
@@ -149,8 +149,8 @@ class TestPropagateLocalUsesBlockedFold:
 
     def test_block_size_does_not_change_dv(self, monkeypatch):
         baseline = self._worker()
-        baseline.propagate_local()
+        assert superstep(baseline).prop_charged
         monkeypatch.setattr(kernels, "_MINPLUS_BLOCK_ELEMS", 1)
         clamped = self._worker()
-        clamped.propagate_local()
+        superstep(clamped)
         assert clamped.dv.tobytes() == baseline.dv.tobytes()

@@ -8,7 +8,7 @@ from repro.graph import extract_local_subgraph
 from repro.model import DEFAULT_COST
 from repro.runtime import GlobalIndex, Worker
 
-from ..conftest import path_graph
+from ..conftest import path_graph, superstep
 
 
 def make_worker(graph, owned, owner_map, rank=0, nprocs=2, index=None):
@@ -90,7 +90,7 @@ class TestMessaging:
         # a fresh external row improving vertex 1 re-queues it
         row2 = np.array([np.inf, np.inf, 0.0, 1.0])
         w.receive_rows({2: row2})
-        assert w.relax_cut_edges()
+        assert superstep(w).relax_improved
         assert 1 in w.build_payload(1)
 
     def test_receive_wrong_width_rejected(self):
@@ -111,17 +111,16 @@ class TestRelaxAndPropagate:
         w.run_initial_approximation()
         row2 = np.array([np.inf, np.inf, 0.0, 1.0])
         w.receive_rows({2: row2})
-        assert w.relax_cut_edges()
+        assert superstep(w).relax_improved
         assert w.dv[w.row_of[1], 2] == 1.0  # 1 -(1)- 2
         assert w.dv[w.row_of[1], 3] == 2.0
 
     def test_propagation_reaches_interior(self):
         _g, w = path4_worker()
         w.run_initial_approximation()
-        w.propagate_local()  # consume IA's changed rows
+        superstep(w)  # consume IA's changed rows
         w.receive_rows({2: np.array([np.inf, np.inf, 0.0, 1.0])})
-        w.relax_cut_edges()
-        assert w.propagate_local()
+        assert superstep(w).prop_improved
         assert w.dv[w.row_of[0], 2] == 2.0  # 0-1 + cut edge 1-2
         assert w.dv[w.row_of[0], 3] == 3.0
 
@@ -129,22 +128,21 @@ class TestRelaxAndPropagate:
         _g, w = path4_worker()
         w.run_initial_approximation()
         w.receive_rows({2: np.array([np.inf, np.inf, 0.0, 1.0])})
-        w.relax_cut_edges()
-        assert not w.relax_cut_edges()  # nothing fresh
+        assert superstep(w).relax_improved
+        assert not superstep(w).relax_improved  # nothing fresh
 
     def test_propagate_idempotent(self):
         _g, w = path4_worker()
         w.run_initial_approximation()
-        w.propagate_local()
-        assert not w.propagate_local()
+        superstep(w)
+        assert not superstep(w).improved
 
     def test_monotone_nonincreasing(self):
         _g, w = path4_worker()
         w.run_initial_approximation()
         before = w.dv.copy()
         w.receive_rows({2: np.array([np.inf, np.inf, 0.0, 1.0])})
-        w.relax_cut_edges()
-        w.propagate_local()
+        superstep(w)
         assert np.all(w.dv <= before)
 
 

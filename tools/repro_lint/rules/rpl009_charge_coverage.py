@@ -2,7 +2,7 @@
 
 RPL004 flags a send primitive with no charge *in the same body* —
 sound only for straight-line code.  The runtime increasingly factors
-exchange paths into helpers (``_exchange_with_chaos``, recovery
+exchange paths into helpers (``Worker.receive_packet``, recovery
 re-sends, speculative re-execution), where the charge legitimately
 lives in the caller or in a callee.  RPL009 checks the property that
 actually matters: **every call path from an entry point to a payload
