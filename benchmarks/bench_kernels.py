@@ -6,6 +6,7 @@ per-edge broadcast relaxation, and the boundary-DV cut relaxation.
 """
 
 import numpy as np
+import pytest
 
 from repro.graph import barabasi_albert, extract_local_subgraph
 from repro.model import DEFAULT_COST
@@ -37,14 +38,49 @@ def test_initial_approximation_kernel(benchmark, scale):
     benchmark(w.run_initial_approximation)
 
 
-def test_edge_row_relaxation_kernel(benchmark, scale):
-    _graph, w = build(scale)
+def settled_worker(scale):
+    """A worker mid-RC: every external boundary row known, DV all finite."""
+    graph, w = build(scale)
     w.run_initial_approximation()
     superstep(w)
-    a, b = w.owned[0], w.owned[-1]
-    row_a, row_b = w.dv_row(a), w.dv_row(b)
+    rng = np.random.default_rng(1)
+    w.receive_rows(
+        {x: rng.uniform(1.0, 10.0, size=w.n_cols) for x in w.cut_by_ext}
+    )
+    superstep(w)
+    assert np.isfinite(w.dv).all()
+    return graph, w
 
-    benchmark(lambda: w.relax_with_edge_rows(a, row_a, b, row_b, 0.5))
+
+@pytest.mark.parametrize("rectangle", ["dense", "thin"])
+def test_edge_row_relaxation_kernel(benchmark, scale, rectangle):
+    """Both sides of ``relax_edge_kernel``'s rectangle rule.
+
+    ``dense`` relaxes through two settled vertices (whole block, in
+    place, both orientations); ``thin`` through a freshly added isolated
+    vertex — one finite row, one finite column, the first edge of every
+    vertex addition.  The block is restored before each round, so every
+    round times the first, improving relaxation (a second one would find
+    column ``a`` finite and go dense).
+    """
+    graph, w = settled_worker(scale)
+    a, b = w.owned[0], w.owned[-1]
+    if rectangle == "thin":
+        a = max(graph.vertices()) + 1
+        w.index.add(a)
+        w.grow_columns(len(w.index))
+        w.add_local_vertex(a)
+    row_a, row_b = w.dv_row(a), w.dv_row(b)
+    settled = w.dv.copy()
+
+    def restore():
+        w.dv[:, :] = settled
+
+    benchmark.pedantic(
+        lambda: w.relax_with_edge_rows(a, row_a, b, row_b, 0.5),
+        setup=restore,
+        rounds=50,
+    )
 
 
 def test_cut_relaxation_kernel(benchmark, scale):

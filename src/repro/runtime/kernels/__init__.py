@@ -32,7 +32,9 @@ accounting invariant across tiers.
 The module-level :func:`ia_kernel` / :func:`run_superstep` dispatch on
 the task's ``tier`` name (the process-pool entry points);
 :func:`relax_cut_kernel` / :func:`minplus_fold` re-export the oracle
-implementations for direct use and tests.
+implementations for direct use and tests.  :func:`relax_edge_kernel`
+(the per-edge relaxation of the dynamic-update path) has one
+implementation, which the worker calls directly on every tier.
 """
 
 from __future__ import annotations
@@ -47,7 +49,12 @@ from .base import (
     SuperstepResult,
     SuperstepTask,
 )
-from .oracle import ia_chunk_kernel, minplus_fold, relax_cut_kernel
+from .oracle import (
+    ia_chunk_kernel,
+    minplus_fold,
+    relax_cut_kernel,
+    relax_edge_kernel,
+)
 from .registry import (
     KERNEL_TIERS,
     TierSpec,
@@ -83,6 +90,7 @@ __all__ = [
     "minplus_fold",
     "register_tier",
     "relax_cut_kernel",
+    "relax_edge_kernel",
     "run_superstep",
 ]
 

@@ -29,15 +29,17 @@ from ..errors import WorkerError
 from ..graph.graph import Graph
 from ..graph.views import LocalSubgraph
 from ..model.cost import CostModel
-from ..types import FloatArray, IntArray, Rank, VertexId
+from ..types import FloatArray, Rank, VertexId
 from .index import GlobalIndex
 from .kernels import (
     IATask,
+    IndexArray,
     KernelTier,
     RelaxItems,
     SuperstepResult,
     SuperstepTask,
     make_tier,
+    relax_edge_kernel,
 )
 from .message import DeltaRows, delta_row_words, dense_row_words
 from .shm import ArrayAllocator
@@ -352,7 +354,7 @@ class Worker:
         self._changed_rows.add(row)
         self._queue_row(self.owned[row])
 
-    def _mark_rows_changed(self, rows: "IntArray") -> None:
+    def _mark_rows_changed(self, rows: IndexArray) -> None:
         """Bulk version of :meth:`_mark_row_changed` for vectorized kernels."""
         idx = rows.tolist()
         self._changed_rows.update(idx)
@@ -855,30 +857,23 @@ class Worker:
         """
         if self.n_local == 0:
             return False
-        col_a = self.index.column(a)
-        col_b = self.index.column(b)
-        improved_any = False
-        for col_src, row in ((col_a, row_b), (col_b, row_a)):
-            # The paper's relaxation is dense (every owned row x every
-            # target), and the modeled cost charges that.  The simulation
-            # skips +inf rows/columns — a pure wall-clock optimization that
-            # cannot change any result (inf + w never improves anything).
-            self._charge(self.cost.relax_time(self.n_local * self.n_cols))
-            src_col = self.dv[:, col_src]
-            rows_f = np.flatnonzero(np.isfinite(src_col)).astype(np.int64)
-            cols_f = np.flatnonzero(np.isfinite(row))
-            if rows_f.size == 0 or cols_f.size == 0:
-                continue
-            sub = self.dv[np.ix_(rows_f, cols_f)]
-            through = src_col[rows_f][:, None] + (w + row[cols_f])[None, :]
-            mask = through < sub
-            if mask.any():
-                sub[mask] = through[mask]
-                self.dv[np.ix_(rows_f, cols_f)] = sub
-                self._dirty_cols[cols_f[mask.any(axis=0)]] = True
-                self._mark_rows_changed(rows_f[mask.any(axis=1)])
-                improved_any = True
-        return improved_any
+        # The paper's relaxation is dense (every owned row x every target),
+        # and the modeled cost charges that once per orientation whatever
+        # the kernel skips — two additions, because the modeled clock is
+        # pinned bitwise.
+        self._charge(self.cost.relax_time(self.n_local * self.n_cols))
+        self._charge(self.cost.relax_time(self.n_local * self.n_cols))
+        rows = relax_edge_kernel(
+            self.dv,
+            self._dirty_cols,
+            self.index.column(a),
+            row_a,
+            self.index.column(b),
+            row_b,
+            w,
+        )
+        self._mark_rows_changed(rows)
+        return bool(rows.size)
 
     def invalidate_for_deleted_edge(
         self,

@@ -1,4 +1,4 @@
-"""Edge cases of the blocked batched min-plus kernel.
+"""Edge cases of the blocked min-plus fold and the edge-row relaxation.
 
 The fold in :func:`repro.runtime.kernels.minplus_fold` (the RC
 superstep's local propagation) processes sources in blocks, clamps the
@@ -9,18 +9,32 @@ must be bitwise-equal to a naive unblocked reference fold.
 The implementation module is :mod:`repro.runtime.kernels.oracle` (the
 ``numpy`` tier delegates to it), so the block-size knobs are patched
 there.
+
+:func:`repro.runtime.kernels.relax_edge_kernel` (per orientation dense
+in place, or gathered when the finite rectangle is thin) is pinned bitwise
+against ``_reference_relax_edge``: the per-orientation gather/scatter
+loop it replaced, kept here statement for statement.
 """
 
 from __future__ import annotations
 
-from typing import List
+import tracemalloc
+from typing import Callable, List, NamedTuple, Tuple
 
 import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.runtime.kernels.oracle as kernels
-from repro.graph import extract_local_subgraph
+from repro.graph import Graph, extract_local_subgraph
 from repro.model import DEFAULT_COST
 from repro.runtime import GlobalIndex, Worker
+from repro.runtime.shm import (
+    SharedMemoryAllocator,
+    attach_shm_array,
+    detach_shm,
+)
 
 from ..conftest import path_graph, superstep
 
@@ -154,3 +168,341 @@ class TestPropagateLocalUsesBlockedFold:
         clamped = self._worker()
         superstep(clamped)
         assert clamped.dv.tobytes() == baseline.dv.tobytes()
+
+
+# ----------------------------------------------------------------------
+# edge-row relaxation: relax_edge_kernel == the loop it replaced, bitwise
+# ----------------------------------------------------------------------
+def _reference_relax_edge(
+    dv: np.ndarray,
+    dirty_cols: np.ndarray,
+    col_a: int,
+    row_a: np.ndarray,
+    col_b: int,
+    row_b: np.ndarray,
+    w: float,
+    charge: Callable[[], None],
+    mark_rows_changed: Callable[[np.ndarray], None],
+) -> bool:
+    """``Worker.relax_with_edge_rows`` as of the commit before the kernel.
+
+    The loop body is verbatim; only ``self.dv`` / ``self._dirty_cols``
+    became parameters and the two ``self`` calls became callbacks
+    (``charge()`` stands for
+    ``self._charge(self.cost.relax_time(self.n_local * self.n_cols))``).
+    """
+    improved_any = False
+    for col_src, row in ((col_a, row_b), (col_b, row_a)):
+        charge()
+        src_col = dv[:, col_src]
+        rows_f = np.flatnonzero(np.isfinite(src_col)).astype(np.int64)
+        cols_f = np.flatnonzero(np.isfinite(row))
+        if rows_f.size == 0 or cols_f.size == 0:
+            continue
+        sub = dv[np.ix_(rows_f, cols_f)]
+        through = src_col[rows_f][:, None] + (w + row[cols_f])[None, :]
+        mask = through < sub
+        if mask.any():
+            sub[mask] = through[mask]
+            dv[np.ix_(rows_f, cols_f)] = sub
+            dirty_cols[cols_f[mask.any(axis=0)]] = True
+            mark_rows_changed(rows_f[mask.any(axis=1)])
+            improved_any = True
+    return improved_any
+
+
+class EdgeCase(NamedTuple):
+    """One relaxation: the worker owns vertices (= columns) ``0..n_local-1``."""
+
+    dv: np.ndarray
+    col_a: int
+    row_a: np.ndarray
+    col_b: int
+    row_b: np.ndarray
+    w: float
+
+    def dense(self) -> Tuple[bool, bool]:
+        """Which orientations relax a finite rectangle above the quarter."""
+        src_a = self.dv[:, self.col_a]
+        src_b = np.minimum(
+            self.dv[:, self.col_b], src_a + (self.w + self.row_b[self.col_b])
+        )
+        dense_a, dense_b = (
+            bool(4 * np.isfinite(src).sum() * np.isfinite(row).sum() > self.dv.size)
+            for src, row in ((src_a, self.row_b), (src_b, self.row_a))
+        )
+        return dense_a, dense_b
+
+
+def edge_case(
+    seed: int,
+    n_local: int,
+    n_cols: int,
+    col_a: int,
+    col_b: int,
+    *,
+    finite_col_a: float = 1.0,
+    finite_col_b: float = 1.0,
+    finite_row_a: float = 1.0,
+    finite_row_b: float = 1.0,
+    p_inf: float = 0.1,
+    p_dead: float = 0.0,
+    w: float = 0.75,
+) -> EdgeCase:
+    """A random block with +inf entries (share ``p_inf``) and all-+inf
+    rows and columns (share ``p_dead`` each).
+
+    ``finite_*`` are the finite shares of the four vectors that decide
+    the two rectangles: DV columns ``a`` / ``b`` and the broadcast rows.
+    An endpoint below ``n_local`` is owned, so its broadcast row is a
+    copy of its DV row; otherwise the endpoint is external and its row
+    is drawn independently.
+    """
+    rng = np.random.default_rng(seed)
+    dv = rng.uniform(0.5, 20.0, size=(n_local, n_cols))
+    dv[rng.random(dv.shape) < p_inf] = np.inf
+    dv[rng.random(n_local) < p_dead, :] = np.inf
+    dv[:, rng.random(n_cols) < p_dead] = np.inf
+    dv[rng.random(n_local) >= finite_col_a, col_a] = np.inf
+    dv[rng.random(n_local) >= finite_col_b, col_b] = np.inf
+    rows = []
+    for col, share in ((col_a, finite_row_a), (col_b, finite_row_b)):
+        if col < n_local:
+            dv[col, rng.random(n_cols) >= share] = np.inf
+        row = rng.uniform(0.5, 20.0, size=n_cols)
+        row[rng.random(n_cols) >= share] = np.inf
+        row[col] = 0.0
+        rows.append(row)
+    for r in range(min(n_local, n_cols)):
+        dv[r, r] = 0.0
+    row_a = dv[col_a].copy() if col_a < n_local else rows[0]
+    row_b = dv[col_b].copy() if col_b < n_local else rows[1]
+    return EdgeCase(dv, col_a, row_a, col_b, row_b, w)
+
+
+def block_worker(dv: np.ndarray, seed: int, allocator=None) -> Worker:
+    """Rank 0 of 3 owning vertices ``0..n_local-1``, holding ``dv``, with
+    random subscribers, drained queues and a non-zero modeled clock."""
+    n_local, n_cols = dv.shape
+    g = Graph()
+    for v in range(n_cols):
+        g.add_vertex(v)
+    owner = {v: 0 if v < n_local else 1 + v % 2 for v in range(n_cols)}
+    w = Worker(
+        0, 3, GlobalIndex(g.vertex_list()), DEFAULT_COST, allocator=allocator
+    )
+    w.load_subgraph(extract_local_subgraph(g, range(n_local), owner, 0))
+    w.dv[:, :] = dv
+    rng = np.random.default_rng(seed)
+    for v in range(n_local):
+        for dst in (1, 2):
+            if rng.random() < 0.4:
+                w.subscribe(v, dst)
+    for queue in w._pending:
+        queue.clear()
+    w._changed_rows.clear()
+    w._charge(0.1 + rng.random())
+    return w
+
+
+def assert_kernel_matches_reference(case: EdgeCase, seed: int = 0) -> bool:
+    """Kernel level, then through a Worker; returns whether it improved."""
+    n_local, n_cols = case.dv.shape
+    args = (case.col_a, case.row_a, case.col_b, case.row_b, case.w)
+
+    ref_dv, ref_dirty = case.dv.copy(), np.zeros(n_cols, dtype=bool)
+    ref_rows: List[int] = []
+    ref_improved = _reference_relax_edge(
+        ref_dv, ref_dirty, *args,
+        charge=lambda: None,
+        mark_rows_changed=lambda rows: ref_rows.extend(rows.tolist()),
+    )
+    dv, dirty = case.dv.copy(), np.zeros(n_cols, dtype=bool)
+    rows = kernels.relax_edge_kernel(dv, dirty, *args)
+    assert dv.tobytes() == ref_dv.tobytes()
+    assert dirty.tobytes() == ref_dirty.tobytes()
+    assert rows.tolist() == sorted(set(ref_rows))
+    assert bool(rows.size) == ref_improved
+
+    ref_w, new_w = block_worker(case.dv, seed), block_worker(case.dv, seed)
+    assert _reference_relax_edge(
+        ref_w.dv, ref_w._dirty_cols, *args,
+        charge=lambda: ref_w._charge(
+            ref_w.cost.relax_time(ref_w.n_local * ref_w.n_cols)
+        ),
+        mark_rows_changed=ref_w._mark_rows_changed,
+    ) is ref_improved
+    assert new_w.relax_with_edge_rows(
+        case.col_a, case.row_a, case.col_b, case.row_b, case.w
+    ) is ref_improved
+    assert new_w.dv.tobytes() == ref_dv.tobytes()
+    assert new_w._dirty_cols.tobytes() == ref_w._dirty_cols.tobytes()
+    assert new_w._changed_rows == ref_w._changed_rows == set(rows.tolist())
+    assert new_w._pending == ref_w._pending
+    assert new_w._seconds.hex() == ref_w._seconds.hex()
+    return ref_improved
+
+
+_SHARES = st.sampled_from([0.0, 0.05, 0.3, 0.9, 1.0])
+
+
+@st.composite
+def edge_cases(draw) -> EdgeCase:
+    n_cols = draw(st.integers(2, 60))
+    n_local = draw(st.integers(1, min(40, n_cols)))
+    col_a = draw(st.integers(0, n_cols - 1))
+    col_b = draw(st.integers(0, n_cols - 2))
+    return edge_case(
+        draw(st.integers(0, 2**32 - 1)),
+        n_local,
+        n_cols,
+        col_a,
+        col_b + (col_b >= col_a),
+        finite_col_a=draw(_SHARES),
+        finite_col_b=draw(_SHARES),
+        finite_row_a=draw(_SHARES),
+        finite_row_b=draw(_SHARES),
+        p_inf=draw(st.sampled_from([0.0, 0.1, 0.6])),
+        p_dead=draw(st.sampled_from([0.0, 0.15, 0.5])),
+        w=draw(st.floats(0.01, 30.0)),
+    )
+
+
+class TestRelaxEdgeKernel:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=edge_cases(), seed=st.integers(0, 1000))
+    def test_bitwise_equal_to_reference(self, case, seed):
+        assert_kernel_matches_reference(case, seed)
+
+    # (finite shares of col a, col b, row a, row b) -> (dense 1, dense 2);
+    # endpoints 30 / 31 are external to the 24 x 40 block, 3 / 5 owned
+    @pytest.mark.parametrize(
+        "shares, cols, expected",
+        [
+            ((1.0, 1.0, 1.0, 1.0), (30, 31), (True, True)),
+            ((1.0, 1.0, 1.0, 1.0), (3, 5), (True, True)),
+            ((1.0, 1.0, 1.0, 1.0), (3, 31), (True, True)),
+            ((0.05, 0.05, 1.0, 1.0), (30, 31), (False, False)),
+            ((1.0, 1.0, 0.05, 0.05), (30, 31), (False, False)),
+            ((1.0, 0.05, 0.05, 1.0), (30, 31), (True, False)),
+            ((0.05, 1.0, 1.0, 1.0), (30, 3), (False, True)),
+            ((0.0, 0.0, 1.0, 1.0), (30, 31), (False, False)),
+        ],
+    )
+    def test_every_rectangle_regime(self, shares, cols, expected):
+        fa, fb, ra, rb = shares
+        for seed in range(5):
+            case = edge_case(
+                seed, 24, 40, *cols, p_inf=0.0,
+                finite_col_a=fa, finite_col_b=fb,
+                finite_row_a=ra, finite_row_b=rb,
+            )
+            assert case.dense() == expected
+            assert_kernel_matches_reference(case, seed)
+
+    def test_orientation_two_reads_column_b_after_orientation_one(self):
+        # d(x, b) is unknown everywhere, so only orientation 1 (through
+        # a, arriving at b itself) makes column b finite — and only then
+        # can orientation 2 improve anything through it
+        case = edge_case(7, 24, 40, 30, 31, p_inf=0.0, finite_col_b=0.0)
+        assert not np.isfinite(case.dv[:, 31]).any()
+        without_a = case._replace(
+            dv=np.where(np.arange(40) == 30, np.inf, case.dv)
+        )
+        assert not assert_kernel_matches_reference(without_a)
+        assert case.dense() == (True, True)
+        assert assert_kernel_matches_reference(case)
+        thin = edge_case(
+            7, 24, 40, 30, 31, p_inf=0.0, finite_col_b=0.0, finite_row_a=0.05
+        )
+        assert thin.dense() == (True, False)
+        assert assert_kernel_matches_reference(thin)
+
+    def test_no_improvement_leaves_everything_untouched(self):
+        for share, dense in ((1.0, True), (0.05, False)):
+            case = edge_case(
+                3, 24, 40, 30, 31, w=1e6, p_inf=0.0,
+                finite_row_a=share, finite_row_b=share,
+            )
+            assert case.dense() == (dense, dense)
+            before = case.dv.copy()
+            assert not assert_kernel_matches_reference(case)
+            dirty = np.zeros(40, dtype=bool)
+            rows = kernels.relax_edge_kernel(
+                case.dv, dirty, 30, case.row_a, 31, case.row_b, case.w
+            )
+            assert rows.size == 0 and not dirty.any()
+            assert case.dv.tobytes() == before.tobytes()
+
+    def test_empty_worker_returns_false_and_charges_nothing(self):
+        w = block_worker(np.empty((0, 6)), seed=0)
+        seconds = w._seconds
+        row = np.arange(6, dtype=np.float64)
+        assert w.relax_with_edge_rows(2, row, 4, row, 1.0) is False
+        assert w._seconds == seconds
+        assert not w._changed_rows and not any(w._pending)
+        rows = kernels.relax_edge_kernel(
+            np.empty((0, 6)), np.zeros(6, dtype=bool), 2, row, 4, row, 1.0
+        )
+        assert rows.size == 0
+
+    @pytest.mark.parametrize("finite_row_a", [1.0, 0.05])
+    def test_writes_land_in_the_shared_memory_block(self, finite_row_a):
+        """The process backend's pool reads ``dv`` through its own mapping
+        of the segment: the relaxation must write into it, not re-home it."""
+        case = edge_case(11, 24, 40, 30, 31, finite_row_a=finite_row_a)
+        expected = case.dv.copy()
+        assert _reference_relax_edge(
+            expected, np.zeros(40, dtype=bool), *case[1:],
+            charge=lambda: None, mark_rows_changed=lambda rows: None,
+        )
+        allocator = SharedMemoryAllocator()
+        try:
+            w = block_worker(case.dv, 0, allocator)
+            resident = w.dv
+            shm, pool_view = attach_shm_array(allocator.descriptor(resident))
+            try:
+                assert w.relax_with_edge_rows(30, case.row_a, 31, case.row_b, case.w)
+                assert w.dv is resident
+                assert pool_view.tobytes() == expected.tobytes()
+            finally:
+                del pool_view
+                detach_shm(shm)
+        finally:
+            allocator.release_all()
+
+    def test_thin_rectangle_allocates_far_less_than_the_block(self):
+        """First edge of a new vertex: one finite row x one finite column.
+
+        An always-dense kernel would allocate whole-block temporaries
+        here (30 % of serve-churn's orientations are this shape); the
+        gather path must stay O(n_local + n_cols).
+        """
+        n_local, n_cols, a, b = 200, 800, 7, 650
+        rng = np.random.default_rng(0)
+        dv = rng.uniform(1.0, 20.0, size=(n_local, n_cols))
+        dv[:, a] = np.inf          # nobody reaches the new vertex yet ...
+        dv[a, :] = np.inf          # ... and it reaches nobody
+        dv[a, a] = 0.0
+        row_a = dv[a].copy()
+        row_b = rng.uniform(1.0, 20.0, size=n_cols)
+        row_b[[a, b]] = np.inf, 0.0
+        case = EdgeCase(dv, a, row_a, b, row_b, 1.0)
+        assert case.dense() == (False, False)
+        assert assert_kernel_matches_reference(case)
+        dirty = np.zeros(n_cols, dtype=bool)
+        work = dv.copy()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rows = kernels.relax_edge_kernel(work, dirty, a, row_a, b, row_b, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert rows.tolist() == list(range(n_local))  # everyone reaches a now
+        assert peak < n_local * n_cols * 8 // 4
