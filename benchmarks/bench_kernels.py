@@ -29,7 +29,7 @@ def build(scale):
 def superstep(w):
     """One RC superstep on a lone worker: prepare -> kernel -> apply."""
     task = w.superstep_prepare()
-    result = w.tier.run_superstep(task, w.dv, w.local_apsp)
+    result = w.tier.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
     w.superstep_apply(task, result)
 
 

@@ -1,11 +1,14 @@
-"""Ablation — restricted vs. full local propagation fold (wall clock).
+"""Ablation — dense vs. rectangle vs. entry-level propagation fold (wall clock).
 
 DESIGN.md calls out the implementation's key optimization: the paper's RC
 step performs a full Floyd–Warshall-style local DV update; because the
-local APSP matrix is transitively closed, folding only the *changed* rows
-over the *dirty* columns is equivalent.  This kernel benchmark measures
-the real-time gap between the two on identical state (the modeled clock
-charges the paper's dense cost either way — see Worker.superstep_apply).
+local APSP matrix is transitively closed, folding only what changed is
+equivalent.  Three extents on identical state: *dense* (every row x every
+column, what a full re-propagation runs), *rectangle* (changed rows x
+dirty columns, the fold up to PR 14 and today's test reference) and
+*entry* (only the entries marked in ``dv_changed``, what an RC superstep
+runs).  The modeled clock charges the paper's dense cost either way — see
+Worker.superstep_apply.
 """
 
 import numpy as np
@@ -14,6 +17,7 @@ from repro.graph import barabasi_albert, extract_local_subgraph
 from repro.model import DEFAULT_COST
 from repro.partition import MultilevelPartitioner
 from repro.runtime import GlobalIndex, Worker
+from repro.runtime.kernels import minplus_fold, minplus_fold_changed
 
 COLUMNS = ["variant", "seconds_per_fold"]
 
@@ -21,7 +25,7 @@ COLUMNS = ["variant", "seconds_per_fold"]
 def superstep(w):
     """One RC superstep on a lone worker: prepare -> kernel -> apply."""
     task = w.superstep_prepare()
-    result = w.tier.run_superstep(task, w.dv, w.local_apsp)
+    result = w.tier.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
     w.superstep_apply(task, result)
 
 
@@ -46,26 +50,50 @@ def perturb(w, k=4):
         r = w.row_of[v]
         cols = rng.integers(0, w.n_cols, size=8)
         w.dv[r, cols] = np.maximum(w.dv[r, cols] * 0.5, 0.0)
+        w.dv_changed[r, cols] = True
         w._mark_row_changed(r)
         w._dirty_cols[cols] = True
 
 
-def test_restricted_fold(benchmark, scale):
+def run(benchmark, scale, fold):
+    """Time ``fold(w)`` on freshly perturbed state, kernel call only."""
     w = build_worker(scale)
 
-    def fold():
+    def setup():
+        w._changed_rows.clear()
+        w._dirty_cols[:] = False
+        w.dv_changed[...] = False
         perturb(w)
-        superstep(w)
 
-    benchmark(fold)
+    benchmark.pedantic(fold, args=(w,), setup=setup, rounds=300)
 
 
-def test_full_fold(benchmark, scale):
-    w = build_worker(scale)
+def test_entry_fold(benchmark, scale):
+    run(
+        benchmark,
+        scale,
+        lambda w: minplus_fold_changed(w.local_apsp, w.dv, w.dv_changed),
+    )
 
-    def fold():
-        perturb(w)
-        w.request_full_repropagate()
-        superstep(w)
 
-    benchmark(fold)
+def test_rectangle_fold(benchmark, scale):
+    run(
+        benchmark,
+        scale,
+        lambda w: minplus_fold(
+            w.local_apsp,
+            w.dv,
+            sorted(w._changed_rows),
+            np.flatnonzero(w._dirty_cols),
+        ),
+    )
+
+
+def test_dense_fold(benchmark, scale):
+    run(
+        benchmark,
+        scale,
+        lambda w: minplus_fold(
+            w.local_apsp, w.dv, np.arange(w.n_local), np.arange(w.n_cols)
+        ),
+    )

@@ -22,7 +22,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import List, Optional
 
-from ...types import FloatArray
+from ...types import BoolArray, FloatArray
 from ..kernels import IATask, SuperstepResult, SuperstepTask, run_superstep
 from ..shm import ArrayAllocator
 from ..worker import Worker
@@ -36,7 +36,7 @@ class ExecutionBackend(ABC):
     #: short identifier, e.g. ``"serial"`` / ``"process"``
     name: str = "base"
 
-    #: allocator workers must use for ``dv`` / ``local_apsp``
+    #: allocator workers must use for ``dv`` / ``local_apsp`` / ``dv_changed``
     allocator: ArrayAllocator
 
     @abstractmethod
@@ -54,17 +54,22 @@ class ExecutionBackend(ABC):
         matrices; returns the outcomes in rank order."""
 
     def run_speculative(
-        self, task: SuperstepTask, dv: FloatArray, apsp: FloatArray
+        self,
+        task: SuperstepTask,
+        dv: FloatArray,
+        apsp: FloatArray,
+        changed: BoolArray,
     ) -> SuperstepResult:
         """Re-execute one rank's superstep on private array copies.
 
         The straggler-mitigation backup: runs the exact superstep kernel
-        against the caller's copies of ``dv`` / ``local_apsp`` so the
+        against the caller's copies of ``dv`` / ``local_apsp`` /
+        ``dv_changed`` so the
         result can be verified bitwise-identical against the straggling
         rank's own outcome.  Backends may run it anywhere (the process
         backend ships it to a pool child); the default runs in-process.
         """
-        return run_superstep(task, dv, apsp)
+        return run_superstep(task, dv, apsp, changed)
 
     def close(self) -> None:
         """Release backend resources (shared memory, pool slots)."""

@@ -4,7 +4,8 @@ Between two BSP barriers every rank's kernels are independent, so each
 superstep fans its :class:`~repro.runtime.kernels.IATask` /
 :class:`~repro.runtime.kernels.SuperstepTask` out to a persistent
 ``ProcessPoolExecutor`` (one slot per rank).  The heavy matrices —
-``dv`` and ``local_apsp`` — live in ``multiprocessing.shared_memory``
+``dv``, ``local_apsp`` and the ``dv``-shaped changed-entry mask — live
+in ``multiprocessing.shared_memory``
 (see :mod:`repro.runtime.shm`), so only the task descriptions and
 row-index outcomes cross the process boundary; the matrices themselves
 are mutated in place by the children and are immediately visible to the
@@ -22,10 +23,13 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import Future, ProcessPoolExecutor
 from multiprocessing.shared_memory import SharedMemory
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as np
+from numpy.typing import DTypeLike, NDArray
 
 from ...errors import ConfigurationError
-from ...types import FloatArray
+from ...types import BoolArray, FloatArray
 from ..kernels import (
     IATask,
     SuperstepResult,
@@ -53,13 +57,15 @@ __all__ = ["ProcessBackend"]
 #: segment name -> (attachment, mapped array); names are never reused,
 #: so a cached mapping can only go stale when the coordinator unlinks
 #: the segment — and then no future task references that name again
-_ATTACHED: Dict[str, Tuple[SharedMemory, FloatArray]] = {}
+_ATTACHED: Dict[str, Tuple[SharedMemory, NDArray[Any]]] = {}
 
 #: cache cap; beyond it the oldest attachments are detached (FIFO)
 _ATTACH_CACHE_MAX = 128
 
 
-def _attached(desc: ShmDescriptor) -> FloatArray:
+def _attached(
+    desc: ShmDescriptor, dtype: DTypeLike = np.float64
+) -> NDArray[Any]:
     name = desc[0]
     hit = _ATTACHED.get(name)
     if hit is not None:
@@ -68,7 +74,7 @@ def _attached(desc: ShmDescriptor) -> FloatArray:
         oldest = next(iter(_ATTACHED))
         shm, _arr = _ATTACHED.pop(oldest)
         detach_shm(shm)
-    shm, arr = attach_shm_array(desc)
+    shm, arr = attach_shm_array(desc, dtype)
     _ATTACHED[name] = (shm, arr)
     return arr
 
@@ -97,13 +103,21 @@ def _child_ia_chunk(
 
 
 def _child_superstep(
-    dv_desc: ShmDescriptor, apsp_desc: ShmDescriptor, task: SuperstepTask
+    dv_desc: ShmDescriptor,
+    apsp_desc: ShmDescriptor,
+    changed_desc: ShmDescriptor,
+    task: SuperstepTask,
 ) -> SuperstepResult:
-    return run_superstep(task, _attached(dv_desc), _attached(apsp_desc))
+    return run_superstep(
+        task,
+        _attached(dv_desc),
+        _attached(apsp_desc),
+        _attached(changed_desc, np.bool_),
+    )
 
 
 def _child_speculative(
-    task: SuperstepTask, dv: FloatArray, apsp: FloatArray
+    task: SuperstepTask, dv: FloatArray, apsp: FloatArray, changed: BoolArray
 ) -> Tuple[SuperstepResult, FloatArray]:
     """Speculative re-execution on plain (pickled) array copies.
 
@@ -111,7 +125,7 @@ def _child_speculative(
     ``dv`` must travel back with the result for the coordinator-side
     bitwise-identity check.
     """
-    return run_superstep(task, dv, apsp), dv
+    return run_superstep(task, dv, apsp, changed), dv
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +224,13 @@ class ProcessBackend(ExecutionBackend):
                 continue
             dv_desc, apsp_desc = self._descriptors(w)
             futures.append(
-                pool.submit(_child_superstep, dv_desc, apsp_desc, task)
+                pool.submit(
+                    _child_superstep,
+                    dv_desc,
+                    apsp_desc,
+                    self.allocator.descriptor(w.dv_changed),
+                    task,
+                )
             )
         return [
             fut.result() if fut is not None else SuperstepResult()
@@ -218,11 +238,15 @@ class ProcessBackend(ExecutionBackend):
         ]
 
     def run_speculative(
-        self, task: SuperstepTask, dv: FloatArray, apsp: FloatArray
+        self,
+        task: SuperstepTask,
+        dv: FloatArray,
+        apsp: FloatArray,
+        changed: BoolArray,
     ) -> SuperstepResult:
         pool = _get_pool(max(self.nprocs, 1))
         result, out_dv = pool.submit(
-            _child_speculative, task, dv, apsp
+            _child_speculative, task, dv, apsp, changed
         ).result()
         # the child mutated its own pickled copy; mirror it into the
         # caller's array so the identity check sees the backup's outcome

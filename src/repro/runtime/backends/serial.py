@@ -31,6 +31,6 @@ class SerialBackend(ExecutionBackend):
         self, workers: List[Worker], tasks: List[SuperstepTask]
     ) -> List[SuperstepResult]:
         return [
-            w.tier.run_superstep(task, w.dv, w.local_apsp)
+            w.tier.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
             for w, task in zip(workers, tasks)
         ]

@@ -43,7 +43,7 @@ from ..model.schedules import (
 from ..obs import registry as series
 from ..obs.observer import NULL_HUB, ObserverHub
 from ..partition.base import Partition, Partitioner
-from ..types import FloatArray, Rank, VertexId
+from ..types import BoolArray, FloatArray, Rank, VertexId
 from .backends import BackendSpec, make_backend
 from .chaos import FaultInjector
 from .index import GlobalIndex
@@ -56,8 +56,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .health import HealthMonitor
 
 #: per-rank speculative-execution capture: the rank's superstep task plus
-#: private copies of its dv / local_apsp to re-execute the kernel on
-SpecContext = Dict[Rank, Tuple[SuperstepTask, FloatArray, FloatArray]]
+#: private copies of its dv / local_apsp / dv_changed to re-execute the
+#: kernel on
+SpecContext = Dict[
+    Rank, Tuple[SuperstepTask, FloatArray, FloatArray, BoolArray]
+]
 
 __all__ = ["Cluster"]
 
@@ -258,8 +261,10 @@ class Cluster:
                 captured = spec.get(r)
                 if captured is None:
                     continue
-                task, dv_copy, apsp_copy = captured
-                self.backend.run_speculative(task, dv_copy, apsp_copy)
+                task, dv_copy, apsp_copy, changed_copy = captured
+                self.backend.run_speculative(
+                    task, dv_copy, apsp_copy, changed_copy
+                )
                 w = self.workers[r]
                 if not np.array_equal(dv_copy, w.dv):
                     raise RuntimeSimulationError(
@@ -526,13 +531,15 @@ class Cluster:
                 for r, w in enumerate(self.workers):
                     if w.speed < pre[r]:
                         # the real kernel extends its task's dirty mask
-                        # in place, so the backup gets a private copy
+                        # and the changed-entry mask in place, so the
+                        # backup gets private copies of both
                         ctx[r] = (
                             replace(
                                 tasks[r], dirty_cols=tasks[r].dirty_cols.copy()
                             ),
                             w.dv.copy(),
                             w.local_apsp.copy(),
+                            w.dv_changed.copy(),
                         )
             # an empty dict still arms the barrier: the state machine must
             # observe every superstep even when nothing can be speculated

@@ -12,6 +12,8 @@ from typing import TYPE_CHECKING, List
 
 import numpy as np
 
+from .kernels import minplus_fold_changed
+
 if TYPE_CHECKING:  # pragma: no cover
     from .cluster import Cluster
 
@@ -35,6 +37,9 @@ def check_cluster_invariants(cluster: "Cluster") -> List[str]:
     for w in cluster.workers:
         assert w.owned == part.block(w.rank), f"rank {w.rank} owned mismatch"
         assert w.dv.shape == (len(w.owned), cluster.n_columns)
+        assert w.dv_changed.shape == w.dv.shape, (
+            f"rank {w.rank} changed-entry mask out of step with dv"
+        )
         for v, r in w.row_of.items():
             assert w.owned[r] == v
     checks.append("ownership-and-shapes")
@@ -94,5 +99,26 @@ def check_cluster_invariants(cluster: "Cluster") -> List[str]:
             assert w.local_apsp.shape == (n, n)
             assert (np.diag(w.local_apsp) == 0).all()
     checks.append("local-apsp-shape")
+
+    # 9. local closure — the premise of the entry-level propagation fold:
+    #    an entry d(k,t) outside ``dv_changed`` has been a fold source at
+    #    its current value, so no row can improve through it.  Ranks with
+    #    a full re-propagation pending (which ignores the mask) or with
+    #    no local APSP yet (before IA, between crash and recovery) are
+    #    exempt.  rtol covers float path sums rounded in different
+    #    orders; it is exact on integer weights, where two distinct path
+    #    sums differ by at least 1.
+    for w in cluster.workers:
+        n = w.n_local
+        if w._full_repropagate or n == 0 or w.local_apsp.shape != (n, n):
+            continue
+        folded = w.dv.copy()
+        minplus_fold_changed(w.local_apsp, folded, ~w.dv_changed)
+        open_ = w.dv > folded * (1.0 + 1e-12)
+        assert not open_.any(), (
+            f"rank {w.rank}: {int(open_.sum())} DV entries improvable"
+            " through an entry not marked in dv_changed"
+        )
+    checks.append("local-closure")
 
     return checks

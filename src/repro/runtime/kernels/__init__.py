@@ -19,9 +19,9 @@ implementations selected via ``AnytimeConfig.kernel_tier`` /
     auto-falling back to ``scipy`` behavior when numba is absent.
 
 Kernels touch only a picklable *task* (built by the worker in the
-coordinating process) and the worker's two large matrices ``dv`` /
-``local_apsp``, passed in explicitly so a subprocess can supply
-shared-memory views.  Everything stateful (change tracking, subscriber
+coordinating process) and the worker's large matrices — ``dv``,
+``local_apsp`` and the ``dv``-shaped changed-entry mask — passed in
+explicitly so a subprocess can supply shared-memory views.  Everything stateful (change tracking, subscriber
 queues, modeled LogP charges, counters) stays in
 :class:`~repro.runtime.worker.Worker`, which splits each phase into
 *prepare* (build the task), *kernel* (this package, runnable anywhere),
@@ -31,15 +31,16 @@ accounting invariant across tiers.
 
 The module-level :func:`ia_kernel` / :func:`run_superstep` dispatch on
 the task's ``tier`` name (the process-pool entry points);
-:func:`relax_cut_kernel` / :func:`minplus_fold` re-export the oracle
-implementations for direct use and tests.  :func:`relax_edge_kernel`
+:func:`relax_cut_kernel` / :func:`minplus_fold` (the rectangle fold) /
+:func:`minplus_fold_changed` (the entry fold every tier runs) re-export
+the oracle implementations for direct use and tests.  :func:`relax_edge_kernel`
 (the per-edge relaxation of the dynamic-update path) has one
 implementation, which the worker calls directly on every tier.
 """
 
 from __future__ import annotations
 
-from ...types import FloatArray
+from ...types import BoolArray, FloatArray
 from .base import (
     ChunkList,
     IATask,
@@ -52,6 +53,7 @@ from .base import (
 from .oracle import (
     ia_chunk_kernel,
     minplus_fold,
+    minplus_fold_changed,
     relax_cut_kernel,
     relax_edge_kernel,
 )
@@ -88,6 +90,7 @@ __all__ = [
     "ia_kernel",
     "make_tier",
     "minplus_fold",
+    "minplus_fold_changed",
     "register_tier",
     "relax_cut_kernel",
     "relax_edge_kernel",
@@ -101,7 +104,7 @@ def ia_kernel(task: IATask, dv: FloatArray, apsp: FloatArray) -> None:
 
 
 def run_superstep(
-    task: SuperstepTask, dv: FloatArray, apsp: FloatArray
+    task: SuperstepTask, dv: FloatArray, apsp: FloatArray, changed: BoolArray
 ) -> SuperstepResult:
     """Run one RC superstep under the tier named by ``task.tier``."""
-    return make_tier(task.tier).run_superstep(task, dv, apsp)
+    return make_tier(task.tier).run_superstep(task, dv, apsp, changed)

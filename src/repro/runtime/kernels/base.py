@@ -2,8 +2,9 @@
 
 The per-rank compute of the two parallelizable phases travels as
 picklable *task* dataclasses (built by the worker in the coordinating
-process) plus the worker's two large matrices ``dv`` / ``local_apsp``,
-passed in explicitly so a subprocess can supply shared-memory views.
+process) plus the worker's large matrices — ``dv``, ``local_apsp`` and
+the ``dv``-shaped changed-entry mask — passed in explicitly so a
+subprocess can supply shared-memory views.
 
 A :class:`KernelTier` is one implementation of the compute itself: the
 ``numpy`` tier is the bitwise oracle (the original NumPy/SciPy
@@ -19,7 +20,7 @@ which tier executed the arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -68,7 +69,6 @@ class SuperstepTask:
     """One rank's RC-superstep work (relaxation inputs + fold extent)."""
 
     n: int
-    n_cols: int
     #: per fresh external row, in relaxation order: the received DV row
     #: and the ``(local row, cut-edge weight)`` pairs relaxed against it
     relax_items: RelaxItems
@@ -110,8 +110,8 @@ class KernelTier:
     here so every tier makes the same decisions as the serial oracle.
 
     Location transparency: tier methods receive ``dv`` / ``local_apsp``
-    as parameters and must never stash them — the backend decides
-    whether they are private arrays or shared-memory views.
+    / ``changed`` as parameters and must never stash them — the backend
+    decides whether they are private arrays or shared-memory views.
     """
 
     #: registry name, e.g. ``"numpy"`` / ``"scipy"`` / ``"numba"``
@@ -144,23 +144,35 @@ class KernelTier:
 
     # -- RC superstep --------------------------------------------------
     def relax_cut(
-        self, dv: FloatArray, dirty_cols: BoolArray, items: RelaxItems
+        self,
+        dv: FloatArray,
+        changed: BoolArray,
+        dirty_cols: BoolArray,
+        items: RelaxItems,
     ) -> List[int]:
-        """Cut-edge relaxation; returns the sorted local rows improved."""
+        """Cut-edge relaxation; returns the sorted local rows improved.
+
+        Every entry lowered is also set in ``changed``.
+        """
         raise NotImplementedError
 
     def minplus_fold(
-        self,
-        apsp: FloatArray,
-        dv: FloatArray,
-        rows: List[int],
-        cols: IndexArray,
+        self, apsp: FloatArray, dv: FloatArray, changed: Optional[BoolArray]
     ) -> List[int]:
-        """Min-plus propagation fold; returns the sorted rows improved."""
+        """Min-plus propagation fold; returns the sorted rows improved.
+
+        ``changed`` marks the entries of ``dv`` lowered since the last
+        fold — the only sources that can improve anything; ``None``
+        folds every entry (full re-propagation).
+        """
         raise NotImplementedError
 
     def run_superstep(
-        self, task: SuperstepTask, dv: FloatArray, apsp: FloatArray
+        self,
+        task: SuperstepTask,
+        dv: FloatArray,
+        apsp: FloatArray,
+        changed: BoolArray,
     ) -> SuperstepResult:
         """One rank's full RC superstep: relaxation then propagation.
 
@@ -168,27 +180,25 @@ class KernelTier:
         the outcomes travel back in a :class:`SuperstepResult`; the
         worker itself is never touched, so the kernel can run anywhere.
 
+        The task's flags decide *whether* the fold runs (and is
+        charged); the ``changed`` mask decides *what* it visits.
         Because ``local_apsp`` is transitively closed, a single fold
-        from the rows that changed since the last propagation is
-        complete: for any target ``t``,
+        from the entries lowered since the last propagation is complete:
         ``d(x,t) <- min_k apsp(x,k) + d(k,t)`` over the changed sources
-        ``k`` cannot be improved by chaining two local hops.
+        ``d(k,t)`` cannot be improved by chaining two local hops, and an
+        unchanged ``d(k,t)`` was already folded.
         """
         dirty = task.dirty_cols
-        relax_improved = self.relax_cut(dv, dirty, task.relax_items)
-        n = task.n
-        if n == 0:
+        relax_improved = self.relax_cut(dv, changed, dirty, task.relax_items)
+        if task.n == 0:
             return SuperstepResult(relax_improved=relax_improved)
-        if task.full_repropagate:
-            rows = list(range(n))
-            col_mask = np.ones(task.n_cols, dtype=bool)
-        else:
-            rows = sorted(set(task.changed_rows) | set(relax_improved))
-            col_mask = dirty
-        if not rows or not col_mask.any():
+        if not task.full_repropagate and not (
+            (task.changed_rows or relax_improved) and dirty.any()
+        ):
             return SuperstepResult(relax_improved=relax_improved)
-        cols = np.flatnonzero(col_mask)
-        prop_improved = self.minplus_fold(apsp, dv, rows, cols)
+        prop_improved = self.minplus_fold(
+            apsp, dv, None if task.full_repropagate else changed
+        )
         return SuperstepResult(
             relax_improved=relax_improved,
             prop_charged=True,

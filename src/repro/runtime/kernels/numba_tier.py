@@ -2,18 +2,18 @@
 
 Install with ``pip install repro[numba]``.  When numba is importable
 the IA chunk kernel runs a compiled CSR Dijkstra (binary heap,
-deterministic index tie-breaking) and the RC-superstep kernels run
-compiled cut-edge relaxation and min-plus loops; when it is not, the
-tier silently degrades to :class:`~repro.runtime.kernels.scipy_tier.
+deterministic index tie-breaking) and the RC superstep runs a compiled
+cut-edge relaxation (the min-plus fold is the oracle's, inherited — one
+fold for every tier); when it is not, the tier silently degrades to :class:`~repro.runtime.kernels.scipy_tier.
 ScipyTier` behavior so ``kernel_tier="numba"`` is always safe to
 request.
 
 Accuracy contract (asserted in the test suite when numba is present):
 
-* relaxation and min-plus are **bitwise-exact** — each candidate is a
-  single float64 add and the min over exact candidates is
-  order-independent, so the compiled loops reproduce the oracle's
-  bits;
+* relaxation is **bitwise-exact** — each candidate is a single
+  float64 add and the min over exact candidates is order-independent,
+  so the compiled loop reproduces the oracle's bits (and marks the
+  same ``changed`` entries);
 * Dijkstra is exact-or-bounded: equal-length shortest paths may be
   explored in a different order than scipy's implementation, and the
   per-edge partial sums of two same-length paths can round
@@ -142,6 +142,7 @@ if HAS_NUMBA:  # pragma: no cover - exercised only where numba is installed
     @numba.njit(cache=True)  # type: ignore[misc]
     def _nb_relax_rows(
         dv: np.ndarray,
+        changed: np.ndarray,
         dirty: np.ndarray,
         row_x: np.ndarray,
         rs: np.ndarray,
@@ -158,32 +159,11 @@ if HAS_NUMBA:  # pragma: no cover - exercised only where numba is installed
                 cand = row_x[t] + w
                 if cand < dv[r, t]:
                     dv[r, t] = cand
+                    changed[r, t] = True
                     dirty[t] = True
                     any_imp = True
             improved[idx] = any_imp
         return improved
-
-    @numba.njit(cache=True)  # type: ignore[misc]
-    def _nb_minplus_cand(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``cand[i, t] = min_j a[i, j] + b[j, t]``; exact.
-
-        Each candidate is a single float64 add and min is order-
-        independent over exact values, so this equals the oracle's
-        blocked broadcast bit for bit.
-        """
-        n, k = a.shape
-        c = b.shape[1]
-        cand = np.full((n, c), np.inf, dtype=np.float64)
-        for j in range(k):
-            for i in range(n):
-                aij = a[i, j]
-                if aij == np.inf:
-                    continue
-                for t in range(c):
-                    v = aij + b[j, t]
-                    if v < cand[i, t]:
-                        cand[i, t] = v
-        return cand
 
 
 @register_tier("numba")
@@ -218,35 +198,20 @@ class NumbaTier(ScipyTier):
         self.ia_chunk_kernel(task, 0, task.n, dv, apsp)  # pragma: no cover
 
     def relax_cut(
-        self, dv: FloatArray, dirty_cols: BoolArray, items: RelaxItems
+        self,
+        dv: FloatArray,
+        changed: BoolArray,
+        dirty_cols: BoolArray,
+        items: RelaxItems,
     ) -> List[int]:
         if not HAS_NUMBA:
-            return super().relax_cut(dv, dirty_cols, items)
+            return super().relax_cut(dv, changed, dirty_cols, items)
         improved: Set[int] = set()  # pragma: no cover - numba-only path
         for row_x, pairs in items:
             rs = np.array([r for r, _ in pairs], dtype=np.int64)
             ws = np.array([w for _, w in pairs], dtype=np.float64)
-            flags = _nb_relax_rows(dv, dirty_cols, row_x, rs, ws)
+            flags = _nb_relax_rows(dv, changed, dirty_cols, row_x, rs, ws)
             for r, f in zip(rs, flags):
                 if f:
                     improved.add(int(r))
         return sorted(improved)
-
-    def minplus_fold(
-        self,
-        apsp: FloatArray,
-        dv: FloatArray,
-        rows: List[int],
-        cols: IndexArray,
-    ) -> List[int]:
-        if not HAS_NUMBA:
-            return super().minplus_fold(apsp, dv, rows, cols)
-        a = np.ascontiguousarray(apsp[:, rows])  # pragma: no cover
-        b = np.ascontiguousarray(dv[np.asarray(rows)][:, cols])
-        cand = _nb_minplus_cand(a, b)
-        improved = cand < dv[:, cols]
-        if not improved.any():
-            return []
-        r_idx, c_idx = np.nonzero(improved)
-        dv[r_idx, cols[c_idx]] = cand[improved]
-        return [int(r) for r in np.flatnonzero(improved.any(axis=1))]

@@ -8,11 +8,13 @@ rank — the pre-tier behavior, unchanged.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
+
+import numpy as np
 
 from ...types import BoolArray, FloatArray
 from . import oracle
-from .base import IATask, IndexArray, KernelTier, RelaxItems
+from .base import IATask, KernelTier, RelaxItems
 from .registry import register_tier
 
 __all__ = ["NumpyTier"]
@@ -33,15 +35,18 @@ class NumpyTier(KernelTier):
         oracle.ia_chunk_kernel(task, lo, hi, dv, apsp)
 
     def relax_cut(
-        self, dv: FloatArray, dirty_cols: BoolArray, items: RelaxItems
+        self,
+        dv: FloatArray,
+        changed: BoolArray,
+        dirty_cols: BoolArray,
+        items: RelaxItems,
     ) -> List[int]:
-        return oracle.relax_cut_kernel(dv, dirty_cols, items)
+        return oracle.relax_cut_kernel(dv, changed, dirty_cols, items)
 
     def minplus_fold(
-        self,
-        apsp: FloatArray,
-        dv: FloatArray,
-        rows: List[int],
-        cols: IndexArray,
+        self, apsp: FloatArray, dv: FloatArray, changed: Optional[BoolArray]
     ) -> List[int]:
-        return oracle.minplus_fold(apsp, dv, rows, cols)
+        if changed is None:
+            n, c = dv.shape
+            return oracle.minplus_fold(apsp, dv, np.arange(n), np.arange(c))
+        return oracle.minplus_fold_changed(apsp, dv, changed)

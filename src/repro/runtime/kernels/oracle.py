@@ -9,7 +9,7 @@ bitwise-identical to these statements executed in serial order.
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import List, Set, Union
 
 import numpy as np
 import scipy.sparse.csgraph as csgraph
@@ -22,6 +22,7 @@ __all__ = [
     "ia_chunk_kernel",
     "relax_cut_kernel",
     "minplus_fold",
+    "minplus_fold_changed",
     "relax_edge_kernel",
 ]
 
@@ -31,6 +32,11 @@ _MINPLUS_BLOCK_ELEMS = 1 << 21
 
 #: Max sources folded per ``np.minimum`` call in the batched kernel.
 _MINPLUS_MAX_BLOCK = 64
+
+#: Cap on the float64 element count of the entry fold's gather temporary
+#: (``n_rows x chunk entries``); 2**21 elements = 16 MB, the size of the
+#: rectangle fold's broadcast temporary.
+_ENTRY_CHUNK_ELEMS = 1 << 21
 
 #: Edge-row relaxation: an orientation whose finite rectangle covers more
 #: than ``1 / _EDGE_DENSE_DIV`` of the ``n_local x n_cols`` block is
@@ -75,13 +81,14 @@ def ia_chunk_kernel(
 
 def relax_cut_kernel(
     dv: FloatArray,
+    changed: BoolArray,
     dirty_cols: BoolArray,
     items: RelaxItems,
 ) -> List[int]:
     """Cut-edge relaxation: ``d(u,t) <- min(d(u,t), w(u,x) + d(x,t))``.
 
-    Mutates ``dv`` and ``dirty_cols`` in place; returns the sorted local
-    rows that improved.  Item order is fixed by the caller (sorted
+    Mutates ``dv``, ``changed`` (the entries lowered) and ``dirty_cols``
+    in place; returns the sorted local rows that improved.  Item order is fixed by the caller (sorted
     external vertex, then cut-edge registration order), so repeated runs
     relax in the same sequence.
     """
@@ -92,22 +99,32 @@ def relax_cut_kernel(
             mask = cand < dv[r]
             if mask.any():
                 dv[r][mask] = cand[mask]
+                changed[r] |= mask
                 dirty_cols |= mask
                 improved.add(r)
     return sorted(improved)
 
 
 def minplus_fold(
-    apsp: FloatArray, dv: FloatArray, rows: List[int], cols: IndexArray
+    apsp: FloatArray,
+    dv: FloatArray,
+    rows: Union[List[int], IndexArray],
+    cols: IndexArray,
 ) -> List[int]:
-    """Blocked batched min-plus fold; returns the sorted rows improved.
+    """Blocked min-plus fold of a rectangle; returns the sorted rows improved.
 
-    ``d(x,t) <- min_k apsp(x,k) + d(k,t)`` over changed sources ``k``
-    (``rows``) and dirty targets ``t`` (``cols``), written back into
-    ``dv`` in place.  Folds 32-64 sources per ``np.minimum`` call, with
-    the ``(n x block x c)`` broadcast temporary capped at a fixed element
-    budget.  Bitwise-identical to a per-source fold: float64 min is
-    exact and order-independent, and distances never produce NaNs.
+    ``d(x,t) <- min_k apsp(x,k) + d(k,t)`` over the sources ``k`` in
+    ``rows`` and the targets ``t`` in ``cols``, written back into ``dv``
+    in place.  Sources are folded a block at a time through one
+    ``(n x block x c)`` broadcast temporary; the block is as many sources
+    as keep that temporary under ``_MINPLUS_BLOCK_ELEMS`` (at most
+    ``_MINPLUS_MAX_BLOCK``): 4 on a 500 x 1000 rectangle, 1 once ``n * c``
+    passes 2 M elements.  Bitwise-identical to a per-source fold: float64
+    min is exact and order-independent, and distances never produce NaNs.
+
+    This is the fold of a full re-propagation (every row, every column)
+    and the reference the entry fold (:func:`minplus_fold_changed`) is
+    tested against.
 
     The write-back scatters only the entries that improved instead of
     assigning the whole ``dv[:, cols]`` submatrix — bitwise-equivalent
@@ -116,8 +133,8 @@ def minplus_fold(
     supersteps.
     """
     n = apsp.shape[0]
-    a = apsp[:, rows]                  # (n, k)
-    b = dv[np.asarray(rows)][:, cols]  # (k, c)
+    a = apsp[:, rows]          # (n, k)
+    b = dv[np.ix_(rows, cols)]  # (k, c)
     c = len(cols)
     cand = np.full((n, c), np.inf, dtype=np.float64)
     block = max(
@@ -146,8 +163,62 @@ def minplus_fold(
     return [int(r) for r in np.flatnonzero(improved.any(axis=1))]
 
 
+def minplus_fold_changed(
+    apsp: FloatArray, dv: FloatArray, changed: BoolArray
+) -> List[int]:
+    """Min-plus fold of the ``changed`` entries; returns the sorted rows improved.
+
+    ``d(x,t) <- min(d(x,t), apsp(x,k) + d(k,t))`` for every local row
+    ``x`` and every entry ``(k, t)`` set in ``changed`` — the entries of
+    ``dv`` lowered since the last fold.  An entry outside the mask was a
+    source of an earlier fold (or of IA) at its current value, and
+    ``apsp`` is transitively closed, so ``d(x,t) <= apsp(x,k) + d(k,t)``
+    already holds for it and folding it again cannot lower anything: on
+    weights whose path sums are exact in float64 the outcome is
+    bitwise-identical to :func:`minplus_fold` over any rectangle that
+    contains the mask.
+
+    Entries are taken in column order; each chunk gathers the ``apsp``
+    columns of its sources (at most ``_ENTRY_CHUNK_ELEMS`` elements),
+    adds the entry values, takes the minimum per target column with
+    ``np.minimum.reduceat`` and scatters what improved.  ``changed`` is
+    only read.
+    """
+    n = apsp.shape[0]
+    # column-major walk over the rows that hold any entry (few, late in a
+    # run): entries arrive grouped by target column
+    rows = np.flatnonzero(changed.any(axis=1))
+    t_idx, k_idx = np.nonzero(changed[rows].T)
+    if t_idx.size == 0:
+        return []
+    k_idx = rows[k_idx]
+    vals = dv[k_idx, t_idx]
+    improved_rows = np.zeros(n, dtype=np.bool_)
+    chunk = min(t_idx.size, max(1, _ENTRY_CHUNK_ELEMS // n))
+    # one gather buffer for every chunk (a fresh temporary per chunk is
+    # page-faulted in again each time), viewed contiguously per chunk
+    buf = np.empty(n * chunk, dtype=np.float64)
+    for e0 in range(0, t_idx.size, chunk):
+        e1 = min(e0 + chunk, t_idx.size)
+        through = buf[: n * (e1 - e0)].reshape(n, e1 - e0)
+        np.take(apsp, k_idx[e0:e1], axis=1, out=through, mode="clip")
+        through += vals[e0:e1]
+        ts = t_idx[e0:e1]
+        starts = np.flatnonzero(np.diff(ts, prepend=-1))
+        cand = np.minimum.reduceat(through, starts, axis=1)  # (n, g)
+        cols = ts[starts]
+        better = cand < dv[:, cols]
+        if better.any():
+            # np.nonzero walks row-major, matching cand[better]'s order
+            r_idx, g_idx = np.nonzero(better)
+            dv[r_idx, cols[g_idx]] = cand[better]
+            improved_rows |= better.any(axis=1)
+    return [int(r) for r in np.flatnonzero(improved_rows)]
+
+
 def relax_edge_kernel(
     dv: FloatArray,
+    changed: BoolArray,
     dirty_cols: BoolArray,
     col_a: int,
     row_a: FloatArray,
@@ -161,8 +232,9 @@ def relax_edge_kernel(
     for every local row ``x`` and every target ``t`` (Fig. 3 lines 26-34),
     as two sequential orientations: through ``a`` with the broadcast
     ``row_b``, then through ``b`` (column ``b`` re-read after the first
-    orientation relaxed it) with ``row_a``.  Mutates ``dv`` and
-    ``dirty_cols`` in place; returns the sorted local rows that improved.
+    orientation relaxed it) with ``row_a``.  Mutates ``dv``, ``changed``
+    (the entries lowered) and ``dirty_cols`` in place; returns the sorted
+    local rows that improved.
 
     +inf rows/columns need no filter: ``inf + x`` is ``inf``, ``inf < y``
     is false, and weights are positive and finite so no NaN arises — a
@@ -170,7 +242,7 @@ def relax_edge_kernel(
     scatter, and ``through < dv`` masks exactly the entries a gathered
     relaxation improves.
     """
-    changed = np.zeros(dv.shape[0], dtype=np.bool_)
+    improved = np.zeros(dv.shape[0], dtype=np.bool_)
     for col_src, row in ((col_a, row_b), (col_b, row_a)):
         src_col = dv[:, col_src]
         rows_f = np.flatnonzero(np.isfinite(src_col))
@@ -181,8 +253,9 @@ def relax_edge_kernel(
             rows = mask.any(axis=1)
             if rows.any():
                 np.copyto(dv, through, where=mask)
+                changed |= mask
                 dirty_cols |= mask.any(axis=0)
-                changed |= rows
+                improved |= rows
             continue
         sub = dv[np.ix_(rows_f, cols_f)]
         through = src_col[rows_f][:, None] + (w + row[cols_f])[None, :]
@@ -190,6 +263,8 @@ def relax_edge_kernel(
         if mask.any():
             sub[mask] = through[mask]
             dv[np.ix_(rows_f, cols_f)] = sub
+            r_idx, c_idx = np.nonzero(mask)
+            changed[rows_f[r_idx], cols_f[c_idx]] = True
             dirty_cols[cols_f[mask.any(axis=0)]] = True
-            changed[rows_f[mask.any(axis=1)]] = True
-    return np.flatnonzero(changed)
+            improved[rows_f[mask.any(axis=1)]] = True
+    return np.flatnonzero(improved)

@@ -7,7 +7,9 @@ Each worker owns a block of vertices and maintains:
 * ``local_apsp`` — all-pairs shortest paths **within** the local sub-graph
   (the IA-phase partial result, kept exact under incremental additions),
 * ``dv`` — the distance-vector matrix: ``dv[row_of[v], index.col[t]]`` is
-  the current upper bound on ``d(v, t)`` for every global target ``t``.
+  the current upper bound on ``d(v, t)`` for every global target ``t``,
+* ``dv_changed`` — a bool mask of ``dv``'s shape: the entries lowered
+  since the last propagation fold, which are all that fold has to visit.
 
 All kernels are vectorized NumPy and meter their operation counts into the
 :class:`~repro.model.cost.CostModel`, which is how modeled per-step compute
@@ -29,7 +31,7 @@ from ..errors import WorkerError
 from ..graph.graph import Graph
 from ..graph.views import LocalSubgraph
 from ..model.cost import CostModel
-from ..types import FloatArray, Rank, VertexId
+from ..types import BoolArray, FloatArray, Rank, VertexId
 from .index import GlobalIndex
 from .kernels import (
     IATask,
@@ -66,8 +68,9 @@ class Worker:
         #: kernel tier executing this worker's compute (see
         #: :mod:`repro.runtime.kernels`); the oracle tier by default
         self.tier = tier if tier is not None else make_tier("numpy")
-        #: where ``dv`` / ``local_apsp`` live; the process backend passes
-        #: a shared-memory allocator so kernel subprocesses can attach
+        #: where ``dv`` / ``local_apsp`` / ``dv_changed`` live; the process
+        #: backend passes a shared-memory allocator so kernel subprocesses
+        #: can attach
         self.allocator = allocator if allocator is not None else ArrayAllocator()
         self.rank = rank
         self.nprocs = nprocs
@@ -102,11 +105,15 @@ class Worker:
         self._local_apsp: FloatArray = self.allocator.adopt(
             np.zeros((0, 0), dtype=np.float64), None
         )
+        self._dv_changed: BoolArray = self.allocator.zeros_bool((0, 0))
         #: last received DV rows of external boundary vertices
         self.ext_dvs: Dict[VertexId, FloatArray] = {}
 
         # --- per-step change tracking ---------------------------------
         self._pending: List[Set[VertexId]] = [set() for _ in range(nprocs)]
+        # ``_changed_rows`` / ``_dirty_cols`` / ``_full_repropagate``
+        # decide *whether* the next superstep folds (and is charged);
+        # ``dv_changed`` decides *what* that fold visits
         self._changed_rows: Set[int] = set()
         self._dirty_cols = np.zeros(0, dtype=bool)
         self._fresh_ext: Set[VertexId] = set()
@@ -219,6 +226,25 @@ class Worker:
     def local_apsp(self, value: FloatArray) -> None:
         self._local_apsp = self.allocator.adopt(value, self._local_apsp)
 
+    @property
+    def dv_changed(self) -> BoolArray:
+        """Entries of ``dv`` lowered since the last propagation fold.
+
+        Same shape as ``dv`` on every path that reshapes it; assignment
+        re-homes it via the allocator.  Every writer that lowers a
+        ``dv`` entry outside a kernel fold sets it here, unless it also
+        requests a full re-propagation (which ignores the mask).
+        """
+        return self._dv_changed
+
+    @dv_changed.setter
+    def dv_changed(self, value: BoolArray) -> None:
+        self._dv_changed = self.allocator.adopt(value, self._dv_changed)
+
+    def reset_dv_changed(self) -> None:
+        """A fresh all-False mask of ``dv``'s shape (no page touched)."""
+        self.dv_changed = self.allocator.zeros_bool(self.dv.shape)
+
     # ------------------------------------------------------------------
     # loading / domain decomposition
     # ------------------------------------------------------------------
@@ -256,6 +282,7 @@ class Worker:
                         f"seed row for {v} has {row.size} cols, expected {n_cols}"
                     )
                 np.minimum(self.dv[r], row, out=self.dv[r])
+        self.reset_dv_changed()
         self.ext_dvs = {}
         self.local_apsp = np.zeros((0, 0), dtype=np.float64)
         self._pending = [set() for _ in range(self.nprocs)]
@@ -329,7 +356,11 @@ class Worker:
         if repropagate:
             self.request_full_repropagate()
             return
-        # everything we own changed: queue full boundary DVs for neighbors
+        # everything we own changed: queue full boundary DVs for neighbors.
+        # The first fold is declared over every row and column, but no
+        # entry is marked in ``dv_changed``: Dijkstra's block is already
+        # closed under ``local_apsp``, so that fold visits only what the
+        # first cut-edge relaxation lowers.
         self._changed_rows = set(range(n))
         self._dirty_cols[:] = True
         for v in self.owned:
@@ -654,7 +685,6 @@ class Worker:
                 items.append((row_x, [(self.row_of[u], w) for u, w in pairs]))
         return SuperstepTask(
             n=self.n_local,
-            n_cols=self.n_cols,
             relax_items=items,
             changed_rows=sorted(self._changed_rows),
             dirty_cols=self._dirty_cols.copy(),
@@ -684,13 +714,17 @@ class Worker:
         self._changed_rows.clear()
         if self._dirty_cols.size:
             self._dirty_cols[:] = False
+        if self._dv_changed.size:
+            self._dv_changed[...] = False
         if result.prop_charged:
             # The paper's recombination strategy performs the full local
-            # Floyd–Warshall-style DV update each active RC step; the
-            # modeled cost charges that dense fold.  The kernel computes
-            # only the changed-rows x dirty-columns restriction — a pure
-            # wall-clock optimization (sources that did not change cannot
-            # improve anything through a transitively-closed local APSP).
+            # Floyd–Warshall-style DV update each active RC step, and the
+            # modeled cost charges that dense fold whenever the flags
+            # above declared one.  What the kernel visits is narrower and
+            # decided by ``dv_changed`` alone: an entry d(k,t) not lowered
+            # since it was last a fold source already satisfies
+            # d(x,t) <= apsp(x,k) + d(k,t) for every x (local_apsp is
+            # transitively closed), so only the lowered entries are folded.
             self._charge(self.cost.minplus_time(task.n, task.n, self.n_cols))
         # Improved rows need only be *sent* to subscribers, not re-used as
         # local sources: local_apsp is transitively closed, so chaining two
@@ -721,6 +755,9 @@ class Worker:
         self._changed_rows.update(range(self.n_local))
         if self._dirty_cols.size:
             self._dirty_cols[:] = True
+        # local_apsp itself changed, so every entry is a source again
+        # (a +inf entry reaches nothing and stays unmarked)
+        np.isfinite(self.dv, out=self._dv_changed)
 
     # ------------------------------------------------------------------
     # dynamic changes: columns and vertices
@@ -738,6 +775,9 @@ class Worker:
             return
         pad = np.full((self.n_local, added), np.inf, dtype=np.float64)
         self.dv = np.hstack([self.dv, pad])
+        self.dv_changed = np.hstack(
+            [self.dv_changed, np.zeros((self.n_local, added), dtype=np.bool_)]
+        )
         self._dirty_cols = np.concatenate(
             [self._dirty_cols, np.zeros(added, dtype=bool)]
         )
@@ -770,6 +810,8 @@ class Worker:
         row = np.full((1, self.n_cols), np.inf, dtype=np.float64)
         row[0, self.index.column(v)] = 0.0
         self.dv = np.vstack([self.dv, row])
+        # the new row's one finite entry, d(v,v) = 0, is a new source
+        self.dv_changed = np.vstack([self.dv_changed, np.isfinite(row)])
         # extend local APSP with an isolated vertex
         n = r + 1
         apsp = np.full((n, n), np.inf, dtype=np.float64)
@@ -811,6 +853,7 @@ class Worker:
             self._charge(self.cost.relax_time(self.n_cols))
             if mask.any():
                 self.dv[dst][mask] = cand[mask]
+                self.dv_changed[dst] |= mask
                 self._dirty_cols |= mask
                 self._mark_row_changed(dst)
 
@@ -865,6 +908,7 @@ class Worker:
         self._charge(self.cost.relax_time(self.n_local * self.n_cols))
         rows = relax_edge_kernel(
             self.dv,
+            self.dv_changed,
             self._dirty_cols,
             self.index.column(a),
             row_a,
@@ -991,6 +1035,7 @@ class Worker:
     def remove_column(self, col: int) -> None:
         """Compact away a deleted vertex's DV column."""
         self.dv = np.delete(self.dv, col, axis=1)
+        self.dv_changed = np.delete(self.dv_changed, col, axis=1)
         self._dirty_cols = np.delete(self._dirty_cols, col)
         for x, row in list(self.ext_dvs.items()):
             self.ext_dvs[x] = np.delete(row, col)
@@ -1005,6 +1050,7 @@ class Worker:
         for vv in self.owned[r:]:
             self.row_of[vv] -= 1
         self.dv = np.delete(self.dv, r, axis=0)
+        self.dv_changed = np.delete(self.dv_changed, r, axis=0)
         self.local_apsp = np.delete(
             np.delete(self.local_apsp, r, axis=0), r, axis=1
         )

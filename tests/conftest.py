@@ -58,7 +58,9 @@ def superstep(worker):
     """One RC superstep on a lone worker: prepare -> kernel -> apply
     (what ``Cluster.relax_and_propagate`` does for every rank)."""
     task = worker.superstep_prepare()
-    result = worker.tier.run_superstep(task, worker.dv, worker.local_apsp)
+    result = worker.tier.run_superstep(
+        task, worker.dv, worker.local_apsp, worker.dv_changed
+    )
     worker.superstep_apply(task, result)
     return result
 

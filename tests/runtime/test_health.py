@@ -12,6 +12,7 @@ from repro import (
     HealthPolicy,
     ResilienceConfig,
 )
+from repro.bench import community_workload
 from repro.errors import ConfigurationError
 from repro.graph import barabasi_albert
 from repro.runtime import HealthMonitor, HealthState
@@ -201,6 +202,52 @@ class TestStragglerMitigation:
         )
         assert r.speculations == 0
         assert r.missed_deadlines > 0
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_backup_gets_its_own_changed_entry_mask(self, backend):
+        """The superstep kernel extends ``dv_changed`` in place (cut-edge
+        relaxation) and ``superstep_apply`` then clears it.  The backup
+        runs after that, so on the live mask it would miss the marks the
+        straggler started from and leave its own behind; on a private
+        copy every superstep still ends with a clean mask and an
+        identical ``dv``."""
+        wl = community_workload(100, 12, seed=9, inject_step=2)
+        free = AnytimeAnywhereCloseness(
+            wl.base, AnytimeConfig(nprocs=4, collect_snapshots=False)
+        )
+        free.setup()
+        want = free.run(changes=wl.stream, strategy="cutedge").closeness
+        engine = AnytimeAnywhereCloseness(
+            wl.base,
+            AnytimeConfig(
+                nprocs=4,
+                backend=backend,
+                health=HealthPolicy(speculate=True),
+                collect_snapshots=False,
+            ),
+        )
+        engine.setup()
+        cluster = engine.cluster
+        superstep = cluster.relax_and_propagate
+
+        def audited_superstep():
+            changed = superstep()
+            assert not any(w.dv_changed.any() for w in cluster.workers)
+            return changed
+
+        cluster.relax_and_propagate = audited_superstep
+        try:
+            r = engine.run(
+                changes=wl.stream,
+                strategy="cutedge",
+                resilience=ResilienceConfig(
+                    fault_plan=FaultPlan(stragglers=((1, 8.0),))
+                ),
+            )
+            assert r.converged and r.speculations > 0
+            assert r.closeness == want
+        finally:
+            engine.close()
 
     def test_backoff_charged_to_modeled_clock(self):
         g = barabasi_albert(100, 3, seed=8)

@@ -344,7 +344,7 @@ class TestTierRegistry:
     def test_base_tier_kernels_abstract(self):
         tier = KernelTier()
         with pytest.raises(NotImplementedError):
-            tier.minplus_fold(np.zeros((1, 1)), np.zeros((1, 1)), [0], np.arange(1))
+            tier.minplus_fold(np.zeros((1, 1)), np.zeros((1, 1)), None)
 
 
 class TestSubscriberMemo:

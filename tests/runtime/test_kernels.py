@@ -1,4 +1,4 @@
-"""Edge cases of the blocked min-plus fold and the edge-row relaxation.
+"""Edge cases of the min-plus folds and the edge-row relaxation.
 
 The fold in :func:`repro.runtime.kernels.minplus_fold` (the RC
 superstep's local propagation) processes sources in blocks, clamps the
@@ -9,6 +9,13 @@ must be bitwise-equal to a naive unblocked reference fold.
 The implementation module is :mod:`repro.runtime.kernels.oracle` (the
 ``numpy`` tier delegates to it), so the block-size knobs are patched
 there.
+
+:func:`repro.runtime.kernels.minplus_fold_changed` — the entry-level
+fold every RC superstep runs — visits only the ``dv`` entries marked in
+the changed mask.  On states whose unmarked entries are closed under
+``local_apsp`` (the invariant the writers maintain) and whose path sums
+are exact (integer weights) it must be bitwise-equal to the rectangle
+fold over any rectangle that contains the mask.
 
 :func:`repro.runtime.kernels.relax_edge_kernel` (per orientation dense
 in place, or gathered when the finite rectangle is thin) is pinned bitwise
@@ -23,11 +30,21 @@ from typing import Callable, List, NamedTuple, Tuple
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph as csgraph
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.runtime.kernels.oracle as kernels
-from repro.graph import Graph, extract_local_subgraph
+from repro import AnytimeAnywhereCloseness, AnytimeConfig, ChangeStream
+from repro.centrality import exact_closeness, sssp_dijkstra
+from repro.graph import (
+    ChangeBatch,
+    Graph,
+    barabasi_albert,
+    extract_local_subgraph,
+    random_weights,
+)
+from repro.graph.changes import EdgeAddition, VertexAddition
 from repro.model import DEFAULT_COST
 from repro.runtime import GlobalIndex, Worker
 from repro.runtime.shm import (
@@ -168,6 +185,248 @@ class TestPropagateLocalUsesBlockedFold:
         clamped = self._worker()
         superstep(clamped)
         assert clamped.dv.tobytes() == baseline.dv.tobytes()
+
+
+# ----------------------------------------------------------------------
+# entry-level fold: minplus_fold_changed == the rectangle fold, bitwise
+# ----------------------------------------------------------------------
+def closed_state(
+    seed: int,
+    n: int,
+    n_cols: int,
+    *,
+    p_edge: float = 0.3,
+    p_inf: float = 0.3,
+    density: float = 0.1,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(apsp, dv, changed)`` as an RC superstep finds them, integer weights.
+
+    ``apsp`` is the closure of a random integer-weight graph (possibly
+    disconnected, so it holds +inf), ``dv`` a full fold of a random seed
+    matrix — hence closed under ``apsp`` — in which a ``density`` share of
+    the entries was then lowered (or made finite) and marked in
+    ``changed``.
+    """
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.integers(1, 9, size=(n, n)) * (rng.random((n, n)) < p_edge), 1)
+    apsp = csgraph.dijkstra(w + w.T, directed=False)
+    seeds = rng.integers(0, 40, size=(n, n_cols)).astype(np.float64)
+    seeds[rng.random(seeds.shape) < p_inf] = np.inf
+    seeds[:, rng.random(n_cols) < p_inf / 2] = np.inf  # fresh +inf columns
+    dv = np.min(apsp[:, :, None] + seeds[None, :, :], axis=1, initial=np.inf)
+    changed = rng.random(dv.shape) < density
+    lowered = np.where(
+        np.isfinite(dv),
+        np.maximum(dv - rng.integers(1, 6, size=dv.shape), 0.0),
+        rng.integers(0, 40, size=dv.shape),
+    )
+    dv[changed] = lowered[changed]
+    return apsp, dv, changed
+
+
+def assert_entry_fold_matches_rectangle(
+    apsp: np.ndarray, dv: np.ndarray, changed: np.ndarray
+) -> List[int]:
+    """``dv`` bytes and returned rows against the rectangle fold, over the
+    mask's bounding rectangle and over the whole block; returns the rows."""
+    got = dv.copy()
+    mask = changed.copy()
+    got_rows = kernels.minplus_fold_changed(apsp, got, mask)
+    assert mask.tobytes() == changed.tobytes()  # only read
+    n, n_cols = dv.shape
+    for rows, cols in (
+        (np.flatnonzero(changed.any(axis=1)), np.flatnonzero(changed.any(axis=0))),
+        (np.arange(n), np.arange(n_cols)),
+    ):
+        ref = dv.copy()
+        ref_rows = kernels.minplus_fold(apsp, ref, rows, cols)
+        assert got.tobytes() == ref.tobytes()
+        assert got_rows == ref_rows
+    return got_rows
+
+
+class TestEntryFold:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 24),
+        n_cols=st.integers(1, 40),
+        p_edge=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+        p_inf=st.sampled_from([0.0, 0.3, 0.9]),
+        density=st.sampled_from([0.0, 0.02, 0.2, 0.7, 1.0]),
+    )
+    def test_bitwise_equal_to_rectangle_fold(
+        self, seed, n, n_cols, p_edge, p_inf, density
+    ):
+        assert_entry_fold_matches_rectangle(
+            *closed_state(
+                seed, n, n_cols, p_edge=p_edge, p_inf=p_inf, density=density
+            )
+        )
+
+    def test_empty_mask_touches_nothing(self):
+        apsp, dv, _ = closed_state(1, 12, 30)
+        before = dv.copy()
+        assert kernels.minplus_fold_changed(apsp, dv, np.zeros(dv.shape, bool)) == []
+        assert dv.tobytes() == before.tobytes()
+
+    def test_one_entry(self):
+        apsp, dv, _ = closed_state(2, 12, 30, p_edge=1.0, p_inf=0.0, density=0.0)
+        changed = np.zeros(dv.shape, dtype=bool)
+        dv[3, 7] = 0.0
+        changed[3, 7] = True
+        rows = assert_entry_fold_matches_rectangle(apsp, dv, changed)
+        assert rows and 3 not in rows  # the source row itself does not improve
+
+    def test_masked_infinite_entries_are_inert(self):
+        apsp, dv, changed = closed_state(3, 12, 30, p_inf=0.6)
+        changed |= np.isinf(dv)
+        assert np.isinf(dv[changed]).any()
+        assert_entry_fold_matches_rectangle(apsp, dv, changed)
+
+    def test_dense_rectangle_and_full_mask(self):
+        apsp, dv, _ = closed_state(4, 16, 36, p_edge=0.5, density=0.0)
+        rng = np.random.default_rng(4)
+        lowered = np.maximum(dv - rng.integers(1, 6, size=dv.shape), 0.0)
+        block = np.zeros(dv.shape, dtype=bool)
+        block[2:11, 5:30] = True
+        for changed in (block, np.ones(dv.shape, dtype=bool)):
+            state = np.where(changed & np.isfinite(dv), lowered, dv)
+            assert assert_entry_fold_matches_rectangle(apsp, state, changed)
+
+    def test_fresh_infinite_columns(self):
+        """Columns just added by ``grow_columns``: all +inf, one entry set."""
+        apsp, dv, changed = closed_state(5, 10, 20, p_edge=1.0, density=0.0)
+        dv = np.hstack([dv, np.full((10, 4), np.inf)])
+        changed = np.hstack([changed, np.zeros((10, 4), dtype=bool)])
+        dv[6, 21] = 2.0
+        changed[6, 21] = True
+        rows = assert_entry_fold_matches_rectangle(apsp, dv, changed)
+        assert rows == [r for r in range(10) if r != 6]
+        assert np.isinf(dv[:, [20, 22, 23]]).all()
+
+    def test_empty_worker(self):
+        assert kernels.minplus_fold_changed(
+            np.zeros((0, 0)), np.zeros((0, 6)), np.zeros((0, 6), dtype=bool)
+        ) == []
+
+    def test_column_group_split_across_chunks(self, monkeypatch):
+        """A chunk boundary inside one column's entries, and a last chunk
+        shorter than the buffer: same bytes as one chunk."""
+        apsp, dv, changed = closed_state(6, 14, 25, p_edge=0.6, density=0.5)
+        one_chunk = dv.copy()
+        kernels.minplus_fold_changed(apsp, one_chunk, changed)
+        for entries in (1, 3, 5):
+            monkeypatch.setattr(kernels, "_ENTRY_CHUNK_ELEMS", entries * 14)
+            assert entries == 1 or int(changed.sum()) % entries  # short tail
+            got = dv.copy()
+            kernels.minplus_fold_changed(apsp, got, changed)
+            assert got.tobytes() == one_chunk.tobytes()
+            assert_entry_fold_matches_rectangle(apsp, dv, changed)
+
+    def test_gather_temporary_stays_under_its_constant(self):
+        """A full 200 x 800 mask is 32 M candidates (256 MB at once): the
+        fold must stream them through its one capped gather buffer."""
+        apsp, dv, _ = closed_state(7, 200, 800, p_edge=0.05, p_inf=0.0, density=0.0)
+        changed = np.ones(dv.shape, dtype=bool)
+        cap = kernels._ENTRY_CHUNK_ELEMS * 8
+        assert changed.sum() * 200 * 8 > 8 * cap
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            kernels.minplus_fold_changed(apsp, dv, changed)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the buffer, plus index/value vectors and per-chunk results
+        assert peak < cap + cap // 2
+
+    def test_relax_cut_marks_exactly_what_it_lowers(self):
+        apsp, dv, _ = closed_state(8, 10, 20, density=0.0)
+        before = dv.copy()
+        changed = np.zeros(dv.shape, dtype=bool)
+        dirty = np.zeros(20, dtype=bool)
+        rng = np.random.default_rng(8)
+        items = [
+            (rng.integers(0, 30, size=20).astype(np.float64), [(2, 1.0), (5, 3.0)]),
+            (rng.integers(0, 30, size=20).astype(np.float64), [(5, 2.0)]),
+        ]
+        rows = kernels.relax_cut_kernel(dv, changed, dirty, items)
+        assert np.array_equal(changed, dv < before)
+        assert np.array_equal(dirty, changed.any(axis=0))
+        assert rows == np.flatnonzero(changed.any(axis=1)).tolist()
+
+    def test_writes_land_in_the_shared_memory_blocks(self):
+        """Pool children map ``dv`` and the mask by name: what the relaxation
+        marks and what the fold lowers must be visible through a second
+        attachment, i.e. written in place and never re-homed."""
+        apsp, dv, _ = closed_state(9, 10, 20, p_edge=1.0, density=0.0)
+        allocator = SharedMemoryAllocator()
+        try:
+            res_dv = allocator.adopt(dv, None)
+            res_mask = allocator.zeros_bool(dv.shape)
+            shm_dv, pool_dv = attach_shm_array(allocator.descriptor(res_dv))
+            shm_mask, pool_mask = attach_shm_array(
+                allocator.descriptor(res_mask), np.bool_
+            )
+            try:
+                assert not pool_mask.any()  # a fresh segment is all-False
+                items = [(np.zeros(20), [(4, 1.0)])]
+                kernels.relax_cut_kernel(
+                    pool_dv, pool_mask, np.zeros(20, dtype=bool), items
+                )
+                assert res_mask[4].any() and not np.delete(res_mask, 4, 0).any()
+                expected = res_dv.copy()
+                kernels.minplus_fold(apsp, expected, np.arange(10), np.arange(20))
+                assert kernels.minplus_fold_changed(apsp, pool_dv, pool_mask)
+                assert res_dv.tobytes() == expected.tobytes()
+            finally:
+                del pool_dv, pool_mask
+                detach_shm(shm_dv)
+                detach_shm(shm_mask)
+        finally:
+            allocator.release_all()
+
+
+class TestEntryFoldOnFloatWeights:
+    """General float weights: path sums round, so the fold is documented
+    to 1e-9 (not bitwise against the rectangle) — and stays anytime."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_converges_to_exact_and_every_interrupt_is_an_upper_bound(self, seed):
+        base = random_weights(barabasi_albert(70, 3, seed=seed), 0.5, 9.0, seed=seed + 7)
+        final = base.copy()
+        batch = ChangeBatch(
+            vertex_additions=[VertexAddition(70, edges=((3, 0.37), (41, 2.9)))],
+            edge_additions=[EdgeAddition(5, 60, 0.81)],
+        )
+        batch.apply_to(final)
+        truth = {v: sssp_dijkstra(final, v) for v in final.vertices()}
+        engine = AnytimeAnywhereCloseness(
+            base, AnytimeConfig(nprocs=4, seed=seed, collect_snapshots=False)
+        )
+        engine.setup()
+        stream = ChangeStream({2: batch})
+        for _ in range(100):
+            result = engine.run(changes=stream, strategy="cutedge", step_budget=1)
+            cluster = engine.cluster
+            for w in cluster.workers:
+                for v in w.owned:
+                    want = np.array([truth[v][t] for t in cluster.index.ids])
+                    assert (w.dv[w.row_of[v]] >= want * (1 - 1e-12)).all()
+            if result.converged:
+                break
+        assert result.converged
+        exact = exact_closeness(final)
+        assert result.closeness.keys() == exact.keys()
+        for v, c in exact.items():
+            assert result.closeness[v] == pytest.approx(c, rel=1e-9)
+        engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -318,8 +577,10 @@ def assert_kernel_matches_reference(case: EdgeCase, seed: int = 0) -> bool:
         mark_rows_changed=lambda rows: ref_rows.extend(rows.tolist()),
     )
     dv, dirty = case.dv.copy(), np.zeros(n_cols, dtype=bool)
-    rows = kernels.relax_edge_kernel(dv, dirty, *args)
+    changed = np.zeros(dv.shape, dtype=bool)
+    rows = kernels.relax_edge_kernel(dv, changed, dirty, *args)
     assert dv.tobytes() == ref_dv.tobytes()
+    assert np.array_equal(changed, dv < case.dv)  # exactly what was lowered
     assert dirty.tobytes() == ref_dirty.tobytes()
     assert rows.tolist() == sorted(set(ref_rows))
     assert bool(rows.size) == ref_improved
@@ -336,6 +597,7 @@ def assert_kernel_matches_reference(case: EdgeCase, seed: int = 0) -> bool:
         case.col_a, case.row_a, case.col_b, case.row_b, case.w
     ) is ref_improved
     assert new_w.dv.tobytes() == ref_dv.tobytes()
+    assert np.array_equal(new_w.dv_changed, changed)
     assert new_w._dirty_cols.tobytes() == ref_w._dirty_cols.tobytes()
     assert new_w._changed_rows == ref_w._changed_rows == set(rows.tolist())
     assert new_w._pending == ref_w._pending
@@ -432,10 +694,11 @@ class TestRelaxEdgeKernel:
             before = case.dv.copy()
             assert not assert_kernel_matches_reference(case)
             dirty = np.zeros(40, dtype=bool)
+            changed = np.zeros(case.dv.shape, dtype=bool)
             rows = kernels.relax_edge_kernel(
-                case.dv, dirty, 30, case.row_a, 31, case.row_b, case.w
+                case.dv, changed, dirty, 30, case.row_a, 31, case.row_b, case.w
             )
-            assert rows.size == 0 and not dirty.any()
+            assert rows.size == 0 and not dirty.any() and not changed.any()
             assert case.dv.tobytes() == before.tobytes()
 
     def test_empty_worker_returns_false_and_charges_nothing(self):
@@ -446,7 +709,8 @@ class TestRelaxEdgeKernel:
         assert w._seconds == seconds
         assert not w._changed_rows and not any(w._pending)
         rows = kernels.relax_edge_kernel(
-            np.empty((0, 6)), np.zeros(6, dtype=bool), 2, row, 4, row, 1.0
+            np.empty((0, 6)), np.zeros((0, 6), dtype=bool),
+            np.zeros(6, dtype=bool), 2, row, 4, row, 1.0,
         )
         assert rows.size == 0
 
@@ -495,12 +759,15 @@ class TestRelaxEdgeKernel:
         assert case.dense() == (False, False)
         assert assert_kernel_matches_reference(case)
         dirty = np.zeros(n_cols, dtype=bool)
+        changed = np.zeros(dv.shape, dtype=bool)
         work = dv.copy()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            rows = kernels.relax_edge_kernel(work, dirty, a, row_a, b, row_b, 1.0)
+            rows = kernels.relax_edge_kernel(
+                work, changed, dirty, a, row_a, b, row_b, 1.0
+            )
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()

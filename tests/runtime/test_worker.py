@@ -6,7 +6,9 @@ import pytest
 from repro.errors import WorkerError
 from repro.graph import extract_local_subgraph
 from repro.model import DEFAULT_COST
-from repro.runtime import GlobalIndex, Worker
+from repro.partition import Partition
+from repro.runtime import Cluster, GlobalIndex, Worker, check_cluster_invariants
+from repro.runtime.shm import SharedMemoryAllocator
 
 from ..conftest import path_graph, superstep
 
@@ -328,3 +330,113 @@ class TestQueries:
     def test_repr(self):
         _g, w = path4_worker()
         assert "rank=0" in repr(w)
+
+
+class TestChangedEntryMask:
+    """``dv_changed``: same shape as ``dv`` always, set by every writer that
+    lowers an entry outside a fold, cleared by the superstep."""
+
+    def test_ia_marks_nothing_and_superstep_clears(self):
+        _g, w = path4_worker()
+        assert w.dv_changed.shape == w.dv.shape and not w.dv_changed.any()
+        w.run_initial_approximation()
+        assert not w.dv_changed.any()  # Dijkstra's block is already closed
+        w.dv_changed[0, 1] = True
+        assert superstep(w).prop_charged  # the flags still declare the fold
+        assert not w.dv_changed.any()
+
+    def test_mask_follows_dv_through_shape_changes(self):
+        _g, w = path4_worker()
+        w.run_initial_approximation()
+        w.dv_changed[1, 2] = True
+        w.index.add(4)
+        w.grow_columns(5)
+        assert w.dv_changed.shape == w.dv.shape == (2, 5)
+        assert w.dv_changed[1, 2] and w.dv_changed.sum() == 1
+        r = w.add_local_vertex(4)
+        assert w.dv_changed.shape == w.dv.shape == (3, 5)
+        assert w.dv_changed[r].tolist() == [False] * 4 + [True]  # d(v,v) = 0
+        w.remove_column(2)
+        assert w.dv_changed.shape == w.dv.shape == (3, 4)
+        assert w.dv_changed.sum() == 1 and w.dv_changed[r, 3]
+        w.remove_local_vertex(0)
+        assert w.dv_changed.shape == w.dv.shape == (2, 4)
+        assert w.dv_changed[w.row_of[4], 3]
+
+    def test_mask_stays_in_the_allocator(self):
+        allocator = SharedMemoryAllocator()
+        try:
+            g = path_graph(4)
+            w = Worker(
+                0, 2, GlobalIndex(g.vertex_list()), DEFAULT_COST,
+                allocator=allocator,
+            )
+            owner = {0: 0, 1: 0, 2: 1, 3: 1}
+            w.load_subgraph(extract_local_subgraph(g, [0, 1], owner, 0))
+            assert allocator.owns(w.dv_changed)
+            w.run_initial_approximation()
+            w.index.add(4)
+            w.grow_columns(5)
+            w.add_local_vertex(4)
+            assert allocator.owns(w.dv_changed)
+            assert w.dv_changed.shape == w.dv.shape
+            w.remove_column(1)
+            assert allocator.owns(w.dv_changed)
+        finally:
+            allocator.release_all()
+
+    def test_edge_rows_mark_what_they_lower(self):
+        _g, w = path4_worker()
+        w.run_initial_approximation()
+        superstep(w)
+        before = w.dv.copy()
+        row_0 = before[w.row_of[0]].copy()
+        row_3 = np.array([np.inf, np.inf, 1.0, 0.0])
+        assert w.relax_with_edge_rows(0, row_0, 3, row_3, 1.0)
+        assert w.dv_changed.any()
+        assert np.array_equal(w.dv_changed, w.dv < before)
+
+    def _split_cluster(self):
+        """Path 0-1-2-3-4; rank 0 owns two local components {0,1} and {3,4}."""
+        g = path_graph(5)
+        cluster = Cluster(g, 2)
+        cluster.install_partition(
+            Partition(2, {0: 0, 1: 0, 2: 1, 3: 0, 4: 0})
+        )
+        cluster.run_initial_approximation()
+        cluster.exchange_boundary()
+        cluster.relax_and_propagate()
+        return cluster
+
+    def test_local_edge_leaves_every_unmarked_entry_closed(self):
+        """A local edge joining two local components: ``local_apsp`` drops,
+        so every finite entry is a source again, and the rows relaxed
+        through the edge turn +inf entries finite — check 9 (local
+        closure) must hold right away, before any fold."""
+        cluster = self._split_cluster()
+        w = cluster.workers[0]
+        assert not w.dv_changed.any()
+        check_cluster_invariants(cluster)
+        before = w.dv.copy()
+        cluster.graph.add_edge(1, 3, 1.0)
+        w.add_local_edge(1, 3, 1.0)
+        lowered = w.dv < before
+        assert lowered.any() and w.dv_changed[lowered].all()
+        assert w.dv_changed[np.isfinite(before)].all()
+        assert "local-closure" in check_cluster_invariants(cluster)
+        cluster.exchange_boundary()
+        cluster.relax_and_propagate()
+        assert not w.dv_changed.any()
+        assert w.dv[w.row_of[0], 4] == 3.0
+        check_cluster_invariants(cluster)
+
+    def test_closure_check_sees_an_unmarked_source(self):
+        cluster = self._split_cluster()
+        w = cluster.workers[0]
+        cluster.graph.add_edge(1, 3, 1.0)
+        w.add_local_edge(1, 3, 1.0)
+        w.dv_changed[...] = False
+        with pytest.raises(AssertionError, match="not marked in dv_changed"):
+            check_cluster_invariants(cluster)
+        w.request_full_repropagate()  # a pending full fold ignores the mask
+        check_cluster_invariants(cluster)

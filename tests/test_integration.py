@@ -19,7 +19,13 @@ from repro.core.strategies import (
     VertexAdditionStrategy,
 )
 from repro.graph import ChangeBatch, barabasi_albert, diff_graphs
-from repro.graph.changes import EdgeDeletion, VertexAddition, VertexDeletion
+from repro.graph.changes import (
+    EdgeAddition,
+    EdgeDeletion,
+    EdgeReweight,
+    VertexAddition,
+    VertexDeletion,
+)
 from repro.runtime import check_cluster_invariants
 
 
@@ -149,3 +155,61 @@ def test_budget_interleaved_with_changes():
     assert result.converged
     check_cluster_invariants(engine.cluster)
     assert_exact(engine, wl.final)
+
+
+def test_local_closure_after_every_superstep():
+    """Check 9 (what the entry-level fold rests on) around *every* superstep
+    of one add / delete / reweight / crash-and-recover stream: after the
+    fold, and again before the next exchange, i.e. on whatever the dynamic
+    strategies and the recovery left behind."""
+    wl = community_workload(90, 12, seed=31, inject_step=1)
+    truth = wl.final.copy()
+    kept = sorted(wl.base.vertices())
+    hub = max(kept, key=truth.degree)
+    cut, up, down = [
+        (u, v) for u, v, _w in truth.edges() if hub not in (u, v)
+    ][:3]
+    far = next(
+        (u, v) for u in kept for v in reversed(kept)
+        if hub not in (u, v) and u != v and not truth.has_edge(u, v)
+    )
+    batches = dict(wl.stream)
+    batches[3] = ChangeBatch(
+        vertex_deletions=[VertexDeletion(hub)],
+        edge_deletions=[EdgeDeletion(*cut)],
+    )
+    batches[5] = ChangeBatch(
+        edge_reweights=[EdgeReweight(*up, 3.0), EdgeReweight(*down, 0.5)],
+        edge_additions=[EdgeAddition(*far, 1.0)],
+    )
+    for step in (3, 5):
+        batches[step].apply_to(truth)
+
+    engine = AnytimeAnywhereCloseness(
+        wl.base, AnytimeConfig(nprocs=4, seed=31, collect_snapshots=False)
+    )
+    engine.setup()
+    cluster = engine.cluster
+    audits = []
+    exchange, superstep = cluster.exchange_boundary, cluster.relax_and_propagate
+
+    def audited_exchange():
+        check_cluster_invariants(cluster)
+        return exchange()
+
+    def audited_superstep():
+        changed = superstep()
+        audits.append(check_cluster_invariants(cluster))
+        return changed
+
+    cluster.exchange_boundary = audited_exchange
+    cluster.relax_and_propagate = audited_superstep
+    stream = ChangeStream(batches)
+    # stop mid-convergence, lose a rank, then absorb the rest of the stream
+    engine.run(changes=stream, strategy="auto", step_budget=2)
+    engine.crash_worker(2)
+    result = engine.run(changes=stream, strategy="auto")
+    assert result.converged
+    assert len(audits) == engine.next_step > 6
+    assert all("local-closure" in checks for checks in audits)
+    assert_exact(engine, truth)
