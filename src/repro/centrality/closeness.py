@@ -16,7 +16,12 @@ import numpy as np
 
 from ..types import VertexId
 
-__all__ = ["closeness_from_matrix", "closeness_from_row", "rank_vertices"]
+__all__ = [
+    "closeness_from_matrix",
+    "closeness_from_row",
+    "closeness_from_rows",
+    "rank_vertices",
+]
 
 
 def closeness_from_row(
@@ -50,6 +55,37 @@ def closeness_from_row(
     if wf_improved:
         c *= reached / (n - 1)
     return c
+
+
+def closeness_from_rows(
+    rows: np.ndarray, self_cols: Sequence[int], *, wf_improved: bool = False
+) -> np.ndarray:
+    """:func:`closeness_from_row` of every row of a block, bit for bit.
+
+    ``self_cols[i]`` is the self column of ``rows[i]``.  Rows are grouped
+    by summand count and each group summed as one compacted
+    ``(rows, count)`` block whose rows are exactly ``row[finite]``: NumPy's
+    pairwise order, which ``np.where(finite, rows, 0).sum(axis=1)`` loses.
+    """
+    m, n = rows.shape
+    out = np.zeros(m, dtype=np.float64)
+    if n <= 1 or m == 0:
+        return out
+    finite = np.isfinite(rows)
+    finite[np.arange(m), self_cols] = False
+    reached = finite.sum(axis=1, dtype=np.int32)  # 2x faster than intp
+    total = np.zeros(m, dtype=np.float64)
+    for count in np.unique(reached[reached > 0]):
+        grp = reached == count
+        # a settled block is one group: compact it without selecting rows
+        block = rows[finite] if grp.all() else rows[grp][finite[grp]]
+        total[grp] = block.reshape(-1, count).sum(axis=1)
+    ok = total > 0.0
+    if wf_improved:
+        out[ok] = reached[ok] / total[ok] * (reached[ok] / (n - 1))
+    else:
+        out[ok] = 1.0 / total[ok]
+    return out
 
 
 def closeness_from_matrix(

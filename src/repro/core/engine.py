@@ -608,7 +608,6 @@ class AnytimeAnywhereCloseness:
         the same distance vectors the pipeline refines, so interrupted
         reads are valid anytime estimates.
         """
-        from ..centrality.closeness import closeness_from_row
         from ..centrality.measures import (
             degree_centrality,
             eccentricity_from_row,
@@ -618,10 +617,9 @@ class AnytimeAnywhereCloseness:
         cluster = self._require_cluster()
         if measure == "degree":
             return degree_centrality(cluster.graph)
+        if measure == "closeness":
+            return self.current_closeness()
         row_fns: Dict[str, Callable[[FloatArray, int], float]] = {
-            "closeness": lambda row, c: closeness_from_row(
-                row, self_col=c, wf_improved=self.config.wf_improved
-            ),
             "harmonic": lambda row, c: harmonic_from_row(row, self_col=c),
             "eccentricity": lambda row, c: eccentricity_from_row(
                 row, self_col=c
@@ -631,7 +629,7 @@ class AnytimeAnywhereCloseness:
         if fn is None:
             raise ConfigurationError(
                 f"unknown measure {measure!r}; choose from"
-                f" {sorted(row_fns) + ['degree']}"
+                f" {['closeness', *sorted(row_fns), 'degree']}"
             )
         out: Dict[VertexId, float] = {}
         for w in cluster.workers:

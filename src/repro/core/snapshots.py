@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Dict
 
 import numpy as np
 
-from ..centrality.closeness import closeness_from_row
+from ..centrality.closeness import closeness_from_rows
 from ..types import VertexId
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,18 +51,15 @@ def take_snapshot(
     modeled clock)."""
     closeness: Dict[VertexId, float] = {}
     unresolved = 0
+    col = cluster.index.col
     for w in cluster.workers:
         if w.n_local == 0:
             continue
-        finite = np.isfinite(w.dv)
-        unresolved += int(w.dv.size - finite.sum())
-        for v in w.owned:
-            r = w.row_of[v]
-            closeness[v] = closeness_from_row(
-                w.dv[r],
-                self_col=cluster.index.column(v),
-                wf_improved=wf_improved,
-            )
+        unresolved += w.dv.size - int(np.count_nonzero(np.isfinite(w.dv)))
+        values = closeness_from_rows(
+            w.dv, [col[v] for v in w.owned], wf_improved=wf_improved
+        )
+        closeness.update(zip(w.owned, values.tolist()))
     return AnytimeSnapshot(
         step=step,
         modeled_seconds=cluster.tracer.modeled_seconds,

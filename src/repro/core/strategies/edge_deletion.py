@@ -9,11 +9,16 @@ therefore runs a two-phase protocol:
    *witnessed* by a path through the deleted edge
    (``d(x,u) + w + d(v,t) == d(x,t)`` in either orientation).  Entries not
    witnessed keep their values: some shortest path avoids the edge.
-   Stored external rows are dropped wholesale — they may embed the edge.
-2. **Rebuild** — the owning worker(s) repair local structure (local APSP
+   Each worker keeps what it raised in ``Worker.dv_rose``.  Stored
+   external rows are dropped wholesale — they may embed the edge.
+2. **Repair** — the owning worker(s) repair local structure (local APSP
    recomputation for an intra-partition deletion; cut-edge deregistration
-   otherwise), every owner re-queues its boundary rows, and the normal RC
-   iterations re-derive the invalidated entries from scratch.
+   otherwise) and every owner re-queues its boundary rows.  The next fold
+   is charged in full but re-derives only the risen entries (pulled from
+   every local source; the entries lowered meanwhile are pushed): an
+   unwitnessed entry is still closed, because a deletion only raises
+   ``local_apsp`` and the entries it could improve through.  The normal RC
+   iterations then bring in what only other ranks know.
 
 Edge *reweights* route through here too: a weight decrease is just an edge
 addition (relax-only), a weight increase is delete-then-add.
@@ -64,9 +69,9 @@ def apply_edge_deletion(cluster: "Cluster", u: VertexId, v: VertexId) -> None:
     # schedule a full re-propagation + boundary refresh on every worker
     for worker in cluster.workers:
         if worker.rank == dirty_rank:
-            worker.recompute_local_apsp()  # local structure changed
+            worker.recompute_local_apsp(rises_known=True)  # structure changed
         else:
-            worker.restore_local_baseline()
+            worker.restore_local_baseline(rises_known=True)
         worker.queue_all_boundary_rows()
 
 

@@ -2,13 +2,15 @@
 
 Deleting vertex ``x``:
 
-1. the owner broadcasts ``x``'s current DV row; every worker resets DV
-   entries *witnessed through* ``x`` (``d(a,x) + d(x,b) == d(a,b)``),
+1. the owner broadcasts ``x``'s current DV row; every worker resets (and
+   marks as risen) DV entries *witnessed through* ``x``
+   (``d(a,x) + d(x,b) == d(a,b)``),
 2. all structure referencing ``x`` is removed: its global-index column is
    compacted out of every DV, its row/local edges leave the owner, cut
    edges to it leave the neighbors, and the global graph drops it,
 3. local APSPs are repaired and boundary rows re-queued, after which the
-   RC iterations re-derive the invalidated entries.
+   next fold and the RC iterations re-derive the risen entries (see
+   :mod:`.edge_deletion`).
 """
 
 from __future__ import annotations
@@ -54,9 +56,9 @@ def apply_vertex_deletion(cluster: "Cluster", x: VertexId) -> None:
     # phase 3: repair and refresh
     for worker in cluster.workers:
         if worker.rank == owner_rank or worker.rank in neighbor_ranks:
-            worker.recompute_local_apsp()
+            worker.recompute_local_apsp(rises_known=True)
         else:
-            worker.restore_local_baseline()
+            worker.restore_local_baseline(rises_known=True)
         worker.queue_all_boundary_rows()
 
 

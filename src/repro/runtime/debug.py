@@ -40,6 +40,9 @@ def check_cluster_invariants(cluster: "Cluster") -> List[str]:
         assert w.dv_changed.shape == w.dv.shape, (
             f"rank {w.rank} changed-entry mask out of step with dv"
         )
+        assert w.dv_rose.shape == w.dv.shape, (
+            f"rank {w.rank} risen-entry mask out of step with dv"
+        )
         for v, r in w.row_of.items():
             assert w.owned[r] == v
     checks.append("ownership-and-shapes")
@@ -100,24 +103,27 @@ def check_cluster_invariants(cluster: "Cluster") -> List[str]:
             assert (np.diag(w.local_apsp) == 0).all()
     checks.append("local-apsp-shape")
 
-    # 9. local closure — the premise of the entry-level propagation fold:
+    # 9. local closure — the premise of the entry-level propagation folds:
     #    an entry d(k,t) outside ``dv_changed`` has been a fold source at
-    #    its current value, so no row can improve through it.  Ranks with
-    #    a full re-propagation pending (which ignores the mask) or with
-    #    no local APSP yet (before IA, between crash and recovery) are
-    #    exempt.  rtol covers float path sums rounded in different
-    #    orders; it is exact on integer weights, where two distinct path
-    #    sums differ by at least 1.
+    #    its current value, so no row can improve through it — except the
+    #    entries in ``dv_rose``, which a pending deletion repair pulls from
+    #    every source.  Ranks with a nothing-known full re-propagation
+    #    pending (which ignores both masks) or with no local APSP yet
+    #    (before IA, between crash and recovery) are exempt.  rtol covers
+    #    float path sums rounded in different orders; it is exact on integer
+    #    weights, where two distinct path sums differ by at least 1.
     for w in cluster.workers:
         n = w.n_local
-        if w._full_repropagate or n == 0 or w.local_apsp.shape != (n, n):
+        if w._rises_unknown or n == 0 or w.local_apsp.shape != (n, n):
             continue
         folded = w.dv.copy()
         minplus_fold_changed(w.local_apsp, folded, ~w.dv_changed)
         open_ = w.dv > folded * (1.0 + 1e-12)
+        if w._full_repropagate:  # a deletion repair: the fold pulls these
+            open_ &= ~w.dv_rose
         assert not open_.any(), (
-            f"rank {w.rank}: {int(open_.sum())} DV entries improvable"
-            " through an entry not marked in dv_changed"
+            f"rank {w.rank}: {int(open_.sum())} DV entries improvable through"
+            " an entry not marked in dv_changed, and not marked in dv_rose"
         )
     checks.append("local-closure")
 

@@ -62,8 +62,7 @@ def crash_worker(cluster: "Cluster", rank: Rank) -> None:
         raise RuntimeSimulationError(f"no worker with rank {rank}")
     w = cluster.workers[rank]
     n_cols = cluster.n_columns
-    w.dv = np.full((w.n_local, n_cols), np.inf, dtype=np.float64)
-    w.reset_dv_changed()
+    w.wipe_entries(n_cols)
     w.local_apsp = np.zeros((0, 0), dtype=np.float64)
     w.ext_dvs.clear()
     w._fresh_ext.clear()

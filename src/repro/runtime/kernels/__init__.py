@@ -32,8 +32,9 @@ accounting invariant across tiers.
 The module-level :func:`ia_kernel` / :func:`run_superstep` dispatch on
 the task's ``tier`` name (the process-pool entry points);
 :func:`relax_cut_kernel` / :func:`minplus_fold` (the rectangle fold) /
-:func:`minplus_fold_changed` (the entry fold every tier runs) re-export
-the oracle implementations for direct use and tests.  :func:`relax_edge_kernel`
+:func:`minplus_fold_changed` (the entry fold every tier runs) /
+:func:`minplus_pull` (its dual, the deletion repair) re-export the
+oracle implementations for direct use and tests.  :func:`relax_edge_kernel`
 (the per-edge relaxation of the dynamic-update path) has one
 implementation, which the worker calls directly on every tier.
 """
@@ -54,6 +55,7 @@ from .oracle import (
     ia_chunk_kernel,
     minplus_fold,
     minplus_fold_changed,
+    minplus_pull,
     relax_cut_kernel,
     relax_edge_kernel,
 )
@@ -91,6 +93,7 @@ __all__ = [
     "make_tier",
     "minplus_fold",
     "minplus_fold_changed",
+    "minplus_pull",
     "register_tier",
     "relax_cut_kernel",
     "relax_edge_kernel",

@@ -78,6 +78,9 @@ class SuperstepTask:
     #: the columns the relaxation improves)
     dirty_cols: BoolArray
     full_repropagate: bool
+    #: with ``full_repropagate``: the entries of ``dv`` raised since the
+    #: last fold (read-only), or ``None`` when what rose is not known
+    rose: Optional[BoolArray] = None
     #: kernel tier executing this task (resolved by name in pool children)
     tier: str = "numpy"
 
@@ -157,13 +160,19 @@ class KernelTier:
         raise NotImplementedError
 
     def minplus_fold(
-        self, apsp: FloatArray, dv: FloatArray, changed: Optional[BoolArray]
+        self,
+        apsp: FloatArray,
+        dv: FloatArray,
+        changed: Optional[BoolArray],
+        rose: Optional[BoolArray] = None,
     ) -> List[int]:
         """Min-plus propagation fold; returns the sorted rows improved.
 
         ``changed`` marks the entries of ``dv`` lowered since the last
-        fold — the only sources that can improve anything; ``None``
-        folds every entry (full re-propagation).
+        fold — the only sources that can improve anything while nothing
+        rose; ``None`` folds every entry (nothing is known about what
+        rose).  ``rose`` marks the entries a deletion raised: they are
+        pulled from every source before ``changed`` is pushed.
         """
         raise NotImplementedError
 
@@ -181,7 +190,8 @@ class KernelTier:
         worker itself is never touched, so the kernel can run anywhere.
 
         The task's flags decide *whether* the fold runs (and is
-        charged); the ``changed`` mask decides *what* it visits.
+        charged); the ``changed`` mask decides *what* it pushes and,
+        in a deletion repair, ``task.rose`` what it pulls first.
         Because ``local_apsp`` is transitively closed, a single fold
         from the entries lowered since the last propagation is complete:
         ``d(x,t) <- min_k apsp(x,k) + d(k,t)`` over the changed sources
@@ -196,8 +206,9 @@ class KernelTier:
             (task.changed_rows or relax_improved) and dirty.any()
         ):
             return SuperstepResult(relax_improved=relax_improved)
+        unknown = task.full_repropagate and task.rose is None
         prop_improved = self.minplus_fold(
-            apsp, dv, None if task.full_repropagate else changed
+            apsp, dv, None if unknown else changed, task.rose
         )
         return SuperstepResult(
             relax_improved=relax_improved,

@@ -44,9 +44,16 @@ class NumpyTier(KernelTier):
         return oracle.relax_cut_kernel(dv, changed, dirty_cols, items)
 
     def minplus_fold(
-        self, apsp: FloatArray, dv: FloatArray, changed: Optional[BoolArray]
+        self,
+        apsp: FloatArray,
+        dv: FloatArray,
+        changed: Optional[BoolArray],
+        rose: Optional[BoolArray] = None,
     ) -> List[int]:
         if changed is None:
             n, c = dv.shape
             return oracle.minplus_fold(apsp, dv, np.arange(n), np.arange(c))
-        return oracle.minplus_fold_changed(apsp, dv, changed)
+        if rose is None:
+            return oracle.minplus_fold_changed(apsp, dv, changed)
+        pulled = oracle.minplus_pull(apsp, dv, rose)
+        return sorted({*pulled, *oracle.minplus_fold_changed(apsp, dv, changed)})

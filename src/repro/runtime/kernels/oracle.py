@@ -23,6 +23,7 @@ __all__ = [
     "relax_cut_kernel",
     "minplus_fold",
     "minplus_fold_changed",
+    "minplus_pull",
     "relax_edge_kernel",
 ]
 
@@ -33,9 +34,10 @@ _MINPLUS_BLOCK_ELEMS = 1 << 21
 #: Max sources folded per ``np.minimum`` call in the batched kernel.
 _MINPLUS_MAX_BLOCK = 64
 
-#: Cap on the float64 element count of the entry fold's gather temporary
-#: (``n_rows x chunk entries``); 2**21 elements = 16 MB, the size of the
-#: rectangle fold's broadcast temporary.
+#: Cap on the float64 element count of the entry folds' gather temporaries
+#: (``n_rows x chunk entries``; the pull fold splits it between its two);
+#: 2**21 elements = 16 MB, the size of the rectangle fold's broadcast
+#: temporary.
 _ENTRY_CHUNK_ELEMS = 1 << 21
 
 #: Edge-row relaxation: an orientation whose finite rectangle covers more
@@ -122,9 +124,9 @@ def minplus_fold(
     passes 2 M elements.  Bitwise-identical to a per-source fold: float64
     min is exact and order-independent, and distances never produce NaNs.
 
-    This is the fold of a full re-propagation (every row, every column)
-    and the reference the entry fold (:func:`minplus_fold_changed`) is
-    tested against.
+    This is the fold of a nothing-known full re-propagation (every row,
+    every column) and the reference the entry folds
+    (:func:`minplus_fold_changed`, :func:`minplus_pull`) are tested against.
 
     The write-back scatters only the entries that improved instead of
     assigning the whole ``dv[:, cols]`` submatrix — bitwise-equivalent
@@ -213,6 +215,51 @@ def minplus_fold_changed(
             r_idx, g_idx = np.nonzero(better)
             dv[r_idx, cols[g_idx]] = cand[better]
             improved_rows |= better.any(axis=1)
+    return [int(r) for r in np.flatnonzero(improved_rows)]
+
+
+def minplus_pull(apsp: FloatArray, dv: FloatArray, rose: BoolArray) -> List[int]:
+    """Min-plus pull into the ``rose`` entries; returns the sorted rows improved.
+
+    ``d(x,t) <- min_k apsp(x,k) + d(k,t)`` over every local source ``k``,
+    for the entries ``(x, t)`` set in ``rose`` — the entries of ``dv``
+    raised (by a deletion's witness test) since the last fold.  The dual
+    of :func:`minplus_fold_changed`: that one pushes *from* the entries
+    that fell, this one re-derives the entries that rose.  Followed by
+    that push it equals :func:`minplus_fold` over the whole block provided
+    nothing else fell: an entry outside both masks satisfied
+    ``d(x,t) <= apsp(x,k) + d(k,t)`` before and neither term fell since.
+
+    Entries are taken in column order; each chunk gathers the ``apsp``
+    rows of its targets and the ``dv`` columns of its sources (together
+    at most ``_ENTRY_CHUNK_ELEMS`` elements), adds them and takes the
+    minimum per entry.  ``rose`` is only read.
+    """
+    n = apsp.shape[0]
+    rows = np.flatnonzero(rose.any(axis=1))
+    t_idx, x_idx = np.nonzero(rose[rows].T)
+    if t_idx.size == 0:
+        return []
+    x_idx = rows[x_idx]
+    # np.take gathers along axis 1 of a C-contiguous source: row x of apsp
+    # is column x of this copy (apsp is symmetric only up to rounding)
+    apsp_t = np.ascontiguousarray(apsp.T)
+    improved_rows = np.zeros(n, dtype=np.bool_)
+    chunk = min(t_idx.size, max(1, _ENTRY_CHUNK_ELEMS // (2 * n)))
+    buf = np.empty((2, n * chunk), dtype=np.float64)
+    for e0 in range(0, t_idx.size, chunk):
+        xs = x_idx[e0:e0 + chunk]
+        ts = t_idx[e0:e0 + chunk]
+        through = buf[0, : n * xs.size].reshape(n, xs.size)
+        src = buf[1, : n * xs.size].reshape(n, xs.size)
+        np.take(apsp_t, xs, axis=1, out=through, mode="clip")
+        np.take(dv, ts, axis=1, out=src, mode="clip")
+        through += src
+        cand = through.min(axis=0)
+        better = cand < dv[xs, ts]
+        if better.any():
+            dv[xs[better], ts[better]] = cand[better]
+            improved_rows[xs[better]] = True
     return [int(r) for r in np.flatnonzero(improved_rows)]
 
 

@@ -9,7 +9,9 @@ Each worker owns a block of vertices and maintains:
 * ``dv`` — the distance-vector matrix: ``dv[row_of[v], index.col[t]]`` is
   the current upper bound on ``d(v, t)`` for every global target ``t``,
 * ``dv_changed`` — a bool mask of ``dv``'s shape: the entries lowered
-  since the last propagation fold, which are all that fold has to visit.
+  since the last propagation fold, which are all that fold has to push,
+* ``dv_rose`` — its dual: the entries a deletion's witness test raised
+  since the last fold, which are all a deletion repair has to pull.
 
 All kernels are vectorized NumPy and meter their operation counts into the
 :class:`~repro.model.cost.CostModel`, which is how modeled per-step compute
@@ -23,7 +25,7 @@ error shrinks monotonically.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -106,6 +108,9 @@ class Worker:
             np.zeros((0, 0), dtype=np.float64), None
         )
         self._dv_changed: BoolArray = self.allocator.zeros_bool((0, 0))
+        #: entries of ``dv`` *raised* since the last fold (by a deletion's
+        #: witness test).  Never shm: it reaches the kernel inside the task
+        self.dv_rose: BoolArray = np.zeros((0, 0), dtype=np.bool_)
         #: last received DV rows of external boundary vertices
         self.ext_dvs: Dict[VertexId, FloatArray] = {}
 
@@ -113,11 +118,13 @@ class Worker:
         self._pending: List[Set[VertexId]] = [set() for _ in range(nprocs)]
         # ``_changed_rows`` / ``_dirty_cols`` / ``_full_repropagate``
         # decide *whether* the next superstep folds (and is charged);
-        # ``dv_changed`` decides *what* that fold visits
+        # ``dv_changed`` decides *what* that fold pushes and, unless
+        # ``_rises_unknown``, ``dv_rose`` what a full re-propagation pulls
         self._changed_rows: Set[int] = set()
         self._dirty_cols = np.zeros(0, dtype=bool)
         self._fresh_ext: Set[VertexId] = set()
         self._full_repropagate = False
+        self._rises_unknown = False
 
         # --- loss-tolerant channels (sequence numbers + ack/retry) ----
         #: next sequence number per destination rank
@@ -241,9 +248,21 @@ class Worker:
     def dv_changed(self, value: BoolArray) -> None:
         self._dv_changed = self.allocator.adopt(value, self._dv_changed)
 
-    def reset_dv_changed(self) -> None:
-        """A fresh all-False mask of ``dv``'s shape (no page touched)."""
-        self.dv_changed = self.allocator.zeros_bool(self.dv.shape)
+    def _reshape_entries(self, op: Callable[[Any, float], Any]) -> None:
+        """Reshape ``dv`` and its two masks together — the only place any
+        of the three changes shape.  ``op(array, fill)`` returns the new
+        array, new cells holding ``fill`` (+inf; not lowered; not risen)."""
+        self.dv = op(self.dv, np.inf)
+        self.dv_changed = op(self.dv_changed, False)
+        self.dv_rose = op(self.dv_rose, False)
+
+    def wipe_entries(self, n_cols: int) -> None:
+        """A fresh ``n_local x n_cols`` block: ``dv`` all +inf, masks clear."""
+        shape = (self.n_local, n_cols)
+        # np.zeros, not np.full(False): calloc'd pages cost nothing unwritten
+        self._reshape_entries(
+            lambda a, fill: np.full(shape, fill) if fill else np.zeros(shape, a.dtype)
+        )
 
     # ------------------------------------------------------------------
     # loading / domain decomposition
@@ -269,7 +288,7 @@ class Worker:
             self.cut_by_ext.setdefault(x, []).append((u, w))
         self.subscribers = {}
         n_cols = len(self.index)
-        self.dv = np.full((len(self.owned), n_cols), np.inf, dtype=np.float64)
+        self.wipe_entries(n_cols)
         for v, r in self.row_of.items():
             self.dv[r, self.index.column(v)] = 0.0
         if seed_rows:
@@ -282,7 +301,6 @@ class Worker:
                         f"seed row for {v} has {row.size} cols, expected {n_cols}"
                     )
                 np.minimum(self.dv[r], row, out=self.dv[r])
-        self.reset_dv_changed()
         self.ext_dvs = {}
         self.local_apsp = np.zeros((0, 0), dtype=np.float64)
         self._pending = [set() for _ in range(self.nprocs)]
@@ -290,6 +308,7 @@ class Worker:
         self._dirty_cols = np.zeros(n_cols, dtype=bool)
         self._fresh_ext = set()
         self._full_repropagate = False
+        self._rises_unknown = False
         self._send_seq = [0] * self.nprocs
         self._unacked = [{} for _ in range(self.nprocs)]
         self._attempts = [{} for _ in range(self.nprocs)]
@@ -304,11 +323,14 @@ class Worker:
         """Local APSP (multithreaded Dijkstra in the paper) on the sub-graph."""
         self._local_apsp_fold(repropagate=False)
 
-    def recompute_local_apsp(self) -> None:
-        """Full local APSP recomputation (deletions, repartition rebuilds)."""
-        self._local_apsp_fold(repropagate=True)
+    def recompute_local_apsp(self, *, rises_known: bool = False) -> None:
+        """Full local APSP recomputation (deletions, repartition rebuilds);
+        ``rises_known`` as in :meth:`request_full_repropagate`."""
+        self._local_apsp_fold(repropagate=True, rises_known=rises_known)
 
-    def _local_apsp_fold(self, *, repropagate: bool) -> None:
+    def _local_apsp_fold(
+        self, *, repropagate: bool, rises_known: bool = False
+    ) -> None:
         """Shared IA body: CSR build, local Dijkstra, fold into ``dv``.
 
         ``repropagate=False`` is the IA phase proper (seed the change
@@ -320,7 +342,7 @@ class Worker:
         if task is None:
             return
         self.tier.ia_kernel(task, self.dv, self.local_apsp)
-        self.ia_apply(task, repropagate=repropagate)
+        self.ia_apply(task, repropagate=repropagate, rises_known=rises_known)
 
     def ia_prepare(self) -> Optional[IATask]:
         """Snapshot this rank's IA work; ``None`` when nothing is owned.
@@ -346,7 +368,9 @@ class Worker:
             tier=self.tier.name,
         )
 
-    def ia_apply(self, task: IATask, *, repropagate: bool = False) -> None:
+    def ia_apply(
+        self, task: IATask, *, repropagate: bool = False, rises_known: bool = False
+    ) -> None:
         """Post-kernel charges and bookkeeping for one IA task."""
         n = task.n
         self._charge(
@@ -354,7 +378,7 @@ class Worker:
         )
         self._charge(self.cost.relax_time(n * n))
         if repropagate:
-            self.request_full_repropagate()
+            self.request_full_repropagate(rises_known=rises_known)
             return
         # everything we own changed: queue full boundary DVs for neighbors.
         # The first fold is declared over every row and column, but no
@@ -689,6 +713,9 @@ class Worker:
             changed_rows=sorted(self._changed_rows),
             dirty_cols=self._dirty_cols.copy(),
             full_repropagate=self._full_repropagate,
+            rose=self.dv_rose
+            if self._full_repropagate and not self._rises_unknown
+            else None,
             tier=self.tier.name,
         )
 
@@ -710,7 +737,12 @@ class Worker:
         # a superstep always ends with clean tracking state — the fold
         # either consumed it or had nothing to do — or an empty worker
         # would block the convergence vote forever
+        if self._full_repropagate:
+            # a fresh mask, not an in-place clear: ``task.rose`` is this
+            # array, and a speculative backup re-reads the task after this
+            self.dv_rose = np.zeros(self.dv.shape, dtype=np.bool_)
         self._full_repropagate = False
+        self._rises_unknown = False
         self._changed_rows.clear()
         if self._dirty_cols.size:
             self._dirty_cols[:] = False
@@ -724,7 +756,8 @@ class Worker:
             # decided by ``dv_changed`` alone: an entry d(k,t) not lowered
             # since it was last a fold source already satisfies
             # d(x,t) <= apsp(x,k) + d(k,t) for every x (local_apsp is
-            # transitively closed), so only the lowered entries are folded.
+            # transitively closed), so only the lowered entries are pushed
+            # (and, in a deletion repair, the risen ones pulled).
             self._charge(self.cost.minplus_time(task.n, task.n, self.n_cols))
         # Improved rows need only be *sent* to subscribers, not re-used as
         # local sources: local_apsp is transitively closed, so chaining two
@@ -733,11 +766,20 @@ class Worker:
             self._queue_row(self.owned[r])
         return result.improved
 
-    def request_full_repropagate(self) -> None:
-        """Force the next superstep's fold to use all rows/columns
-        (called after local structural changes invalidate the incremental
-        change tracking).  The delta baselines are invalidated with it:
-        a full re-propagation pairs with a full (dense) boundary refresh."""
+    def request_full_repropagate(self, *, rises_known: bool = False) -> None:
+        """Force the next superstep's fold to run, charged over all
+        rows/columns (called after local structural changes invalidate the
+        incremental change tracking).  The delta baselines are invalidated
+        with it: a full re-propagation pairs with a dense boundary refresh.
+
+        ``rises_known`` is the deletion paths' promise that ``dv`` rose
+        only where ``dv_rose`` says and ``local_apsp`` did not fall: the
+        fold then pulls the risen entries and pushes the lowered ones
+        instead of re-deriving the block.  Callers that cannot promise it
+        (recovery, restore, rebuilds) leave it False, and unknown
+        dominates until the fold: a later deletion does not narrow it.
+        """
+        self._rises_unknown |= not rises_known
         self._full_repropagate = True
         self._reset_baselines()
 
@@ -773,10 +815,9 @@ class Worker:
             raise WorkerError("columns cannot shrink via grow_columns")
         if added == 0:
             return
-        pad = np.full((self.n_local, added), np.inf, dtype=np.float64)
-        self.dv = np.hstack([self.dv, pad])
-        self.dv_changed = np.hstack(
-            [self.dv_changed, np.zeros((self.n_local, added), dtype=np.bool_)]
+        shape = (self.n_local, added)
+        self._reshape_entries(
+            lambda a, fill: np.hstack([a, np.full(shape, fill, dtype=a.dtype)])
         )
         self._dirty_cols = np.concatenate(
             [self._dirty_cols, np.zeros(added, dtype=bool)]
@@ -807,11 +848,14 @@ class Worker:
         self.owned.append(v)
         self.row_of[v] = r
         self.local_graph.add_vertex(v)
-        row = np.full((1, self.n_cols), np.inf, dtype=np.float64)
-        row[0, self.index.column(v)] = 0.0
-        self.dv = np.vstack([self.dv, row])
+        shape = (1, self.n_cols)
+        self._reshape_entries(
+            lambda a, fill: np.vstack([a, np.full(shape, fill, dtype=a.dtype)])
+        )
         # the new row's one finite entry, d(v,v) = 0, is a new source
-        self.dv_changed = np.vstack([self.dv_changed, np.isfinite(row)])
+        col = self.index.column(v)
+        self.dv[r, col] = 0.0
+        self.dv_changed[r, col] = True
         # extend local APSP with an isolated vertex
         n = r + 1
         apsp = np.full((n, n), np.inf, dtype=np.float64)
@@ -933,44 +977,50 @@ class Worker:
         (either orientation): some shortest path crossed the deleted edge.
         Suspect entries are reset to +inf (except exact local distances and
         the diagonal, which are restored by the caller's local-APSP
-        recomputation) and rebuilt by subsequent RC steps.  Entries that are
-        not suspect are untouched — their witnessing paths avoid the edge.
+        recomputation), marked in ``dv_rose`` and rebuilt by the next fold
+        and the RC steps after it.  Entries that are not suspect are
+        untouched — their witnessing paths avoid the edge.
         """
         if self.n_local == 0:
             return 0
-        col_u = self.index.column(u)
-        col_v = self.index.column(v)
+        to_u = self.dv[:, self.index.column(u)][:, None]
+        to_v = self.dv[:, self.index.column(v)][:, None]
+        self._charge(self.cost.relax_time(2 * self.n_local * self.n_cols))
+        return self._invalidate(
+            np.minimum(to_u + (w + row_v)[None, :], to_v + (w + row_u)[None, :])
+        )
+
+    def _invalidate(self, through: FloatArray) -> int:
+        """Raise to +inf, and mark in ``dv_rose`` (its one writer on the
+        deletion paths), every finite off-diagonal entry witnessed by a
+        through-path of length ``through``; returns how many."""
         # witnessed == the through-path length matches the stored distance.
         # Compare with a relative tolerance: float sums accumulate in
         # different orders on different workers, so exact equality can miss
         # a genuine witness by one ulp and leave a stale (too small)
         # distance alive.  `<=` also catches not-yet-relaxed entries, and
         # over-invalidating is always safe (the entry is just recomputed).
-        bound = self.dv * (1.0 + 1e-12) + 1e-12
-        suspect = (
-            self.dv[:, col_u][:, None] + (w + row_v)[None, :] <= bound
-        ) | (self.dv[:, col_v][:, None] + (w + row_u)[None, :] <= bound)
-        self._charge(self.cost.relax_time(2 * self.n_local * self.n_cols))
+        suspect = through <= self.dv * (1.0 + 1e-12) + 1e-12
         suspect &= np.isfinite(self.dv)
-        # never reset the trivial diagonal
-        for vtx, r in self.row_of.items():
-            suspect[r, self.index.column(vtx)] = False
+        suspect[np.arange(self.n_local), self.index.columns(self.owned)] = False
         count = int(suspect.sum())
         if count:
             self.dv[suspect] = np.inf
+            self.dv_rose |= suspect
             # entries just *rose*: deltas assume monotone decrease, so every
-            # channel restarts dense (the deletion flow queues a full
+            # channel restarts dense (the deletion flows queue a full
             # boundary refresh right after this pass)
             self._reset_baselines()
         return count
 
-    def restore_local_baseline(self) -> None:
+    def restore_local_baseline(self, *, rises_known: bool = False) -> None:
         """Re-apply ``local_apsp`` to the owned columns of ``dv``.
 
         Used after an invalidation pass that may have wiped entries that
         are exact within the local sub-graph; also forces the next
-        propagation to be full.  Unlike :meth:`recompute_local_apsp` it
-        does not re-run Dijkstra — the local structure did not change.
+        propagation to be full (``rises_known`` as in
+        :meth:`request_full_repropagate`).  Unlike :meth:`recompute_local_apsp`
+        it does not re-run Dijkstra — the local structure did not change.
         """
         n = self.n_local
         if n == 0:
@@ -982,7 +1032,7 @@ class Worker:
         # assign the minimum back explicitly
         self.dv[:, cols] = np.minimum(self.dv[:, cols], self.local_apsp)
         self._charge(self.cost.relax_time(n * n))
-        self.request_full_repropagate()
+        self.request_full_repropagate(rises_known=rises_known)
 
     def invalidate_through_vertex(self, x: VertexId, row_x: FloatArray) -> int:
         """Reset DV entries whose shortest path may route through ``x``.
@@ -994,24 +1044,12 @@ class Worker:
         if self.n_local == 0:
             return 0
         col_x = self.index.column(x)
-        # same tolerant witness test as invalidate_for_deleted_edge
-        suspect = (
-            self.dv[:, col_x][:, None] + row_x[None, :]
-            <= self.dv * (1.0 + 1e-12) + 1e-12
-        )
+        through = self.dv[:, col_x][:, None] + row_x[None, :]
         self._charge(self.cost.relax_time(self.n_local * self.n_cols))
-        suspect &= np.isfinite(self.dv)
-        suspect[:, col_x] = False
+        through[:, col_x] = np.inf  # never a witness
         if x in self.row_of:
-            suspect[self.row_of[x], :] = False  # the row disappears anyway
-        for vtx, r in self.row_of.items():
-            suspect[r, self.index.column(vtx)] = False
-        count = int(suspect.sum())
-        if count:
-            self.dv[suspect] = np.inf
-            # same monotonicity break as invalidate_for_deleted_edge
-            self._reset_baselines()
-        return count
+            through[self.row_of[x], :] = np.inf  # the row disappears anyway
+        return self._invalidate(through)
 
     def clear_external_rows(self) -> None:
         """Drop all stored external boundary rows (stale after deletions)."""
@@ -1034,8 +1072,7 @@ class Worker:
     # ------------------------------------------------------------------
     def remove_column(self, col: int) -> None:
         """Compact away a deleted vertex's DV column."""
-        self.dv = np.delete(self.dv, col, axis=1)
-        self.dv_changed = np.delete(self.dv_changed, col, axis=1)
+        self._reshape_entries(lambda a, _fill: np.delete(a, col, axis=1))
         self._dirty_cols = np.delete(self._dirty_cols, col)
         for x, row in list(self.ext_dvs.items()):
             self.ext_dvs[x] = np.delete(row, col)
@@ -1049,8 +1086,7 @@ class Worker:
         self.owned.pop(r)
         for vv in self.owned[r:]:
             self.row_of[vv] -= 1
-        self.dv = np.delete(self.dv, r, axis=0)
-        self.dv_changed = np.delete(self.dv_changed, r, axis=0)
+        self._reshape_entries(lambda a, _fill: np.delete(a, r, axis=0))
         self.local_apsp = np.delete(
             np.delete(self.local_apsp, r, axis=0), r, axis=1
         )
@@ -1068,9 +1104,9 @@ class Worker:
             pend.discard(v)
         for baselines in self._sent_rows:
             baselines.pop(v, None)
-        # row indices shifted: conservatively re-propagate everything
+        # row indices shifted; the masks moved with dv: the rises stay known
         self._changed_rows = set()
-        self.request_full_repropagate()
+        self.request_full_repropagate(rises_known=True)
         self._charge(self.cost.vertex_time(1))
 
     def drop_external_vertex(self, x: VertexId) -> None:

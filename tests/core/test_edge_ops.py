@@ -7,7 +7,12 @@ from repro.graph import ChangeBatch, barabasi_albert, random_weights
 from repro.graph.changes import EdgeAddition, EdgeDeletion, EdgeReweight
 from repro.core.strategies import EdgeAdditionStrategy, EdgeDeletionStrategy
 
-from ..conftest import cycle_graph, path_graph, run_and_verify
+from ..conftest import (
+    assert_stream_is_backend_and_tier_invariant,
+    cycle_graph,
+    path_graph,
+    run_and_verify,
+)
 
 
 def apply_all(graph, batches):
@@ -158,3 +163,37 @@ class TestReweight:
         )
         with pytest.raises(ValueError):
             engine.run(changes=stream, strategy=EdgeDeletionStrategy())
+
+
+def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant():
+    """Additions, deletions and both reweight directions interleaved, two
+    deletions ahead of one fold, a repair pending while edges are added:
+    the pull+push repair must give the same bits wherever it runs —
+    serial, pool children (the mask rides in the task), the scipy tier,
+    and the speculative backup of a straggling rank."""
+    from repro.graph.changes import VertexAddition
+
+    base = barabasi_albert(64, 3, seed=12)
+    edges = [(u, v) for u, v, _w in base.edge_list()]
+    absent = [
+        (u, v) for u in range(0, 64, 7) for v in range(3, 64, 11)
+        if u != v and not base.has_edge(u, v)
+    ]
+    batches = {
+        1: ChangeBatch(
+            edge_deletions=[EdgeDeletion(*edges[5]), EdgeDeletion(*edges[40])],
+            edge_additions=[EdgeAddition(*absent[0], 1.0)],
+        ),
+        2: ChangeBatch(
+            edge_reweights=[EdgeReweight(*edges[9], 4.0), EdgeReweight(*edges[70], 0.5)]
+        ),
+        4: ChangeBatch(
+            vertex_additions=[VertexAddition(64, edges=((2, 1.0), (33, 2.0)))],
+        ),
+        5: ChangeBatch(
+            edge_deletions=[EdgeDeletion(*edges[100])],
+            edge_reweights=[EdgeReweight(*absent[0], 6.0)],
+            edge_additions=[EdgeAddition(*absent[3], 2.0)],
+        ),
+    }
+    assert_stream_is_backend_and_tier_invariant(base, batches)

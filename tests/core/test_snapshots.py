@@ -5,8 +5,10 @@ import pytest
 
 from repro import AnytimeAnywhereCloseness, AnytimeConfig
 from repro.bench import community_workload
-from repro.centrality import apsp_dijkstra
-from repro.graph import barabasi_albert
+from repro.centrality import apsp_dijkstra, closeness_from_row
+from repro.centrality.closeness import closeness_from_rows
+from repro.core import take_snapshot
+from repro.graph import Graph, barabasi_albert, random_weights
 
 
 def run_with_snapshots(graph, nprocs=4, changes=None, strategy="roundrobin"):
@@ -84,3 +86,86 @@ def test_snapshot_closeness_matches_engine_read():
     engine, result = run_with_snapshots(g)
     final_snap = result.snapshots[-1]
     assert final_snap.closeness == engine.current_closeness()
+
+
+# ----------------------------------------------------------------------
+# per-rank read-out == closeness_from_row per owned row, bit for bit
+# ----------------------------------------------------------------------
+def per_row_reference(cluster, wf_improved):
+    out, unresolved = {}, 0
+    for w in cluster.workers:
+        unresolved += int(np.isinf(w.dv).sum())
+        for v in w.owned:
+            out[v] = closeness_from_row(
+                w.dv[w.row_of[v]],
+                self_col=cluster.index.column(v),
+                wf_improved=wf_improved,
+            )
+    return out, unresolved
+
+
+@pytest.mark.parametrize("wf_improved", [False, True])
+def test_readout_matches_per_row_reference_at_every_step(wf_improved):
+    """Float weights (pairwise-sum order matters), rows whose +inf counts
+    differ (every interrupted step of a run), bit for bit."""
+    g = random_weights(barabasi_albert(90, 2, seed=6), 0.3, 7.0, seed=8)
+    engine = AnytimeAnywhereCloseness(
+        g,
+        AnytimeConfig(nprocs=4, seed=6, wf_improved=wf_improved, collect_snapshots=False),
+    )
+    engine.setup()
+    cluster = engine.cluster
+    counts = set()
+    for _ in range(60):
+        for w in cluster.workers:
+            counts.update(np.isinf(w.dv).sum(axis=1).tolist())
+        want, unresolved = per_row_reference(cluster, wf_improved)
+        snap = take_snapshot(cluster, 0, wf_improved=wf_improved)
+        assert snap.closeness == want and list(snap.closeness) == list(want)
+        assert snap.unresolved_pairs == unresolved
+        assert engine.current_closeness() == want
+        assert engine.current_measure("closeness") == want
+        if engine.run(step_budget=1).converged:
+            break
+    assert len(counts) > 3  # rows of one block summed different counts
+    assert any(want.values())
+
+
+@pytest.mark.parametrize("wf_improved", [False, True])
+def test_readout_on_one_column_and_empty_ranks(wf_improved):
+    lone = AnytimeAnywhereCloseness(
+        Graph.from_edges([], vertices=[7]), AnytimeConfig(nprocs=2, collect_snapshots=False)
+    )
+    lone.setup()
+    assert [w.n_local for w in lone.cluster.workers].count(0) == 1
+    snap = take_snapshot(lone.cluster, 0, wf_improved=wf_improved)
+    assert snap.closeness == {7: 0.0} and snap.unresolved_pairs == 0
+    # more ranks than vertices, and an isolated vertex (nothing to sum)
+    g = Graph.from_edges([(0, 1, 0.5), (1, 2, 0.25)], vertices=[3])
+    engine = AnytimeAnywhereCloseness(
+        g, AnytimeConfig(nprocs=6, wf_improved=wf_improved, collect_snapshots=False)
+    )
+    engine.setup()
+    engine.run()
+    want, unresolved = per_row_reference(engine.cluster, wf_improved)
+    snap = take_snapshot(engine.cluster, 0, wf_improved=wf_improved)
+    assert snap.closeness == want and want[3] == 0.0
+    assert snap.unresolved_pairs == unresolved == 6
+
+
+def test_rows_helper_matches_row_function_on_random_blocks():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        m, n = int(rng.integers(0, 30)), int(rng.integers(0, 300))
+        rows = rng.random((m, n)) * 9 + 0.5
+        rows[rng.random((m, n)) < rng.choice([0.0, 0.1, 0.5, 1.0])] = np.inf
+        self_cols = rng.integers(0, max(n, 1), size=m)
+        if n:
+            rows[np.arange(m), self_cols] = 0.0
+        for wf_improved in (False, True):
+            got = closeness_from_rows(rows, self_cols, wf_improved=wf_improved)
+            want = [
+                closeness_from_row(rows[i], self_col=int(self_cols[i]), wf_improved=wf_improved)
+                for i in range(m)
+            ]
+            assert got.tolist() == want

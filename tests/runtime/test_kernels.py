@@ -21,6 +21,12 @@ fold over any rectangle that contains the mask.
 in place, or gathered when the finite rectangle is thin) is pinned bitwise
 against ``_reference_relax_edge``: the per-orientation gather/scatter
 loop it replaced, kept here statement for statement.
+
+:func:`repro.runtime.kernels.minplus_pull` — the deletion repair —
+re-derives only the entries marked in the risen mask.  On states where
+everything outside that mask only rose (``local_apsp`` included), the
+pull followed by the push over the changed mask must be bitwise-equal to
+the rectangle fold over the whole block.
 """
 
 from __future__ import annotations
@@ -44,9 +50,16 @@ from repro.graph import (
     extract_local_subgraph,
     random_weights,
 )
-from repro.graph.changes import EdgeAddition, VertexAddition
+from repro.graph.changes import (
+    EdgeAddition,
+    EdgeDeletion,
+    EdgeReweight,
+    VertexAddition,
+    VertexDeletion,
+)
 from repro.model import DEFAULT_COST
 from repro.runtime import GlobalIndex, Worker
+from repro.runtime.kernels import make_tier
 from repro.runtime.shm import (
     SharedMemoryAllocator,
     attach_shm_array,
@@ -421,6 +434,224 @@ class TestEntryFoldOnFloatWeights:
                     assert (w.dv[w.row_of[v]] >= want * (1 - 1e-12)).all()
             if result.converged:
                 break
+        assert result.converged
+        exact = exact_closeness(final)
+        assert result.closeness.keys() == exact.keys()
+        for v, c in exact.items():
+            assert result.closeness[v] == pytest.approx(c, rel=1e-9)
+        engine.close()
+
+
+# ----------------------------------------------------------------------
+# deletion repair: pull the risen + push the lowered == the rectangle fold
+# ----------------------------------------------------------------------
+def repair_state(
+    seed: int,
+    n: int,
+    n_cols: int,
+    *,
+    risen: float = 0.1,
+    relowered: int = 3,
+    apsp_rises: bool = False,
+    **closed: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(apsp, dv, changed, rose)`` as a deletion leaves them, integer weights.
+
+    A :func:`closed_state` in which a ``risen`` share of the entries was
+    raised (most to +inf, as the witness test does; some to a larger
+    finite value) and marked in ``rose``, ``apsp`` optionally rose too
+    (doubling keeps it transitively closed), and then ``relowered``
+    entries — inside the risen set or not — were lowered and marked in
+    ``changed``, as the addition half of a reweight-up does.
+    """
+    apsp, dv, changed = closed_state(seed, n, n_cols, **closed)
+    rng = np.random.default_rng(seed + 1)
+    rose = rng.random(dv.shape) < risen
+    raised = np.where(
+        rng.random(dv.shape) < 0.8, np.inf, dv + rng.integers(1, 9, size=dv.shape)
+    )
+    dv[rose] = raised[rose]
+    if apsp_rises:
+        apsp = apsp * 2.0
+    for _ in range(relowered if dv.size else 0):
+        r, c = rng.integers(0, n), rng.integers(0, n_cols)
+        old = dv[r, c]
+        dv[r, c] = float(rng.integers(0, 20)) if np.isinf(old) else max(old - 2.0, 0.0)
+        changed[r, c] = True
+    return apsp, dv, changed, rose
+
+
+def assert_repair_matches_rectangle(
+    apsp: np.ndarray, dv: np.ndarray, changed: np.ndarray, rose: np.ndarray
+) -> List[int]:
+    """``dv`` bytes and returned rows of the tier's repair fold against the
+    rectangle fold over the whole block; returns the rows."""
+    got = dv.copy()
+    masks = changed.copy(), rose.copy()
+    got_rows = make_tier("numpy").minplus_fold(apsp, got, *masks)
+    assert masks[0].tobytes() == changed.tobytes()  # only read
+    assert masks[1].tobytes() == rose.tobytes()
+    ref = dv.copy()
+    n, n_cols = dv.shape
+    ref_rows = kernels.minplus_fold(apsp, ref, np.arange(n), np.arange(n_cols))
+    assert got.tobytes() == ref.tobytes()
+    assert got_rows == ref_rows
+    return got_rows
+
+
+class TestPullFold:
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 24),
+        n_cols=st.integers(1, 40),
+        p_edge=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+        p_inf=st.sampled_from([0.0, 0.3, 0.9]),
+        density=st.sampled_from([0.0, 0.02, 0.5]),
+        risen=st.sampled_from([0.0, 0.02, 0.16, 0.6, 1.0]),
+        relowered=st.integers(0, 6),
+        apsp_rises=st.booleans(),
+    )
+    def test_pull_then_push_bitwise_equal_to_rectangle_fold(
+        self, seed, n, n_cols, p_edge, p_inf, density, risen, relowered, apsp_rises
+    ):
+        assert_repair_matches_rectangle(
+            *repair_state(
+                seed,
+                n,
+                n_cols,
+                risen=risen,
+                relowered=relowered,
+                apsp_rises=apsp_rises,
+                p_edge=p_edge,
+                p_inf=p_inf,
+                density=density,
+            )
+        )
+
+    def test_empty_mask_touches_nothing(self):
+        apsp, dv, _ = closed_state(1, 12, 30, density=0.0)
+        before = dv.copy()
+        assert kernels.minplus_pull(apsp, dv, np.zeros(dv.shape, bool)) == []
+        assert dv.tobytes() == before.tobytes()
+
+    def test_one_entry_is_rederived_and_nothing_else_moves(self):
+        apsp, dv, changed = closed_state(2, 12, 30, p_edge=1.0, p_inf=0.0, density=0.0)
+        before = dv.copy()
+        rose = np.zeros(dv.shape, dtype=bool)
+        rose[3, 7] = True
+        dv[3, 7] = np.inf
+        assert assert_repair_matches_rectangle(apsp, dv, changed, rose) == [3]
+        assert kernels.minplus_pull(apsp, dv, rose) == [3]
+        # a connected block re-derives the entry from its neighbours' rows
+        assert dv.tobytes() == before.tobytes()
+
+    def test_all_true_mask(self):
+        apsp, dv, changed, _ = repair_state(3, 16, 36, risen=0.3, p_edge=0.5)
+        assert_repair_matches_rectangle(apsp, dv, changed, np.ones(dv.shape, bool))
+
+    def test_empty_worker(self):
+        assert kernels.minplus_pull(
+            np.zeros((0, 0)), np.zeros((0, 6)), np.zeros((0, 6), dtype=bool)
+        ) == []
+
+    def test_column_split_across_chunks(self, monkeypatch):
+        """A chunk boundary inside one column's entries, and a last chunk
+        shorter than the buffers: same bytes as one chunk."""
+        apsp, dv, changed, rose = repair_state(6, 14, 25, risen=0.5, p_edge=0.6)
+        assert (rose.sum(axis=0) > 5).any()
+        one_chunk = dv.copy()
+        kernels.minplus_pull(apsp, one_chunk, rose)
+        for entries in (1, 3, 5):
+            monkeypatch.setattr(kernels, "_ENTRY_CHUNK_ELEMS", entries * 2 * 14)
+            assert entries == 1 or int(rose.sum()) % entries  # short tail
+            got = dv.copy()
+            kernels.minplus_pull(apsp, got, rose)
+            assert got.tobytes() == one_chunk.tobytes()
+            assert_repair_matches_rectangle(apsp, dv, changed, rose)
+
+    def test_gather_temporaries_stay_under_their_constant(self):
+        """A quarter of a 200 x 800 block is 8 M candidates per gather
+        (128 MB for the two at once): the pull must stream them through its
+        two capped buffers."""
+        rng = np.random.default_rng(7)
+        apsp, dv = rng.random((200, 200)), rng.random((200, 800))
+        rose = rng.random(dv.shape) < 0.25
+        cap = kernels._ENTRY_CHUNK_ELEMS * 8
+        assert 2 * rose.sum() * 200 * 8 > 4 * cap
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            kernels.minplus_pull(apsp, dv, rose)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the buffers, plus index vectors, the apsp transpose and results
+        assert peak < cap + cap // 2
+
+    def test_float_weights_agree_with_rectangle_within_closure_rtol(self):
+        """Path sums round on float weights, so chained pulls may differ
+        from the rectangle fold in the last place — never by more than
+        check 9 tolerates, and never below it."""
+        rng = np.random.default_rng(11)
+        for seed in range(5):
+            apsp, dv, changed, rose = repair_state(
+                seed, 20, 45, risen=0.2, p_edge=0.4, p_inf=0.1
+            )
+            scale = rng.uniform(0.1, 3.7)
+            apsp, dv = apsp * scale / 3.0, dv * scale / 7.0
+            # re-close under the float apsp, then re-raise
+            np.minimum(
+                dv, np.min(apsp[:, :, None] + dv[None, :, :], axis=1), out=dv
+            )
+            dv[rose] = np.inf
+            got, ref = dv.copy(), dv.copy()
+            make_tier("numpy").minplus_fold(apsp, got, changed, rose)
+            kernels.minplus_fold(apsp, ref, np.arange(20), np.arange(45))
+            assert np.array_equal(np.isinf(got), np.isinf(ref))
+            np.testing.assert_allclose(got, ref, rtol=1e-12)
+
+
+class TestDeletionRepairOnFloatWeights:
+    """Deletions on general float weights end to end: the repaired run
+    converges to the exact closeness (1e-9) through every tier entry."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_stream_converges_to_exact(self, seed):
+        base = random_weights(barabasi_albert(70, 3, seed=seed), 0.5, 9.0, seed=seed + 7)
+        final = base.copy()
+        edges = [(u, v) for u, v, _w in base.edges()]
+        hub = max(base.vertices(), key=base.degree)
+        keep = [e for e in edges if hub not in e]
+        stay = [v for v in base.vertices() if v != hub]
+        batches = {
+            2: ChangeBatch(
+                edge_deletions=[EdgeDeletion(*keep[0])],
+                edge_reweights=[
+                    EdgeReweight(*keep[1], 11.3),
+                    EdgeReweight(*keep[2], 0.21),
+                ],
+            ),
+            4: ChangeBatch(vertex_deletions=[VertexDeletion(hub)]),
+            5: ChangeBatch(
+                vertex_additions=[
+                    VertexAddition(70, edges=((stay[3], 0.37), (stay[41], 2.9)))
+                ],
+                edge_deletions=[EdgeDeletion(*keep[3])],
+            ),
+        }
+        for step in sorted(batches):
+            batches[step].apply_to(final)
+        engine = AnytimeAnywhereCloseness(
+            base, AnytimeConfig(nprocs=4, seed=seed, collect_snapshots=False)
+        )
+        engine.setup()
+        result = engine.run(changes=ChangeStream(batches), strategy="auto")
         assert result.converged
         exact = exact_closeness(final)
         assert result.closeness.keys() == exact.keys()

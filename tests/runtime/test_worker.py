@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+import repro.runtime.kernels.oracle as oracle
+from repro.core.checkpoint import snapshot_cluster_state
+from repro.core.strategies.edge_deletion import apply_edge_deletion
 from repro.errors import WorkerError
-from repro.graph import extract_local_subgraph
+from repro.graph import Graph, extract_local_subgraph
 from repro.model import DEFAULT_COST
 from repro.partition import Partition
 from repro.runtime import Cluster, GlobalIndex, Worker, check_cluster_invariants
+from repro.runtime.faults import crash_worker, recover_worker_from_snapshot
 from repro.runtime.shm import SharedMemoryAllocator
 
 from ..conftest import path_graph, superstep
@@ -440,3 +444,161 @@ class TestChangedEntryMask:
             check_cluster_invariants(cluster)
         w.request_full_repropagate()  # a pending full fold ignores the mask
         check_cluster_invariants(cluster)
+
+
+def settled_cluster(graph, assignment, nprocs=2):
+    """A converged cluster of ``graph`` under the given ownership."""
+    cluster = Cluster(graph, nprocs)
+    cluster.install_partition(Partition(nprocs, assignment))
+    cluster.run_initial_approximation()
+    while cluster.any_pending():
+        cluster.exchange_boundary()
+        cluster.relax_and_propagate()
+    return cluster
+
+
+class TestRisenEntryMask:
+    """``dv_rose``: same shape as ``dv`` always, written only by the witness
+    tests, read by the fold only while the rises are all that rose, cleared
+    by the superstep that repairs them."""
+
+    def test_invalidation_marks_exactly_what_it_raises(self):
+        g = path_graph(4)
+        w = make_worker(g, [0, 1, 2, 3], {v: 0 for v in range(4)}, nprocs=1)
+        w.run_initial_approximation()
+        before = w.dv.copy()
+        assert w.invalidate_for_deleted_edge(1, w.dv_row(1), 2, w.dv_row(2), 1.0) == 8
+        assert np.array_equal(w.dv_rose, w.dv > before)
+        marked = w.dv_rose.copy()
+        before = w.dv.copy()
+        assert w.invalidate_through_vertex(0, w.dv_row(0)) == 0
+        assert w.invalidate_through_vertex(3, w.dv_row(3)) == 0
+        assert np.array_equal(w.dv_rose, marked)  # OR-ed into, never cleared
+        assert np.array_equal(w.dv, before)
+
+    def test_mask_follows_dv_through_shape_changes_and_resets(self):
+        g, w = path4_worker()
+        w.run_initial_approximation()
+        assert w.dv_rose.shape == w.dv.shape and not w.dv_rose.any()
+        w.dv_rose[1, 2] = True
+        w.index.add(4)
+        w.grow_columns(5)
+        assert w.dv_rose.shape == w.dv.shape == (2, 5)
+        assert w.dv_rose[1, 2] and w.dv_rose.sum() == 1
+        r = w.add_local_vertex(4)
+        assert w.dv_rose.shape == w.dv.shape == (3, 5)
+        assert not w.dv_rose[r].any() and w.dv_rose.sum() == 1
+        w.remove_column(1)
+        assert w.dv_rose.shape == w.dv.shape == (3, 4)
+        assert w.dv_rose[1, 1] and w.dv_rose.sum() == 1
+        w.remove_local_vertex(0)
+        assert w.dv_rose.shape == w.dv.shape == (2, 4)
+        assert w.dv_rose[w.row_of[1], 1] and w.dv_rose.sum() == 1
+        # the superstep that repairs the rises clears them
+        task = w.superstep_prepare()
+        assert task.full_repropagate and task.rose is w.dv_rose
+        w.superstep_apply(task, w.tier.run_superstep(task, w.dv, w.local_apsp, w.dv_changed))
+        assert not w.dv_rose.any()
+        # a reload and a crash wipe start from a clear mask
+        w.dv_rose[0, 0] = True
+        w.wipe_entries(7)
+        assert w.dv_rose.shape == w.dv.shape == (2, 7) and not w.dv_rose.any()
+        assert np.isinf(w.dv).all() and not w.dv_changed.any()
+        w.dv_rose[0, 0] = True
+        w.index = GlobalIndex(g.vertex_list())
+        w.load_subgraph(extract_local_subgraph(g, [0, 1], {0: 0, 1: 0, 2: 1, 3: 1}, 0))
+        assert w.dv_rose.shape == w.dv.shape == (2, 4) and not w.dv_rose.any()
+
+    def test_crash_clears_the_mask(self):
+        cluster = settled_cluster(path_graph(4), {0: 0, 1: 0, 2: 1, 3: 1})
+        w = cluster.workers[0]
+        w.dv_rose[0, 3] = True
+        crash_worker(cluster, 0)
+        assert w.dv_rose.shape == w.dv.shape and not w.dv_rose.any()
+
+    def test_unknown_dominates_known(self):
+        _g, w = path4_worker()
+        w.run_initial_approximation()
+        superstep(w)
+        for requests, known in (
+            ([True], True),
+            ([True, True], True),
+            ([False], False),
+            ([False, True], False),  # a later deletion must not narrow it
+            ([True, False], False),
+        ):
+            for rises_known in requests:
+                w.request_full_repropagate(rises_known=rises_known)
+            task = w.superstep_prepare()
+            assert task.full_repropagate
+            assert (task.rose is not None) == known
+            w.superstep_apply(
+                task, w.tier.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
+            )
+            assert w.superstep_prepare().rose is None  # nothing pending
+
+    def _count_folds(self, monkeypatch):
+        calls = {"rectangle": 0, "pull": 0}
+        rectangle, pull = oracle.minplus_fold, oracle.minplus_pull
+
+        def counted_rectangle(*args):
+            calls["rectangle"] += 1
+            return rectangle(*args)
+
+        def counted_pull(*args):
+            calls["pull"] += 1
+            return pull(*args)
+
+        monkeypatch.setattr(oracle, "minplus_fold", counted_rectangle)
+        monkeypatch.setattr(oracle, "minplus_pull", counted_pull)
+        return calls
+
+    def test_recovered_rank_keeps_the_rectangle_through_a_later_deletion(
+        self, monkeypatch
+    ):
+        """Crash-recover then delete in one tick: a rank restored from a
+        checkpoint holds rows that are upper bounds but not closed, so the
+        deletion's known rises must not narrow its pending re-propagation;
+        the other rank repairs."""
+        g = path_graph(6)
+        g.add_edge(0, 5, 1.0)
+        cluster = settled_cluster(g, {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1})
+        saved = snapshot_cluster_state(cluster, 0)
+        crash_worker(cluster, 1)
+        recover_worker_from_snapshot(cluster, 1, saved)
+        apply_edge_deletion(cluster, 1, 2)
+        assert cluster.workers[0].dv_rose.any()
+        tasks = [w.superstep_prepare() for w in cluster.workers]
+        assert tasks[0].rose is cluster.workers[0].dv_rose
+        assert tasks[1].full_repropagate and tasks[1].rose is None
+        calls = self._count_folds(monkeypatch)
+        for w, task in zip(cluster.workers, tasks):
+            result = w.tier.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
+            assert result.prop_charged
+            w.superstep_apply(task, result)
+        assert calls == {"rectangle": 1, "pull": 1}
+        while cluster.any_pending():
+            cluster.exchange_boundary()
+            cluster.relax_and_propagate()
+        check_cluster_invariants(cluster)
+        assert cluster.workers[0].dv[0].tolist() == [0.0, 1.0, 4.0, 3.0, 2.0, 1.0]
+
+    def test_deletion_that_witnesses_nothing_still_charges_the_fold(
+        self, monkeypatch
+    ):
+        """The flags decide when: an edge on no shortest path raises nothing
+        anywhere, yet every rank's fold runs (over empty masks) and is
+        charged, exactly as the wholesale re-propagation was."""
+        g = Graph.from_edges([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 2, 5.0)])
+        cluster = settled_cluster(g, {0: 0, 1: 0, 2: 1, 3: 1})
+        before = [w.dv.copy() for w in cluster.workers]
+        apply_edge_deletion(cluster, 0, 2)
+        assert not any(w.dv_rose.any() for w in cluster.workers)
+        calls = self._count_folds(monkeypatch)
+        for w, dv in zip(cluster.workers, before):
+            w.take_compute_seconds()  # drain the strategy's charges
+            result = superstep(w)
+            assert result.prop_charged and not result.prop_improved
+            assert w.take_compute_seconds() > 0.0
+            assert np.array_equal(w.dv, dv)
+        assert calls == {"rectangle": 0, "pull": 2}
