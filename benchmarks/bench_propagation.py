@@ -17,6 +17,13 @@ a converged block in which 2 % / 16 % / 100 % of the entries rose.  The
 repair wins by an order of magnitude at the shares deletions produce
 (median 1.4 %, max 16 % on ``serve-churn``) and loses 2-3x when everything
 rose — which is why nothing-known callers keep the rectangle.
+
+``test_local_edge_fold`` is the crossover of the fold after a local edge
+lowered ``local_apsp``: pushing every finite entry (what ``add_local_edge``
+declared up to PR 16) against folding the fallen pairs, after a new
+vertex's first edge (2n of n**2 pairs), a shortcut between the two local
+vertices farthest apart, and every local distance halved (all pairs).
+Pairs loses only near 100 % fallen.
 """
 
 import numpy as np
@@ -133,3 +140,62 @@ def test_deletion_repair_fold(benchmark, scale, variant, risen):
             w.tier.minplus_fold(w.local_apsp, w.dv, changed, rose)
 
         benchmark.pedantic(fold, setup=setup, rounds=30)
+
+
+def _first_edge(apsp, dv):
+    """A new vertex (isolated last row, fresh last column) joined to
+    vertex 0: one pair falls per row and per column."""
+    n = apsp.shape[0]
+    grown = np.full((n + 1, n + 1), np.inf)
+    grown[:n, :n] = apsp
+    grown[n, n] = 0.0
+    dv = np.pad(dv, ((0, 1), (0, 1)), constant_values=np.inf)
+    dv[n, -1] = 0.0
+    return grown, dv, (n, 0)
+
+
+def _shortcut(apsp, dv):
+    far = np.where(np.isfinite(apsp), apsp, -1.0)
+    return apsp, dv, np.unravel_index(np.argmax(far), apsp.shape)
+
+
+@pytest.mark.parametrize("case", ["first_edge", "shortcut", "all_pairs"])
+@pytest.mark.parametrize("variant", ["all_entries", "pairs"])
+def test_local_edge_fold(benchmark, scale, variant, case):
+    graph = barabasi_albert(scale.n_base, scale.m, seed=scale.seed)
+    config = AnytimeConfig(
+        nprocs=scale.nprocs, seed=scale.seed, collect_snapshots=False
+    )
+    with AnytimeAnywhereCloseness(graph, config) as engine:
+        engine.setup()
+        engine.run()
+        w = max(engine.cluster.workers, key=lambda w: w.n_local)
+        apsp, converged = w.local_apsp.copy(), w.dv.copy()
+        tier = w.tier
+    if case == "all_pairs":
+        lowered = apsp * 0.5
+    else:
+        apsp, converged, (u, v) = (_first_edge if case == "first_edge" else _shortcut)(
+            apsp, converged
+        )
+        # add_local_edge's incremental repair through the unit edge (u, v)
+        lowered = np.minimum(
+            apsp,
+            np.minimum(
+                apsp[:, [u]] + 1.0 + apsp[[v]], apsp[:, [v]] + 1.0 + apsp[[u]]
+            ),
+        )
+    dv = converged.copy()
+    if variant == "pairs":
+        changed, fell = np.zeros(dv.shape, dtype=bool), lowered < apsp
+    else:
+        changed, fell = np.isfinite(dv), None
+
+    def setup():
+        dv[...] = converged
+
+    def fold():
+        tier.minplus_fold(lowered, dv, changed, None, fell)
+
+    benchmark.pedantic(fold, setup=setup, rounds=30)
+    benchmark.extra_info["fallen_share"] = float((lowered < apsp).mean())

@@ -95,9 +95,12 @@ def check_cluster_invariants(cluster: "Cluster") -> List[str]:
             )
     checks.append("subscriptions-wired")
 
-    # 8. local APSP matrices square and zero-diagonal
+    # 8. local APSP matrices square and zero-diagonal, pair mask in step
     for w in cluster.workers:
         n = w.n_local
+        assert w.apsp_fell.shape == w.local_apsp.shape, (
+            f"rank {w.rank} fallen-pair mask out of step with local_apsp"
+        )
         if w.local_apsp.size:
             assert w.local_apsp.shape == (n, n)
             assert (np.diag(w.local_apsp) == 0).all()
@@ -105,25 +108,29 @@ def check_cluster_invariants(cluster: "Cluster") -> List[str]:
 
     # 9. local closure — the premise of the entry-level propagation folds:
     #    an entry d(k,t) outside ``dv_changed`` has been a fold source at
-    #    its current value, so no row can improve through it — except the
-    #    entries in ``dv_rose``, which a pending deletion repair pulls from
-    #    every source.  Ranks with a nothing-known full re-propagation
-    #    pending (which ignores both masks) or with no local APSP yet
-    #    (before IA, between crash and recovery) are exempt.  rtol covers
-    #    float path sums rounded in different orders; it is exact on integer
-    #    weights, where two distinct path sums differ by at least 1.
+    #    its current value, so no row x can improve through it — unless the
+    #    pair (x,k) is in ``apsp_fell``, which the fold folds over every
+    #    target, and except the entries in ``dv_rose``, which a pending
+    #    deletion repair pulls from every source.  Ranks with a
+    #    nothing-known full re-propagation pending (which ignores the masks)
+    #    or with no local APSP yet (before IA, between crash and recovery)
+    #    are exempt.  rtol covers float path sums rounded in different
+    #    orders; it is exact on integer weights, where two distinct path
+    #    sums differ by at least 1.
     for w in cluster.workers:
         n = w.n_local
         if w._rises_unknown or n == 0 or w.local_apsp.shape != (n, n):
             continue
         folded = w.dv.copy()
-        minplus_fold_changed(w.local_apsp, folded, ~w.dv_changed)
+        unfallen = np.where(w.apsp_fell, np.inf, w.local_apsp)
+        minplus_fold_changed(unfallen, folded, ~w.dv_changed)
         open_ = w.dv > folded * (1.0 + 1e-12)
         if w._full_repropagate:  # a deletion repair: the fold pulls these
             open_ &= ~w.dv_rose
         assert not open_.any(), (
             f"rank {w.rank}: {int(open_.sum())} DV entries improvable through"
-            " an entry not marked in dv_changed, and not marked in dv_rose"
+            " an entry not marked in dv_changed over a pair not marked in"
+            " apsp_fell, and not marked in dv_rose"
         )
     checks.append("local-closure")
 

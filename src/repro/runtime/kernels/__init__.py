@@ -33,10 +33,12 @@ The module-level :func:`ia_kernel` / :func:`run_superstep` dispatch on
 the task's ``tier`` name (the process-pool entry points);
 :func:`relax_cut_kernel` / :func:`minplus_fold` (the rectangle fold) /
 :func:`minplus_fold_changed` (the entry fold every tier runs) /
-:func:`minplus_pull` (its dual, the deletion repair) re-export the
-oracle implementations for direct use and tests.  :func:`relax_edge_kernel`
-(the per-edge relaxation of the dynamic-update path) has one
-implementation, which the worker calls directly on every tier.
+:func:`minplus_pull` (its dual, the deletion repair) /
+:func:`minplus_fold_pairs` (the fold over fallen ``local_apsp`` pairs)
+re-export the oracle implementations for direct use and tests.
+:func:`relax_edge_kernel` (the per-edge relaxation of the dynamic-update
+path) has one implementation, which the worker calls directly on every
+tier.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .oracle import (
     ia_chunk_kernel,
     minplus_fold,
     minplus_fold_changed,
+    minplus_fold_pairs,
     minplus_pull,
     relax_cut_kernel,
     relax_edge_kernel,
@@ -93,6 +96,7 @@ __all__ = [
     "make_tier",
     "minplus_fold",
     "minplus_fold_changed",
+    "minplus_fold_pairs",
     "minplus_pull",
     "register_tier",
     "relax_cut_kernel",

@@ -81,6 +81,9 @@ class SuperstepTask:
     #: with ``full_repropagate``: the entries of ``dv`` raised since the
     #: last fold (read-only), or ``None`` when what rose is not known
     rose: Optional[BoolArray] = None
+    #: the ``local_apsp`` pairs lowered since the last fold (read-only),
+    #: or ``None`` when there are none
+    fell: Optional[BoolArray] = None
     #: kernel tier executing this task (resolved by name in pool children)
     tier: str = "numpy"
 
@@ -165,14 +168,18 @@ class KernelTier:
         dv: FloatArray,
         changed: Optional[BoolArray],
         rose: Optional[BoolArray] = None,
+        fell: Optional[BoolArray] = None,
     ) -> List[int]:
         """Min-plus propagation fold; returns the sorted rows improved.
 
         ``changed`` marks the entries of ``dv`` lowered since the last
         fold — the only sources that can improve anything while nothing
-        rose; ``None`` folds every entry (nothing is known about what
-        rose).  ``rose`` marks the entries a deletion raised: they are
-        pulled from every source before ``changed`` is pushed.
+        rose and no ``apsp`` pair fell; ``None`` folds every entry
+        (nothing is known about what rose).  ``rose`` marks the entries a
+        deletion raised: they are pulled from every source before
+        ``changed`` is pushed.  ``fell`` marks the ``apsp`` pairs a local
+        edge lowered: every target is folded over them, from the sources
+        as they stood after the pull.
         """
         raise NotImplementedError
 
@@ -190,8 +197,9 @@ class KernelTier:
         worker itself is never touched, so the kernel can run anywhere.
 
         The task's flags decide *whether* the fold runs (and is
-        charged); the ``changed`` mask decides *what* it pushes and,
-        in a deletion repair, ``task.rose`` what it pulls first.
+        charged); the ``changed`` mask decides *what* it pushes,
+        ``task.fell`` the pairs it folds besides and, in a deletion
+        repair, ``task.rose`` what it pulls first.
         Because ``local_apsp`` is transitively closed, a single fold
         from the entries lowered since the last propagation is complete:
         ``d(x,t) <- min_k apsp(x,k) + d(k,t)`` over the changed sources
@@ -208,7 +216,7 @@ class KernelTier:
             return SuperstepResult(relax_improved=relax_improved)
         unknown = task.full_repropagate and task.rose is None
         prop_improved = self.minplus_fold(
-            apsp, dv, None if unknown else changed, task.rose
+            apsp, dv, None if unknown else changed, task.rose, task.fell
         )
         return SuperstepResult(
             relax_improved=relax_improved,

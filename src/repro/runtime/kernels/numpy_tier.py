@@ -8,7 +8,7 @@ rank — the pre-tier behavior, unchanged.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Set
 
 import numpy as np
 
@@ -49,11 +49,17 @@ class NumpyTier(KernelTier):
         dv: FloatArray,
         changed: Optional[BoolArray],
         rose: Optional[BoolArray] = None,
+        fell: Optional[BoolArray] = None,
     ) -> List[int]:
         if changed is None:
             n, c = dv.shape
             return oracle.minplus_fold(apsp, dv, np.arange(n), np.arange(c))
-        if rose is None:
-            return oracle.minplus_fold_changed(apsp, dv, changed)
-        pulled = oracle.minplus_pull(apsp, dv, rose)
-        return sorted({*pulled, *oracle.minplus_fold_changed(apsp, dv, changed)})
+        rows: Set[int] = set()
+        if rose is not None:
+            rows.update(oracle.minplus_pull(apsp, dv, rose))
+        # the pairs read every source as the push does: as the pull left it
+        src = dv if fell is None else dv.copy()
+        rows.update(oracle.minplus_fold_changed(apsp, dv, changed))
+        if fell is not None:
+            rows.update(oracle.minplus_fold_pairs(apsp, dv, fell, src))
+        return sorted(rows)

@@ -23,6 +23,7 @@ __all__ = [
     "relax_cut_kernel",
     "minplus_fold",
     "minplus_fold_changed",
+    "minplus_fold_pairs",
     "minplus_pull",
     "relax_edge_kernel",
 ]
@@ -126,7 +127,8 @@ def minplus_fold(
 
     This is the fold of a nothing-known full re-propagation (every row,
     every column) and the reference the entry folds
-    (:func:`minplus_fold_changed`, :func:`minplus_pull`) are tested against.
+    (:func:`minplus_fold_changed`, :func:`minplus_pull`,
+    :func:`minplus_fold_pairs`) are tested against.
 
     The write-back scatters only the entries that improved instead of
     assigning the whole ``dv[:, cols]`` submatrix — bitwise-equivalent
@@ -260,6 +262,50 @@ def minplus_pull(apsp: FloatArray, dv: FloatArray, rose: BoolArray) -> List[int]
         if better.any():
             dv[xs[better], ts[better]] = cand[better]
             improved_rows[xs[better]] = True
+    return [int(r) for r in np.flatnonzero(improved_rows)]
+
+
+def minplus_fold_pairs(
+    apsp: FloatArray, dv: FloatArray, fell: BoolArray, src: FloatArray
+) -> List[int]:
+    """Min-plus fold over the ``fell`` pairs; returns the sorted rows improved.
+
+    ``d(x,t) <- min(d(x,t), apsp(x,k) + src(k,t))`` for every target ``t``
+    and every pair ``(x, k)`` set in ``fell`` — the ``apsp`` entries lowered
+    (by a local edge) since the last fold.  A pair outside the mask was
+    folded at a value no higher than its current one, so together with
+    :func:`minplus_fold_changed` over the entries that fell (and
+    :func:`minplus_pull` over those that rose) this equals
+    :func:`minplus_fold` over the whole block.  ``src`` is ``dv`` as it
+    was when the fold began: every source is read at that value, like the
+    entry fold's, whatever was lowered since.
+
+    Pairs are taken in row order; each chunk gathers the ``src`` rows of
+    its sources (at most ``_ENTRY_CHUNK_ELEMS`` elements), adds the pair
+    lengths, takes the minimum per row ``x`` with ``np.minimum.reduceat``
+    and scatters what improved.  ``fell`` is only read.
+    """
+    n_cols = dv.shape[1]
+    x_idx, k_idx = np.nonzero(fell)  # row-major: grouped by x
+    if x_idx.size == 0:
+        return []
+    lengths = apsp[x_idx, k_idx][:, None]
+    improved_rows = np.zeros(apsp.shape[0], dtype=np.bool_)
+    chunk = min(x_idx.size, max(1, _ENTRY_CHUNK_ELEMS // n_cols))
+    buf = np.empty(chunk * n_cols, dtype=np.float64)
+    for e0 in range(0, x_idx.size, chunk):
+        xs = x_idx[e0:e0 + chunk]
+        through = buf[: xs.size * n_cols].reshape(xs.size, n_cols)
+        np.take(src, k_idx[e0:e0 + chunk], axis=0, out=through, mode="clip")
+        through += lengths[e0:e0 + chunk]
+        starts = np.flatnonzero(np.diff(xs, prepend=-1))
+        cand = np.minimum.reduceat(through, starts, axis=0)  # (g, n_cols)
+        rows = xs[starts]
+        better = cand < dv[rows]
+        if better.any():
+            g_idx, t_idx = np.nonzero(better)
+            dv[rows[g_idx], t_idx] = cand[better]
+            improved_rows[rows[better.any(axis=1)]] = True
     return [int(r) for r in np.flatnonzero(improved_rows)]
 
 

@@ -11,7 +11,9 @@ Each worker owns a block of vertices and maintains:
 * ``dv_changed`` — a bool mask of ``dv``'s shape: the entries lowered
   since the last propagation fold, which are all that fold has to push,
 * ``dv_rose`` — its dual: the entries a deletion's witness test raised
-  since the last fold, which are all a deletion repair has to pull.
+  since the last fold, which are all a deletion repair has to pull,
+* ``apsp_fell`` — a bool mask of ``local_apsp``'s shape: the pairs a
+  local edge lowered since the last fold, over which it folds every target.
 
 All kernels are vectorized NumPy and meter their operation counts into the
 :class:`~repro.model.cost.CostModel`, which is how modeled per-step compute
@@ -111,6 +113,8 @@ class Worker:
         #: entries of ``dv`` *raised* since the last fold (by a deletion's
         #: witness test).  Never shm: it reaches the kernel inside the task
         self.dv_rose: BoolArray = np.zeros((0, 0), dtype=np.bool_)
+        #: what :attr:`apsp_fell` holds, ``None`` while no pair is set
+        self._apsp_fell: Optional[BoolArray] = None
         #: last received DV rows of external boundary vertices
         self.ext_dvs: Dict[VertexId, FloatArray] = {}
 
@@ -118,8 +122,9 @@ class Worker:
         self._pending: List[Set[VertexId]] = [set() for _ in range(nprocs)]
         # ``_changed_rows`` / ``_dirty_cols`` / ``_full_repropagate``
         # decide *whether* the next superstep folds (and is charged);
-        # ``dv_changed`` decides *what* that fold pushes and, unless
-        # ``_rises_unknown``, ``dv_rose`` what a full re-propagation pulls
+        # ``dv_changed`` decides *what* that fold pushes, ``apsp_fell``
+        # the pairs it folds besides and, unless ``_rises_unknown``,
+        # ``dv_rose`` what a full re-propagation pulls
         self._changed_rows: Set[int] = set()
         self._dirty_cols = np.zeros(0, dtype=bool)
         self._fresh_ext: Set[VertexId] = set()
@@ -226,12 +231,27 @@ class Worker:
 
     @property
     def local_apsp(self) -> FloatArray:
-        """Local all-pairs matrix; assignment re-homes it via the allocator."""
+        """Local all-pairs matrix; assignment re-homes it via the allocator
+        and, on a new shape (a reload, a crash wipe, a restore), clears
+        ``apsp_fell`` — a same-shape recomputation keeps the marks: a
+        deletion may leave a pair below the value it was last folded at."""
         return self._local_apsp
 
     @local_apsp.setter
     def local_apsp(self, value: FloatArray) -> None:
         self._local_apsp = self.allocator.adopt(value, self._local_apsp)
+        if self._apsp_fell is not None and self._apsp_fell.shape != value.shape:
+            self._apsp_fell = None
+
+    @property
+    def apsp_fell(self) -> BoolArray:
+        """Pairs of ``local_apsp`` *lowered* since the last fold (by a local
+        edge); ``local_apsp``'s shape, never shm — it reaches the kernel
+        inside the task.  While no pair is set it is a read-only all-False
+        view: a rank that adds no local edge never allocates the mask."""
+        if self._apsp_fell is None:
+            return np.broadcast_to(np.False_, self._local_apsp.shape)
+        return self._apsp_fell
 
     @property
     def dv_changed(self) -> BoolArray:
@@ -716,6 +736,7 @@ class Worker:
             rose=self.dv_rose
             if self._full_repropagate and not self._rises_unknown
             else None,
+            fell=self._apsp_fell,
             tier=self.tier.name,
         )
 
@@ -741,6 +762,7 @@ class Worker:
             # a fresh mask, not an in-place clear: ``task.rose`` is this
             # array, and a speculative backup re-reads the task after this
             self.dv_rose = np.zeros(self.dv.shape, dtype=np.bool_)
+        self._apsp_fell = None  # dropped, not cleared, for the same reason
         self._full_repropagate = False
         self._rises_unknown = False
         self._changed_rows.clear()
@@ -756,8 +778,9 @@ class Worker:
             # decided by ``dv_changed`` alone: an entry d(k,t) not lowered
             # since it was last a fold source already satisfies
             # d(x,t) <= apsp(x,k) + d(k,t) for every x (local_apsp is
-            # transitively closed), so only the lowered entries are pushed
-            # (and, in a deletion repair, the risen ones pulled).
+            # transitively closed) unless the pair (x,k) fell since, so only
+            # the lowered entries are pushed and the fallen pairs folded
+            # (and, in a deletion repair, the risen entries pulled).
             self._charge(self.cost.minplus_time(task.n, task.n, self.n_cols))
         # Improved rows need only be *sent* to subscribers, not re-used as
         # local sources: local_apsp is transitively closed, so chaining two
@@ -783,23 +806,17 @@ class Worker:
         self._full_repropagate = True
         self._reset_baselines()
 
-    def mark_all_changed(self) -> None:
-        """Schedule a full-coverage propagation, keeping delta channels.
-
-        Folds all rows over all columns next step, exactly like
-        :meth:`request_full_repropagate`, but does *not* reset the
-        per-channel baselines — the right call for **monotone** structural
-        changes (vertex/edge additions), where every DV entry only ever
-        decreases and incremental deltas therefore stay valid.  Paths that
-        can *raise* entries (deletions, recovery, column remaps) must use
-        :meth:`request_full_repropagate` instead.
+    def _declare_full_fold(self) -> None:
+        """Declare the next fold over all rows and columns — flags only:
+        it runs and is charged like :meth:`request_full_repropagate`'s, but
+        visits what the masks hold and keeps the delta channels.  For
+        **monotone** changes (a local edge), where every DV entry only
+        decreases and deltas stay valid; paths that can *raise* entries
+        must use :meth:`request_full_repropagate` instead.
         """
         self._changed_rows.update(range(self.n_local))
         if self._dirty_cols.size:
             self._dirty_cols[:] = True
-        # local_apsp itself changed, so every entry is a source again
-        # (a +inf entry reaches nothing and stays unmarked)
-        np.isfinite(self.dv, out=self._dv_changed)
 
     # ------------------------------------------------------------------
     # dynamic changes: columns and vertices
@@ -822,17 +839,14 @@ class Worker:
         self._dirty_cols = np.concatenate(
             [self._dirty_cols, np.zeros(added, dtype=bool)]
         )
+        pad = np.full(added, np.inf, dtype=np.float64)
         for x, row in list(self.ext_dvs.items()):
-            self.ext_dvs[x] = np.concatenate(
-                [row, np.full(added, np.inf, dtype=np.float64)]
-            )
+            self.ext_dvs[x] = np.concatenate([row, pad])
         # channel baselines grow in lockstep: the new columns are +inf on
         # both endpoints, so they enter future deltas only once they improve
         for baselines in self._sent_rows:
             for v, base in list(baselines.items()):
-                baselines[v] = np.concatenate(
-                    [base, np.full(added, np.inf, dtype=np.float64)]
-                )
+                baselines[v] = np.concatenate([base, pad])
         self._charge(
             self.cost.resize_time(self.n_local + len(self.ext_dvs), added),
             "dv_resizes",
@@ -862,7 +876,10 @@ class Worker:
         if r:
             apsp[:r, :r] = self.local_apsp
         np.fill_diagonal(apsp, 0.0)
-        self.local_apsp = apsp
+        fell = self._apsp_fell
+        self.local_apsp = apsp  # a new shape clears the marks: carry them
+        if fell is not None:
+            self._apsp_fell = np.pad(fell, ((0, 1), (0, 1)))
         self._charge(self.cost.vertex_time(1) + self.cost.resize_time(1, n))
         self._mark_row_changed(r)
         return r
@@ -885,8 +902,9 @@ class Worker:
         improved = cand < a
         if improved.any():
             a[improved] = cand[improved]
-            # additions are monotone: full coverage, but deltas stay valid
-            self.mark_all_changed()
+            # the pairs that fell are all the next fold must re-fold
+            self._apsp_fell = self.apsp_fell | improved
+            self._declare_full_fold()
         # the new edge also immediately improves DV rows through it
         self._relax_dv_with_local_edge(ru, rv, w)
 
@@ -1087,9 +1105,12 @@ class Worker:
         for vv in self.owned[r:]:
             self.row_of[vv] -= 1
         self._reshape_entries(lambda a, _fill: np.delete(a, r, axis=0))
+        fell = self._apsp_fell
         self.local_apsp = np.delete(
             np.delete(self.local_apsp, r, axis=0), r, axis=1
         )
+        if fell is not None:  # the new shape cleared the marks: carry them
+            self._apsp_fell = np.delete(np.delete(fell, r, axis=0), r, axis=1)
         self.local_graph.remove_vertex(v)
         self.cut_adj.pop(v, None)
         for x in list(self.cut_by_ext):

@@ -1,8 +1,11 @@
 """Edge addition / deletion / reweight correctness (anywhere strategies)."""
 
+import numpy as np
 import pytest
 
+import repro.runtime.kernels.oracle as oracle
 from repro import AnytimeAnywhereCloseness, AnytimeConfig, ChangeStream
+from repro.centrality import exact_closeness, sssp_dijkstra
 from repro.graph import ChangeBatch, barabasi_albert, random_weights
 from repro.graph.changes import EdgeAddition, EdgeDeletion, EdgeReweight
 from repro.core.strategies import EdgeAdditionStrategy, EdgeDeletionStrategy
@@ -165,12 +168,29 @@ class TestReweight:
             engine.run(changes=stream, strategy=EdgeDeletionStrategy())
 
 
-def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant():
+def same_rank_pairs(base, *, present, nprocs=4, seed=5):
+    """Vertex pairs ``u < v`` owned by one rank under the partition the
+    stream helpers run with, that are (``present``) or are not edges."""
+    config = AnytimeConfig(nprocs=nprocs, seed=seed, collect_snapshots=False)
+    with AnytimeAnywhereCloseness(base, config) as engine:
+        engine.setup()
+        rank = {v: engine.cluster.owner_of(v) for v in base.vertices()}
+    return [
+        (u, v)
+        for u in sorted(rank)
+        for v in sorted(rank)
+        if u < v and rank[u] == rank[v] and base.has_edge(u, v) == present
+    ]
+
+
+def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant(monkeypatch):
     """Additions, deletions and both reweight directions interleaved, two
-    deletions ahead of one fold, a repair pending while edges are added:
-    the pull+push repair must give the same bits wherever it runs —
-    serial, pool children (the mask rides in the task), the scipy tier,
-    and the speculative backup of a straggling rank."""
+    deletions ahead of one fold, a repair pending while edges are added,
+    and intra-rank edges (shortcuts, a reweight-down, a reweight-up's
+    delete-then-add) whose fallen ``local_apsp`` pairs are folded: pull,
+    push and pairs must give the same bits wherever they run — serial,
+    pool children (the masks ride in the task), the scipy tier, and the
+    speculative backup of a straggling rank."""
     from repro.graph.changes import VertexAddition
 
     base = barabasi_albert(64, 3, seed=12)
@@ -179,13 +199,27 @@ def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant():
         (u, v) for u in range(0, 64, 7) for v in range(3, 64, 11)
         if u != v and not base.has_edge(u, v)
     ]
+    local_absent = same_rank_pairs(base, present=False)
+    local_edges = same_rank_pairs(base, present=True)
     batches = {
         1: ChangeBatch(
             edge_deletions=[EdgeDeletion(*edges[5]), EdgeDeletion(*edges[40])],
-            edge_additions=[EdgeAddition(*absent[0], 1.0)],
+            edge_additions=[
+                EdgeAddition(*absent[0], 1.0),
+                EdgeAddition(*local_absent[3], 1.0),
+                EdgeAddition(*local_absent[-5], 2.0),
+            ],
         ),
         2: ChangeBatch(
-            edge_reweights=[EdgeReweight(*edges[9], 4.0), EdgeReweight(*edges[70], 0.5)]
+            edge_reweights=[
+                EdgeReweight(*edges[9], 4.0),
+                EdgeReweight(*edges[70], 0.5),
+                EdgeReweight(*local_edges[2], 0.5),
+                EdgeReweight(*local_edges[-2], 3.0),
+            ]
+        ),
+        3: ChangeBatch(
+            edge_additions=[EdgeAddition(*p, 1.0) for p in local_absent[40:240:50]]
         ),
         4: ChangeBatch(
             vertex_additions=[VertexAddition(64, edges=((2, 1.0), (33, 2.0)))],
@@ -196,4 +230,55 @@ def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant():
             edge_additions=[EdgeAddition(*absent[3], 2.0)],
         ),
     }
+    pair_folds = []
+    fold_pairs = oracle.minplus_fold_pairs
+
+    def spy(apsp, dv, fell, src):
+        pair_folds.append(int(fell.sum()))
+        return fold_pairs(apsp, dv, fell, src)
+
+    monkeypatch.setattr(oracle, "minplus_fold_pairs", spy)
     assert_stream_is_backend_and_tier_invariant(base, batches)
+    assert len(pair_folds) >= 8 and min(pair_folds) > 0  # the in-process runs
+
+
+def test_float_weight_local_edge_stream_is_exact_and_anytime():
+    """General float weights, intra-rank additions and reweight-downs: path
+    sums round, so the pair fold is documented to 1e-9 (not bitwise against
+    the rectangle) — and every interrupted DV stays an upper bound."""
+    base = random_weights(barabasi_albert(64, 3, seed=12), 0.5, 9.0, seed=19)
+    local_absent = same_rank_pairs(base, present=False)
+    local_edges = same_rank_pairs(base, present=True)
+    batches = {
+        1: ChangeBatch(
+            edge_additions=[EdgeAddition(*local_absent[3], 0.37)],
+            edge_reweights=[EdgeReweight(*local_edges[2], 0.21)],
+        ),
+        2: ChangeBatch(
+            edge_additions=[
+                EdgeAddition(*p, 0.1 * (i + 3))
+                for i, p in enumerate(local_absent[40:240:50])
+            ]
+        ),
+        4: ChangeBatch(edge_reweights=[EdgeReweight(*local_edges[-2], 0.45)]),
+    }
+    final = apply_all(base, batches)
+    truth = {v: sssp_dijkstra(final, v) for v in final.vertices()}
+    config = AnytimeConfig(nprocs=4, seed=5, collect_snapshots=False)
+    with AnytimeAnywhereCloseness(base, config) as engine:
+        engine.setup()
+        stream = ChangeStream(batches)
+        for _ in range(100):
+            result = engine.run(changes=stream, strategy="auto", step_budget=1)
+            cluster = engine.cluster
+            for w in cluster.workers:
+                for v in w.owned:
+                    want = np.array([truth[v][t] for t in cluster.index.ids])
+                    assert (w.dv[w.row_of[v]] >= want * (1 - 1e-12)).all()
+            if result.converged:
+                break
+        assert result.converged
+    exact = exact_closeness(final)
+    assert result.closeness.keys() == exact.keys()
+    for v, c in exact.items():
+        assert result.closeness[v] == pytest.approx(c, rel=1e-9)

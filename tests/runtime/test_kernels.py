@@ -27,12 +27,18 @@ re-derives only the entries marked in the risen mask.  On states where
 everything outside that mask only rose (``local_apsp`` included), the
 pull followed by the push over the changed mask must be bitwise-equal to
 the rectangle fold over the whole block.
+
+:func:`repro.runtime.kernels.minplus_fold_pairs` — the fold after a local
+edge — folds every target over the ``local_apsp`` pairs marked in the
+fallen mask.  On states where everything outside the three masks is
+closed, pull + push + pairs (the tier's ``minplus_fold``) must be
+bitwise-equal to the rectangle fold over the whole block.
 """
 
 from __future__ import annotations
 
 import tracemalloc
-from typing import Callable, List, NamedTuple, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -482,15 +488,20 @@ def repair_state(
 
 
 def assert_repair_matches_rectangle(
-    apsp: np.ndarray, dv: np.ndarray, changed: np.ndarray, rose: np.ndarray
+    apsp: np.ndarray,
+    dv: np.ndarray,
+    changed: np.ndarray,
+    rose: Optional[np.ndarray],
+    fell: Optional[np.ndarray] = None,
 ) -> List[int]:
-    """``dv`` bytes and returned rows of the tier's repair fold against the
-    rectangle fold over the whole block; returns the rows."""
+    """``dv`` bytes and returned rows of the tier's fold — pull, push and
+    pairs — against the rectangle fold over the whole block; returns the
+    rows."""
     got = dv.copy()
-    masks = changed.copy(), rose.copy()
+    masks = [None if m is None else m.copy() for m in (changed, rose, fell)]
     got_rows = make_tier("numpy").minplus_fold(apsp, got, *masks)
-    assert masks[0].tobytes() == changed.tobytes()  # only read
-    assert masks[1].tobytes() == rose.tobytes()
+    for mask, given in zip(masks, (changed, rose, fell)):
+        assert mask is None or mask.tobytes() == given.tobytes()  # only read
     ref = dv.copy()
     n, n_cols = dv.shape
     ref_rows = kernels.minplus_fold(apsp, ref, np.arange(n), np.arange(n_cols))
@@ -658,6 +669,235 @@ class TestDeletionRepairOnFloatWeights:
         for v, c in exact.items():
             assert result.closeness[v] == pytest.approx(c, rel=1e-9)
         engine.close()
+
+
+# ----------------------------------------------------------------------
+# local edges: pull + push + the fallen pairs == the rectangle fold
+# ----------------------------------------------------------------------
+def add_isolated_vertex(
+    apsp: np.ndarray, dv: np.ndarray, *masks: np.ndarray
+) -> Tuple[np.ndarray, ...]:
+    """Pad the state as ``add_local_vertex`` does: an isolated last row
+    whose one finite entry, a fresh column's ``d(v,v) = 0``, is marked in
+    the first mask (``changed``)."""
+    n, n_cols = dv.shape
+    grown = np.full((n + 1, n + 1), np.inf)
+    grown[:n, :n] = apsp
+    grown[n, n] = 0.0
+    dv = np.pad(dv, ((0, 1), (0, 1)), constant_values=np.inf)
+    dv[n, n_cols] = 0.0
+    masks = tuple(np.pad(m, ((0, 1), (0, 1))) for m in masks)
+    masks[0][n, n_cols] = True
+    return (grown, dv) + masks
+
+
+def lower_apsp(
+    apsp: np.ndarray, edges: List[Tuple[int, int, float]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(apsp, fell)`` after ``add_local_edge``'s incremental repair for
+    each ``(u, v, w)`` in turn: the new closure and the pairs it lowered."""
+    apsp = apsp.copy()
+    fell = np.zeros(apsp.shape, dtype=bool)
+    for u, v, w in edges:
+        cand = np.minimum(
+            apsp[:, u][:, None] + w + apsp[v][None, :],
+            apsp[:, v][:, None] + w + apsp[u][None, :],
+        )
+        improved = cand < apsp
+        apsp[improved] = cand[improved]
+        fell |= improved
+    return apsp, fell
+
+
+def random_edges(seed: int, n: int, count: int) -> List[Tuple[int, int, float]]:
+    rng = np.random.default_rng(seed + 2)
+    if n < 2:
+        return []
+    pairs = (rng.choice(n, size=2, replace=False) for _ in range(count))
+    return [(int(u), int(v), float(rng.integers(1, 4))) for u, v in pairs]
+
+
+class TestPairFold:
+    @settings(
+        max_examples=120,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 24),
+        n_cols=st.integers(1, 40),
+        p_edge=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+        p_inf=st.sampled_from([0.0, 0.3, 0.9]),
+        density=st.sampled_from([0.0, 0.02, 0.5]),
+        risen=st.sampled_from([None, 0.0, 0.1, 0.6]),
+        new_vertex=st.booleans(),
+        local_edges=st.sampled_from([1, 2, 5, "all pairs"]),
+    )
+    def test_pull_push_and_pairs_bitwise_equal_to_rectangle_fold(
+        self, seed, n, n_cols, p_edge, p_inf, density, risen, new_vertex, local_edges
+    ):
+        """``p_edge=0`` makes every edge the first of an isolated row,
+        ``p_edge=1`` makes every edge a shortcut; ``new_vertex`` joins a
+        freshly padded row; ``"all pairs"`` halves every local distance."""
+        apsp, dv, changed, rose = repair_state(
+            seed,
+            n,
+            n_cols,
+            risen=risen or 0.0,
+            apsp_rises=bool(seed % 2),
+            p_edge=p_edge,
+            p_inf=p_inf,
+            density=density,
+        )
+        if new_vertex:
+            apsp, dv, changed, rose = add_isolated_vertex(apsp, dv, changed, rose)
+        if local_edges == "all pairs":
+            lowered = apsp * 0.5
+            fell = lowered < apsp
+        else:
+            edges = random_edges(seed, apsp.shape[0], local_edges)
+            if new_vertex:  # its first edge
+                edges.insert(0, (n, seed % n, 2.0))
+            lowered, fell = lower_apsp(apsp, edges)
+        # risen=None: no repair pending, the fold does not pull
+        assert_repair_matches_rectangle(
+            lowered, dv, changed, None if risen is None else rose, fell
+        )
+
+    def test_empty_mask_touches_nothing(self):
+        apsp, dv, changed = closed_state(1, 12, 30)
+        fell = np.zeros(apsp.shape, dtype=bool)
+        before = dv.copy()
+        assert kernels.minplus_fold_pairs(apsp, dv, fell, dv.copy()) == []
+        assert dv.tobytes() == before.tobytes()
+        # through the tier: the same bytes and rows as with no mask at all
+        rows = make_tier("numpy").minplus_fold(apsp, dv, changed, None, fell)
+        assert rows == make_tier("numpy").minplus_fold(apsp, before, changed)
+        assert dv.tobytes() == before.tobytes()
+
+    def test_one_pair(self):
+        """One directed pair: only its row moves, through its one source."""
+        apsp, dv, changed = closed_state(2, 12, 30, p_edge=1.0, p_inf=0.0, density=0.0)
+        apsp[3, 7] = 0.0
+        fell = np.zeros(apsp.shape, dtype=bool)
+        fell[3, 7] = True
+        before = dv.copy()
+        assert kernels.minplus_fold_pairs(apsp, dv, fell, before) == [3]
+        assert np.array_equal(dv[3], np.minimum(before[3], before[7]))
+        assert np.array_equal(np.delete(dv, 3, 0), np.delete(before, 3, 0))
+
+    def test_first_edge_of_a_new_vertex(self):
+        """The case the all-entries marking paid for: a new vertex's first
+        edge lowers one pair per row and per column — 2(n-1) of n**2 — and
+        the fold must fill the new row and the new column from them."""
+        apsp, dv, changed = add_isolated_vertex(
+            *closed_state(3, 15, 32, p_edge=1.0, p_inf=0.0, density=0.0)
+        )
+        lowered, fell = lower_apsp(apsp, [(15, 4, 2.0)])
+        assert fell.sum() == 2 * 15 and fell[15, :15].all() and fell[:15, 15].all()
+        rows = assert_repair_matches_rectangle(lowered, dv, changed, None, fell)
+        assert rows == list(range(16))
+
+    def test_all_true_mask(self):
+        """Diagonal and +inf pairs included: inert, as a +inf entry is."""
+        apsp, dv, changed, rose = repair_state(4, 16, 36, risen=0.2, p_edge=0.2)
+        assert np.isinf(apsp).any()
+        lowered, _ = lower_apsp(apsp, random_edges(4, 16, 3))
+        everything = np.ones(apsp.shape, dtype=bool)
+        assert_repair_matches_rectangle(lowered, dv, changed, rose, everything)
+        assert_repair_matches_rectangle(lowered, dv, changed, None, everything)
+
+    def test_empty_worker(self):
+        dv = np.zeros((0, 6))
+        fell = np.zeros((0, 0), dtype=bool)
+        assert kernels.minplus_fold_pairs(np.zeros((0, 0)), dv, fell, dv) == []
+        assert make_tier("numpy").minplus_fold(
+            np.zeros((0, 0)), dv, np.zeros((0, 6), dtype=bool), None, fell
+        ) == []
+
+    def test_row_group_split_across_chunks(self, monkeypatch):
+        """A chunk boundary inside one row's pairs, and a last chunk shorter
+        than the buffer: same bytes as one chunk."""
+        apsp, dv, changed = closed_state(6, 14, 25, p_edge=0.6, density=0.1)
+        lowered, fell = lower_apsp(apsp * 3.0, random_edges(6, 14, 4))
+        assert (fell.sum(axis=1) > 5).any()
+        one_chunk = dv.copy()
+        kernels.minplus_fold_pairs(lowered, one_chunk, fell, dv)
+        for pairs in (1, 3, 5):
+            monkeypatch.setattr(kernels, "_ENTRY_CHUNK_ELEMS", pairs * 25)
+            assert pairs == 1 or int(fell.sum()) % pairs  # short tail
+            got = dv.copy()
+            kernels.minplus_fold_pairs(lowered, got, fell, dv)
+            assert got.tobytes() == one_chunk.tobytes()
+            assert_repair_matches_rectangle(lowered, dv, changed, None, fell)
+
+    def test_sources_are_read_as_the_fold_began(self):
+        """What an earlier chunk (or the push before it) lowered is not a
+        source: every candidate is ``apsp(x,k) + src(k,t)``, one sum."""
+        apsp = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        src = np.array([[9.0], [9.0], [0.0]])
+        fell = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=bool)
+        dv = src.copy()
+        assert kernels.minplus_fold_pairs(apsp, dv, fell, src) == [1]
+        # row 0 folds over (0,1) only: 1 + src(1) = 10, not 1 + dv(1) = 2
+        assert dv.tolist() == [[9.0], [1.0], [0.0]]
+
+    def test_tier_snapshots_the_sources_before_the_push(self):
+        """Float sums do not re-associate: 0.1 + (0.2 + 0.3) is one ulp below
+        (0.1 + 0.2) + 0.3, so pairs folded from what the push just wrote
+        would undercut the rectangle fold's single sums."""
+        apsp = np.array([[0.0, 0.1, 0.1 + 0.2], [0.1, 0.0, 0.2], [0.1 + 0.2, 0.2, 0.0]])
+        dv = np.array([[np.inf], [np.inf], [0.3]])
+        changed = np.array([[False], [False], [True]])
+        fell = ~np.eye(3, dtype=bool)
+        assert_repair_matches_rectangle(apsp, dv, changed, None, fell)
+        assert 0.1 + (0.2 + 0.3) < (0.1 + 0.2) + 0.3
+
+    def test_gather_temporary_stays_under_its_constant(self):
+        """Every pair of a 200-row block over 800 columns is 32 M candidates
+        (256 MB at once): the fold must stream them through its one capped
+        gather buffer."""
+        rng = np.random.default_rng(7)
+        apsp, dv = rng.random((200, 200)), rng.random((200, 800))
+        fell = np.ones(apsp.shape, dtype=bool)
+        cap = kernels._ENTRY_CHUNK_ELEMS * 8
+        assert fell.sum() * 800 * 8 > 8 * cap
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            kernels.minplus_fold_pairs(apsp, dv, fell, dv.copy())
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the buffer, plus the snapshot, index vectors and per-chunk results
+        assert peak < cap + cap // 2
+
+    def test_float_weights_agree_with_rectangle_within_closure_rtol(self):
+        """Path sums round on float weights, so a candidate the pair fold
+        skips as dominated may beat the stored entry in the last place —
+        never by more than check 9 tolerates."""
+        rng = np.random.default_rng(11)
+        for seed in range(5):
+            apsp, dv, changed, rose = repair_state(
+                seed, 20, 45, risen=0.2, p_edge=0.4, p_inf=0.1
+            )
+            scale = rng.uniform(0.1, 3.7)
+            apsp, dv = apsp * scale / 3.0, dv * scale / 7.0
+            # re-close under the float apsp, then re-raise
+            np.minimum(
+                dv, np.min(apsp[:, :, None] + dv[None, :, :], axis=1), out=dv
+            )
+            dv[rose] = np.inf
+            edges = [(u, v, w * scale / 3.0) for u, v, w in random_edges(seed, 20, 3)]
+            lowered, fell = lower_apsp(apsp, edges)
+            assert fell.any()
+            got, ref = dv.copy(), dv.copy()
+            make_tier("numpy").minplus_fold(lowered, got, changed, rose, fell)
+            kernels.minplus_fold(lowered, ref, np.arange(20), np.arange(45))
+            assert np.array_equal(np.isinf(got), np.isinf(ref))
+            np.testing.assert_allclose(got, ref, rtol=1e-12)
 
 
 # ----------------------------------------------------------------------

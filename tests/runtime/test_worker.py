@@ -6,6 +6,7 @@ import pytest
 import repro.runtime.kernels.oracle as oracle
 from repro.core.checkpoint import snapshot_cluster_state
 from repro.core.strategies.edge_deletion import apply_edge_deletion
+from repro.centrality import sssp_dijkstra
 from repro.errors import WorkerError
 from repro.graph import Graph, extract_local_subgraph
 from repro.model import DEFAULT_COST
@@ -336,6 +337,32 @@ class TestQueries:
         assert "rank=0" in repr(w)
 
 
+def split_cluster():
+    """Path 0-1-2-3-4; rank 0 owns two local components {0,1} and {3,4}."""
+    g = path_graph(5)
+    cluster = Cluster(g, 2)
+    cluster.install_partition(
+        Partition(2, {0: 0, 1: 0, 2: 1, 3: 0, 4: 0})
+    )
+    cluster.run_initial_approximation()
+    cluster.exchange_boundary()
+    cluster.relax_and_propagate()
+    return cluster
+
+
+def count_folds(monkeypatch, **names):
+    """Count the calls of oracle fold functions, ``label="function name"``."""
+    calls = dict.fromkeys(names, 0)
+    for label, name in names.items():
+
+        def counted(*args, _fold=getattr(oracle, name), _label=label):
+            calls[_label] += 1
+            return _fold(*args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
 class TestChangedEntryMask:
     """``dv_changed``: same shape as ``dv`` always, set by every writer that
     lowers an entry outside a fold, cleared by the superstep."""
@@ -400,42 +427,31 @@ class TestChangedEntryMask:
         assert w.dv_changed.any()
         assert np.array_equal(w.dv_changed, w.dv < before)
 
-    def _split_cluster(self):
-        """Path 0-1-2-3-4; rank 0 owns two local components {0,1} and {3,4}."""
-        g = path_graph(5)
-        cluster = Cluster(g, 2)
-        cluster.install_partition(
-            Partition(2, {0: 0, 1: 0, 2: 1, 3: 0, 4: 0})
-        )
-        cluster.run_initial_approximation()
-        cluster.exchange_boundary()
-        cluster.relax_and_propagate()
-        return cluster
-
     def test_local_edge_leaves_every_unmarked_entry_closed(self):
-        """A local edge joining two local components: ``local_apsp`` drops,
-        so every finite entry is a source again, and the rows relaxed
-        through the edge turn +inf entries finite — check 9 (local
+        """A bare local edge joining two local components (no edge-row
+        relaxation ran first — the Fig. 3 line-26 guard skipped it):
+        ``local_apsp`` drops, the pairs that fell are marked, only the
+        entries actually lowered are sources again — and check 9 (local
         closure) must hold right away, before any fold."""
-        cluster = self._split_cluster()
+        cluster = split_cluster()
         w = cluster.workers[0]
-        assert not w.dv_changed.any()
+        assert not w.dv_changed.any() and not w.apsp_fell.any()
         check_cluster_invariants(cluster)
-        before = w.dv.copy()
+        before, apsp_before = w.dv.copy(), w.local_apsp.copy()
         cluster.graph.add_edge(1, 3, 1.0)
         w.add_local_edge(1, 3, 1.0)
-        lowered = w.dv < before
-        assert lowered.any() and w.dv_changed[lowered].all()
-        assert w.dv_changed[np.isfinite(before)].all()
+        assert w.apsp_fell.any()
+        assert np.array_equal(w.apsp_fell, w.local_apsp < apsp_before)
+        assert np.array_equal(w.dv_changed, w.dv < before)
         assert "local-closure" in check_cluster_invariants(cluster)
         cluster.exchange_boundary()
         cluster.relax_and_propagate()
-        assert not w.dv_changed.any()
+        assert not w.dv_changed.any() and not w.apsp_fell.any()
         assert w.dv[w.row_of[0], 4] == 3.0
         check_cluster_invariants(cluster)
 
     def test_closure_check_sees_an_unmarked_source(self):
-        cluster = self._split_cluster()
+        cluster = split_cluster()
         w = cluster.workers[0]
         cluster.graph.add_edge(1, 3, 1.0)
         w.add_local_edge(1, 3, 1.0)
@@ -537,22 +553,6 @@ class TestRisenEntryMask:
             )
             assert w.superstep_prepare().rose is None  # nothing pending
 
-    def _count_folds(self, monkeypatch):
-        calls = {"rectangle": 0, "pull": 0}
-        rectangle, pull = oracle.minplus_fold, oracle.minplus_pull
-
-        def counted_rectangle(*args):
-            calls["rectangle"] += 1
-            return rectangle(*args)
-
-        def counted_pull(*args):
-            calls["pull"] += 1
-            return pull(*args)
-
-        monkeypatch.setattr(oracle, "minplus_fold", counted_rectangle)
-        monkeypatch.setattr(oracle, "minplus_pull", counted_pull)
-        return calls
-
     def test_recovered_rank_keeps_the_rectangle_through_a_later_deletion(
         self, monkeypatch
     ):
@@ -571,7 +571,7 @@ class TestRisenEntryMask:
         tasks = [w.superstep_prepare() for w in cluster.workers]
         assert tasks[0].rose is cluster.workers[0].dv_rose
         assert tasks[1].full_repropagate and tasks[1].rose is None
-        calls = self._count_folds(monkeypatch)
+        calls = count_folds(monkeypatch, rectangle="minplus_fold", pull="minplus_pull")
         for w, task in zip(cluster.workers, tasks):
             result = w.tier.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
             assert result.prop_charged
@@ -594,7 +594,7 @@ class TestRisenEntryMask:
         before = [w.dv.copy() for w in cluster.workers]
         apply_edge_deletion(cluster, 0, 2)
         assert not any(w.dv_rose.any() for w in cluster.workers)
-        calls = self._count_folds(monkeypatch)
+        calls = count_folds(monkeypatch, rectangle="minplus_fold", pull="minplus_pull")
         for w, dv in zip(cluster.workers, before):
             w.take_compute_seconds()  # drain the strategy's charges
             result = superstep(w)
@@ -602,3 +602,135 @@ class TestRisenEntryMask:
             assert w.take_compute_seconds() > 0.0
             assert np.array_equal(w.dv, dv)
         assert calls == {"rectangle": 0, "pull": 2}
+
+
+class TestFallenPairMask:
+    """``apsp_fell``: ``local_apsp``'s shape always, written only by
+    ``add_local_edge``, read by the next fold, cleared where ``dv_changed``
+    is — and kept by a same-shape recomputation of ``local_apsp``."""
+
+    def _joined(self):
+        """:func:`split_cluster` after the bare local edge (1, 3): the eight
+        pairs between {0,1} and {3,4} fell; returns the cluster, rank 0."""
+        cluster = split_cluster()
+        w = cluster.workers[0]
+        cluster.graph.add_edge(1, 3, 1.0)
+        w.add_local_edge(1, 3, 1.0)
+        assert w.apsp_fell.sum() == 8 and not w.apsp_fell[:2, :2].any()
+        return cluster, w
+
+    def test_no_local_edge_allocates_no_mask(self):
+        """Static runs and cut-edge-only additions: the mask is an all-False
+        view of the right shape that owns no memory, and nothing travels."""
+        _g, w = path4_worker()
+        w.run_initial_approximation()
+        w.index.add(4)
+        w.grow_columns(5)
+        w.add_local_vertex(4)
+        w.remove_local_vertex(0)
+        assert w.apsp_fell.shape == w.local_apsp.shape == (2, 2)
+        assert not w.apsp_fell.any() and w.apsp_fell.strides == (0, 0)
+        assert w.superstep_prepare().fell is None
+
+    def test_mask_follows_local_apsp_through_shape_changes(self):
+        _cluster, w = self._joined()
+        marks = w.apsp_fell.copy()
+        w.index.add(5)
+        w.grow_columns(6)
+        assert np.array_equal(w.apsp_fell, marks)
+        r = w.add_local_vertex(5)
+        assert w.apsp_fell.shape == w.local_apsp.shape == (5, 5)
+        assert np.array_equal(w.apsp_fell[:r, :r], marks)
+        assert not w.apsp_fell[r].any() and not w.apsp_fell[:, r].any()
+        w.add_local_edge(5, 0, 1.0)  # its first edge: one pair per row, per column
+        assert w.apsp_fell[r, :r].all() and w.apsp_fell[:r, r].all()
+        marks = w.apsp_fell.copy()
+        # a same-shape recomputation keeps the marks: the pairs are still
+        # below the values they were last folded at
+        w.recompute_local_apsp(rises_known=True)
+        assert np.array_equal(w.apsp_fell, marks)
+        w.remove_local_vertex(1)
+        assert w.apsp_fell.shape == w.local_apsp.shape == (4, 4)
+        assert np.array_equal(
+            w.apsp_fell, np.delete(np.delete(marks, 1, axis=0), 1, axis=1)
+        )
+
+    def test_reload_and_crash_start_from_a_clear_mask(self):
+        cluster, w = self._joined()
+        crash_worker(cluster, 0)
+        assert w.apsp_fell.shape == w.local_apsp.shape == (0, 0)
+        cluster, w = self._joined()
+        g = cluster.graph
+        owner = {0: 0, 1: 0, 2: 1, 3: 0, 4: 0}
+        w.load_subgraph(extract_local_subgraph(g, [0, 1, 3, 4], owner, 0))
+        assert w.apsp_fell.shape == w.local_apsp.shape == (0, 0)
+        w.run_initial_approximation()
+        assert w.apsp_fell.shape == w.local_apsp.shape == (4, 4)
+        assert not w.apsp_fell.any()
+
+    def test_fold_consumes_the_mask_and_leaves_the_tasks_copy(self):
+        """The task's array is shared with a speculative backup, which reads
+        it after the apply: the worker drops it instead of clearing it."""
+        _cluster, w = self._joined()
+        task = w.superstep_prepare()
+        assert task.fell is w.apsp_fell and task.rose is None
+        marks = task.fell.copy()
+        result = w.tier.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
+        w.superstep_apply(task, result)
+        assert result.prop_charged and 0 in result.prop_improved
+        assert w.dv[w.row_of[0], 4] == 3.0
+        assert w.apsp_fell is not task.fell and not w.apsp_fell.any()
+        assert np.array_equal(task.fell, marks)
+        assert w.superstep_prepare().fell is None  # no pair set: nothing travels
+
+    def test_nothing_known_pending_drops_the_marks_and_runs_one_rectangle(
+        self, monkeypatch
+    ):
+        cluster, w = self._joined()
+        w.request_full_repropagate()  # e.g. a restore in the same tick
+        check_cluster_invariants(cluster)
+        calls = count_folds(
+            monkeypatch,
+            rectangle="minplus_fold",
+            push="minplus_fold_changed",
+            pull="minplus_pull",
+            pairs="minplus_fold_pairs",
+        )
+        assert superstep(w).prop_charged
+        assert calls == {"rectangle": 1, "push": 0, "pull": 0, "pairs": 0}
+        assert not w.apsp_fell.any()
+        assert w.dv[w.row_of[0], 4] == 3.0
+        check_cluster_invariants(cluster)
+
+    @pytest.mark.parametrize("order", ["add-then-delete", "delete-then-add"])
+    def test_local_edge_and_deletion_on_one_rank_in_one_tick(self, order):
+        """Path 0..7 with a heavy chord (2, 5) on no shortest path; rank 0
+        owns 0..5.  The bare local edge (0, 4) lowers pairs such as (1, 4),
+        and d(1, 6) improves only through that pair; deleting the chord
+        recomputes ``local_apsp`` (same shape) and must keep the marks."""
+        g = path_graph(8)
+        g.add_edge(2, 5, 10.0)
+        cluster = settled_cluster(g, {v: int(v > 5) for v in range(8)})
+        w = cluster.workers[0]
+
+        def add():
+            cluster.graph.add_edge(0, 4, 1.0)
+            w.add_local_edge(0, 4, 1.0)
+
+        ops = [add, lambda: apply_edge_deletion(cluster, 2, 5)]
+        for op in ops if order == "add-then-delete" else reversed(ops):
+            op()
+            check_cluster_invariants(cluster)
+        assert w.apsp_fell[1, 4] and w.local_apsp[1, 4] == 2.0
+        assert w._full_repropagate and not w._rises_unknown  # a repair, too
+        while cluster.any_pending():
+            cluster.exchange_boundary()
+            cluster.relax_and_propagate()
+            check_cluster_invariants(cluster)
+        assert not w.apsp_fell.any()
+        for rank in cluster.workers:
+            for v in rank.owned:
+                want = sssp_dijkstra(cluster.graph, v)
+                assert rank.dv[rank.row_of[v]].tolist() == [
+                    want[t] for t in cluster.index.ids
+                ]
