@@ -1,8 +1,7 @@
 """Kernel tiers: IA wall-clock by tier, bitwise-pinned to the oracle.
 
 Runs the same scenarios under the ``numpy`` oracle tier and the
-source-chunked ``scipy`` tier (plus the ``numba`` tier when its
-compiled kernels are importable) and records, per point,
+source-chunked ``scipy`` tier and records, per point,
 
 * the initial-approximation (IA) wall time for the serial oracle, the
   process backend under the oracle tier (one task per rank), and the
@@ -12,10 +11,8 @@ compiled kernels are importable) and records, per point,
 * the IA speedup of ``scipy``/process over the serial oracle and over
   ``numpy``/process (the latter isolates what chunking itself buys),
 
-and verifies the acceptance criteria: the scipy tier's closeness must
-be **bitwise identical** to the numpy oracle, and the numba tier must
-be exact when it falls back to scipy or within
-``NUMBA_CLOSENESS_RTOL`` when compiled.
+and verifies the acceptance criterion: the scipy tier's closeness must
+be **bitwise identical** to the numpy oracle.
 
 The ``>= 5x`` IA speedup floor at 20k vertices only makes sense with
 the cores to back it: the gate is enforced only when ``cpu_count >=
@@ -43,7 +40,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro import AnytimeAnywhereCloseness, AnytimeConfig
 from repro.bench.workloads import incremental_stream
 from repro.graph import barabasi_albert
-from repro.runtime.kernels import HAS_NUMBA, NUMBA_CLOSENESS_RTOL
 
 RESULTS = Path(__file__).parent / "results" / "BENCH_kernel_tiers.json"
 
@@ -66,19 +62,6 @@ SMOKE_DYNAMIC_N = 200
 
 def closeness_bits(closeness: Dict[int, float]) -> List[Tuple[int, bytes]]:
     return [(v, struct.pack("<d", closeness[v])) for v in sorted(closeness)]
-
-
-def max_rel_err(
-    a: List[Tuple[int, bytes]], b: List[Tuple[int, bytes]]
-) -> float:
-    err = 0.0
-    for (va, ba), (vb, bb) in zip(a, b):
-        assert va == vb
-        x = struct.unpack("<d", ba)[0]
-        y = struct.unpack("<d", bb)[0]
-        denom = max(abs(x), abs(y), 1e-300)
-        err = max(err, abs(x - y) / denom)
-    return err
 
 
 def phase_walls(engine: AnytimeAnywhereCloseness) -> Dict[str, float]:
@@ -155,13 +138,8 @@ def run_point(
         "scipy_process": run_case(
             "process", "scipy", nprocs, graph, changes, strategy, ia_only
         ),
-        "numba_serial": run_case(
-            "serial", "numba", nprocs, graph, changes, strategy, ia_only
-        ),
     }
     oracle_bits = cases["numpy_serial"]["bits"]
-    numba_bits = cases["numba_serial"]["bits"]
-    numba_exact = numba_bits == oracle_bits
     point = {
         "nprocs": nprocs,
         "scipy_bitwise_identical": (
@@ -169,10 +147,6 @@ def run_point(
         ),
         "numpy_process_bitwise_identical": (
             cases["numpy_process"]["bits"] == oracle_bits
-        ),
-        "numba_exact": numba_exact,
-        "numba_max_rel_err": (
-            0.0 if numba_exact else max_rel_err(numba_bits, oracle_bits)
         ),
         "ia_speedup_scipy_vs_serial": (
             cases["numpy_serial"]["ia_wall_seconds"]
@@ -255,18 +229,6 @@ def main(argv: List[str] | None = None) -> int:
                     f"{where}: process backend differs from serial under"
                     " the numpy tier"
                 )
-            if HAS_NUMBA:
-                if pt["numba_max_rel_err"] > NUMBA_CLOSENESS_RTOL:
-                    failures.append(
-                        f"{where}: numba closeness off by"
-                        f" {pt['numba_max_rel_err']:.2e}, beyond the"
-                        f" {NUMBA_CLOSENESS_RTOL:.0e} bound"
-                    )
-            elif not pt["numba_exact"]:
-                failures.append(
-                    f"{where}: numba fallback (scipy) is not bitwise"
-                    " identical to the oracle"
-                )
     if gate_active:
         static = next(s for s in scenarios if s["name"] == "static")
         gated = next(
@@ -291,8 +253,6 @@ def main(argv: List[str] | None = None) -> int:
         "bench": "kernel_tiers",
         "smoke": args.smoke,
         "cpu_count": cpu_count,
-        "numba_compiled": HAS_NUMBA,
-        "numba_closeness_rtol": NUMBA_CLOSENESS_RTOL,
         "gate_active": gate_active,
         "required_ia_speedup": REQUIRED_IA_SPEEDUP,
         "gated_nprocs": GATED_NPROCS,
@@ -314,12 +274,11 @@ def main(argv: List[str] | None = None) -> int:
                 f" (x{pt['ia_speedup_scipy_vs_serial']:.2f} vs serial,"
                 f" x{pt['ia_speedup_scipy_vs_numpy_process']:.2f} vs"
                 " numpy/proc),"
-                f" scipy_bitwise={pt['scipy_bitwise_identical']},"
-                f" numba_exact={pt['numba_exact']}"
+                f" scipy_bitwise={pt['scipy_bitwise_identical']}"
             )
     print(
-        f"cpu_count={cpu_count}, numba_compiled={HAS_NUMBA},"
-        f" gate_active={gate_active}; report written to {out}"
+        f"cpu_count={cpu_count}, gate_active={gate_active};"
+        f" report written to {out}"
     )
     if failures:
         for f in failures:

@@ -5,9 +5,9 @@ ones — the paper's "adding new publications to a citation network"
 example).  Occasionally a paper is retracted (*vertex deletion*) or a
 citation is corrected (*edge deletion*).  This example exercises:
 
-* the adaptive strategy (Fig. 1 line 16): small batches are absorbed with
-  the anywhere vertex-addition strategy, a large conference-proceedings
-  dump triggers Repartition-S,
+* ``strategy="adaptive"`` (Fig. 1 line 16): small batches are absorbed with
+  the anywhere vertex-addition strategy (CutEdge-PS), a large
+  conference-proceedings dump triggers Repartition-S,
 * vertex/edge deletions — the paper's stated future work, implemented here,
 * the anytime property: interrupted results remain valid upper bounds.
 
@@ -16,7 +16,6 @@ Run:  python examples/citation_network.py
 
 from repro import AnytimeAnywhereCloseness, AnytimeConfig, ChangeBatch, ChangeStream
 from repro.centrality import exact_closeness
-from repro.core.strategies import AdaptiveStrategy, CutEdgePS, RepartitionStrategy
 from repro.graph import barabasi_albert, batch_from_subgraph, induced_subgraph
 from repro.graph.changes import EdgeDeletion, VertexDeletion
 
@@ -52,20 +51,17 @@ def main() -> None:
     )
 
     # --- run with the adaptive strategy ---------------------------------
-    engine = AnytimeAnywhereCloseness(base, AnytimeConfig(nprocs=8, seed=23))
-    engine.setup()
-    adaptive = AdaptiveStrategy(
-        CutEdgePS(), RepartitionStrategy(), threshold=0.10
+    # growth goes through CutEdge-PS below 10% of |V| new papers and
+    # through Repartition-S above; deletions go to the deletion strategies
+    engine = AnytimeAnywhereCloseness(
+        base, AnytimeConfig(nprocs=8, seed=23, repartition_threshold=0.10)
     )
-    from repro.core.strategies import CompositeStrategy
-
-    # route growth through the adaptive chooser, deletions through the
-    # deletion strategies
-    strategy = CompositeStrategy(adaptive)
+    engine.setup()
+    strategy = engine.resolve_strategy("adaptive")
     result = engine.run(changes=stream, strategy=strategy)
     print(f"absorbed {stream.total_events()} events in {result.rc_steps}"
-          f" RC steps; adaptive chose {adaptive.last_choice!r} for the"
-          f" final growth batch")
+          f" RC steps; adaptive decisions:"
+          f" {[d.line() for d in strategy.decisions]}")
 
     # --- validate --------------------------------------------------------
     final = base.copy()

@@ -25,6 +25,8 @@ from .bench.scenarios import (
     figure8,
     scaling,
 )
+from .runtime.backends import available_backends
+from .runtime.kernels import available_tiers
 
 __all__ = ["main", "build_parser"]
 
@@ -134,16 +136,15 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--strategy", type=str, default="cutedge")
     tp.add_argument("--seed", type=int, default=7)
     tp.add_argument("--backend", type=str, default=None,
-                    choices=["serial", "process"],
+                    choices=available_backends(),
                     help="execution backend (default: REPRO_BACKEND or"
                          " serial); results are bitwise-identical either"
                          " way, only wall time differs")
     tp.add_argument("--kernel-tier", type=str, default=None,
-                    choices=["numpy", "scipy", "numba"],
+                    choices=available_tiers(),
                     help="kernel tier (default: REPRO_KERNEL_TIER or"
                          " numpy); scipy chunks the IA Dijkstra across"
-                         " the process pool, numba uses compiled kernels"
-                         " when installed")
+                         " the process pool")
     tp.add_argument("--json", type=str, default=None,
                     help="also dump the full trace to this JSON file")
     tp.add_argument("--trace-out", type=str, action="append", default=None,
@@ -209,9 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="strategy name for admitted batches; 'auto'"
                          " picks per batch from live signals")
     vp.add_argument("--backend", type=str, default=None,
-                    choices=["serial", "process"])
+                    choices=available_backends())
     vp.add_argument("--kernel-tier", type=str, default=None,
-                    choices=["numpy", "scipy", "numba"])
+                    choices=available_tiers())
     vp.add_argument("--max-events", type=int, default=8,
                     help="admission: full-batch size trigger")
     vp.add_argument("--max-delay-ticks", type=int, default=4,

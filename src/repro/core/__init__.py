@@ -5,7 +5,6 @@ from .engine import AnytimeAnywhereCloseness, RunResult
 from .recombination import run_recombination
 from .snapshots import AnytimeSnapshot, take_snapshot
 from .strategies import (
-    AdaptiveStrategy,
     CompositeStrategy,
     CutEdgePS,
     DynamicStrategy,
@@ -38,6 +37,5 @@ __all__ = [
     "EdgeDeletionStrategy",
     "VertexDeletionStrategy",
     "RepartitionStrategy",
-    "AdaptiveStrategy",
     "CompositeStrategy",
 ]

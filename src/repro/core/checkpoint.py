@@ -317,20 +317,7 @@ def load_checkpoint(
     apsps = {r: data[f"apsp_{r}"] for r in range(nprocs)}
 
     engine = AnytimeAnywhereCloseness(graph, config)
-    cluster = Cluster(
-        graph.copy(),
-        nprocs,
-        cost=config.cost,
-        logp=config.logp,
-        schedule=config.schedule,
-        worker_speeds=config.worker_speeds,
-        wire_format=config.wire_format,
-        backend=config.backend,
-        kernel_tier=config.kernel_tier,
-    )
-    # the engine's graph copy is authoritative; keep cluster.graph == it
-    engine.cluster = cluster
-    cluster.graph = engine.graph
+    cluster = engine.cluster = engine._new_cluster()
     # rebuild the column index in the saved order
     cluster.index.ids = []
     cluster.index.col = {}

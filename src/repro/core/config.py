@@ -81,8 +81,9 @@ class AnytimeConfig:
         Safety bound on recombination steps before
         :class:`~repro.errors.ConvergenceError` is raised.
     repartition_threshold:
-        Fraction of |V| above which the adaptive strategy switches from
-        anywhere vertex addition to Repartition-S.
+        Fraction of |V| above which ``strategy="adaptive"`` (the
+        ``"threshold"`` policy) switches from CutEdge-PS vertex addition
+        to Repartition-S.
     wf_improved:
         Use Wasserman–Faust-scaled closeness in snapshots/results.
     collect_snapshots:
@@ -123,15 +124,11 @@ class AnytimeConfig:
     kernel_tier:
         Which kernel implementation executes the per-rank compute (see
         :mod:`repro.runtime.kernels`): ``"numpy"`` (the default — the
-        original statements, kept as the bitwise oracle), ``"scipy"``
+        original statements, kept as the bitwise oracle) or ``"scipy"``
         (same arithmetic, source-chunked IA so one rank's Dijkstra fans
-        out across the process pool) or ``"numba"`` (optional
-        ``@njit``-compiled kernels, ``pip install repro[numba]``,
-        auto-falling back to ``scipy`` behavior when numba is absent).
-        ``numpy`` and ``scipy`` are bitwise-identical in closeness,
-        traces and modeled clocks; ``numba`` is exact on relaxation and
-        min-plus and bounded on Dijkstra (see
-        ``repro.runtime.kernels.NUMBA_CLOSENESS_RTOL``).  Honors the
+        out across the process pool).  The two are bitwise-identical in
+        closeness, traces and modeled clocks; any other name is a
+        :class:`~repro.errors.ConfigurationError`.  Honors the
         ``REPRO_KERNEL_TIER`` environment variable, like ``backend``.
     observers:
         Observability specs handed to :func:`repro.obs.build_hub` —
@@ -209,9 +206,9 @@ class AnytimeConfig:
             )
         # literal duplicate of runtime.kernels.available_tiers(), for
         # the same importability reason
-        if self.kernel_tier not in ("numpy", "scipy", "numba"):
+        if self.kernel_tier not in ("numpy", "scipy"):
             raise ConfigurationError(
-                f"kernel_tier must be 'numpy', 'scipy' or 'numba',"
+                f"kernel_tier must be 'numpy' or 'scipy',"
                 f" got {self.kernel_tier!r}"
             )
         for spec in self.observers:

@@ -17,8 +17,10 @@ Dynamic analysis schedules change batches at RC steps::
 
 Strategy names: ``"roundrobin"``, ``"cutedge"``, ``"leastloaded"``,
 ``"neighbormajority"`` (anywhere vertex addition with the corresponding
-placement), ``"repartition"`` (Repartition-S), ``"adaptive"``
-(threshold-switched), or any :class:`DynamicStrategy` instance.
+placement), ``"repartition"`` (Repartition-S), ``"adaptive"`` (CutEdge-PS
+up to ``repartition_threshold * |V|`` new vertices, Repartition-S above),
+``"auto"`` (chosen per batch by ``config.strategy_policy``), or any
+:class:`DynamicStrategy` instance.
 ``run_baseline_restart`` provides the paper's restart-from-scratch
 comparison point.
 """
@@ -199,18 +201,7 @@ class AnytimeAnywhereCloseness:
         if self.cluster is not None:
             # re-setup (baseline restarts): release the old backend
             self.cluster.close()
-        self.cluster = Cluster(
-            self.graph,
-            cfg.nprocs,
-            cost=cfg.cost,
-            logp=cfg.logp,
-            schedule=cfg.schedule,
-            worker_speeds=cfg.worker_speeds,
-            wire_format=cfg.wire_format,
-            backend=cfg.backend,
-            kernel_tier=cfg.kernel_tier,
-            obs=self.obs,
-        )
+        self.cluster = self._new_cluster()
         self.cluster.decompose(cfg.partitioner)
         self.cluster.run_initial_approximation()
         logger.debug(
@@ -225,6 +216,23 @@ class AnytimeAnywhereCloseness:
             self.snapshots.append(
                 take_snapshot(self.cluster, -1, wf_improved=cfg.wf_improved)
             )
+
+    def _new_cluster(self) -> Cluster:
+        """An empty cluster over ``self.graph``, wired to this engine's
+        config and observers (``setup()`` and checkpoint restore)."""
+        cfg = self.config
+        return Cluster(
+            self.graph,
+            cfg.nprocs,
+            cost=cfg.cost,
+            logp=cfg.logp,
+            schedule=cfg.schedule,
+            worker_speeds=cfg.worker_speeds,
+            wire_format=cfg.wire_format,
+            backend=cfg.backend,
+            kernel_tier=cfg.kernel_tier,
+            obs=self.obs,
+        )
 
     def _require_cluster(self) -> Cluster:
         if self.cluster is None:
@@ -486,16 +494,13 @@ class AnytimeAnywhereCloseness:
         self.setup()
         cluster = self._require_cluster()
         # the original analysis progresses until the first change arrives
-        if schedule:
-            first_step, _ = schedule[0]
-            for s in range(first_step):
-                if not cluster.any_pending():
-                    break
-                cluster.tracer.begin("rc_step", s)
-                cluster.exchange_boundary()
-                cluster.relax_and_propagate()
-                cluster.tracer.end()
-        steps = 0
+        # (to convergence when none is scheduled)
+        steps = run_recombination(
+            cluster,
+            max_steps=cfg.max_rc_steps,
+            start_step=0,
+            step_budget=schedule[0][0] if schedule else None,
+        )
         for i, (_sched_step, batch) in enumerate(schedule):
             # restart: all partial results are thrown away, and — unlike the
             # anywhere strategies — the recomputation must run to completion
@@ -509,10 +514,6 @@ class AnytimeAnywhereCloseness:
             batch.apply_to(self.graph)
             self.setup()
             cluster = self._require_cluster()
-            steps = run_recombination(
-                cluster, max_steps=cfg.max_rc_steps, start_step=0
-            )
-        if not schedule:
             steps = run_recombination(
                 cluster, max_steps=cfg.max_rc_steps, start_step=0
             )

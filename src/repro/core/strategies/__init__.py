@@ -1,6 +1,6 @@
 """Recombination strategies: placement, additions, deletions, repartition."""
 
-from .adaptive import AdaptiveStrategy, CompositeStrategy
+from .adaptive import CompositeStrategy
 from .assignment import (
     CutEdgePS,
     LDGPS,
@@ -67,6 +67,5 @@ __all__ = [
     "RebalancedStrategy",
     "plan_rebalance",
     "apply_migration",
-    "AdaptiveStrategy",
     "CompositeStrategy",
 ]

@@ -1,61 +1,25 @@
-"""Constraint-driven strategy selection (paper Fig. 1 line 16).
+"""Routing of mixed change batches.
 
-The paper's RC template "chooses recombination strategy(ies) based on the
-constraints".  Two composites implement that choice:
-
-* :class:`AdaptiveStrategy` — the headline insight of the evaluation:
-  small batches go through the anywhere vertex-addition strategy, batches
-  larger than a threshold fraction of |V| go through Repartition-S.
-* :class:`CompositeStrategy` — routes a *mixed* batch to the appropriate
-  specialized strategies (additions, edge deletions/reweights, vertex
-  deletions) in a safe order.
+*Which* addition strategy a batch gets (paper Fig. 1 line 16) is a
+:class:`~repro.core.strategies.policy.StrategyPolicy` decision;
+:class:`CompositeStrategy` sends the parts of a *mixed* batch (additions,
+edge deletions/reweights, vertex deletions) to the specialized strategies
+in a safe order.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from ...graph.changes import ChangeBatch
-from .base import DynamicStrategy, ProcessorAssignmentStrategy
+from .base import DynamicStrategy
 from .edge_deletion import EdgeDeletionStrategy
-from .repartition import RepartitionStrategy
-from .vertex_addition import VertexAdditionStrategy
 from .vertex_deletion import VertexDeletionStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...runtime.cluster import Cluster
 
-__all__ = ["AdaptiveStrategy", "CompositeStrategy"]
-
-
-class AdaptiveStrategy(DynamicStrategy):
-    """Switch between anywhere addition and Repartition-S by batch size."""
-
-    name = "adaptive"
-
-    def __init__(
-        self,
-        placement: ProcessorAssignmentStrategy,
-        repartition: Optional[RepartitionStrategy] = None,
-        *,
-        threshold: float = 0.05,
-    ) -> None:
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError("threshold must be a fraction of |V| in [0, 1]")
-        self.addition = VertexAdditionStrategy(placement)
-        self.repartition = repartition or RepartitionStrategy()
-        self.threshold = threshold
-        self.last_choice: Optional[str] = None
-
-    def apply(self, cluster: "Cluster", batch: ChangeBatch, step: int) -> None:
-        k = len(batch.vertex_additions)
-        n = max(cluster.graph.num_vertices, 1)
-        if k > self.threshold * n:
-            self.last_choice = self.repartition.name
-            self.repartition.apply(cluster, batch, step)
-        else:
-            self.last_choice = self.addition.name
-            self.addition.apply(cluster, batch, step)
+__all__ = ["CompositeStrategy"]
 
 
 class CompositeStrategy(DynamicStrategy):

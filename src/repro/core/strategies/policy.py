@@ -1,8 +1,7 @@
 """Signal-driven strategy selection (paper Fig. 1 line 16).
 
 The RC template "chooses recombination strategy(ies) based on the
-constraints".  :class:`AdaptiveStrategy` hard-codes one constraint
-(batch size); this module generalizes the choice into a pluggable
+constraints".  This module is that choice, as a pluggable
 **strategy policy**: a pure function from live run signals — the load
 gauges, wire statistics, queue depths and convergence residuals the obs
 layer already produces — to the *name* of the dynamic strategy to apply
@@ -12,9 +11,10 @@ Policies read signals through a :class:`~repro.obs.registry.SignalView`
 and return names resolved through the ordinary strategy registry, so a
 policy can steer anything that is registered — including strategies
 added downstream.  :class:`PolicyDrivenStrategy` adapts a policy back
-into a :class:`DynamicStrategy` (registered as ``"auto"``), which is
-what makes ``strategy="auto"`` work everywhere a strategy name is
-accepted.
+into a :class:`DynamicStrategy` — registered as ``"auto"`` (the policy
+``config.strategy_policy`` names) and ``"adaptive"`` (the batch-size
+:class:`ThresholdPolicy` over CutEdge-PS / Repartition-S) — which is
+what makes both names work everywhere a strategy name is accepted.
 
 Determinism: policies see only modeled quantities, collected into a
 *private* registry (observers on/off cannot change what a policy sees,
@@ -119,10 +119,10 @@ class FixedPolicy(StrategyPolicy):
 
 
 class ThresholdPolicy(StrategyPolicy):
-    """Batch-size threshold choice — :class:`AdaptiveStrategy` as a policy.
+    """Batch-size threshold choice: what ``strategy="adaptive"`` runs.
 
     Batches larger than ``threshold * |V|`` repartition; smaller batches
-    go through the anywhere vertex-addition path.
+    go through the anywhere vertex-addition strategy named ``small``.
     """
 
     name = "threshold"

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from ...errors import ConfigurationError
-from .adaptive import AdaptiveStrategy, CompositeStrategy
+from .adaptive import CompositeStrategy
 from .assignment import (
     CutEdgePS,
     LDGPS,
@@ -180,14 +180,10 @@ def _repartition(config: "AnytimeConfig") -> DynamicStrategy:
 
 @register("adaptive")
 def _adaptive(config: "AnytimeConfig") -> DynamicStrategy:
-    # composite wrapper so deletion events route to the deletion
-    # strategies while the adaptive chooser handles additions
-    return CompositeStrategy(
-        AdaptiveStrategy(
-            CutEdgePS(config.cutedge_partitioner),
-            RepartitionStrategy(config.partitioner),
-            threshold=config.repartition_threshold,
-        )
+    # the batch-size cut-over: CutEdge-PS below
+    # config.repartition_threshold * |V| new vertices, Repartition-S above
+    return PolicyDrivenStrategy(
+        ThresholdPolicy(config.repartition_threshold, small="cutedge"), config
     )
 
 

@@ -34,8 +34,6 @@ from .kernels import (
 )
 from .message import (
     DeltaRows,
-    Message,
-    MessageKind,
     delta_row_words,
     dense_row_words,
     dv_payload_words,
@@ -76,8 +74,6 @@ __all__ = [
     "GlobalIndex",
     "Tracer",
     "PhaseRecord",
-    "Message",
-    "MessageKind",
     "DeltaRows",
     "dense_row_words",
     "delta_row_words",

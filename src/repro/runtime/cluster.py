@@ -113,7 +113,7 @@ class Cluster:
         #: process backend can hand shared-memory views to its pool
         self.backend = make_backend(backend, nprocs)
         #: kernel tier executing the per-rank compute (numpy oracle /
-        #: source-chunked scipy / optional compiled numba)
+        #: source-chunked scipy)
         self.tier = make_tier(kernel_tier)
         self.workers: List[Worker] = [
             Worker(

@@ -13,10 +13,11 @@ implementations selected via ``AnytimeConfig.kernel_tier`` /
 ``scipy``
     the same arithmetic with source-chunked IA
     (``csgraph.dijkstra(indices=...)``), so one rank's all-pairs
-    Dijkstra fans out across the whole process pool;
-``numba``
-    optional ``@njit``-compiled kernels (``pip install repro[numba]``),
-    auto-falling back to ``scipy`` behavior when numba is absent.
+    Dijkstra fans out across the whole process pool.
+
+The two are bitwise-identical.  A further tier enters through
+:func:`register_tier` with a measurement of what it buys; an unregistered
+name is a :class:`~repro.errors.ConfigurationError`, never a substitute.
 
 Kernels touch only a picklable *task* (built by the worker in the
 coordinating process) and the worker's large matrices — ``dv``,
@@ -73,17 +74,17 @@ from .registry import (
 # importing the tier modules registers them (in tier order)
 from .numpy_tier import NumpyTier
 from .scipy_tier import ScipyTier
-from .numba_tier import HAS_NUMBA, NUMBA_CLOSENESS_RTOL, NumbaTier
+
+# read only by benchmarks/e2e/run.py::_host, which this tree may not edit;
+# goes with the next [benchmark] PR
+HAS_NUMBA = False
 
 __all__ = [
     "ChunkList",
-    "HAS_NUMBA",
     "IATask",
     "IndexArray",
     "KERNEL_TIERS",
     "KernelTier",
-    "NUMBA_CLOSENESS_RTOL",
-    "NumbaTier",
     "NumpyTier",
     "RelaxItems",
     "ScipyTier",

@@ -8,9 +8,8 @@ subprocess can supply shared-memory views.
 
 A :class:`KernelTier` is one implementation of the compute itself: the
 ``numpy`` tier is the bitwise oracle (the original NumPy/SciPy
-statements), the ``scipy`` tier splits one rank's IA into many
-source-chunks that fan out across the process pool, and the ``numba``
-tier swaps in ``@njit``-compiled kernels when numba is installed.
+statements) and the ``scipy`` tier splits one rank's IA into many
+source-chunks that fan out across the process pool.
 Every tier must keep closeness, traces and the modeled clock invariant:
 the modeled charges are computed from task *shape* only (``n``,
 ``nnz``), in the worker's ``*_apply`` methods, so they cannot depend on
@@ -120,7 +119,7 @@ class KernelTier:
     decides whether they are private arrays or shared-memory views.
     """
 
-    #: registry name, e.g. ``"numpy"`` / ``"scipy"`` / ``"numba"``
+    #: registry name, e.g. ``"numpy"`` / ``"scipy"``
     name: str = "base"
 
     # -- IA phase ------------------------------------------------------

@@ -3,8 +3,7 @@
 Tiers register a zero-argument factory under a short name; config,
 CLI and the process-pool children resolve tiers by that name.  Tier
 instances are stateless, so :func:`make_tier` memoizes one instance
-per name (pool children resolve a tier per task — a fresh object per
-task would recompile numba dispatchers).
+per name (pool children resolve a tier per task).
 """
 
 from __future__ import annotations

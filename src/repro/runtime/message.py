@@ -1,13 +1,12 @@
-"""Message types exchanged between simulated workers.
+"""What simulated workers put on the wire, and what it costs.
 
 Payloads are NumPy rows of distance values; the network only *prices* them
 (LogP model), delivery itself is an in-process handoff.
 
 Wire pricing is unified here: every send site charges through
 :func:`dense_row_words` / :func:`delta_row_words` (directly or via
-:meth:`DeltaRows.words` / :meth:`Message.payload_words` /
-:func:`dv_payload_words`), so the dense and delta formats are priced by
-one formula each.
+:meth:`DeltaRows.words` / :func:`dv_payload_words`), so the dense and
+delta formats are priced by one formula each.
 
 Two boundary-row wire formats exist (``AnytimeConfig.wire_format``):
 
@@ -23,15 +22,12 @@ Two boundary-row wire formats exist (``AnytimeConfig.wire_format``):
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Tuple
 
-from ..types import FloatArray, IntArray, Rank, VertexId
+from ..types import FloatArray, IntArray, VertexId
 
 __all__ = [
-    "MessageKind",
-    "Message",
     "DeltaRows",
     "dense_row_words",
     "delta_row_words",
@@ -56,16 +52,6 @@ def delta_row_words(n_entries: int) -> int:
 def dv_payload_words(n_rows: int, n_cols: int) -> int:
     """Wire words for ``n_rows`` dense DV rows of ``n_cols`` entries each."""
     return n_rows * dense_row_words(n_cols)
-
-
-class MessageKind(enum.Enum):
-    """Wire-message categories, used for tracing and accounting."""
-
-    BOUNDARY_DV = "boundary_dv"      # RC-step boundary distance vectors
-    ROW_BROADCAST = "row_broadcast"  # edge/vertex addition DV-row broadcast
-    MIGRATION = "migration"          # Repartition-S partial-result movement
-    CONTROL = "control"              # notifications, convergence votes
-    GATHER = "gather"                # result collection
 
 
 @dataclass
@@ -110,24 +96,4 @@ class DeltaRows:
             words += dense_row_words(row.size)
         for cols, _vals in self.sparse.values():
             words += delta_row_words(cols.size)
-        return words
-
-
-@dataclass
-class Message:
-    """One logical message between two ranks."""
-
-    kind: MessageKind
-    src: Rank
-    dst: Rank
-    #: payload rows: vertex id -> distance row (may be empty for control)
-    rows: Dict[VertexId, FloatArray] = field(default_factory=dict)
-    #: extra payload words beyond the rows (headers, scalars)
-    extra_words: int = 0
-
-    def payload_words(self) -> int:
-        """Number of 8-byte words on the wire."""
-        words = self.extra_words
-        for row in self.rows.values():
-            words += dense_row_words(row.size)
         return words

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import struct
 import sys
 from pathlib import Path
 from typing import Dict, Optional
@@ -87,6 +89,18 @@ def run_and_verify(
     for v, c in exact.items():
         assert result.closeness[v] == pytest.approx(c, abs=tol), f"vertex {v}"
     return result.closeness
+
+
+def result_pin(result) -> str:
+    """What a replaced code path is pinned on: ``rc_steps|modeled clock
+    (hex)|wire_words|boundary_words|sha256 of the closeness bits[:16]``."""
+    bits = b"".join(
+        struct.pack("<qd", v, c) for v, c in sorted(result.closeness.items())
+    )
+    return (
+        f"{result.rc_steps}|{result.modeled_seconds.hex()}|{result.wire_words}"
+        f"|{result.boundary_words}|{hashlib.sha256(bits).hexdigest()[:16]}"
+    )
 
 
 def stream_outcome(base: Graph, batches, final: Graph, *, straggler=False, **config):

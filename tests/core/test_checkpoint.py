@@ -266,3 +266,29 @@ class TestFileValidation:
             np.savez_compressed(fh, **arrays)
         with pytest.raises(ConfigurationError, match="column index"):
             load_checkpoint(path)
+
+
+def test_restored_engine_traces_supersteps(tmp_path):
+    """A restored engine's cluster reports to the engine's observers."""
+    import json
+
+    import validate_trace  # tools/ is on sys.path via tests/conftest.py
+
+    _, engine = make_engine()
+    save_checkpoint(engine, tmp_path / "c.npz")
+    trace = tmp_path / "t.jsonl"
+    config = AnytimeConfig(
+        nprocs=4, collect_snapshots=False, observers=(f"jsonl:{trace}",)
+    )
+    with load_checkpoint(tmp_path / "c.npz", config) as restored:
+        steps = restored.run().rc_steps
+    assert steps > 0 and validate_trace.validate_trace_file(trace) == []
+    seen = [
+        (ev["kind"], ev["kind"] == "metric" or ev["name"], ev["rank"])
+        for ev in map(json.loads, trace.read_text().splitlines())
+    ]
+    for kind in ("begin", "end"):
+        assert seen.count((kind, "rc_step", None)) == steps
+    for rank in range(4):
+        assert seen.count(("point", "kernel", rank)) == steps
+    assert ("metric", True, None) in seen

@@ -9,10 +9,13 @@ from repro.errors import ConfigurationError
 from repro.graph import ChangeBatch, barabasi_albert
 from repro.graph.changes import VertexAddition
 from repro.core.strategies import (
-    AdaptiveStrategy,
     CompositeStrategy,
+    PolicyDrivenStrategy,
     RepartitionStrategy,
+    ThresholdPolicy,
 )
+
+from ..conftest import result_pin
 
 
 class TestLifecycle:
@@ -82,8 +85,8 @@ class TestStrategyResolution:
 
     def test_adaptive_name(self, engine):
         s = engine.resolve_strategy("adaptive")
-        assert isinstance(s, CompositeStrategy)
-        assert isinstance(s.addition, AdaptiveStrategy)
+        assert isinstance(s, PolicyDrivenStrategy)
+        assert isinstance(s.policy, ThresholdPolicy)
 
     def test_instance_passthrough(self, engine):
         s = RepartitionStrategy()
@@ -139,6 +142,32 @@ class TestBaselineRestart:
             return engine.run_baseline_restart(stream).modeled_seconds
 
         assert run(4) > 1.5 * run(1)
+
+
+    #: ``result_pin`` per inject step on ``community_workload(120, 12,
+    #: seed=4)``, recorded at b230718, where the steps before the first
+    #: batch ran in a loop of the engine's own; ``run_recombination``
+    #: paced by ``step_budget`` must charge the same clock and wire
+    #: (0: no step; 1-4: cut short; 8, 30: converged before the batch)
+    BASELINE_PINS = {
+        0: "5|0x1.7e3ee61d38088p-7|67727|66233|0594998c164e0273",
+        1: "5|0x1.de4f9cf9ad94cp-7|91567|66233|0594998c164e0273",
+        2: "5|0x1.1f6583ea0b812p-6|115407|66233|0594998c164e0273",
+        4: "5|0x1.508b6bb02de4cp-6|125727|66233|0594998c164e0273",
+        8: "5|0x1.537f335ffcc16p-6|125730|66233|0594998c164e0273",
+        30: "5|0x1.537f335ffcc16p-6|125730|66233|0594998c164e0273",
+    }
+
+    @pytest.mark.parametrize("inject_step", BASELINE_PINS)
+    def test_steps_before_the_first_batch_cost_what_they_did(self, inject_step):
+        wl = community_workload(120, 12, seed=4, inject_step=inject_step)
+        engine = AnytimeAnywhereCloseness(
+            wl.base, AnytimeConfig(nprocs=4, collect_snapshots=False)
+        )
+        with engine:
+            result = engine.run_baseline_restart(wl.stream)
+        assert result.restarts == 1
+        assert result_pin(result) == self.BASELINE_PINS[inject_step]
 
 
 class TestQueries:

@@ -2,9 +2,7 @@
 
 The ``scipy`` tier only changes *scheduling* (source-chunked IA), so its
 closeness bits, trace, modeled clock, and fault accounting must equal
-the ``numpy`` tier exactly, on either backend.  The ``numba`` tier is
-exact when the compiled kernels are absent (it falls back to ``scipy``)
-and bounded by ``NUMBA_CLOSENESS_RTOL`` when present.  Also covers the
+the ``numpy`` tier exactly, on either backend.  Also covers the
 tier registry/factory, config/CLI plumbing, the chunked-IA equivalence
 at the kernel level, the scatter-writeback min-plus regression against
 the old full-submatrix fold, and the cached sorted-subscriber lists on
@@ -13,6 +11,7 @@ the old full-submatrix fold, and the cached sorted-subscriber lists on
 
 from __future__ import annotations
 
+import re
 import struct
 from typing import Any, Dict, List, Tuple
 
@@ -43,11 +42,8 @@ from repro.runtime import (
 )
 from repro.runtime.chaos import FaultPlan
 from repro.runtime.kernels import (
-    HAS_NUMBA,
-    NUMBA_CLOSENESS_RTOL,
     IATask,
     KernelTier,
-    NumbaTier,
     NumpyTier,
     ScipyTier,
 )
@@ -155,29 +151,6 @@ class TestTierFingerprints:
             fault_plan=_fault_plan(),
         )
 
-    def test_numba_exact_or_bounded(self):
-        numba_fp = _run("serial", "numba", changes=_changes(), strategy="cutedge")
-        numpy_fp = _run("serial", "numpy", changes=_changes(), strategy="cutedge")
-        if not HAS_NUMBA:
-            # without the compiled kernels the tier delegates to scipy,
-            # which is bitwise-exact
-            assert numba_fp == numpy_fp
-            return
-        got = {v: struct.unpack("<d", b)[0] for v, b in numba_fp[0]}
-        want = {v: struct.unpack("<d", b)[0] for v, b in numpy_fp[0]}
-        assert set(got) == set(want)
-        for v, c in want.items():
-            assert got[v] == pytest.approx(c, rel=NUMBA_CLOSENESS_RTOL)
-
-    def test_numba_fallback_is_scipy(self):
-        tier = make_tier("numba")
-        assert isinstance(tier, NumbaTier)
-        assert tier.compiled == HAS_NUMBA
-        if not HAS_NUMBA:
-            # delegation means identical chunking decisions too
-            task = IATask(matrix=None, cols=np.arange(5), n=500, nnz=1000)
-            assert tier.ia_chunks(task, 4) == make_tier("scipy").ia_chunks(task, 4)
-
 
 class TestChunkedIAEquivalence:
     """Source-chunked IA composes to the full oracle call, bitwise."""
@@ -272,12 +245,11 @@ class TestScatterFoldRegression:
 
 class TestTierRegistry:
     def test_available_tiers(self):
-        assert available_tiers() == ("numpy", "scipy", "numba")
+        assert available_tiers() == ("numpy", "scipy")
 
     def test_make_tier_by_name(self):
         assert isinstance(make_tier("numpy"), NumpyTier)
         assert isinstance(make_tier("scipy"), ScipyTier)
-        assert isinstance(make_tier("numba"), NumbaTier)
 
     def test_make_tier_memoizes(self):
         assert make_tier("scipy") is make_tier("scipy")
@@ -315,6 +287,26 @@ class TestTierRegistry:
         with pytest.raises(ConfigurationError):
             AnytimeConfig(kernel_tier="fortran")
 
+    def test_config_names_match_the_registries(self, monkeypatch):
+        """config.py repeats the accepted names as literals (it imports
+        without the runtime package); they may not drift."""
+        from repro.core.config import _RECOVERY_POLICIES
+        from repro.runtime import RECOVERY_POLICIES, available_backends
+
+        assert _RECOVERY_POLICIES == RECOVERY_POLICIES
+        for field, names in (
+            ("kernel_tier", available_tiers()),
+            ("backend", available_backends()),
+        ):
+            for name in names:
+                AnytimeConfig(**{field: name})
+            with pytest.raises(ConfigurationError) as exc:
+                AnytimeConfig(**{field: "numba"})
+            assert tuple(re.findall(r"'(\w+)'", str(exc.value)))[:-1] == names
+        monkeypatch.setenv("REPRO_KERNEL_TIER", "numba")
+        with pytest.raises(ConfigurationError, match="'numpy' or 'scipy'"):
+            AnytimeConfig()
+
     def test_config_reads_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_TIER", "scipy")
         assert AnytimeConfig().kernel_tier == "scipy"
@@ -325,8 +317,8 @@ class TestTierRegistry:
         parser = build_parser()
         args = parser.parse_args(["trace", "--kernel-tier", "scipy"])
         assert args.kernel_tier == "scipy"
-        args = parser.parse_args(["serve", "--kernel-tier", "numba"])
-        assert args.kernel_tier == "numba"
+        args = parser.parse_args(["serve", "--kernel-tier", "scipy"])
+        assert args.kernel_tier == "scipy"
         args = parser.parse_args(["trace"])
         assert args.kernel_tier is None
 

@@ -1,8 +1,8 @@
-"""Tests for message types and payload accounting."""
+"""Tests for wire-payload pricing."""
 
 import numpy as np
 
-from repro.runtime import Message, MessageKind, dv_payload_words
+from repro.runtime import DeltaRows, dv_payload_words
 
 
 def test_payload_words_formula():
@@ -11,25 +11,5 @@ def test_payload_words_formula():
 
 
 def test_message_payload_counts_rows_and_headers():
-    msg = Message(
-        kind=MessageKind.BOUNDARY_DV,
-        src=0,
-        dst=1,
-        rows={5: np.zeros(10), 7: np.zeros(10)},
-    )
-    assert msg.payload_words() == 2 * 11
-
-
-def test_message_extra_words():
-    msg = Message(kind=MessageKind.CONTROL, src=0, dst=1, extra_words=4)
-    assert msg.payload_words() == 4
-
-
-def test_kinds_enumerated():
-    assert {k.value for k in MessageKind} == {
-        "boundary_dv",
-        "row_broadcast",
-        "migration",
-        "control",
-        "gather",
-    }
+    rows = DeltaRows(dense={5: np.zeros(10), 7: np.zeros(10)})
+    assert rows.words() == 2 * 11 == dv_payload_words(2, 10)
