@@ -8,14 +8,34 @@ per-edge broadcast relaxation, and the boundary-DV cut relaxation.
 import numpy as np
 import pytest
 
-from repro.graph import barabasi_albert, extract_local_subgraph
+import repro.runtime.kernels.oracle as oracle
+from repro.graph import (
+    barabasi_albert,
+    extract_local_subgraph,
+    random_weights,
+    watts_strogatz,
+)
 from repro.model import DEFAULT_COST
 from repro.partition import MultilevelPartitioner
 from repro.runtime import GlobalIndex, Worker
 
+#: IA inputs, one per path of ``oracle.local_apsp_rows``
+IA_GRAPHS = {
+    # unit weights, few levels: the level sweep
+    "scale-free": lambda s: barabasi_albert(s.n_base, s.m, seed=s.seed),
+    # mixed weights: Dijkstra
+    "weighted": lambda s: random_weights(
+        barabasi_albert(s.n_base, s.m, seed=s.seed), 1.0, 5.0, seed=s.seed
+    ),
+    # unit weights, a rank holds an arc of the ring: the sweep outruns its
+    # level budget and bails out to Dijkstra
+    "ring-lattice": lambda s: watts_strogatz(s.n_base, 4, 0.0, seed=s.seed),
+}
 
-def build(scale):
-    graph = barabasi_albert(scale.n_base, scale.m, seed=scale.seed)
+
+def build(scale, graph=None):
+    if graph is None:
+        graph = IA_GRAPHS["scale-free"](scale)
     part = MultilevelPartitioner(seed=scale.seed).partition(
         graph, scale.nprocs
     )
@@ -33,8 +53,22 @@ def superstep(w):
     w.superstep_apply(task, result)
 
 
-def test_initial_approximation_kernel(benchmark, scale):
-    graph, w = build(scale)
+@pytest.mark.parametrize(
+    "graph, sweeps",
+    [("scale-free", [True]), ("weighted", []), ("ring-lattice", [False])],
+)
+def test_initial_approximation_kernel(benchmark, scale, monkeypatch, graph, sweeps):
+    """Rank 0's IA on each path; ``sweeps`` is what the level sweep returns
+    (finished / not run / bailed out), checked once before timing."""
+    _graph, w = build(scale, IA_GRAPHS[graph](scale))
+    seen = []
+    level_sweep = oracle._level_sweep
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            oracle, "_level_sweep", lambda *a: seen.append(level_sweep(*a)) or seen[-1]
+        )
+        w.run_initial_approximation()
+    assert seen == sweeps
     benchmark(w.run_initial_approximation)
 
 

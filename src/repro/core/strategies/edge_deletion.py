@@ -63,8 +63,9 @@ def apply_edge_deletion(cluster: "Cluster", u: VertexId, v: VertexId) -> None:
     else:
         cluster.workers[rank_u].remove_cut_edge(u, v)
         cluster.workers[rank_v].remove_cut_edge(v, u)
-        # the subscription stays open (harmless) — rows keep flowing only
-        # while other cut edges to the same vertex exist
+        # the owners keep both ranks subscribed, so each endpoint's rows
+        # keep flowing to the other rank even with no cut edge left to
+        # relax them through: harmless to the result, but wire words
     # invalidation may have wiped locally-exact entries; restore them and
     # schedule a full re-propagation + boundary refresh on every worker
     for worker in cluster.workers:

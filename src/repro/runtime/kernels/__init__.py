@@ -1,19 +1,21 @@
 """Tiered compute kernels shared by the serial and process backends.
 
 The heavy per-rank work of the two parallelizable phases — the IA-phase
-local Dijkstra and the RC-step superstep (cut-edge relaxation + local
-min-plus propagation) — is factored into *kernel tiers*: pluggable
-implementations selected via ``AnytimeConfig.kernel_tier`` /
-``$REPRO_KERNEL_TIER`` / ``--kernel-tier`` and registered in
-:data:`KERNEL_TIERS` (mirroring ``STRATEGIES`` / ``POLICIES``):
+local APSP (:func:`.oracle.local_apsp_rows`: a bit-parallel level sweep
+when the edge weights are uniform, Dijkstra otherwise) and the RC-step
+superstep (cut-edge relaxation + local min-plus propagation) — is
+factored into *kernel tiers*: pluggable implementations selected via
+``AnytimeConfig.kernel_tier`` / ``$REPRO_KERNEL_TIER`` /
+``--kernel-tier`` and registered in :data:`KERNEL_TIERS` (mirroring
+``STRATEGIES`` / ``POLICIES``):
 
 ``numpy``
     the original NumPy/SciPy statements (:mod:`.oracle`), kept as the
     bitwise oracle every other tier is pinned against;
 ``scipy``
-    the same arithmetic with source-chunked IA
-    (``csgraph.dijkstra(indices=...)``), so one rank's all-pairs
-    Dijkstra fans out across the whole process pool.
+    the same arithmetic with source-chunked IA (rows ``[lo, hi)`` per
+    chunk), so one rank's all-pairs IA fans out across the whole
+    process pool.
 
 The two are bitwise-identical.  A further tier enters through
 :func:`register_tier` with a measurement of what it buys; an unregistered

@@ -9,7 +9,7 @@ bitwise-identical to these statements executed in serial order.
 
 from __future__ import annotations
 
-from typing import List, Set, Union
+from typing import Any, List, Set, Union
 
 import numpy as np
 import scipy.sparse.csgraph as csgraph
@@ -20,6 +20,7 @@ from .base import IATask, IndexArray, RelaxItems
 __all__ = [
     "ia_kernel",
     "ia_chunk_kernel",
+    "local_apsp_rows",
     "relax_cut_kernel",
     "minplus_fold",
     "minplus_fold_changed",
@@ -50,17 +51,40 @@ _ENTRY_CHUNK_ELEMS = 1 << 21
 _EDGE_DENSE_DIV = 4
 
 
+#: Fixed cost of one level of the IA sweep (its numpy calls, 6 us on the
+#: EXPERIMENTS.md host) in the units of :func:`_sweep_budget`.
+_SWEEP_FIXED = 24_000
+
+
+def _sweep_budget(n: int, s: int, nnz: int) -> int:
+    """Levels a sweep of ``s`` sources may run before Dijkstra is cheaper.
+
+    Units are level entries (one vertex x one source, 0.25 ns on the
+    EXPERIMENTS.md host).  A level costs ``n * s + (n + nnz) * (8 + 5 *
+    words) + _SWEEP_FIXED`` with ``words = ceil(s / 64)`` (gather and OR
+    per arc and source word).  ``csgraph.dijkstra`` costs at least ``6 *
+    _SWEEP_FIXED + s * (450 + 28 * n + 6 * nnz)``: 55 % of its cheapest
+    measured shapes, rings and ring lattices (80 us per call, 0.19 us per
+    source, 19-25 ns per source and vertex).  The sweep's setup and a
+    bail-out take one ``_SWEEP_FIXED`` of that, so a sweep stopped at the
+    budget has spent about half of Dijkstra's time.
+    """
+    words = -(-s // 64)
+    return min(
+        254,  # the level counts are uint8 and run one past the last level
+        (5 * _SWEEP_FIXED + s * (450 + 28 * n + 6 * nnz))
+        // (n * s + (n + nnz) * (8 + 5 * words) + _SWEEP_FIXED),
+    )
+
+
 def ia_kernel(task: IATask, dv: FloatArray, apsp: FloatArray) -> None:
     """Local APSP (the paper's multithreaded Dijkstra) + DV column fold.
 
     Writes into the caller-allocated ``apsp`` (shape ``(n, n)``) and
-    folds it into the owned columns of ``dv`` in place.
+    folds it into the owned columns of ``dv`` in place: the one chunk
+    that covers every source.
     """
-    apsp[:, :] = csgraph.dijkstra(task.matrix, directed=False)
-    cols = task.cols
-    # fancy indexing yields a copy, so an out= write would be lost;
-    # assign the minimum back explicitly
-    dv[:, cols] = np.minimum(dv[:, cols], apsp)
+    ia_chunk_kernel(task, 0, task.n, dv, apsp)
 
 
 def ia_chunk_kernel(
@@ -68,18 +92,99 @@ def ia_chunk_kernel(
 ) -> None:
     """IA restricted to sources ``[lo, hi)``; bitwise-equal to the full run.
 
-    Dijkstra computes each source independently, so the ``indices=``
-    rows equal the same rows of the full all-sources call, and the fold
-    touches only DV rows ``[lo, hi)`` (source ``s`` folds
+    Each source's row is computed independently (:func:`local_apsp_rows`),
+    and the fold touches only DV rows ``[lo, hi)`` (source ``s`` folds
     ``apsp[s, j]`` into ``dv[s, cols[j]]``) — chunks write disjoint row
     ranges of both matrices and compose, in any order or concurrently,
     to exactly the full :func:`ia_kernel` outcome.
     """
-    apsp[lo:hi, :] = csgraph.dijkstra(
-        task.matrix, directed=False, indices=np.arange(lo, hi)
-    )
+    local_apsp_rows(task.matrix, lo, hi, apsp[lo:hi])
     cols = task.cols
+    # fancy indexing yields a copy, so an out= write would be lost;
+    # assign the minimum back explicitly
     dv[lo:hi, cols] = np.minimum(dv[lo:hi, cols], apsp[lo:hi, :])
+
+
+def local_apsp_rows(matrix: Any, lo: int, hi: int, out: FloatArray) -> None:
+    """Shortest-path rows of sources ``[lo, hi)`` into ``out`` (``(hi - lo, n)``).
+
+    Bitwise ``csgraph.dijkstra(matrix, directed=False, indices=range(lo,
+    hi))`` for the symmetric CSR of an undirected sub-graph (what
+    ``Graph.to_csr`` exports).  When every stored weight is one value
+    ``w > 0``, shortest paths are BFS levels, and the rows come from a
+    level-synchronous sweep over all sources at once (:func:`_level_sweep`):
+    an entry reached at level ``k`` is ``((0.0 + w) + w) ... + w`` with
+    ``k`` additions, the left-to-right sum Dijkstra forms along any
+    ``k``-hop path — rounding is monotone, so no longer path sums lower.
+    Mixed weights, and blocks whose sweep outruns Dijkstra's cost (long
+    paths, rings), take ``csgraph.dijkstra``.  Sources are swept in blocks
+    whose temporaries stay under ``_ENTRY_CHUNK_ELEMS`` elements.
+    """
+    n = matrix.shape[0]
+    data, indices, starts = matrix.data, matrix.indices, matrix.indptr[:-1]
+    w = float(data[0]) if data.size else 1.0
+    if w > 0 and (data == w).all():
+        empty = matrix.indptr[1:] == starts
+        if empty.any():
+            # an isolated vertex gathers its own frontier row: never new
+            indices = np.insert(indices, starts[empty], np.flatnonzero(empty))
+            starts = starts + np.cumsum(empty) - empty
+        # level counts (n bytes per source) and the gathered frontier words
+        # (nnz / 8 bytes per source) stay under the element cap
+        block = max(64, _ENTRY_CHUNK_ELEMS // (n + data.size // 8) // 64 * 64)
+        for b0 in range(lo, hi, block):
+            b1 = min(b0 + block, hi)
+            if not _level_sweep(indices, starts, w, b0, b1, out[b0 - lo:b1 - lo]):
+                lo, out = b0, out[b0 - lo:]
+                break
+        else:
+            return
+    out[:, :] = csgraph.dijkstra(matrix, directed=False, indices=np.arange(lo, hi))
+
+
+def _level_sweep(
+    indices: IndexArray, starts: IndexArray, w: float, lo: int, hi: int, out: FloatArray
+) -> bool:
+    """Multi-source BFS from sources ``[lo, hi)``; ``False`` = over budget.
+
+    Sources are bits: ``frontier`` / ``unvisited`` hold one bit per
+    source in ``(n, ceil(s / 64))`` words, and one level is a gather of
+    frontier rows by neighbour, an OR per row (``np.bitwise_or.reduceat``
+    over ``starts``, every row non-empty), then ``& unvisited``.
+    ``level`` counts, per vertex and source, the expansions it was still
+    unvisited before: its BFS level, or the number of expansions when
+    never reached (mapped to ``inf``).
+    """
+    n, s = out.shape[1], hi - lo
+    budget = _sweep_budget(n, s, indices.size)
+    if budget < 1:
+        return False
+    frontier = np.zeros((n, -(-s // 64)), dtype=np.uint64)
+    src = np.arange(s)
+    frontier.view(np.uint8)[lo + src, src >> 3] = np.left_shift(1, src & 7)
+    unvisited = ~frontier
+    level = np.zeros((n, s), dtype=np.uint8)
+    sums = [0.0]
+    while True:
+        level += np.unpackbits(
+            unvisited.view(np.uint8), axis=1, count=s, bitorder="little"
+        )
+        reached = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
+        reached &= unvisited
+        if not reached.any():
+            break
+        if len(sums) > budget:
+            return False
+        unvisited ^= reached
+        frontier = reached
+        sums.append(sums[-1] + w)
+    sums.append(np.inf)
+    table = np.array(sums)
+    # np.take converts its index to intp: 64 sources at a time keeps that
+    # copy an eighth of the block's own rows
+    for j in range(0, s, 64):
+        np.take(table, level[:, j:j + 64].T, out=out[j:j + 64], mode="clip")
+    return True
 
 
 def relax_cut_kernel(

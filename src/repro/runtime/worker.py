@@ -351,7 +351,7 @@ class Worker:
     def _local_apsp_fold(
         self, *, repropagate: bool, rises_known: bool = False
     ) -> None:
-        """Shared IA body: CSR build, local Dijkstra, fold into ``dv``.
+        """Shared IA body: CSR build, local APSP, fold into ``dv``.
 
         ``repropagate=False`` is the IA phase proper (seed the change
         tracking and queue every boundary row); ``repropagate=True`` is
@@ -368,7 +368,7 @@ class Worker:
         """Snapshot this rank's IA work; ``None`` when nothing is owned.
 
         Pre-allocates ``local_apsp`` at its final ``(n, n)`` shape so a
-        kernel subprocess can write the Dijkstra result straight into
+        kernel subprocess can write the local APSP rows straight into
         the (possibly shared-memory) destination.
         """
         n = self.n_local

@@ -15,6 +15,7 @@ from ..conftest import (
     cycle_graph,
     path_graph,
     run_and_verify,
+    stream_outcome,
 )
 
 
@@ -168,9 +169,10 @@ class TestReweight:
             engine.run(changes=stream, strategy=EdgeDeletionStrategy())
 
 
-def same_rank_pairs(base, *, present, nprocs=4, seed=5):
-    """Vertex pairs ``u < v`` owned by one rank under the partition the
-    stream helpers run with, that are (``present``) or are not edges."""
+def same_rank_pairs(base, *, present, nprocs=4, seed=5, only_rank=None):
+    """Vertex pairs ``u < v`` owned by one rank (``only_rank``, if given)
+    under the partition the stream helpers run with, that are
+    (``present``) or are not edges."""
     config = AnytimeConfig(nprocs=nprocs, seed=seed, collect_snapshots=False)
     with AnytimeAnywhereCloseness(base, config) as engine:
         engine.setup()
@@ -180,6 +182,7 @@ def same_rank_pairs(base, *, present, nprocs=4, seed=5):
         for u in sorted(rank)
         for v in sorted(rank)
         if u < v and rank[u] == rank[v] and base.has_edge(u, v) == present
+        and only_rank in (None, rank[u])
     ]
 
 
@@ -190,8 +193,14 @@ def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant(monkeypa
     delete-then-add) whose fallen ``local_apsp`` pairs are folded: pull,
     push and pairs must give the same bits wherever they run — serial,
     pool children (the masks ride in the task), the scipy tier, and the
-    speculative backup of a straggling rank."""
+    speculative backup of a straggling rank.
+
+    Steps 6-9 walk rank 1 through both IA paths: its uniform weights take
+    the level sweep at setup; a reweight-up leaves it mixed, so the next
+    local-APSP rebuild (after a deletion) takes Dijkstra; a reweight back
+    to the common weight returns the rebuild after that to the sweep."""
     from repro.graph.changes import VertexAddition
+    from repro.runtime import Worker
 
     base = barabasi_albert(64, 3, seed=12)
     edges = [(u, v) for u, v, _w in base.edge_list()]
@@ -201,6 +210,7 @@ def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant(monkeypa
     ]
     local_absent = same_rank_pairs(base, present=False)
     local_edges = same_rank_pairs(base, present=True)
+    rank1 = same_rank_pairs(base, present=True, only_rank=1)
     batches = {
         1: ChangeBatch(
             edge_deletions=[EdgeDeletion(*edges[5]), EdgeDeletion(*edges[40])],
@@ -229,6 +239,10 @@ def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant(monkeypa
             edge_reweights=[EdgeReweight(*absent[0], 6.0)],
             edge_additions=[EdgeAddition(*absent[3], 2.0)],
         ),
+        6: ChangeBatch(edge_reweights=[EdgeReweight(*rank1[0], 3.0)]),
+        7: ChangeBatch(edge_deletions=[EdgeDeletion(*rank1[1])]),
+        8: ChangeBatch(edge_reweights=[EdgeReweight(*rank1[0], 1.0)]),
+        9: ChangeBatch(edge_deletions=[EdgeDeletion(*rank1[2])]),
     }
     pair_folds = []
     fold_pairs = oracle.minplus_fold_pairs
@@ -237,9 +251,44 @@ def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant(monkeypa
         pair_folds.append(int(fell.sum()))
         return fold_pairs(apsp, dv, fell, src)
 
+    # per in-process local-APSP call: (rank, weights uniform, sweep ran)
+    ia_calls = []
+    rank_of_matrix = {}
+    ia_prepare, apsp_rows, level_sweep = (
+        Worker.ia_prepare, oracle.local_apsp_rows, oracle._level_sweep
+    )
+
+    def prepare_spy(worker):
+        task = ia_prepare(worker)
+        if task is not None:
+            rank_of_matrix[id(task.matrix)] = worker.rank
+        return task
+
+    def rows_spy(matrix, lo, hi, out):
+        data = matrix.data
+        # (a pool child holds an unpickled copy: no rank, and its list is its own)
+        ia_calls.append([rank_of_matrix.get(id(matrix)), (data == data[0]).all(), False])
+        apsp_rows(matrix, lo, hi, out)
+
+    def sweep_spy(*args):
+        ia_calls[-1][2] = True
+        return level_sweep(*args)
+
     monkeypatch.setattr(oracle, "minplus_fold_pairs", spy)
+    monkeypatch.setattr(Worker, "ia_prepare", prepare_spy)
+    monkeypatch.setattr(oracle, "local_apsp_rows", rows_spy)
+    monkeypatch.setattr(oracle, "_level_sweep", sweep_spy)
     assert_stream_is_backend_and_tier_invariant(base, batches)
     assert len(pair_folds) >= 8 and min(pair_folds) > 0  # the in-process runs
+    assert all(uniform == swept for _rank, uniform, swept in ia_calls)
+    # one serial run, every IA call in process: setup sweeps every rank
+    ia_calls.clear()
+    stream_outcome(base, batches, apply_all(base, batches), backend="serial")
+    assert [c[1:] for c in ia_calls[:4]] == [[True, True]] * 4
+    assert all(uniform == swept for _rank, uniform, swept in ia_calls)
+    on_rank1 = [uniform for rank, uniform, _swept in ia_calls if rank == 1]
+    mixed = on_rank1.index(False)  # after step 6: Dijkstra
+    assert True in on_rank1[mixed:]  # after step 8: the sweep again
 
 
 def test_float_weight_local_edge_stream_is_exact_and_anytime():

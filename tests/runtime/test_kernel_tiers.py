@@ -17,13 +17,14 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph as csgraph
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import AnytimeAnywhereCloseness, AnytimeConfig, ResilienceConfig
 from repro.cli import build_parser
 from repro.errors import ConfigurationError
-from repro.graph import Graph, barabasi_albert, extract_local_subgraph
+from repro.graph import Graph, barabasi_albert, extract_local_subgraph, random_weights
 from repro.graph.changes import (
     ChangeBatch,
     ChangeStream,
@@ -184,19 +185,32 @@ class TestChunkedIAEquivalence:
         task = IATask(matrix=task.matrix, cols=task.cols, n=500, nnz=task.nnz)
         assert NumpyTier().ia_chunks(task, parallelism=8) == [(0, 500)]
 
-    def test_chunked_equals_full_bitwise(self):
-        task, dv0 = self._task()
-        n = task.n
+    @pytest.mark.parametrize("weights", ["unit", "tenth", "random"])
+    def test_chunked_equals_full_bitwise(self, weights):
+        """Chunks and the whole task both equal one direct Dijkstra call:
+        the level sweep on uniform weights, Dijkstra on random ones."""
+        g = barabasi_albert(200, 2, seed=3)
+        if weights == "random":
+            g = random_weights(g, 0.5, 9.0, seed=4)
+        matrix = g.to_csr().matrix
+        if weights != "random":
+            matrix.data[:] = 1.0 if weights == "unit" else 0.1
+        n = matrix.shape[0]
+        task = IATask(matrix=matrix, cols=np.arange(n), n=n, nnz=matrix.nnz)
+        dv0 = np.random.default_rng(3).uniform(0.5, 30.0, size=(n, n))
+        apsp_want = csgraph.dijkstra(matrix, directed=False)
+        dv_want = np.minimum(dv0, apsp_want)
         dv_full = dv0.copy()
         apsp_full = np.zeros((n, n))
         oracle.ia_kernel(task, dv_full, apsp_full)
         dv_chunk = dv0.copy()
         apsp_chunk = np.zeros((n, n))
         tier = ScipyTier()
-        for lo, hi in [(0, 13), (13, 29), (29, n)]:
+        for lo, hi in [(0, 67), (67, 130), (130, n)]:
             tier.ia_chunk_kernel(task, lo, hi, dv_chunk, apsp_chunk)
-        assert dv_chunk.tobytes() == dv_full.tobytes()
-        assert apsp_chunk.tobytes() == apsp_full.tobytes()
+        for apsp, dv in ((apsp_full, dv_full), (apsp_chunk, dv_chunk)):
+            assert apsp.tobytes() == apsp_want.tobytes()
+            assert dv.tobytes() == dv_want.tobytes()
 
 
 class TestScatterFoldRegression:

@@ -39,11 +39,12 @@ from __future__ import annotations
 
 import tracemalloc
 from typing import Callable, List, NamedTuple, Optional, Tuple
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse.csgraph as csgraph
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro.runtime.kernels.oracle as kernels
@@ -53,8 +54,11 @@ from repro.graph import (
     ChangeBatch,
     Graph,
     barabasi_albert,
+    erdos_renyi,
     extract_local_subgraph,
+    planted_partition,
     random_weights,
+    watts_strogatz,
 )
 from repro.graph.changes import (
     EdgeAddition,
@@ -72,7 +76,7 @@ from repro.runtime.shm import (
     detach_shm,
 )
 
-from ..conftest import path_graph, superstep
+from ..conftest import cycle_graph, grid_graph, path_graph, superstep
 
 
 def unblocked_reference(
@@ -1244,3 +1248,175 @@ class TestRelaxEdgeKernel:
             tracemalloc.stop()
         assert rows.tolist() == list(range(n_local))  # everyone reaches a now
         assert peak < n_local * n_cols * 8 // 4
+
+
+# ----------------------------------------------------------------------
+# IA local APSP rows: the level sweep against Dijkstra
+# ----------------------------------------------------------------------
+SWEEP_SHAPES = ["ba", "er", "ws", "pp", "path", "cycle", "grid", "union"]
+SWEEP_SIZES = [1, 2, 7, 8, 9, 63, 64, 65, 300]
+# 1e308 overflows to inf at the second hop on both sides (1e150 stays finite)
+SWEEP_WEIGHTS = [1.0, 0.1, 1 / 3, 2.5, 1e-3, 1e150, 1e308]
+
+
+def sweep_graph(shape: str, n: int, seed: int) -> Graph:
+    """An ``n``-vertex graph of ``shape`` on ids ``0 .. n-1``; the random
+    generators need a few vertices, so tiny ones fall back to a path."""
+    if n < 6 and shape not in ("path", "union"):
+        shape = "path"
+    if shape == "ba":
+        g = barabasi_albert(n, 2, seed=seed)
+    elif shape == "er":
+        g = erdos_renyi(n, min(1.0, 4.0 / n), seed=seed)
+    elif shape == "ws":
+        g = watts_strogatz(n, 4, 0.1, seed=seed)
+    elif shape == "pp":
+        third = n // 3
+        g = planted_partition(
+            [third, third, n - 2 * third], min(1.0, 12.0 / n), 1.0 / n, seed=seed
+        )[0]
+    elif shape == "cycle":
+        g = cycle_graph(n)
+    elif shape == "grid":
+        rows = max(d for d in range(1, int(n**0.5) + 1) if n % d == 0)
+        g = grid_graph(rows, n // rows)
+    elif shape == "path":
+        g = path_graph(n)
+    else:  # disjoint union: a BA block, a path, isolated vertices
+        half = n // 2
+        g = barabasi_albert(half, 2, seed=seed) if half > 2 else Graph()
+        tail = list(range(half, half + (n - half) // 2))
+        g.add_edges(list(zip(tail, tail[1:])))
+    for v in range(n):
+        g.add_vertex(v, exist_ok=True)
+    return g
+
+
+def uniform_csr(g: Graph, w: float):
+    matrix = g.to_csr().matrix.copy()
+    matrix.data[:] = w
+    return matrix
+
+
+def assert_rows_are_dijkstras(matrix, lo: int, hi: int) -> np.ndarray:
+    want = csgraph.dijkstra(matrix, directed=False, indices=np.arange(lo, hi))
+    out = np.full((hi - lo, matrix.shape[0]), -1.0)
+    kernels.local_apsp_rows(matrix, lo, hi, out)
+    assert out.tobytes() == want.tobytes()
+    return out
+
+
+class _Spy:
+    """Record ``(args, kwargs)`` and the result of every call of a module
+    function, passing them through."""
+
+    def __init__(self, monkeypatch, module, name):
+        self.calls: List[tuple] = []
+        self.results: List[object] = []
+        real = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            self.calls.append((args, kwargs))
+            self.results.append(real(*args, **kwargs))
+            return self.results[-1]
+
+        monkeypatch.setattr(module, name, spy)
+
+
+class TestLocalAPSPRows:
+    """``oracle.local_apsp_rows`` is bitwise ``csgraph.dijkstra(directed=False,
+    indices=range(lo, hi))`` whichever path it takes: the level sweep on
+    uniform weights (forced past its level budget, or left to choose), and
+    Dijkstra for mixed weights and sweeps that would outrun it."""
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        shape=st.sampled_from(SWEEP_SHAPES),
+        n=st.sampled_from(SWEEP_SIZES),
+        w=st.sampled_from(SWEEP_WEIGHTS),
+        seed=st.integers(0, 2**16),
+        ends=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+        forced=st.booleans(),
+    )
+    @example(shape="path", n=9, w=1e308, seed=0, ends=(0.1, 1.0), forced=True)
+    @example(shape="union", n=65, w=1 / 3, seed=1, ends=(0.05, 0.95), forced=True)
+    @example(shape="grid", n=64, w=0.1, seed=0, ends=(0.0, 1.0), forced=False)
+    def test_rows_are_dijkstras_bitwise(self, shape, n, w, seed, ends, forced):
+        lo = min(int(min(ends) * n), n - 1)
+        hi = max(lo + 1, int(max(ends) * n))
+        matrix = uniform_csr(sweep_graph(shape, n, seed), w)
+        budget = (lambda n, s, nnz: 254) if forced else kernels._sweep_budget
+        with mock.patch.object(kernels, "_sweep_budget", budget):
+            assert_rows_are_dijkstras(matrix, lo, hi)
+
+    def test_uniform_scale_free_never_calls_dijkstra(self, monkeypatch):
+        matrix = uniform_csr(barabasi_albert(300, 2, seed=3), 1.0)
+        want = csgraph.dijkstra(matrix, directed=False)
+        dijkstra = _Spy(monkeypatch, kernels.csgraph, "dijkstra")
+        out = np.empty((300, 300))
+        kernels.local_apsp_rows(matrix, 0, 300, out)
+        assert out.tobytes() == want.tobytes()
+        assert dijkstra.calls == []
+
+    def test_mixed_weights_take_dijkstra(self, monkeypatch):
+        g = random_weights(barabasi_albert(300, 2, seed=3), 1.0, 5.0, seed=4)
+        sweep = _Spy(monkeypatch, kernels, "_level_sweep")
+        dijkstra = _Spy(monkeypatch, kernels.csgraph, "dijkstra")
+        assert_rows_are_dijkstras(g.to_csr().matrix, 7, 293)
+        assert sweep.calls == [] and len(dijkstra.calls) == 2  # kernel + reference
+
+    def test_long_path_bails_out_to_dijkstra(self, monkeypatch):
+        """299 levels: the sweep stops at its budget and Dijkstra redoes the
+        block — still the same bits."""
+        sweep = _Spy(monkeypatch, kernels, "_level_sweep")
+        dijkstra = _Spy(monkeypatch, kernels.csgraph, "dijkstra")
+        assert_rows_are_dijkstras(uniform_csr(path_graph(300), 1.0), 3, 300)
+        assert sweep.results == [False] and len(dijkstra.calls) == 2
+
+    def test_source_blocks_split_the_range(self, monkeypatch):
+        """A 64-source block cap: five blocks, the first and last partial."""
+        matrix = uniform_csr(barabasi_albert(300, 2, seed=5), 0.1)
+        monkeypatch.setattr(
+            kernels, "_ENTRY_CHUNK_ELEMS", 64 * (300 + matrix.nnz // 8)
+        )
+        sweep = _Spy(monkeypatch, kernels, "_level_sweep")
+        assert_rows_are_dijkstras(matrix, 5, 290)
+        assert [(args[3], args[4]) for args, _kw in sweep.calls] == [
+            (5, 69), (69, 133), (133, 197), (197, 261), (261, 290)
+        ]
+        assert sweep.results == [True] * 5
+
+    def test_bail_out_in_a_later_block_keeps_the_earlier_rows(self, monkeypatch):
+        matrix = uniform_csr(watts_strogatz(300, 4, 0.05, seed=6), 2.5)
+        monkeypatch.setattr(
+            kernels, "_ENTRY_CHUNK_ELEMS", 64 * (300 + matrix.nnz // 8)
+        )
+        budgets = iter([254, 0])
+        monkeypatch.setattr(kernels, "_sweep_budget", lambda n, s, nnz: next(budgets))
+        dijkstra = _Spy(monkeypatch, kernels.csgraph, "dijkstra")
+        assert_rows_are_dijkstras(matrix, 10, 200)
+        # the reference's call comes first, then the kernel's from block 2 on
+        assert dijkstra.calls[1][1]["indices"].tolist() == list(range(74, 200))
+
+    def test_peak_memory_stays_under_dijkstras_result(self, monkeypatch):
+        """One call on a 600-vertex BA rank peaks at most 1.25x the n x s
+        float64 rows Dijkstra would allocate (the rows themselves are the
+        caller's)."""
+        n = 600
+        matrix = uniform_csr(barabasi_albert(n, 2, seed=7), 1.0)
+        dijkstra = _Spy(monkeypatch, kernels.csgraph, "dijkstra")
+        out = np.empty((n, n))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            kernels.local_apsp_rows(matrix, 0, n, out)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert dijkstra.calls == []
+        assert peak <= 1.25 * n * n * 8
