@@ -111,10 +111,6 @@ def contract(level: Level, mate: Dict[int, int]) -> Level:
                 continue  # matched edge collapses; weight leaves the cut pool
             cadj[cv][cu] = cadj[cv].get(cu, 0.0) + w
             cadj[cu][cv] = cadj[cu].get(cv, 0.0) + w
-    seen = set()
     for v in level.adj:
-        cv = coarse_id[v]
-        if v not in seen:
-            cvwgt[cv] += level.vwgt[v]
-            seen.add(v)
+        cvwgt[coarse_id[v]] += level.vwgt[v]
     return Level(adj=cadj, vwgt=cvwgt, fine_to_coarse=coarse_id)

@@ -157,6 +157,11 @@ class MultilevelPartitioner(Partitioner):
     def partition(self, graph: Graph, nparts: int) -> Partition:
         if nparts < 1:
             raise ValueError(f"nparts must be >= 1, got {nparts}")
+        if self.target_weights is not None and len(self.target_weights) != nparts:
+            raise ValueError(
+                f"target_weights has {len(self.target_weights)} entries"
+                f" for nparts={nparts}"
+            )
         n = graph.num_vertices
         if n == 0:
             return Partition(nparts, {})
@@ -170,11 +175,6 @@ class MultilevelPartitioner(Partitioner):
         rng = np.random.default_rng(self.seed)
         total = float(n)
         if self.target_weights is not None:
-            if len(self.target_weights) != nparts:
-                raise ValueError(
-                    f"target_weights has {len(self.target_weights)} entries"
-                    f" for nparts={nparts}"
-                )
             share = np.asarray(self.target_weights, dtype=np.float64)
             share = share / share.sum()
         else:
@@ -198,7 +198,7 @@ class MultilevelPartitioner(Partitioner):
         # ---- phase 2: initial partition on the coarsest level -----------
         coarsest = levels[-1]
         assign = _grow_initial(coarsest, nparts, caps, rng)
-        assign, _cut = refine_level(
+        assign = refine_level(
             coarsest, assign, nparts, max_load=caps,
             max_passes=self.max_passes, rng=rng,
         )
@@ -208,7 +208,7 @@ class MultilevelPartitioner(Partitioner):
             projected = {
                 v: assign[coarse.fine_to_coarse[v]] for v in fine.adj
             }
-            assign, _cut = refine_level(
+            assign = refine_level(
                 fine, projected, nparts, max_load=caps,
                 max_passes=self.max_passes, rng=rng,
             )

@@ -8,7 +8,7 @@ they improve balance, which lets the refiner escape plateaus.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -54,17 +54,22 @@ def refine_level(
     *,
     max_load: "float | Sequence[float]",
     max_passes: int = 8,
-    rng: Optional[np.random.Generator] = None,
-) -> Tuple[Dict[int, int], float]:
-    """Refine ``assign`` in place-ish; returns ``(assignment, cut_weight)``.
+    rng: np.random.Generator,
+) -> Dict[int, int]:
+    """Refine a copy of ``assign`` and return it.
 
     ``max_load`` may be a scalar (uniform cap) or one cap per block
     (heterogeneous targets).  Invariant guaranteed to callers (and
-    asserted by tests): the returned cut weight never exceeds the starting
-    cut weight, and no block's weight exceeds its cap unless it already
-    did on entry (in which case only weight-decreasing moves touch it).
+    asserted by tests): the :func:`compute_cut` of the returned assignment
+    never exceeds the starting cut, and no block's weight exceeds its cap
+    unless it already did on entry (in which case only weight-decreasing
+    moves touch it).
+
+    A vertex's connectivity dict is kept across visits and passes until
+    one of its neighbours moves, then rebuilt from scratch — never updated
+    by adding or subtracting the moved weight, which would change the
+    float sums' bits and with them the first-found tie-breaks.
     """
-    rng = rng or np.random.default_rng(0)
     assign = dict(assign)
     if isinstance(max_load, (int, float)):
         caps = [float(max_load)] * nparts
@@ -84,14 +89,25 @@ def refine_level(
         """Load relative to the block's capacity (heterogeneous targets)."""
         return load / caps[r] if caps[r] > 0 else float("inf")
 
+    conns: Dict[int, Dict[int, float]] = {}
     for _pass in range(max_passes):
         moved = 0
         order = sorted(level.adj)
         rng.shuffle(order)
         for v in order:
             rv = assign[v]
-            conn = _neighbor_block_weights(level, assign, v)
+            conn = conns.get(v)
+            if conn is None:
+                conn = conns[v] = _neighbor_block_weights(level, assign, v)
             internal = conn.get(rv, 0.0)
+            # a move needs gain = ext - internal >= 0, which implies
+            # ext >= internal for every float (inf and NaN included):
+            # without such a block the candidate loop cannot move v
+            for r, ext in conn.items():
+                if ext >= internal and r != rv:
+                    break
+            else:
+                continue
             wv = level.vwgt[v]
             best_r, best_gain = rv, 0.0
             for r, ext in conn.items():
@@ -118,6 +134,10 @@ def refine_level(
                 loads[rv] -= wv
                 loads[best_r] += wv
                 moved += 1
+                # v's own dict does not depend on its block (unless it is
+                # its own neighbour: a self-loop drops it here too)
+                for u in level.adj[v]:
+                    conns.pop(u, None)
         if moved == 0:
             break
-    return assign, compute_cut(level, assign)
+    return assign

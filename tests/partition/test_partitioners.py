@@ -109,6 +109,16 @@ def test_multilevel_nparts_exceeds_vertices():
     assert sorted(p.assignment.values()) == [0, 1, 2]
 
 
+@pytest.mark.parametrize("nparts", [1, 3, 40], ids=["one-part", "main", "n+10"])
+def test_multilevel_target_weights_length_checked_on_every_path(nparts):
+    """The length check runs before the one-part and one-vertex-per-block
+    early returns, not only on the multilevel path."""
+    g = barabasi_albert(30, 2, seed=1)
+    part = MultilevelPartitioner(target_weights=[1.0, 2.0])
+    with pytest.raises(ValueError, match="target_weights has 2 entries"):
+        part.partition(g, nparts)
+
+
 def test_roundrobin_perfectly_balanced():
     g = barabasi_albert(101, 2, seed=0)
     p = RoundRobinPartitioner().partition(g, 4)
