@@ -39,7 +39,6 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..graph.graph import Graph
-from ..graph.views import extract_local_subgraph
 from ..partition.base import Partition
 from ..runtime.cluster import Cluster
 from ..runtime.message import dense_row_words
@@ -313,8 +312,6 @@ def load_checkpoint(
             f"{path}: checkpoint column index does not match its own"
             " vertex set (corrupted or hand-edited checkpoint)"
         )
-    dvs = {r: data[f"dv_{r}"] for r in range(nprocs)}
-    apsps = {r: data[f"apsp_{r}"] for r in range(nprocs)}
 
     engine = AnytimeAnywhereCloseness(graph, config)
     cluster = engine.cluster = engine._new_cluster()
@@ -324,29 +321,24 @@ def load_checkpoint(
     cluster.index.add_many(index_ids)
     part = Partition(nprocs, assignment)
     part.validate_against(engine.graph)
-    cluster.partition = part
-    blocks = part.blocks()
-    for r in range(nprocs):
-        sub = extract_local_subgraph(engine.graph, blocks[r], assignment, r)
-        w = cluster.workers[r]
-        w.load_subgraph(sub)
-        dv = dvs[r]
+    cluster.install_partition(part)
+    for w in cluster.workers:
+        dv = data[f"dv_{w.rank}"]
         if dv.shape != w.dv.shape:
             raise ConfigurationError(
                 f"checkpoint DV shape {dv.shape} does not match rebuilt"
-                f" worker {r} shape {w.dv.shape}"
+                f" worker {w.rank} shape {w.dv.shape}"
             )
-        apsp = apsps[r]
-        n = len(blocks[r])
+        apsp = data[f"apsp_{w.rank}"]
+        n = w.n_local
         if apsp.size and apsp.shape != (n, n):
             raise ConfigurationError(
                 f"checkpoint local APSP shape {apsp.shape} does not match"
-                f" worker {r}'s {n} owned vertices"
+                f" worker {w.rank}'s {n} owned vertices"
             )
         w.dv = dv.copy()
         w.local_apsp = apsp.copy()
         w.take_compute_seconds()
-    cluster._wire_subscriptions()
     # conservative refresh: recover any in-flight state at save time.
     # Delta baselines are deliberately NOT checkpointed: fresh workers
     # start with empty per-channel state and queue_all_boundary_rows()

@@ -48,9 +48,7 @@ from ..graph.graph import Graph
 from ..obs import build_hub
 from ..obs.observer import ObserverHub
 from ..obs.registry import MetricsRegistry, SignalView
-from ..runtime.chaos import FaultInjector
 from ..runtime.cluster import Cluster
-from ..runtime.health import HealthMonitor
 from ..runtime.metrics import LoadSnapshot, snapshot_load
 from ..runtime.supervisor import Supervisor
 from ..types import FloatArray, VertexId
@@ -298,7 +296,8 @@ class AnytimeAnywhereCloseness:
         injection (see :class:`~repro.runtime.chaos.FaultPlan`): the
         always-sequenced boundary exchange loses, duplicates and retries
         packets as the plan dictates and puts its acks on the wire, and
-        the supervisor answers scheduled crashes with the group's
+        the run's :class:`~repro.runtime.supervisor.Supervisor` answers
+        scheduled crashes with the group's
         ``recovery`` policy (``"warm"`` | ``"checkpoint"`` |
         ``"redistribute"`` | ``"escalate"``) and
         ``checkpoint_interval``.  The result carries the fault/recovery
@@ -317,33 +316,12 @@ class AnytimeAnywhereCloseness:
         cluster = self._require_cluster()
         cfg = self.config
         res = self._resolve_resilience(resilience)
-        plan = res.fault_plan
         dyn = self.resolve_strategy(strategy) if changes else None
-        supervisor = None
-        monitor = None
-        if plan is not None:
-            injector = FaultInjector(plan, cfg.nprocs)
-            if cfg.health is not None:
-                monitor = HealthMonitor(
-                    cfg.health, cfg.nprocs, seed=plan.seed
-                )
-            supervisor = Supervisor(
-                cluster,
-                injector,
-                recovery=res.recovery,
-                checkpoint_interval=res.checkpoint_interval,
-                monitor=monitor,
-            )
-            # the supervisor self-creates a monitor for "escalate" runs
-            # without an explicit HealthPolicy
-            monitor = supervisor.monitor
-            cluster.attach_chaos(injector)
-            if monitor is not None:
-                cluster.attach_health(monitor)
-        # the fault policy this run reports from: the plan's injector,
-        # or the null policy (no faults, no events) without a plan
-        injector = cluster.chaos
-
+        run = (
+            cluster.fault_free
+            if res.fault_plan is None
+            else Supervisor(cluster, res, cfg.health)
+        )
         completed_steps = 0
 
         def observer(step: int) -> None:
@@ -356,81 +334,61 @@ class AnytimeAnywhereCloseness:
                 self.load_history.append(snapshot_load(cluster))
 
         obs_on = self.obs.enabled
-        degraded_reason = ""
         if obs_on:
             self.obs.span_begin(
                 "run", "run", cluster.tracer.modeled_seconds
             )
+        # the run span closes once, balanced even when the run raises
+        span_end: Dict[str, Any] = {"attrs": {"aborted": True}}
         try:
-            steps = run_recombination(
-                cluster,
-                strategy=dyn,
-                changes=changes,
-                max_steps=cfg.max_rc_steps,
-                on_step=observer,
-                start_step=self._next_step,
-                budget_modeled_seconds=budget_modeled_seconds,
-                step_budget=step_budget,
-                supervisor=supervisor,
-            )
-        except WorkerError:
-            # exhausted per-packet retry budget (a partitioned network)
-            if monitor is None or not monitor.policy.graceful_degradation:
-                if obs_on:
-                    self.obs.span_end(
-                        "run",
-                        "run",
-                        cluster.tracer.modeled_seconds,
-                        attrs={"aborted": True},
+            with run:
+                try:
+                    steps = run_recombination(
+                        cluster,
+                        supervisor=run,
+                        strategy=dyn,
+                        changes=changes,
+                        max_steps=cfg.max_rc_steps,
+                        on_step=observer,
+                        start_step=self._next_step,
+                        budget_modeled_seconds=budget_modeled_seconds,
+                        step_budget=step_budget,
                     )
-                raise
-            steps = completed_steps
-            degraded_reason = "retry-budget"
-            injector.record_degraded(
-                self._next_step + steps, "retry-budget"
+                except WorkerError:
+                    # exhausted per-packet retry budget (a partitioned
+                    # network)
+                    if not run.degrades_gracefully:
+                        raise
+                    steps = completed_steps
+                    run.degrade(self._next_step + steps, "retry-budget")
+            degraded = bool(run.degraded_reason)
+            self._next_step += steps
+            pending_changes = (
+                bool(changes) and changes.last_step >= self._next_step
             )
-        except BaseException:
-            if obs_on:
-                # balance the run span so exported traces stay valid
-                self.obs.span_end(
-                    "run",
-                    "run",
-                    cluster.tracer.modeled_seconds,
-                    attrs={"aborted": True},
-                )
-            raise
-        finally:
-            if plan is not None:
-                cluster.detach_chaos()
-            if monitor is not None:
-                cluster.detach_health()
-        if not degraded_reason and supervisor is not None:
-            degraded_reason = supervisor.degraded_reason
-        degraded = bool(degraded_reason)
-        self._next_step += steps
-        pending_changes = bool(changes) and changes.last_step >= self._next_step
-        converged = (
-            not degraded
-            and cluster.converged_vote()
-            and not pending_changes
-        )
-        if obs_on:
-            self.obs.span_end(
-                "run",
-                "run",
-                cluster.tracer.modeled_seconds,
-                attrs={
+            converged = (
+                not degraded
+                and cluster.converged_vote()
+                and not pending_changes
+            )
+            span_end = {
+                "attrs": {
                     "rc_steps": steps,
                     "converged": converged,
                     "wire_words": cluster.tracer.total_words,
                 },
-                wall=cluster.tracer.wall_seconds,
-            )
+                "wall": cluster.tracer.wall_seconds,
+            }
+        finally:
+            if obs_on:
+                self.obs.span_end(
+                    "run", "run", cluster.tracer.modeled_seconds, **span_end
+                )
         logger.debug(
             "run finished: steps=%d, modeled=%.4fs, pending_changes=%s"
             " degraded=%s",
             steps, cluster.tracer.modeled_seconds, pending_changes,
-            degraded_reason or False,
+            run.degraded_reason or False,
         )
         return RunResult(
             closeness=self.current_closeness(),
@@ -440,29 +398,8 @@ class AnytimeAnywhereCloseness:
             snapshots=list(self.snapshots),
             load=snapshot_load(cluster),
             converged=converged,
-            faults_injected=injector.stats.faults_injected,
-            retries=injector.stats.retries,
-            recoveries=supervisor.recoveries if supervisor else 0,
-            recovery_modeled_seconds=(
-                supervisor.recovery_modeled_seconds if supervisor else 0.0
-            ),
             degraded=degraded,
-            degraded_reason=degraded_reason,
-            quality=(
-                self._partial_quality(monitor) if degraded else {}
-            ),
-            missed_deadlines=monitor.missed_deadlines if monitor else 0,
-            speculations=monitor.speculations if monitor else 0,
-            backoff_modeled_seconds=(
-                monitor.backoff_seconds if monitor else 0.0
-            ),
-            recoveries_by_rung=(
-                dict(supervisor.recoveries_by_rung) if supervisor else {}
-            ),
-            mttr_by_rung=(
-                dict(supervisor.mttr_by_rung) if supervisor else {}
-            ),
-            fault_events=injector.trace_lines(),
+            quality=self._partial_quality(run) if degraded else {},
             wire_words=cluster.tracer.total_words,
             boundary_words=cluster.boundary_words,
             boundary_rows_dense=cluster.boundary_rows_dense,
@@ -473,6 +410,7 @@ class AnytimeAnywhereCloseness:
                 for name, sample in self.obs.last_samples.items()
             },
             profile=self._fold_profile(cluster),
+            **run.accounting(),
         )
 
     def run_baseline_restart(
@@ -497,6 +435,7 @@ class AnytimeAnywhereCloseness:
         # (to convergence when none is scheduled)
         steps = run_recombination(
             cluster,
+            supervisor=cluster.fault_free,
             max_steps=cfg.max_rc_steps,
             start_step=0,
             step_budget=schedule[0][0] if schedule else None,
@@ -515,7 +454,10 @@ class AnytimeAnywhereCloseness:
             self.setup()
             cluster = self._require_cluster()
             steps = run_recombination(
-                cluster, max_steps=cfg.max_rc_steps, start_step=0
+                cluster,
+                supervisor=cluster.fault_free,
+                max_steps=cfg.max_rc_steps,
+                start_step=0,
             )
         self._next_step = steps
         return RunResult(
@@ -560,9 +502,7 @@ class AnytimeAnywhereCloseness:
     # ------------------------------------------------------------------
     # degraded-result quality
     # ------------------------------------------------------------------
-    def _partial_quality(
-        self, monitor: Optional[HealthMonitor]
-    ) -> Dict[str, float]:
+    def _partial_quality(self, run: Supervisor) -> Dict[str, float]:
         """Quantify how good a degraded partial result is.
 
         ``finite_fraction`` — share of DV entries that hold a finite
@@ -581,9 +521,7 @@ class AnytimeAnywhereCloseness:
                 finite += int(np.isfinite(w.dv).sum())
         return {
             "finite_fraction": (finite / total) if total else 0.0,
-            "alive_fraction": (
-                monitor.alive_fraction() if monitor is not None else 1.0
-            ),
+            "alive_fraction": 1.0 - len(run.dead_ranks) / cluster.nprocs,
             "pending_rows": float(
                 sum(w.pending_row_count() for w in cluster.workers)
             ),

@@ -33,6 +33,7 @@ __all__ = ["run_recombination"]
 def run_recombination(
     cluster: "Cluster",
     *,
+    supervisor: "Supervisor",
     strategy: Optional[DynamicStrategy] = None,
     changes: Optional[ChangeStream] = None,
     max_steps: int = 10_000,
@@ -40,12 +41,18 @@ def run_recombination(
     start_step: int = 0,
     budget_modeled_seconds: Optional[float] = None,
     step_budget: Optional[int] = None,
-    supervisor: Optional["Supervisor"] = None,
 ) -> int:
     """Run RC steps until convergence; returns the number of steps run.
 
     Parameters
     ----------
+    supervisor:
+        The run context (``cluster.fault_free`` for a fault-free run).
+        Its :meth:`before_step` preamble (periodic checkpoints +
+        scheduled crashes and their recoveries) runs at the start of
+        every step, and the loop stays alive while crashes are still
+        scheduled in the future — a fault after natural convergence must
+        still be absorbed.
     strategy:
         Dynamic strategy applied to scheduled change batches.  Required if
         ``changes`` is non-empty.
@@ -65,12 +72,6 @@ def run_recombination(
         then stop without error (the serve loop's pacing primitive —
         unlike ``max_steps``, reaching the budget is a normal return,
         not a :class:`ConvergenceError`).
-    supervisor:
-        Fault-tolerance supervisor.  Its :meth:`before_step` preamble
-        (periodic checkpoints + scheduled crashes and their recoveries)
-        runs at the start of every step, and the loop stays alive while
-        crashes are still scheduled in the future — a fault after natural
-        convergence must still be absorbed.
     """
     if changes and changes.last_step >= start_step and strategy is None:
         raise ValueError("a dynamic strategy is required to apply changes")
@@ -90,22 +91,18 @@ def run_recombination(
             >= budget_modeled_seconds
         ):
             return steps_run  # interrupted: anytime result stands
-        if supervisor is not None:
-            supervisor.before_step(step)
-            if supervisor.degraded_reason:
-                # graceful degradation: recovery budgets are exhausted;
-                # stop here — the surviving ranks' rows remain valid
-                # upper bounds and form the partial anytime result
-                return steps_run
+        supervisor.before_step(step)
+        if supervisor.degraded_reason:
+            # graceful degradation: recovery budgets are exhausted; stop
+            # here — the surviving ranks' rows remain valid upper bounds
+            # and form the partial anytime result
+            return steps_run
         batch = changes.at_step(step) if changes else None
         future_changes = bool(changes) and changes.last_step > step
-        future_faults = (
-            supervisor is not None and supervisor.last_crash_step > step
-        )
         if (
             batch is None
             and not future_changes
-            and not future_faults
+            and supervisor.last_crash_step <= step
             and not cluster.any_pending()
         ):
             return steps_run
@@ -123,8 +120,7 @@ def run_recombination(
             cluster.relax_and_propagate()
             if batch is not None:
                 strategy.apply(cluster, batch, step)  # type: ignore[union-attr]
-                if supervisor is not None:
-                    supervisor.note_batch(batch)
+                supervisor.note_batch(batch)
         except BaseException:
             # close the phase so the tracer stays reusable and the span
             # tree stays balanced; the partial charge is kept

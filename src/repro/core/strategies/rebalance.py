@@ -100,36 +100,15 @@ def apply_migration(cluster: "Cluster", moves: Dict[VertexId, Rank]) -> None:
     new_assignment = dict(cluster.partition.assignment)
     migration_words: Dict[Tuple[Rank, Rank], int] = {}
     n_cols = cluster.n_columns
-    touched: set[Rank] = set()
     for v, dst in moves.items():
         src = new_assignment[v]
         new_assignment[v] = dst
         key = (src, dst)
         migration_words[key] = migration_words.get(key, 0) + (n_cols + 1)
-        touched.add(src)
-        touched.add(dst)
     cluster.charge_comm_words(
         [(s, d, words) for (s, d), words in migration_words.items()]
     )
-    rows = cluster.distance_rows()
-    # preserve the local APSP of workers whose block did not change
-    saved = {
-        w.rank: (tuple(w.owned), w.local_apsp)
-        for w in cluster.workers
-        if w.rank not in touched
-    }
-    cluster.install_partition(
-        Partition(cluster.nprocs, new_assignment), seed_rows=rows
-    )
-    for w in cluster.workers:
-        kept = saved.get(w.rank)
-        if kept is not None and kept[0] == tuple(w.owned):
-            w.local_apsp = kept[1]
-            w.restore_local_baseline()
-        else:
-            w.recompute_local_apsp()
-        w.queue_all_boundary_rows()
-    cluster.sync_compute()
+    cluster.migrate(Partition(cluster.nprocs, new_assignment))
 
 
 class RebalancedStrategy(DynamicStrategy):

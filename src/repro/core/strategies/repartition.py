@@ -64,7 +64,6 @@ class RepartitionStrategy(DynamicStrategy):
 
         # 3. migrate partial results: every existing vertex's DV row moves
         #    from its old owner to its new owner (anytime reuse)
-        rows = cluster.distance_rows()
         n_cols = cluster.n_columns
         migration: Dict[Tuple[Rank, Rank], int] = {}
         moved = 0
@@ -79,10 +78,7 @@ class RepartitionStrategy(DynamicStrategy):
             [(s, d, words) for (s, d), words in migration.items()]
         )
 
-        # 4. rebuild workers around the new partition, seeding old rows
-        cluster.install_partition(part, seed_rows=rows)
-        for w in cluster.workers:
-            w.recompute_local_apsp()
-            w.queue_all_boundary_rows()
-        cluster.sync_compute()
+        # 4. rebuild workers around the new partition, seeding old rows;
+        #    the batch changed local edges, so no local APSP survives
+        cluster.migrate(part, keep_local_apsp=False)
         cluster.tracer.note("migrated_rows", float(moved))

@@ -28,7 +28,7 @@ only decides *what goes wrong, and when*.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,14 +84,11 @@ class FaultStats:
     """Aggregate fault/recovery accounting for one run."""
 
     crashes: int = 0
-    recoveries: int = 0
     messages_lost: int = 0
     messages_duplicated: int = 0
     send_failures: int = 0
     acks_lost: int = 0
     retries: int = 0
-    #: modeled backoff delays charged before retransmissions (health)
-    backoffs: int = 0
 
     @property
     def faults_injected(self) -> int:
@@ -204,8 +201,9 @@ class FaultInjector:
     randomness comes from one seeded generator, so the recorded
     :attr:`events` trace is byte-identical across identical runs.
 
-    ``plan=None`` is the null policy every cluster holds when no plan is
-    attached: every packet is ``ok``, no ack is lost, nothing crashes.
+    ``plan=None`` is the null policy every cluster holds outside a
+    fault-injected run: every packet is ``ok``, no ack is lost, nothing
+    crashes.
     """
 
     def __init__(self, plan: Optional[FaultPlan], nprocs: int) -> None:
@@ -234,6 +232,8 @@ class FaultInjector:
         self._crashes_by_step: Dict[int, List[Rank]] = {}
         for step, rank in plan.crashes:
             self._crashes_by_step.setdefault(step, []).append(rank)
+        #: the latest scheduled crash step, or -1 with no crashes
+        self.last_crash_step = plan.last_crash_step
         for rank, factor in plan.stragglers:
             self.events.append(
                 FaultEvent(
@@ -248,20 +248,15 @@ class FaultInjector:
         """Inform the injector which RC step is starting (event stamping)."""
         self.step = step
 
-    def crashes_at(self, step: int) -> List[Rank]:
+    def crashes_at(self, step: int) -> Sequence[Rank]:
         """Ranks scheduled to crash at the start of ``step``."""
-        return list(self._crashes_by_step.get(step, ()))
-
-    @property
-    def last_crash_step(self) -> int:
-        return self.plan.last_crash_step
+        return self._crashes_by_step.get(step, ())
 
     def record_crash(self, step: int, rank: Rank) -> None:
         self.stats.crashes += 1
         self.events.append(FaultEvent(step=step, kind="crash", rank=rank))
 
     def record_recovery(self, step: int, rank: Rank, policy: str) -> None:
-        self.stats.recoveries += 1
         self.events.append(
             FaultEvent(step=step, kind="recovery", rank=rank, detail=policy)
         )
@@ -280,7 +275,6 @@ class FaultInjector:
         ``delay`` is formatted with a fixed precision so the event trace
         stays byte-stable across platforms.
         """
-        self.stats.backoffs += 1
         self.events.append(
             FaultEvent(
                 step=self.step, kind="backoff",

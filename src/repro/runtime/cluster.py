@@ -11,7 +11,9 @@ phases (``repro.core``) orchestrate:
   exchange of each RC step (Fig. 1 lines 9-15),
 * :meth:`broadcast_row` — binomial-tree DV-row broadcast (Fig. 3 line 22),
 * :meth:`sync_compute` — BSP-style barrier: charges the *max* of the
-  workers' metered compute to the modeled clock.
+  workers' metered compute to the modeled clock,
+* :meth:`migrate` — move to a new partition keeping every partial result
+  (Repartition-S, rebalancing, degraded-mode recovery).
 
 Time accounting convention: any sequence of worker-side kernels between two
 :meth:`sync_compute` calls is one superstep; its modeled duration is the
@@ -21,6 +23,7 @@ slowest worker's compute.  Communication is priced by the configured
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -45,10 +48,10 @@ from ..obs.observer import NULL_HUB, ObserverHub
 from ..partition.base import Partition, Partitioner
 from ..types import BoolArray, FloatArray, Rank, VertexId
 from .backends import BackendSpec, make_backend
-from .chaos import FaultInjector
 from .index import GlobalIndex
 from .kernels import SuperstepTask, TierSpec, make_tier
 from .message import DeltaRows, dense_row_words, dv_payload_words
+from .supervisor import Supervisor
 from .tracing import Tracer
 from .worker import Worker
 
@@ -147,12 +150,19 @@ class Cluster:
             for w, sp in zip(self.workers, worker_speeds):
                 w.speed = float(sp)
         self.partition: Optional[Partition] = None
-        #: the fault policy every boundary exchange consults; without an
-        #: attached plan it is the null policy (reliable network)
-        self.chaos = FaultInjector(None, nprocs)
-        self._pre_chaos_speeds: Optional[List[float]] = None
-        #: active health monitor (None = no self-healing instrumentation)
+        #: the run context of every fault-free run, built once: the null
+        #: fault policy, no health monitor.  It sees the cluster through a
+        #: weak proxy: a reference cycle would keep a dropped cluster's
+        #: arrays alive until the cyclic collector ran
+        self.fault_free = Supervisor(weakref.proxy(self))
+        #: the fault policy every boundary exchange consults, installed by
+        #: the entered run context (the null policy between runs)
+        self.chaos = self.fault_free.injector
+        #: the entered run's health monitor (None = no self-healing)
         self.health: Optional["HealthMonitor"] = None
+        #: per-rank speeds before the run's straggler slowdowns (None when
+        #: no rank is slowed): the speed of a speculative backup slot
+        self.reference_speeds: Optional[List[float]] = None
         #: non-None only during a superstep barrier with health attached;
         #: holds the speculative captures of suspected straggler ranks
         self._spec_context: Optional[SpecContext] = None
@@ -271,18 +281,14 @@ class Cluster:
                         f"speculative re-execution of rank {r} diverged"
                         " from the straggler's own superstep result"
                     )
-                ref_speed = (
-                    self._pre_chaos_speeds[r]
-                    if self._pre_chaos_speeds is not None
-                    else w.speed
-                )
-                backup = times[r] * (w.speed / ref_speed) * (
+                # only slowed ranks are captured, so reference speeds exist
+                assert self.reference_speeds is not None
+                backup = times[r] * (w.speed / self.reference_speeds[r]) * (
                     1.0 + monitor.policy.speculation_overhead
                 )
                 mitigated = min(times[r], deadline + backup)
                 if mitigated < times[r]:
                     monitor.speculations += 1
-                    monitor.speculation_saved_seconds += times[r] - mitigated
                     effective[r] = mitigated
         rec = self.tracer._open
         if rec is not None and monitor.speculations:
@@ -361,6 +367,37 @@ class Cluster:
             self.workers[r].load_subgraph(sub, seed_rows=rows)
         self._wire_subscriptions()
 
+    def migrate(self, part: Partition, *, keep_local_apsp: bool = True) -> None:
+        """Move to ``part`` keeping every partial result (anytime reuse).
+
+        Every DV row travels to its new owner as a seed row.  With
+        ``keep_local_apsp`` a rank whose block did not change re-applies
+        its local APSP; every other rank reruns its local Dijkstra (and
+        all do without it — Repartition-S, whose batch changed local
+        edges).  All boundary rows are then queued for a dense refresh
+        and the barrier is charged.  Callers charge the shipping of rows
+        and adjacency themselves, before calling.
+        """
+        rows = self.distance_rows()
+        blocks = part.blocks()
+        # copies: reloading a block releases the old array's shared-memory
+        # segment under the process backend
+        kept = {
+            w.rank: w.local_apsp.copy()
+            for w in self.workers
+            if keep_local_apsp and w.owned == blocks[w.rank]
+        }
+        self.install_partition(part, seed_rows=rows)
+        for w in self.workers:
+            apsp = kept.get(w.rank)
+            if apsp is not None:
+                w.local_apsp = apsp
+                w.restore_local_baseline()
+            else:
+                w.recompute_local_apsp()
+            w.queue_all_boundary_rows()
+        self.sync_compute()
+
     def _wire_subscriptions(self) -> None:
         """Every worker subscribes to the owners of its external boundary."""
         for w in self.workers:
@@ -379,54 +416,6 @@ class Cluster:
                 w.ia_apply(task)
         self.sync_compute()
         self.tracer.end()
-
-    # ------------------------------------------------------------------
-    # fault injection
-    # ------------------------------------------------------------------
-    def attach_chaos(self, injector: FaultInjector) -> None:
-        """Make ``injector`` the exchange's fault policy and apply its
-        straggler slowdowns.  Detach with :meth:`detach_chaos`."""
-        if injector.nprocs != self.nprocs:
-            raise ConfigurationError(
-                f"fault injector built for {injector.nprocs} workers,"
-                f" cluster has {self.nprocs}"
-            )
-        self.chaos = injector
-        self._pre_chaos_speeds = [w.speed for w in self.workers]
-        for rank, factor in injector.plan.stragglers:
-            self.workers[rank].speed /= factor
-
-    def detach_chaos(self) -> None:
-        """Restore the reliable network and original worker speeds.
-
-        Any rows still awaiting acknowledgement move back to the pending
-        queues, so the next exchange completes their delivery.
-        """
-        self.chaos = FaultInjector(None, self.nprocs)
-        if self._pre_chaos_speeds is not None:
-            for w, sp in zip(self.workers, self._pre_chaos_speeds):
-                w.speed = sp
-            self._pre_chaos_speeds = None
-        for w in self.workers:
-            w.flush_unacked()
-
-    # ------------------------------------------------------------------
-    # health / self-healing
-    # ------------------------------------------------------------------
-    def attach_health(self, monitor: "HealthMonitor") -> None:
-        """Drive the per-rank health state machine from superstep barriers
-        and enable deadline-driven straggler mitigation + modeled retry
-        backoff.  Detach with :meth:`detach_health`."""
-        if monitor.nprocs != self.nprocs:
-            raise ConfigurationError(
-                f"health monitor built for {monitor.nprocs} workers,"
-                f" cluster has {self.nprocs}"
-            )
-        self.health = monitor
-
-    def detach_health(self) -> None:
-        self.health = None
-        self._spec_context = None
 
     # ------------------------------------------------------------------
     # RC-step primitives
@@ -526,7 +515,7 @@ class Cluster:
         tasks = [w.superstep_prepare() for w in self.workers]
         if self.health is not None:
             ctx: SpecContext = {}
-            pre = self._pre_chaos_speeds
+            pre = self.reference_speeds
             if pre is not None and self.health.policy.speculate:
                 for r, w in enumerate(self.workers):
                     if w.speed < pre[r]:

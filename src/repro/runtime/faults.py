@@ -25,14 +25,14 @@ Dijkstra, snapshot-shipping words, and the boundary-row refresh traffic.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Container, Dict, Tuple
+from typing import TYPE_CHECKING, Container, Dict
 
 import numpy as np
 
 from ..errors import RuntimeSimulationError
 from ..graph.views import LocalSubgraph, extract_local_subgraph
 from ..partition.base import Partition
-from ..types import FloatArray, Rank
+from ..types import Rank
 from .debug import check_cluster_invariants
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -249,30 +249,8 @@ def redistribute_worker(
     cluster.charge_comm_words(
         [(0, dst, words) for dst, words in sorted(ship_words.items())]
     )
-    rows = {
-        v: w.dv[w.row_of[v]].copy()
-        for w in cluster.workers
-        if w.rank != rank
-        for v in w.owned
-    }
-    touched = set(ship_words) | {rank}
-    saved: Dict[Rank, Tuple[Tuple[int, ...], FloatArray]] = {
-        w.rank: (tuple(w.owned), w.local_apsp)
-        for w in cluster.workers
-        if w.rank not in touched
-    }
-    cluster.install_partition(
-        Partition(cluster.nprocs, new_assignment), seed_rows=rows
-    )
-    for w in cluster.workers:
-        kept = saved.get(w.rank)
-        if kept is not None and kept[0] == tuple(w.owned):
-            w.local_apsp = kept[1]
-            w.restore_local_baseline()
-        else:
-            w.recompute_local_apsp()
-        w.queue_all_boundary_rows()
-    cluster.sync_compute()
+    # the crashed rank's rows are all +inf: carrying them changes nothing
+    cluster.migrate(Partition(cluster.nprocs, new_assignment))
     check_cluster_invariants(cluster)
 
 

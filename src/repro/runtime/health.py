@@ -4,7 +4,7 @@ The paper's anytime-anywhere contract promises a usable answer at
 interrupt time; this module supplies the *detection* half of keeping
 that promise under faults.  A :class:`HealthMonitor` watches the same
 signals the observability layer already exports — per-rank kernel
-durations at every BSP barrier, unacked-row gauges, crash events — and
+durations at every BSP barrier, unacked-row gauges, retired ranks — and
 runs a per-rank liveness state machine::
 
     healthy --(miss superstep deadline)--> suspect
@@ -26,15 +26,16 @@ The consumers:
 * :meth:`Cluster.exchange_boundary` charges
   :meth:`HealthMonitor.backoff_delay` per retransmission (seeded
   exponential backoff + jitter on the LogP clock),
-* the :class:`~repro.runtime.supervisor.Supervisor` climbs its recovery
-  escalation ladder from crash counts and the policy's budgets.
+* the :class:`~repro.runtime.supervisor.Supervisor` builds the monitor,
+  marks the ranks it retires dead, and holds ``escalate`` to the
+  policy's crash budget and dead-fraction limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, List, Sequence, Set
+from typing import List, Sequence, Set
 
 import numpy as np
 
@@ -161,10 +162,8 @@ class HealthMonitor:
         # --- accounting (all surfaced on RunResult / the metrics registry)
         self.missed_deadlines = 0
         self.speculations = 0
-        self.speculation_saved_seconds = 0.0
         self.backoffs = 0
         self.backoff_seconds = 0.0
-        self.crash_counts: Dict[Rank, int] = {}
         self.last_deadline = 0.0
 
     # ------------------------------------------------------------------
@@ -233,14 +232,8 @@ class HealthMonitor:
         return delay
 
     # ------------------------------------------------------------------
-    # crash ledger (consumed by the supervisor's escalation ladder)
+    # retirement (by the supervisor)
     # ------------------------------------------------------------------
-    def note_crash(self, rank: Rank) -> int:
-        """Record one crash of ``rank``; returns its cumulative count."""
-        count = self.crash_counts.get(rank, 0) + 1
-        self.crash_counts[rank] = count
-        return count
-
     def mark_dead(self, rank: Rank) -> None:
         """Retire ``rank`` permanently (redistributed away or budget burst)."""
         self.dead.add(rank)

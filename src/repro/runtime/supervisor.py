@@ -1,10 +1,20 @@
-"""Supervised crash recovery for fault-injected runs.
+"""The run context: one object owns a run's fault machinery.
 
-The :class:`Supervisor` sits between the RC loop and the
-:class:`~repro.runtime.chaos.FaultInjector`: at the start of every RC
-step it fires the crashes the plan schedules and answers each one with
-the configured recovery policy, charging the policy's true LogP cost to
-the modeled clock:
+Every :meth:`~repro.core.engine.AnytimeAnywhereCloseness.run` enters a
+:class:`Supervisor` as a context manager.  It owns the run's
+:class:`~repro.runtime.chaos.FaultInjector`, its
+:class:`~repro.runtime.health.HealthMonitor` when there is one, and the
+recovery ladder.  Entering installs the injector as ``cluster.chaos``,
+the monitor as ``cluster.health`` and the plan's straggler slowdowns;
+leaving restores the reliable network, ``cluster.health = None`` and the
+configured speeds — also when the run raises.  A fault-free run enters
+the null instance every cluster builds once (``cluster.fault_free``): no
+faults, no monitor, no crashes, no events.
+
+At the start of every RC step the supervisor fires the crashes the plan
+schedules and answers each with the next rung of its policy's ladder
+(a rank's n-th crash takes rung ``min(n, len(ladder))``), charging the
+rung's true LogP cost to the modeled clock:
 
 ``warm``
     Re-ship the sub-graph, rerun the IA-phase local Dijkstra, re-wire
@@ -21,16 +31,14 @@ the modeled clock:
     Degraded mode: no replacement process.  The dead rank's sub-graph
     migrates to the survivors and the computation finishes on P−1
     processors.
-``escalate``
-    The self-healing ladder: each rank's *first* crash gets a warm
-    restart, its second a checkpoint restore (falling back to warm when
-    no usable snapshot exists), and from the third on it is retired via
-    redistribution.  When a rank exhausts its
-    :attr:`~repro.runtime.health.HealthPolicy.crash_budget`, or retiring
-    one more rank would push the dead fraction past
-    ``max_dead_fraction``, the supervisor stops recovering and flags the
-    run degraded — the engine then returns a partial result instead of
-    raising.
+
+The fixed policies are one-rung ladders; ``escalate`` climbs warm →
+checkpoint → redistribute per rank, and only it has budgets: when a rank
+exhausts its :attr:`~repro.runtime.health.HealthPolicy.crash_budget`, or
+retiring one more rank would push the dead fraction past
+``max_dead_fraction``, the supervisor stops recovering and flags the run
+degraded — the engine then returns a partial result instead of raising.
+Its recoveries also carry their rung position as ``rung`` phase info.
 
 Checkpointing is ordered *before* same-step crashes, so a checkpoint
 scheduled at a crash step is taken from live state, not wiped state.
@@ -40,11 +48,10 @@ state, preserving the injector's byte-identical event traces.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import TYPE_CHECKING, Any, Dict, Optional, Set, Tuple
 
-from ..errors import ConfigurationError
 from ..types import Rank
-from .chaos import RECOVERY_POLICIES, FaultInjector
+from .chaos import FaultInjector
 from .faults import (
     abandon_worker,
     crash_worker,
@@ -56,64 +63,103 @@ from .health import HealthMonitor, HealthPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.checkpoint import ClusterStateSnapshot
+    from ..core.config import ResilienceConfig
     from ..graph.changes import ChangeBatch
     from .cluster import Cluster
 
-__all__ = ["Supervisor"]
+__all__ = ["LADDERS", "Supervisor"]
+
+#: the rungs each recovery policy climbs, per rank
+LADDERS: Dict[str, Tuple[str, ...]] = {
+    "warm": ("warm",),
+    "checkpoint": ("checkpoint",),
+    "redistribute": ("redistribute",),
+    "escalate": ("warm", "checkpoint", "redistribute"),
+}
 
 
 class Supervisor:
-    """Applies a recovery policy to the crashes a fault injector schedules."""
+    """A run's fault injector, health monitor and recovery ladder.
+
+    ``resilience`` is the run's
+    :class:`~repro.core.config.ResilienceConfig`; without one, or
+    without a ``fault_plan`` in it, this is the null policy.  ``health``
+    is ``config.health``: it instruments fault-injected runs only, and
+    ``escalate`` builds a default policy when none is given (the ladder
+    needs its budgets).
+    """
 
     def __init__(
         self,
         cluster: "Cluster",
-        injector: FaultInjector,
-        *,
-        recovery: str = "warm",
-        checkpoint_interval: int = 8,
-        monitor: Optional[HealthMonitor] = None,
+        resilience: Optional["ResilienceConfig"] = None,
+        health: Optional[HealthPolicy] = None,
     ) -> None:
-        if recovery not in RECOVERY_POLICIES:
-            raise ConfigurationError(
-                f"unknown recovery policy {recovery!r};"
-                f" choose from {RECOVERY_POLICIES}"
-            )
-        if checkpoint_interval < 1:
-            raise ConfigurationError("checkpoint_interval must be >= 1")
+        plan = None if resilience is None else resilience.fault_plan
         self.cluster = cluster
-        self.injector = injector
-        self.recovery = recovery
-        self.checkpoint_interval = checkpoint_interval
-        if monitor is None and recovery == "escalate":
-            # escalation needs crash budgets and dead-fraction limits even
-            # when the engine was not given an explicit HealthPolicy
-            monitor = HealthMonitor(
-                HealthPolicy(), cluster.nprocs, seed=injector.plan.seed
-            )
-        self.monitor = monitor
+        self.injector = FaultInjector(plan, cluster.nprocs)
+        self.ladder = LADDERS["warm"]
+        self.checkpoint_interval = 1
+        self.monitor: Optional[HealthMonitor] = None
+        #: whether an exhausted retry budget degrades instead of raising
+        self.degrades_gracefully = False
+        #: crash budget and dead-fraction limit (``escalate`` only)
+        self.budgets: Optional[HealthPolicy] = None
+        if resilience is not None and plan is not None:
+            self.ladder = LADDERS[resilience.recovery]
+            self.checkpoint_interval = resilience.checkpoint_interval
+            if len(self.ladder) > 1:
+                self.budgets = health = health or HealthPolicy()
+            if health is not None:
+                self.monitor = HealthMonitor(
+                    health, cluster.nprocs, seed=plan.seed
+                )
+                self.degrades_gracefully = health.graceful_degradation
+        self._checkpointing = "checkpoint" in self.ladder
         self._snapshot: Optional["ClusterStateSnapshot"] = None
+        #: crashes answered so far, per rank (the ladder position)
+        self.crash_counts: Dict[Rank, int] = {}
         #: ranks retired by redistribution / budget exhaustion
         self.dead_ranks: Set[Rank] = set()
         self.recoveries = 0
         self.recovery_modeled_seconds = 0.0
-        self.checkpoint_modeled_seconds = 0.0
-        #: recoveries and modeled seconds per ladder rung / policy label
+        #: recoveries and modeled seconds per ladder rung
         self.recoveries_by_rung: Dict[str, int] = {}
         self._rung_seconds: Dict[str, float] = {}
         #: non-empty once the run can no longer be recovered; the RC loop
         #: stops at the next step boundary and returns a partial result
         self.degraded_reason = ""
 
-    @property
-    def mttr_by_rung(self) -> Dict[str, float]:
-        """Mean modeled time-to-recovery per ladder rung / policy label."""
-        return {
-            rung: self._rung_seconds[rung] / count
-            for rung, count in sorted(self.recoveries_by_rung.items())
-            if count
-        }
+    # ------------------------------------------------------------------
+    # the run context
+    # ------------------------------------------------------------------
+    def __enter__(self) -> "Supervisor":
+        cluster = self.cluster
+        cluster.chaos = self.injector
+        cluster.health = self.monitor
+        stragglers = self.injector.plan.stragglers
+        if stragglers:
+            cluster.reference_speeds = [w.speed for w in cluster.workers]
+            for rank, factor in stragglers:
+                cluster.workers[rank].speed /= factor
+        return self
 
+    def __exit__(self, *exc_info: object) -> None:
+        cluster = self.cluster
+        cluster.chaos = cluster.fault_free.injector
+        cluster.health = None
+        if cluster.reference_speeds is not None:
+            for w, speed in zip(cluster.workers, cluster.reference_speeds):
+                w.speed = speed
+            cluster.reference_speeds = None
+        if not self.injector.reliable:
+            # rows still awaiting an ack move back to the pending queues,
+            # so the next exchange completes their delivery
+            for w in cluster.workers:
+                w.flush_unacked()
+
+    # ------------------------------------------------------------------
+    # the RC loop's hooks
     # ------------------------------------------------------------------
     @property
     def last_crash_step(self) -> int:
@@ -123,10 +169,7 @@ class Supervisor:
     def before_step(self, step: int) -> None:
         """RC-step preamble: periodic checkpoint, then scheduled crashes."""
         self.injector.begin_step(step)
-        if (
-            self.recovery in ("checkpoint", "escalate")
-            and step % self.checkpoint_interval == 0
-        ):
+        if self._checkpointing and step % self.checkpoint_interval == 0:
             self._take_checkpoint(step)
         for rank in self.injector.crashes_at(step):
             self._handle_crash(step, rank)
@@ -139,19 +182,58 @@ class Supervisor:
         bounds; the snapshot must be dropped.  Additions only shorten
         distances and append columns, which restore handles by padding.
         """
-        if batch and (
+        if (
             batch.edge_deletions
             or batch.edge_reweights
             or batch.vertex_deletions
         ):
             self._snapshot = None
 
+    def degrade(self, step: int, reason: str, rank: Rank = -1) -> None:
+        """Stop recovering: flag the run for graceful degradation."""
+        if not self.degraded_reason:
+            self.degraded_reason = reason
+        self.injector.record_degraded(step, reason, rank)
+
+    # ------------------------------------------------------------------
+    # what the run reports
+    # ------------------------------------------------------------------
+    @property
+    def mttr_by_rung(self) -> Dict[str, float]:
+        """Mean modeled time-to-recovery per ladder rung."""
+        return {
+            rung: self._rung_seconds[rung] / count
+            for rung, count in sorted(self.recoveries_by_rung.items())
+            if count
+        }
+
+    def accounting(self) -> Dict[str, Any]:
+        """The run's fault, recovery and health accounting, as
+        :class:`~repro.core.engine.RunResult` fields (zeros when the run
+        had no plan or no monitor)."""
+        monitor = self.monitor
+        return {
+            "faults_injected": self.injector.stats.faults_injected,
+            "retries": self.injector.stats.retries,
+            "recoveries": self.recoveries,
+            "recovery_modeled_seconds": self.recovery_modeled_seconds,
+            "degraded_reason": self.degraded_reason,
+            "missed_deadlines": monitor.missed_deadlines if monitor else 0,
+            "speculations": monitor.speculations if monitor else 0,
+            "backoff_modeled_seconds": (
+                monitor.backoff_seconds if monitor else 0.0
+            ),
+            "recoveries_by_rung": dict(self.recoveries_by_rung),
+            "mttr_by_rung": self.mttr_by_rung,
+            "fault_events": self.injector.trace_lines(),
+        }
+
     # ------------------------------------------------------------------
     def _take_checkpoint(self, step: int) -> None:
         from ..core.checkpoint import snapshot_cluster_state
 
         cluster = self.cluster
-        rec = cluster.tracer.begin("checkpoint", step)
+        cluster.tracer.begin("checkpoint", step)
         snap = snapshot_cluster_state(cluster, step)
         if cluster.nprocs > 1:
             cluster.charge_comm_words(
@@ -161,7 +243,6 @@ class Supervisor:
                 ]
             )
         cluster.tracer.end()
-        self.checkpoint_modeled_seconds += rec.modeled_total
         self._snapshot = snap
 
     def _snapshot_usable_for(self, rank: Rank) -> bool:
@@ -174,100 +255,60 @@ class Supervisor:
         return snap.owned.get(rank) == tuple(cluster.partition.block(rank))
 
     def _handle_crash(self, step: int, rank: Rank) -> None:
+        """Answer one crash with the next rung of the policy's ladder."""
         cluster = self.cluster
+        self.injector.record_crash(step, rank)
         if rank in self.dead_ranks:
-            # the rank was already retired; the scheduled crash still
-            # happens (and is recorded) but there is nothing to recover
-            self.injector.record_crash(step, rank)
+            # retired already: the crash happens, nothing to recover
             return
-        if self.recovery == "escalate":
-            self._handle_crash_escalate(step, rank)
-            return
-        self.injector.record_crash(step, rank)
-        rec = cluster.tracer.begin("fault_recovery", step)
-        crash_worker(cluster, rank)
-        if self.recovery == "redistribute":
-            redistribute_worker(cluster, rank, exclude=self.dead_ranks)
-            self.dead_ranks.add(rank)
-            policy = "redistribute"
-        elif self.recovery == "checkpoint" and self._snapshot_usable_for(rank):
-            recover_worker_from_snapshot(cluster, rank, self._snapshot)
-            policy = "checkpoint"
-        elif self.recovery == "checkpoint":
-            # no usable snapshot (none taken yet, invalidated by deletions,
-            # or the block changed since the save): warm restart instead
-            recover_worker(cluster, rank)
-            policy = "warm-fallback"
-        else:
-            recover_worker(cluster, rank)
-            policy = "warm"
-        cluster.tracer.end()
-        self._finish_recovery(step, rank, policy, rec.modeled_total)
-
-    def _finish_recovery(
-        self, step: int, rank: Rank, policy: str, seconds: float
-    ) -> None:
-        self.recoveries += 1
-        self.recovery_modeled_seconds += seconds
-        self.recoveries_by_rung[policy] = (
-            self.recoveries_by_rung.get(policy, 0) + 1
-        )
-        self._rung_seconds[policy] = (
-            self._rung_seconds.get(policy, 0.0) + seconds
-        )
-        self.injector.record_recovery(step, rank, policy)
-
-    def _handle_crash_escalate(self, step: int, rank: Rank) -> None:
-        """Climb the ladder warm -> checkpoint -> redistribute per rank,
-        degrading gracefully once health budgets are exhausted."""
-        cluster = self.cluster
-        monitor = self.monitor
-        assert monitor is not None
-        self.injector.record_crash(step, rank)
-        count = monitor.note_crash(rank)
-        policy = monitor.policy
-        if count > policy.crash_budget:
-            abandon_worker(cluster, rank)
-            self.dead_ranks.add(rank)
-            monitor.mark_dead(rank)
-            self._degrade(step, rank, "crash-budget")
-            return
-        if count >= 3:
-            # third strike: retiring the rank — unless that would leave
-            # too few survivors, in which case the run degrades instead
-            if (len(self.dead_ranks) + 1) / cluster.nprocs > (
-                policy.max_dead_fraction
+        count = self.crash_counts[rank] = self.crash_counts.get(rank, 0) + 1
+        position = min(count, len(self.ladder))
+        rung = self.ladder[position - 1]
+        budgets = self.budgets
+        if budgets is not None:
+            if count > budgets.crash_budget:
+                self._give_up(step, rank, "crash-budget")
+                return
+            if rung == "redistribute" and (
+                (len(self.dead_ranks) + 1) / cluster.nprocs
+                > budgets.max_dead_fraction
             ):
-                abandon_worker(cluster, rank)
-                self.dead_ranks.add(rank)
-                monitor.mark_dead(rank)
-                self._degrade(step, rank, "dead-fraction")
+                # retiring the rank would leave too few survivors
+                self._give_up(step, rank, "dead-fraction")
                 return
         rec = cluster.tracer.begin("fault_recovery", step)
         crash_worker(cluster, rank)
-        if count == 1:
-            recover_worker(cluster, rank)
-            rung = "warm"
-        elif count == 2 and self._snapshot_usable_for(rank):
-            recover_worker_from_snapshot(cluster, rank, self._snapshot)
-            rung = "checkpoint"
-        elif count == 2:
-            recover_worker(cluster, rank)
-            rung = "warm-fallback"
-        else:
+        if rung == "redistribute":
             redistribute_worker(cluster, rank, exclude=self.dead_ranks)
-            self.dead_ranks.add(rank)
-            monitor.mark_dead(rank)
-            rung = "redistribute"
-        rec.info["rung"] = float(
-            {"warm": 1, "checkpoint": 2, "warm-fallback": 2,
-             "redistribute": 3}[rung]
-        )
+            self._retire(rank)
+        elif rung == "checkpoint" and self._snapshot_usable_for(rank):
+            assert self._snapshot is not None
+            recover_worker_from_snapshot(cluster, rank, self._snapshot)
+        else:
+            # a checkpoint rung without a usable snapshot (none taken yet,
+            # dropped by deletions, or the block changed since the save)
+            # restarts warm instead
+            recover_worker(cluster, rank)
+            if rung == "checkpoint":
+                rung = "warm-fallback"
+        if len(self.ladder) > 1:
+            rec.info["rung"] = float(position)
         cluster.tracer.end()
-        self._finish_recovery(step, rank, rung, rec.modeled_total)
+        seconds = rec.modeled_total
+        self.recoveries += 1
+        self.recovery_modeled_seconds += seconds
+        by_rung = self.recoveries_by_rung
+        by_rung[rung] = by_rung.get(rung, 0) + 1
+        self._rung_seconds[rung] = self._rung_seconds.get(rung, 0.0) + seconds
+        self.injector.record_recovery(step, rank, rung)
 
-    def _degrade(self, step: int, rank: Rank, reason: str) -> None:
-        """Stop recovering: flag the run for graceful degradation."""
-        if not self.degraded_reason:
-            self.degraded_reason = reason
-        self.injector.record_degraded(step, reason, rank)
+    def _retire(self, rank: Rank) -> None:
+        self.dead_ranks.add(rank)
+        if self.monitor is not None:
+            self.monitor.mark_dead(rank)
+
+    def _give_up(self, step: int, rank: Rank, reason: str) -> None:
+        """Retire ``rank`` unrecovered and degrade the run."""
+        abandon_worker(self.cluster, rank)
+        self._retire(rank)
+        self.degrade(step, reason, rank)

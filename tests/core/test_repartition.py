@@ -43,7 +43,9 @@ def test_repartition_reuses_partial_results():
     # run the static phase first so partial results exist
     from repro.core.recombination import run_recombination
 
-    run_recombination(engine.cluster, max_steps=100)
+    run_recombination(
+        engine.cluster, supervisor=engine.cluster.fault_free, max_steps=100
+    )
     batch = wl.single_batch()
     strategy.apply(engine.cluster, batch, 2)
     # immediately after repartitioning (before further RC), old vertices

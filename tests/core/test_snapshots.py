@@ -64,7 +64,9 @@ def test_snapshots_are_upper_bounds():
                         >= dist[col[v], col[t]] - 1e-9
                     )
 
-    run_recombination(cluster, max_steps=100, on_step=check)
+    run_recombination(
+        cluster, supervisor=cluster.fault_free, max_steps=100, on_step=check
+    )
 
 
 def test_closeness_error_monotone_under_additions():

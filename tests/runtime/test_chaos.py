@@ -15,6 +15,7 @@ from repro.centrality import exact_closeness
 from repro.errors import ConfigurationError, WorkerError
 from repro.graph import barabasi_albert
 from repro.runtime.chaos import RECOVERY_POLICIES, FaultInjector
+from repro.runtime.supervisor import Supervisor
 
 
 def fresh_engine(n=80, nprocs=4, seed=1, **cfg_kwargs):
@@ -303,8 +304,8 @@ class TestSequencedChannelState:
     def test_any_plan_keeps_the_priced_acks(self):
         _g, engine = fresh_engine()
         cluster = engine.cluster
-        cluster.attach_chaos(FaultInjector(FaultPlan(), nprocs=4))
-        payload, wire, messages = self._one_exchange(cluster)
+        with Supervisor(cluster, ResilienceConfig(fault_plan=FaultPlan())):
+            payload, wire, messages = self._one_exchange(cluster)
         packets = messages // 2  # every packet is answered by one ack
         assert packets > 0 and wire == payload + packets
 
@@ -318,10 +319,12 @@ class TestEngineIntegration:
             engine.run(resilience=ResilienceConfig(checkpoint_interval=4))
 
     def test_attach_requires_matching_nprocs(self):
-        _g, engine = fresh_engine(nprocs=4)
-        inj = FaultInjector(FaultPlan(), nprocs=3)
+        """A run context builds its injector for the cluster it enters:
+        a plan naming a straggler the cluster lacks is rejected."""
+        _g, engine = fresh_engine(nprocs=3)
+        plan = FaultPlan(stragglers=((3, 2.0),))
         with pytest.raises(ConfigurationError):
-            engine.cluster.attach_chaos(inj)
+            Supervisor(engine.cluster, ResilienceConfig(fault_plan=plan))
 
     def test_fault_recovery_recorded_as_phase(self):
         _g, engine = fresh_engine()

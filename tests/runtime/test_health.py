@@ -127,12 +127,6 @@ class TestHealthMonitor:
             b.backoff_delay(i) for i in range(2, 8)
         ]
 
-    def test_note_crash_counts_per_rank(self):
-        m = self.make()
-        assert m.note_crash(1) == 1
-        assert m.note_crash(1) == 2
-        assert m.note_crash(2) == 1
-
 
 # ----------------------------------------------------------------------
 # straggler mitigation end to end

@@ -167,7 +167,9 @@ def test_dv_entries_are_decreasing_upper_bounds(g, nprocs):
 
     from repro.core.recombination import run_recombination
 
-    run_recombination(cluster, max_steps=50, on_step=check)
+    run_recombination(
+        cluster, supervisor=cluster.fault_free, max_steps=50, on_step=check
+    )
 
 
 @settings(**SETTINGS)
@@ -227,8 +229,9 @@ def test_recovery_policies_exact_and_monotone_on_survivors(
     after the batch lands), every recovery policy still converges to the
     exact answer — and the anytime guarantee survives on the workers that
     did not crash: their DV entries never increase."""
+    from repro import ResilienceConfig
     from repro.core.recombination import run_recombination
-    from repro.runtime.chaos import FaultInjector, FaultPlan
+    from repro.runtime.chaos import FaultPlan
     from repro.runtime.supervisor import Supervisor
 
     g, batch = data
@@ -240,13 +243,11 @@ def test_recovery_policies_exact_and_monotone_on_survivors(
     )
     engine.setup()
     cluster = engine.cluster
-    injector = FaultInjector(
-        FaultPlan.single_crash(crash_step, victim, loss_prob=0.1), nprocs
+    resilience = ResilienceConfig(
+        fault_plan=FaultPlan.single_crash(crash_step, victim, loss_prob=0.1),
+        recovery=policy,
+        checkpoint_interval=2,
     )
-    supervisor = Supervisor(
-        cluster, injector, recovery=policy, checkpoint_interval=2
-    )
-    cluster.attach_chaos(injector)
     prev: dict = {}
 
     def check(_step):
@@ -265,18 +266,16 @@ def test_recovery_policies_exact_and_monotone_on_survivors(
                         assert val <= prev[key] + 1e-12
                     prev[key] = val
 
-    try:
+    with Supervisor(cluster, resilience) as supervisor:
         run_recombination(
             cluster,
+            supervisor=supervisor,
             strategy=engine.resolve_strategy("roundrobin"),
             changes=ChangeStream({batch_step: batch}),
-            supervisor=supervisor,
             on_step=check,
             max_steps=200,
         )
-    finally:
-        cluster.detach_chaos()
-    assert injector.stats.crashes == 1
+    assert supervisor.injector.stats.crashes == 1
     exact = exact_closeness(final)
     got = engine.current_closeness()
     assert set(got) == set(exact)
