@@ -1,14 +1,16 @@
 """Micro-benchmarks of the hot worker kernels (real wall time).
 
-These are classic pytest-benchmark timing loops over the three kernels
-that dominate the pipeline's Python runtime: the IA-phase local APSP, the
-per-edge broadcast relaxation, and the boundary-DV cut relaxation.
+These are classic pytest-benchmark timing loops over the kernels that
+dominate the pipeline's Python runtime: the IA-phase local APSP, the
+per-edge broadcast relaxation, the boundary-DV cut relaxation and the
+RC step's propagation fold.
 """
 
 import numpy as np
 import pytest
 
 import repro.runtime.kernels.oracle as oracle
+from repro import AnytimeAnywhereCloseness, AnytimeConfig
 from repro.graph import (
     barabasi_albert,
     extract_local_subgraph,
@@ -138,3 +140,52 @@ def test_dv_gather_kernel(benchmark, scale):
     _graph, w = build(scale)
     w.run_initial_approximation()
     benchmark(lambda: w.extract_rows(w.owned))
+
+
+def first_fold_state(scale):
+    """The first RC fold of ``static-solve`` (BA 1000, m = 3, 2 ranks; 600
+    vertices at small scale): every boundary row has just relaxed against
+    every external row.  Returns the fuller rank and its fold inputs."""
+    n_graph = 600 if scale.n_base < 400 else 1000
+    engine = AnytimeAnywhereCloseness(
+        barabasi_albert(n_graph, 3, seed=1),
+        AnytimeConfig(nprocs=2, backend="serial", collect_snapshots=False),
+    )
+    with engine:
+        engine.setup()
+        engine.cluster.exchange_boundary()
+        tasks = [(w, w.superstep_prepare()) for w in engine.cluster.workers]
+        for w, task in tasks:
+            w.tier.relax_cut(w.dv, w.dv_changed, task.dirty_cols, task.relax_items)
+        w = max(engine.cluster.workers, key=lambda w: int(w.dv_changed.sum()))
+        return w, w.local_apsp.copy(), w.dv.copy(), w.dv_changed.copy(), w.local_csr
+
+
+@pytest.mark.parametrize("mask, closure", [("dense", True), ("sparse", False)])
+def test_propagation_fold(benchmark, scale, monkeypatch, mask, closure):
+    """The tier's fold on ``static-solve``'s first fold (dense: the seeded
+    Dijkstra closure) and on 2 % of its entries (sparse: the push).  The
+    path is asserted once before timing."""
+    w, apsp, settled, changed, graph = first_fold_state(scale)
+    if mask == "sparse":
+        changed &= np.random.default_rng(1).random(changed.shape) < 0.02
+    dv = settled.copy()
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            oracle,
+            "minplus_closure",
+            lambda *a, _real=oracle.minplus_closure: calls.append(1) or _real(*a),
+        )
+        w.tier.minplus_fold(apsp, dv, changed, graph=graph)
+    assert bool(calls) == closure
+
+    def restore():
+        dv[...] = settled
+
+    benchmark.pedantic(
+        lambda: w.tier.minplus_fold(apsp, dv, changed, graph=graph),
+        setup=restore,
+        rounds=10 if closure else 30,
+    )
+    benchmark.extra_info["entries"] = int(changed.sum())

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List
 
 import numpy as np
+import scipy.sparse.csgraph as csgraph
 
 from .kernels import minplus_fold_changed
 
@@ -133,5 +134,15 @@ def check_cluster_invariants(cluster: "Cluster") -> List[str]:
             " apsp_fell, and not marked in dv_rose"
         )
     checks.append("local-closure")
+
+    # 10. the CSR a worker holds is what its local APSP was computed from,
+    #     bit for bit — the premise of the closure fold, which searches the
+    #     CSR in place of reading local_apsp
+    for w in cluster.workers:
+        if w.local_csr is not None:
+            assert np.array_equal(
+                csgraph.dijkstra(w.local_csr, directed=False), w.local_apsp
+            ), f"rank {w.rank}: local_apsp is not the closure of local_csr"
+    checks.append("local-csr-closure")
 
     return checks

@@ -36,6 +36,8 @@ The module-level :func:`ia_kernel` / :func:`run_superstep` dispatch on
 the task's ``tier`` name (the process-pool entry points);
 :func:`relax_cut_kernel` / :func:`minplus_fold` (the rectangle fold) /
 :func:`minplus_fold_changed` (the entry fold every tier runs) /
+:func:`minplus_closure` (the same fold as seeded Dijkstras over the local
+CSR, which the tiers take where it is exact and cheaper) /
 :func:`minplus_pull` (its dual, the deletion repair) /
 :func:`minplus_fold_pairs` (the fold over fallen ``local_apsp`` pairs)
 re-export the oracle implementations for direct use and tests.
@@ -58,6 +60,7 @@ from .base import (
 )
 from .oracle import (
     ia_chunk_kernel,
+    minplus_closure,
     minplus_fold,
     minplus_fold_changed,
     minplus_fold_pairs,
@@ -97,6 +100,7 @@ __all__ = [
     "ia_chunk_kernel",
     "ia_kernel",
     "make_tier",
+    "minplus_closure",
     "minplus_fold",
     "minplus_fold_changed",
     "minplus_fold_pairs",

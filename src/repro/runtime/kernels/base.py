@@ -83,6 +83,9 @@ class SuperstepTask:
     #: the ``local_apsp`` pairs lowered since the last fold (read-only),
     #: or ``None`` when there are none
     fell: Optional[BoolArray] = None
+    #: the local CSR ``local_apsp`` was computed from (scipy matrix;
+    #: picklable), or ``None`` once ``local_apsp`` changed another way
+    graph: Any = None
     #: kernel tier executing this task (resolved by name in pool children)
     tier: str = "numpy"
 
@@ -168,6 +171,7 @@ class KernelTier:
         changed: Optional[BoolArray],
         rose: Optional[BoolArray] = None,
         fell: Optional[BoolArray] = None,
+        graph: Any = None,
     ) -> List[int]:
         """Min-plus propagation fold; returns the sorted rows improved.
 
@@ -178,7 +182,9 @@ class KernelTier:
         deletion raised: they are pulled from every source before
         ``changed`` is pushed.  ``fell`` marks the ``apsp`` pairs a local
         edge lowered: every target is folded over them, from the sources
-        as they stood after the pull.
+        as they stood after the pull.  ``graph``, when given, is the CSR
+        ``apsp`` was computed from: the push may run as its seeded
+        shortest-path closure where that is exact and cheaper.
         """
         raise NotImplementedError
 
@@ -215,7 +221,7 @@ class KernelTier:
             return SuperstepResult(relax_improved=relax_improved)
         unknown = task.full_repropagate and task.rose is None
         prop_improved = self.minplus_fold(
-            apsp, dv, None if unknown else changed, task.rose, task.fell
+            apsp, dv, None if unknown else changed, task.rose, task.fell, task.graph
         )
         return SuperstepResult(
             relax_improved=relax_improved,

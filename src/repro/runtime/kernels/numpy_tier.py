@@ -8,7 +8,7 @@ rank — the pre-tier behavior, unchanged.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Any, List, Optional, Set
 
 import numpy as np
 
@@ -50,6 +50,7 @@ class NumpyTier(KernelTier):
         changed: Optional[BoolArray],
         rose: Optional[BoolArray] = None,
         fell: Optional[BoolArray] = None,
+        graph: Any = None,
     ) -> List[int]:
         if changed is None:
             n, c = dv.shape
@@ -59,7 +60,10 @@ class NumpyTier(KernelTier):
             rows.update(oracle.minplus_pull(apsp, dv, rose))
         # the pairs read every source as the push does: as the pull left it
         src = dv if fell is None else dv.copy()
-        rows.update(oracle.minplus_fold_changed(apsp, dv, changed))
+        if graph is not None and oracle.closure_applies(graph, dv, changed):
+            rows.update(oracle.minplus_closure(graph, dv, changed))
+        else:
+            rows.update(oracle.minplus_fold_changed(apsp, dv, changed))
         if fell is not None:
             rows.update(oracle.minplus_fold_pairs(apsp, dv, fell, src))
         return sorted(rows)

@@ -9,9 +9,10 @@ bitwise-identical to these statements executed in serial order.
 
 from __future__ import annotations
 
-from typing import Any, List, Set, Union
+from typing import Any, List, Set, Tuple, Union
 
 import numpy as np
+import scipy.sparse as sparse
 import scipy.sparse.csgraph as csgraph
 
 from ...types import BoolArray, FloatArray
@@ -24,6 +25,8 @@ __all__ = [
     "relax_cut_kernel",
     "minplus_fold",
     "minplus_fold_changed",
+    "minplus_closure",
+    "closure_applies",
     "minplus_fold_pairs",
     "minplus_pull",
     "relax_edge_kernel",
@@ -41,6 +44,21 @@ _MINPLUS_MAX_BLOCK = 64
 #: 2**21 elements = 16 MB, the size of the rectangle fold's broadcast
 #: temporary.
 _ENTRY_CHUNK_ELEMS = 1 << 21
+
+#: Cap on the float64 element count of the closure fold's distance block
+#: (``block x (n + block)``: one Dijkstra row per target column of the
+#: block, over the local vertices and the block's virtual sources);
+#: 2**16 elements = 512 KB.
+_CLOSURE_BLOCK_ELEMS = 1 << 16
+
+#: Closure fold cost rule: the push evaluates ``n * E`` candidate sums
+#: (``E`` entries, about 2 ns a sum on the EXPERIMENTS.md host), the
+#: closure runs one Dijkstra per touched column over ``n + nnz`` vertices
+#: and arcs (about 42 ns each, heap included), so they break even near
+#: ``n * E = 20 * C * (n + nnz)``.  The closure runs only from 32 on,
+#: where it is predicted 1.6x faster: folds near break-even (``static-solve``
+#: folds 2-3 at 10-15, ``batch-add``'s densest at 16-21) keep the push.
+_CLOSURE_DIV = 32
 
 #: Edge-row relaxation: an orientation whose finite rectangle covers more
 #: than ``1 / _EDGE_DENSE_DIV`` of the ``n_local x n_cols`` block is
@@ -294,14 +312,9 @@ def minplus_fold_changed(
     only read.
     """
     n = apsp.shape[0]
-    # column-major walk over the rows that hold any entry (few, late in a
-    # run): entries arrive grouped by target column
-    rows = np.flatnonzero(changed.any(axis=1))
-    t_idx, k_idx = np.nonzero(changed[rows].T)
+    t_idx, k_idx, vals = _changed_entries(dv, changed)
     if t_idx.size == 0:
         return []
-    k_idx = rows[k_idx]
-    vals = dv[k_idx, t_idx]
     improved_rows = np.zeros(n, dtype=np.bool_)
     chunk = min(t_idx.size, max(1, _ENTRY_CHUNK_ELEMS // n))
     # one gather buffer for every chunk (a fresh temporary per chunk is
@@ -321,6 +334,110 @@ def minplus_fold_changed(
             # np.nonzero walks row-major, matching cand[better]'s order
             r_idx, g_idx = np.nonzero(better)
             dv[r_idx, cols[g_idx]] = cand[better]
+            improved_rows |= better.any(axis=1)
+    return [int(r) for r in np.flatnonzero(improved_rows)]
+
+
+def _changed_entries(
+    dv: FloatArray, changed: BoolArray
+) -> Tuple[IndexArray, IndexArray, FloatArray]:
+    """``(t_idx, k_idx, vals)`` of the entries set in ``changed``, grouped
+    by target column ``t`` (sorted), with their current ``dv`` values."""
+    # column-major walk over the rows that hold any entry (few, late in a
+    # run): entries arrive grouped by target column
+    rows = np.flatnonzero(changed.any(axis=1))
+    t_idx, k_idx = np.nonzero(changed[rows].T)
+    k_idx = rows[k_idx]
+    return t_idx, k_idx, dv[k_idx, t_idx]
+
+
+def closure_applies(graph: Any, dv: FloatArray, changed: BoolArray) -> bool:
+    """Whether :func:`minplus_closure` may stand in for
+    :func:`minplus_fold_changed` on this fold: it pays, and it is exact.
+
+    *Cost*: ``_CLOSURE_DIV * C * (n + nnz) < n * E`` for ``E`` entries in
+    ``C`` columns.  *Exactness*: every stored weight of ``graph`` and every
+    finite marked entry is a positive integer and ``max entry + max weight
+    * (n - 1) < 2**53``.  Then every shortest-path sum either kernel forms is an
+    integer below 2**53, computed exactly: the two agree bit for bit
+    provided ``graph`` is what ``apsp`` was computed from (``apsp ==
+    csgraph.dijkstra(graph)``, which the caller vouches for).  A longer
+    path's sum may round, but rounding is monotone, so it never drops
+    below the exact shortest one.
+    """
+    n = dv.shape[0]
+    entries = int(np.count_nonzero(changed))
+    if not entries:
+        return False
+    cols = int(np.count_nonzero(changed.any(axis=0)))
+    if _CLOSURE_DIV * cols * (n + graph.nnz) >= n * entries:
+        return False
+    weights = graph.data
+    vals = dv[changed]
+    vals = vals[np.isfinite(vals)]
+    for x in (weights, vals):
+        if not ((x > 0) & (x < 2.0**53) & (x == np.floor(x))).all():
+            return False
+    top_w = int(weights.max()) if weights.size else 0
+    top_v = int(vals.max()) if vals.size else 0
+    return top_v + top_w * (n - 1) < 2**53
+
+
+def minplus_closure(graph: Any, dv: FloatArray, changed: BoolArray) -> List[int]:
+    """:func:`minplus_fold_changed` as one seeded Dijkstra per target column.
+
+    ``d(x,t) <- min(d(x,t), min_k apsp(x,k) + d(k,t))`` over the entries
+    ``(k, t)`` set in ``changed``, where ``apsp`` is the shortest-path
+    closure of ``graph`` (the local CSR it was computed from): for each
+    target ``t`` the minimum over ``k`` is the distance to ``x`` from a
+    virtual source with an arc of length ``d(k,t)`` to every such ``k``.
+    That is ``C`` Dijkstras over ``n + nnz`` vertices and arcs for ``C``
+    touched columns, against the push's ``n * E`` candidate sums; bitwise
+    the push only where :func:`closure_applies` says so.
+
+    Columns are taken a block at a time: the local CSR plus one virtual
+    row per column of the block, searched from the virtual rows
+    (``directed=True``: no arc enters a virtual source, so no path
+    crosses one), into a ``block x (n + block)`` distance block of at
+    most ``_CLOSURE_BLOCK_ELEMS`` elements.  Every entry is read before
+    any is written, like the push's; +inf entries are never seeds.
+    ``changed`` is only read.
+    """
+    n = dv.shape[0]
+    t_idx, k_idx, vals = _changed_entries(dv, changed)
+    seeds = np.isfinite(vals)
+    if not seeds.all():
+        t_idx, k_idx, vals = t_idx[seeds], k_idx[seeds], vals[seeds]
+    if t_idx.size == 0:
+        return []
+    starts = np.flatnonzero(np.diff(t_idx, prepend=-1))
+    cols = t_idx[starts]
+    bounds = np.append(starts, t_idx.size)
+    k_idx = k_idx.astype(graph.indices.dtype)
+    nnz = graph.indptr[-1]
+    # the largest block with block * (n + block) <= _CLOSURE_BLOCK_ELEMS
+    block = max(1, int((np.sqrt(n * n + 4 * _CLOSURE_BLOCK_ELEMS) - n) // 2))
+    improved_rows = np.zeros(n, dtype=np.bool_)
+    for b0 in range(0, cols.size, block):
+        b1 = min(b0 + block, cols.size)
+        e0, e1 = bounds[b0], bounds[b1]
+        size = n + b1 - b0
+        seeded = sparse.csr_matrix(
+            (
+                np.concatenate([graph.data, vals[e0:e1]]),
+                np.concatenate([graph.indices, k_idx[e0:e1]]),
+                np.concatenate([graph.indptr, nnz - e0 + bounds[b0 + 1:b1 + 1]]),
+            ),
+            shape=(size, size),
+        )
+        dist = csgraph.dijkstra(seeded, directed=True, indices=np.arange(n, size))
+        cand = dist[:, :n].T  # (n, block)
+        block_cols = cols[b0:b1]
+        better = cand < dv[:, block_cols]
+        if better.any():
+            # np.nonzero walks row-major, matching cand[better]'s order
+            r_idx, g_idx = np.nonzero(better)
+            dv[r_idx, block_cols[g_idx]] = cand[better]
             improved_rows |= better.any(axis=1)
     return [int(r) for r in np.flatnonzero(improved_rows)]
 

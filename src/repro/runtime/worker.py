@@ -13,7 +13,10 @@ Each worker owns a block of vertices and maintains:
 * ``dv_rose`` — its dual: the entries a deletion's witness test raised
   since the last fold, which are all a deletion repair has to pull,
 * ``apsp_fell`` — a bool mask of ``local_apsp``'s shape: the pairs a
-  local edge lowered since the last fold, over which it folds every target.
+  local edge lowered since the last fold, over which it folds every target,
+* ``local_csr`` — the local CSR ``local_apsp`` was computed from, over
+  which a dense exact fold runs as a seeded shortest-path closure; dropped
+  whenever ``local_apsp`` changes any other way.
 
 All kernels are vectorized NumPy and meter their operation counts into the
 :class:`~repro.model.cost.CostModel`, which is how modeled per-step compute
@@ -115,6 +118,10 @@ class Worker:
         self.dv_rose: BoolArray = np.zeros((0, 0), dtype=np.bool_)
         #: what :attr:`apsp_fell` holds, ``None`` while no pair is set
         self._apsp_fell: Optional[BoolArray] = None
+        #: the CSR ``local_apsp`` was computed from (``IATask.matrix``):
+        #: ``csgraph.dijkstra(local_csr) == local_apsp`` bit for bit while it
+        #: is set.  Never shm: it reaches the kernel inside the task
+        self.local_csr: Any = None
         #: last received DV rows of external boundary vertices
         self.ext_dvs: Dict[VertexId, FloatArray] = {}
 
@@ -234,12 +241,14 @@ class Worker:
         """Local all-pairs matrix; assignment re-homes it via the allocator
         and, on a new shape (a reload, a crash wipe, a restore), clears
         ``apsp_fell`` — a same-shape recomputation keeps the marks: a
-        deletion may leave a pair below the value it was last folded at."""
+        deletion may leave a pair below the value it was last folded at.
+        It drops ``local_csr``: only :meth:`ia_prepare` vouches for one."""
         return self._local_apsp
 
     @local_apsp.setter
     def local_apsp(self, value: FloatArray) -> None:
         self._local_apsp = self.allocator.adopt(value, self._local_apsp)
+        self.local_csr = None
         if self._apsp_fell is not None and self._apsp_fell.shape != value.shape:
             self._apsp_fell = None
 
@@ -380,6 +389,7 @@ class Worker:
             (self.index.column(v) for v in self.owned), dtype=np.intp, count=n
         )
         self.local_apsp = self.allocator.empty((n, n))
+        self.local_csr = view.matrix
         return IATask(
             matrix=view.matrix,
             cols=cols,
@@ -737,6 +747,7 @@ class Worker:
             if self._full_repropagate and not self._rises_unknown
             else None,
             fell=self._apsp_fell,
+            graph=self.local_csr,
             tier=self.tier.name,
         )
 
@@ -891,6 +902,7 @@ class Worker:
         through the new edge in either direction.
         """
         self.local_graph.add_edge(u, v, w)
+        self.local_csr = None  # local_apsp is repaired in place below
         ru, rv = self.row_of[u], self.row_of[v]
         a = self.local_apsp
         n = a.shape[0]

@@ -169,6 +169,22 @@ def assert_stream_is_backend_and_tier_invariant(base, batches) -> None:
 
 
 @pytest.fixture
+def fresh_pool():
+    """Restart the process backend's pool around a test, so that its
+    children fork with the test's monkeypatches and none outlive it."""
+    from repro.runtime.backends import process
+
+    def restart():
+        if process._POOL is not None:
+            process._POOL.shutdown(wait=True)
+            process._POOL, process._POOL_SIZE = None, 0
+
+    restart()
+    yield
+    restart()
+
+
+@pytest.fixture
 def ba_graph() -> Graph:
     return barabasi_albert(120, 3, seed=4)
 

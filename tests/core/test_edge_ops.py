@@ -9,6 +9,7 @@ from repro.centrality import exact_closeness, sssp_dijkstra
 from repro.graph import ChangeBatch, barabasi_albert, random_weights
 from repro.graph.changes import EdgeAddition, EdgeDeletion, EdgeReweight
 from repro.core.strategies import EdgeAdditionStrategy, EdgeDeletionStrategy
+from repro.runtime import Cluster, check_cluster_invariants
 
 from ..conftest import (
     assert_stream_is_backend_and_tier_invariant,
@@ -186,7 +187,9 @@ def same_rank_pairs(base, *, present, nprocs=4, seed=5, only_rank=None):
     ]
 
 
-def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant(monkeypatch):
+def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant(
+    monkeypatch, fresh_pool
+):
     """Additions, deletions and both reweight directions interleaved, two
     deletions ahead of one fold, a repair pending while edges are added,
     and intra-rank edges (shortcuts, a reweight-down, a reweight-up's
@@ -198,7 +201,12 @@ def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant(monkeypa
     Steps 6-9 walk rank 1 through both IA paths: its uniform weights take
     the level sweep at setup; a reweight-up leaves it mixed, so the next
     local-APSP rebuild (after a deletion) takes Dijkstra; a reweight back
-    to the common weight returns the rebuild after that to the sweep."""
+    to the common weight returns the rebuild after that to the sweep.
+
+    The closure fold's cost rule is switched off, so every push on a rank
+    whose weights and entries are integral runs as the seeded closure over
+    the rank's local CSR — everywhere, pool children included (they fork
+    after the patch) — and must track each rebuild and drop of that CSR."""
     from repro.graph.changes import VertexAddition
     from repro.runtime import Worker
 
@@ -274,12 +282,32 @@ def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant(monkeypa
         ia_calls[-1][2] = True
         return level_sweep(*args)
 
+    closures = []
+    closure = oracle.minplus_closure
+
+    def closure_spy(graph, dv, changed):
+        closures.append(int(changed.sum()))
+        return closure(graph, dv, changed)
+
+    relax_and_propagate = Cluster.relax_and_propagate
+
+    def audited(cluster):
+        # check 10 after every superstep: each CSR a fold may search is the
+        # one its rank's local_apsp was computed from
+        improved = relax_and_propagate(cluster)
+        check_cluster_invariants(cluster)
+        return improved
+
+    monkeypatch.setattr(Cluster, "relax_and_propagate", audited)
+    monkeypatch.setattr(oracle, "_CLOSURE_DIV", 0)
+    monkeypatch.setattr(oracle, "minplus_closure", closure_spy)
     monkeypatch.setattr(oracle, "minplus_fold_pairs", spy)
     monkeypatch.setattr(Worker, "ia_prepare", prepare_spy)
     monkeypatch.setattr(oracle, "local_apsp_rows", rows_spy)
     monkeypatch.setattr(oracle, "_level_sweep", sweep_spy)
     assert_stream_is_backend_and_tier_invariant(base, batches)
     assert len(pair_folds) >= 8 and min(pair_folds) > 0  # the in-process runs
+    assert closures
     assert all(uniform == swept for _rank, uniform, swept in ia_calls)
     # one serial run, every IA call in process: setup sweeps every rank
     ia_calls.clear()

@@ -33,6 +33,11 @@ edge — folds every target over the ``local_apsp`` pairs marked in the
 fallen mask.  On states where everything outside the three masks is
 closed, pull + push + pairs (the tier's ``minplus_fold``) must be
 bitwise-equal to the rectangle fold over the whole block.
+
+:func:`repro.runtime.kernels.minplus_closure` — the push as one seeded
+Dijkstra per target column over the local CSR — must be bitwise-equal to
+:func:`~repro.runtime.kernels.minplus_fold_changed` on positive integer
+weights and entries, and the tier may take it nowhere else.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ from repro.graph.changes import (
     VertexDeletion,
 )
 from repro.model import DEFAULT_COST
-from repro.runtime import GlobalIndex, Worker
+from repro.runtime import GlobalIndex, Worker, check_cluster_invariants
 from repro.runtime.kernels import make_tier
 from repro.runtime.shm import (
     SharedMemoryAllocator,
@@ -1420,3 +1425,244 @@ class TestLocalAPSPRows:
             tracemalloc.stop()
         assert dijkstra.calls == []
         assert peak <= 1.25 * n * n * 8
+
+
+# ----------------------------------------------------------------------
+# closure fold: minplus_closure == minplus_fold_changed, bitwise
+# ----------------------------------------------------------------------
+CLOSURE_SHAPES = ["ba", "er", "path", "grid", "union"]
+#: edge weights per kind; "float" mixes halves (exact sums, still refused)
+#: with thirds and tenths (rounded sums)
+CLOSURE_WEIGHTS = {
+    "unit": lambda rng: 1.0,
+    "int": lambda rng: float(rng.integers(1, 6)),
+    "float": lambda rng: float(rng.choice([0.5, 1.5, 0.1, 1 / 3])),
+}
+
+
+def closure_state(
+    shape: str,
+    n: int,
+    n_cols: int,
+    seed: int,
+    *,
+    weights: str = "int",
+    density: float = 0.3,
+    p_inf: float = 0.2,
+):
+    """``(graph, apsp, dv, changed)``: the CSR of a ``shape`` graph on
+    ``0 .. n-1`` with ``weights``, its Dijkstra closure, and a block of
+    positive integer entries (``p_inf`` of them +inf) of which a ``density``
+    share is marked — +inf entries included."""
+    rng = np.random.default_rng(seed)
+    g = Graph()
+    for v in range(n):
+        g.add_vertex(v)
+    for u, v, _w in sweep_graph(shape, n, seed).edges():
+        g.add_edge(u, v, CLOSURE_WEIGHTS[weights](rng))
+    graph = g.to_csr(list(range(n))).matrix
+    apsp = csgraph.dijkstra(graph, directed=False)
+    dv = rng.integers(1, 60, size=(n, n_cols)).astype(np.float64)
+    dv[rng.random(dv.shape) < p_inf] = np.inf
+    changed = rng.random(dv.shape) < density
+    return graph, apsp, dv, changed
+
+
+def assert_closure_matches_push(graph, apsp, dv, changed) -> List[int]:
+    """``dv`` bytes and returned rows of the closure against the push."""
+    got, mask = dv.copy(), changed.copy()
+    got_rows = kernels.minplus_closure(graph, got, mask)
+    assert mask.tobytes() == changed.tobytes()  # only read
+    ref = dv.copy()
+    assert got_rows == kernels.minplus_fold_changed(apsp, ref, changed)
+    assert got.tobytes() == ref.tobytes()
+    return got_rows
+
+
+def exact_for_closure(graph, dv, changed) -> bool:
+    """The closure's exactness precondition, restated for the spies."""
+    w = graph.data
+    seeds = dv[changed][np.isfinite(dv[changed])]
+    ints = all(((x > 0) & (x == np.round(x))).all() for x in (w, seeds))
+    top = (seeds.max() if seeds.size else 0) + (w.max() if w.size else 0) * (
+        dv.shape[0] - 1
+    )
+    return bool(ints and top < 2**53)
+
+
+class TestClosureFold:
+    """``oracle.minplus_closure`` — the entry push as one seeded Dijkstra per
+    target column over the local CSR — against ``minplus_fold_changed``:
+    bitwise on positive integer weights and entries, for any mask (no
+    closure invariant needed); and the tier takes it only where
+    ``closure_applies``: never on float weights or a non-integral, zero or
+    near-2**53 entry, never on a sparse fold."""
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        shape=st.sampled_from(CLOSURE_SHAPES),
+        n=st.sampled_from([1, 2, 7, 30, 65]),
+        n_cols=st.integers(1, 40),
+        weights=st.sampled_from(["unit", "int"]),
+        density=st.sampled_from([0.02, 0.2, 0.7, 1.0]),
+        p_inf=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(shape="union", n=65, n_cols=40, weights="int", density=1.0, p_inf=0.3, seed=1)
+    def test_bitwise_equal_to_the_push(
+        self, shape, n, n_cols, weights, density, p_inf, seed
+    ):
+        assert_closure_matches_push(
+            *closure_state(
+                shape, n, n_cols, seed, weights=weights, density=density, p_inf=p_inf
+            )
+        )
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        shape=st.sampled_from(CLOSURE_SHAPES),
+        n=st.sampled_from([2, 7, 30]),
+        weights=st.sampled_from(sorted(CLOSURE_WEIGHTS)),
+        entry=st.sampled_from([None, 0.0, 2.5, 2.0**53 - 2, np.inf]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_the_tier_takes_it_exactly_where_it_is_exact(
+        self, shape, n, weights, entry, seed
+    ):
+        """The cost rule switched off: the tier's fold is the push's bytes
+        whatever the weights and entries, and ran as the closure iff the
+        integer precondition holds."""
+        graph, apsp, dv, changed = closure_state(
+            shape, n, 12, seed, weights=weights, density=0.5
+        )
+        if entry is not None:
+            dv[0, 0], changed[0, 0] = entry, True
+        got, ref = dv.copy(), dv.copy()
+        with mock.patch.object(kernels, "_CLOSURE_DIV", 0), mock.patch.object(
+            kernels, "minplus_closure", wraps=kernels.minplus_closure
+        ) as closure:
+            rows = make_tier("numpy").minplus_fold(apsp, got, changed, graph=graph)
+        assert rows == kernels.minplus_fold_changed(apsp, ref, changed)
+        assert got.tobytes() == ref.tobytes()
+        assert closure.called == exact_for_closure(graph, dv, changed)
+
+    def test_push_chunks_and_closure_blocks_split_the_columns(self, monkeypatch):
+        """The push's chunk boundary inside one column's entries, and
+        closure blocks of one, two and three virtual sources with a short
+        tail: the same bytes as one block."""
+        graph, apsp, dv, changed = closure_state("grid", 30, 25, 3, density=0.6)
+        one_block = dv.copy()
+        kernels.minplus_closure(graph, one_block, changed)
+        for per_block in (1, 2, 3):
+            monkeypatch.setattr(
+                kernels, "_CLOSURE_BLOCK_ELEMS", per_block * (30 + per_block)
+            )
+            monkeypatch.setattr(kernels, "_ENTRY_CHUNK_ELEMS", (per_block + 4) * 30)
+            got = dv.copy()
+            kernels.minplus_closure(graph, got, changed)
+            assert got.tobytes() == one_block.tobytes()
+            assert_closure_matches_push(graph, apsp, dv, changed)
+
+    def test_masked_infinite_and_empty_columns_are_inert(self):
+        graph, apsp, dv, changed = closure_state("path", 30, 20, 4, p_inf=0.6)
+        changed |= np.isinf(dv)
+        changed[:, 3] = False
+        dv[:, 5] = np.inf
+        changed[:, 5] = True  # a column of +inf seeds: no virtual source
+        assert_closure_matches_push(graph, apsp, dv, changed)
+        assert kernels.minplus_closure(graph, dv, np.zeros(dv.shape, bool)) == []
+
+    def test_dense_integer_fold_takes_the_closure(self, monkeypatch):
+        graph, apsp, dv, changed = closure_state(
+            "path", 200, 50, 5, density=1.0, p_inf=0.0
+        )
+        assert kernels.closure_applies(graph, dv, changed)
+        closure = _Spy(monkeypatch, kernels, "minplus_closure")
+        push = _Spy(monkeypatch, kernels, "minplus_fold_changed")
+        got = dv.copy()
+        make_tier("numpy").minplus_fold(apsp, got, changed, graph=graph)
+        assert len(closure.calls) == 1 and push.calls == []
+        assert_closure_matches_push(graph, apsp, dv, changed)
+
+    @pytest.mark.parametrize(
+        "case", ["float weights", "non-integral", "near 2**53", "zero", "sparse", "no CSR"]
+    )
+    def test_spies_see_the_push(self, monkeypatch, case):
+        graph, apsp, dv, changed = closure_state(
+            "path", 200, 50, 5, weights="float" if case == "float weights" else "int",
+            density=1.0, p_inf=0.0,
+        )
+        entry = {"non-integral": 7.5, "near 2**53": 2.0**53 - 2, "zero": 0.0}.get(case)
+        if entry is not None:
+            dv[3, 4] = entry
+        if case == "sparse":
+            changed &= np.random.default_rng(5).random(changed.shape) < 0.05
+        closure = _Spy(monkeypatch, kernels, "minplus_closure")
+        push = _Spy(monkeypatch, kernels, "minplus_fold_changed")
+        got = dv.copy()
+        make_tier("numpy").minplus_fold(
+            apsp, got, changed, graph=None if case == "no CSR" else graph
+        )
+        assert closure.calls == [] and len(push.calls) == 1
+
+    def test_precondition_boundary_is_two_to_the_53(self):
+        graph, _apsp, dv, changed = closure_state(
+            "path", 200, 50, 5, weights="unit", density=1.0, p_inf=0.0
+        )
+        dv[0, 0] = 2.0**53 - 200  # + 199 hops of weight 1 = 2**53 - 1
+        assert kernels.closure_applies(graph, dv, changed)
+        dv[0, 0] += 1
+        assert not kernels.closure_applies(graph, dv, changed)
+
+    def test_static_solve_first_folds_take_the_closure(self, monkeypatch):
+        """The ``static-solve`` input (BA 1000, 2 ranks): its first folds
+        push every boundary row's external columns — the closure runs, and
+        each call is the push's bytes over ``dijkstra(graph)``, which check
+        10 holds to ``local_apsp``."""
+        calls = []
+
+        def checked(graph, dv, changed, _real=kernels.minplus_closure):
+            ref = dv.copy()
+            apsp = csgraph.dijkstra(graph, directed=False)
+            ref_rows = kernels.minplus_fold_changed(apsp, ref, changed)
+            calls.append(_real(graph, dv, changed))
+            assert calls[-1] == ref_rows and dv.tobytes() == ref.tobytes()
+            return calls[-1]
+
+        monkeypatch.setattr(kernels, "minplus_closure", checked)
+        engine = AnytimeAnywhereCloseness(
+            barabasi_albert(1000, 3, seed=1),
+            AnytimeConfig(nprocs=2, backend="serial", collect_snapshots=False),
+        )
+        with engine:
+            engine.setup()
+            engine.run(step_budget=2)
+            assert "local-csr-closure" in check_cluster_invariants(engine.cluster)
+        assert len(calls) == 2  # the first fold of each rank
+
+    def test_distance_block_stays_under_its_constant(self):
+        """2 000 touched columns on a 100-vertex rank: unchunked, the
+        distance block alone is 2 000 x 2 100 float64 (34 MB)."""
+        graph, apsp, dv, _ = closure_state("path", 100, 2000, 6, p_inf=0.0)
+        changed = np.zeros(dv.shape, dtype=bool)
+        changed[[10, 60]] = True
+        cap = kernels._CLOSURE_BLOCK_ELEMS * 8
+        assert 2000 * 2100 * 8 > 50 * cap
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            kernels.minplus_closure(graph, dv, changed)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the block, its column gather and compare, the entry vectors
+        assert peak < 3 * cap

@@ -734,3 +734,43 @@ class TestFallenPairMask:
                 assert rank.dv[rank.row_of[v]].tolist() == [
                     want[t] for t in cluster.index.ids
                 ]
+
+
+class TestLocalCSR:
+    """``local_csr``: set by the IA that computes ``local_apsp`` from it,
+    carried by the task, dropped by every other writer of ``local_apsp`` —
+    check 10 holds it to ``csgraph.dijkstra(local_csr) == local_apsp``."""
+
+    def test_ia_sets_it_and_every_other_writer_drops_it(self):
+        cluster = split_cluster()
+        w = cluster.workers[0]
+        assert w.local_csr is not None
+        assert w.superstep_prepare().graph is w.local_csr
+        assert "local-csr-closure" in check_cluster_invariants(cluster)
+        cluster.graph.add_edge(1, 3, 1.0)
+        w.add_local_edge(1, 3, 1.0)  # repairs local_apsp in place
+        check_cluster_invariants(cluster)
+        assert w.local_csr is None and w.superstep_prepare().graph is None
+        w.recompute_local_apsp()
+        assert w.local_csr is not None
+        check_cluster_invariants(cluster)
+        w.local_apsp = w.local_apsp.copy()  # a restore, a migration
+        assert w.local_csr is None
+        w.run_initial_approximation()
+        w.index.add(5)
+        w.grow_columns(6)
+        w.add_local_vertex(5)
+        assert w.local_csr is None
+        w.run_initial_approximation()
+        crash_worker(cluster, 0)
+        assert w.local_csr is None
+
+    def test_check_sees_a_csr_local_apsp_was_not_computed_from(self):
+        cluster = split_cluster()
+        w = cluster.workers[0]
+        stale = w.local_csr
+        cluster.graph.add_edge(1, 3, 1.0)
+        w.add_local_edge(1, 3, 1.0)
+        w.local_csr = stale
+        with pytest.raises(AssertionError, match="not the closure of local_csr"):
+            check_cluster_invariants(cluster)

@@ -1,0 +1,97 @@
+"""Cross-commit pins for the closure fold, which no golden scenario takes.
+
+Every fold of the 13 golden scenarios is sparse enough to stay a push, so
+:func:`repro.runtime.kernels.minplus_closure` is pinned here on three
+static runs of ``barabasi_albert(1000, 3, seed=1)`` on 2 ranks — the
+``static-solve`` benchmark input, where the closure runs; an integer-weighted
+twin, where it runs on Dijkstra-built local APSPs; and a ``random_weights``
+twin, where it must not.  Each :func:`result_pin` was recorded at 542e456,
+before the closure existed.  Every pin must hold under
+``REPRO_BACKEND=serial|process`` and ``REPRO_KERNEL_TIER=numpy|scipy``, and
+the spy asserts which path each run took — in pool children too: the pool
+is restarted around each test (``fresh_pool``) so that its children fork
+with the spy.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Callable, Dict
+
+import pytest
+
+import repro.runtime.kernels.oracle as oracle
+from repro import AnytimeAnywhereCloseness, AnytimeConfig
+from repro.graph import Graph, barabasi_albert, random_weights
+
+from .conftest import result_pin
+
+
+def _integer_weights(g: Graph, seed: int) -> Graph:
+    rng = random.Random(seed)
+    out = Graph()
+    for v in g.vertices():
+        out.add_vertex(v)
+    for u, v, _w in g.edges():
+        out.add_edge(u, v, float(rng.randint(1, 5)))
+    return out
+
+
+GRAPHS: Dict[str, Callable[[Graph], Graph]] = {
+    "unit": lambda g: g,
+    "integer": lambda g: _integer_weights(g, 1),
+    "random-weights": lambda g: random_weights(g, 1.0, 10.0, seed=1),
+}
+
+#: recorded at 542e456 under serial/numpy
+PINS: Dict[str, str] = {
+    "unit": "5|0x1.0aad14ee16132p+2|1634580|1626788|3f878684fabab227",
+    "integer": "9|0x1.1b2a76b4a743ep+3|2354272|2346680|1ac19d1978b8802e",
+    "random-weights": "10|0x1.4538d8bf0870cp+3|2492161|2484727|bea15c81c38664dd",
+}
+
+#: whether the closure must run
+TAKES_CLOSURE = {"unit": True, "integer": True, "random-weights": False}
+
+
+@pytest.fixture
+def closure_calls(monkeypatch, tmp_path, fresh_pool) -> Callable[[], int]:
+    """How many times ``minplus_closure`` ran, here or in a pool child: each
+    call appends one byte to a file, so forked children report too."""
+    log = tmp_path / "closure-calls"
+    log.touch()
+    real = oracle.minplus_closure
+
+    def spy(*args):  # type: ignore[no-untyped-def]
+        with open(log, "a") as f:
+            f.write(".")
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "minplus_closure", spy)
+    return lambda: len(log.read_text())
+
+
+def _pin(name: str, **config: object) -> str:
+    graph = GRAPHS[name](barabasi_albert(1000, 3, seed=1))
+    engine = AnytimeAnywhereCloseness(
+        graph, AnytimeConfig(nprocs=2, collect_snapshots=False, **config)  # type: ignore[arg-type]
+    )
+    with engine:
+        engine.setup()
+        return result_pin(engine.run())
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_static_run_matches_pin(name: str, closure_calls) -> None:
+    assert _pin(name) == PINS[name]
+    assert bool(closure_calls()) == TAKES_CLOSURE[name]
+
+
+@pytest.mark.parametrize(
+    "config", [{"backend": "process"}, {"kernel_tier": "scipy"}], ids=str
+)
+def test_closure_runs_are_backend_and_tier_invariant(config, closure_calls) -> None:
+    """serial == process == scipy where the closure runs, whatever the
+    environment seeds."""
+    assert _pin("integer", **config) == PINS["integer"]
+    assert closure_calls()
