@@ -142,14 +142,18 @@ def test_dv_gather_kernel(benchmark, scale):
     benchmark(lambda: w.extract_rows(w.owned))
 
 
-def first_fold_state(scale):
+def first_fold_state(scale, weights=None):
     """The first RC fold of ``static-solve`` (BA 1000, m = 3, 2 ranks; 600
-    vertices at small scale): every boundary row has just relaxed against
-    every external row.  Returns the fuller rank and its fold inputs."""
+    vertices at small scale), its edges reweighted by ``weights(u, v)`` if
+    given: every boundary row has just relaxed against every external row.
+    Returns the fuller rank and its fold inputs."""
     n_graph = 600 if scale.n_base < 400 else 1000
+    graph = barabasi_albert(n_graph, 3, seed=1)
+    if weights is not None:
+        for u, v, _w in list(graph.edges()):
+            graph.add_edge(u, v, weights(u, v))
     engine = AnytimeAnywhereCloseness(
-        barabasi_albert(n_graph, 3, seed=1),
-        AnytimeConfig(nprocs=2, backend="serial", collect_snapshots=False),
+        graph, AnytimeConfig(nprocs=2, backend="serial", collect_snapshots=False)
     )
     with engine:
         engine.setup()
@@ -161,14 +165,20 @@ def first_fold_state(scale):
         return w, w.local_apsp.copy(), w.dv.copy(), w.dv_changed.copy(), w.local_csr
 
 
-@pytest.mark.parametrize("mask, closure", [("dense", True), ("sparse", False)])
-def test_propagation_fold(benchmark, scale, monkeypatch, mask, closure):
+@pytest.mark.parametrize(
+    "case, closure", [("dense", True), ("sparse", False), ("integer", True)]
+)
+def test_propagation_fold(benchmark, scale, monkeypatch, case, closure):
     """The tier's fold on ``static-solve``'s first fold (dense: the seeded
-    Dijkstra closure) and on 2 % of its entries (sparse: the push).  The
-    path is asserted once before timing."""
-    w, apsp, settled, changed, graph = first_fold_state(scale)
-    if mask == "sparse":
-        changed &= np.random.default_rng(1).random(changed.shape) < 0.02
+    level sweep), on 2 % of its entries (sparse, about 7 per column: the
+    push) and on the same graph with integer weights 1-5 (integer: the
+    sweep over a ring of six ticks).  The path is asserted once before
+    timing."""
+    rng = np.random.default_rng(1)
+    weights = (lambda u, v: float(rng.integers(1, 6))) if case == "integer" else None
+    w, apsp, settled, changed, graph = first_fold_state(scale, weights)
+    if case == "sparse":
+        changed &= rng.random(changed.shape) < 0.02
     dv = settled.copy()
     calls = []
     with monkeypatch.context() as patch:
@@ -186,6 +196,6 @@ def test_propagation_fold(benchmark, scale, monkeypatch, mask, closure):
     benchmark.pedantic(
         lambda: w.tier.minplus_fold(apsp, dv, changed, graph=graph),
         setup=restore,
-        rounds=10 if closure else 30,
+        rounds=30,
     )
     benchmark.extra_info["entries"] = int(changed.sum())

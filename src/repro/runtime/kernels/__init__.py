@@ -36,8 +36,9 @@ The module-level :func:`ia_kernel` / :func:`run_superstep` dispatch on
 the task's ``tier`` name (the process-pool entry points);
 :func:`relax_cut_kernel` / :func:`minplus_fold` (the rectangle fold) /
 :func:`minplus_fold_changed` (the entry fold every tier runs) /
-:func:`minplus_closure` (the same fold as seeded Dijkstras over the local
-CSR, which the tiers take where it is exact and cheaper) /
+:func:`minplus_closure` (the same fold as one seeded, bit-parallel level
+sweep over the local CSR, which the tiers take where it is exact and
+cheaper) /
 :func:`minplus_pull` (its dual, the deletion repair) /
 :func:`minplus_fold_pairs` (the fold over fallen ``local_apsp`` pairs)
 re-export the oracle implementations for direct use and tests.

@@ -183,8 +183,8 @@ class KernelTier:
         ``changed`` is pushed.  ``fell`` marks the ``apsp`` pairs a local
         edge lowered: every target is folded over them, from the sources
         as they stood after the pull.  ``graph``, when given, is the CSR
-        ``apsp`` was computed from: the push may run as its seeded
-        shortest-path closure where that is exact and cheaper.
+        ``apsp`` was computed from: the push may run as a seeded level
+        sweep over it where that is exact and cheaper.
         """
         raise NotImplementedError
 

@@ -61,7 +61,7 @@ class NumpyTier(KernelTier):
         # the pairs read every source as the push does: as the pull left it
         src = dv if fell is None else dv.copy()
         if graph is not None and oracle.closure_applies(graph, dv, changed):
-            rows.update(oracle.minplus_closure(graph, dv, changed))
+            rows.update(oracle.minplus_closure(graph, apsp, dv, changed))
         else:
             rows.update(oracle.minplus_fold_changed(apsp, dv, changed))
         if fell is not None:

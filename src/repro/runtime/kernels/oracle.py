@@ -9,10 +9,9 @@ bitwise-identical to these statements executed in serial order.
 
 from __future__ import annotations
 
-from typing import Any, List, Set, Tuple, Union
+from typing import Any, List, Optional, Set, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sparse
 import scipy.sparse.csgraph as csgraph
 
 from ...types import BoolArray, FloatArray
@@ -45,20 +44,11 @@ _MINPLUS_MAX_BLOCK = 64
 #: temporary.
 _ENTRY_CHUNK_ELEMS = 1 << 21
 
-#: Cap on the float64 element count of the closure fold's distance block
-#: (``block x (n + block)``: one Dijkstra row per target column of the
-#: block, over the local vertices and the block's virtual sources);
-#: 2**16 elements = 512 KB.
-_CLOSURE_BLOCK_ELEMS = 1 << 16
-
-#: Closure fold cost rule: the push evaluates ``n * E`` candidate sums
-#: (``E`` entries, about 2 ns a sum on the EXPERIMENTS.md host), the
-#: closure runs one Dijkstra per touched column over ``n + nnz`` vertices
-#: and arcs (about 42 ns each, heap included), so they break even near
-#: ``n * E = 20 * C * (n + nnz)``.  The closure runs only from 32 on,
-#: where it is predicted 1.6x faster: folds near break-even (``static-solve``
-#: folds 2-3 at 10-15, ``batch-add``'s densest at 16-21) keep the push.
-_CLOSURE_DIV = 32
+#: Closure fold cost rule: the sweep runs when a fold marks more entries
+#: per touched column than this.  The push costs ``n`` sums per entry, the
+#: sweep about ``n`` per column and tick plus a fixed 0.2-0.3 ms; on the
+#: captured folds it wins from 3-6 entries per column (EXPERIMENTS.md).
+_CLOSURE_MIN_ENTRIES = 8
 
 #: Edge-row relaxation: an orientation whose finite rectangle covers more
 #: than ``1 / _EDGE_DENSE_DIV`` of the ``n_local x n_cols`` block is
@@ -68,6 +58,10 @@ _CLOSURE_DIV = 32
 #: block), so any divisor between 2 and 10 selects identically.
 _EDGE_DENSE_DIV = 4
 
+
+#: The last level (IA) or tick (closure fold) a bit sweep may reach: its
+#: uint8 level counts run one past it.
+_LEVEL_CAP = 254
 
 #: Fixed cost of one level of the IA sweep (its numpy calls, 6 us on the
 #: EXPERIMENTS.md host) in the units of :func:`_sweep_budget`.
@@ -89,7 +83,7 @@ def _sweep_budget(n: int, s: int, nnz: int) -> int:
     """
     words = -(-s // 64)
     return min(
-        254,  # the level counts are uint8 and run one past the last level
+        _LEVEL_CAP,
         (5 * _SWEEP_FIXED + s * (450 + 28 * n + 6 * nnz))
         // (n * s + (n + nnz) * (8 + 5 * words) + _SWEEP_FIXED),
     )
@@ -139,14 +133,10 @@ def local_apsp_rows(matrix: Any, lo: int, hi: int, out: FloatArray) -> None:
     whose temporaries stay under ``_ENTRY_CHUNK_ELEMS`` elements.
     """
     n = matrix.shape[0]
-    data, indices, starts = matrix.data, matrix.indices, matrix.indptr[:-1]
+    data = matrix.data
     w = float(data[0]) if data.size else 1.0
     if w > 0 and (data == w).all():
-        empty = matrix.indptr[1:] == starts
-        if empty.any():
-            # an isolated vertex gathers its own frontier row: never new
-            indices = np.insert(indices, starts[empty], np.flatnonzero(empty))
-            starts = starts + np.cumsum(empty) - empty
+        indices, starts, _ = _padded_rows(matrix)
         # level counts (n bytes per source) and the gathered frontier words
         # (nnz / 8 bytes per source) stay under the element cap
         block = max(64, _ENTRY_CHUNK_ELEMS // (n + data.size // 8) // 64 * 64)
@@ -187,7 +177,7 @@ def _level_sweep(
         level += np.unpackbits(
             unvisited.view(np.uint8), axis=1, count=s, bitorder="little"
         )
-        reached = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
+        reached = _expand(frontier, indices, starts)
         reached &= unvisited
         if not reached.any():
             break
@@ -203,6 +193,31 @@ def _level_sweep(
     for j in range(0, s, 64):
         np.take(table, level[:, j:j + 64].T, out=out[j:j + 64], mode="clip")
     return True
+
+
+def _padded_rows(matrix: Any) -> Tuple[IndexArray, IndexArray, FloatArray]:
+    """``(indices, starts, weights)`` of a CSR with every row non-empty,
+    for :func:`_expand`.
+
+    ``np.bitwise_or.reduceat`` reads an empty row as the next row's first
+    element (and fails on a trailing one), so an empty row gathers its own
+    vertex instead, at weight 1: a vertex's bit is in a frontier only once
+    it is visited, so what it gathers from itself is never new.
+    """
+    indices, weights, indptr = matrix.indices, matrix.data, matrix.indptr
+    starts = indptr[:-1]
+    empty = indptr[1:] == starts
+    if empty.any():
+        indices = np.insert(indices, starts[empty], np.flatnonzero(empty))
+        weights = np.insert(weights, starts[empty], 1.0)
+        starts = starts + np.cumsum(empty) - empty
+    return indices, starts, weights
+
+
+def _expand(frontier: Any, indices: IndexArray, starts: IndexArray) -> Any:
+    """One hop of a bit sweep: per vertex, the OR of the ``frontier`` words
+    its arcs gather (rows from :func:`_padded_rows`)."""
+    return np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
 
 
 def relax_cut_kernel(
@@ -312,9 +327,14 @@ def minplus_fold_changed(
     only read.
     """
     n = apsp.shape[0]
-    t_idx, k_idx, vals = _changed_entries(dv, changed)
+    # column-major walk over the rows that hold any entry (few, late in a
+    # run): entries arrive grouped by target column
+    rows = np.flatnonzero(changed.any(axis=1))
+    t_idx, k_idx = np.nonzero(changed[rows].T)
     if t_idx.size == 0:
         return []
+    k_idx = rows[k_idx]
+    vals = dv[k_idx, t_idx]
     improved_rows = np.zeros(n, dtype=np.bool_)
     chunk = min(t_idx.size, max(1, _ENTRY_CHUNK_ELEMS // n))
     # one gather buffer for every chunk (a fresh temporary per chunk is
@@ -338,39 +358,25 @@ def minplus_fold_changed(
     return [int(r) for r in np.flatnonzero(improved_rows)]
 
 
-def _changed_entries(
-    dv: FloatArray, changed: BoolArray
-) -> Tuple[IndexArray, IndexArray, FloatArray]:
-    """``(t_idx, k_idx, vals)`` of the entries set in ``changed``, grouped
-    by target column ``t`` (sorted), with their current ``dv`` values."""
-    # column-major walk over the rows that hold any entry (few, late in a
-    # run): entries arrive grouped by target column
-    rows = np.flatnonzero(changed.any(axis=1))
-    t_idx, k_idx = np.nonzero(changed[rows].T)
-    k_idx = rows[k_idx]
-    return t_idx, k_idx, dv[k_idx, t_idx]
-
-
 def closure_applies(graph: Any, dv: FloatArray, changed: BoolArray) -> bool:
     """Whether :func:`minplus_closure` may stand in for
     :func:`minplus_fold_changed` on this fold: it pays, and it is exact.
 
-    *Cost*: ``_CLOSURE_DIV * C * (n + nnz) < n * E`` for ``E`` entries in
-    ``C`` columns.  *Exactness*: every stored weight of ``graph`` and every
-    finite marked entry is a positive integer and ``max entry + max weight
-    * (n - 1) < 2**53``.  Then every shortest-path sum either kernel forms is an
-    integer below 2**53, computed exactly: the two agree bit for bit
-    provided ``graph`` is what ``apsp`` was computed from (``apsp ==
-    csgraph.dijkstra(graph)``, which the caller vouches for).  A longer
-    path's sum may round, but rounding is monotone, so it never drops
-    below the exact shortest one.
+    *Cost*: more than ``_CLOSURE_MIN_ENTRIES`` marked entries per touched
+    column.  *Exactness*: every stored weight of ``graph`` and every finite
+    marked entry is a positive integer and ``max entry + max weight * (n -
+    1) < 2**53``.  Then every shortest-path sum the push forms is an
+    integer below 2**53, computed exactly, and so is every tick of the
+    sweep: the two agree bit for bit provided ``graph`` is what ``apsp``
+    was computed from (``apsp == csgraph.dijkstra(graph)``, which the
+    caller vouches for).
     """
     n = dv.shape[0]
     entries = int(np.count_nonzero(changed))
     if not entries:
         return False
     cols = int(np.count_nonzero(changed.any(axis=0)))
-    if _CLOSURE_DIV * cols * (n + graph.nnz) >= n * entries:
+    if entries <= _CLOSURE_MIN_ENTRIES * cols:
         return False
     weights = graph.data
     vals = dv[changed]
@@ -383,63 +389,111 @@ def closure_applies(graph: Any, dv: FloatArray, changed: BoolArray) -> bool:
     return top_v + top_w * (n - 1) < 2**53
 
 
-def minplus_closure(graph: Any, dv: FloatArray, changed: BoolArray) -> List[int]:
-    """:func:`minplus_fold_changed` as one seeded Dijkstra per target column.
+def minplus_closure(
+    graph: Any, apsp: FloatArray, dv: FloatArray, changed: BoolArray
+) -> List[int]:
+    """:func:`minplus_fold_changed` as one seeded, bit-parallel level sweep.
 
-    ``d(x,t) <- min(d(x,t), min_k apsp(x,k) + d(k,t))`` over the entries
-    ``(k, t)`` set in ``changed``, where ``apsp`` is the shortest-path
-    closure of ``graph`` (the local CSR it was computed from): for each
-    target ``t`` the minimum over ``k`` is the distance to ``x`` from a
-    virtual source with an arc of length ``d(k,t)`` to every such ``k``.
-    That is ``C`` Dijkstras over ``n + nnz`` vertices and arcs for ``C``
-    touched columns, against the push's ``n * E`` candidate sums; bitwise
-    the push only where :func:`closure_applies` says so.
-
-    Columns are taken a block at a time: the local CSR plus one virtual
-    row per column of the block, searched from the virtual rows
-    (``directed=True``: no arc enters a virtual source, so no path
-    crosses one), into a ``block x (n + block)`` distance block of at
-    most ``_CLOSURE_BLOCK_ELEMS`` elements.  Every entry is read before
-    any is written, like the push's; +inf entries are never seeds.
-    ``changed`` is only read.
+    For each target ``t``, ``min_k apsp(x,k) + d(k,t)`` over the entries
+    ``(k, t)`` set in ``changed`` is the time a search over ``graph`` (the
+    CSR ``apsp`` is the closure of) reaches ``x`` when it starts from every
+    such ``k`` at time ``d(k,t)``.  :func:`_fold_sweep` runs it in integer
+    ticks for a block of touched columns at once, one bit each; bitwise the
+    push where :func:`closure_applies` says so.  Weights, seeds or paths past
+    the tick cap (``_LEVEL_CAP``) hand the fold, or the block, to the push
+    before any of it is written.  ``changed`` is only read.
     """
     n = dv.shape[0]
-    t_idx, k_idx, vals = _changed_entries(dv, changed)
-    seeds = np.isfinite(vals)
-    if not seeds.all():
-        t_idx, k_idx, vals = t_idx[seeds], k_idx[seeds], vals[seeds]
-    if t_idx.size == 0:
-        return []
-    starts = np.flatnonzero(np.diff(t_idx, prepend=-1))
-    cols = t_idx[starts]
-    bounds = np.append(starts, t_idx.size)
-    k_idx = k_idx.astype(graph.indices.dtype)
-    nnz = graph.indptr[-1]
-    # the largest block with block * (n + block) <= _CLOSURE_BLOCK_ELEMS
-    block = max(1, int((np.sqrt(n * n + 4 * _CLOSURE_BLOCK_ELEMS) - n) // 2))
+    indices, starts, weights = _padded_rows(graph)
+    size = int(weights.max(initial=1)) + 1  # ring slots: max weight + 1 ticks
+    if size > _LEVEL_CAP:
+        return minplus_fold_changed(apsp, dv, changed)
+    # arc (y, w) of tick j reads row y of ring slot (j - w) % size
+    arcs = (indices - weights.astype(np.intp) * n, starts, size)
+    cols = np.flatnonzero(changed.any(axis=0))
+    # per column: four n-entry float64 temporaries, then n / 64 words for
+    # each ring slot, unvisited and 8 level planes, 1 / 64 per gathered arc
+    per_col = 4 * n + ((size + 9) * n + indices.size) // 64
+    block = max(64, _ENTRY_CHUNK_ELEMS // per_col // 64 * 64)
     improved_rows = np.zeros(n, dtype=np.bool_)
     for b0 in range(0, cols.size, block):
-        b1 = min(b0 + block, cols.size)
-        e0, e1 = bounds[b0], bounds[b1]
-        size = n + b1 - b0
-        seeded = sparse.csr_matrix(
-            (
-                np.concatenate([graph.data, vals[e0:e1]]),
-                np.concatenate([graph.indices, k_idx[e0:e1]]),
-                np.concatenate([graph.indptr, nnz - e0 + bounds[b0 + 1:b1 + 1]]),
-            ),
-            shape=(size, size),
-        )
-        dist = csgraph.dijkstra(seeded, directed=True, indices=np.arange(n, size))
-        cand = dist[:, :n].T  # (n, block)
-        block_cols = cols[b0:b1]
-        better = cand < dv[:, block_cols]
-        if better.any():
-            # np.nonzero walks row-major, matching cand[better]'s order
-            r_idx, g_idx = np.nonzero(better)
-            dv[r_idx, block_cols[g_idx]] = cand[better]
-            improved_rows |= better.any(axis=1)
+        block_cols = cols[b0:b0 + block]
+        # rows stay contiguous for the bit packing (dv[:, cols]'s would not)
+        cur = np.take(dv, block_cols, axis=1)
+        mask = np.take(changed, block_cols, axis=1)
+        cand = _fold_sweep(arcs, cur, mask)
+        if cand is None:
+            rows = minplus_fold_changed(apsp, cur, mask)
+        else:
+            better = cand < cur
+            rows = np.flatnonzero(better.any(axis=1))
+            np.copyto(cur, cand, where=better)
+        if len(rows):
+            dv[:, block_cols] = cur
+            improved_rows[rows] = True
     return [int(r) for r in np.flatnonzero(improved_rows)]
+
+
+def _fold_sweep(
+    arcs: Tuple[IndexArray, IndexArray, int], d: FloatArray, seeds: BoolArray
+) -> Optional[FloatArray]:
+    """``min_k dist(x,k) + d(k,t)`` over the finite ``seeds`` ``(k, t)`` of
+    ``d``, for every row ``x`` and column ``t``; ``None`` past the tick cap
+    (or with no finite seed: the push has nothing to do either).
+
+    Dial's buckets with the columns as bits: entry ``(k, t)`` starts at
+    tick ``d(k,t) - T0`` (``T0`` the smallest seed); the frontier of tick
+    ``j`` is what is seeded at ``j`` or reached by an arc of weight ``w``
+    from the frontier of tick ``j - w`` (kept in a ring of the last ``max w
+    + 1``), minus what is visited.  An entry's ``uint8`` level is one more
+    than the tick it was reached at (0: never), kept as bit planes, and is
+    mapped to ``T0 + level - 1`` (+inf for 0).
+    """
+    back, starts, size = arcs
+    n, c = d.shape
+    seeds = seeds & (d < np.inf)
+    t0 = np.min(d, where=seeds, initial=np.inf)
+    span = np.max(d, where=seeds, initial=t0) - t0  # nan: nothing seeded
+    if not span <= _LEVEL_CAP:
+        return None
+    last = int(span)
+    words = -(-c // 64)
+    # each entry's seed tick, 255 for none, in rows of whole words
+    tick = np.full((n, words * 64), 255, dtype=np.uint8)
+    tick[:, :c] = np.where(seeds, d - t0, 255)
+    ring = np.zeros((size, n, words), dtype=np.uint64)
+    unvisited = ~ring[0]
+    planes = np.zeros((8, n, words), dtype=np.uint64)
+    j = 0
+    while True:
+        frontier = _expand(
+            ring.reshape(-1, words), (back + j * n) % (size * n), starts
+        )
+        if j <= last:
+            seeded = np.packbits(tick == j, axis=1, bitorder="little")
+            frontier |= seeded.view(np.uint64)
+        frontier &= unvisited
+        ring[j % size] = frontier
+        ring[(j + 1) % size] = 0  # tick j read tick j + 1 - size for the last time
+        if frontier.any():
+            if j > _LEVEL_CAP:
+                return None
+            unvisited ^= frontier
+            for b in range((j + 1).bit_length()):
+                if (j + 1) >> b & 1:
+                    planes[b] |= frontier
+        elif j >= last and not ring.any():
+            break
+        j += 1
+    top = min(j, _LEVEL_CAP + 1)  # the highest level
+    level = np.zeros((n, c), dtype=np.uint8)
+    for b in range(top.bit_length()):
+        bits = np.unpackbits(
+            planes[b].view(np.uint8), axis=1, count=c, bitorder="little"
+        )
+        bits <<= b
+        level |= bits
+    return np.append(np.inf, t0 + np.arange(top, dtype=np.float64))[level]
 
 
 def minplus_pull(apsp: FloatArray, dv: FloatArray, rose: BoolArray) -> List[int]:

@@ -15,7 +15,7 @@ Each worker owns a block of vertices and maintains:
 * ``apsp_fell`` — a bool mask of ``local_apsp``'s shape: the pairs a
   local edge lowered since the last fold, over which it folds every target,
 * ``local_csr`` — the local CSR ``local_apsp`` was computed from, over
-  which a dense exact fold runs as a seeded shortest-path closure; dropped
+  which a dense exact fold runs as a seeded bit-parallel level sweep; dropped
   whenever ``local_apsp`` changes any other way.
 
 All kernels are vectorized NumPy and meter their operation counts into the

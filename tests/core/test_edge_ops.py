@@ -204,7 +204,7 @@ def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant(
     to the common weight returns the rebuild after that to the sweep.
 
     The closure fold's cost rule is switched off, so every push on a rank
-    whose weights and entries are integral runs as the seeded closure over
+    whose weights and entries are integral runs as the seeded sweep over
     the rank's local CSR — everywhere, pool children included (they fork
     after the patch) — and must track each rebuild and drop of that CSR."""
     from repro.graph.changes import VertexAddition
@@ -285,9 +285,9 @@ def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant(
     closures = []
     closure = oracle.minplus_closure
 
-    def closure_spy(graph, dv, changed):
+    def closure_spy(graph, apsp, dv, changed):
         closures.append(int(changed.sum()))
-        return closure(graph, dv, changed)
+        return closure(graph, apsp, dv, changed)
 
     relax_and_propagate = Cluster.relax_and_propagate
 
@@ -299,7 +299,7 @@ def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant(
         return improved
 
     monkeypatch.setattr(Cluster, "relax_and_propagate", audited)
-    monkeypatch.setattr(oracle, "_CLOSURE_DIV", 0)
+    monkeypatch.setattr(oracle, "_CLOSURE_MIN_ENTRIES", 0)
     monkeypatch.setattr(oracle, "minplus_closure", closure_spy)
     monkeypatch.setattr(oracle, "minplus_fold_pairs", spy)
     monkeypatch.setattr(Worker, "ia_prepare", prepare_spy)

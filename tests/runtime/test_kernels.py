@@ -34,8 +34,8 @@ fallen mask.  On states where everything outside the three masks is
 closed, pull + push + pairs (the tier's ``minplus_fold``) must be
 bitwise-equal to the rectangle fold over the whole block.
 
-:func:`repro.runtime.kernels.minplus_closure` — the push as one seeded
-Dijkstra per target column over the local CSR — must be bitwise-equal to
+:func:`repro.runtime.kernels.minplus_closure` — the push as one seeded,
+bit-parallel level sweep over the local CSR — must be bitwise-equal to
 :func:`~repro.runtime.kernels.minplus_fold_changed` on positive integer
 weights and entries, and the tier may take it nowhere else.
 """
@@ -1431,10 +1431,12 @@ class TestLocalAPSPRows:
 # closure fold: minplus_closure == minplus_fold_changed, bitwise
 # ----------------------------------------------------------------------
 CLOSURE_SHAPES = ["ba", "er", "path", "grid", "union"]
-#: edge weights per kind; "float" mixes halves (exact sums, still refused)
-#: with thirds and tenths (rounded sums)
+#: edge weights per kind; "three" is one weight past the unit ring (a ring
+#: of four frontiers); "float" mixes halves (exact sums, still refused) with
+#: thirds and tenths (rounded sums)
 CLOSURE_WEIGHTS = {
     "unit": lambda rng: 1.0,
+    "three": lambda rng: 3.0,
     "int": lambda rng: float(rng.integers(1, 6)),
     "float": lambda rng: float(rng.choice([0.5, 1.5, 0.1, 1 / 3])),
 }
@@ -1468,10 +1470,14 @@ def closure_state(
     return graph, apsp, dv, changed
 
 
-def assert_closure_matches_push(graph, apsp, dv, changed) -> List[int]:
-    """``dv`` bytes and returned rows of the closure against the push."""
+def assert_closure_matches_push(graph, apsp, dv, changed, chunk=None) -> List[int]:
+    """``dv`` bytes and returned rows of the closure against the push; with
+    ``chunk`` the closure runs under that ``_ENTRY_CHUNK_ELEMS``."""
     got, mask = dv.copy(), changed.copy()
-    got_rows = kernels.minplus_closure(graph, got, mask)
+    with mock.patch.object(
+        kernels, "_ENTRY_CHUNK_ELEMS", chunk or kernels._ENTRY_CHUNK_ELEMS
+    ):
+        got_rows = kernels.minplus_closure(graph, apsp, got, mask)
     assert mask.tobytes() == changed.tobytes()  # only read
     ref = dv.copy()
     assert got_rows == kernels.minplus_fold_changed(apsp, ref, changed)
@@ -1491,35 +1497,48 @@ def exact_for_closure(graph, dv, changed) -> bool:
 
 
 class TestClosureFold:
-    """``oracle.minplus_closure`` — the entry push as one seeded Dijkstra per
-    target column over the local CSR — against ``minplus_fold_changed``:
+    """``oracle.minplus_closure`` — the entry push as one seeded, bit-parallel
+    level sweep over the local CSR — against ``minplus_fold_changed``:
     bitwise on positive integer weights and entries, for any mask (no
-    closure invariant needed); and the tier takes it only where
-    ``closure_applies``: never on float weights or a non-integral, zero or
-    near-2**53 entry, never on a sparse fold."""
+    closure invariant needed), past the tick cap included (the push takes
+    the fold there); and the tier takes it only where ``closure_applies``:
+    never on float weights or a non-integral, zero or near-2**53 entry,
+    never on a sparse fold."""
 
     @settings(
-        max_examples=150,
+        max_examples=200,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(
         shape=st.sampled_from(CLOSURE_SHAPES),
         n=st.sampled_from([1, 2, 7, 30, 65]),
-        n_cols=st.integers(1, 40),
-        weights=st.sampled_from(["unit", "int"]),
+        n_cols=st.integers(1, 150),
+        weights=st.sampled_from(["unit", "three", "int"]),
         density=st.sampled_from([0.02, 0.2, 0.7, 1.0]),
         p_inf=st.sampled_from([0.0, 0.3]),
         seed=st.integers(0, 2**16),
+        split=st.booleans(),
     )
-    @example(shape="union", n=65, n_cols=40, weights="int", density=1.0, p_inf=0.3, seed=1)
+    # an isolated last vertex, 150 columns in blocks of 64, 64 and 22
+    @example(
+        shape="union", n=65, n_cols=150, weights="int", density=1.0, p_inf=0.3,
+        seed=1, split=True,
+    )
+    @example(
+        shape="union", n=7, n_cols=70, weights="three", density=0.7, p_inf=0.0,
+        seed=2, split=True,
+    )
     def test_bitwise_equal_to_the_push(
-        self, shape, n, n_cols, weights, density, p_inf, seed
+        self, shape, n, n_cols, weights, density, p_inf, seed, split
     ):
+        """``split`` shrinks the element cap so the column blocks are 64
+        wide: a block boundary falls inside the touched columns."""
         assert_closure_matches_push(
             *closure_state(
                 shape, n, n_cols, seed, weights=weights, density=density, p_inf=p_inf
-            )
+            ),
+            chunk=1 if split else None,
         )
 
     @settings(
@@ -1546,7 +1565,7 @@ class TestClosureFold:
         if entry is not None:
             dv[0, 0], changed[0, 0] = entry, True
         got, ref = dv.copy(), dv.copy()
-        with mock.patch.object(kernels, "_CLOSURE_DIV", 0), mock.patch.object(
+        with mock.patch.object(kernels, "_CLOSURE_MIN_ENTRIES", 0), mock.patch.object(
             kernels, "minplus_closure", wraps=kernels.minplus_closure
         ) as closure:
             rows = make_tier("numpy").minplus_fold(apsp, got, changed, graph=graph)
@@ -1555,34 +1574,67 @@ class TestClosureFold:
         assert closure.called == exact_for_closure(graph, dv, changed)
 
     def test_push_chunks_and_closure_blocks_split_the_columns(self, monkeypatch):
-        """The push's chunk boundary inside one column's entries, and
-        closure blocks of one, two and three virtual sources with a short
-        tail: the same bytes as one block."""
-        graph, apsp, dv, changed = closure_state("grid", 30, 25, 3, density=0.6)
+        """150 touched columns under a tiny element cap: column blocks of 64,
+        64 and 22 (a block boundary inside a 64-bit word run), and push
+        chunks that split a column's entries — the same bytes as one
+        block."""
+        graph, apsp, dv, changed = closure_state("grid", 30, 150, 3, density=0.6)
         one_block = dv.copy()
-        kernels.minplus_closure(graph, one_block, changed)
-        for per_block in (1, 2, 3):
-            monkeypatch.setattr(
-                kernels, "_CLOSURE_BLOCK_ELEMS", per_block * (30 + per_block)
-            )
-            monkeypatch.setattr(kernels, "_ENTRY_CHUNK_ELEMS", (per_block + 4) * 30)
-            got = dv.copy()
-            kernels.minplus_closure(graph, got, changed)
-            assert got.tobytes() == one_block.tobytes()
-            assert_closure_matches_push(graph, apsp, dv, changed)
+        kernels.minplus_closure(graph, apsp, one_block, changed)
+        sweep = _Spy(monkeypatch, kernels, "_fold_sweep")
+        monkeypatch.setattr(kernels, "_ENTRY_CHUNK_ELEMS", 4 * 30)
+        got = dv.copy()
+        kernels.minplus_closure(graph, apsp, got, changed)
+        assert [args[1].shape[1] for args, _kw in sweep.calls] == [64, 64, 22]
+        assert got.tobytes() == one_block.tobytes()
+        assert_closure_matches_push(graph, apsp, dv, changed)
 
     def test_masked_infinite_and_empty_columns_are_inert(self):
         graph, apsp, dv, changed = closure_state("path", 30, 20, 4, p_inf=0.6)
         changed |= np.isinf(dv)
         changed[:, 3] = False
         dv[:, 5] = np.inf
-        changed[:, 5] = True  # a column of +inf seeds: no virtual source
+        changed[:, 5] = True  # a column of +inf seeds: never reached
         assert_closure_matches_push(graph, apsp, dv, changed)
-        assert kernels.minplus_closure(graph, dv, np.zeros(dv.shape, bool)) == []
+        assert kernels.minplus_closure(graph, apsp, dv, np.zeros(dv.shape, bool)) == []
+
+    @pytest.mark.parametrize(
+        "case", ["seed span", "path", "weight", "span 254 sweeps"]
+    )
+    def test_the_push_takes_a_fold_past_the_tick_cap(self, monkeypatch, case):
+        """Seeds 255 ticks apart, a 300-vertex path swept from one end and a
+        weight of 300 each hand the fold to the push before anything of it
+        is written; seeds 254 ticks apart still sweep."""
+        shape, n = ("path", 300) if case == "path" else ("ba", 40)
+        graph, apsp, dv, changed = closure_state(
+            shape, n, 70, 5, weights="unit", p_inf=0.0
+        )
+        changed[:] = False
+        if case == "path":
+            changed[0] = True
+        else:
+            changed[:3] = True
+            dv[0], dv[1] = 1.0, 256.0 if case == "seed span" else 255.0
+        if case == "weight":
+            graph.data[0] = 300.0
+            apsp = csgraph.dijkstra(graph, directed=False)
+        got, start = dv.copy(), dv.copy()
+        untouched = []
+        push = kernels.minplus_fold_changed
+
+        def spy(*args):
+            untouched.append(got.tobytes() == start.tobytes())
+            return push(*args)
+
+        monkeypatch.setattr(kernels, "minplus_fold_changed", spy)
+        rows = kernels.minplus_closure(graph, apsp, got, changed)
+        assert untouched == ([] if case == "span 254 sweeps" else [True])
+        ref = dv.copy()
+        assert rows == push(apsp, ref, changed) and got.tobytes() == ref.tobytes()
 
     def test_dense_integer_fold_takes_the_closure(self, monkeypatch):
         graph, apsp, dv, changed = closure_state(
-            "path", 200, 50, 5, density=1.0, p_inf=0.0
+            "ba", 200, 50, 5, density=1.0, p_inf=0.0
         )
         assert kernels.closure_applies(graph, dv, changed)
         closure = _Spy(monkeypatch, kernels, "minplus_closure")
@@ -1603,8 +1655,8 @@ class TestClosureFold:
         entry = {"non-integral": 7.5, "near 2**53": 2.0**53 - 2, "zero": 0.0}.get(case)
         if entry is not None:
             dv[3, 4] = entry
-        if case == "sparse":
-            changed &= np.random.default_rng(5).random(changed.shape) < 0.05
+        if case == "sparse":  # about 4 entries per column
+            changed &= np.random.default_rng(5).random(changed.shape) < 0.02
         closure = _Spy(monkeypatch, kernels, "minplus_closure")
         push = _Spy(monkeypatch, kernels, "minplus_fold_changed")
         got = dv.copy()
@@ -1622,18 +1674,27 @@ class TestClosureFold:
         dv[0, 0] += 1
         assert not kernels.closure_applies(graph, dv, changed)
 
+    def test_cost_rule_is_entries_per_touched_column(self):
+        graph, _apsp, dv, _ = closure_state("ba", 100, 10, 6, p_inf=0.0)
+        changed = np.zeros(dv.shape, dtype=bool)
+        changed[:8, :] = True  # 8 entries in each of 10 columns
+        assert not kernels.closure_applies(graph, dv, changed)
+        changed[8, 0] = True
+        assert kernels.closure_applies(graph, dv, changed)
+
     def test_static_solve_first_folds_take_the_closure(self, monkeypatch):
-        """The ``static-solve`` input (BA 1000, 2 ranks): its first folds
-        push every boundary row's external columns — the closure runs, and
-        each call is the push's bytes over ``dijkstra(graph)``, which check
-        10 holds to ``local_apsp``."""
+        """The ``static-solve`` input (BA 1000, 2 ranks): its first two folds
+        on each rank carry 59-361 entries per touched column — the closure
+        runs, and each call is the push's bytes over ``dijkstra(graph)``,
+        which check 10 holds to ``local_apsp``."""
         calls = []
 
-        def checked(graph, dv, changed, _real=kernels.minplus_closure):
+        def checked(graph, apsp, dv, changed, _real=kernels.minplus_closure):
             ref = dv.copy()
-            apsp = csgraph.dijkstra(graph, directed=False)
-            ref_rows = kernels.minplus_fold_changed(apsp, ref, changed)
-            calls.append(_real(graph, dv, changed))
+            ref_rows = kernels.minplus_fold_changed(
+                csgraph.dijkstra(graph, directed=False), ref, changed
+            )
+            calls.append(_real(graph, apsp, dv, changed))
             assert calls[-1] == ref_rows and dv.tobytes() == ref.tobytes()
             return calls[-1]
 
@@ -1646,23 +1707,25 @@ class TestClosureFold:
             engine.setup()
             engine.run(step_budget=2)
             assert "local-csr-closure" in check_cluster_invariants(engine.cluster)
-        assert len(calls) == 2  # the first fold of each rank
+        assert len(calls) == 4  # the first two folds of each rank
 
-    def test_distance_block_stays_under_its_constant(self):
-        """2 000 touched columns on a 100-vertex rank: unchunked, the
-        distance block alone is 2 000 x 2 100 float64 (34 MB)."""
+    def test_distance_block_stays_under_its_constant(self, monkeypatch):
+        """2 000 touched columns on a 100-vertex rank under an element cap
+        of about 64 columns: unchunked, the block of ``dv`` and its
+        candidate distances alone are 2 x 100 x 2 000 float64 (3.2 MB)."""
         graph, apsp, dv, _ = closure_state("path", 100, 2000, 6, p_inf=0.0)
         changed = np.zeros(dv.shape, dtype=bool)
         changed[[10, 60]] = True
-        cap = kernels._CLOSURE_BLOCK_ELEMS * 8
-        assert 2000 * 2100 * 8 > 50 * cap
+        cap = 64 * (4 * 100 + 20)
+        monkeypatch.setattr(kernels, "_ENTRY_CHUNK_ELEMS", cap)
+        assert 2 * 100 * 2000 > 10 * cap
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            kernels.minplus_closure(graph, dv, changed)
+            kernels.minplus_closure(graph, apsp, dv, changed)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # the block, its column gather and compare, the entry vectors
-        assert peak < 3 * cap
+        # a block's gathers, sweep state and compare, the column list
+        assert peak < 2 * cap * 8

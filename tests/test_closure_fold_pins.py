@@ -1,16 +1,18 @@
-"""Cross-commit pins for the closure fold, which no golden scenario takes.
+"""Cross-commit pins for the closure fold.
 
-Every fold of the 13 golden scenarios is sparse enough to stay a push, so
-:func:`repro.runtime.kernels.minplus_closure` is pinned here on three
-static runs of ``barabasi_albert(1000, 3, seed=1)`` on 2 ranks — the
+:func:`repro.runtime.kernels.minplus_closure` runs a dense, exact push as
+one seeded level sweep over the rank's local CSR.  It is pinned here on
+three static runs of ``barabasi_albert(1000, 3, seed=1)`` on 2 ranks — the
 ``static-solve`` benchmark input, where the closure runs; an integer-weighted
 twin, where it runs on Dijkstra-built local APSPs; and a ``random_weights``
-twin, where it must not.  Each :func:`result_pin` was recorded at 542e456,
-before the closure existed.  Every pin must hold under
-``REPRO_BACKEND=serial|process`` and ``REPRO_KERNEL_TIER=numpy|scipy``, and
-the spy asserts which path each run took — in pool children too: the pool
-is restarted around each test (``fresh_pool``) so that its children fork
-with the spy.
+twin, where it must not — each :func:`result_pin` recorded at 542e456,
+before the closure existed; and on one dynamic run, the ``batch-add``
+benchmark input (a community batch injected at RC step 2 under CutEdge-PS,
+4 ranks), recorded at ef93848, before the closure became a sweep.  Every
+pin must hold under ``REPRO_BACKEND=serial|process`` and
+``REPRO_KERNEL_TIER=numpy|scipy``, and the spy asserts which path each run
+took — in pool children too: the pool is restarted around each test
+(``fresh_pool``) so that its children fork with the spy.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import pytest
 
 import repro.runtime.kernels.oracle as oracle
 from repro import AnytimeAnywhereCloseness, AnytimeConfig
+from repro.bench.workloads import community_workload
 from repro.graph import Graph, barabasi_albert, random_weights
 
 from .conftest import result_pin
@@ -94,4 +97,27 @@ def test_closure_runs_are_backend_and_tier_invariant(config, closure_calls) -> N
     """serial == process == scipy where the closure runs, whatever the
     environment seeds."""
     assert _pin("integer", **config) == PINS["integer"]
+    assert closure_calls()
+
+
+#: the ``batch-add`` input, recorded at ef93848 under serial/numpy
+BATCH_ADD_PIN = "5|0x1.bd7952775d2edp-1|2451745|2129583|60e7d7a004222c4f"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"backend": "serial"}, {"backend": "process"}, {"kernel_tier": "scipy"}],
+    ids=str,
+)
+def test_batch_add_run_matches_pin(config, closure_calls) -> None:
+    """The dynamic run: its dense folds take the closure until the injected
+    vertices drop the ranks' CSRs (``Worker.add_local_vertex``)."""
+    wl = community_workload(700, 70, seed=1, inject_step=2)
+    engine = AnytimeAnywhereCloseness(
+        wl.base, AnytimeConfig(nprocs=4, collect_snapshots=False, **config)  # type: ignore[arg-type]
+    )
+    with engine:
+        engine.setup()
+        pin = result_pin(engine.run(changes=wl.stream, strategy="cutedge"))
+    assert pin == BATCH_ADD_PIN
     assert closure_calls()
