@@ -11,6 +11,7 @@ import pytest
 
 import repro.runtime.kernels.oracle as oracle
 from repro import AnytimeAnywhereCloseness, AnytimeConfig
+from repro.bench.workloads import community_workload
 from repro.graph import (
     barabasi_albert,
     extract_local_subgraph,
@@ -20,6 +21,8 @@ from repro.graph import (
 from repro.model import DEFAULT_COST
 from repro.partition import MultilevelPartitioner
 from repro.runtime import GlobalIndex, Worker
+from repro.runtime.kernels import NumpyTier
+from repro.serve import HybridAdmission, UpdateService, synthesize_churn
 
 #: IA inputs, one per path of ``oracle.local_apsp_rows``
 IA_GRAPHS = {
@@ -165,37 +168,129 @@ def first_fold_state(scale, weights=None):
         return w, w.local_apsp.copy(), w.dv.copy(), w.dv_changed.copy(), w.local_csr
 
 
+def captured_fold(monkeypatch, engine, drive, want):
+    """The inputs of the first tier fold of ``drive(engine)`` whose masks
+    pass ``want(rose, fell)``, copied before it ran: ``(apsp, dv, changed,
+    rose, fell, graph)``."""
+    seen = []
+    real = NumpyTier.minplus_fold
+
+    def spy(tier, apsp, dv, changed, rose=None, fell=None, graph=None):
+        if not seen and want(rose, fell):
+            seen.append(tuple(
+                None if a is None else a.copy()
+                for a in (apsp, dv, changed, rose, fell)
+            ) + (graph,))
+        return real(tier, apsp, dv, changed, rose, fell, graph)
+
+    with engine, monkeypatch.context() as patch:
+        patch.setattr(NumpyTier, "minplus_fold", spy)
+        engine.setup()
+        drive(engine)
+    return seen[0]
+
+
+def after_injection_state(scale, monkeypatch):
+    """The first fold after ``batch-add``'s injection (BA community batch,
+    700 + 70 vertices on 4 ranks under CutEdge-PS; 150 + 15 at small
+    scale): its new rows and local edges set ``fell``."""
+    n_base, n_new = (150, 15) if scale.n_base < 400 else (700, 70)
+    wl = community_workload(n_base, n_new, seed=1, inject_step=2)
+    engine = AnytimeAnywhereCloseness(
+        wl.base, AnytimeConfig(nprocs=4, backend="serial", collect_snapshots=False)
+    )
+    return captured_fold(
+        monkeypatch,
+        engine,
+        lambda e: e.run(changes=wl.stream, strategy="cutedge"),
+        lambda rose, fell: fell is not None,
+    )
+
+
+def repair_state(scale, monkeypatch):
+    """The first deletion repair of ``serve-churn`` (``steady-small`` on BA
+    300, 120 ticks, 4 ranks, ``UpdateService(auto)``; BA 80 and 24 ticks at
+    small scale): its witness test set ``rose``."""
+    n_base, ticks = (80, 24) if scale.n_base < 400 else (300, 120)
+    trace = synthesize_churn("steady-small", n_base=n_base, ticks=ticks, seed=1)
+    per_tick = [[] for _ in range(trace.ticks)]
+    for tick, event in trace.events:
+        per_tick[tick].append(event)
+    engine = AnytimeAnywhereCloseness(
+        trace.base,
+        AnytimeConfig(nprocs=4, backend="serial", collect_snapshots=False),
+    )
+
+    def drive(e):
+        service = UpdateService(
+            e,
+            strategy="auto",
+            admission=HybridAdmission(max_events=6, max_delay_ticks=3),
+        )
+        for events in per_tick:
+            service.feed(events)
+            service.step()
+        service.drain()
+
+    return captured_fold(
+        monkeypatch, engine, drive, lambda rose, fell: rose is not None
+    )
+
+
 @pytest.mark.parametrize(
-    "case, closure", [("dense", True), ("sparse", False), ("integer", True)]
+    "case, closure",
+    [
+        ("dense", True),
+        ("sparse", False),
+        ("integer", True),
+        ("fell", True),
+        ("rose", True),
+    ],
 )
 def test_propagation_fold(benchmark, scale, monkeypatch, case, closure):
     """The tier's fold on ``static-solve``'s first fold (dense: the seeded
     level sweep), on 2 % of its entries (sparse, about 7 per column: the
-    push) and on the same graph with integer weights 1-5 (integer: the
-    sweep over a ring of six ticks).  The path is asserted once before
-    timing."""
+    push), on the same graph with integer weights 1-5 (integer: the sweep
+    over a ring of six ticks), on ``batch-add``'s first fold after the
+    injection (fell) and on a ``serve-churn`` deletion repair (rose): each
+    one sweep from every entry of the block.  The path is asserted once
+    before timing."""
     rng = np.random.default_rng(1)
-    weights = (lambda u, v: float(rng.integers(1, 6))) if case == "integer" else None
-    w, apsp, settled, changed, graph = first_fold_state(scale, weights)
-    if case == "sparse":
-        changed &= rng.random(changed.shape) < 0.02
+    rose = fell = None
+    if case == "fell":
+        apsp, settled, changed, rose, fell, graph = after_injection_state(
+            scale, monkeypatch
+        )
+    elif case == "rose":
+        apsp, settled, changed, rose, fell, graph = repair_state(scale, monkeypatch)
+    else:
+        weights = (
+            (lambda u, v: float(rng.integers(1, 6))) if case == "integer" else None
+        )
+        _w, apsp, settled, changed, graph = first_fold_state(scale, weights)
+        if case == "sparse":
+            changed &= rng.random(changed.shape) < 0.02
+    tier = NumpyTier()
     dv = settled.copy()
     calls = []
     with monkeypatch.context() as patch:
         patch.setattr(
             oracle,
             "minplus_closure",
-            lambda *a, _real=oracle.minplus_closure: calls.append(1) or _real(*a),
+            lambda *a, _real=oracle.minplus_closure: calls.append(a[3]) or _real(*a),
         )
-        w.tier.minplus_fold(apsp, dv, changed, graph=graph)
+        tier.minplus_fold(apsp, dv, changed, rose, fell, graph)
     assert bool(calls) == closure
+    if case in ("fell", "rose"):  # seeded from every finite entry
+        assert np.array_equal(calls[0], np.isfinite(settled))
 
     def restore():
         dv[...] = settled
 
     benchmark.pedantic(
-        lambda: w.tier.minplus_fold(apsp, dv, changed, graph=graph),
+        lambda: tier.minplus_fold(apsp, dv, changed, rose, fell, graph),
         setup=restore,
         rounds=30,
     )
     benchmark.extra_info["entries"] = int(changed.sum())
+    benchmark.extra_info["shape"] = list(dv.shape)

@@ -38,7 +38,7 @@ the task's ``tier`` name (the process-pool entry points);
 :func:`minplus_fold_changed` (the entry fold every tier runs) /
 :func:`minplus_closure` (the same fold as one seeded, bit-parallel level
 sweep over the local CSR, which the tiers take where it is exact and
-cheaper) /
+cheaper, and for every exact non-push fold) /
 :func:`minplus_pull` (its dual, the deletion repair) /
 :func:`minplus_fold_pairs` (the fold over fallen ``local_apsp`` pairs)
 re-export the oracle implementations for direct use and tests.

@@ -83,8 +83,8 @@ class SuperstepTask:
     #: the ``local_apsp`` pairs lowered since the last fold (read-only),
     #: or ``None`` when there are none
     fell: Optional[BoolArray] = None
-    #: the local CSR ``local_apsp`` was computed from (scipy matrix;
-    #: picklable), or ``None`` once ``local_apsp`` changed another way
+    #: the local CSR ``local_apsp`` is the closure of (scipy matrix;
+    #: picklable); ``None`` only while ``local_apsp`` is not square
     graph: Any = None
     #: kernel tier executing this task (resolved by name in pool children)
     tier: str = "numpy"
@@ -183,8 +183,10 @@ class KernelTier:
         ``changed`` is pushed.  ``fell`` marks the ``apsp`` pairs a local
         edge lowered: every target is folded over them, from the sources
         as they stood after the pull.  ``graph``, when given, is the CSR
-        ``apsp`` was computed from: the push may run as a seeded level
-        sweep over it where that is exact and cheaper.
+        ``apsp`` is the closure of: where that is exact, a fold with
+        ``rose`` or ``fell`` set or ``changed=None`` runs as one seeded
+        level sweep over it from every finite entry (the rectangle fold
+        the three add up to), and a push where that is also cheaper.
         """
         raise NotImplementedError
 

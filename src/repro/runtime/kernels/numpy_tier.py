@@ -52,6 +52,11 @@ class NumpyTier(KernelTier):
         fell: Optional[BoolArray] = None,
         graph: Any = None,
     ) -> List[int]:
+        full = changed is None or rose is not None or fell is not None
+        if full and graph is not None and oracle.closure_exact(graph, dv):
+            # the rectangle fold that pull, push and pairs add up to, as
+            # one sweep seeded from every finite entry
+            return oracle.minplus_closure(graph, apsp, dv, dv < np.inf)
         if changed is None:
             n, c = dv.shape
             return oracle.minplus_fold(apsp, dv, np.arange(n), np.arange(c))

@@ -26,6 +26,7 @@ __all__ = [
     "minplus_fold_changed",
     "minplus_closure",
     "closure_applies",
+    "closure_exact",
     "minplus_fold_pairs",
     "minplus_pull",
     "relax_edge_kernel",
@@ -363,30 +364,34 @@ def closure_applies(graph: Any, dv: FloatArray, changed: BoolArray) -> bool:
     :func:`minplus_fold_changed` on this fold: it pays, and it is exact.
 
     *Cost*: more than ``_CLOSURE_MIN_ENTRIES`` marked entries per touched
-    column.  *Exactness*: every stored weight of ``graph`` and every finite
-    marked entry is a positive integer and ``max entry + max weight * (n -
-    1) < 2**53``.  Then every shortest-path sum the push forms is an
-    integer below 2**53, computed exactly, and so is every tick of the
-    sweep: the two agree bit for bit provided ``graph`` is what ``apsp``
-    was computed from (``apsp == csgraph.dijkstra(graph)``, which the
-    caller vouches for).
+    column.  *Exactness*: :func:`closure_exact` over the marked entries.
     """
-    n = dv.shape[0]
     entries = int(np.count_nonzero(changed))
     if not entries:
         return False
     cols = int(np.count_nonzero(changed.any(axis=0)))
     if entries <= _CLOSURE_MIN_ENTRIES * cols:
         return False
+    return closure_exact(graph, dv[changed])
+
+
+def closure_exact(graph: Any, entries: FloatArray) -> bool:
+    """Whether a sweep over ``graph`` from ``entries`` is bitwise the push:
+    every stored weight is a positive integer, every finite entry a
+    non-negative integer (the only zero is a diagonal ``d(v,v)``) and ``max
+    entry + max weight * (n - 1) < 2**53``.  Then every shortest-path sum
+    the push forms is an integer below 2**53, computed exactly, and so is
+    every tick of the sweep, provided ``apsp == csgraph.dijkstra(graph)``
+    (which the caller vouches for and check 10 audits).
+    """
     weights = graph.data
-    vals = dv[changed]
-    vals = vals[np.isfinite(vals)]
-    for x in (weights, vals):
-        if not ((x > 0) & (x < 2.0**53) & (x == np.floor(x))).all():
+    for x, low in ((weights, 1.0), (entries, 0.0)):
+        # +inf passes the integer test (floor(inf) == inf); NaN fails it
+        if not ((x >= low).all() and (x == np.floor(x)).all()):
             return False
-    top_w = int(weights.max()) if weights.size else 0
-    top_v = int(vals.max()) if vals.size else 0
-    return top_v + top_w * (n - 1) < 2**53
+    top_v = np.max(entries, where=entries < np.inf, initial=0.0)
+    # float rounding is monotone and 2**53 representable: this is exact
+    return top_v + weights.max(initial=0.0) * (graph.shape[0] - 1) < 2.0**53
 
 
 def minplus_closure(
@@ -399,7 +404,8 @@ def minplus_closure(
     CSR ``apsp`` is the closure of) reaches ``x`` when it starts from every
     such ``k`` at time ``d(k,t)``.  :func:`_fold_sweep` runs it in integer
     ticks for a block of touched columns at once, one bit each; bitwise the
-    push where :func:`closure_applies` says so.  Weights, seeds or paths past
+    push where :func:`closure_exact` says so (with every finite entry of
+    ``dv`` marked, the rectangle fold).  Weights, seeds or paths past
     the tick cap (``_LEVEL_CAP``) hand the fold, or the block, to the push
     before any of it is written.  ``changed`` is only read.
     """
@@ -452,9 +458,11 @@ def _fold_sweep(
     back, starts, size = arcs
     n, c = d.shape
     seeds = seeds & (d < np.inf)
+    if not seeds.any():
+        return None
     t0 = np.min(d, where=seeds, initial=np.inf)
-    span = np.max(d, where=seeds, initial=t0) - t0  # nan: nothing seeded
-    if not span <= _LEVEL_CAP:
+    span = np.max(d, where=seeds, initial=t0) - t0
+    if span > _LEVEL_CAP:
         return None
     last = int(span)
     words = -(-c // 64)

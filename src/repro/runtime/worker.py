@@ -14,9 +14,10 @@ Each worker owns a block of vertices and maintains:
   since the last fold, which are all a deletion repair has to pull,
 * ``apsp_fell`` — a bool mask of ``local_apsp``'s shape: the pairs a
   local edge lowered since the last fold, over which it folds every target,
-* ``local_csr`` — the local CSR ``local_apsp`` was computed from, over
-  which a dense exact fold runs as a seeded bit-parallel level sweep; dropped
-  whenever ``local_apsp`` changes any other way.
+* ``local_csr`` — the local CSR ``local_apsp`` is the closure of, over
+  which an exact fold runs as a seeded bit-parallel level sweep; every
+  writer of ``local_apsp`` but IA drops it and the next superstep exports
+  ``local_graph``'s afresh, so every fold sees a current one.
 
 All kernels are vectorized NumPy and meter their operation counts into the
 :class:`~repro.model.cost.CostModel`, which is how modeled per-step compute
@@ -118,9 +119,9 @@ class Worker:
         self.dv_rose: BoolArray = np.zeros((0, 0), dtype=np.bool_)
         #: what :attr:`apsp_fell` holds, ``None`` while no pair is set
         self._apsp_fell: Optional[BoolArray] = None
-        #: the CSR ``local_apsp`` was computed from (``IATask.matrix``):
-        #: ``csgraph.dijkstra(local_csr) == local_apsp`` bit for bit while it
-        #: is set.  Never shm: it reaches the kernel inside the task
+        #: the CSR ``local_apsp`` is the closure of (check 10), or ``None``
+        #: until :meth:`superstep_prepare` re-exports it.  Never shm: it
+        #: reaches the kernel inside the task
         self.local_csr: Any = None
         #: last received DV rows of external boundary vertices
         self.ext_dvs: Dict[VertexId, FloatArray] = {}
@@ -242,7 +243,8 @@ class Worker:
         and, on a new shape (a reload, a crash wipe, a restore), clears
         ``apsp_fell`` — a same-shape recomputation keeps the marks: a
         deletion may leave a pair below the value it was last folded at.
-        It drops ``local_csr``: only :meth:`ia_prepare` vouches for one."""
+        It drops ``local_csr``, which :meth:`superstep_prepare` exports
+        afresh from ``local_graph``."""
         return self._local_apsp
 
     @local_apsp.setter
@@ -723,12 +725,17 @@ class Worker:
 
         Consumes the fresh-external set but leaves the change-tracking
         flags in place; :meth:`superstep_apply` clears them once the
-        kernel's outcome is known.
+        kernel's outcome is known.  Re-exports a dropped ``local_csr``
+        (``Graph.to_csr`` splices the rows that changed), so the task
+        carries a current CSR wherever ``local_apsp`` is square.
 
         Relaxation order over fresh external rows must not depend on set
         hash order: min() is order-independent per entry, but the compute
         charges are traced per relaxation in loop order.
         """
+        n = self.n_local
+        if self.local_csr is None and n and self.local_apsp.shape == (n, n):
+            self.local_csr = self.local_graph.to_csr(self.owned).matrix
         fresh = self._fresh_ext
         self._fresh_ext = set()
         items: RelaxItems = []
@@ -738,7 +745,7 @@ class Worker:
             if pairs and row_x is not None:
                 items.append((row_x, [(self.row_of[u], w) for u, w in pairs]))
         return SuperstepTask(
-            n=self.n_local,
+            n=n,
             relax_items=items,
             changed_rows=sorted(self._changed_rows),
             dirty_cols=self._dirty_cols.copy(),
@@ -902,7 +909,7 @@ class Worker:
         through the new edge in either direction.
         """
         self.local_graph.add_edge(u, v, w)
-        self.local_csr = None  # local_apsp is repaired in place below
+        self.local_csr = None  # stale: the next superstep re-exports it
         ru, rv = self.row_of[u], self.row_of[v]
         a = self.local_apsp
         n = a.shape[0]

@@ -37,17 +37,22 @@ bitwise-equal to the rectangle fold over the whole block.
 :func:`repro.runtime.kernels.minplus_closure` — the push as one seeded,
 bit-parallel level sweep over the local CSR — must be bitwise-equal to
 :func:`~repro.runtime.kernels.minplus_fold_changed` on positive integer
-weights and entries, and the tier may take it nowhere else.
+weights and non-negative integer entries, and the tier may take it nowhere
+else; seeded from every finite entry, it is the tier's fold wherever a
+``rose`` or ``fell`` mask is set or nothing is known, and must be
+bitwise-equal to the rectangle fold there.
 """
 
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 from typing import Callable, List, NamedTuple, Optional, Tuple
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -226,18 +231,20 @@ def closed_state(
     p_edge: float = 0.3,
     p_inf: float = 0.3,
     density: float = 0.1,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(apsp, dv, changed)`` as an RC superstep finds them, integer weights.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, sp.csr_matrix]:
+    """``(apsp, dv, changed, graph)`` as an RC superstep finds them, integer
+    weights.
 
-    ``apsp`` is the closure of a random integer-weight graph (possibly
-    disconnected, so it holds +inf), ``dv`` a full fold of a random seed
-    matrix — hence closed under ``apsp`` — in which a ``density`` share of
-    the entries was then lowered (or made finite) and marked in
-    ``changed``.
+    ``apsp`` is the closure of ``graph``, the CSR of a random integer-weight
+    graph (possibly disconnected, so ``apsp`` holds +inf), ``dv`` a full
+    fold of a random seed matrix — hence closed under ``apsp`` — in which a
+    ``density`` share of the entries was then lowered (or made finite) and
+    marked in ``changed``.
     """
     rng = np.random.default_rng(seed)
     w = np.triu(rng.integers(1, 9, size=(n, n)) * (rng.random((n, n)) < p_edge), 1)
-    apsp = csgraph.dijkstra(w + w.T, directed=False)
+    graph = sp.csr_matrix((w + w.T).astype(np.float64))
+    apsp = csgraph.dijkstra(graph, directed=False)
     seeds = rng.integers(0, 40, size=(n, n_cols)).astype(np.float64)
     seeds[rng.random(seeds.shape) < p_inf] = np.inf
     seeds[:, rng.random(n_cols) < p_inf / 2] = np.inf  # fresh +inf columns
@@ -249,7 +256,7 @@ def closed_state(
         rng.integers(0, 40, size=dv.shape),
     )
     dv[changed] = lowered[changed]
-    return apsp, dv, changed
+    return apsp, dv, changed, graph
 
 
 def assert_entry_fold_matches_rectangle(
@@ -293,17 +300,17 @@ class TestEntryFold:
         assert_entry_fold_matches_rectangle(
             *closed_state(
                 seed, n, n_cols, p_edge=p_edge, p_inf=p_inf, density=density
-            )
+            )[:3]
         )
 
     def test_empty_mask_touches_nothing(self):
-        apsp, dv, _ = closed_state(1, 12, 30)
+        apsp, dv, _, _ = closed_state(1, 12, 30)
         before = dv.copy()
         assert kernels.minplus_fold_changed(apsp, dv, np.zeros(dv.shape, bool)) == []
         assert dv.tobytes() == before.tobytes()
 
     def test_one_entry(self):
-        apsp, dv, _ = closed_state(2, 12, 30, p_edge=1.0, p_inf=0.0, density=0.0)
+        apsp, dv, _, _ = closed_state(2, 12, 30, p_edge=1.0, p_inf=0.0, density=0.0)
         changed = np.zeros(dv.shape, dtype=bool)
         dv[3, 7] = 0.0
         changed[3, 7] = True
@@ -311,13 +318,13 @@ class TestEntryFold:
         assert rows and 3 not in rows  # the source row itself does not improve
 
     def test_masked_infinite_entries_are_inert(self):
-        apsp, dv, changed = closed_state(3, 12, 30, p_inf=0.6)
+        apsp, dv, changed, _ = closed_state(3, 12, 30, p_inf=0.6)
         changed |= np.isinf(dv)
         assert np.isinf(dv[changed]).any()
         assert_entry_fold_matches_rectangle(apsp, dv, changed)
 
     def test_dense_rectangle_and_full_mask(self):
-        apsp, dv, _ = closed_state(4, 16, 36, p_edge=0.5, density=0.0)
+        apsp, dv, _, _ = closed_state(4, 16, 36, p_edge=0.5, density=0.0)
         rng = np.random.default_rng(4)
         lowered = np.maximum(dv - rng.integers(1, 6, size=dv.shape), 0.0)
         block = np.zeros(dv.shape, dtype=bool)
@@ -328,7 +335,7 @@ class TestEntryFold:
 
     def test_fresh_infinite_columns(self):
         """Columns just added by ``grow_columns``: all +inf, one entry set."""
-        apsp, dv, changed = closed_state(5, 10, 20, p_edge=1.0, density=0.0)
+        apsp, dv, changed, _ = closed_state(5, 10, 20, p_edge=1.0, density=0.0)
         dv = np.hstack([dv, np.full((10, 4), np.inf)])
         changed = np.hstack([changed, np.zeros((10, 4), dtype=bool)])
         dv[6, 21] = 2.0
@@ -345,7 +352,7 @@ class TestEntryFold:
     def test_column_group_split_across_chunks(self, monkeypatch):
         """A chunk boundary inside one column's entries, and a last chunk
         shorter than the buffer: same bytes as one chunk."""
-        apsp, dv, changed = closed_state(6, 14, 25, p_edge=0.6, density=0.5)
+        apsp, dv, changed, _ = closed_state(6, 14, 25, p_edge=0.6, density=0.5)
         one_chunk = dv.copy()
         kernels.minplus_fold_changed(apsp, one_chunk, changed)
         for entries in (1, 3, 5):
@@ -359,7 +366,7 @@ class TestEntryFold:
     def test_gather_temporary_stays_under_its_constant(self):
         """A full 200 x 800 mask is 32 M candidates (256 MB at once): the
         fold must stream them through its one capped gather buffer."""
-        apsp, dv, _ = closed_state(7, 200, 800, p_edge=0.05, p_inf=0.0, density=0.0)
+        apsp, dv, _, _ = closed_state(7, 200, 800, p_edge=0.05, p_inf=0.0, density=0.0)
         changed = np.ones(dv.shape, dtype=bool)
         cap = kernels._ENTRY_CHUNK_ELEMS * 8
         assert changed.sum() * 200 * 8 > 8 * cap
@@ -375,7 +382,7 @@ class TestEntryFold:
         assert peak < cap + cap // 2
 
     def test_relax_cut_marks_exactly_what_it_lowers(self):
-        apsp, dv, _ = closed_state(8, 10, 20, density=0.0)
+        apsp, dv, _, _ = closed_state(8, 10, 20, density=0.0)
         before = dv.copy()
         changed = np.zeros(dv.shape, dtype=bool)
         dirty = np.zeros(20, dtype=bool)
@@ -393,7 +400,7 @@ class TestEntryFold:
         """Pool children map ``dv`` and the mask by name: what the relaxation
         marks and what the fold lowers must be visible through a second
         attachment, i.e. written in place and never re-homed."""
-        apsp, dv, _ = closed_state(9, 10, 20, p_edge=1.0, density=0.0)
+        apsp, dv, _, _ = closed_state(9, 10, 20, p_edge=1.0, density=0.0)
         allocator = SharedMemoryAllocator()
         try:
             res_dv = allocator.adopt(dv, None)
@@ -469,17 +476,18 @@ def repair_state(
     relowered: int = 3,
     apsp_rises: bool = False,
     **closed: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(apsp, dv, changed, rose)`` as a deletion leaves them, integer weights.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, sp.csr_matrix]:
+    """``(apsp, dv, changed, rose, graph)`` as a deletion leaves them,
+    integer weights.
 
     A :func:`closed_state` in which a ``risen`` share of the entries was
     raised (most to +inf, as the witness test does; some to a larger
     finite value) and marked in ``rose``, ``apsp`` optionally rose too
-    (doubling keeps it transitively closed), and then ``relowered``
+    (doubling ``graph``'s weights keeps it its closure), and then ``relowered``
     entries — inside the risen set or not — were lowered and marked in
     ``changed``, as the addition half of a reweight-up does.
     """
-    apsp, dv, changed = closed_state(seed, n, n_cols, **closed)
+    apsp, dv, changed, graph = closed_state(seed, n, n_cols, **closed)
     rng = np.random.default_rng(seed + 1)
     rose = rng.random(dv.shape) < risen
     raised = np.where(
@@ -487,13 +495,13 @@ def repair_state(
     )
     dv[rose] = raised[rose]
     if apsp_rises:
-        apsp = apsp * 2.0
+        apsp, graph = apsp * 2.0, graph * 2.0
     for _ in range(relowered if dv.size else 0):
         r, c = rng.integers(0, n), rng.integers(0, n_cols)
         old = dv[r, c]
         dv[r, c] = float(rng.integers(0, 20)) if np.isinf(old) else max(old - 2.0, 0.0)
         changed[r, c] = True
-    return apsp, dv, changed, rose
+    return apsp, dv, changed, rose, graph
 
 
 def assert_repair_matches_rectangle(
@@ -502,20 +510,32 @@ def assert_repair_matches_rectangle(
     changed: np.ndarray,
     rose: Optional[np.ndarray],
     fell: Optional[np.ndarray] = None,
+    *,
+    graph: Optional[sp.csr_matrix] = None,
 ) -> List[int]:
     """``dv`` bytes and returned rows of the tier's fold — pull, push and
     pairs — against the rectangle fold over the whole block; returns the
-    rows."""
-    got = dv.copy()
-    masks = [None if m is None else m.copy() for m in (changed, rose, fell)]
-    got_rows = make_tier("numpy").minplus_fold(apsp, got, *masks)
-    for mask, given in zip(masks, (changed, rose, fell)):
-        assert mask is None or mask.tobytes() == given.tobytes()  # only read
+    rows.  With ``graph``, the CSR ``apsp`` is the closure of, the fold runs
+    again with it: the same bytes and rows, and as one sweep from every
+    entry exactly where a fold with ``rose`` or ``fell`` is exact."""
     ref = dv.copy()
     n, n_cols = dv.shape
     ref_rows = kernels.minplus_fold(apsp, ref, np.arange(n), np.arange(n_cols))
-    assert got.tobytes() == ref.tobytes()
-    assert got_rows == ref_rows
+    for csr in (None,) if graph is None else (None, graph):
+        got = dv.copy()
+        masks = [None if m is None else m.copy() for m in (changed, rose, fell)]
+        with mock.patch.object(
+            kernels, "minplus_closure", wraps=kernels.minplus_closure
+        ) as closure:
+            got_rows = make_tier("numpy").minplus_fold(apsp, got, *masks, graph=csr)
+        for mask, given in zip(masks, (changed, rose, fell)):
+            assert mask is None or mask.tobytes() == given.tobytes()  # only read
+        assert got.tobytes() == ref.tobytes()
+        assert got_rows == ref_rows
+        if csr is None:
+            assert not closure.called
+        elif rose is not None or fell is not None:
+            assert closure.called == kernels.closure_exact(csr, dv)
     return got_rows
 
 
@@ -539,28 +559,28 @@ class TestPullFold:
     def test_pull_then_push_bitwise_equal_to_rectangle_fold(
         self, seed, n, n_cols, p_edge, p_inf, density, risen, relowered, apsp_rises
     ):
-        assert_repair_matches_rectangle(
-            *repair_state(
-                seed,
-                n,
-                n_cols,
-                risen=risen,
-                relowered=relowered,
-                apsp_rises=apsp_rises,
-                p_edge=p_edge,
-                p_inf=p_inf,
-                density=density,
-            )
+        apsp, dv, changed, rose, graph = repair_state(
+            seed,
+            n,
+            n_cols,
+            risen=risen,
+            relowered=relowered,
+            apsp_rises=apsp_rises,
+            p_edge=p_edge,
+            p_inf=p_inf,
+            density=density,
         )
+        assert kernels.closure_exact(graph, dv)  # so the graph run sweeps
+        assert_repair_matches_rectangle(apsp, dv, changed, rose, graph=graph)
 
     def test_empty_mask_touches_nothing(self):
-        apsp, dv, _ = closed_state(1, 12, 30, density=0.0)
+        apsp, dv, _, _ = closed_state(1, 12, 30, density=0.0)
         before = dv.copy()
         assert kernels.minplus_pull(apsp, dv, np.zeros(dv.shape, bool)) == []
         assert dv.tobytes() == before.tobytes()
 
     def test_one_entry_is_rederived_and_nothing_else_moves(self):
-        apsp, dv, changed = closed_state(2, 12, 30, p_edge=1.0, p_inf=0.0, density=0.0)
+        apsp, dv, changed, _ = closed_state(2, 12, 30, p_edge=1.0, p_inf=0.0, density=0.0)
         before = dv.copy()
         rose = np.zeros(dv.shape, dtype=bool)
         rose[3, 7] = True
@@ -571,7 +591,7 @@ class TestPullFold:
         assert dv.tobytes() == before.tobytes()
 
     def test_all_true_mask(self):
-        apsp, dv, changed, _ = repair_state(3, 16, 36, risen=0.3, p_edge=0.5)
+        apsp, dv, changed, _, _ = repair_state(3, 16, 36, risen=0.3, p_edge=0.5)
         assert_repair_matches_rectangle(apsp, dv, changed, np.ones(dv.shape, bool))
 
     def test_empty_worker(self):
@@ -582,7 +602,7 @@ class TestPullFold:
     def test_column_split_across_chunks(self, monkeypatch):
         """A chunk boundary inside one column's entries, and a last chunk
         shorter than the buffers: same bytes as one chunk."""
-        apsp, dv, changed, rose = repair_state(6, 14, 25, risen=0.5, p_edge=0.6)
+        apsp, dv, changed, rose, _ = repair_state(6, 14, 25, risen=0.5, p_edge=0.6)
         assert (rose.sum(axis=0) > 5).any()
         one_chunk = dv.copy()
         kernels.minplus_pull(apsp, one_chunk, rose)
@@ -620,7 +640,7 @@ class TestPullFold:
         check 9 tolerates, and never below it."""
         rng = np.random.default_rng(11)
         for seed in range(5):
-            apsp, dv, changed, rose = repair_state(
+            apsp, dv, changed, rose, _ = repair_state(
                 seed, 20, 45, risen=0.2, p_edge=0.4, p_inf=0.1
             )
             scale = rng.uniform(0.1, 3.7)
@@ -718,6 +738,18 @@ def lower_apsp(
     return apsp, fell
 
 
+def with_edges(
+    graph: sp.csr_matrix, edges: List[Tuple[int, int, float]]
+) -> sp.csr_matrix:
+    """``graph`` with each ``(u, v, w)`` added beside any edge already
+    there, as :func:`lower_apsp` repairs for it (the lighter one counts):
+    the CSR its result is the closure of."""
+    g = graph.tolil(copy=True)
+    for u, v, w in edges:
+        g[u, v] = g[v, u] = min(g[u, v] or np.inf, w)
+    return g.tocsr()
+
+
 def random_edges(seed: int, n: int, count: int) -> List[Tuple[int, int, float]]:
     rng = np.random.default_rng(seed + 2)
     if n < 2:
@@ -749,7 +781,7 @@ class TestPairFold:
         """``p_edge=0`` makes every edge the first of an isolated row,
         ``p_edge=1`` makes every edge a shortcut; ``new_vertex`` joins a
         freshly padded row; ``"all pairs"`` halves every local distance."""
-        apsp, dv, changed, rose = repair_state(
+        apsp, dv, changed, rose, graph = repair_state(
             seed,
             n,
             n_cols,
@@ -761,21 +793,23 @@ class TestPairFold:
         )
         if new_vertex:
             apsp, dv, changed, rose = add_isolated_vertex(apsp, dv, changed, rose)
+            graph = sp.block_diag((graph, sp.csr_matrix((1, 1))), format="csr")
         if local_edges == "all pairs":
-            lowered = apsp * 0.5
+            lowered, graph = apsp * 0.5, graph * 0.5
             fell = lowered < apsp
         else:
             edges = random_edges(seed, apsp.shape[0], local_edges)
             if new_vertex:  # its first edge
                 edges.insert(0, (n, seed % n, 2.0))
             lowered, fell = lower_apsp(apsp, edges)
+            graph = with_edges(graph, edges)
         # risen=None: no repair pending, the fold does not pull
         assert_repair_matches_rectangle(
-            lowered, dv, changed, None if risen is None else rose, fell
+            lowered, dv, changed, None if risen is None else rose, fell, graph=graph
         )
 
     def test_empty_mask_touches_nothing(self):
-        apsp, dv, changed = closed_state(1, 12, 30)
+        apsp, dv, changed, _ = closed_state(1, 12, 30)
         fell = np.zeros(apsp.shape, dtype=bool)
         before = dv.copy()
         assert kernels.minplus_fold_pairs(apsp, dv, fell, dv.copy()) == []
@@ -787,7 +821,7 @@ class TestPairFold:
 
     def test_one_pair(self):
         """One directed pair: only its row moves, through its one source."""
-        apsp, dv, changed = closed_state(2, 12, 30, p_edge=1.0, p_inf=0.0, density=0.0)
+        apsp, dv, changed, _ = closed_state(2, 12, 30, p_edge=1.0, p_inf=0.0, density=0.0)
         apsp[3, 7] = 0.0
         fell = np.zeros(apsp.shape, dtype=bool)
         fell[3, 7] = True
@@ -801,7 +835,7 @@ class TestPairFold:
         edge lowers one pair per row and per column — 2(n-1) of n**2 — and
         the fold must fill the new row and the new column from them."""
         apsp, dv, changed = add_isolated_vertex(
-            *closed_state(3, 15, 32, p_edge=1.0, p_inf=0.0, density=0.0)
+            *closed_state(3, 15, 32, p_edge=1.0, p_inf=0.0, density=0.0)[:3]
         )
         lowered, fell = lower_apsp(apsp, [(15, 4, 2.0)])
         assert fell.sum() == 2 * 15 and fell[15, :15].all() and fell[:15, 15].all()
@@ -810,7 +844,7 @@ class TestPairFold:
 
     def test_all_true_mask(self):
         """Diagonal and +inf pairs included: inert, as a +inf entry is."""
-        apsp, dv, changed, rose = repair_state(4, 16, 36, risen=0.2, p_edge=0.2)
+        apsp, dv, changed, rose, _ = repair_state(4, 16, 36, risen=0.2, p_edge=0.2)
         assert np.isinf(apsp).any()
         lowered, _ = lower_apsp(apsp, random_edges(4, 16, 3))
         everything = np.ones(apsp.shape, dtype=bool)
@@ -828,7 +862,7 @@ class TestPairFold:
     def test_row_group_split_across_chunks(self, monkeypatch):
         """A chunk boundary inside one row's pairs, and a last chunk shorter
         than the buffer: same bytes as one chunk."""
-        apsp, dv, changed = closed_state(6, 14, 25, p_edge=0.6, density=0.1)
+        apsp, dv, changed, _ = closed_state(6, 14, 25, p_edge=0.6, density=0.1)
         lowered, fell = lower_apsp(apsp * 3.0, random_edges(6, 14, 4))
         assert (fell.sum(axis=1) > 5).any()
         one_chunk = dv.copy()
@@ -889,7 +923,7 @@ class TestPairFold:
         never by more than check 9 tolerates."""
         rng = np.random.default_rng(11)
         for seed in range(5):
-            apsp, dv, changed, rose = repair_state(
+            apsp, dv, changed, rose, _ = repair_state(
                 seed, 20, 45, risen=0.2, p_edge=0.4, p_inf=0.1
             )
             scale = rng.uniform(0.1, 3.7)
@@ -1486,10 +1520,13 @@ def assert_closure_matches_push(graph, apsp, dv, changed, chunk=None) -> List[in
 
 
 def exact_for_closure(graph, dv, changed) -> bool:
-    """The closure's exactness precondition, restated for the spies."""
+    """The closure's exactness precondition, restated for the spies:
+    positive integer weights, non-negative integer finite entries."""
     w = graph.data
     seeds = dv[changed][np.isfinite(dv[changed])]
-    ints = all(((x > 0) & (x == np.round(x))).all() for x in (w, seeds))
+    ints = all(
+        ((x >= low) & (x == np.round(x))).all() for x, low in ((w, 1), (seeds, 0))
+    )
     top = (seeds.max() if seeds.size else 0) + (w.max() if w.size else 0) * (
         dv.shape[0] - 1
     )
@@ -1502,8 +1539,8 @@ class TestClosureFold:
     bitwise on positive integer weights and entries, for any mask (no
     closure invariant needed), past the tick cap included (the push takes
     the fold there); and the tier takes it only where ``closure_applies``:
-    never on float weights or a non-integral, zero or near-2**53 entry,
-    never on a sparse fold."""
+    never on float weights or a non-integral or near-2**53 entry, never on
+    a sparse fold — a zero entry (a diagonal) is exact and swept."""
 
     @settings(
         max_examples=200,
@@ -1572,6 +1609,86 @@ class TestClosureFold:
         assert rows == kernels.minplus_fold_changed(apsp, ref, changed)
         assert got.tobytes() == ref.tobytes()
         assert closure.called == exact_for_closure(graph, dv, changed)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        shape=st.sampled_from(CLOSURE_SHAPES),
+        n=st.sampled_from([1, 2, 7, 30, 65]),
+        n_cols=st.integers(1, 150),
+        weights=st.sampled_from(["unit", "three", "int"]),
+        masks=st.sampled_from(["rose", "fell", "rose+fell", "changed", "None"]),
+        p_inf=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2**16),
+        split=st.booleans(),
+    )
+    # an isolated last vertex, 150 columns in blocks of 64, 64 and 22
+    @example(
+        shape="union", n=65, n_cols=150, weights="int", masks="rose+fell",
+        p_inf=0.3, seed=1, split=True,
+    )
+    @example(
+        shape="grid", n=30, n_cols=70, weights="three", masks="None",
+        p_inf=0.0, seed=2, split=True,
+    )
+    def test_a_full_fold_is_one_sweep_and_the_rectangle_fold(
+        self, shape, n, n_cols, weights, masks, p_inf, seed, split
+    ):
+        """Given the CSR, a fold with ``rose`` or ``fell`` set or with
+        nothing known (``changed=None``) is one sweep seeded from every
+        finite entry, bitwise the rectangle fold over the whole block —
+        whatever the masks hold, closed block or not; a pure push
+        (``changed``) stays the push.  Each block holds zero diagonals
+        ``d(v,v)`` and +inf columns; ``split`` makes its column blocks 64
+        wide."""
+        graph, apsp, dv, changed = closure_state(
+            shape, n, n_cols, seed, weights=weights, p_inf=p_inf
+        )
+        rng = np.random.default_rng(seed)
+        dv[:, rng.random(n_cols) < 0.2] = np.inf  # fresh columns
+        dv[np.arange(n), np.arange(n) % n_cols] = 0.0
+        given_masks = {
+            "changed": None if masks == "None" else changed,
+            "rose": rng.random(dv.shape) < 0.3 if "rose" in masks else None,
+            "fell": rng.random(apsp.shape) < 0.3 if "fell" in masks else None,
+        }
+        ref = dv.copy()
+        if masks == "changed":
+            ref_rows = kernels.minplus_fold_changed(apsp, ref, changed)
+        else:
+            ref_rows = kernels.minplus_fold(apsp, ref, np.arange(n), np.arange(n_cols))
+        got = dv.copy()
+        with mock.patch.object(
+            kernels, "_ENTRY_CHUNK_ELEMS", 1 if split else kernels._ENTRY_CHUNK_ELEMS
+        ), mock.patch.object(
+            kernels, "minplus_closure", wraps=kernels.minplus_closure
+        ) as closure:
+            rows = make_tier("numpy").minplus_fold(
+                apsp, got, graph=graph, **given_masks
+            )
+        assert rows == ref_rows and got.tobytes() == ref.tobytes()
+        if masks == "changed":
+            assert closure.called == kernels.closure_applies(graph, dv, changed)
+        else:
+            (_g, _a, _d, seeds), _kw = closure.call_args
+            assert np.array_equal(seeds, np.isfinite(dv))
+
+    def test_nothing_seeded_returns_none_without_a_warning(self):
+        """A block whose marks are all +inf seeds nothing: no span to take
+        (``inf - inf``), so no sweep and no ``RuntimeWarning``."""
+        graph, _apsp, dv, _ = closure_state("path", 7, 5, 1)
+        indices, starts, weights = kernels._padded_rows(graph)
+        arcs = (indices - weights.astype(np.intp) * 7, starts, 7)
+        dv[:, 2] = np.inf
+        seeds = np.zeros(dv.shape, dtype=bool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernels._fold_sweep(arcs, dv, seeds) is None
+            seeds[:, 2] = True
+            assert kernels._fold_sweep(arcs, dv, seeds) is None
 
     def test_push_chunks_and_closure_blocks_split_the_columns(self, monkeypatch):
         """150 touched columns under a tiny element cap: column blocks of 64,
@@ -1657,13 +1774,19 @@ class TestClosureFold:
             dv[3, 4] = entry
         if case == "sparse":  # about 4 entries per column
             changed &= np.random.default_rng(5).random(changed.shape) < 0.02
+        ref = dv.copy()
+        ref_rows = kernels.minplus_fold_changed(apsp, ref, changed)
         closure = _Spy(monkeypatch, kernels, "minplus_closure")
         push = _Spy(monkeypatch, kernels, "minplus_fold_changed")
         got = dv.copy()
-        make_tier("numpy").minplus_fold(
+        rows = make_tier("numpy").minplus_fold(
             apsp, got, changed, graph=None if case == "no CSR" else graph
         )
-        assert closure.calls == [] and len(push.calls) == 1
+        assert rows == ref_rows and got.tobytes() == ref.tobytes()
+        if case == "zero":  # as a diagonal d(v,v) is: exact, so swept
+            assert len(closure.calls) == 1 and push.calls == []
+        else:
+            assert closure.calls == [] and len(push.calls) == 1
 
     def test_precondition_boundary_is_two_to_the_53(self):
         graph, _apsp, dv, changed = closure_state(

@@ -5,10 +5,12 @@ import pytest
 
 import repro.runtime.kernels.oracle as oracle
 from repro.core.checkpoint import snapshot_cluster_state
+from repro.core.strategies import CutEdgePS, VertexAdditionStrategy
 from repro.core.strategies.edge_deletion import apply_edge_deletion
 from repro.centrality import sssp_dijkstra
 from repro.errors import WorkerError
 from repro.graph import Graph, extract_local_subgraph
+from repro.graph.changes import ChangeBatch, VertexAddition
 from repro.model import DEFAULT_COST
 from repro.partition import Partition
 from repro.runtime import Cluster, GlobalIndex, Worker, check_cluster_invariants
@@ -559,49 +561,84 @@ class TestRisenEntryMask:
         """Crash-recover then delete in one tick: a rank restored from a
         checkpoint holds rows that are upper bounds but not closed, so the
         deletion's known rises must not narrow its pending re-propagation;
-        the other rank repairs."""
-        g = path_graph(6)
-        g.add_edge(0, 5, 1.0)
-        cluster = settled_cluster(g, {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1})
-        saved = snapshot_cluster_state(cluster, 0)
-        crash_worker(cluster, 1)
-        recover_worker_from_snapshot(cluster, 1, saved)
-        apply_edge_deletion(cluster, 1, 2)
-        assert cluster.workers[0].dv_rose.any()
-        tasks = [w.superstep_prepare() for w in cluster.workers]
-        assert tasks[0].rose is cluster.workers[0].dv_rose
-        assert tasks[1].full_repropagate and tasks[1].rose is None
-        calls = count_folds(monkeypatch, rectangle="minplus_fold", pull="minplus_pull")
-        for w, task in zip(cluster.workers, tasks):
-            result = w.tier.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
-            assert result.prop_charged
-            w.superstep_apply(task, result)
-        assert calls == {"rectangle": 1, "pull": 1}
-        while cluster.any_pending():
-            cluster.exchange_boundary()
-            cluster.relax_and_propagate()
-        check_cluster_invariants(cluster)
-        assert cluster.workers[0].dv[0].tolist() == [0.0, 1.0, 4.0, 3.0, 2.0, 1.0]
+        the other rank repairs.  Where the sweep is exact both folds are the
+        rectangle fold as one sweep; where not (float weights, here
+        forced) rank 1 runs the rectangle and rank 0 the pull."""
+        for exact in (True, False):
+            with monkeypatch.context() as m:
+                if not exact:
+                    m.setattr(oracle, "closure_exact", lambda *a: False)
+                g = path_graph(6)
+                g.add_edge(0, 5, 1.0)
+                cluster = settled_cluster(g, {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1})
+                saved = snapshot_cluster_state(cluster, 0)
+                crash_worker(cluster, 1)
+                recover_worker_from_snapshot(cluster, 1, saved)
+                apply_edge_deletion(cluster, 1, 2)
+                assert cluster.workers[0].dv_rose.any()
+                tasks = [w.superstep_prepare() for w in cluster.workers]
+                assert tasks[0].rose is cluster.workers[0].dv_rose
+                assert tasks[1].full_repropagate and tasks[1].rose is None
+                calls = count_folds(
+                    m,
+                    rectangle="minplus_fold",
+                    pull="minplus_pull",
+                    sweep="minplus_closure",
+                )
+                for w, task in zip(cluster.workers, tasks):
+                    result = w.tier.run_superstep(
+                        task, w.dv, w.local_apsp, w.dv_changed
+                    )
+                    assert result.prop_charged
+                    w.superstep_apply(task, result)
+                assert calls == (
+                    {"rectangle": 0, "pull": 0, "sweep": 2}
+                    if exact
+                    else {"rectangle": 1, "pull": 1, "sweep": 0}
+                )
+                while cluster.any_pending():
+                    cluster.exchange_boundary()
+                    cluster.relax_and_propagate()
+                check_cluster_invariants(cluster)
+                assert cluster.workers[0].dv[0].tolist() == [
+                    0.0, 1.0, 4.0, 3.0, 2.0, 1.0
+                ]
 
     def test_deletion_that_witnesses_nothing_still_charges_the_fold(
         self, monkeypatch
     ):
         """The flags decide when: an edge on no shortest path raises nothing
-        anywhere, yet every rank's fold runs (over empty masks) and is
-        charged, exactly as the wholesale re-propagation was."""
-        g = Graph.from_edges([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 2, 5.0)])
-        cluster = settled_cluster(g, {0: 0, 1: 0, 2: 1, 3: 1})
-        before = [w.dv.copy() for w in cluster.workers]
-        apply_edge_deletion(cluster, 0, 2)
-        assert not any(w.dv_rose.any() for w in cluster.workers)
-        calls = count_folds(monkeypatch, rectangle="minplus_fold", pull="minplus_pull")
-        for w, dv in zip(cluster.workers, before):
-            w.take_compute_seconds()  # drain the strategy's charges
-            result = superstep(w)
-            assert result.prop_charged and not result.prop_improved
-            assert w.take_compute_seconds() > 0.0
-            assert np.array_equal(w.dv, dv)
-        assert calls == {"rectangle": 0, "pull": 2}
+        anywhere, yet every rank's fold runs — one sweep from every entry,
+        or the pull over an empty mask — and is charged, exactly as the
+        wholesale re-propagation was."""
+        for exact in (True, False):
+            with monkeypatch.context() as m:
+                if not exact:
+                    m.setattr(oracle, "closure_exact", lambda *a: False)
+                g = Graph.from_edges(
+                    [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 2, 5.0)]
+                )
+                cluster = settled_cluster(g, {0: 0, 1: 0, 2: 1, 3: 1})
+                before = [w.dv.copy() for w in cluster.workers]
+                apply_edge_deletion(cluster, 0, 2)
+                assert not any(w.dv_rose.any() for w in cluster.workers)
+                calls = count_folds(
+                    m,
+                    rectangle="minplus_fold",
+                    pull="minplus_pull",
+                    sweep="minplus_closure",
+                )
+                for w, dv in zip(cluster.workers, before):
+                    w.take_compute_seconds()  # drain the strategy's charges
+                    result = superstep(w)
+                    assert result.prop_charged and not result.prop_improved
+                    assert w.take_compute_seconds() > 0.0
+                    assert np.array_equal(w.dv, dv)
+                assert calls == (
+                    {"rectangle": 0, "pull": 0, "sweep": 2}
+                    if exact
+                    else {"rectangle": 0, "pull": 2, "sweep": 0}
+                )
 
 
 class TestFallenPairMask:
@@ -686,21 +723,31 @@ class TestFallenPairMask:
     def test_nothing_known_pending_drops_the_marks_and_runs_one_rectangle(
         self, monkeypatch
     ):
-        cluster, w = self._joined()
-        w.request_full_repropagate()  # e.g. a restore in the same tick
-        check_cluster_invariants(cluster)
-        calls = count_folds(
-            monkeypatch,
-            rectangle="minplus_fold",
-            push="minplus_fold_changed",
-            pull="minplus_pull",
-            pairs="minplus_fold_pairs",
-        )
-        assert superstep(w).prop_charged
-        assert calls == {"rectangle": 1, "push": 0, "pull": 0, "pairs": 0}
-        assert not w.apsp_fell.any()
-        assert w.dv[w.row_of[0], 4] == 3.0
-        check_cluster_invariants(cluster)
+        """The rectangle fold: as one sweep over the CSR where that is
+        exact, as ``minplus_fold`` where not (float weights, here forced)."""
+        for exact in (True, False):
+            with monkeypatch.context() as m:
+                if not exact:
+                    m.setattr(oracle, "closure_exact", lambda *a: False)
+                cluster, w = self._joined()
+                w.request_full_repropagate()  # e.g. a restore in the same tick
+                check_cluster_invariants(cluster)
+                calls = count_folds(
+                    m,
+                    rectangle="minplus_fold",
+                    push="minplus_fold_changed",
+                    pull="minplus_pull",
+                    pairs="minplus_fold_pairs",
+                    sweep="minplus_closure",
+                )
+                assert superstep(w).prop_charged
+                assert calls == {
+                    "rectangle": int(not exact), "push": 0, "pull": 0, "pairs": 0,
+                    "sweep": int(exact),
+                }
+                assert not w.apsp_fell.any()
+                assert w.dv[w.row_of[0], 4] == 3.0
+                check_cluster_invariants(cluster)
 
     @pytest.mark.parametrize("order", ["add-then-delete", "delete-then-add"])
     def test_local_edge_and_deletion_on_one_rank_in_one_tick(self, order):
@@ -737,33 +784,40 @@ class TestFallenPairMask:
 
 
 class TestLocalCSR:
-    """``local_csr``: set by the IA that computes ``local_apsp`` from it,
-    carried by the task, dropped by every other writer of ``local_apsp`` —
-    check 10 holds it to ``csgraph.dijkstra(local_csr) == local_apsp``."""
+    """``local_csr``: the CSR ``local_apsp`` is the closure of.  IA stashes
+    the one it ran on; every other writer of ``local_apsp`` drops it and the
+    next ``superstep_prepare`` exports ``local_graph``'s afresh, so the task
+    always carries a current one — check 10 holds it to
+    ``csgraph.dijkstra(local_csr) == local_apsp``."""
 
-    def test_ia_sets_it_and_every_other_writer_drops_it(self):
+    @staticmethod
+    def assert_current(cluster, w):
+        graph = w.superstep_prepare().graph
+        want = w.local_graph.to_csr(w.owned).matrix
+        assert graph.shape == want.shape and (graph != want).nnz == 0
+        assert "local-csr-closure" in check_cluster_invariants(cluster)
+
+    def test_every_writer_leaves_a_current_csr(self):
         cluster = split_cluster()
         w = cluster.workers[0]
-        assert w.local_csr is not None
-        assert w.superstep_prepare().graph is w.local_csr
-        assert "local-csr-closure" in check_cluster_invariants(cluster)
+        assert w.local_csr is not None  # IA's stash
+        self.assert_current(cluster, w)
         cluster.graph.add_edge(1, 3, 1.0)
         w.add_local_edge(1, 3, 1.0)  # repairs local_apsp in place
-        check_cluster_invariants(cluster)
-        assert w.local_csr is None and w.superstep_prepare().graph is None
-        w.recompute_local_apsp()
-        assert w.local_csr is not None
-        check_cluster_invariants(cluster)
+        self.assert_current(cluster, w)
         w.local_apsp = w.local_apsp.copy()  # a restore, a migration
-        assert w.local_csr is None
-        w.run_initial_approximation()
-        w.index.add(5)
-        w.grow_columns(6)
-        w.add_local_vertex(5)
-        assert w.local_csr is None
-        w.run_initial_approximation()
+        self.assert_current(cluster, w)
+        # a new vertex (its row, then its first edge) placed on rank 0
+        batch = ChangeBatch(vertex_additions=[VertexAddition(5, ((4, 2.0),))])
+        VertexAdditionStrategy(CutEdgePS()).apply(cluster, batch, 1)
+        assert w.row_of[5] == 4
+        self.assert_current(cluster, w)
+        saved = snapshot_cluster_state(cluster, 1)
         crash_worker(cluster, 0)
-        assert w.local_csr is None
+        assert w.superstep_prepare().graph is None  # no local_apsp: no CSR
+        recover_worker_from_snapshot(cluster, 0, saved)
+        assert w.local_csr is None  # local_apsp restored, not recomputed
+        self.assert_current(cluster, w)
 
     def test_check_sees_a_csr_local_apsp_was_not_computed_from(self):
         cluster = split_cluster()

@@ -1,31 +1,37 @@
 """Cross-commit pins for the closure fold.
 
-:func:`repro.runtime.kernels.minplus_closure` runs a dense, exact push as
-one seeded level sweep over the rank's local CSR.  It is pinned here on
-three static runs of ``barabasi_albert(1000, 3, seed=1)`` on 2 ranks — the
-``static-solve`` benchmark input, where the closure runs; an integer-weighted
-twin, where it runs on Dijkstra-built local APSPs; and a ``random_weights``
-twin, where it must not — each :func:`result_pin` recorded at 542e456,
-before the closure existed; and on one dynamic run, the ``batch-add``
-benchmark input (a community batch injected at RC step 2 under CutEdge-PS,
-4 ranks), recorded at ef93848, before the closure became a sweep.  Every
-pin must hold under ``REPRO_BACKEND=serial|process`` and
-``REPRO_KERNEL_TIER=numpy|scipy``, and the spy asserts which path each run
-took — in pool children too: the pool is restarted around each test
-(``fresh_pool``) so that its children fork with the spy.
+:func:`repro.runtime.kernels.minplus_closure` runs a dense, exact push —
+and every exact fold that is not a pure push (after a local edge, a
+deletion, a recovery) — as one seeded level sweep over the rank's local
+CSR.  It is pinned here on three static runs of ``barabasi_albert(1000, 3,
+seed=1)`` on 2 ranks — the ``static-solve`` benchmark input, where the
+closure runs; an integer-weighted twin, where it runs on Dijkstra-built
+local APSPs; and a ``random_weights`` twin, where it must not — each
+:func:`result_pin` recorded at 542e456, before the closure existed; on the
+``batch-add`` benchmark input (a community batch injected at RC step 2
+under CutEdge-PS, 4 ranks), recorded at ef93848, before the closure became
+a sweep; and on a churn stream with deletions, recorded at 609c7bc, before
+a fold with a risen or fallen mask could sweep.  Every pin must hold under
+``REPRO_BACKEND=serial|process`` and ``REPRO_KERNEL_TIER=numpy|scipy``, and
+the spy asserts which path each run took — in pool children too: the pool
+is restarted around each test (``fresh_pool``) so that its children fork
+with the spy.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Callable, Dict
+from typing import Callable, Dict, List, Tuple
 
+import numpy as np
 import pytest
 
 import repro.runtime.kernels.oracle as oracle
 from repro import AnytimeAnywhereCloseness, AnytimeConfig
 from repro.bench.workloads import community_workload
-from repro.graph import Graph, barabasi_albert, random_weights
+from repro.graph import ChangeStream, Graph, barabasi_albert, random_weights
+from repro.serve import events_to_batch, synthesize_churn
 
 from .conftest import result_pin
 
@@ -58,20 +64,26 @@ TAKES_CLOSURE = {"unit": True, "integer": True, "random-weights": False}
 
 
 @pytest.fixture
-def closure_calls(monkeypatch, tmp_path, fresh_pool) -> Callable[[], int]:
-    """How many times ``minplus_closure`` ran, here or in a pool child: each
-    call appends one byte to a file, so forked children report too."""
+def closure_calls(
+    monkeypatch, tmp_path, fresh_pool
+) -> Callable[[], List[Tuple[int, bool]]]:
+    """Every ``minplus_closure`` call, here or in a pool child, as ``(dv
+    columns, seeded from every finite entry)``: each call appends a line to
+    a file, so forked children report too."""
     log = tmp_path / "closure-calls"
     log.touch()
     real = oracle.minplus_closure
 
-    def spy(*args):  # type: ignore[no-untyped-def]
+    def spy(graph, apsp, dv, changed):  # type: ignore[no-untyped-def]
+        full = np.array_equal(changed, dv < np.inf)
         with open(log, "a") as f:
-            f.write(".")
-        return real(*args)
+            f.write(f"{dv.shape[1]} {int(full)}\n")
+        return real(graph, apsp, dv, changed)
 
     monkeypatch.setattr(oracle, "minplus_closure", spy)
-    return lambda: len(log.read_text())
+    return lambda: [
+        (int(c), f == "1") for c, f in map(str.split, log.read_text().splitlines())
+    ]
 
 
 def _pin(name: str, **config: object) -> str:
@@ -110,8 +122,9 @@ BATCH_ADD_PIN = "5|0x1.bd7952775d2edp-1|2451745|2129583|60e7d7a004222c4f"
     ids=str,
 )
 def test_batch_add_run_matches_pin(config, closure_calls) -> None:
-    """The dynamic run: its dense folds take the closure until the injected
-    vertices drop the ranks' CSRs (``Worker.add_local_vertex``)."""
+    """The dynamic run: its dense folds take the closure, and each rank's
+    fold after the injection — the new vertices' rows and local edges set
+    ``fell`` — is one sweep from every entry of the grown block."""
     wl = community_workload(700, 70, seed=1, inject_step=2)
     engine = AnytimeAnywhereCloseness(
         wl.base, AnytimeConfig(nprocs=4, collect_snapshots=False, **config)  # type: ignore[arg-type]
@@ -120,4 +133,34 @@ def test_batch_add_run_matches_pin(config, closure_calls) -> None:
         engine.setup()
         pin = result_pin(engine.run(changes=wl.stream, strategy="cutedge"))
     assert pin == BATCH_ADD_PIN
-    assert closure_calls()
+    assert sorted(closure_calls())[-4:] == [(770, True)] * 4
+
+
+#: the churn pin, recorded at 609c7bc under serial/numpy
+CHURN_PIN = "27|0x1.de154e800909cp-5|128150|111363|b6b6ab18a7163f3c"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"backend": "serial"}, {"backend": "process"}, {"kernel_tier": "scipy"}],
+    ids=str,
+)
+def test_churn_run_matches_pin(config, closure_calls) -> None:
+    """A ``steady-small`` churn trace — additions, deletions, reweights —
+    one batch per tick on 4 ranks: its deletion repairs and local edges
+    fold as sweeps from every entry."""
+    trace = synthesize_churn("steady-small", n_base=80, ticks=24, seed=1)
+    stream = ChangeStream(
+        {
+            tick + 1: events_to_batch(ev for _t, ev in group)
+            for tick, group in itertools.groupby(trace.events, key=lambda te: te[0])
+        }
+    )
+    engine = AnytimeAnywhereCloseness(
+        trace.base, AnytimeConfig(nprocs=4, collect_snapshots=False, **config)  # type: ignore[arg-type]
+    )
+    with engine:
+        engine.setup()
+        pin = result_pin(engine.run(changes=stream))
+    assert pin == CHURN_PIN
+    assert any(full for _cols, full in closure_calls())
