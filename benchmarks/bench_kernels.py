@@ -21,7 +21,7 @@ from repro.graph import (
 from repro.model import DEFAULT_COST
 from repro.partition import MultilevelPartitioner
 from repro.runtime import GlobalIndex, Worker
-from repro.runtime.kernels import NumpyTier
+from repro.runtime.kernels import KERNELS, KernelTier
 from repro.serve import HybridAdmission, UpdateService, synthesize_churn
 
 #: IA inputs, one per path of ``oracle.local_apsp_rows``
@@ -54,7 +54,7 @@ def build(scale, graph=None):
 def superstep(w):
     """One RC superstep on a lone worker: prepare -> kernel -> apply."""
     task = w.superstep_prepare()
-    result = w.tier.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
+    result = KERNELS.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
     w.superstep_apply(task, result)
 
 
@@ -163,28 +163,28 @@ def first_fold_state(scale, weights=None):
         engine.cluster.exchange_boundary()
         tasks = [(w, w.superstep_prepare()) for w in engine.cluster.workers]
         for w, task in tasks:
-            w.tier.relax_cut(w.dv, w.dv_changed, task.dirty_cols, task.relax_items)
+            KERNELS.relax_cut(w.dv, w.dv_changed, task.dirty_cols, task.relax_items)
         w = max(engine.cluster.workers, key=lambda w: int(w.dv_changed.sum()))
         return w, w.local_apsp.copy(), w.dv.copy(), w.dv_changed.copy(), w.local_csr
 
 
 def captured_fold(monkeypatch, engine, drive, want):
-    """The inputs of the first tier fold of ``drive(engine)`` whose masks
+    """The inputs of the first fold of ``drive(engine)`` whose masks
     pass ``want(rose, fell)``, copied before it ran: ``(apsp, dv, changed,
     rose, fell, graph)``."""
     seen = []
-    real = NumpyTier.minplus_fold
+    real = KernelTier.minplus_fold
 
-    def spy(tier, apsp, dv, changed, rose=None, fell=None, graph=None):
+    def spy(kernels, apsp, dv, changed, rose=None, fell=None, graph=None):
         if not seen and want(rose, fell):
             seen.append(tuple(
                 None if a is None else a.copy()
                 for a in (apsp, dv, changed, rose, fell)
             ) + (graph,))
-        return real(tier, apsp, dv, changed, rose, fell, graph)
+        return real(kernels, apsp, dv, changed, rose, fell, graph)
 
     with engine, monkeypatch.context() as patch:
-        patch.setattr(NumpyTier, "minplus_fold", spy)
+        patch.setattr(KernelTier, "minplus_fold", spy)
         engine.setup()
         drive(engine)
     return seen[0]
@@ -248,7 +248,7 @@ def repair_state(scale, monkeypatch):
     ],
 )
 def test_propagation_fold(benchmark, scale, monkeypatch, case, closure):
-    """The tier's fold on ``static-solve``'s first fold (dense: the seeded
+    """The fold on ``static-solve``'s first fold (dense: the seeded
     level sweep), on 2 % of its entries (sparse, about 7 per column: the
     push), on the same graph with integer weights 1-5 (integer: the sweep
     over a ring of six ticks), on ``batch-add``'s first fold after the
@@ -270,7 +270,6 @@ def test_propagation_fold(benchmark, scale, monkeypatch, case, closure):
         _w, apsp, settled, changed, graph = first_fold_state(scale, weights)
         if case == "sparse":
             changed &= rng.random(changed.shape) < 0.02
-    tier = NumpyTier()
     dv = settled.copy()
     calls = []
     with monkeypatch.context() as patch:
@@ -279,7 +278,7 @@ def test_propagation_fold(benchmark, scale, monkeypatch, case, closure):
             "minplus_closure",
             lambda *a, _real=oracle.minplus_closure: calls.append(a[3]) or _real(*a),
         )
-        tier.minplus_fold(apsp, dv, changed, rose, fell, graph)
+        KERNELS.minplus_fold(apsp, dv, changed, rose, fell, graph)
     assert bool(calls) == closure
     if case in ("fell", "rose"):  # seeded from every finite entry
         assert np.array_equal(calls[0], np.isfinite(settled))
@@ -288,7 +287,7 @@ def test_propagation_fold(benchmark, scale, monkeypatch, case, closure):
         dv[...] = settled
 
     benchmark.pedantic(
-        lambda: tier.minplus_fold(apsp, dv, changed, rose, fell, graph),
+        lambda: KERNELS.minplus_fold(apsp, dv, changed, rose, fell, graph),
         setup=restore,
         rounds=30,
     )

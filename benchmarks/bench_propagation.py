@@ -34,7 +34,7 @@ from repro.graph import barabasi_albert, extract_local_subgraph
 from repro.model import DEFAULT_COST
 from repro.partition import MultilevelPartitioner
 from repro.runtime import GlobalIndex, Worker
-from repro.runtime.kernels import minplus_fold, minplus_fold_changed
+from repro.runtime.kernels import KERNELS, minplus_fold, minplus_fold_changed
 
 COLUMNS = ["variant", "seconds_per_fold"]
 
@@ -42,7 +42,7 @@ COLUMNS = ["variant", "seconds_per_fold"]
 def superstep(w):
     """One RC superstep on a lone worker: prepare -> kernel -> apply."""
     task = w.superstep_prepare()
-    result = w.tier.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
+    result = KERNELS.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
     w.superstep_apply(task, result)
 
 
@@ -137,7 +137,7 @@ def test_deletion_repair_fold(benchmark, scale, variant, risen):
             w.dv[rose] = np.inf
 
         def fold():
-            w.tier.minplus_fold(w.local_apsp, w.dv, changed, rose)
+            KERNELS.minplus_fold(w.local_apsp, w.dv, changed, rose)
 
         benchmark.pedantic(fold, setup=setup, rounds=30)
 
@@ -171,7 +171,6 @@ def test_local_edge_fold(benchmark, scale, variant, case):
         engine.run()
         w = max(engine.cluster.workers, key=lambda w: w.n_local)
         apsp, converged = w.local_apsp.copy(), w.dv.copy()
-        tier = w.tier
     if case == "all_pairs":
         lowered = apsp * 0.5
     else:
@@ -195,7 +194,7 @@ def test_local_edge_fold(benchmark, scale, variant, case):
         dv[...] = converged
 
     def fold():
-        tier.minplus_fold(lowered, dv, changed, None, fell)
+        KERNELS.minplus_fold(lowered, dv, changed, None, fell)
 
     benchmark.pedantic(fold, setup=setup, rounds=30)
     benchmark.extra_info["fallen_share"] = float((lowered < apsp).mean())

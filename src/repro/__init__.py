@@ -34,7 +34,6 @@ from .graph.changes import ChangeBatch, ChangeStream
 from .graph.graph import Graph
 from .obs import ConvergenceProbe, Observer, SignalView, build_hub
 from .runtime.backends import available_backends
-from .runtime.kernels import available_tiers
 from .runtime.chaos import FaultPlan
 from .runtime.health import HealthPolicy
 from .serve import Session, session
@@ -51,7 +50,6 @@ __all__ = [
     "closeness",
     "session",
     "available_backends",
-    "available_tiers",
     "ConvergenceProbe",
     "Observer",
     "build_hub",

@@ -26,7 +26,6 @@ from .bench.scenarios import (
     scaling,
 )
 from .runtime.backends import available_backends
-from .runtime.kernels import available_tiers
 
 __all__ = ["main", "build_parser"]
 
@@ -140,11 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="execution backend (default: REPRO_BACKEND or"
                          " serial); results are bitwise-identical either"
                          " way, only wall time differs")
-    tp.add_argument("--kernel-tier", type=str, default=None,
-                    choices=available_tiers(),
-                    help="kernel tier (default: REPRO_KERNEL_TIER or"
-                         " numpy); scipy chunks the IA Dijkstra across"
-                         " the process pool")
     tp.add_argument("--json", type=str, default=None,
                     help="also dump the full trace to this JSON file")
     tp.add_argument("--trace-out", type=str, action="append", default=None,
@@ -158,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     fp = sub.add_parser(
         "profile",
         help="fold an exported JSONL trace into deterministic"
-             " cost-attribution tables: modeled time per phase, rank,"
-             " and kernel tier, hot paths, wall-vs-modeled skew",
+             " cost-attribution tables: modeled time per phase and"
+             " rank, hot paths, wall-vs-modeled skew",
     )
     fp.add_argument("trace", type=str,
                     help="path to a jsonl trace written by --trace-out")
@@ -211,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                          " picks per batch from live signals")
     vp.add_argument("--backend", type=str, default=None,
                     choices=available_backends())
-    vp.add_argument("--kernel-tier", type=str, default=None,
-                    choices=available_tiers())
     vp.add_argument("--max-events", type=int, default=8,
                     help="admission: full-batch size trigger")
     vp.add_argument("--max-delay-ticks", type=int, default=4,
@@ -384,8 +376,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg_kwargs: Dict[str, object] = {}
         if args.backend is not None:
             cfg_kwargs["backend"] = args.backend
-        if args.kernel_tier is not None:
-            cfg_kwargs["kernel_tier"] = args.kernel_tier
         observers: List[str] = list(args.trace_out or [])
         if args.probe_convergence:
             observers.append("convergence")
@@ -512,8 +502,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg_kwargs = {}
         if args.backend is not None:
             cfg_kwargs["backend"] = args.backend
-        if args.kernel_tier is not None:
-            cfg_kwargs["kernel_tier"] = args.kernel_tier
         if args.trace_out:
             cfg_kwargs["observers"] = tuple(args.trace_out)
         if args.health:

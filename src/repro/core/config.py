@@ -122,14 +122,9 @@ class AnytimeConfig:
         honors the ``REPRO_BACKEND`` environment variable so whole test
         suites can be re-run under another backend without code changes.
     kernel_tier:
-        Which kernel implementation executes the per-rank compute (see
-        :mod:`repro.runtime.kernels`): ``"numpy"`` (the default — the
-        original statements, kept as the bitwise oracle) or ``"scipy"``
-        (same arithmetic, source-chunked IA so one rank's Dijkstra fans
-        out across the process pool).  The two are bitwise-identical in
-        closeness, traces and modeled clocks; any other name is a
-        :class:`~repro.errors.ConfigurationError`.  Honors the
-        ``REPRO_KERNEL_TIER`` environment variable, like ``backend``.
+        Accepted as ``"numpy"`` (the default) or ``"scipy"``; both run
+        the one kernel set of :mod:`repro.runtime.kernels`, and any
+        other name is a :class:`~repro.errors.ConfigurationError`.
     observers:
         Observability specs handed to :func:`repro.obs.build_hub` —
         exporter strings (``"jsonl:PATH"``, ``"perfetto:PATH"``,
@@ -164,9 +159,9 @@ class AnytimeConfig:
     backend: str = field(
         default_factory=lambda: os.environ.get("REPRO_BACKEND", "serial")
     )
-    kernel_tier: str = field(
-        default_factory=lambda: os.environ.get("REPRO_KERNEL_TIER", "numpy")
-    )
+    # read only by benchmarks/e2e (static-pool passes "scipy"), which
+    # this tree may not edit; goes with the next [benchmark] PR
+    kernel_tier: str = "numpy"
     observers: Sequence[object] = ()
 
     def __post_init__(self) -> None:
@@ -204,8 +199,6 @@ class AnytimeConfig:
                 f"backend must be 'serial' or 'process',"
                 f" got {self.backend!r}"
             )
-        # literal duplicate of runtime.kernels.available_tiers(), for
-        # the same importability reason
         if self.kernel_tier not in ("numpy", "scipy"):
             raise ConfigurationError(
                 f"kernel_tier must be 'numpy' or 'scipy',"

@@ -126,7 +126,7 @@ class RunResult:
     convergence: Dict[str, Dict[str, float]] = field(default_factory=dict)
     # --- cost attribution ---------------------------------------------
     #: folded cost-attribution profile (:class:`repro.obs.profile.Profile`
-    #: as a dict): modeled time per phase/rank/kernel-tier, hot paths,
+    #: as a dict): modeled time per phase/rank, hot paths,
     #: coverage — populated on every run, observers on or off
     profile: Dict[str, Any] = field(default_factory=dict)
 
@@ -228,7 +228,6 @@ class AnytimeAnywhereCloseness:
             worker_speeds=cfg.worker_speeds,
             wire_format=cfg.wire_format,
             backend=cfg.backend,
-            kernel_tier=cfg.kernel_tier,
             obs=self.obs,
         )
 

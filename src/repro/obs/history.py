@@ -54,7 +54,7 @@ DEFAULT_GATED_SUBSTRINGS = ("modeled",)
 DEFAULT_THRESHOLD = 0.05
 
 #: list-item keys promoted into the case path when flattening reports
-_CASE_KEYS = ("name", "case", "backend", "tier", "strategy", "shape", "label")
+_CASE_KEYS = ("name", "case", "backend", "strategy", "shape", "label")
 
 #: report keys that are bookkeeping, not measurements
 _SKIP_KEYS = frozenset({"bench", "pass", "failures", "schema_version"})
@@ -189,7 +189,7 @@ def records_from_report(
 
     Every numeric leaf becomes one record; the dotted path to the leaf
     is the case, with list items labeled by their identifying keys
-    (``name`` / ``backend`` / ``tier`` / ...).  Booleans and the
+    (``name`` / ``backend`` / ``strategy`` / ...).  Booleans and the
     bookkeeping keys (``bench``/``pass``/``failures``) are skipped.
     """
     name = bench or str(report.get("bench", "unknown"))

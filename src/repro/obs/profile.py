@@ -7,7 +7,6 @@ attribution tables answering "where did the modeled clock go?":
   self split (self = coordinator-side serial work inside the span),
 * **ranks** — metered kernel seconds per rank, plus the *charged*
   barrier seconds attributed to the critical (slowest) rank,
-* **tiers** — charged barrier seconds per kernel tier,
 * **hot paths** — top-k flattened span paths by modeled seconds,
 * **skew** — phases whose wall-clock share diverges from their modeled
   share (annotation only; wall never enters the deterministic tables).
@@ -67,8 +66,6 @@ class Profile:
     phases: List[Dict[str, Any]] = field(default_factory=list)
     #: per-rank rows: rank, metered kernel seconds, charged seconds
     ranks: List[Dict[str, Any]] = field(default_factory=list)
-    #: per-kernel-tier rows: tier, charged seconds, share
-    tiers: List[Dict[str, Any]] = field(default_factory=list)
     #: top-k hot paths: path, modeled seconds, share of total
     hot: List[Dict[str, Any]] = field(default_factory=list)
     #: wall-vs-modeled skew rows (wall annotation only, never gated)
@@ -96,7 +93,6 @@ class Profile:
             "coverage": self.coverage,
             "phases": phases,
             "ranks": [dict(row) for row in self.ranks],
-            "tiers": [dict(row) for row in self.tiers],
             "hot": [dict(row) for row in self.hot],
             "meta": dict(self.meta),
         }
@@ -129,7 +125,6 @@ def _finish(
     buckets: List[_Bucket],
     metered_by_rank: Dict[int, float],
     charged_by_rank: Dict[int, float],
-    charged_by_tier: Dict[str, float],
     *,
     top: int = 10,
     meta: Optional[Dict[str, Any]] = None,
@@ -172,14 +167,6 @@ def _finish(
                 "metered_seconds": metered_by_rank.get(rank, 0.0),
                 "charged_seconds": charged,
                 "charged_share": _share(charged, total),
-            }
-        )
-    for tier in sorted(charged_by_tier):
-        prof.tiers.append(
-            {
-                "tier": tier,
-                "charged_seconds": charged_by_tier[tier],
-                "share": _share(charged_by_tier[tier], total),
             }
         )
     # hot paths: flattened bucket paths, kernel sub-paths, the gap
@@ -237,7 +224,6 @@ def fold_events(events: List[Dict[str, Any]], *, top: int = 10) -> Profile:
     last_t = 0.0
     metered_by_rank: Dict[int, float] = {}
     charged_by_rank: Dict[int, float] = {}
-    charged_by_tier: Dict[str, float] = {}
     #: kernel points of the current barrier: (t, step) -> rank -> attrs
     barrier_key: Optional[Tuple[float, Optional[int]]] = None
     barrier_points: List[Dict[str, Any]] = []
@@ -251,13 +237,13 @@ def fold_events(events: List[Dict[str, Any]], *, top: int = 10) -> Profile:
         return b
 
     def flush_barrier() -> None:
-        """Attribute the completed barrier's max to rank/tier/phase."""
+        """Attribute the completed barrier's max to rank/phase."""
         nonlocal barrier_key, barriers
         if not barrier_points:
             barrier_key = None
             return
         barriers += 1
-        best_rank, best_secs, tier = -1, -1.0, "unknown"
+        best_rank, best_secs = -1, -1.0
         for pt in barrier_points:
             rank = int(pt.get("rank") or 0)
             attrs = pt.get("attrs") or {}
@@ -268,11 +254,9 @@ def fold_events(events: List[Dict[str, Any]], *, top: int = 10) -> Profile:
                 )
             if secs > best_secs:
                 best_rank, best_secs = rank, secs
-                tier = str(attrs.get("tier") or "unknown")
         charged_by_rank[best_rank] = (
             charged_by_rank.get(best_rank, 0.0) + best_secs
         )
-        charged_by_tier[tier] = charged_by_tier.get(tier, 0.0) + best_secs
         if open_phase:
             level, name, _ = open_phase[-1]
             bucket(level, name).kernel_seconds += best_secs
@@ -350,7 +334,6 @@ def fold_events(events: List[Dict[str, Any]], *, top: int = 10) -> Profile:
         ordered,
         metered_by_rank,
         charged_by_rank,
-        charged_by_tier,
         top=top,
         meta=meta,
     )
@@ -395,7 +378,6 @@ def fold_cluster(cluster: "Cluster", *, top: int = 10) -> Profile:
         [buckets[name] for name in order],
         dict(cluster.kernel_metered_by_rank),
         dict(cluster.kernel_charged_by_rank),
-        dict(cluster.kernel_charged_by_tier),
         top=top,
         meta=meta,
     )
@@ -441,12 +423,6 @@ def render_profile(prof: Profile, *, include_wall: bool = True) -> str:
                 ["rank", "metered_seconds", "charged_seconds",
                  "charged_share"],
             )
-        )
-    if prof.tiers:
-        sections.append("")
-        sections.append("kernel tiers (charged barrier time):")
-        sections.append(
-            format_table(prof.tiers, ["tier", "charged_seconds", "share"])
         )
     if prof.hot:
         sections.append("")

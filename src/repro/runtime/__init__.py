@@ -25,13 +25,6 @@ from .faults import (
     redistribute_worker,
 )
 from .index import GlobalIndex
-from .kernels import (
-    KERNEL_TIERS,
-    KernelTier,
-    available_tiers,
-    make_tier,
-    register_tier,
-)
 from .message import (
     DeltaRows,
     delta_row_words,
@@ -50,11 +43,6 @@ __all__ = [
     "ProcessBackend",
     "available_backends",
     "make_backend",
-    "KERNEL_TIERS",
-    "KernelTier",
-    "available_tiers",
-    "make_tier",
-    "register_tier",
     "check_cluster_invariants",
     "crash_worker",
     "recover_worker",

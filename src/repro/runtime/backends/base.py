@@ -23,7 +23,7 @@ from abc import ABC, abstractmethod
 from typing import List, Optional
 
 from ...types import BoolArray, FloatArray
-from ..kernels import IATask, SuperstepResult, SuperstepTask, run_superstep
+from ..kernels import KERNELS, IATask, SuperstepResult, SuperstepTask
 from ..shm import ArrayAllocator
 from ..worker import Worker
 
@@ -69,7 +69,7 @@ class ExecutionBackend(ABC):
         rank's own outcome.  Backends may run it anywhere (the process
         backend ships it to a pool child); the default runs in-process.
         """
-        return run_superstep(task, dv, apsp, changed)
+        return KERNELS.run_superstep(task, dv, apsp, changed)
 
     def close(self) -> None:
         """Release backend resources (shared memory, pool slots)."""

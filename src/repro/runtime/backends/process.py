@@ -30,14 +30,7 @@ from numpy.typing import DTypeLike, NDArray
 
 from ...errors import ConfigurationError
 from ...types import BoolArray, FloatArray
-from ..kernels import (
-    IATask,
-    SuperstepResult,
-    SuperstepTask,
-    ia_kernel,
-    make_tier,
-    run_superstep,
-)
+from ..kernels import KERNELS, IATask, SuperstepResult, SuperstepTask
 from ..shm import (
     SharedMemoryAllocator,
     ShmDescriptor,
@@ -82,24 +75,7 @@ def _attached(
 def _child_ia(
     dv_desc: ShmDescriptor, apsp_desc: ShmDescriptor, task: IATask
 ) -> None:
-    ia_kernel(task, _attached(dv_desc), _attached(apsp_desc))
-
-
-def _child_ia_chunk(
-    dv_desc: ShmDescriptor,
-    apsp_desc: ShmDescriptor,
-    task: IATask,
-    lo: int,
-    hi: int,
-) -> None:
-    """One source-chunk of a rank's IA task (tiers with chunked IA).
-
-    Chunks of the same task write disjoint ``[lo, hi)`` row ranges of
-    both shared matrices, so any number of them may run concurrently.
-    """
-    make_tier(task.tier).ia_chunk_kernel(
-        task, lo, hi, _attached(dv_desc), _attached(apsp_desc)
-    )
+    KERNELS.ia_kernel(task, _attached(dv_desc), _attached(apsp_desc))
 
 
 def _child_superstep(
@@ -108,7 +84,7 @@ def _child_superstep(
     changed_desc: ShmDescriptor,
     task: SuperstepTask,
 ) -> SuperstepResult:
-    return run_superstep(
+    return KERNELS.run_superstep(
         task,
         _attached(dv_desc),
         _attached(apsp_desc),
@@ -125,7 +101,7 @@ def _child_speculative(
     ``dv`` must travel back with the result for the coordinator-side
     bitwise-identity check.
     """
-    return run_superstep(task, dv, apsp, changed), dv
+    return KERNELS.run_superstep(task, dv, apsp, changed), dv
 
 
 # ----------------------------------------------------------------------
@@ -180,29 +156,12 @@ class ProcessBackend(ExecutionBackend):
     def run_ia(
         self, workers: List[Worker], tasks: List[Optional[IATask]]
     ) -> None:
-        slots = max(self.nprocs, len(workers))
-        pool = _get_pool(slots)
+        pool = _get_pool(max(self.nprocs, len(workers)))
         futures: List["Future[None]"] = []
         for w, task in zip(workers, tasks):
-            if task is None:
-                continue
-            dv_desc, apsp_desc = self._descriptors(w)
-            chunks = make_tier(task.tier).ia_chunks(task, slots)
-            if len(chunks) == 1:
-                # whole-rank task: the pre-tier fast path, one future
+            if task is not None:
                 futures.append(
-                    pool.submit(_child_ia, dv_desc, apsp_desc, task)
-                )
-            else:
-                # source-parallel IA: one rank's Dijkstra fans out across
-                # the whole pool (chunks write disjoint rows, see
-                # _child_ia_chunk), lifting the speedup cap beyond the
-                # rank count
-                futures.extend(
-                    pool.submit(
-                        _child_ia_chunk, dv_desc, apsp_desc, task, lo, hi
-                    )
-                    for lo, hi in chunks
+                    pool.submit(_child_ia, *self._descriptors(w), task)
                 )
         for fut in futures:
             fut.result()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..kernels import IATask, SuperstepResult, SuperstepTask
+from ..kernels import KERNELS, IATask, SuperstepResult, SuperstepTask
 from ..shm import ArrayAllocator
 from ..worker import Worker
 from .base import ExecutionBackend
@@ -25,12 +25,12 @@ class SerialBackend(ExecutionBackend):
     ) -> None:
         for w, task in zip(workers, tasks):
             if task is not None:
-                w.tier.ia_kernel(task, w.dv, w.local_apsp)
+                KERNELS.ia_kernel(task, w.dv, w.local_apsp)
 
     def relax_and_propagate(
         self, workers: List[Worker], tasks: List[SuperstepTask]
     ) -> List[SuperstepResult]:
         return [
-            w.tier.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
+            KERNELS.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
             for w, task in zip(workers, tasks)
         ]

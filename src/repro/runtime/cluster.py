@@ -49,7 +49,7 @@ from ..partition.base import Partition, Partitioner
 from ..types import BoolArray, FloatArray, Rank, VertexId
 from .backends import BackendSpec, make_backend
 from .index import GlobalIndex
-from .kernels import SuperstepTask, TierSpec, make_tier
+from .kernels import SuperstepTask
 from .message import DeltaRows, dense_row_words, dv_payload_words
 from .supervisor import Supervisor
 from .tracing import Tracer
@@ -82,7 +82,6 @@ class Cluster:
         worker_speeds: Optional[Sequence[float]] = None,
         wire_format: str = "delta",
         backend: BackendSpec = "serial",
-        kernel_tier: TierSpec = "numpy",
         obs: Optional[ObserverHub] = None,
     ) -> None:
         if nprocs < 1:
@@ -115,9 +114,6 @@ class Cluster:
         #: workers allocate dv / local_apsp through the backend so the
         #: process backend can hand shared-memory views to its pool
         self.backend = make_backend(backend, nprocs)
-        #: kernel tier executing the per-rank compute (numpy oracle /
-        #: source-chunked scipy)
-        self.tier = make_tier(kernel_tier)
         self.workers: List[Worker] = [
             Worker(
                 r,
@@ -126,18 +122,16 @@ class Cluster:
                 cost,
                 wire_format=wire_format,
                 allocator=self.backend.allocator,
-                tier=self.tier,
             )
             for r in range(nprocs)
         ]
         #: cost-attribution accumulators for the profiler (always on —
         #: pure bookkeeping over already-metered values, never touches
         #: the modeled clock): per-rank metered kernel seconds, and the
-        #: *charged* barrier seconds attributed to the critical rank,
-        #: the active kernel tier, and the enclosing tracer phase
+        #: *charged* barrier seconds attributed to the critical rank and
+        #: to the enclosing tracer phase
         self.kernel_metered_by_rank: Dict[Rank, float] = {}
         self.kernel_charged_by_rank: Dict[Rank, float] = {}
-        self.kernel_charged_by_tier: Dict[str, float] = {}
         self.kernel_charged_by_phase: Dict[str, float] = {}
         self.kernel_barriers = 0
         #: boundary-exchange payload words actually put on the wire
@@ -211,10 +205,6 @@ class Cluster:
             self.kernel_charged_by_rank[crit] = (
                 self.kernel_charged_by_rank.get(crit, 0.0) + t
             )
-            tier_name = self.tier.name
-            self.kernel_charged_by_tier[tier_name] = (
-                self.kernel_charged_by_tier.get(tier_name, 0.0) + t
-            )
             phase = rec.name if rec is not None else ""
             self.kernel_charged_by_phase[phase] = (
                 self.kernel_charged_by_phase.get(phase, 0.0) + t
@@ -233,10 +223,7 @@ class Cluster:
                     start,
                     step=step,
                     rank=rank,
-                    attrs={
-                        "modeled_seconds": seconds,
-                        "tier": self.tier.name,
-                    },
+                    attrs={"modeled_seconds": seconds},
                 )
         self.tracer.add_compute(t)
         return t

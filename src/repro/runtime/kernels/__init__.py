@@ -1,66 +1,50 @@
-"""Tiered compute kernels shared by the serial and process backends.
+"""The per-rank compute kernels shared by the serial and process backends.
 
 The heavy per-rank work of the two parallelizable phases — the IA-phase
 local APSP (:func:`.oracle.local_apsp_rows`: a bit-parallel level sweep
 when the edge weights are uniform, Dijkstra otherwise) and the RC-step
-superstep (cut-edge relaxation + local min-plus propagation) — is
-factored into *kernel tiers*: pluggable implementations selected via
-``AnytimeConfig.kernel_tier`` / ``$REPRO_KERNEL_TIER`` /
-``--kernel-tier`` and registered in :data:`KERNEL_TIERS` (mirroring
-``STRATEGIES`` / ``POLICIES``):
-
-``numpy``
-    the original NumPy/SciPy statements (:mod:`.oracle`), kept as the
-    bitwise oracle every other tier is pinned against;
-``scipy``
-    the same arithmetic with source-chunked IA (rows ``[lo, hi)`` per
-    chunk), so one rank's all-pairs IA fans out across the whole
-    process pool.
-
-The two are bitwise-identical.  A further tier enters through
-:func:`register_tier` with a measurement of what it buys; an unregistered
-name is a :class:`~repro.errors.ConfigurationError`, never a substitute.
+superstep (cut-edge relaxation + local min-plus propagation) — has one
+implementation, the plain functions of :mod:`.oracle`, reached through
+the one instance :data:`KERNELS` of :class:`KernelTier`.
 
 Kernels touch only a picklable *task* (built by the worker in the
 coordinating process) and the worker's large matrices — ``dv``,
 ``local_apsp`` and the ``dv``-shaped changed-entry mask — passed in
-explicitly so a subprocess can supply shared-memory views.  Everything stateful (change tracking, subscriber
-queues, modeled LogP charges, counters) stays in
-:class:`~repro.runtime.worker.Worker`, which splits each phase into
-*prepare* (build the task), *kernel* (this package, runnable anywhere),
-and *apply* (charges + bookkeeping).  Charges are computed from task
-shape only, which is what keeps the modeled clock, traces and fault
-accounting invariant across tiers.
+explicitly so a subprocess can supply shared-memory views.  Everything
+stateful (change tracking, subscriber queues, modeled LogP charges,
+counters) stays in :class:`~repro.runtime.worker.Worker`, which splits
+each phase into *prepare* (build the task), *kernel* (this package,
+runnable anywhere), and *apply* (charges + bookkeeping).  Charges are
+computed from task shape only, which is what keeps the modeled clock,
+traces and fault accounting invariant across backends.
 
-The module-level :func:`ia_kernel` / :func:`run_superstep` dispatch on
-the task's ``tier`` name (the process-pool entry points);
-:func:`relax_cut_kernel` / :func:`minplus_fold` (the rectangle fold) /
-:func:`minplus_fold_changed` (the entry fold every tier runs) /
-:func:`minplus_closure` (the same fold as one seeded, bit-parallel level
-sweep over the local CSR, which the tiers take where it is exact and
-cheaper, and for every exact non-push fold) /
-:func:`minplus_pull` (its dual, the deletion repair) /
-:func:`minplus_fold_pairs` (the fold over fallen ``local_apsp`` pairs)
-re-export the oracle implementations for direct use and tests.
-:func:`relax_edge_kernel` (the per-edge relaxation of the dynamic-update
-path) has one implementation, which the worker calls directly on every
-tier.
+:func:`relax_cut_kernel` / :func:`fold` (the propagation fold's one
+entry point) / :func:`minplus_fold` (the rectangle fold) /
+:func:`minplus_fold_changed` (the entry fold) / :func:`minplus_closure`
+(the same fold as one seeded, bit-parallel level sweep over the local
+CSR, which :func:`fold` takes where it is exact and cheaper, and for
+every exact non-push fold) / :func:`minplus_pull` (its dual, the
+deletion repair) / :func:`minplus_fold_pairs` (the fold over fallen
+``local_apsp`` pairs) re-export the oracle implementations for direct
+use and tests.  :func:`relax_edge_kernel` (the per-edge relaxation of
+the dynamic-update path) is called by the worker directly.
 """
 
 from __future__ import annotations
 
+from typing import Any, List, Optional
+
 from ...types import BoolArray, FloatArray
+from . import oracle
 from .base import (
-    ChunkList,
     IATask,
     IndexArray,
-    KernelTier,
     RelaxItems,
     SuperstepResult,
     SuperstepTask,
 )
 from .oracle import (
-    ia_chunk_kernel,
+    fold,
     minplus_closure,
     minplus_fold,
     minplus_fold_changed,
@@ -69,57 +53,115 @@ from .oracle import (
     relax_cut_kernel,
     relax_edge_kernel,
 )
-from .registry import (
-    KERNEL_TIERS,
-    TierSpec,
-    available_tiers,
-    make_tier,
-    register_tier,
-)
-
-# importing the tier modules registers them (in tier order)
-from .numpy_tier import NumpyTier
-from .scipy_tier import ScipyTier
 
 # read only by benchmarks/e2e/run.py::_host, which this tree may not edit;
 # goes with the next [benchmark] PR
 HAS_NUMBA = False
 
 __all__ = [
-    "ChunkList",
     "IATask",
     "IndexArray",
-    "KERNEL_TIERS",
+    "KERNELS",
     "KernelTier",
-    "NumpyTier",
     "RelaxItems",
-    "ScipyTier",
     "SuperstepResult",
     "SuperstepTask",
-    "TierSpec",
-    "available_tiers",
-    "ia_chunk_kernel",
-    "ia_kernel",
-    "make_tier",
+    "fold",
     "minplus_closure",
     "minplus_fold",
     "minplus_fold_changed",
     "minplus_fold_pairs",
     "minplus_pull",
-    "register_tier",
     "relax_cut_kernel",
     "relax_edge_kernel",
-    "run_superstep",
 ]
 
 
-def ia_kernel(task: IATask, dv: FloatArray, apsp: FloatArray) -> None:
-    """Run one full IA task under the tier named by ``task.tier``."""
-    make_tier(task.tier).ia_kernel(task, dv, apsp)
+# the name is read by benchmarks/e2e/spans.py, which this tree may not
+# edit and which times only the plain functions in this class's
+# __dict__; goes with the next [benchmark] PR
+class KernelTier:
+    """The per-rank compute kernels, as methods that delegate to :mod:`.oracle`.
+
+    The methods are plain functions of the class (the wall-clock
+    harness times them by wrapping them there), and the one instance
+    :data:`KERNELS` is what the worker, the backends and the pool
+    children call.  Location transparency: the methods receive ``dv`` /
+    ``local_apsp`` / ``changed`` as parameters and never stash them —
+    the backend decides whether they are private arrays or
+    shared-memory views.
+    """
+
+    def ia_kernel(self, task: IATask, dv: FloatArray, apsp: FloatArray) -> None:
+        """Full IA task: local APSP into ``apsp`` + owned-column DV fold."""
+        oracle.ia_kernel(task, dv, apsp)
+
+    def relax_cut(
+        self,
+        dv: FloatArray,
+        changed: BoolArray,
+        dirty_cols: BoolArray,
+        items: RelaxItems,
+    ) -> List[int]:
+        """Cut-edge relaxation; returns the sorted local rows improved.
+
+        Every entry lowered is also set in ``changed``.
+        """
+        return oracle.relax_cut_kernel(dv, changed, dirty_cols, items)
+
+    def minplus_fold(
+        self,
+        apsp: FloatArray,
+        dv: FloatArray,
+        changed: Optional[BoolArray],
+        rose: Optional[BoolArray] = None,
+        fell: Optional[BoolArray] = None,
+        graph: Any = None,
+    ) -> List[int]:
+        """Min-plus propagation fold (:func:`.oracle.fold`)."""
+        return oracle.fold(apsp, dv, changed, rose, fell, graph)
+
+    def run_superstep(
+        self,
+        task: SuperstepTask,
+        dv: FloatArray,
+        apsp: FloatArray,
+        changed: BoolArray,
+    ) -> SuperstepResult:
+        """One rank's full RC superstep: relaxation then propagation.
+
+        Change-tracking state arrives snapshotted inside ``task`` and
+        the outcomes travel back in a :class:`SuperstepResult`; the
+        worker itself is never touched, so the kernel can run anywhere.
+
+        The task's flags decide *whether* the fold runs (and is
+        charged); the ``changed`` mask decides *what* it pushes,
+        ``task.fell`` the pairs it folds besides and, in a deletion
+        repair, ``task.rose`` what it pulls first.
+        Because ``local_apsp`` is transitively closed, a single fold
+        from the entries lowered since the last propagation is complete:
+        ``d(x,t) <- min_k apsp(x,k) + d(k,t)`` over the changed sources
+        ``d(k,t)`` cannot be improved by chaining two local hops, and an
+        unchanged ``d(k,t)`` was already folded.
+        """
+        dirty = task.dirty_cols
+        relax_improved = self.relax_cut(dv, changed, dirty, task.relax_items)
+        if task.n == 0:
+            return SuperstepResult(relax_improved=relax_improved)
+        if not task.full_repropagate and not (
+            (task.changed_rows or relax_improved) and dirty.any()
+        ):
+            return SuperstepResult(relax_improved=relax_improved)
+        unknown = task.full_repropagate and task.rose is None
+        prop_improved = self.minplus_fold(
+            apsp, dv, None if unknown else changed, task.rose, task.fell, task.graph
+        )
+        return SuperstepResult(
+            relax_improved=relax_improved,
+            prop_charged=True,
+            prop_improved=prop_improved,
+        )
 
 
-def run_superstep(
-    task: SuperstepTask, dv: FloatArray, apsp: FloatArray, changed: BoolArray
-) -> SuperstepResult:
-    """Run one RC superstep under the tier named by ``task.tier``."""
-    return make_tier(task.tier).run_superstep(task, dv, apsp, changed)
+#: the one kernel set every backend runs
+KERNELS = KernelTier()

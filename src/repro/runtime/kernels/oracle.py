@@ -1,10 +1,10 @@
-"""The pure NumPy/SciPy kernel statements — the bitwise oracle.
+"""The per-rank compute kernels: plain NumPy/SciPy module functions.
 
-These are the original single-implementation kernels, kept as plain
-module functions: every other tier is measured against them, and the
-``numpy`` tier runs them verbatim.  The serial backend, the process
-backend and every tier/backend combination must produce results
-bitwise-identical to these statements executed in serial order.
+:class:`~repro.runtime.kernels.KernelTier` delegates to these, and
+:func:`fold` is the one entry point of the min-plus propagation fold.
+The serial backend and the process backend run the same statements, so
+their results are bitwise-identical to these statements executed in
+serial order.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from .base import IATask, IndexArray, RelaxItems
 
 __all__ = [
     "ia_kernel",
-    "ia_chunk_kernel",
     "local_apsp_rows",
     "relax_cut_kernel",
+    "fold",
     "minplus_fold",
     "minplus_fold_changed",
     "minplus_closure",
@@ -94,28 +94,14 @@ def ia_kernel(task: IATask, dv: FloatArray, apsp: FloatArray) -> None:
     """Local APSP (the paper's multithreaded Dijkstra) + DV column fold.
 
     Writes into the caller-allocated ``apsp`` (shape ``(n, n)``) and
-    folds it into the owned columns of ``dv`` in place: the one chunk
-    that covers every source.
+    folds it into the owned columns of ``dv`` in place: source ``s``
+    folds ``apsp[s, j]`` into ``dv[s, cols[j]]``.
     """
-    ia_chunk_kernel(task, 0, task.n, dv, apsp)
-
-
-def ia_chunk_kernel(
-    task: IATask, lo: int, hi: int, dv: FloatArray, apsp: FloatArray
-) -> None:
-    """IA restricted to sources ``[lo, hi)``; bitwise-equal to the full run.
-
-    Each source's row is computed independently (:func:`local_apsp_rows`),
-    and the fold touches only DV rows ``[lo, hi)`` (source ``s`` folds
-    ``apsp[s, j]`` into ``dv[s, cols[j]]``) — chunks write disjoint row
-    ranges of both matrices and compose, in any order or concurrently,
-    to exactly the full :func:`ia_kernel` outcome.
-    """
-    local_apsp_rows(task.matrix, lo, hi, apsp[lo:hi])
+    local_apsp_rows(task.matrix, 0, task.n, apsp)
     cols = task.cols
     # fancy indexing yields a copy, so an out= write would be lost;
     # assign the minimum back explicitly
-    dv[lo:hi, cols] = np.minimum(dv[lo:hi, cols], apsp[lo:hi, :])
+    dv[:, cols] = np.minimum(dv[:, cols], apsp)
 
 
 def local_apsp_rows(matrix: Any, lo: int, hi: int, out: FloatArray) -> None:
@@ -245,6 +231,51 @@ def relax_cut_kernel(
                 dirty_cols |= mask
                 improved.add(r)
     return sorted(improved)
+
+
+def fold(
+    apsp: FloatArray,
+    dv: FloatArray,
+    changed: Optional[BoolArray],
+    rose: Optional[BoolArray] = None,
+    fell: Optional[BoolArray] = None,
+    graph: Any = None,
+) -> List[int]:
+    """Min-plus propagation fold; returns the sorted rows improved.
+
+    ``changed`` marks the entries of ``dv`` lowered since the last
+    fold — the only sources that can improve anything while nothing
+    rose and no ``apsp`` pair fell; ``None`` folds every entry
+    (nothing is known about what rose).  ``rose`` marks the entries a
+    deletion raised: they are pulled from every source before
+    ``changed`` is pushed.  ``fell`` marks the ``apsp`` pairs a local
+    edge lowered: every target is folded over them, from the sources
+    as they stood after the pull.  ``graph``, when given, is the CSR
+    ``apsp`` is the closure of: where that is exact, a fold with
+    ``rose`` or ``fell`` set or ``changed=None`` runs as one seeded
+    level sweep over it from every finite entry (the rectangle fold
+    the three add up to), and a push where that is also cheaper.
+    """
+    full = changed is None or rose is not None or fell is not None
+    if full and graph is not None and closure_exact(graph, dv):
+        # the rectangle fold that pull, push and pairs add up to, as
+        # one sweep seeded from every finite entry
+        return minplus_closure(graph, apsp, dv, dv < np.inf)
+    if changed is None:
+        n, c = dv.shape
+        return minplus_fold(apsp, dv, np.arange(n), np.arange(c))
+    rows: Set[int] = set()
+    if rose is not None:
+        rows.update(minplus_pull(apsp, dv, rose))
+    # the pairs read every source as the push does: as the pull left it
+    src = dv if fell is None else dv.copy()
+    if graph is not None and closure_applies(graph, dv, changed):
+        rows.update(minplus_closure(graph, apsp, dv, changed))
+    else:
+        rows.update(minplus_fold_changed(apsp, dv, changed))
+    if fell is not None:
+        rows.update(minplus_fold_pairs(apsp, dv, fell, src))
+    return sorted(rows)
 
 
 def minplus_fold(

@@ -42,13 +42,12 @@ from ..model.cost import CostModel
 from ..types import BoolArray, FloatArray, Rank, VertexId
 from .index import GlobalIndex
 from .kernels import (
+    KERNELS,
     IATask,
     IndexArray,
-    KernelTier,
     RelaxItems,
     SuperstepResult,
     SuperstepTask,
-    make_tier,
     relax_edge_kernel,
 )
 from .message import DeltaRows, delta_row_words, dense_row_words
@@ -69,13 +68,9 @@ class Worker:
         *,
         wire_format: str = "delta",
         allocator: Optional[ArrayAllocator] = None,
-        tier: Optional[KernelTier] = None,
     ) -> None:
         if wire_format not in ("dense", "delta"):
             raise WorkerError(f"unknown wire format {wire_format!r}")
-        #: kernel tier executing this worker's compute (see
-        #: :mod:`repro.runtime.kernels`); the oracle tier by default
-        self.tier = tier if tier is not None else make_tier("numpy")
         #: where ``dv`` / ``local_apsp`` / ``dv_changed`` live; the process
         #: backend passes a shared-memory allocator so kernel subprocesses
         #: can attach
@@ -372,7 +367,7 @@ class Worker:
         task = self.ia_prepare()
         if task is None:
             return
-        self.tier.ia_kernel(task, self.dv, self.local_apsp)
+        KERNELS.ia_kernel(task, self.dv, self.local_apsp)
         self.ia_apply(task, repropagate=repropagate, rises_known=rises_known)
 
     def ia_prepare(self) -> Optional[IATask]:
@@ -397,7 +392,6 @@ class Worker:
             cols=cols,
             n=n,
             nnz=int(view.matrix.nnz),
-            tier=self.tier.name,
         )
 
     def ia_apply(
@@ -755,7 +749,6 @@ class Worker:
             else None,
             fell=self._apsp_fell,
             graph=self.local_csr,
-            tier=self.tier.name,
         )
 
     def superstep_apply(

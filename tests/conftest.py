@@ -19,6 +19,7 @@ if _TOOLS not in sys.path:
 from repro import AnytimeAnywhereCloseness, AnytimeConfig, ChangeStream
 from repro.centrality import exact_closeness
 from repro.graph import Graph, barabasi_albert
+from repro.runtime.kernels import KERNELS
 
 
 def path_graph(n: int) -> Graph:
@@ -60,7 +61,7 @@ def superstep(worker):
     """One RC superstep on a lone worker: prepare -> kernel -> apply
     (what ``Cluster.relax_and_propagate`` does for every rank)."""
     task = worker.superstep_prepare()
-    result = worker.tier.run_superstep(
+    result = KERNELS.run_superstep(
         task, worker.dv, worker.local_apsp, worker.dv_changed
     )
     worker.superstep_apply(task, result)
@@ -104,8 +105,8 @@ def result_pin(result) -> str:
 
 
 def stream_outcome(base: Graph, batches, final: Graph, *, straggler=False, **config):
-    """Run one change stream to convergence under ``config`` (backend,
-    kernel tier); returns what must not depend on it, bit for bit:
+    """Run one change stream to convergence under ``config`` (the
+    backend); returns what must not depend on it, bit for bit:
     ``(closeness, rc_steps, modeled_seconds.hex())``.
 
     With ``straggler`` rank 1 runs 8x slow under a speculating health
@@ -151,18 +152,13 @@ def stream_outcome(base: Graph, batches, final: Graph, *, straggler=False, **con
         return result.closeness, result.rc_steps, result.modeled_seconds.hex()
 
 
-def assert_stream_is_backend_and_tier_invariant(base, batches) -> None:
-    """serial/numpy == process == scipy tier == a straggler-speculated run."""
+def assert_stream_is_backend_invariant(base, batches) -> None:
+    """serial == process == a straggler-speculated run on either backend."""
     final = base.copy()
     for step in sorted(batches):
         batches[step].apply_to(final)
-    want = stream_outcome(base, batches, final)
-    for config in (
-        {"backend": "process"},
-        {"kernel_tier": "scipy"},
-        {"backend": "process", "kernel_tier": "scipy"},
-    ):
-        assert stream_outcome(base, batches, final, **config) == want, config
+    want = stream_outcome(base, batches, final, backend="serial")
+    assert stream_outcome(base, batches, final, backend="process") == want
     for backend in ("serial", "process"):
         got = stream_outcome(base, batches, final, straggler=True, backend=backend)
         assert got == want[0], backend

@@ -12,7 +12,7 @@ from repro.core.strategies import EdgeAdditionStrategy, EdgeDeletionStrategy
 from repro.runtime import Cluster, check_cluster_invariants
 
 from ..conftest import (
-    assert_stream_is_backend_and_tier_invariant,
+    assert_stream_is_backend_invariant,
     cycle_graph,
     path_graph,
     run_and_verify,
@@ -195,8 +195,8 @@ def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant(
     and intra-rank edges (shortcuts, a reweight-down, a reweight-up's
     delete-then-add) whose fallen ``local_apsp`` pairs are folded: pull,
     push and pairs must give the same bits wherever they run — serial,
-    pool children (the masks ride in the task), the scipy tier, and the
-    speculative backup of a straggling rank.
+    pool children (the masks ride in the task), and the speculative
+    backup of a straggling rank.
 
     Steps 6-9 walk rank 1 through both IA paths: its uniform weights take
     the level sweep at setup; a reweight-up leaves it mixed, so the next
@@ -305,7 +305,7 @@ def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant(
     monkeypatch.setattr(Worker, "ia_prepare", prepare_spy)
     monkeypatch.setattr(oracle, "local_apsp_rows", rows_spy)
     monkeypatch.setattr(oracle, "_level_sweep", sweep_spy)
-    assert_stream_is_backend_and_tier_invariant(base, batches)
+    assert_stream_is_backend_invariant(base, batches)
     assert len(pair_folds) >= 8 and min(pair_folds) > 0  # the in-process runs
     assert closures
     assert all(uniform == swept for _rank, uniform, swept in ia_calls)

@@ -13,7 +13,7 @@ from repro.graph.changes import (
 )
 
 from ..conftest import (
-    assert_stream_is_backend_and_tier_invariant,
+    assert_stream_is_backend_invariant,
     cycle_graph,
     path_graph,
     run_and_verify,
@@ -129,7 +129,7 @@ def test_delete_then_grow_elsewhere():
 def test_mixed_stream_with_vertex_deletions_is_backend_and_tier_invariant():
     """Vertex deletions (row and column leave ``dv`` and both masks
     together) between edge deletions, reweights and additions: same bits
-    on serial, process, the scipy tier and a speculated straggler."""
+    on serial, process and a speculated straggler."""
     base = barabasi_albert(64, 3, seed=21)
     hub = max(base.vertices(), key=base.degree)
     edges = [(u, v) for u, v, _w in base.edge_list() if hub not in (u, v)]
@@ -148,4 +148,4 @@ def test_mixed_stream_with_vertex_deletions_is_backend_and_tier_invariant():
             edge_reweights=[EdgeReweight(*edges[30], 5.0)],
         ),
     }
-    assert_stream_is_backend_and_tier_invariant(base, batches)
+    assert_stream_is_backend_invariant(base, batches)

@@ -61,8 +61,6 @@ class TestFoldCluster:
         result, engine = run_scenario("dynamic")
         prof = result.profile
         charged_ranks = sum(r["charged_seconds"] for r in prof["ranks"])
-        charged_tiers = sum(r["charged_seconds"] for r in prof["tiers"])
-        assert charged_ranks == pytest.approx(charged_tiers)
         kernel = sum(r["kernel_seconds"] for r in prof["phases"])
         assert charged_ranks == pytest.approx(kernel)
         # metered >= charged per rank in aggregate: the critical rank's
@@ -122,6 +120,7 @@ class TestFoldEvents:
              "t": 1.0},
             {"kind": "point", "level": "rank_kernel", "name": "kernel",
              "t": 1.5, "step": 0, "rank": 0,
+             # kernel points in older traces carry a "tier" attr too
              "attrs": {"modeled_seconds": 0.25, "tier": "numpy"}},
             # run aborts here: rc_step and run never close
         ]

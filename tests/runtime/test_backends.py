@@ -10,6 +10,7 @@ backend factory.
 
 from __future__ import annotations
 
+import re
 import struct
 from typing import Any, Dict, List, Tuple
 
@@ -28,6 +29,7 @@ from repro.graph.changes import (
     VertexAddition,
 )
 from repro.runtime import (
+    RECOVERY_POLICIES,
     ProcessBackend,
     SerialBackend,
     available_backends,
@@ -67,12 +69,12 @@ def _changes() -> ChangeStream:
     )
 
 
-def _run(backend: str, *, changes=None, strategy=None, fault_plan=None):
+def _run(backend: str, *, changes=None, strategy=None, fault_plan=None, **config):
     g = barabasi_albert(70, 2, seed=7)
     engine = AnytimeAnywhereCloseness(
         g,
         AnytimeConfig(
-            nprocs=4, seed=7, collect_snapshots=False, backend=backend
+            nprocs=4, seed=7, collect_snapshots=False, backend=backend, **config
         ),
     )
     engine.setup()
@@ -165,6 +167,26 @@ class TestBackendFactory:
         assert AnytimeConfig().backend == "process"
         monkeypatch.delenv("REPRO_BACKEND")
         assert AnytimeConfig().backend == "serial"
+
+    def test_config_names_match_the_registries(self):
+        """config.py repeats the accepted names as literals (it imports
+        without the runtime package); they may not drift."""
+        from repro.core.config import _RECOVERY_POLICIES
+
+        assert _RECOVERY_POLICIES == RECOVERY_POLICIES
+        for name in available_backends():
+            AnytimeConfig(backend=name)
+        with pytest.raises(ConfigurationError) as exc:
+            AnytimeConfig(backend="numba")
+        names = tuple(re.findall(r"'(\w+)'", str(exc.value)))[:-1]
+        assert names == available_backends()
+
+    def test_kernel_tier_field_runs_the_one_kernel_set(self):
+        """``kernel_tier`` is accepted as "numpy" or "scipy" and changes
+        nothing; any other name is still a configuration error."""
+        assert _run("serial", kernel_tier="scipy") == _run("serial")
+        with pytest.raises(ConfigurationError):
+            AnytimeConfig(kernel_tier="numba")
 
     def test_backend_is_abstract(self):
         with pytest.raises(TypeError):

@@ -6,9 +6,9 @@ block size to 1 when ``n * c`` exceeds the broadcast-temporary element
 budget, and skips blocks whose sources are all infinite.  Every variant
 must be bitwise-equal to a naive unblocked reference fold.
 
-The implementation module is :mod:`repro.runtime.kernels.oracle` (the
-``numpy`` tier delegates to it), so the block-size knobs are patched
-there.
+The implementation module is :mod:`repro.runtime.kernels.oracle`
+(:class:`~repro.runtime.kernels.KernelTier` delegates to it), so the
+block-size knobs are patched there.
 
 :func:`repro.runtime.kernels.minplus_fold_changed` — the entry-level
 fold every RC superstep runs — visits only the ``dv`` entries marked in
@@ -31,14 +31,14 @@ the rectangle fold over the whole block.
 :func:`repro.runtime.kernels.minplus_fold_pairs` — the fold after a local
 edge — folds every target over the ``local_apsp`` pairs marked in the
 fallen mask.  On states where everything outside the three masks is
-closed, pull + push + pairs (the tier's ``minplus_fold``) must be
+closed, pull + push + pairs (:func:`~repro.runtime.kernels.fold`) must be
 bitwise-equal to the rectangle fold over the whole block.
 
 :func:`repro.runtime.kernels.minplus_closure` — the push as one seeded,
 bit-parallel level sweep over the local CSR — must be bitwise-equal to
 :func:`~repro.runtime.kernels.minplus_fold_changed` on positive integer
-weights and non-negative integer entries, and the tier may take it nowhere
-else; seeded from every finite entry, it is the tier's fold wherever a
+weights and non-negative integer entries, and the fold may take it nowhere
+else; seeded from every finite entry, it is the fold wherever a
 ``rose`` or ``fell`` mask is set or nothing is known, and must be
 bitwise-equal to the rectangle fold there.
 """
@@ -79,7 +79,7 @@ from repro.graph.changes import (
 )
 from repro.model import DEFAULT_COST
 from repro.runtime import GlobalIndex, Worker, check_cluster_invariants
-from repro.runtime.kernels import make_tier
+from repro.runtime.kernels import KERNELS, IATask
 from repro.runtime.shm import (
     SharedMemoryAllocator,
     attach_shm_array,
@@ -218,6 +218,50 @@ class TestPropagateLocalUsesBlockedFold:
         clamped = self._worker()
         superstep(clamped)
         assert clamped.dv.tobytes() == baseline.dv.tobytes()
+
+
+class TestScatterFoldRegression:
+    """The scatter writeback equals the old full-submatrix writeback."""
+
+    @staticmethod
+    def _old_fold(apsp, dv, rows, cols):
+        """The pre-scatter ending: write the whole dv[:, cols] submatrix."""
+        a = apsp[:, rows]
+        b = dv[np.asarray(rows)][:, cols]
+        cand = np.full((apsp.shape[0], len(cols)), np.inf, dtype=np.float64)
+        for j in range(len(rows)):
+            np.minimum(cand, a[:, j][:, None] + b[j][None, :], out=cand)
+        sub = dv[:, cols]
+        improved = cand < sub
+        if not improved.any():
+            return []
+        sub[improved] = cand[improved]
+        dv[:, cols] = sub
+        return [int(r) for r in np.flatnonzero(improved.any(axis=1))]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_scatter_bitwise_equivalent(self, seed):
+        rng = np.random.default_rng(seed)
+        n, n_cols = 14, 25
+        apsp = rng.uniform(0.5, 8.0, size=(n, n))
+        np.fill_diagonal(apsp, 0.0)
+        dv = rng.uniform(0.5, 20.0, size=(n, n_cols))
+        dv[rng.random(dv.shape) < 0.2] = np.inf
+        rows = sorted(rng.choice(n, size=n // 2, replace=False).tolist())
+        cols = np.flatnonzero(rng.random(n_cols) < 0.7)
+        dv_old = dv.copy()
+        dv_new = dv.copy()
+        old_rows = self._old_fold(apsp, dv_old, rows, cols)
+        new_rows = kernels.minplus_fold(apsp, dv_new, rows, cols)
+        assert new_rows == old_rows
+        assert dv_new.tobytes() == dv_old.tobytes()
+
+    def test_no_improvement_leaves_dv_untouched(self):
+        apsp = np.zeros((3, 3))
+        dv = np.zeros((3, 4))
+        before = dv.copy()
+        assert kernels.minplus_fold(apsp, dv, [0, 1], np.arange(4)) == []
+        assert dv.tobytes() == before.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -513,7 +557,7 @@ def assert_repair_matches_rectangle(
     *,
     graph: Optional[sp.csr_matrix] = None,
 ) -> List[int]:
-    """``dv`` bytes and returned rows of the tier's fold — pull, push and
+    """``dv`` bytes and returned rows of ``KERNELS.minplus_fold`` — pull, push and
     pairs — against the rectangle fold over the whole block; returns the
     rows.  With ``graph``, the CSR ``apsp`` is the closure of, the fold runs
     again with it: the same bytes and rows, and as one sweep from every
@@ -527,7 +571,7 @@ def assert_repair_matches_rectangle(
         with mock.patch.object(
             kernels, "minplus_closure", wraps=kernels.minplus_closure
         ) as closure:
-            got_rows = make_tier("numpy").minplus_fold(apsp, got, *masks, graph=csr)
+            got_rows = KERNELS.minplus_fold(apsp, got, *masks, graph=csr)
         for mask, given in zip(masks, (changed, rose, fell)):
             assert mask is None or mask.tobytes() == given.tobytes()  # only read
         assert got.tobytes() == ref.tobytes()
@@ -651,7 +695,7 @@ class TestPullFold:
             )
             dv[rose] = np.inf
             got, ref = dv.copy(), dv.copy()
-            make_tier("numpy").minplus_fold(apsp, got, changed, rose)
+            KERNELS.minplus_fold(apsp, got, changed, rose)
             kernels.minplus_fold(apsp, ref, np.arange(20), np.arange(45))
             assert np.array_equal(np.isinf(got), np.isinf(ref))
             np.testing.assert_allclose(got, ref, rtol=1e-12)
@@ -659,7 +703,7 @@ class TestPullFold:
 
 class TestDeletionRepairOnFloatWeights:
     """Deletions on general float weights end to end: the repaired run
-    converges to the exact closeness (1e-9) through every tier entry."""
+    converges to the exact closeness (1e-9) through every fold entry."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mixed_stream_converges_to_exact(self, seed):
@@ -814,9 +858,9 @@ class TestPairFold:
         before = dv.copy()
         assert kernels.minplus_fold_pairs(apsp, dv, fell, dv.copy()) == []
         assert dv.tobytes() == before.tobytes()
-        # through the tier: the same bytes and rows as with no mask at all
-        rows = make_tier("numpy").minplus_fold(apsp, dv, changed, None, fell)
-        assert rows == make_tier("numpy").minplus_fold(apsp, before, changed)
+        # through the kernel class: the same bytes and rows as with no mask at all
+        rows = KERNELS.minplus_fold(apsp, dv, changed, None, fell)
+        assert rows == KERNELS.minplus_fold(apsp, before, changed)
         assert dv.tobytes() == before.tobytes()
 
     def test_one_pair(self):
@@ -855,7 +899,7 @@ class TestPairFold:
         dv = np.zeros((0, 6))
         fell = np.zeros((0, 0), dtype=bool)
         assert kernels.minplus_fold_pairs(np.zeros((0, 0)), dv, fell, dv) == []
-        assert make_tier("numpy").minplus_fold(
+        assert KERNELS.minplus_fold(
             np.zeros((0, 0)), dv, np.zeros((0, 6), dtype=bool), None, fell
         ) == []
 
@@ -937,7 +981,7 @@ class TestPairFold:
             lowered, fell = lower_apsp(apsp, edges)
             assert fell.any()
             got, ref = dv.copy(), dv.copy()
-            make_tier("numpy").minplus_fold(lowered, got, changed, rose, fell)
+            KERNELS.minplus_fold(lowered, got, changed, rose, fell)
             kernels.minplus_fold(lowered, ref, np.arange(20), np.arange(45))
             assert np.array_equal(np.isinf(got), np.isinf(ref))
             np.testing.assert_allclose(got, ref, rtol=1e-12)
@@ -1460,6 +1504,27 @@ class TestLocalAPSPRows:
         assert dijkstra.calls == []
         assert peak <= 1.25 * n * n * 8
 
+    @pytest.mark.parametrize("weights", ["unit", "tenth", "random"])
+    def test_ia_kernel_is_dijkstra_folded_into_dv(self, weights):
+        """The whole IA task equals one direct Dijkstra call folded into
+        the owned columns: the level sweep on uniform weights, Dijkstra
+        on random ones."""
+        g = barabasi_albert(200, 2, seed=3)
+        if weights == "random":
+            g = random_weights(g, 0.5, 9.0, seed=4)
+        matrix = g.to_csr().matrix
+        if weights != "random":
+            matrix.data[:] = 1.0 if weights == "unit" else 0.1
+        n = matrix.shape[0]
+        task = IATask(matrix=matrix, cols=np.arange(n), n=n, nnz=matrix.nnz)
+        dv = np.random.default_rng(3).uniform(0.5, 30.0, size=(n, n))
+        apsp_want = csgraph.dijkstra(matrix, directed=False)
+        dv_want = np.minimum(dv, apsp_want)
+        apsp = np.zeros((n, n))
+        KERNELS.ia_kernel(task, dv, apsp)
+        assert apsp.tobytes() == apsp_want.tobytes()
+        assert dv.tobytes() == dv_want.tobytes()
+
 
 # ----------------------------------------------------------------------
 # closure fold: minplus_closure == minplus_fold_changed, bitwise
@@ -1538,7 +1603,7 @@ class TestClosureFold:
     level sweep over the local CSR — against ``minplus_fold_changed``:
     bitwise on positive integer weights and entries, for any mask (no
     closure invariant needed), past the tick cap included (the push takes
-    the fold there); and the tier takes it only where ``closure_applies``:
+    the fold there); and the fold takes it only where ``closure_applies``:
     never on float weights or a non-integral or near-2**53 entry, never on
     a sparse fold — a zero entry (a diagonal) is exact and swept."""
 
@@ -1593,7 +1658,7 @@ class TestClosureFold:
     def test_the_tier_takes_it_exactly_where_it_is_exact(
         self, shape, n, weights, entry, seed
     ):
-        """The cost rule switched off: the tier's fold is the push's bytes
+        """The cost rule switched off: the fold is the push's bytes
         whatever the weights and entries, and ran as the closure iff the
         integer precondition holds."""
         graph, apsp, dv, changed = closure_state(
@@ -1605,7 +1670,7 @@ class TestClosureFold:
         with mock.patch.object(kernels, "_CLOSURE_MIN_ENTRIES", 0), mock.patch.object(
             kernels, "minplus_closure", wraps=kernels.minplus_closure
         ) as closure:
-            rows = make_tier("numpy").minplus_fold(apsp, got, changed, graph=graph)
+            rows = KERNELS.minplus_fold(apsp, got, changed, graph=graph)
         assert rows == kernels.minplus_fold_changed(apsp, ref, changed)
         assert got.tobytes() == ref.tobytes()
         assert closure.called == exact_for_closure(graph, dv, changed)
@@ -1666,7 +1731,7 @@ class TestClosureFold:
         ), mock.patch.object(
             kernels, "minplus_closure", wraps=kernels.minplus_closure
         ) as closure:
-            rows = make_tier("numpy").minplus_fold(
+            rows = KERNELS.minplus_fold(
                 apsp, got, graph=graph, **given_masks
             )
         assert rows == ref_rows and got.tobytes() == ref.tobytes()
@@ -1757,7 +1822,7 @@ class TestClosureFold:
         closure = _Spy(monkeypatch, kernels, "minplus_closure")
         push = _Spy(monkeypatch, kernels, "minplus_fold_changed")
         got = dv.copy()
-        make_tier("numpy").minplus_fold(apsp, got, changed, graph=graph)
+        KERNELS.minplus_fold(apsp, got, changed, graph=graph)
         assert len(closure.calls) == 1 and push.calls == []
         assert_closure_matches_push(graph, apsp, dv, changed)
 
@@ -1779,7 +1844,7 @@ class TestClosureFold:
         closure = _Spy(monkeypatch, kernels, "minplus_closure")
         push = _Spy(monkeypatch, kernels, "minplus_fold_changed")
         got = dv.copy()
-        rows = make_tier("numpy").minplus_fold(
+        rows = KERNELS.minplus_fold(
             apsp, got, changed, graph=None if case == "no CSR" else graph
         )
         assert rows == ref_rows and got.tobytes() == ref.tobytes()

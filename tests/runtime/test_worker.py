@@ -15,6 +15,7 @@ from repro.model import DEFAULT_COST
 from repro.partition import Partition
 from repro.runtime import Cluster, GlobalIndex, Worker, check_cluster_invariants
 from repro.runtime.faults import crash_worker, recover_worker_from_snapshot
+from repro.runtime.kernels import KERNELS
 from repro.runtime.shm import SharedMemoryAllocator
 
 from ..conftest import path_graph, superstep
@@ -112,6 +113,57 @@ class TestMessaging:
         w.subscribe(1, 1)
         w.unsubscribe_rank(1)
         assert not w.build_payload(1)
+
+
+class TestSubscriberMemo:
+    """Sorted subscriber lists are cached, not re-sorted per row."""
+
+    def _worker(self):
+        g = path_graph(6)
+        owner = {v: (0 if v < 4 else 1) for v in range(6)}
+        idx = GlobalIndex(g.vertex_list())
+        w = Worker(0, 6, idx, DEFAULT_COST)
+        w.load_subgraph(extract_local_subgraph(g, [0, 1, 2, 3], owner, 0))
+        return w
+
+    def test_sorted_and_cached(self):
+        w = self._worker()
+        w.subscribe(2, 5)
+        w.subscribe(2, 1)
+        w.subscribe(2, 3)
+        first = w._sorted_subscribers(2)
+        assert first == [1, 3, 5]
+        assert w._sorted_subscribers(2) is first  # memo hit
+
+    def test_subscribe_invalidates_memo(self):
+        w = self._worker()
+        w.subscribe(2, 5)
+        assert w._sorted_subscribers(2) == [5]
+        w.subscribe(2, 1)
+        assert w._sorted_subscribers(2) == [1, 5]
+
+    def test_record_subscriber_invalidates_memo(self):
+        w = self._worker()
+        w.subscribe(2, 5)
+        assert w._sorted_subscribers(2) == [5]
+        w.record_subscriber(2, 3)
+        assert w._sorted_subscribers(2) == [3, 5]
+        assert w.subscribers[2] == {3, 5}
+
+    def test_unsubscribe_rank_invalidates_memo(self):
+        w = self._worker()
+        w.subscribe(2, 5)
+        w.subscribe(2, 3)
+        assert w._sorted_subscribers(2) == [3, 5]
+        w.unsubscribe_rank(5)
+        assert w._sorted_subscribers(2) == [3]
+
+    def test_assignment_resets_memo(self):
+        w = self._worker()
+        w.subscribe(2, 5)
+        assert w._sorted_subscribers(2) == [5]
+        w.subscribers = {}
+        assert w._sorted_subscribers(2) == []
 
 
 class TestRelaxAndPropagate:
@@ -515,7 +567,7 @@ class TestRisenEntryMask:
         # the superstep that repairs the rises clears them
         task = w.superstep_prepare()
         assert task.full_repropagate and task.rose is w.dv_rose
-        w.superstep_apply(task, w.tier.run_superstep(task, w.dv, w.local_apsp, w.dv_changed))
+        w.superstep_apply(task, KERNELS.run_superstep(task, w.dv, w.local_apsp, w.dv_changed))
         assert not w.dv_rose.any()
         # a reload and a crash wipe start from a clear mask
         w.dv_rose[0, 0] = True
@@ -551,7 +603,7 @@ class TestRisenEntryMask:
             assert task.full_repropagate
             assert (task.rose is not None) == known
             w.superstep_apply(
-                task, w.tier.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
+                task, KERNELS.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
             )
             assert w.superstep_prepare().rose is None  # nothing pending
 
@@ -586,7 +638,7 @@ class TestRisenEntryMask:
                     sweep="minplus_closure",
                 )
                 for w, task in zip(cluster.workers, tasks):
-                    result = w.tier.run_superstep(
+                    result = KERNELS.run_superstep(
                         task, w.dv, w.local_apsp, w.dv_changed
                     )
                     assert result.prop_charged
@@ -712,7 +764,7 @@ class TestFallenPairMask:
         task = w.superstep_prepare()
         assert task.fell is w.apsp_fell and task.rose is None
         marks = task.fell.copy()
-        result = w.tier.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
+        result = KERNELS.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
         w.superstep_apply(task, result)
         assert result.prop_charged and 0 in result.prop_improved
         assert w.dv[w.row_of[0], 4] == 3.0

@@ -12,8 +12,7 @@ local APSPs; and a ``random_weights`` twin, where it must not — each
 under CutEdge-PS, 4 ranks), recorded at ef93848, before the closure became
 a sweep; and on a churn stream with deletions, recorded at 609c7bc, before
 a fold with a risen or fallen mask could sweep.  Every pin must hold under
-``REPRO_BACKEND=serial|process`` and ``REPRO_KERNEL_TIER=numpy|scipy``, and
-the spy asserts which path each run took — in pool children too: the pool
+``REPRO_BACKEND=serial|process``, and the spy asserts which path each run took — in pool children too: the pool
 is restarted around each test (``fresh_pool``) so that its children fork
 with the spy.
 """
@@ -103,10 +102,10 @@ def test_static_run_matches_pin(name: str, closure_calls) -> None:
 
 
 @pytest.mark.parametrize(
-    "config", [{"backend": "process"}, {"kernel_tier": "scipy"}], ids=str
+    "config", [{"backend": "process"}], ids=str
 )
 def test_closure_runs_are_backend_and_tier_invariant(config, closure_calls) -> None:
-    """serial == process == scipy where the closure runs, whatever the
+    """serial == process where the closure runs, whatever the
     environment seeds."""
     assert _pin("integer", **config) == PINS["integer"]
     assert closure_calls()
@@ -118,7 +117,7 @@ BATCH_ADD_PIN = "5|0x1.bd7952775d2edp-1|2451745|2129583|60e7d7a004222c4f"
 
 @pytest.mark.parametrize(
     "config",
-    [{"backend": "serial"}, {"backend": "process"}, {"kernel_tier": "scipy"}],
+    [{"backend": "serial"}, {"backend": "process"}],
     ids=str,
 )
 def test_batch_add_run_matches_pin(config, closure_calls) -> None:
@@ -142,7 +141,7 @@ CHURN_PIN = "27|0x1.de154e800909cp-5|128150|111363|b6b6ab18a7163f3c"
 
 @pytest.mark.parametrize(
     "config",
-    [{"backend": "serial"}, {"backend": "process"}, {"kernel_tier": "scipy"}],
+    [{"backend": "serial"}, {"backend": "process"}],
     ids=str,
 )
 def test_churn_run_matches_pin(config, closure_calls) -> None:

@@ -9,8 +9,7 @@ on-disk checkpoint.  Each of those paths is
 pinned here on its :func:`result_pin` string plus the sha256 of its
 fault-event log, recorded at 154142e — before the fault machinery moved
 into one run context and the three migration tails became one routine.
-Every pin must hold under ``REPRO_BACKEND=serial|process`` and
-``REPRO_KERNEL_TIER=numpy|scipy``.
+Every pin must hold under ``REPRO_BACKEND=serial|process``.
 """
 
 from __future__ import annotations

@@ -892,6 +892,31 @@ class TestPhaseDiscipline:
         assert codes(found) == ["RPL010"]
         assert "coordinator" in found[0].message
 
+    def test_stale_registry_key_flagged(self, tmp_path: Path) -> None:
+        """A key that matches no function (the code was removed or the
+        name became a plain attribute) is a finding of its own."""
+        config = phase_config(
+            phase_registry={
+                "Worker.apply_rows": "coordinator",
+                "Worker.gone": "init",
+                "OldTier.fold": "kernel",
+            }
+        )
+        files = {
+            "src/repro/runtime/w.py": """
+                class Worker:
+                    def apply_rows(self, rows):
+                        self.dv[0, :] = rows
+            """
+        }
+        found = lint_project(
+            tmp_path, files, select=self.SELECT, config=config
+        )
+        assert codes(found) == ["RPL010", "RPL010"]
+        assert [f.path for f in found] == ["pyproject.toml"] * 2
+        assert "'OldTier.fold' matches no function" in found[0].message
+        assert "'Worker.gone' matches no function" in found[1].message
+
     def test_reads_are_clean(self, tmp_path: Path) -> None:
         files = {
             "src/repro/runtime/w.py": """

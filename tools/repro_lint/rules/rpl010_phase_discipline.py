@@ -14,7 +14,7 @@ in-place numpy call (``fill_diagonal``/``copyto``/``out=``/``.fill()``)
 — including through local aliases and views — or passing a shared
 array into a callee parameter the callee mutates (interprocedurally).
 
-Three findings:
+Four findings:
 
 1. a function with a shared-array mutation that is not registered in
    the phase registry (``[tool.repro-lint.phase-registry]``) — an
@@ -25,16 +25,25 @@ Three findings:
    adoption);
 3. a ``kernel``-phase function calling a mutator registered in a
    non-kernel phase — coordinator-phase writes must never run under a
-   kernel.
+   kernel;
+4. a registry key that matches no linted function — a stale entry
+   declares a phase for code that no longer exists (or was renamed),
+   so the registry stops describing the tree.  Reported against
+   ``pyproject.toml``; lint the whole target tree to check it.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Iterator, Optional
 
 from ..callgraph import FunctionInfo, ProjectContext
 from ..core import Finding, ProjectRule, Registry
 from ..summaries import effects_for
+
+
+def _matches(key: str, suffix: str) -> bool:
+    return key == suffix or key.endswith("." + suffix)
 
 
 def _phase_of(
@@ -43,7 +52,7 @@ def _phase_of(
     """Registered phase for a function, by qualname-suffix match."""
     registry = project.config.phase_registry
     for suffix, phase in registry.items():
-        if fn.key == suffix or fn.key.endswith("." + suffix):
+        if _matches(fn.key, suffix):
             return str(phase)
     return None
 
@@ -102,6 +111,16 @@ class PhaseDisciplineRule(ProjectRule):
                         " shared-memory mapping",
                     )
                 yield from self._check_kernel_calls(project, effects, fn)
+        for suffix in sorted(project.config.phase_registry):
+            if not any(_matches(key, suffix) for key in project.functions):
+                yield self.finding_at(
+                    Path("pyproject.toml"),
+                    None,
+                    self.code,
+                    f"phase-registry key '{suffix}' matches no function;"
+                    " remove or rename the stale entry in"
+                    " [tool.repro-lint.phase-registry]",
+                )
 
     def _check_kernel_calls(
         self, project: ProjectContext, effects, fn: FunctionInfo
