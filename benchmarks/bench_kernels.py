@@ -54,7 +54,9 @@ def build(scale, graph=None):
 def superstep(w):
     """One RC superstep on a lone worker: prepare -> kernel -> apply."""
     task = w.superstep_prepare()
-    result = KERNELS.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
+    result = KERNELS.run_superstep(
+        task, w.dv, w.local_apsp, w.dv_changed, w.ext_store.rows
+    )
     w.superstep_apply(task, result)
 
 
@@ -163,7 +165,9 @@ def first_fold_state(scale, weights=None):
         engine.cluster.exchange_boundary()
         tasks = [(w, w.superstep_prepare()) for w in engine.cluster.workers]
         for w, task in tasks:
-            KERNELS.relax_cut(w.dv, w.dv_changed, task.dirty_cols, task.relax_items)
+            KERNELS.relax_cut(
+                w.dv, w.dv_changed, task.dirty_cols, w.ext_store.rows, task.relax_items
+            )
         w = max(engine.cluster.workers, key=lambda w: int(w.dv_changed.sum()))
         return w, w.local_apsp.copy(), w.dv.copy(), w.dv_changed.copy(), w.local_csr
 

@@ -42,7 +42,9 @@ COLUMNS = ["variant", "seconds_per_fold"]
 def superstep(w):
     """One RC superstep on a lone worker: prepare -> kernel -> apply."""
     task = w.superstep_prepare()
-    result = KERNELS.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
+    result = KERNELS.run_superstep(
+        task, w.dv, w.local_apsp, w.dv_changed, w.ext_store.rows
+    )
     w.superstep_apply(task, result)
 
 

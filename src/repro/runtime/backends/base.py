@@ -36,7 +36,8 @@ class ExecutionBackend(ABC):
     #: short identifier, e.g. ``"serial"`` / ``"process"``
     name: str = "base"
 
-    #: allocator workers must use for ``dv`` / ``local_apsp`` / ``dv_changed``
+    #: allocator workers must use for ``dv`` / ``local_apsp`` /
+    #: ``dv_changed`` and the external-row store
     allocator: ArrayAllocator
 
     @abstractmethod
@@ -59,17 +60,19 @@ class ExecutionBackend(ABC):
         dv: FloatArray,
         apsp: FloatArray,
         changed: BoolArray,
+        ext: FloatArray,
     ) -> SuperstepResult:
         """Re-execute one rank's superstep on private array copies.
 
         The straggler-mitigation backup: runs the exact superstep kernel
         against the caller's copies of ``dv`` / ``local_apsp`` /
-        ``dv_changed`` so the
-        result can be verified bitwise-identical against the straggling
-        rank's own outcome.  Backends may run it anywhere (the process
-        backend ships it to a pool child); the default runs in-process.
+        ``dv_changed`` so the result can be verified bitwise-identical
+        against the straggling rank's own outcome.  ``ext`` is the rank's
+        own external-row store, not a copy: the kernel only reads it.
+        Backends may run it anywhere (the process backend ships it to a
+        pool child); the default runs in-process.
         """
-        return KERNELS.run_superstep(task, dv, apsp, changed)
+        return KERNELS.run_superstep(task, dv, apsp, changed, ext)
 
     def close(self) -> None:
         """Release backend resources (shared memory, pool slots)."""

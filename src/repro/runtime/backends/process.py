@@ -4,13 +4,19 @@ Between two BSP barriers every rank's kernels are independent, so each
 superstep fans its :class:`~repro.runtime.kernels.IATask` /
 :class:`~repro.runtime.kernels.SuperstepTask` out to a persistent
 ``ProcessPoolExecutor`` (one slot per rank).  The heavy matrices —
-``dv``, ``local_apsp`` and the ``dv``-shaped changed-entry mask — live
-in ``multiprocessing.shared_memory``
-(see :mod:`repro.runtime.shm`), so only the task descriptions and
-row-index outcomes cross the process boundary; the matrices themselves
-are mutated in place by the children and are immediately visible to the
-coordinating process, which runs the exchanges, modeled clock, chaos
-injection and checkpointing unchanged.
+``dv``, ``local_apsp``, the ``dv``-shaped changed-entry mask and the
+external-row store — live in ``multiprocessing.shared_memory`` (see
+:mod:`repro.runtime.shm`) and travel as segment descriptors, which a
+child attaches once and caches.  What is pickled is the task and its
+outcome: the relaxation's store slots, local rows and edge weights, the
+dirty-column mask, the ``rose`` / ``fell`` masks while set, the local
+CSR, and the improved row indices back — no received or computed DV
+row.  The matrices are mutated in place by the children and are
+immediately visible to the coordinating process, which runs the
+exchanges, modeled clock, chaos injection and checkpointing unchanged.
+The speculative backup of a straggler is the exception: it runs on
+pickled private copies of ``dv`` / ``local_apsp`` / the mask (and ships
+``dv`` back), reading the store through its descriptor.
 
 Determinism: the children execute the exact kernel functions the serial
 backend runs, one rank per task, and the cluster applies the outcomes
@@ -47,61 +53,75 @@ __all__ = ["ProcessBackend"]
 # they pickle by reference)
 # ----------------------------------------------------------------------
 
-#: segment name -> (attachment, mapped array); names are never reused,
-#: so a cached mapping can only go stale when the coordinator unlinks
-#: the segment — and then no future task references that name again
-_ATTACHED: Dict[str, Tuple[SharedMemory, NDArray[Any]]] = {}
-
-#: cache cap; beyond it the oldest attachments are detached (FIFO)
-_ATTACH_CACHE_MAX = 128
+#: (rank, role) -> (segment name, attachment, mapped array): one mapping
+#: per array of each rank.  A descriptor naming another segment (the
+#: coordinator re-homed the array, or a new cluster took the rank)
+#: replaces the entry and detaches the old mapping: an unlinked
+#: segment's pages stay resident while any process still maps it.
+_ATTACHED: Dict[Tuple[int, str], Tuple[str, SharedMemory, NDArray[Any]]] = {}
 
 
 def _attached(
-    desc: ShmDescriptor, dtype: DTypeLike = np.float64
+    key: Tuple[int, str], desc: ShmDescriptor, dtype: DTypeLike = np.float64
 ) -> NDArray[Any]:
-    name = desc[0]
-    hit = _ATTACHED.get(name)
+    hit = _ATTACHED.pop(key, None)
     if hit is not None:
-        return hit[1]
-    while len(_ATTACHED) >= _ATTACH_CACHE_MAX:
-        oldest = next(iter(_ATTACHED))
-        shm, _arr = _ATTACHED.pop(oldest)
+        name, shm, arr = hit
+        if name == desc[0]:
+            _ATTACHED[key] = hit
+            return arr
+        del arr, hit  # release the buffer so the mapping can close now
         detach_shm(shm)
     shm, arr = attach_shm_array(desc, dtype)
-    _ATTACHED[name] = (shm, arr)
+    _ATTACHED[key] = (desc[0], shm, arr)
     return arr
 
 
 def _child_ia(
-    dv_desc: ShmDescriptor, apsp_desc: ShmDescriptor, task: IATask
+    rank: int, dv_desc: ShmDescriptor, apsp_desc: ShmDescriptor, task: IATask
 ) -> None:
-    KERNELS.ia_kernel(task, _attached(dv_desc), _attached(apsp_desc))
+    KERNELS.ia_kernel(
+        task, _attached((rank, "dv"), dv_desc), _attached((rank, "apsp"), apsp_desc)
+    )
 
 
 def _child_superstep(
+    rank: int,
     dv_desc: ShmDescriptor,
     apsp_desc: ShmDescriptor,
     changed_desc: ShmDescriptor,
+    ext_desc: ShmDescriptor,
     task: SuperstepTask,
 ) -> SuperstepResult:
     return KERNELS.run_superstep(
         task,
-        _attached(dv_desc),
-        _attached(apsp_desc),
-        _attached(changed_desc, np.bool_),
+        _attached((rank, "dv"), dv_desc),
+        _attached((rank, "apsp"), apsp_desc),
+        _attached((rank, "changed"), changed_desc, np.bool_),
+        _attached((rank, "ext"), ext_desc),
     )
 
 
 def _child_speculative(
-    task: SuperstepTask, dv: FloatArray, apsp: FloatArray, changed: BoolArray
+    task: SuperstepTask,
+    dv: FloatArray,
+    apsp: FloatArray,
+    changed: BoolArray,
+    ext_desc: ShmDescriptor,
 ) -> Tuple[SuperstepResult, FloatArray]:
     """Speculative re-execution on plain (pickled) array copies.
 
     The arrays are private copies, not shared memory, so the mutated
     ``dv`` must travel back with the result for the coordinator-side
-    bitwise-identity check.
+    bitwise-identity check.  The store is read in place, through a
+    mapping held for this call only.
     """
-    return KERNELS.run_superstep(task, dv, apsp, changed), dv
+    shm, ext = attach_shm_array(ext_desc)
+    try:
+        return KERNELS.run_superstep(task, dv, apsp, changed, ext), dv
+    finally:
+        del ext
+        detach_shm(shm)
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +181,7 @@ class ProcessBackend(ExecutionBackend):
         for w, task in zip(workers, tasks):
             if task is not None:
                 futures.append(
-                    pool.submit(_child_ia, *self._descriptors(w), task)
+                    pool.submit(_child_ia, w.rank, *self._descriptors(w), task)
                 )
         for fut in futures:
             fut.result()
@@ -185,9 +205,11 @@ class ProcessBackend(ExecutionBackend):
             futures.append(
                 pool.submit(
                     _child_superstep,
+                    w.rank,
                     dv_desc,
                     apsp_desc,
                     self.allocator.descriptor(w.dv_changed),
+                    self.allocator.descriptor(w.ext_store.rows),
                     task,
                 )
             )
@@ -202,10 +224,16 @@ class ProcessBackend(ExecutionBackend):
         dv: FloatArray,
         apsp: FloatArray,
         changed: BoolArray,
+        ext: FloatArray,
     ) -> SuperstepResult:
         pool = _get_pool(max(self.nprocs, 1))
         result, out_dv = pool.submit(
-            _child_speculative, task, dv, apsp, changed
+            _child_speculative,
+            task,
+            dv,
+            apsp,
+            changed,
+            self.allocator.descriptor(ext),
         ).result()
         # the child mutated its own pickled copy; mirror it into the
         # caller's array so the identity check sees the backup's outcome

@@ -31,6 +31,8 @@ class SerialBackend(ExecutionBackend):
         self, workers: List[Worker], tasks: List[SuperstepTask]
     ) -> List[SuperstepResult]:
         return [
-            KERNELS.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
+            KERNELS.run_superstep(
+                task, w.dv, w.local_apsp, w.dv_changed, w.ext_store.rows
+            )
             for w, task in zip(workers, tasks)
         ]

@@ -60,9 +60,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: per-rank speculative-execution capture: the rank's superstep task plus
 #: private copies of its dv / local_apsp / dv_changed to re-execute the
-#: kernel on
+#: kernel on, and its external-row store (read-only, so shared)
 SpecContext = Dict[
-    Rank, Tuple[SuperstepTask, FloatArray, FloatArray, BoolArray]
+    Rank, Tuple[SuperstepTask, FloatArray, FloatArray, BoolArray, FloatArray]
 ]
 
 __all__ = ["Cluster"]
@@ -258,9 +258,9 @@ class Cluster:
                 captured = spec.get(r)
                 if captured is None:
                     continue
-                task, dv_copy, apsp_copy, changed_copy = captured
+                task, dv_copy, apsp_copy, changed_copy, ext = captured
                 self.backend.run_speculative(
-                    task, dv_copy, apsp_copy, changed_copy
+                    task, dv_copy, apsp_copy, changed_copy, ext
                 )
                 w = self.workers[r]
                 if not np.array_equal(dv_copy, w.dv):
@@ -508,7 +508,8 @@ class Cluster:
                     if w.speed < pre[r]:
                         # the real kernel extends its task's dirty mask
                         # and the changed-entry mask in place, so the
-                        # backup gets private copies of both
+                        # backup gets private copies of both; it reads the
+                        # same stored external rows
                         ctx[r] = (
                             replace(
                                 tasks[r], dirty_cols=tasks[r].dirty_cols.copy()
@@ -516,6 +517,7 @@ class Cluster:
                             w.dv.copy(),
                             w.local_apsp.copy(),
                             w.dv_changed.copy(),
+                            w.ext_store.rows,
                         )
             # an empty dict still arms the barrier: the state machine must
             # observe every superstep even when nothing can be speculated

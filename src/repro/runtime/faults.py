@@ -61,15 +61,7 @@ def crash_worker(cluster: "Cluster", rank: Rank) -> None:
     if not 0 <= rank < cluster.nprocs:
         raise RuntimeSimulationError(f"no worker with rank {rank}")
     w = cluster.workers[rank]
-    n_cols = cluster.n_columns
-    w.wipe_entries(n_cols)
-    w.local_apsp = np.zeros((0, 0), dtype=np.float64)
-    w.ext_dvs.clear()
-    w._fresh_ext.clear()
-    w._changed_rows.clear()
-    w._dirty_cols = np.zeros(n_cols, dtype=bool)
-    w.subscribers = {}
-    w.take_compute_seconds()  # drop any un-synced metering
+    w.crash_wipe(cluster.n_columns)
     for peer in cluster.workers:
         w.reset_channel(peer.rank)
         if peer.rank != rank:

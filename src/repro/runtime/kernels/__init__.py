@@ -9,12 +9,12 @@ the one instance :data:`KERNELS` of :class:`KernelTier`.
 
 Kernels touch only a picklable *task* (built by the worker in the
 coordinating process) and the worker's large matrices — ``dv``,
-``local_apsp`` and the ``dv``-shaped changed-entry mask — passed in
-explicitly so a subprocess can supply shared-memory views.  Everything
-stateful (change tracking, subscriber queues, modeled LogP charges,
-counters) stays in :class:`~repro.runtime.worker.Worker`, which splits
-each phase into *prepare* (build the task), *kernel* (this package,
-runnable anywhere), and *apply* (charges + bookkeeping).  Charges are
+``local_apsp``, the ``dv``-shaped changed-entry mask and the external-row
+store — passed in explicitly so a subprocess can supply shared-memory
+views.  Everything stateful (change tracking, subscriber queues, modeled
+LogP charges, counters) stays in :class:`~repro.runtime.worker.Worker`,
+which splits each phase into *prepare* (build the task), *kernel* (this
+package, runnable anywhere), and *apply* (charges + bookkeeping).  Charges are
 computed from task shape only, which is what keeps the modeled clock,
 traces and fault accounting invariant across backends.
 
@@ -87,8 +87,8 @@ class KernelTier:
     harness times them by wrapping them there), and the one instance
     :data:`KERNELS` is what the worker, the backends and the pool
     children call.  Location transparency: the methods receive ``dv`` /
-    ``local_apsp`` / ``changed`` as parameters and never stash them —
-    the backend decides whether they are private arrays or
+    ``local_apsp`` / ``changed`` / ``ext`` as parameters and never stash
+    them — the backend decides whether they are private arrays or
     shared-memory views.
     """
 
@@ -101,13 +101,15 @@ class KernelTier:
         dv: FloatArray,
         changed: BoolArray,
         dirty_cols: BoolArray,
+        ext: FloatArray,
         items: RelaxItems,
     ) -> List[int]:
-        """Cut-edge relaxation; returns the sorted local rows improved.
+        """Cut-edge relaxation against the stored rows ``ext[slot]``;
+        returns the sorted local rows improved.
 
         Every entry lowered is also set in ``changed``.
         """
-        return oracle.relax_cut_kernel(dv, changed, dirty_cols, items)
+        return oracle.relax_cut_kernel(dv, changed, dirty_cols, ext, items)
 
     def minplus_fold(
         self,
@@ -127,8 +129,12 @@ class KernelTier:
         dv: FloatArray,
         apsp: FloatArray,
         changed: BoolArray,
+        ext: FloatArray,
     ) -> SuperstepResult:
         """One rank's full RC superstep: relaxation then propagation.
+
+        ``ext`` is the rank's external-row store, which the task's
+        relaxation items index by slot.
 
         Change-tracking state arrives snapshotted inside ``task`` and
         the outcomes travel back in a :class:`SuperstepResult`; the
@@ -145,7 +151,7 @@ class KernelTier:
         unchanged ``d(k,t)`` was already folded.
         """
         dirty = task.dirty_cols
-        relax_improved = self.relax_cut(dv, changed, dirty, task.relax_items)
+        relax_improved = self.relax_cut(dv, changed, dirty, ext, task.relax_items)
         if task.n == 0:
             return SuperstepResult(relax_improved=relax_improved)
         if not task.full_repropagate and not (

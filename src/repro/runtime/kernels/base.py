@@ -2,11 +2,13 @@
 
 The per-rank compute of the two parallelizable phases travels as
 picklable *task* dataclasses (built by the worker in the coordinating
-process) plus the worker's large matrices — ``dv``, ``local_apsp`` and
-the ``dv``-shaped changed-entry mask — passed in explicitly so a
-subprocess can supply shared-memory views.  The modeled charges are
-computed from task *shape* only (``n``, ``nnz``), in the worker's
-``*_apply`` methods, so they cannot depend on where the arithmetic ran.
+process) plus the worker's large matrices — ``dv``, ``local_apsp``, the
+``dv``-shaped changed-entry mask and the external-row store — passed in
+explicitly so a subprocess can supply shared-memory views.  A task holds
+no float row: the relaxation names stored rows by slot.  The modeled
+charges are computed from task *shape* only (``n``, ``nnz``), in the
+worker's ``*_apply`` methods, so they cannot depend on where the
+arithmetic ran.
 """
 
 from __future__ import annotations
@@ -17,14 +19,15 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 from numpy.typing import NDArray
 
-from ...types import BoolArray, FloatArray
+from ...types import BoolArray
 
 #: DV column indices as produced by ``np.flatnonzero`` / index building.
 IndexArray = NDArray[np.intp]
 
-#: Cut-edge relaxation inputs: per fresh external row, the received DV
-#: row and the ``(local row, edge weight)`` pairs relaxed against it.
-RelaxItems = List[Tuple[FloatArray, List[Tuple[int, float]]]]
+#: Cut-edge relaxation inputs: per fresh external row, its slot in the
+#: rank's external-row store and the ``(local row, edge weight)`` pairs
+#: relaxed against it.
+RelaxItems = List[Tuple[int, List[Tuple[int, float]]]]
 
 __all__ = [
     "IATask",
@@ -54,8 +57,8 @@ class SuperstepTask:
     """One rank's RC-superstep work (relaxation inputs + fold extent)."""
 
     n: int
-    #: per fresh external row, in relaxation order: the received DV row
-    #: and the ``(local row, cut-edge weight)`` pairs relaxed against it
+    #: per fresh external row, in relaxation order: its store slot and
+    #: the ``(local row, cut-edge weight)`` pairs relaxed against it
     relax_items: RelaxItems
     #: rows already marked changed before this superstep, sorted
     changed_rows: List[int]
@@ -75,7 +78,7 @@ class SuperstepTask:
 
     @property
     def n_relaxations(self) -> int:
-        return sum(len(pairs) for _row, pairs in self.relax_items)
+        return sum(len(pairs) for _slot, pairs in self.relax_items)
 
 
 @dataclass

@@ -99,9 +99,11 @@ def ia_kernel(task: IATask, dv: FloatArray, apsp: FloatArray) -> None:
     """
     local_apsp_rows(task.matrix, 0, task.n, apsp)
     cols = task.cols
-    # fancy indexing yields a copy, so an out= write would be lost;
-    # assign the minimum back explicitly
-    dv[:, cols] = np.minimum(dv[:, cols], apsp)
+    # one 1-D gather and scatter per row: the 2-D fancy-index write took
+    # twice as long.  Fancy indexing yields a copy, so an out= write would
+    # be lost; assign the minimum back explicitly
+    for row, local in zip(dv, apsp):
+        row[cols] = np.minimum(row[cols], local)
 
 
 def local_apsp_rows(matrix: Any, lo: int, hi: int, out: FloatArray) -> None:
@@ -211,17 +213,20 @@ def relax_cut_kernel(
     dv: FloatArray,
     changed: BoolArray,
     dirty_cols: BoolArray,
+    ext: FloatArray,
     items: RelaxItems,
 ) -> List[int]:
     """Cut-edge relaxation: ``d(u,t) <- min(d(u,t), w(u,x) + d(x,t))``.
 
+    ``d(x, .)`` is row ``slot`` of the external-row store ``ext``.
     Mutates ``dv``, ``changed`` (the entries lowered) and ``dirty_cols``
-    in place; returns the sorted local rows that improved.  Item order is fixed by the caller (sorted
-    external vertex, then cut-edge registration order), so repeated runs
-    relax in the same sequence.
+    in place; returns the sorted local rows that improved.  Item order is
+    fixed by the caller (sorted external vertex, then cut-edge
+    registration order), so repeated runs relax in the same sequence.
     """
     improved: Set[int] = set()
-    for row_x, pairs in items:
+    for slot, pairs in items:
+        row_x = ext[slot]
         for r, w in pairs:
             cand = row_x + w
             mask = cand < dv[r]

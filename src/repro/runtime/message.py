@@ -62,6 +62,10 @@ class DeltaRows:
     publication, after channel resets, and when a delta would not be
     cheaper); ``sparse`` maps a vertex id to the ``(col_indices, values)``
     of the columns that improved since the last send on this channel.
+
+    A dense row is a view of the sender's ``dv``, not a copy: a boundary
+    exchange delivers every packet before any ``dv`` changes, and the
+    receiver copies what it keeps into its external-row store.
     """
 
     dense: Dict[VertexId, FloatArray] = field(default_factory=dict)

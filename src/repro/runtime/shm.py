@@ -1,11 +1,12 @@
 """Array allocation plumbing for the execution backends.
 
 Workers route every (re)allocation of their large matrices — ``dv``,
-``local_apsp`` and the ``dv``-shaped changed-entry mask — through an
+``local_apsp``, the ``dv``-shaped changed-entry mask and the external-row
+store (:mod:`repro.runtime.ext_rows`) — through an
 :class:`ArrayAllocator`.  The default
 allocator hands out ordinary NumPy arrays, which keeps the serial
 backend byte-for-byte what it always was.  The process backend installs
-a :class:`SharedMemoryAllocator` instead, so all three live in
+a :class:`SharedMemoryAllocator` instead, so all four live in
 ``multiprocessing.shared_memory`` segments that kernel subprocesses can
 attach by name and mutate in place — BSP barriers then move only row
 indices and :class:`~repro.runtime.message.DeltaRows`, never matrices.
@@ -13,7 +14,8 @@ indices and :class:`~repro.runtime.message.DeltaRows`, never matrices.
 Lifecycle rules:
 
 * The allocator owns the segments.  ``adopt`` is called by the worker's
-  ``dv`` / ``local_apsp`` / ``dv_changed`` property setters: an array the
+  ``dv`` / ``local_apsp`` / ``dv_changed`` property setters and by the
+  external-row store on every reshape: an array the
   allocator already owns is kept as-is, anything else (``np.hstack`` results,
   checkpoint restores, crash wipes) is copied into a fresh segment.
   The replaced segment is unlinked immediately.

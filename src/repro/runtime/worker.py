@@ -17,7 +17,11 @@ Each worker owns a block of vertices and maintains:
 * ``local_csr`` — the local CSR ``local_apsp`` is the closure of, over
   which an exact fold runs as a seeded bit-parallel level sweep; every
   writer of ``local_apsp`` but IA drops it and the next superstep exports
-  ``local_graph``'s afresh, so every fold sees a current one.
+  ``local_graph``'s afresh, so every fold sees a current one,
+* ``ext_store`` — the last received DV row of every external boundary
+  vertex, one allocator-owned matrix indexed by slot
+  (:class:`~repro.runtime.ext_rows.ExternalRowStore`), which the cut-edge
+  relaxation reads in place.
 
 All kernels are vectorized NumPy and meter their operation counts into the
 :class:`~repro.model.cost.CostModel`, which is how modeled per-step compute
@@ -40,6 +44,7 @@ from ..graph.graph import Graph
 from ..graph.views import LocalSubgraph
 from ..model.cost import CostModel
 from ..types import BoolArray, FloatArray, Rank, VertexId
+from .ext_rows import ExternalRowStore
 from .index import GlobalIndex
 from .kernels import (
     KERNELS,
@@ -71,9 +76,9 @@ class Worker:
     ) -> None:
         if wire_format not in ("dense", "delta"):
             raise WorkerError(f"unknown wire format {wire_format!r}")
-        #: where ``dv`` / ``local_apsp`` / ``dv_changed`` live; the process
-        #: backend passes a shared-memory allocator so kernel subprocesses
-        #: can attach
+        #: where ``dv`` / ``local_apsp`` / ``dv_changed`` / the external-row
+        #: store live; the process backend passes a shared-memory allocator
+        #: so kernel subprocesses can attach
         self.allocator = allocator if allocator is not None else ArrayAllocator()
         self.rank = rank
         self.nprocs = nprocs
@@ -119,7 +124,7 @@ class Worker:
         #: reaches the kernel inside the task
         self.local_csr: Any = None
         #: last received DV rows of external boundary vertices
-        self.ext_dvs: Dict[VertexId, FloatArray] = {}
+        self.ext_store = ExternalRowStore(self.allocator)
 
         # --- per-step change tracking ---------------------------------
         self._pending: List[Set[VertexId]] = [set() for _ in range(nprocs)]
@@ -327,7 +332,7 @@ class Worker:
                         f"seed row for {v} has {row.size} cols, expected {n_cols}"
                     )
                 np.minimum(self.dv[r], row, out=self.dv[r])
-        self.ext_dvs = {}
+        self.ext_store.clear(n_cols)
         self.local_apsp = np.zeros((0, 0), dtype=np.float64)
         self._pending = [set() for _ in range(self.nprocs)]
         self._changed_rows = set()
@@ -494,16 +499,17 @@ class Worker:
         would not be strictly cheaper on the wire; otherwise the columns
         strictly below the channel baseline.  Advances the baseline to the
         encoded values.  Returns False when nothing needs sending (the
-        row did not improve since the last send).
+        row did not improve since the last send).  A dense row goes out as
+        a view of ``dv`` (see :class:`~repro.runtime.message.DeltaRows`).
         """
         row = self.dv[self.row_of[v]]
         if self.wire_format != "delta":
-            out.dense[v] = row.copy()
+            out.dense[v] = row
             return True
         baselines = self._sent_rows[dst]
         base = baselines.get(v)
         if base is None or base.size != row.size:
-            out.dense[v] = row.copy()
+            out.dense[v] = row
             baselines[v] = row.copy()
             return True
         self._charge(self.cost.encode_time(row.size), "delta_encodes")
@@ -511,7 +517,7 @@ class Worker:
         if cols.size == 0:
             return False
         if delta_row_words(int(cols.size)) >= dense_row_words(row.size):
-            out.dense[v] = row.copy()
+            out.dense[v] = row
             baselines[v] = row.copy()
             return True
         vals = row[cols].copy()
@@ -548,7 +554,8 @@ class Worker:
     ) -> None:
         """Store freshly received external boundary DV rows.
 
-        Dense rows replace the stored copy (deletion flows rely on the
+        Dense rows are copied over the stored row, into a slot taken on
+        the vertex's first dense receive (deletion flows rely on the
         replacement to *raise* stale entries); sparse deltas scatter-merge
         into it with ``np.minimum``.  A delta for a vertex without a
         stored row is dropped: the row is only absent when this worker no
@@ -556,17 +563,19 @@ class Worker:
         (re-subscription, recovery, full refresh) forces a dense resend.
         """
         dense = rows.dense if isinstance(rows, DeltaRows) else rows
+        store = self.ext_store
+        store.reserve(sum(1 for v in dense if v not in store))
         for v, row in dense.items():
             if row.size != self.n_cols:
                 raise WorkerError(
                     f"received row of {row.size} cols, expected {self.n_cols}"
                 )
-            self.ext_dvs[v] = row
+            store.put(v, row)
             self._fresh_ext.add(v)
         if not isinstance(rows, DeltaRows):
             return
         for v, (cols, vals) in rows.sparse.items():
-            stored = self.ext_dvs.get(v)
+            stored = store.row(v)
             if stored is None:
                 continue
             if cols.size and int(cols[-1]) >= stored.size:
@@ -618,9 +627,7 @@ class Worker:
                     f"rank {self.rank} packet seq={seq} to rank {dst}"
                     f" exceeded {max_retries} retries (network partition?)"
                 )
-            payload = DeltaRows(
-                dense={v: self.dv[self.row_of[v]].copy() for v in ids}
-            )
+            payload = DeltaRows(dense={v: self.dv[self.row_of[v]] for v in ids})
             packets.append((seq, payload, n > 1))
         payload = self.build_payload(dst)
         if payload:
@@ -733,11 +740,12 @@ class Worker:
         fresh = self._fresh_ext
         self._fresh_ext = set()
         items: RelaxItems = []
+        slot_of = self.ext_store.slot_of
         for x in sorted(fresh):
             pairs = self.cut_by_ext.get(x)
-            row_x = self.ext_dvs.get(x)
-            if pairs and row_x is not None:
-                items.append((row_x, [(self.row_of[u], w) for u, w in pairs]))
+            slot = slot_of.get(x)
+            if pairs and slot is not None:
+                items.append((slot, [(self.row_of[u], w) for u, w in pairs]))
         return SuperstepTask(
             n=n,
             relax_items=items,
@@ -850,16 +858,15 @@ class Worker:
         self._dirty_cols = np.concatenate(
             [self._dirty_cols, np.zeros(added, dtype=bool)]
         )
+        self.ext_store.grow_columns(added)
         pad = np.full(added, np.inf, dtype=np.float64)
-        for x, row in list(self.ext_dvs.items()):
-            self.ext_dvs[x] = np.concatenate([row, pad])
         # channel baselines grow in lockstep: the new columns are +inf on
         # both endpoints, so they enter future deltas only once they improve
         for baselines in self._sent_rows:
             for v, base in list(baselines.items()):
                 baselines[v] = np.concatenate([base, pad])
         self._charge(
-            self.cost.resize_time(self.n_local + len(self.ext_dvs), added),
+            self.cost.resize_time(self.n_local + len(self.ext_store), added),
             "dv_resizes",
         )
 
@@ -940,7 +947,7 @@ class Worker:
         lst[:] = [(a, ww) for a, ww in lst if a != u]  # re-add replaces
         lst.append((u, w))
         self._charge(self.cost.vertex_time(1))
-        if x in self.ext_dvs:
+        if x in self.ext_store:
             self._fresh_ext.add(x)  # relax against the stored row next step
 
     def remove_cut_edge(self, u: VertexId, x: VertexId) -> None:
@@ -953,7 +960,7 @@ class Worker:
             self.cut_by_ext[x] = [(a, w) for a, w in lst if a != u]
             if not self.cut_by_ext[x]:
                 del self.cut_by_ext[x]
-                self.ext_dvs.pop(x, None)
+                self.ext_store.drop(x)
                 self._fresh_ext.discard(x)
 
     # ------------------------------------------------------------------
@@ -1081,9 +1088,24 @@ class Worker:
             through[self.row_of[x], :] = np.inf  # the row disappears anyway
         return self._invalidate(through)
 
+    def crash_wipe(self, n_cols: int) -> None:
+        """Destroy every piece of derived state, as a process crash does:
+        ``dv`` all +inf over ``n_cols`` columns, no local APSP, no stored
+        external row (their slots freed), no change tracking, no
+        subscriptions and no un-synced metering.  Channel state is reset
+        by the caller, which also resets the peers' side."""
+        self.wipe_entries(n_cols)
+        self.local_apsp = np.zeros((0, 0), dtype=np.float64)
+        self.ext_store.clear(n_cols)
+        self._fresh_ext.clear()
+        self._changed_rows.clear()
+        self._dirty_cols = np.zeros(n_cols, dtype=bool)
+        self.subscribers = {}
+        self.take_compute_seconds()
+
     def clear_external_rows(self) -> None:
         """Drop all stored external boundary rows (stale after deletions)."""
-        self.ext_dvs.clear()
+        self.ext_store.clear()
         self._fresh_ext.clear()
 
     def queue_all_boundary_rows(self) -> None:
@@ -1104,11 +1126,10 @@ class Worker:
         """Compact away a deleted vertex's DV column."""
         self._reshape_entries(lambda a, _fill: np.delete(a, col, axis=1))
         self._dirty_cols = np.delete(self._dirty_cols, col)
-        for x, row in list(self.ext_dvs.items()):
-            self.ext_dvs[x] = np.delete(row, col)
+        self.ext_store.remove_column(col)
         # column indices shifted under the baselines: start channels dense
         self._reset_baselines()
-        self._charge(self.cost.resize_time(self.n_local + len(self.ext_dvs), 1))
+        self._charge(self.cost.resize_time(self.n_local + len(self.ext_store), 1))
 
     def remove_local_vertex(self, v: VertexId) -> None:
         """Remove an owned vertex's row and local structure."""
@@ -1129,7 +1150,7 @@ class Worker:
             self.cut_by_ext[x] = [(a, w) for a, w in self.cut_by_ext[x] if a != v]
             if not self.cut_by_ext[x]:
                 del self.cut_by_ext[x]
-                self.ext_dvs.pop(x, None)
+                self.ext_store.drop(x)
                 self._fresh_ext.discard(x)
         self._subscribers.pop(v, None)
         self._subs_sorted.pop(v, None)
@@ -1144,7 +1165,7 @@ class Worker:
 
     def drop_external_vertex(self, x: VertexId) -> None:
         """Forget a deleted external vertex entirely."""
-        self.ext_dvs.pop(x, None)
+        self.ext_store.drop(x)
         self._fresh_ext.discard(x)
         self.cut_by_ext.pop(x, None)
         for u in list(self.cut_adj):
@@ -1155,6 +1176,11 @@ class Worker:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def ext_row(self, x: VertexId) -> Optional[FloatArray]:
+        """The stored DV row of external vertex ``x`` (a view into the
+        store), or ``None`` when no row of ``x`` is held."""
+        return self.ext_store.row(x)
+
     def dv_row(self, v: VertexId) -> FloatArray:
         """A copy of the authoritative DV row of owned vertex ``v``."""
         return self.dv[self.row_of[v]].copy()

@@ -62,7 +62,7 @@ def superstep(worker):
     (what ``Cluster.relax_and_propagate`` does for every rank)."""
     task = worker.superstep_prepare()
     result = KERNELS.run_superstep(
-        task, worker.dv, worker.local_apsp, worker.dv_changed
+        task, worker.dv, worker.local_apsp, worker.dv_changed, worker.ext_store.rows
     )
     worker.superstep_apply(task, result)
     return result

@@ -10,6 +10,7 @@ backend factory.
 
 from __future__ import annotations
 
+import pickle
 import re
 import struct
 from typing import Any, Dict, List, Tuple
@@ -140,6 +141,60 @@ class TestProcessMatchesSerial:
         assert _bits(results["serial"].closeness) == _bits(
             results["process"].closeness
         )
+
+
+class TestTasksShipSlots:
+    """The pool ships store slots, never received rows."""
+
+    def test_prepared_task_holds_no_float_row(self):
+        g = barabasi_albert(300, 2, seed=7)
+        engine = AnytimeAnywhereCloseness(
+            g, AnytimeConfig(nprocs=4, seed=7, collect_snapshots=False)
+        )
+        with engine:
+            engine.setup()
+            engine.cluster.exchange_boundary()
+            for w in engine.cluster.workers:
+                task = w.superstep_prepare()
+                items = task.relax_items
+                assert len(items) >= 2
+                assert all(type(slot) is int for slot, _pairs in items)
+                # one stored row alone is 8 * n_cols bytes; the task holds
+                # slots, pairs, one bool per column and the local CSR
+                assert len(pickle.dumps(task)) < 8 * w.n_cols * len(items) // 4
+
+    def test_relaxing_a_stored_row_marked_fresh_by_add_cut_edge(self):
+        """The superstep's only work is relaxing a row already in the
+        store: the pool must not take it for an empty task."""
+
+        def outcome(backend: str):
+            g = barabasi_albert(70, 2, seed=7)
+            engine = AnytimeAnywhereCloseness(
+                g,
+                AnytimeConfig(
+                    nprocs=4, seed=7, collect_snapshots=False, backend=backend
+                ),
+            )
+            with engine:
+                engine.setup()
+                engine.run()
+                cluster = engine.cluster
+                assert not any(w.has_pending() for w in cluster.workers)
+                w = cluster.workers[1]
+                x = min(w.ext_store.slot_of)
+                u = next(u for u in w.owned if x not in w.cut_adj.get(u, {}))
+                w.add_cut_edge(u, x, 0.5)
+                assert w.has_pending()
+                improved = cluster.relax_and_propagate()
+                return (
+                    improved,
+                    [wk.dv.tobytes() for wk in cluster.workers],
+                    cluster.tracer.modeled_seconds.hex(),
+                )
+
+        serial = outcome("serial")
+        assert serial[0]
+        assert serial == outcome("process")
 
 
 class TestBackendFactory:

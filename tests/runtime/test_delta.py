@@ -148,7 +148,7 @@ class TestReceiveDelta:
             }
         )
         w.receive_rows(rows)
-        got = w.ext_dvs[100]
+        got = w.ext_row(100)
         assert got[0] == 3.0  # min(3, 5): stale delta value loses
         assert got[5] == 2.0
         assert 100 in w._fresh_ext
@@ -159,7 +159,7 @@ class TestReceiveDelta:
             sparse={77: (np.array([0], dtype=np.int64), np.array([1.0]))}
         )
         w.receive_rows(rows)
-        assert 77 not in w.ext_dvs
+        assert w.ext_row(77) is None
 
     def test_sparse_out_of_range_column_rejected(self):
         _g, w = delta_worker()

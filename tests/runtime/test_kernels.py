@@ -431,11 +431,9 @@ class TestEntryFold:
         changed = np.zeros(dv.shape, dtype=bool)
         dirty = np.zeros(20, dtype=bool)
         rng = np.random.default_rng(8)
-        items = [
-            (rng.integers(0, 30, size=20).astype(np.float64), [(2, 1.0), (5, 3.0)]),
-            (rng.integers(0, 30, size=20).astype(np.float64), [(5, 2.0)]),
-        ]
-        rows = kernels.relax_cut_kernel(dv, changed, dirty, items)
+        ext = rng.integers(0, 30, size=(2, 20)).astype(np.float64)
+        items = [(1, [(2, 1.0), (5, 3.0)]), (0, [(5, 2.0)])]
+        rows = kernels.relax_cut_kernel(dv, changed, dirty, ext, items)
         assert np.array_equal(changed, dv < before)
         assert np.array_equal(dirty, changed.any(axis=0))
         assert rows == np.flatnonzero(changed.any(axis=1)).tolist()
@@ -455,9 +453,12 @@ class TestEntryFold:
             )
             try:
                 assert not pool_mask.any()  # a fresh segment is all-False
-                items = [(np.zeros(20), [(4, 1.0)])]
                 kernels.relax_cut_kernel(
-                    pool_dv, pool_mask, np.zeros(20, dtype=bool), items
+                    pool_dv,
+                    pool_mask,
+                    np.zeros(20, dtype=bool),
+                    np.zeros((1, 20)),
+                    [(0, [(4, 1.0)])],
                 )
                 assert res_mask[4].any() and not np.delete(res_mask, 4, 0).any()
                 expected = res_dv.copy()

@@ -222,7 +222,30 @@ class TestDynamicColumnsAndVertices:
         w.receive_rows({2: np.array([np.inf, np.inf, 0.0, 1.0])})
         w.index.add(4)
         w.grow_columns(5)
-        assert w.ext_dvs[2].size == 5
+        assert np.array_equal(w.ext_row(2), [np.inf, np.inf, 0.0, 1.0, np.inf])
+
+    def test_external_rows_reuse_freed_slots(self):
+        _g, w = path4_worker()
+        w.run_initial_approximation()
+        w.add_cut_edge(0, 3, 2.0)
+        w.receive_rows({
+            2: np.array([np.inf, np.inf, 0.0, 1.0]),
+            3: np.array([np.inf, np.inf, 1.0, 0.0]),
+        })
+        store = w.ext_store
+        assert store.rows.shape == (2, 4) and len(store) == 2
+        slot = store.slot_of[2]
+        w.remove_cut_edge(1, 2)  # 2's last cut edge: its slot is freed
+        assert w.ext_row(2) is None and len(store) == 1
+        w.add_cut_edge(1, 2, 1.0)
+        w.receive_rows({2: np.array([np.inf, 5.0, 0.0, 1.0])})
+        assert store.slot_of[2] == slot and store.rows.shape == (2, 4)
+        w.receive_rows({77: np.zeros(4)})  # a full store doubles
+        assert store.rows.shape == (4, 4) and store.top == 3
+        assert np.array_equal(w.ext_row(2), [np.inf, 5.0, 0.0, 1.0])
+        assert np.array_equal(w.ext_row(3), [np.inf, np.inf, 1.0, 0.0])
+        w.clear_external_rows()
+        assert len(store) == 0 and store.top == 0
 
     def test_shrink_rejected(self):
         _g, w = path4_worker()
@@ -280,7 +303,7 @@ class TestDynamicColumnsAndVertices:
         w.receive_rows({2: np.array([np.inf, np.inf, 0.0, 1.0])})
         w.remove_cut_edge(1, 2)
         assert 2 not in w.cut_by_ext
-        assert 2 not in w.ext_dvs
+        assert w.ext_row(2) is None
 
 
 class TestEdgeRowRelaxation:
@@ -345,7 +368,7 @@ class TestDeletionKernels:
         w.receive_rows({2: np.array([np.inf, np.inf, 0.0, 1.0])})
         w.remove_column(3)
         assert w.dv.shape == (2, 3)
-        assert w.ext_dvs[2].size == 3
+        assert np.array_equal(w.ext_row(2), [np.inf, np.inf, 0.0])
 
     def test_remove_local_vertex(self):
         g = path_graph(4)
@@ -363,7 +386,7 @@ class TestDeletionKernels:
         w.run_initial_approximation()
         w.receive_rows({2: np.array([np.inf, np.inf, 0.0, 1.0])})
         w.drop_external_vertex(2)
-        assert 2 not in w.ext_dvs
+        assert w.ext_row(2) is None
         assert 2 not in w.cut_by_ext
         assert not any(2 in d for d in w.cut_adj.values())
 
@@ -567,7 +590,9 @@ class TestRisenEntryMask:
         # the superstep that repairs the rises clears them
         task = w.superstep_prepare()
         assert task.full_repropagate and task.rose is w.dv_rose
-        w.superstep_apply(task, KERNELS.run_superstep(task, w.dv, w.local_apsp, w.dv_changed))
+        w.superstep_apply(task, KERNELS.run_superstep(
+            task, w.dv, w.local_apsp, w.dv_changed, w.ext_store.rows
+        ))
         assert not w.dv_rose.any()
         # a reload and a crash wipe start from a clear mask
         w.dv_rose[0, 0] = True
@@ -603,7 +628,10 @@ class TestRisenEntryMask:
             assert task.full_repropagate
             assert (task.rose is not None) == known
             w.superstep_apply(
-                task, KERNELS.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
+                task,
+                KERNELS.run_superstep(
+                    task, w.dv, w.local_apsp, w.dv_changed, w.ext_store.rows
+                ),
             )
             assert w.superstep_prepare().rose is None  # nothing pending
 
@@ -639,7 +667,7 @@ class TestRisenEntryMask:
                 )
                 for w, task in zip(cluster.workers, tasks):
                     result = KERNELS.run_superstep(
-                        task, w.dv, w.local_apsp, w.dv_changed
+                        task, w.dv, w.local_apsp, w.dv_changed, w.ext_store.rows
                     )
                     assert result.prop_charged
                     w.superstep_apply(task, result)
@@ -764,7 +792,9 @@ class TestFallenPairMask:
         task = w.superstep_prepare()
         assert task.fell is w.apsp_fell and task.rose is None
         marks = task.fell.copy()
-        result = KERNELS.run_superstep(task, w.dv, w.local_apsp, w.dv_changed)
+        result = KERNELS.run_superstep(
+            task, w.dv, w.local_apsp, w.dv_changed, w.ext_store.rows
+        )
         w.superstep_apply(task, result)
         assert result.prop_charged and 0 in result.prop_improved
         assert w.dv[w.row_of[0], 4] == 3.0
