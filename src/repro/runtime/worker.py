@@ -440,13 +440,12 @@ class Worker:
         self._changed_rows.add(row)
         self._queue_row(self.owned[row])
 
-    def _mark_rows_changed(self, rows: IndexArray) -> None:
-        """Bulk version of :meth:`_mark_row_changed` for vectorized kernels."""
-        idx = rows.tolist()
-        self._changed_rows.update(idx)
+    def _mark_rows_changed(self, rows: List[int]) -> None:
+        """Bulk version of :meth:`_mark_row_changed` for the kernels' rows."""
+        self._changed_rows.update(rows)
         if not self._subscribers:
             return
-        for r in idx:
+        for r in rows:
             v = self.owned[r]
             for dst in self._sorted_subscribers(v):
                 self._pending[dst].add(v)
@@ -772,8 +771,7 @@ class Worker:
         """
         for _ in range(task.n_relaxations):
             self._charge(self.cost.relax_time(self.n_cols))
-        for r in result.relax_improved:
-            self._mark_row_changed(r)
+        self._mark_rows_changed(result.relax_improved)
         # a superstep always ends with clean tracking state — the fold
         # either consumed it or had nothing to do — or an empty worker
         # would block the convergence vote forever
@@ -997,7 +995,7 @@ class Worker:
             row_b,
             w,
         )
-        self._mark_rows_changed(rows)
+        self._mark_rows_changed(rows.tolist())
         return bool(rows.size)
 
     def invalidate_for_deleted_edge(

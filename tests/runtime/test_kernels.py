@@ -22,6 +22,11 @@ in place, or gathered when the finite rectangle is thin) is pinned bitwise
 against ``_reference_relax_edge``: the per-orientation gather/scatter
 loop it replaced, kept here statement for statement.
 
+:func:`repro.runtime.kernels.relax_cut_kernel` (one min-reduced candidate
+and one compare per destination row and weight) is pinned bitwise against
+``_reference_relax_cut``: the per-pair loop it replaced, kept here
+statement for statement.
+
 :func:`repro.runtime.kernels.minplus_pull` — the deletion repair —
 re-derives only the entries marked in the risen mask.  On states where
 everything outside that mask only rose (``local_apsp`` included), the
@@ -47,7 +52,7 @@ from __future__ import annotations
 
 import tracemalloc
 import warnings
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Set, Tuple
 from unittest import mock
 
 import numpy as np
@@ -1150,7 +1155,7 @@ def assert_kernel_matches_reference(case: EdgeCase, seed: int = 0) -> bool:
         charge=lambda: ref_w._charge(
             ref_w.cost.relax_time(ref_w.n_local * ref_w.n_cols)
         ),
-        mark_rows_changed=ref_w._mark_rows_changed,
+        mark_rows_changed=lambda rows: ref_w._mark_rows_changed(rows.tolist()),
     ) is ref_improved
     assert new_w.relax_with_edge_rows(
         case.col_a, case.row_a, case.col_b, case.row_b, case.w
@@ -1332,6 +1337,229 @@ class TestRelaxEdgeKernel:
             tracemalloc.stop()
         assert rows.tolist() == list(range(n_local))  # everyone reaches a now
         assert peak < n_local * n_cols * 8 // 4
+
+
+# ----------------------------------------------------------------------
+# cut relaxation: relax_cut_kernel == the per-pair loop it replaced, bitwise
+# ----------------------------------------------------------------------
+def _reference_relax_cut(
+    dv: np.ndarray,
+    changed: np.ndarray,
+    dirty_cols: np.ndarray,
+    ext: np.ndarray,
+    items: List[Tuple[int, List[Tuple[int, float]]]],
+) -> List[int]:
+    """``relax_cut_kernel`` as of the commit before the grouping, verbatim:
+    one add, compare and write per (stored row, cut edge) pair."""
+    improved: Set[int] = set()
+    for slot, pairs in items:
+        row_x = ext[slot]
+        for r, w in pairs:
+            cand = row_x + w
+            mask = cand < dv[r]
+            if mask.any():
+                dv[r][mask] = cand[mask]
+                changed[r] |= mask
+                dirty_cols |= mask
+                improved.add(r)
+    return sorted(improved)
+
+
+class CutCase(NamedTuple):
+    """One relaxation: ``dv`` / ``changed`` / ``dirty`` as a superstep finds
+    them, the store ``ext`` and the items that index it by slot."""
+
+    dv: np.ndarray
+    changed: np.ndarray
+    dirty: np.ndarray
+    ext: np.ndarray
+    items: List[Tuple[int, List[Tuple[int, float]]]]
+
+
+def cut_case(
+    seed: int,
+    n_local: int,
+    n_cols: int,
+    items: List[Tuple[int, List[Tuple[int, float]]]],
+    *,
+    p_inf: float = 0.2,
+    integer: bool = False,
+) -> CutCase:
+    """Random ``dv`` and store rows (+inf share ``p_inf``; integer values
+    when ``integer``, so candidates tie with ``dv``) and random marks."""
+    rng = np.random.default_rng(seed)
+    n_slots = 1 + max((slot for slot, _pairs in items), default=0)
+
+    def draw(shape):
+        if integer:
+            a = rng.integers(0, 12, size=shape).astype(np.float64)
+        else:
+            a = rng.uniform(0.0, 20.0, size=shape)
+        a[rng.random(shape) < p_inf] = np.inf
+        return a
+
+    return CutCase(
+        draw((n_local, n_cols)),
+        rng.random((n_local, n_cols)) < 0.1,
+        rng.random(n_cols) < 0.1,
+        draw((n_slots, n_cols)),
+        items,
+    )
+
+
+def assert_cut_matches_reference(case: CutCase) -> List[int]:
+    """``dv`` bytes, ``changed``, ``dirty_cols`` and the returned rows
+    against the per-pair loop; returns the rows."""
+    ref = [a.copy() for a in case[:3]]
+    ref_rows = _reference_relax_cut(*ref, case.ext, case.items)
+    got = [a.copy() for a in case[:3]]
+    ext = case.ext.copy()
+    rows = kernels.relax_cut_kernel(*got, ext, case.items)
+    for g, r in zip(got, ref):
+        assert g.tobytes() == r.tobytes()
+    assert rows == ref_rows
+    assert ext.tobytes() == case.ext.tobytes()  # only read
+    # the marks grew by exactly what was lowered
+    assert np.array_equal(got[1], case.changed | (got[0] < case.dv))
+    return rows
+
+
+@st.composite
+def cut_cases(draw) -> CutCase:
+    n_cols = draw(st.integers(1, 40))
+    n_local = draw(st.integers(1, 12))
+    n_slots = draw(st.integers(0, 6))
+    # few rows and weights, so pairs pile up on shared destinations
+    pair = st.tuples(
+        st.integers(0, n_local - 1),
+        st.sampled_from([0.5, 1.0, 2.0, 3.25]) | st.floats(0.01, 30.0),
+    )
+    items = [
+        (slot, draw(st.lists(pair, min_size=1, max_size=6)))
+        for slot in draw(st.permutations(range(n_slots)))
+    ]
+    return cut_case(
+        draw(st.integers(0, 2**32 - 1)),
+        n_local,
+        n_cols,
+        items,
+        p_inf=draw(st.sampled_from([0.0, 0.2, 0.7, 1.0])),
+        integer=draw(st.booleans()),
+    )
+
+
+class TestRelaxCutKernel:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=cut_cases())
+    def test_bitwise_equal_to_reference(self, case):
+        assert_cut_matches_reference(case)
+
+    def test_rows_fed_by_one_two_and_many_slots(self):
+        # row 0 <- slot 2; row 1 <- slots 0, 3; row 2 <- slots 0, 1, 2, 3
+        items = [
+            (0, [(1, 1.0), (2, 1.0)]),
+            (1, [(2, 1.0)]),
+            (2, [(0, 1.0), (2, 1.0)]),
+            (3, [(2, 1.0), (1, 1.0)]),
+        ]
+        case = cut_case(0, 3, 30, items, p_inf=0.0)
+        case.dv[:] = np.inf  # every group improves every column
+        assert assert_cut_matches_reference(case) == [0, 1, 2]
+        dv = case.dv.copy()
+        kernels.relax_cut_kernel(dv, *case[1:])
+        assert dv[2].tobytes() == (case.ext.min(axis=0) + 1.0).tobytes()
+        assert dv[1].tobytes() == (case.ext[[0, 3]].min(axis=0) + 1.0).tobytes()
+
+    def test_two_weights_on_one_row(self):
+        """Row 4 forms two groups, (4, 1.0) and (4, 5.0): both candidates
+        meet it, the lighter edge through the farther row can win."""
+        items = [(0, [(4, 1.0)]), (1, [(4, 5.0)])]
+        case = cut_case(1, 6, 20, items, p_inf=0.0)
+        case.ext[0] = 10.0
+        case.ext[1, :10] = 0.0
+        case.ext[1, 10:] = 50.0
+        case.dv[4] = 30.0
+        dv = case.dv.copy()
+        assert assert_cut_matches_reference(case) == [4]
+        kernels.relax_cut_kernel(dv, *case[1:])
+        assert dv[4].tolist() == [5.0] * 10 + [11.0] * 10
+
+    def test_row_improves_only_through_its_second_slot(self):
+        items = [(0, [(2, 1.0)]), (1, [(2, 1.0)])]
+        case = cut_case(2, 4, 16, items, p_inf=0.0)
+        case.ext[0] = np.inf
+        case.ext[1] = 3.0
+        case.dv[2] = 9.0
+        # the first pair alone lowers nothing
+        alone = [a.copy() for a in case[:3]]
+        assert _reference_relax_cut(*alone, case.ext, items[:1]) == []
+        assert alone[0].tobytes() == case.dv.tobytes()
+        dv = case.dv.copy()
+        assert assert_cut_matches_reference(case) == [2]
+        kernels.relax_cut_kernel(dv, *case[1:])
+        assert (dv[2] == 4.0).all()
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_infinity_heavy_rows(self, integer):
+        items = [(s, [(r, 1.0 + r % 2) for r in range(s, 8, 2)]) for s in range(5)]
+        for seed in range(5):
+            case = cut_case(seed, 8, 50, items, p_inf=0.9, integer=integer)
+            case.ext[seed % 5] = np.inf  # one store row all +inf
+            assert_cut_matches_reference(case)
+
+    def test_no_improvement_leaves_everything_untouched(self):
+        items = [(0, [(0, 1e6), (1, 1e6)]), (1, [(1, 1e6)])]
+        case = cut_case(3, 3, 20, items, p_inf=0.0)
+        got = [a.copy() for a in case[:3]]
+        assert kernels.relax_cut_kernel(*got, case.ext, items) == []
+        for g, before in zip(got, case[:3]):
+            assert g.tobytes() == before.tobytes()
+        assert assert_cut_matches_reference(case) == []
+
+    def test_empty_items(self):
+        case = cut_case(4, 3, 20, [])
+        got = [a.copy() for a in case[:3]]
+        assert kernels.relax_cut_kernel(*got, case.ext, []) == []
+        for g, before in zip(got, case[:3]):
+            assert g.tobytes() == before.tobytes()
+        empty = np.zeros((0, 20))
+        assert kernels.relax_cut_kernel(
+            empty, np.zeros((0, 20), dtype=bool), np.zeros(20, dtype=bool),
+            np.zeros((0, 20)), [],
+        ) == []
+
+    def test_temporaries_stay_one_row_wide(self):
+        """64 slots into one row: a kernel that gathered the group as a
+        ``k x n_cols`` block would allocate 2 MB here."""
+        n_cols, k = 4096, 64
+        items = [(s, [(0, 1.0)]) for s in range(k)]
+        case = cut_case(5, 2, n_cols, items, p_inf=0.0)
+        case.dv[:] = np.inf
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rows = kernels.relax_cut_kernel(*case[:4], items)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert rows == [0]
+        assert peak < 4 * n_cols * 8
+
+    def test_bulk_mark_leaves_what_the_per_row_marks_left(self):
+        rows = [0, 3, 4, 7]
+        bulk = block_worker(np.zeros((10, 20)), seed=6)
+        one_by_one = block_worker(np.zeros((10, 20)), seed=6)
+        bulk._mark_rows_changed(rows)
+        for r in rows:
+            one_by_one._mark_row_changed(r)
+        assert bulk._changed_rows == one_by_one._changed_rows == set(rows)
+        assert bulk._pending == one_by_one._pending
+        assert any(bulk._pending)
 
 
 # ----------------------------------------------------------------------
