@@ -449,6 +449,7 @@ class AnytimeAnywhereCloseness:
             total_wall += cluster.tracer.wall_seconds
             total_wire += cluster.tracer.total_words
             restarts += 1
+            batch.validate(self.graph)
             batch.apply_to(self.graph)
             self.setup()
             cluster = self._require_cluster()

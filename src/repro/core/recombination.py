@@ -59,6 +59,8 @@ def run_recombination(
     changes:
         Batches keyed by RC step (0-based, absolute — ``start_step`` lets a
         caller resume an interrupted loop without re-applying old batches).
+        A batch is validated whole before its step starts: an invalid one
+        raises :class:`~repro.errors.ChangeStreamError` with nothing applied.
     max_steps:
         Safety bound; exceeding it raises :class:`ConvergenceError`.
     on_step:
@@ -98,6 +100,8 @@ def run_recombination(
             # and form the partial anytime result
             return steps_run
         batch = changes.at_step(step) if changes else None
+        if batch is not None:
+            batch.validate(cluster.graph)
         future_changes = bool(changes) and changes.last_step > step
         if (
             batch is None

@@ -86,6 +86,10 @@ class EdgeDeletionStrategy(DynamicStrategy):
             raise ValueError(
                 "EdgeDeletionStrategy handles edge deletions/reweights only"
             )
+        # additions first, as the composite applies a batch and as
+        # ``ChangeBatch.validate`` checks it: a batch may delete what it adds
+        for ea in batch.edge_additions:
+            apply_edge_addition(cluster, ea.u, ea.v, ea.weight)
         for ed in batch.edge_deletions:
             apply_edge_deletion(cluster, ed.u, ed.v)
         for er in batch.edge_reweights:
@@ -95,6 +99,4 @@ class EdgeDeletionStrategy(DynamicStrategy):
             elif er.weight > old:
                 apply_edge_deletion(cluster, er.u, er.v)
                 apply_edge_addition(cluster, er.u, er.v, er.weight)
-        for ea in batch.edge_additions:
-            apply_edge_addition(cluster, ea.u, ea.v, ea.weight)
         cluster.sync_compute()

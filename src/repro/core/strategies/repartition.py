@@ -38,7 +38,6 @@ class RepartitionStrategy(DynamicStrategy):
         self.partitioner = partitioner or MultilevelPartitioner(seed=2)
 
     def apply(self, cluster: "Cluster", batch: ChangeBatch, step: int) -> None:
-        batch.validate(cluster.graph)
         if batch.edge_deletions or batch.edge_reweights or batch.vertex_deletions:
             # removals invalidate DV upper bounds; they are handled by the
             # deletion strategies before repartitioning would make sense

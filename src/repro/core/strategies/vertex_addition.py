@@ -38,7 +38,6 @@ class VertexAdditionStrategy(DynamicStrategy):
         self.name = f"vertex-addition[{placement.name}]"
 
     def apply(self, cluster: "Cluster", batch: ChangeBatch, step: int) -> None:
-        batch.validate(cluster.graph)
         if batch.edge_deletions or batch.edge_reweights or batch.vertex_deletions:
             raise ChangeStreamError(
                 "VertexAdditionStrategy handles additions only; route"

@@ -11,6 +11,7 @@ RC8", "incremental additions across 10 RC steps").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
@@ -129,12 +130,20 @@ class ChangeBatch:
         return g
 
     def validate(self, graph: Graph) -> None:
-        """Check the batch is consistent with ``graph`` before application.
+        """Check the whole batch against ``graph`` before any of it is applied.
+
+        Events are checked in the order the strategies apply them —
+        additions, then edge deletions, then reweights, then vertex
+        deletions — so a deletion or reweight may name an edge the batch
+        itself adds:
 
         * new vertex ids must not collide with existing vertices or repeat,
-        * edge targets must be existing vertices or new vertices of this
-          batch,
-        * deletions/reweights must reference existing edges/vertices.
+        * edge endpoints must be existing vertices or new vertices of this
+          batch, and distinct,
+        * weights must be positive and finite,
+        * deletions/reweights must reference edges present at that point
+          (not deleted earlier in the batch), vertex deletions existing or
+          new vertices, each once.
         """
         new_ids: set[VertexId] = set()
         for va in self.vertex_additions:
@@ -145,35 +154,48 @@ class ChangeBatch:
             if va.vertex in new_ids:
                 raise ChangeStreamError(f"vertex {va.vertex} added twice in batch")
             new_ids.add(va.vertex)
+        added: set[frozenset[VertexId]] = set()
         for va in self.vertex_additions:
             for t, w in va.edges:
                 if t == va.vertex:
                     raise ChangeStreamError(f"self-loop on new vertex {t}")
-                if not (w > 0):
-                    raise ChangeStreamError(f"non-positive weight {w} on new edge")
+                _check_weight(w)
                 if not graph.has_vertex(t) and t not in new_ids:
                     raise ChangeStreamError(
                         f"new vertex {va.vertex} has edge to unknown vertex {t}"
                     )
+                added.add(frozenset((va.vertex, t)))
         for ea in self.edge_additions:
             for end in (ea.u, ea.v):
                 if not graph.has_vertex(end) and end not in new_ids:
                     raise ChangeStreamError(f"edge addition references unknown {end}")
-            if not (ea.weight > 0):
-                raise ChangeStreamError(f"non-positive weight {ea.weight}")
+            if ea.u == ea.v:
+                raise ChangeStreamError(f"self-loop edge addition on {ea.u}")
+            _check_weight(ea.weight)
+            added.add(frozenset((ea.u, ea.v)))
+        deleted: set[frozenset[VertexId]] = set()
+
+        def present(u: VertexId, v: VertexId) -> bool:
+            key = frozenset((u, v))
+            return key not in deleted and (key in added or graph.has_edge(u, v))
+
         for ed in self.edge_deletions:
-            if not graph.has_edge(ed.u, ed.v):
+            if not present(ed.u, ed.v):
                 raise ChangeStreamError(f"cannot delete missing edge ({ed.u},{ed.v})")
+            deleted.add(frozenset((ed.u, ed.v)))
         for er in self.edge_reweights:
-            if not graph.has_edge(er.u, er.v):
+            if not present(er.u, er.v):
                 raise ChangeStreamError(
                     f"cannot reweight missing edge ({er.u},{er.v})"
                 )
-            if not (er.weight > 0):
-                raise ChangeStreamError(f"non-positive weight {er.weight}")
+            _check_weight(er.weight)
+        gone: set[VertexId] = set()
         for vd in self.vertex_deletions:
-            if not graph.has_vertex(vd.vertex) and vd.vertex not in new_ids:
+            if vd.vertex in gone or not (
+                graph.has_vertex(vd.vertex) or vd.vertex in new_ids
+            ):
                 raise ChangeStreamError(f"cannot delete missing vertex {vd.vertex}")
+            gone.add(vd.vertex)
 
     def apply_to(self, graph: Graph) -> None:
         """Apply every event to ``graph`` in place (additions first)."""
@@ -191,6 +213,11 @@ class ChangeBatch:
             graph.remove_edge(ed.u, ed.v)
         for vd in self.vertex_deletions:
             graph.remove_vertex(vd.vertex)
+
+
+def _check_weight(w: float) -> None:
+    if not (w > 0 and math.isfinite(w)):
+        raise ChangeStreamError(f"edge weight must be positive finite, got {w}")
 
 
 class ChangeStream:

@@ -104,66 +104,6 @@ def result_pin(result) -> str:
     )
 
 
-def stream_outcome(base: Graph, batches, final: Graph, *, straggler=False, **config):
-    """Run one change stream to convergence under ``config`` (the
-    backend); returns what must not depend on it, bit for bit:
-    ``(closeness, rc_steps, modeled_seconds.hex())``.
-
-    With ``straggler`` rank 1 runs 8x slow under a speculating health
-    policy — only the closeness is comparable then (speculation moves the
-    modeled clock) — and the run must have re-executed at least one
-    deletion-repair superstep on the backup.
-    """
-    from repro import FaultPlan, HealthPolicy, ResilienceConfig
-
-    if straggler:
-        config["health"] = HealthPolicy(speculate=True)
-    engine = AnytimeAnywhereCloseness(
-        base, AnytimeConfig(nprocs=4, seed=5, collect_snapshots=False, **config)
-    )
-    with engine:
-        engine.setup()
-        backend = engine.cluster.backend
-        repairs_speculated = []
-        run_speculative = backend.run_speculative
-
-        def spy(task, *arrays):
-            repairs_speculated.append(task.rose is not None and task.rose.any())
-            return run_speculative(task, *arrays)
-
-        backend.run_speculative = spy
-        result = engine.run(
-            changes=ChangeStream(batches),
-            strategy="auto",
-            resilience=ResilienceConfig(
-                fault_plan=FaultPlan(stragglers=((1, 8.0),))
-            )
-            if straggler
-            else None,
-        )
-        assert result.converged
-        exact = exact_closeness(final)
-        assert result.closeness.keys() == exact.keys()
-        for v, c in exact.items():
-            assert result.closeness[v] == pytest.approx(c, rel=1e-9)
-        if straggler:
-            assert result.speculations > 0 and any(repairs_speculated)
-            return result.closeness
-        return result.closeness, result.rc_steps, result.modeled_seconds.hex()
-
-
-def assert_stream_is_backend_invariant(base, batches) -> None:
-    """serial == process == a straggler-speculated run on either backend."""
-    final = base.copy()
-    for step in sorted(batches):
-        batches[step].apply_to(final)
-    want = stream_outcome(base, batches, final, backend="serial")
-    assert stream_outcome(base, batches, final, backend="process") == want
-    for backend in ("serial", "process"):
-        got = stream_outcome(base, batches, final, straggler=True, backend=backend)
-        assert got == want[0], backend
-
-
 @pytest.fixture
 def fresh_pool():
     """Restart the process backend's pool around a test, so that its

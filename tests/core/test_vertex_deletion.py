@@ -4,21 +4,10 @@ import pytest
 
 from repro import ChangeStream
 from repro.graph import ChangeBatch, barabasi_albert
-from repro.graph.changes import (
-    EdgeAddition,
-    EdgeDeletion,
-    EdgeReweight,
-    VertexAddition,
-    VertexDeletion,
-)
+from repro.graph.changes import VertexAddition, VertexDeletion
 
-from ..conftest import (
-    assert_stream_is_backend_invariant,
-    cycle_graph,
-    path_graph,
-    run_and_verify,
-    star_graph,
-)
+from ..conftest import cycle_graph, path_graph, run_and_verify, star_graph
+from ..test_harness import FIXED, assert_backend_invariant
 
 
 def deletion_stream(step, *vertices):
@@ -128,24 +117,7 @@ def test_delete_then_grow_elsewhere():
 
 def test_mixed_stream_with_vertex_deletions_is_backend_and_tier_invariant():
     """Vertex deletions (row and column leave ``dv`` and both masks
-    together) between edge deletions, reweights and additions: same bits
-    on serial, process and a speculated straggler."""
-    base = barabasi_albert(64, 3, seed=21)
-    hub = max(base.vertices(), key=base.degree)
-    edges = [(u, v) for u, v, _w in base.edge_list() if hub not in (u, v)]
-    leaf = min(base.vertices(), key=base.degree)
-    batches = {
-        1: ChangeBatch(
-            vertex_deletions=[VertexDeletion(hub)],
-            edge_deletions=[EdgeDeletion(*edges[4])],
-        ),
-        3: ChangeBatch(
-            vertex_additions=[VertexAddition(64, edges=((edges[0][0], 1.0),))],
-            edge_additions=[EdgeAddition(64, edges[7][1], 3.0)],
-        ),
-        4: ChangeBatch(
-            vertex_deletions=[VertexDeletion(leaf)],
-            edge_reweights=[EdgeReweight(*edges[30], 5.0)],
-        ),
-    }
-    assert_stream_is_backend_invariant(base, batches)
+    together) between edge deletions, reweights and additions — the
+    harness's ``vertex-deletions`` stream: same bits on serial and process,
+    same closeness under a speculated straggler on either."""
+    assert_backend_invariant(FIXED["vertex-deletions"])

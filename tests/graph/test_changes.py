@@ -67,6 +67,35 @@ class TestChangeBatch:
         assert not g.has_vertex(3)
 
 
+#: batches :meth:`ChangeBatch.validate` must reject against ``path_graph(3)``
+INVALID = {
+    "nan-reweight": ChangeBatch(edge_reweights=[EdgeReweight(0, 1, float("nan"))]),
+    "inf-reweight": ChangeBatch(edge_reweights=[EdgeReweight(0, 1, float("inf"))]),
+    "zero-reweight": ChangeBatch(edge_reweights=[EdgeReweight(0, 1, 0.0)]),
+    "inf-addition": ChangeBatch(edge_additions=[EdgeAddition(0, 1, float("inf"))]),
+    "nan-addition": ChangeBatch(edge_additions=[EdgeAddition(0, 2, float("nan"))]),
+    "negative-addition": ChangeBatch(edge_additions=[EdgeAddition(0, 2, -1.0)]),
+    "inf-new-vertex-edge": ChangeBatch(
+        vertex_additions=[VertexAddition(10, ((0, float("inf")),))]
+    ),
+    "self-loop-after-a-valid-addition": ChangeBatch(
+        edge_additions=[EdgeAddition(0, 2, 1.0), EdgeAddition(1, 1, 1.0)]
+    ),
+    "missing-vertex-after-an-addition": ChangeBatch(
+        edge_additions=[EdgeAddition(0, 2, 1.0)], vertex_deletions=[VertexDeletion(999)]
+    ),
+    "vertex-deleted-twice": ChangeBatch(
+        vertex_deletions=[VertexDeletion(1), VertexDeletion(1)]
+    ),
+    "edge-deleted-twice": ChangeBatch(
+        edge_deletions=[EdgeDeletion(0, 1), EdgeDeletion(1, 0)]
+    ),
+    "reweight-of-a-deleted-edge": ChangeBatch(
+        edge_deletions=[EdgeDeletion(0, 1)], edge_reweights=[EdgeReweight(0, 1, 2.0)]
+    ),
+}
+
+
 class TestValidation:
     def test_valid_batch_passes(self):
         simple_batch().validate(path_graph(3))
@@ -125,6 +154,21 @@ class TestValidation:
         batch = ChangeBatch(edge_reweights=[EdgeReweight(0, 2, 1.0)])
         with pytest.raises(ChangeStreamError):
             batch.validate(path_graph(3))
+
+    @pytest.mark.parametrize("name", sorted(INVALID))
+    def test_whole_batch_is_rejected(self, name):
+        with pytest.raises(ChangeStreamError):
+            INVALID[name].validate(path_graph(3))
+
+    def test_batch_may_delete_and_reweight_what_it_adds(self):
+        batch = ChangeBatch(
+            vertex_additions=[VertexAddition(10, ((0, 1.0),))],
+            edge_additions=[EdgeAddition(0, 2, 1.0), EdgeAddition(10, 2, 1.0)],
+            edge_deletions=[EdgeDeletion(2, 0)],
+            edge_reweights=[EdgeReweight(10, 0, 3.0)],
+            vertex_deletions=[VertexDeletion(10)],
+        )
+        batch.validate(path_graph(3))
 
 
 class TestChangeStream:

@@ -12,23 +12,14 @@ from __future__ import annotations
 
 import pickle
 import re
-import struct
-from typing import Any, Dict, List, Tuple
 
 import numpy as np
 import pytest
 
 import repro
-from repro import AnytimeAnywhereCloseness, AnytimeConfig, ResilienceConfig
+from repro import AnytimeAnywhereCloseness, AnytimeConfig
 from repro.errors import ConfigurationError
 from repro.graph import barabasi_albert
-from repro.graph.changes import (
-    ChangeBatch,
-    ChangeStream,
-    EdgeAddition,
-    EdgeDeletion,
-    VertexAddition,
-)
 from repro.runtime import (
     RECOVERY_POLICIES,
     ProcessBackend,
@@ -37,98 +28,30 @@ from repro.runtime import (
     make_backend,
 )
 from repro.runtime.backends.base import ExecutionBackend
-from repro.runtime.chaos import FaultPlan
 from repro.runtime.shm import ArrayAllocator, SharedMemoryAllocator
 
-
-def _bits(closeness: Dict[int, float]) -> List[Tuple[int, bytes]]:
-    return [(v, struct.pack("<d", closeness[v])) for v in sorted(closeness)]
+from ..test_harness import FIXED, STATIC, bits, run
 
 
-def _trace(engine: AnytimeAnywhereCloseness) -> List[Dict[str, Any]]:
-    dump = engine.cluster.tracer.to_json()
-    records = []
-    for rec in dump["records"]:
-        rec = dict(rec)
-        rec.pop("wall_seconds", None)
-        records.append(rec)
-    return records
-
-
-def _changes() -> ChangeStream:
-    return ChangeStream(
-        {
-            1: ChangeBatch(
-                vertex_additions=[
-                    VertexAddition(200, ((3, 1.0), (11, 1.0))),
-                    VertexAddition(201, ((200, 1.0), (0, 1.0))),
-                ],
-                edge_additions=[EdgeAddition(5, 40)],
-            ),
-            2: ChangeBatch(edge_deletions=[EdgeDeletion(5, 40)]),
-        }
-    )
-
-
-def _run(backend: str, *, changes=None, strategy=None, fault_plan=None, **config):
-    g = barabasi_albert(70, 2, seed=7)
-    engine = AnytimeAnywhereCloseness(
-        g,
-        AnytimeConfig(
-            nprocs=4, seed=7, collect_snapshots=False, backend=backend, **config
-        ),
-    )
-    engine.setup()
-    kwargs: Dict[str, Any] = {}
-    if changes is not None:
-        kwargs["changes"] = changes
-        kwargs["strategy"] = strategy
-    if fault_plan is not None:
-        kwargs["resilience"] = ResilienceConfig(fault_plan=fault_plan)
-    res = engine.run(**kwargs)
-    summary = res.summary()
-    summary.pop("wall_seconds", None)
-    fingerprint = (
-        _bits(res.closeness),
-        res.rc_steps,
-        res.modeled_seconds,
-        summary,
-        _trace(engine),
-    )
-    engine.cluster.close()
-    return fingerprint
+def _same_on_both(s):
+    assert run(s, "serial", "delta", None).pin == run(s, "process", "delta", None).pin
 
 
 class TestProcessMatchesSerial:
-    """Acceptance criterion: bitwise identity across backends."""
+    """Acceptance criterion: bitwise identity across backends — the
+    harness's ``serial`` ≡ ``process`` twin (closeness bits, ``rc_steps``,
+    hex clock, summary, fault log, modeled trace) on the BA(70, 2, 7)
+    input: static, dynamic (``fault-free-batch``) and under a crash,
+    loss, duplication and send failures (``faulty-batch``)."""
 
     def test_static_run_identical(self):
-        assert _run("serial") == _run("process")
+        _same_on_both(STATIC)
 
     def test_dynamic_run_identical(self):
-        assert _run(
-            "serial", changes=_changes(), strategy="cutedge"
-        ) == _run("process", changes=_changes(), strategy="cutedge")
+        _same_on_both(FIXED["fault-free-batch"])
 
     def test_faulty_run_identical(self):
-        def plan():
-            return FaultPlan(
-                seed=11,
-                crashes=((2, 1),),
-                loss_prob=0.15,
-                dup_prob=0.05,
-                send_failure_prob=0.05,
-            )
-
-        serial = _run(
-            "serial", changes=_changes(), strategy="cutedge",
-            fault_plan=plan(),
-        )
-        process = _run(
-            "process", changes=_changes(), strategy="cutedge",
-            fault_plan=plan(),
-        )
-        assert serial == process
+        _same_on_both(FIXED["faulty-batch"])
 
     def test_one_shot_api_accepts_backend(self):
         g = barabasi_albert(60, 2, seed=3)
@@ -138,7 +61,7 @@ class TestProcessMatchesSerial:
                 nprocs=3, seed=3, collect_snapshots=False, backend=backend
             )
             results[backend] = repro.closeness(g.copy(), config=cfg)
-        assert _bits(results["serial"].closeness) == _bits(
+        assert bits(results["serial"].closeness) == bits(
             results["process"].closeness
         )
 
@@ -239,7 +162,8 @@ class TestBackendFactory:
     def test_kernel_tier_field_runs_the_one_kernel_set(self):
         """``kernel_tier`` is accepted as "numpy" or "scipy" and changes
         nothing; any other name is still a configuration error."""
-        assert _run("serial", kernel_tier="scipy") == _run("serial")
+        scipy = run(STATIC, "serial", "delta", None, kernel_tier="scipy")
+        assert scipy.pin == run(STATIC, "serial", "delta", None).pin
         with pytest.raises(ConfigurationError):
             AnytimeConfig(kernel_tier="numba")
 

@@ -12,45 +12,28 @@ import pytest
 
 from repro import AnytimeConfig
 from repro.errors import ConfigurationError
-from repro.runtime.chaos import FaultPlan
 
-from .test_backends import _changes, _run
-
-
-def _fault_plan() -> FaultPlan:
-    return FaultPlan(
-        seed=11,
-        crashes=((2, 1),),
-        loss_prob=0.15,
-        dup_prob=0.05,
-        send_failure_prob=0.05,
-    )
+from ..test_harness import FIXED, STATIC, run
 
 
-def _dynamic_faulty(backend: str, tier: str):
-    return _run(
-        backend, changes=_changes(), strategy="cutedge",
-        fault_plan=_fault_plan(), kernel_tier=tier,
-    )
+def _pin(s, backend: str, tier: str):
+    return run(s, backend, "delta", None, kernel_tier=tier).pin
 
 
 class TestTierFingerprints:
-    """Either tier name is bitwise-identical to the other."""
+    """Either tier name is bitwise-identical to the other: the harness's
+    ``pin`` of the BA(70, 2, 7) run, static and ``faulty-batch``."""
 
     def test_scipy_matches_numpy_serial_static(self):
-        assert _run("serial", kernel_tier="scipy") == _run(
-            "serial", kernel_tier="numpy"
-        )
+        assert _pin(STATIC, "serial", "scipy") == _pin(STATIC, "serial", "numpy")
 
     def test_scipy_matches_numpy_serial_dynamic_faulty(self):
-        assert _dynamic_faulty("serial", "scipy") == _dynamic_faulty(
-            "serial", "numpy"
-        )
+        faulty = FIXED["faulty-batch"]
+        assert _pin(faulty, "serial", "scipy") == _pin(faulty, "serial", "numpy")
 
     def test_scipy_process_matches_numpy_serial(self):
-        assert _dynamic_faulty("process", "scipy") == _dynamic_faulty(
-            "serial", "numpy"
-        )
+        faulty = FIXED["faulty-batch"]
+        assert _pin(faulty, "process", "scipy") == _pin(faulty, "serial", "numpy")
 
 
 class TestTierRegistry:

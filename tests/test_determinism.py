@@ -29,10 +29,12 @@ from repro.graph.changes import (
 )
 from repro.runtime.chaos import FaultPlan
 
+from .test_harness import FIXED, STATIC, Outcome, Scenario, run
 
-def _build_engine(
-    seed: int = 7, wire_format: str = "delta"
-) -> AnytimeAnywhereCloseness:
+BACKEND = AnytimeConfig().backend
+
+
+def _build_engine(seed: int = 7) -> AnytimeAnywhereCloseness:
     g = barabasi_albert(70, 2, seed=seed)
     engine = AnytimeAnywhereCloseness(
         g,
@@ -40,7 +42,6 @@ def _build_engine(
             nprocs=4,
             seed=seed,
             collect_snapshots=False,
-            wire_format=wire_format,
         ),
     )
     engine.setup()
@@ -132,53 +133,31 @@ class TestWireFormatEquivalence:
     formats must converge to bitwise-identical closeness values.  The
     modeled wire traffic is where they are *allowed* (required) to
     differ — deltas must be strictly cheaper once rows start refining.
+    These are the harness's ``dense`` ≡ ``delta`` twin on its
+    ``fault-free-batch`` input (BA(70, 2, 7), 4 ranks, CutEdge-PS), static
+    and dynamic, on the configured backend.
     """
 
     def test_static_dense_vs_delta_bitwise_identical(self) -> None:
-        by_format = {}
-        for fmt in ("dense", "delta"):
-            engine = _build_engine(wire_format=fmt)
-            res = engine.run()
-            by_format[fmt] = res
-        assert _closeness_bits(
-            by_format["dense"].closeness
-        ) == _closeness_bits(by_format["delta"].closeness)
-        assert (
-            by_format["delta"].boundary_words
-            < by_format["dense"].boundary_words
-        )
-        assert by_format["delta"].boundary_rows_sparse > 0
-        assert by_format["dense"].boundary_rows_sparse == 0
+        delta = _wire_twins(STATIC)
+        assert delta.result.boundary_rows_sparse > 0
 
     def test_dynamic_dense_vs_delta_bitwise_identical(self) -> None:
-        by_format = {}
-        for fmt in ("dense", "delta"):
-            engine = _build_engine(wire_format=fmt)
-            res = engine.run(changes=_changes(), strategy="cutedge")
-            by_format[fmt] = res
-        assert _closeness_bits(
-            by_format["dense"].closeness
-        ) == _closeness_bits(by_format["delta"].closeness)
-        assert (
-            by_format["delta"].boundary_words
-            < by_format["dense"].boundary_words
-        )
+        _wire_twins(FIXED["fault-free-batch"])
 
     def test_delta_runs_bitwise_repeatable(self) -> None:
-        results = []
-        for _ in range(2):
-            engine = _build_engine(wire_format="delta")
-            res = engine.run(changes=_changes(), strategy="cutedge")
-            results.append(
-                (
-                    _closeness_bits(res.closeness),
-                    res.rc_steps,
-                    res.boundary_words,
-                    res.modeled_seconds,
-                    _modeled_trace(engine),
-                )
-            )
-        assert results[0] == results[1]
+        s = FIXED["fault-free-batch"]
+        assert run(s, BACKEND, "delta", None).pin == run(s, BACKEND, "delta", None).pin
+
+
+def _wire_twins(s: Scenario) -> Outcome:
+    """``s`` on both wires: the same closeness bits, dense sends no sparse
+    row and strictly more words; returns the delta run."""
+    delta, dense = (run(s, BACKEND, wire, None) for wire in ("delta", "dense"))
+    assert delta.clock[0] == dense.clock[0]
+    assert dense.result.boundary_rows_sparse == 0
+    assert delta.result.boundary_words < dense.result.boundary_words
+    return delta
 
 
 class TestChaosDeterminism:
