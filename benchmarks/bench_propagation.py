@@ -70,7 +70,7 @@ def perturb(w, k=4):
         cols = rng.integers(0, w.n_cols, size=8)
         w.dv[r, cols] = np.maximum(w.dv[r, cols] * 0.5, 0.0)
         w.dv_changed[r, cols] = True
-        w._mark_row_changed(r)
+        w._mark_rows_changed([r])
         w._dirty_cols[cols] = True
 
 

@@ -336,17 +336,12 @@ def load_checkpoint(
                 f"checkpoint local APSP shape {apsp.shape} does not match"
                 f" worker {w.rank}'s {n} owned vertices"
             )
-        w.dv = dv.copy()
-        w.local_apsp = apsp.copy()
+        # a conservative refresh recovers any in-flight state at save
+        # time.  Delta baselines are deliberately NOT checkpointed: the
+        # restore queues every boundary row dense, and the first exchange
+        # re-establishes them.  The restore's compute is not charged.
+        w.restore_state(apsp, dv)
         w.take_compute_seconds()
-    # conservative refresh: recover any in-flight state at save time.
-    # Delta baselines are deliberately NOT checkpointed: fresh workers
-    # start with empty per-channel state and queue_all_boundary_rows()
-    # resets it besides, so the first post-restore exchange degrades to
-    # dense sends and re-establishes the baselines.
-    for w in cluster.workers:
-        w.queue_all_boundary_rows()
-        w.request_full_repropagate()
     try:
         cluster.tracer.modeled_seconds = float(meta["modeled_seconds"])
         cluster.tracer.wall_seconds = float(meta["wall_seconds"])

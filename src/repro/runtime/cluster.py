@@ -376,13 +376,7 @@ class Cluster:
         }
         self.install_partition(part, seed_rows=rows)
         for w in self.workers:
-            apsp = kept.get(w.rank)
-            if apsp is not None:
-                w.local_apsp = apsp
-                w.restore_local_baseline()
-            else:
-                w.recompute_local_apsp()
-            w.queue_all_boundary_rows()
+            w.restore_state(kept.get(w.rank))
         self.sync_compute()
 
     def _wire_subscriptions(self) -> None:
@@ -434,16 +428,12 @@ class Cluster:
             for dst in range(self.nprocs):
                 if dst == src:
                     continue
-                for seq, rows, is_retry in w.outbound_packets(
-                    dst, max_retries
-                ):
-                    if is_retry:
+                for seq, rows, attempt in w.outbound_packets(dst, max_retries):
+                    if attempt > 1:
                         retries += 1
                         chaos.record_retry(src, dst, seq)
                         if self.health is not None:
-                            delay = self.health.backoff_delay(
-                                w.attempt_count(dst, seq)
-                            )
+                            delay = self.health.backoff_delay(attempt)
                             backoff += delay
                             chaos.record_backoff(src, dst, seq, delay)
                     outcome = chaos.send_outcome(src, dst, seq)
@@ -460,16 +450,16 @@ class Cluster:
                     deliveries.append((src, dst, seq, rows, copies))
         delivered = 0
         for src, dst, seq, rows, copies in deliveries:
-            sender = self.workers[src]
+            channel = self.workers[src].channels[dst]
             if self.workers[dst].receive_packet(
-                src, seq, rows, sender.send_floor(dst)
+                src, seq, rows, channel.send_floor
             ):
                 delivered += len(rows)
             for _ in range(copies):
                 if not chaos.reliable:
                     messages.append((dst, src, 1))  # 1-word ack on the wire
                 if not chaos.ack_lost(src, dst, seq):
-                    sender.ack_packet(dst, seq)
+                    channel.ack(seq)
         self.charge_comm_words(messages)
         if backoff:
             # backoff is wait time on the modeled clock, priced like comm
@@ -654,7 +644,7 @@ class Cluster:
     def any_pending(self) -> bool:
         """Convergence vote (modeled as a tiny all-reduce)."""
         self.charge_comm_words([(r, 0, 1) for r in range(1, self.nprocs)])
-        return any(w.has_pending() for w in self.workers)
+        return any(w.has_work() for w in self.workers)
 
     # ------------------------------------------------------------------
     # broadcasts and column maintenance
@@ -711,4 +701,4 @@ class Cluster:
         }
 
     def converged_vote(self) -> bool:
-        return not any(w.has_pending() for w in self.workers)
+        return not any(w.has_work() for w in self.workers)

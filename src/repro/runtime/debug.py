@@ -92,7 +92,7 @@ def check_cluster_invariants(cluster: "Cluster") -> List[str]:
     for w in cluster.workers:
         for x in w.cut_by_ext:
             owner = cluster.workers[cluster.owner_of(x)]
-            assert w.rank in owner.subscribers.get(x, set()), (
+            assert x in owner.channels[w.rank].subscribed, (
                 f"rank {w.rank} not subscribed to {x}"
             )
     checks.append("subscriptions-wired")

@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Container, Dict
 
-import numpy as np
-
 from ..errors import RuntimeSimulationError
 from ..graph.views import LocalSubgraph, extract_local_subgraph
 from ..partition.base import Partition
@@ -60,10 +58,8 @@ def crash_worker(cluster: "Cluster", rank: Rank) -> None:
     """
     if not 0 <= rank < cluster.nprocs:
         raise RuntimeSimulationError(f"no worker with rank {rank}")
-    w = cluster.workers[rank]
-    w.crash_wipe(cluster.n_columns)
+    cluster.workers[rank].crash_wipe(cluster.n_columns)
     for peer in cluster.workers:
-        w.reset_channel(peer.rank)
         if peer.rank != rank:
             peer.reset_channel(rank)
 
@@ -90,14 +86,13 @@ def abandon_worker(cluster: "Cluster", rank: Rank) -> None:
     """
     crash_worker(cluster, rank)
     w = cluster.workers[rank]
-    for v in w.owned:
-        w.dv[w.row_of[v], cluster.index.column(v)] = 0.0
+    w.zero_own_distances()
     for peer in cluster.workers:
         if peer.rank == rank:
             continue
         for x in peer.cut_by_ext:
             if cluster.owner_of(x) == rank:
-                w.record_subscriber(x, peer.rank)
+                w.channels[peer.rank].subscribed.add(x)
 
 
 def recover_worker(cluster: "Cluster", rank: Rank) -> None:
@@ -155,29 +150,14 @@ def recover_worker_from_snapshot(
     buddy = (rank + 1) % cluster.nprocs
     if buddy != rank:
         cluster.charge_comm_words([(buddy, rank, snapshot.words(rank))])
-    n_saved = snapshot.n_cols
-    np.minimum(
-        w.dv[:, :n_saved], saved_dv, out=w.dv[:, :n_saved]
-    )
     saved_apsp = snapshot.apsp.get(rank)
-    if (
-        saved_apsp is not None
-        and saved_apsp.shape == (w.n_local, w.n_local)
-        and snapshot.local_edges.get(rank) == sub.local_graph.num_edges
-    ):
-        w.local_apsp = saved_apsp.copy()
-        w.restore_local_baseline()
-    else:
-        # local structure changed since the snapshot: Dijkstra is due
-        w.run_initial_approximation()
-    # everything restored must flow to subscribers and re-propagate
-    w.request_full_repropagate()
+    if snapshot.local_edges.get(rank) != sub.local_graph.num_edges:
+        saved_apsp = None  # local structure changed: Dijkstra is due
+    # a copy: the snapshot may serve a later recovery too
+    w.restore_state(None if saved_apsp is None else saved_apsp.copy(), saved_dv)
     _rewire_rank(cluster, rank)
-    # sorted for replay determinism: _queue_row only adds to per-channel
-    # sets today, but iterating a dict in rebuild order would make this
-    # path's behavior hostage to _rewire_rank's wiring order
-    for v in sorted(w.subscribers):
-        w._queue_row(v)
+    # everything restored must flow to the re-wired subscribers
+    w.queue_all_boundary_rows()
     cluster.sync_compute()
     check_cluster_invariants(cluster)
 
@@ -287,10 +267,10 @@ def _rewire_rank(cluster: "Cluster", rank: Rank) -> None:
     w = cluster.workers[rank]
     for peer in cluster.workers:
         if peer.rank != rank:
-            peer.unsubscribe_rank(rank)
+            peer.channels[rank].unsubscribe()
     # cut_by_ext iterates in load_subgraph's insertion order, which is a
     # pure function of the (sorted) local sub-graph — deterministic, and
-    # subscribe() itself is order-insensitive (keyed dict of sets)
+    # subscribe() itself is order-insensitive (a set per channel)
     for x in w.cut_by_ext:
         cluster.workers[cluster.owner_of(x)].subscribe(x, rank)
     for peer in cluster.workers:

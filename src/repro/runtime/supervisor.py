@@ -156,7 +156,7 @@ class Supervisor:
             # rows still awaiting an ack move back to the pending queues,
             # so the next exchange completes their delivery
             for w in cluster.workers:
-                w.flush_unacked()
+                w.requeue_in_flight()
 
     # ------------------------------------------------------------------
     # the RC loop's hooks

@@ -21,7 +21,10 @@ Each worker owns a block of vertices and maintains:
 * ``ext_store`` — the last received DV row of every external boundary
   vertex, one allocator-owned matrix indexed by slot
   (:class:`~repro.runtime.ext_rows.ExternalRowStore`), which the cut-edge
-  relaxation reads in place.
+  relaxation reads in place,
+* ``channels`` — one :class:`~repro.runtime.channel.Channel` per peer
+  rank: subscriptions, the pending queue, delta baselines, and the
+  sequence / ack / dedup state of the boundary exchange.
 
 All kernels are vectorized NumPy and meter their operation counts into the
 :class:`~repro.model.cost.CostModel`, which is how modeled per-step compute
@@ -44,12 +47,12 @@ from ..graph.graph import Graph
 from ..graph.views import LocalSubgraph
 from ..model.cost import CostModel
 from ..types import BoolArray, FloatArray, Rank, VertexId
+from .channel import Channel
 from .ext_rows import ExternalRowStore
 from .index import GlobalIndex
 from .kernels import (
     KERNELS,
     IATask,
-    IndexArray,
     RelaxItems,
     SuperstepResult,
     SuperstepTask,
@@ -99,13 +102,8 @@ class Worker:
         self.cut_adj: Dict[VertexId, Dict[VertexId, float]] = {}
         #: external vertex -> [(local vertex, weight), ...]
         self.cut_by_ext: Dict[VertexId, List[Tuple[VertexId, float]]] = {}
-        #: ranks that need each owned vertex's DV row (it is in their
-        #: external boundary)
-        self._subscribers: Dict[VertexId, Set[Rank]] = {}
-        #: per-vertex memo of the subscriber set in sorted rank order;
-        #: invalidated on (un)subscription so the hot queueing paths
-        #: stop re-sorting per row per superstep
-        self._subs_sorted: Dict[VertexId, List[Rank]] = {}
+        #: the boundary channel to each peer rank, indexed by rank
+        self.channels: List[Channel] = [Channel() for _ in range(nprocs)]
 
         self._dv: FloatArray = self.allocator.adopt(
             np.zeros((0, 0), dtype=np.float64), None
@@ -127,7 +125,6 @@ class Worker:
         self.ext_store = ExternalRowStore(self.allocator)
 
         # --- per-step change tracking ---------------------------------
-        self._pending: List[Set[VertexId]] = [set() for _ in range(nprocs)]
         # ``_changed_rows`` / ``_dirty_cols`` / ``_full_repropagate``
         # decide *whether* the next superstep folds (and is charged);
         # ``dv_changed`` decides *what* that fold pushes, ``apsp_fell``
@@ -138,31 +135,6 @@ class Worker:
         self._fresh_ext: Set[VertexId] = set()
         self._full_repropagate = False
         self._rises_unknown = False
-
-        # --- loss-tolerant channels (sequence numbers + ack/retry) ----
-        #: next sequence number per destination rank
-        self._send_seq: List[int] = [0] * nprocs
-        #: per destination: seq -> vertex ids awaiting acknowledgement
-        self._unacked: List[Dict[int, List[VertexId]]] = [
-            {} for _ in range(nprocs)
-        ]
-        #: per destination: seq -> send attempts so far
-        self._attempts: List[Dict[int, int]] = [{} for _ in range(nprocs)]
-        #: per source: the dedup filter.  ``_seen_floor`` is the watermark
-        #: — the sender has settled every sequence number below it and
-        #: will never resend one — and ``_seen_seq`` holds the numbers at
-        #: or above it already delivered (at most the sender's in-flight
-        #: retries, so O(1) on a lossless channel)
-        self._seen_floor: List[int] = [0] * nprocs
-        self._seen_seq: List[Set[int]] = [set() for _ in range(nprocs)]
-
-        # --- delta-exchange baselines ---------------------------------
-        #: per destination: vertex -> snapshot of the row as of the last
-        #: payload built for that rank.  A row's delta is the columns
-        #: strictly below this baseline; no baseline forces a dense send.
-        self._sent_rows: List[Dict[VertexId, FloatArray]] = [
-            {} for _ in range(nprocs)
-        ]
 
         # --- metering --------------------------------------------------
         self._seconds = 0.0
@@ -185,41 +157,6 @@ class Worker:
     @property
     def n_local(self) -> int:
         return len(self.owned)
-
-    # ------------------------------------------------------------------
-    # subscription records (with a sorted-order memo for the hot paths)
-    # ------------------------------------------------------------------
-    @property
-    def subscribers(self) -> Dict[VertexId, Set[Rank]]:
-        """Subscription records: owned vertex -> ranks needing its row.
-
-        Mutate only through :meth:`subscribe` / :meth:`unsubscribe_rank`
-        / :meth:`record_subscriber` (or wholesale assignment), so the
-        sorted-order memo stays coherent.
-        """
-        return self._subscribers
-
-    @subscribers.setter
-    def subscribers(self, value: Dict[VertexId, Set[Rank]]) -> None:
-        self._subscribers = value
-        self._subs_sorted = {}
-
-    def _sorted_subscribers(self, v: VertexId) -> List[Rank]:
-        """Subscribers of ``v`` in sorted rank order (memoized)."""
-        cached = self._subs_sorted.get(v)
-        if cached is None:
-            subs = self._subscribers.get(v)
-            if not subs:
-                return []
-            cached = self._subs_sorted[v] = sorted(subs)
-        return cached
-
-    def record_subscriber(self, v: VertexId, dst: Rank) -> None:
-        """Add a subscription record only — no row queueing, no channel
-        baseline reset.  Used by recovery paths that restore who *would*
-        receive each boundary row without scheduling any sends."""
-        self._subscribers.setdefault(v, set()).add(dst)
-        self._subs_sorted.pop(v, None)
 
     @property
     def n_cols(self) -> int:
@@ -317,11 +254,10 @@ class Worker:
         for u, x, w in sub.cut_edges:
             self.cut_adj.setdefault(u, {})[x] = w
             self.cut_by_ext.setdefault(x, []).append((u, w))
-        self.subscribers = {}
+        self.channels = [Channel() for _ in range(self.nprocs)]
         n_cols = len(self.index)
         self.wipe_entries(n_cols)
-        for v, r in self.row_of.items():
-            self.dv[r, self.index.column(v)] = 0.0
+        self.zero_own_distances()
         if seed_rows:
             for v, row in seed_rows.items():
                 r = self.row_of.get(v)
@@ -334,18 +270,39 @@ class Worker:
                 np.minimum(self.dv[r], row, out=self.dv[r])
         self.ext_store.clear(n_cols)
         self.local_apsp = np.zeros((0, 0), dtype=np.float64)
-        self._pending = [set() for _ in range(self.nprocs)]
         self._changed_rows = set()
         self._dirty_cols = np.zeros(n_cols, dtype=bool)
         self._fresh_ext = set()
         self._full_repropagate = False
         self._rises_unknown = False
-        self._send_seq = [0] * self.nprocs
-        self._unacked = [{} for _ in range(self.nprocs)]
-        self._attempts = [{} for _ in range(self.nprocs)]
-        self._seen_floor = [0] * self.nprocs
-        self._seen_seq = [set() for _ in range(self.nprocs)]
-        self._sent_rows = [{} for _ in range(self.nprocs)]
+
+    def zero_own_distances(self) -> None:
+        """``d(v, v) = 0`` for every owned ``v`` — the one DV fact that
+        needs no computation."""
+        self.dv[np.arange(self.n_local), self.index.columns(self.owned)] = 0.0
+
+    def restore_state(
+        self, saved_apsp: Optional[FloatArray], saved_dv: Optional[FloatArray] = None
+    ) -> None:
+        """Re-enter saved state into a freshly loaded block.
+
+        ``saved_dv`` (rows in ``owned`` order, over a column prefix of
+        ``dv``) is merged with ``np.minimum`` — saved entries are upper
+        bounds.  ``saved_apsp`` — an array no one else holds — is adopted
+        when it still fits the block and its local baseline re-applied;
+        otherwise IA reruns.  Either way a full re-propagation is due, and
+        every subscribed row is queued for a dense refresh.
+        """
+        if saved_dv is not None:
+            prefix = self.dv[:, : saved_dv.shape[1]]
+            np.minimum(prefix, saved_dv, out=prefix)
+        n = self.n_local
+        if saved_apsp is not None and saved_apsp.shape == (n, n):
+            self.local_apsp = saved_apsp
+            self.restore_local_baseline()
+        else:
+            self.recompute_local_apsp()
+        self.queue_all_boundary_rows()
 
     # ------------------------------------------------------------------
     # IA phase
@@ -418,64 +375,34 @@ class Worker:
         # first cut-edge relaxation lowers.
         self._changed_rows = set(range(n))
         self._dirty_cols[:] = True
-        for v in self.owned:
-            self._queue_row(v)
+        self._queue_rows(range(n))
 
     # ------------------------------------------------------------------
     # change tracking / messaging
     # ------------------------------------------------------------------
-    def _queue_row(self, v: VertexId) -> None:
-        """Queue ``v``'s DV row for every subscriber rank.
-
-        Subscribers are a set; iterate in sorted rank order so queueing
-        (and the trace events it later produces) is run-to-run stable.
-        The sorted order is memoized per vertex — this runs per row per
-        superstep, and re-sorting an unchanged set dominated the apply
-        path.
-        """
-        for dst in self._sorted_subscribers(v):
-            self._pending[dst].add(v)
-
-    def _mark_row_changed(self, row: int) -> None:
-        self._changed_rows.add(row)
-        self._queue_row(self.owned[row])
+    def _queue_rows(self, rows: Iterable[int]) -> None:
+        """Queue the DV rows at ``rows`` on every channel subscribed to
+        them (sets: the payload is built in sorted vertex order)."""
+        vertices = {self.owned[r] for r in rows}
+        for ch in self.channels:
+            ch.queue(vertices)
 
     def _mark_rows_changed(self, rows: List[int]) -> None:
-        """Bulk version of :meth:`_mark_row_changed` for the kernels' rows."""
         self._changed_rows.update(rows)
-        if not self._subscribers:
-            return
-        for r in rows:
-            v = self.owned[r]
-            for dst in self._sorted_subscribers(v):
-                self._pending[dst].add(v)
+        self._queue_rows(rows)
 
     def subscribe(self, v: VertexId, dst: Rank) -> None:
         """Rank ``dst`` wants updates of ``v``'s DV row from now on."""
         if v not in self.row_of:
             raise WorkerError(f"rank {self.rank} does not own vertex {v}")
-        self._subscribers.setdefault(v, set()).add(dst)
-        self._subs_sorted.pop(v, None)
-        self._pending[dst].add(v)  # send the current row at the next exchange
-        # a (re-)subscription always starts from a dense row: the receiver
-        # may have dropped (or never held) its copy
-        self._sent_rows[dst].pop(v, None)
+        self.channels[dst].subscribe(v)
 
-    def unsubscribe_rank(self, dst: Rank) -> None:
-        """Drop all subscriptions from ``dst`` (used on repartition)."""
-        for subs in self._subscribers.values():
-            subs.discard(dst)
-        self._subs_sorted = {}
-        self._pending[dst].clear()
-        self._sent_rows[dst].clear()
-
-    def has_pending(self) -> bool:
+    def has_work(self) -> bool:
         """True while this worker still has work that could change results:
         rows queued to peers, unacknowledged in-flight rows, unprocessed
         received rows, or unpropagated local changes."""
         return (
-            any(self._pending)
-            or any(self._unacked)
+            any(ch.pending or ch.unacked for ch in self.channels)
             or bool(self._changed_rows)
             or bool(self._fresh_ext)
             or self._full_repropagate
@@ -483,16 +410,16 @@ class Worker:
 
     def pending_row_count(self) -> int:
         """Rows queued for the next boundary exchange (over all peers)."""
-        return sum(len(q) for q in self._pending)
+        return sum(len(ch.pending) for ch in self.channels)
 
     def unacked_row_count(self) -> int:
         """Rows in flight awaiting acknowledgement."""
         return sum(
-            len(ids) for chan in self._unacked for ids in chan.values()
+            len(ids) for ch in self.channels for ids, _ in ch.unacked.values()
         )
 
-    def _encode_row(self, dst: Rank, v: VertexId, out: DeltaRows) -> bool:
-        """Encode ``v``'s current row for ``dst`` into ``out``.
+    def _encode_row(self, ch: Channel, v: VertexId, out: DeltaRows) -> bool:
+        """Encode ``v``'s current row for channel ``ch`` into ``out``.
 
         Dense on first publication (no baseline) and whenever the delta
         would not be strictly cheaper on the wire; otherwise the columns
@@ -505,7 +432,7 @@ class Worker:
         if self.wire_format != "delta":
             out.dense[v] = row
             return True
-        baselines = self._sent_rows[dst]
+        baselines = ch.sent_rows
         base = baselines.get(v)
         if base is None or base.size != row.size:
             out.dense[v] = row
@@ -532,8 +459,8 @@ class Worker:
         (breaking the monotone premise of the delta encoding), or a column
         remap.
         """
-        for baselines in self._sent_rows:
-            baselines.clear()
+        for ch in self.channels:
+            ch.sent_rows.clear()
 
     def build_payload(self, dst: Rank) -> DeltaRows:
         """Encoded DV rows queued for ``dst``; clears the queue.
@@ -542,10 +469,11 @@ class Worker:
         skipped: its new owner re-sends it.
         """
         out = DeltaRows()
-        for v in sorted(self._pending[dst]):
+        ch = self.channels[dst]
+        for v in sorted(ch.pending):
             if v in self.row_of:
-                self._encode_row(dst, v, out)
-        self._pending[dst].clear()
+                self._encode_row(ch, v, out)
+        ch.pending.clear()
         return out
 
     def receive_rows(
@@ -591,15 +519,15 @@ class Worker:
     # ------------------------------------------------------------------
     def outbound_packets(
         self, dst: Rank, max_retries: int
-    ) -> List[Tuple[int, DeltaRows, bool]]:
+    ) -> List[Tuple[int, DeltaRows, int]]:
         """Sequenced packets to send to ``dst`` this exchange.
 
-        Returns ``(seq, payload, is_retry)`` triples: first every
-        unacknowledged packet (a *retry* — rows are rebuilt **dense** from
-        the current DV, which only sharpens the delivered upper bounds and
-        stays correct even when the original delta was lost or the
-        retransmission is deduplicated at the receiver), then at most one
-        fresh packet draining the pending queue through
+        Returns ``(seq, payload, attempt)`` triples: first every
+        unacknowledged packet (a *retry*, attempt > 1 — rows are rebuilt
+        **dense** from the current DV, which only sharpens the delivered
+        upper bounds and stays correct even when the original delta was
+        lost or the retransmission is deduplicated at the receiver), then
+        at most one fresh packet draining the pending queue through
         :meth:`build_payload`.  The delta baseline advances at build
         time, which is safe because retries are dense and the baseline
         is never advanced past values the receiver could permanently
@@ -609,57 +537,29 @@ class Worker:
         Raises :class:`~repro.errors.WorkerError` once a packet exhausts
         ``max_retries`` — a partition, not a transient fault.
         """
-        packets: List[Tuple[int, DeltaRows, bool]] = []
-        unacked = self._unacked[dst]
-        attempts = self._attempts[dst]
+        packets: List[Tuple[int, DeltaRows, int]] = []
+        unacked = self.channels[dst].unacked
         for seq in sorted(unacked):
-            ids = [v for v in unacked[seq] if v in self.row_of]
+            sent, attempts = unacked[seq]
+            ids = [v for v in sent if v in self.row_of]
             if not ids:
                 # every vertex migrated away; its new owner re-sends
                 del unacked[seq]
-                attempts.pop(seq, None)
                 continue
-            unacked[seq] = ids
-            n = attempts[seq] = attempts.get(seq, 0) + 1
+            n = attempts + 1
+            unacked[seq] = (ids, n)
             if n > max_retries + 1:
                 raise WorkerError(
                     f"rank {self.rank} packet seq={seq} to rank {dst}"
                     f" exceeded {max_retries} retries (network partition?)"
                 )
             payload = DeltaRows(dense={v: self.dv[self.row_of[v]] for v in ids})
-            packets.append((seq, payload, n > 1))
+            packets.append((seq, payload, n))
         payload = self.build_payload(dst)
         if payload:
-            seq = self._send_seq[dst]
-            self._send_seq[dst] += 1
-            unacked[seq] = payload.vertices()
-            attempts[seq] = 1
-            packets.append((seq, payload, False))
+            seq = self.channels[dst].open_packet(payload.vertices())
+            packets.append((seq, payload, 1))
         return packets
-
-    def ack_packet(self, dst: Rank, seq: int) -> None:
-        """Destination acknowledged packet ``seq``; stop retrying it."""
-        self._unacked[dst].pop(seq, None)
-        self._attempts[dst].pop(seq, None)
-
-    def attempt_count(self, dst: Rank, seq: int) -> int:
-        """Send attempts so far for packet ``(dst, seq)`` (>= 1).
-
-        Read by the cluster right after :meth:`outbound_packets` marks a
-        retry, to size the health monitor's modeled backoff delay.
-        """
-        return self._attempts[dst].get(seq, 1)
-
-    def send_floor(self, dst: Rank) -> int:
-        """Lowest sequence number this rank may still (re)send to ``dst``.
-
-        Everything below it was acknowledged or abandoned
-        (:meth:`flush_unacked`, rows that migrated away), so the
-        receiver may forget it — the header field that keeps the dedup
-        filter bounded (cf. SCTP's forward-TSN).
-        """
-        unacked = self._unacked[dst]
-        return min(unacked) if unacked else self._send_seq[dst]
 
     def receive_packet(
         self,
@@ -670,52 +570,30 @@ class Worker:
     ) -> bool:
         """Deliver a sequenced packet; returns False for a duplicate.
 
-        ``floor`` is the sender's :meth:`send_floor` riding on the
-        packet: the watermark rises to it and delivered numbers below
-        it are forgotten.
+        ``floor`` is the sender's :attr:`Channel.send_floor` riding on
+        the packet (see :meth:`Channel.accept`).
         """
-        seen = self._seen_seq[src]
-        if floor > self._seen_floor[src]:
-            seen.difference_update(range(self._seen_floor[src], floor))
-            self._seen_floor[src] = floor
-        if seq < self._seen_floor[src] or seq in seen:
+        if not self.channels[src].accept(seq, floor):
             return False
-        seen.add(seq)
         self.receive_rows(rows)
         return True
 
     def reset_channel(self, peer: Rank) -> None:
-        """Forget all channel state with ``peer`` in both directions.
+        """Forget all channel state with ``peer`` but the subscriptions:
+        called when either endpoint crashes.  The connection re-forms from
+        sequence 0, and the post-recovery refresh re-queues whatever was in
+        flight."""
+        self.channels[peer] = Channel(self.channels[peer].subscribed)
 
-        Called when either endpoint crashes: the connection is
-        re-established from sequence 0 and the post-recovery subscription
-        refresh re-queues whatever was in flight.
-        """
-        self._send_seq[peer] = 0
-        self._unacked[peer].clear()
-        self._attempts[peer].clear()
-        self._seen_floor[peer] = 0
-        self._seen_seq[peer].clear()
-        self._pending[peer].clear()
-        self._sent_rows[peer].clear()
-
-    def flush_unacked(self) -> None:
+    def requeue_in_flight(self) -> None:
         """Move unacknowledged rows back to the pending queues.
 
         Used when a fault plan detaches mid-computation (e.g. an anytime
         budget interrupt): the next exchange delivers whatever was still
         in flight as one fresh packet instead of per-packet retries.
         """
-        for dst in range(self.nprocs):
-            for ids in self._unacked[dst].values():
-                for v in ids:
-                    if v in self.row_of:
-                        self._pending[dst].add(v)
-                        # delivery was never confirmed, so the baseline may
-                        # be ahead of the receiver: force a dense resend
-                        self._sent_rows[dst].pop(v, None)
-            self._unacked[dst].clear()
-            self._attempts[dst].clear()
+        for ch in self.channels:
+            ch.requeue_in_flight(self.row_of)
 
     # ------------------------------------------------------------------
     # RC superstep: prepare -> kernel (any backend) -> apply
@@ -802,8 +680,7 @@ class Worker:
         # Improved rows need only be *sent* to subscribers, not re-used as
         # local sources: local_apsp is transitively closed, so chaining two
         # local hops can never beat the single-hop fold just performed.
-        for r in result.prop_improved:
-            self._queue_row(self.owned[r])
+        self._queue_rows(result.prop_improved)
         return result.improved
 
     def request_full_repropagate(self, *, rises_known: bool = False) -> None:
@@ -860,9 +737,10 @@ class Worker:
         pad = np.full(added, np.inf, dtype=np.float64)
         # channel baselines grow in lockstep: the new columns are +inf on
         # both endpoints, so they enter future deltas only once they improve
-        for baselines in self._sent_rows:
-            for v, base in list(baselines.items()):
-                baselines[v] = np.concatenate([base, pad])
+        for ch in self.channels:
+            ch.sent_rows = {
+                v: np.concatenate([base, pad]) for v, base in ch.sent_rows.items()
+            }
         self._charge(
             self.cost.resize_time(self.n_local + len(self.ext_store), added),
             "dv_resizes",
@@ -897,7 +775,7 @@ class Worker:
         if fell is not None:
             self._apsp_fell = np.pad(fell, ((0, 1), (0, 1)))
         self._charge(self.cost.vertex_time(1) + self.cost.resize_time(1, n))
-        self._mark_row_changed(r)
+        self._mark_rows_changed([r])
         return r
 
     def add_local_edge(self, u: VertexId, v: VertexId, w: float) -> None:
@@ -934,7 +812,7 @@ class Worker:
                 self.dv[dst][mask] = cand[mask]
                 self.dv_changed[dst] |= mask
                 self._dirty_cols |= mask
-                self._mark_row_changed(dst)
+                self._mark_rows_changed([dst])
 
     def add_cut_edge(self, u: VertexId, x: VertexId, w: float) -> None:
         """Register a new cut edge from owned ``u`` to external ``x``."""
@@ -1089,16 +967,16 @@ class Worker:
     def crash_wipe(self, n_cols: int) -> None:
         """Destroy every piece of derived state, as a process crash does:
         ``dv`` all +inf over ``n_cols`` columns, no local APSP, no stored
-        external row (their slots freed), no change tracking, no
-        subscriptions and no un-synced metering.  Channel state is reset
-        by the caller, which also resets the peers' side."""
+        external row (their slots freed), no change tracking, no channel
+        state (subscriptions included) and no un-synced metering.  The
+        caller resets the peers' side of each channel."""
         self.wipe_entries(n_cols)
         self.local_apsp = np.zeros((0, 0), dtype=np.float64)
         self.ext_store.clear(n_cols)
         self._fresh_ext.clear()
         self._changed_rows.clear()
         self._dirty_cols = np.zeros(n_cols, dtype=bool)
-        self.subscribers = {}
+        self.channels = [Channel() for _ in range(self.nprocs)]
         self.take_compute_seconds()
 
     def clear_external_rows(self) -> None:
@@ -1114,8 +992,8 @@ class Worker:
         must not be delta-encoded against a pre-refresh baseline.
         """
         self._reset_baselines()
-        for v in self.subscribers:
-            self._queue_row(v)
+        for ch in self.channels:
+            ch.pending |= ch.subscribed
 
     # ------------------------------------------------------------------
     # vertex deletion support
@@ -1150,12 +1028,8 @@ class Worker:
                 del self.cut_by_ext[x]
                 self.ext_store.drop(x)
                 self._fresh_ext.discard(x)
-        self._subscribers.pop(v, None)
-        self._subs_sorted.pop(v, None)
-        for pend in self._pending:
-            pend.discard(v)
-        for baselines in self._sent_rows:
-            baselines.pop(v, None)
+        for ch in self.channels:
+            ch.forget(v)
         # row indices shifted; the masks moved with dv: the rises stay known
         self._changed_rows = set()
         self.request_full_repropagate(rises_known=True)

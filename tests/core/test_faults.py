@@ -30,7 +30,7 @@ class TestCrash:
         assert np.isinf(w.dv).all()
         assert w.local_apsp.size == 0
         assert len(w.ext_store) == 0 and w.ext_store.top == 0
-        assert w.subscribers == {}
+        assert not any(ch.subscribed for ch in w.channels)
 
     def test_crash_invalid_rank(self):
         _g, engine = converged_engine()
@@ -43,11 +43,11 @@ class TestCrash:
         # force something into peers' queues for rank 1
         for w in cluster.workers:
             if w.rank != 1 and w.owned:
-                w._pending[1].add(w.owned[0])
+                w.channels[1].pending.add(w.owned[0])
         crash_worker(cluster, 1)
         for w in cluster.workers:
             if w.rank != 1:
-                assert not w._pending[1]
+                assert not w.channels[1].pending
 
 
 class TestRecovery:
@@ -97,14 +97,14 @@ class TestRecovery:
         w = cluster.workers[1]
         # recovered worker is re-subscribed at its boundary owners
         for x in w.cut_by_ext:
-            assert 1 in cluster.workers[cluster.owner_of(x)].subscribers[x]
+            assert x in cluster.workers[cluster.owner_of(x)].channels[1].subscribed
         # and peers are re-subscribed at the recovered worker
         for peer in cluster.workers:
             if peer.rank == 1:
                 continue
             for x in peer.cut_by_ext:
                 if cluster.owner_of(x) == 1:
-                    assert peer.rank in w.subscribers[x]
+                    assert x in w.channels[peer.rank].subscribed
 
     def test_recover_requires_decomposed_cluster(self):
         from repro.runtime import Cluster
@@ -139,7 +139,7 @@ class TestRepeatedRecovery:
         _g, engine = converged_engine()
         cluster = engine.cluster
         snapshot = {
-            w.rank: {v: set(d) for v, d in w.subscribers.items()}
+            w.rank: [set(ch.subscribed) for ch in w.channels]
             for w in cluster.workers
         }
         crash_and_recover(cluster, 1)
@@ -147,9 +147,7 @@ class TestRepeatedRecovery:
         crash_and_recover(cluster, 1)
         engine.run()
         for w in cluster.workers:
-            assert {
-                v: set(d) for v, d in w.subscribers.items() if d
-            } == {v: d for v, d in snapshot[w.rank].items() if d}
+            assert [ch.subscribed for ch in w.channels] == snapshot[w.rank]
 
     def test_back_to_back_crashes_without_intervening_run(self):
         g, engine = converged_engine()

@@ -7,7 +7,6 @@ import pytest
 from repro.obs import load_events
 from repro.obs.profile import (
     Profile,
-    fold_cluster,
     fold_events,
     profile_to_perfetto,
     render_profile,

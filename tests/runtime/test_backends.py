@@ -102,12 +102,12 @@ class TestTasksShipSlots:
                 engine.setup()
                 engine.run()
                 cluster = engine.cluster
-                assert not any(w.has_pending() for w in cluster.workers)
+                assert not any(w.has_work() for w in cluster.workers)
                 w = cluster.workers[1]
                 x = min(w.ext_store.slot_of)
                 u = next(u for u in w.owned if x not in w.cut_adj.get(u, {}))
                 w.add_cut_edge(u, x, 0.5)
-                assert w.has_pending()
+                assert w.has_work()
                 improved = cluster.relax_and_propagate()
                 return (
                     improved,

@@ -157,10 +157,10 @@ class TestLossyExchange:
         _g, engine = fresh_engine()
         engine.run()
         w = engine.cluster.workers[0]
-        assert not w.has_pending()
-        w._unacked[1][0] = [w.owned[0]]
-        assert w.has_pending()
-        w._unacked[1].clear()
+        assert not w.has_work()
+        w.channels[1].unacked[0] = ([w.owned[0]], 1)
+        assert w.has_work()
+        w.channels[1].unacked.clear()
 
     def test_duplicate_packets_are_deduplicated(self):
         _g, engine = fresh_engine()
@@ -176,10 +176,10 @@ class TestLossyExchange:
         _g, engine = fresh_engine()
         engine.run()
         w = engine.cluster.workers[0]
-        w._pending[1].add(w.owned[0])
+        w.channels[1].pending.add(w.owned[0])
         # drop the channel baseline: a converged, already-sent row would
         # otherwise delta-encode to nothing and never enter a packet
-        w._sent_rows[1].clear()
+        w.channels[1].sent_rows.clear()
         # never acked: each outbound_packets call is one more attempt
         w.outbound_packets(1, max_retries=2)
         w.outbound_packets(1, max_retries=2)
@@ -191,14 +191,14 @@ class TestLossyExchange:
         _g, engine = fresh_engine()
         engine.run()
         w = engine.cluster.workers[0]
-        w._pending[1].add(w.owned[0])
-        w._sent_rows[1].clear()  # force the forged row into a packet
+        w.channels[1].pending.add(w.owned[0])
+        w.channels[1].sent_rows.clear()  # force the forged row into a packet
         w.outbound_packets(1, max_retries=5)
-        w._seen_seq[1].add(3)
+        w.channels[1].seen_seq.add(3)
         w.reset_channel(1)
-        assert w._send_seq[1] == 0
-        assert w._unacked[1] == {}
-        assert w._seen_seq[1] == set()
+        assert w.channels[1].send_seq == 0
+        assert w.channels[1].unacked == {}
+        assert w.channels[1].seen_seq == set()
 
 
 class TestSequencedChannelState:
@@ -209,11 +209,15 @@ class TestSequencedChannelState:
     def _forge_send(cluster):
         """Queue one boundary row (dense) on some channel; returns
         ``(sender, dst)``."""
-        w = next(w for w in cluster.workers if w.subscribers)
-        v = min(w.subscribers)
-        dst = min(w.subscribers[v])
-        w._pending[dst].add(v)
-        w._sent_rows[dst].pop(v, None)
+        w, dst = next(
+            (w, r)
+            for w in cluster.workers
+            for r, ch in enumerate(w.channels)
+            if ch.subscribed
+        )
+        v = min(w.channels[dst].subscribed)
+        w.channels[dst].pending.add(v)
+        w.channels[dst].sent_rows.pop(v, None)
         return w, dst
 
     def test_lossless_exchanges_leave_constant_dedup_state(self):
@@ -223,14 +227,14 @@ class TestSequencedChannelState:
         for _ in range(2000):
             w, dst = self._forge_send(cluster)
             assert cluster.exchange_boundary() == 1
-        assert w._send_seq[dst] >= 2000
+        assert w.channels[dst].send_seq >= 2000
         for receiver in cluster.workers:
-            assert all(len(seen) <= 1 for seen in receiver._seen_seq)
-        assert cluster.workers[dst]._seen_floor[w.rank] >= 1999
+            assert all(len(ch.seen_seq) <= 1 for ch in receiver.channels)
+        assert cluster.workers[dst].channels[w.rank].seen_floor >= 1999
 
     def test_abandoned_packets_do_not_stall_the_watermark(self):
         """An interrupted lossy run abandons its lost packets
-        (``flush_unacked``); the receivers' filters must not wait for
+        (``requeue_in_flight``); the receivers' filters must not wait for
         those sequence numbers forever."""
         _g, engine = fresh_engine()
         engine.run(
@@ -245,7 +249,7 @@ class TestSequencedChannelState:
             self._forge_send(cluster)
             cluster.exchange_boundary()
         for receiver in cluster.workers:
-            assert all(len(seen) <= 1 for seen in receiver._seen_seq)
+            assert all(len(ch.seen_seq) <= 1 for ch in receiver.channels)
 
     def test_reordered_retry_and_duplicate_still_dedup(self):
         _g, engine = fresh_engine()
@@ -254,28 +258,28 @@ class TestSequencedChannelState:
         w = engine.cluster.workers[dst]
         v = engine.cluster.workers[src].owned[0]
         rows = {v: engine.cluster.workers[src].dv_row(v)}
-        lost = w._seen_floor[src] + 1  # a packet the network dropped
+        lost = w.channels[src].seen_floor + 1  # a packet the network dropped
         # the next packet overtakes it, and that one's ack is lost too
         assert w.receive_packet(src, lost + 1, rows, floor=lost)
         assert not w.receive_packet(src, lost + 1, rows, floor=lost)
         assert w.receive_packet(src, lost, rows, floor=lost)  # late retry
         assert not w.receive_packet(src, lost, rows, floor=lost)
-        assert w._seen_seq[src] == {lost, lost + 1}
+        assert w.channels[src].seen_seq == {lost, lost + 1}
         # both acknowledged: the sender's floor moves past them
         assert w.receive_packet(src, lost + 2, rows, floor=lost + 2)
-        assert w._seen_seq[src] == {lost + 2}
+        assert w.channels[src].seen_seq == {lost + 2}
         assert not w.receive_packet(src, lost + 1, rows, floor=lost + 2)
 
     def test_reset_and_reload_clear_the_watermark(self):
         _g, engine = fresh_engine()
         engine.run()
         w = engine.cluster.workers[1]
-        assert any(w._seen_floor)
+        assert any(ch.seen_floor for ch in w.channels)
         w.reset_channel(0)
-        assert w._seen_floor[0] == 0 and w._seen_seq[0] == set()
+        assert w.channels[0].seen_floor == 0 and w.channels[0].seen_seq == set()
         engine.crash_worker(1)  # reloads the sub-graph
-        assert w._seen_floor == [0] * 4
-        assert all(not seen for seen in w._seen_seq)
+        assert [ch.seen_floor for ch in w.channels] == [0] * 4
+        assert all(not ch.seen_seq for ch in w.channels)
 
     @staticmethod
     def _one_exchange(cluster):
@@ -295,7 +299,7 @@ class TestSequencedChannelState:
             payload, wire, messages = self._one_exchange(cluster)
             assert wire == payload  # not one ack word
             assert all(
-                not chan for w in cluster.workers for chan in w._unacked
+                not ch.unacked for w in cluster.workers for ch in w.channels
             )
             cluster.relax_and_propagate()
             exchanges += 1 if messages else 0

@@ -44,7 +44,7 @@ class TestDecompose:
         for w in c.workers:
             for x in w.cut_by_ext:
                 owner = c.workers[c.owner_of(x)]
-                assert w.rank in owner.subscribers[x]
+                assert x in owner.channels[w.rank].subscribed
 
     def test_decompose_records_phase(self):
         c = make_cluster()

@@ -73,7 +73,7 @@ class TestEncodeRow:
         w.subscribe(0, 1)
         w.build_payload(1)  # establishes the baseline
         w.dv[w.row_of[0], 9] = 1.5  # one column improves
-        w._pending[1].add(0)
+        w.channels[1].pending.add(0)
         payload = w.build_payload(1)
         cols, vals = payload.sparse[0]
         assert cols.tolist() == [9]
@@ -84,7 +84,7 @@ class TestEncodeRow:
         w.run_initial_approximation()
         w.subscribe(0, 1)
         w.build_payload(1)
-        w._pending[1].add(0)  # queued, but nothing improved
+        w.channels[1].pending.add(0)  # queued, but nothing improved
         assert not w.build_payload(1)
 
     def test_large_delta_falls_back_to_dense(self):
@@ -95,7 +95,7 @@ class TestEncodeRow:
         # improve enough columns that 2k+2 >= n+1
         row = w.dv[w.row_of[0]]
         row[6:] = np.arange(6, dtype=np.float64) * 0.25
-        w._pending[1].add(0)
+        w.channels[1].pending.add(0)
         payload = w.build_payload(1)
         assert 0 in payload.dense
         assert not payload.sparse
@@ -106,7 +106,7 @@ class TestEncodeRow:
         w.subscribe(0, 1)
         w.build_payload(1)
         w.dv[w.row_of[0], 9] = 1.5
-        w._pending[1].add(0)
+        w.channels[1].pending.add(0)
         payload = w.build_payload(1)
         assert 0 in payload.dense
         assert not payload.sparse
@@ -121,7 +121,7 @@ class TestEncodeRow:
         w.subscribe(0, 1)
         w.build_payload(1)  # only rank 1 has a baseline
         w.dv[w.row_of[0], 9] = 1.5
-        w._pending[1].add(0)
+        w.channels[1].pending.add(0)
         assert w.build_payload(1).sparse  # rank 1: delta
         w.subscribe(0, 2)
         payload = w.build_payload(2)  # rank 2: first publication
@@ -177,28 +177,28 @@ class TestBaselineInvalidation:
         w.run_initial_approximation()
         w.subscribe(0, 1)
         w.build_payload(1)
-        assert w._sent_rows[1]
+        assert w.channels[1].sent_rows
         return w
 
     def test_full_repropagate_resets_baselines(self):
         w = self._primed()
         w.request_full_repropagate()
-        assert not w._sent_rows[1]
+        assert not w.channels[1].sent_rows
 
     def test_queue_all_boundary_rows_resets_baselines(self):
         w = self._primed()
         w.queue_all_boundary_rows()
-        assert not w._sent_rows[1]
+        assert not w.channels[1].sent_rows
 
     def test_reset_channel_resets_baselines(self):
         w = self._primed()
         w.reset_channel(1)
-        assert not w._sent_rows[1]
+        assert not w.channels[1].sent_rows
 
     def test_resubscribe_forces_dense(self):
         w = self._primed()
         w.subscribe(0, 1)  # receiver may have dropped its copy
-        assert 0 not in w._sent_rows[1]
+        assert 0 not in w.channels[1].sent_rows
         payload = w.build_payload(1)
         assert 0 in payload.dense
 
@@ -206,28 +206,28 @@ class TestBaselineInvalidation:
         w = self._primed()
         w.index.add(500)
         w.grow_columns(13)
-        base = w._sent_rows[1][0]
+        base = w.channels[1].sent_rows[0]
         assert base.size == 13
         assert base[12] == np.inf
 
     def test_flush_unacked_drops_baselines(self):
         w = self._primed()
         w.dv[w.row_of[0], 9] = 0.25
-        w._pending[1].add(0)
+        w.channels[1].pending.add(0)
         packets = w.outbound_packets(1, max_retries=3)
         assert packets and packets[0][1].sparse  # delta went in flight
-        w.flush_unacked()  # delivery never confirmed
-        assert 0 not in w._sent_rows[1]
-        assert 0 in w._pending[1]
+        w.requeue_in_flight()  # delivery never confirmed
+        assert 0 not in w.channels[1].sent_rows
+        assert 0 in w.channels[1].pending
 
     def test_retries_are_dense_and_leave_baselines_alone(self):
         w = self._primed()
         w.dv[w.row_of[0], 9] = 0.25
-        w._pending[1].add(0)
+        w.channels[1].pending.add(0)
         first = w.outbound_packets(1, max_retries=3)
         assert first[0][1].sparse
-        base_before = w._sent_rows[1][0].copy()
+        base_before = w.channels[1].sent_rows[0].copy()
         retry = w.outbound_packets(1, max_retries=3)
-        assert retry[0][2] is True  # marked as a retry
+        assert retry[0][2] == 2  # the second attempt: a retry
         assert not retry[0][1].sparse  # rebuilt dense from the current DV
-        np.testing.assert_array_equal(w._sent_rows[1][0], base_before)
+        np.testing.assert_array_equal(w.channels[1].sent_rows[0], base_before)

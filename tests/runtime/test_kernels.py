@@ -1121,8 +1121,8 @@ def block_worker(dv: np.ndarray, seed: int, allocator=None) -> Worker:
         for dst in (1, 2):
             if rng.random() < 0.4:
                 w.subscribe(v, dst)
-    for queue in w._pending:
-        queue.clear()
+    for ch in w.channels:
+        ch.pending.clear()
     w._changed_rows.clear()
     w._charge(0.1 + rng.random())
     return w
@@ -1164,7 +1164,9 @@ def assert_kernel_matches_reference(case: EdgeCase, seed: int = 0) -> bool:
     assert np.array_equal(new_w.dv_changed, changed)
     assert new_w._dirty_cols.tobytes() == ref_w._dirty_cols.tobytes()
     assert new_w._changed_rows == ref_w._changed_rows == set(rows.tolist())
-    assert new_w._pending == ref_w._pending
+    assert [ch.pending for ch in new_w.channels] == [
+        ch.pending for ch in ref_w.channels
+    ]
     assert new_w._seconds.hex() == ref_w._seconds.hex()
     return ref_improved
 
@@ -1271,7 +1273,7 @@ class TestRelaxEdgeKernel:
         row = np.arange(6, dtype=np.float64)
         assert w.relax_with_edge_rows(2, row, 4, row, 1.0) is False
         assert w._seconds == seconds
-        assert not w._changed_rows and not any(w._pending)
+        assert not w._changed_rows and not w.pending_row_count()
         rows = kernels.relax_edge_kernel(
             np.empty((0, 6)), np.zeros((0, 6), dtype=bool),
             np.zeros(6, dtype=bool), 2, row, 4, row, 1.0,
@@ -1556,10 +1558,11 @@ class TestRelaxCutKernel:
         one_by_one = block_worker(np.zeros((10, 20)), seed=6)
         bulk._mark_rows_changed(rows)
         for r in rows:
-            one_by_one._mark_row_changed(r)
+            one_by_one._mark_rows_changed([r])
         assert bulk._changed_rows == one_by_one._changed_rows == set(rows)
-        assert bulk._pending == one_by_one._pending
-        assert any(bulk._pending)
+        pending = [ch.pending for ch in bulk.channels]
+        assert pending == [ch.pending for ch in one_by_one.channels]
+        assert any(pending)
 
 
 # ----------------------------------------------------------------------

@@ -111,59 +111,24 @@ class TestMessaging:
     def test_unsubscribe_rank(self):
         _g, w = path4_worker()
         w.subscribe(1, 1)
-        w.unsubscribe_rank(1)
+        w.channels[1].unsubscribe()
+        assert not w.channels[1].subscribed
         assert not w.build_payload(1)
 
-
-class TestSubscriberMemo:
-    """Sorted subscriber lists are cached, not re-sorted per row."""
-
-    def _worker(self):
+    def test_subscriptions_are_per_peer_channel(self):
         g = path_graph(6)
         owner = {v: (0 if v < 4 else 1) for v in range(6)}
-        idx = GlobalIndex(g.vertex_list())
-        w = Worker(0, 6, idx, DEFAULT_COST)
+        w = Worker(0, 6, GlobalIndex(g.vertex_list()), DEFAULT_COST)
         w.load_subgraph(extract_local_subgraph(g, [0, 1, 2, 3], owner, 0))
-        return w
-
-    def test_sorted_and_cached(self):
-        w = self._worker()
-        w.subscribe(2, 5)
-        w.subscribe(2, 1)
-        w.subscribe(2, 3)
-        first = w._sorted_subscribers(2)
-        assert first == [1, 3, 5]
-        assert w._sorted_subscribers(2) is first  # memo hit
-
-    def test_subscribe_invalidates_memo(self):
-        w = self._worker()
-        w.subscribe(2, 5)
-        assert w._sorted_subscribers(2) == [5]
-        w.subscribe(2, 1)
-        assert w._sorted_subscribers(2) == [1, 5]
-
-    def test_record_subscriber_invalidates_memo(self):
-        w = self._worker()
-        w.subscribe(2, 5)
-        assert w._sorted_subscribers(2) == [5]
-        w.record_subscriber(2, 3)
-        assert w._sorted_subscribers(2) == [3, 5]
-        assert w.subscribers[2] == {3, 5}
-
-    def test_unsubscribe_rank_invalidates_memo(self):
-        w = self._worker()
-        w.subscribe(2, 5)
-        w.subscribe(2, 3)
-        assert w._sorted_subscribers(2) == [3, 5]
-        w.unsubscribe_rank(5)
-        assert w._sorted_subscribers(2) == [3]
-
-    def test_assignment_resets_memo(self):
-        w = self._worker()
-        w.subscribe(2, 5)
-        assert w._sorted_subscribers(2) == [5]
-        w.subscribers = {}
-        assert w._sorted_subscribers(2) == []
+        for dst in (5, 1, 3):
+            w.subscribe(2, dst)
+        assert [r for r, ch in enumerate(w.channels) if 2 in ch.subscribed] == [
+            1, 3, 5
+        ]
+        w.channels[5].unsubscribe()
+        assert [r for r, ch in enumerate(w.channels) if ch.subscribed] == [1, 3]
+        w.load_subgraph(extract_local_subgraph(g, [0, 1, 2, 3], owner, 0))
+        assert not any(ch.subscribed for ch in w.channels)
 
 
 class TestRelaxAndPropagate:

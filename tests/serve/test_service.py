@@ -7,7 +7,7 @@ import pytest
 from repro import AnytimeAnywhereCloseness, AnytimeConfig
 from repro.centrality import exact_closeness
 from repro.errors import ConfigurationError
-from repro.graph import Graph, barabasi_albert
+from repro.graph import barabasi_albert
 from repro.graph.changes import EdgeDeletion, VertexAddition
 from repro.serve import (
     HybridAdmission,

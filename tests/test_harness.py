@@ -861,3 +861,27 @@ def test_an_invalid_batch_changes_nothing(backend: str, bad: str) -> None:
             engine.run(changes=stream, strategy="auto")
         finally:
             assert state(engine) == before
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_an_interrupt_leaves_no_segment_and_the_pool_serving(backend: str) -> None:
+    """A ``KeyboardInterrupt`` raised in the coordinator at RC step 2
+    propagates out of the run, every shared-memory segment the engine
+    created is gone once its block exits, and a fresh engine in the same
+    process reproduces the uninterrupted run bit for bit."""
+    uninterrupted = run(STATIC, backend, "delta", None).pin
+    exchange = Cluster.exchange_boundary
+    steps: List[int] = []
+
+    def interrupted(cluster: Cluster) -> int:
+        if len(steps) == 2:  # one exchange per RC step, from step 0
+            raise KeyboardInterrupt
+        steps.append(len(steps))
+        return exchange(cluster)
+
+    with pytest.raises(KeyboardInterrupt):
+        with engine_for(STATIC, backend, "delta") as engine:
+            with mock.patch.object(Cluster, "exchange_boundary", interrupted):
+                engine.run()
+    assert steps == [0, 1]
+    assert run(STATIC, backend, "delta", None).pin == uninterrupted

@@ -743,6 +743,30 @@ class TestPhaseDiscipline:
         assert codes(
             lint_project(tmp_path, files, select=self.SELECT)
         ) == ["RPL010"]
+        # an outside writer is reported; the same write through a
+        # registered Worker method is not
+        outside = {
+            "src/repro/runtime/faults.py": """
+                def restore(w, apsp):
+                    w.local_apsp = apsp.copy()
+            """
+        }
+        found = lint_project(tmp_path / "outside", outside, select=self.SELECT)
+        assert codes(found) == ["RPL010"]
+        assert "restore" in found[0].message
+        through_worker = {
+            "src/repro/runtime/w.py": """
+                class Worker:
+                    def restore_state(self, apsp):
+                        self.local_apsp = apsp.copy()
+                def restore(w, apsp):
+                    w.restore_state(apsp)
+            """
+        }
+        config = phase_config(phase_registry={"Worker.restore_state": "recovery"})
+        assert lint_project(
+            tmp_path / "through", through_worker, select=self.SELECT, config=config
+        ) == []
 
     def test_alias_mutation_flagged(self, tmp_path: Path) -> None:
         """The add_local_edge idiom: mutate through a local alias."""
