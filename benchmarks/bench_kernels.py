@@ -193,20 +193,16 @@ def test_cut_relaxation_kernel(benchmark, scale):
     benchmark.extra_info["destinations"] = len(fan_in)
 
 
-def captured_fold(monkeypatch, engine, drive, want):
-    """The inputs of the first fold of ``drive(engine)`` whose masks
-    pass ``want(rose, fell)``, copied before it ran: ``(apsp, dv, changed,
-    rose, fell, graph)``."""
+def captured_fold(monkeypatch, engine, drive):
+    """The inputs of the first full fold (``changed=None``) of
+    ``drive(engine)``, copied before it ran: ``(apsp, dv, graph)``."""
     seen = []
     real = KernelTier.minplus_fold
 
-    def spy(kernels, apsp, dv, changed, rose=None, fell=None, graph=None):
-        if not seen and want(rose, fell):
-            seen.append(tuple(
-                None if a is None else a.copy()
-                for a in (apsp, dv, changed, rose, fell)
-            ) + (graph,))
-        return real(kernels, apsp, dv, changed, rose, fell, graph)
+    def spy(kernels, apsp, dv, changed, graph=None):
+        if not seen and changed is None:
+            seen.append((apsp.copy(), dv.copy(), graph))
+        return real(kernels, apsp, dv, changed, graph)
 
     with engine, monkeypatch.context() as patch:
         patch.setattr(KernelTier, "minplus_fold", spy)
@@ -216,9 +212,9 @@ def captured_fold(monkeypatch, engine, drive, want):
 
 
 def after_injection_state(scale, monkeypatch):
-    """The first fold after ``batch-add``'s injection (BA community batch,
-    700 + 70 vertices on 4 ranks under CutEdge-PS; 150 + 15 at small
-    scale): its new rows and local edges set ``fell``."""
+    """The first full fold after ``batch-add``'s injection (BA community
+    batch, 700 + 70 vertices on 4 ranks under CutEdge-PS; 150 + 15 at
+    small scale): a local edge lowered a pair of ``local_apsp``."""
     n_base, n_new = (150, 15) if scale.n_base < 400 else (700, 70)
     wl = community_workload(n_base, n_new, seed=1, inject_step=2)
     engine = AnytimeAnywhereCloseness(
@@ -228,14 +224,13 @@ def after_injection_state(scale, monkeypatch):
         monkeypatch,
         engine,
         lambda e: e.run(changes=wl.stream, strategy="cutedge"),
-        lambda rose, fell: fell is not None,
     )
 
 
 def repair_state(scale, monkeypatch):
-    """The first deletion repair of ``serve-churn`` (``steady-small`` on BA
-    300, 120 ticks, 4 ranks, ``UpdateService(auto)``; BA 80 and 24 ticks at
-    small scale): its witness test set ``rose``."""
+    """The first full fold of ``serve-churn`` (``steady-small`` on BA 300,
+    120 ticks, 4 ranks, ``UpdateService(auto)``; BA 80 and 24 ticks at
+    small scale): after a deletion, a reweight or a local edge."""
     n_base, ticks = (80, 24) if scale.n_base < 400 else (300, 120)
     trace = synthesize_churn("steady-small", n_base=n_base, ticks=ticks, seed=1)
     per_tick = [[] for _ in range(trace.ticks)]
@@ -257,9 +252,7 @@ def repair_state(scale, monkeypatch):
             service.step()
         service.drain()
 
-    return captured_fold(
-        monkeypatch, engine, drive, lambda rose, fell: rose is not None
-    )
+    return captured_fold(monkeypatch, engine, drive)
 
 
 @pytest.mark.parametrize(
@@ -268,26 +261,24 @@ def repair_state(scale, monkeypatch):
         ("dense", True),
         ("sparse", False),
         ("integer", True),
-        ("fell", True),
-        ("rose", True),
+        ("after-injection", True),
+        ("repair", True),
     ],
 )
 def test_propagation_fold(benchmark, scale, monkeypatch, case, closure):
     """The fold on ``static-solve``'s first fold (dense: the seeded
     level sweep), on 2 % of its entries (sparse, about 7 per column: the
     push), on the same graph with integer weights 1-5 (integer: the sweep
-    over a ring of six ticks), on ``batch-add``'s first fold after the
-    injection (fell) and on a ``serve-churn`` deletion repair (rose): each
-    one sweep from every entry of the block.  The path is asserted once
-    before timing."""
+    over a ring of six ticks), on ``batch-add``'s first full fold after
+    the injection and on a ``serve-churn`` deletion repair: each one sweep
+    from every entry of the block.  The path is asserted once before
+    timing."""
     rng = np.random.default_rng(1)
-    rose = fell = None
-    if case == "fell":
-        apsp, settled, changed, rose, fell, graph = after_injection_state(
-            scale, monkeypatch
-        )
-    elif case == "rose":
-        apsp, settled, changed, rose, fell, graph = repair_state(scale, monkeypatch)
+    changed = None
+    if case == "after-injection":
+        apsp, settled, graph = after_injection_state(scale, monkeypatch)
+    elif case == "repair":
+        apsp, settled, graph = repair_state(scale, monkeypatch)
     else:
         weights = (
             (lambda u, v: float(rng.integers(1, 6))) if case == "integer" else None
@@ -303,18 +294,20 @@ def test_propagation_fold(benchmark, scale, monkeypatch, case, closure):
             "minplus_closure",
             lambda *a, _real=oracle.minplus_closure: calls.append(a[3]) or _real(*a),
         )
-        KERNELS.minplus_fold(apsp, dv, changed, rose, fell, graph)
+        KERNELS.minplus_fold(apsp, dv, changed, graph)
     assert bool(calls) == closure
-    if case in ("fell", "rose"):  # seeded from every finite entry
+    if changed is None:  # seeded from every finite entry
         assert np.array_equal(calls[0], np.isfinite(settled))
 
     def restore():
         dv[...] = settled
 
     benchmark.pedantic(
-        lambda: KERNELS.minplus_fold(apsp, dv, changed, rose, fell, graph),
+        lambda: KERNELS.minplus_fold(apsp, dv, changed, graph),
         setup=restore,
         rounds=30,
     )
-    benchmark.extra_info["entries"] = int(changed.sum())
+    benchmark.extra_info["entries"] = int(
+        np.isfinite(settled).sum() if changed is None else changed.sum()
+    )
     benchmark.extra_info["shape"] = list(dv.shape)

@@ -82,19 +82,14 @@ class AnytimeConfig:
         :class:`~repro.errors.ConvergenceError` is raised.
     repartition_threshold:
         Fraction of |V| above which ``strategy="adaptive"`` (the
-        ``"threshold"`` policy) switches from CutEdge-PS vertex addition
-        to Repartition-S.
+        :class:`~repro.core.strategies.policy.ThresholdPolicy`) switches
+        from CutEdge-PS vertex addition to Repartition-S.
     wf_improved:
         Use Wasserman–Faust-scaled closeness in snapshots/results.
     collect_snapshots:
         Record an anytime snapshot after every RC step.
     seed:
         Seed for partitioner randomness when defaults are constructed.
-    strategy_policy:
-        Name of the registered strategy policy ``strategy="auto"``
-        resolves (see
-        :func:`repro.core.strategies.registry.register_policy`);
-        defaults to the signal-driven policy.
     resilience:
         Typed group of the fault-tolerance knobs
         (:class:`ResilienceConfig`: ``recovery``,
@@ -152,7 +147,6 @@ class AnytimeConfig:
     #: None = homogeneous.  Pair with a MultilevelPartitioner whose
     #: target_weights match for speed-proportional blocks.
     worker_speeds: Optional[List[float]] = None
-    strategy_policy: str = "signals"
     resilience: Optional[ResilienceConfig] = None
     health: Optional["HealthPolicy"] = None
     wire_format: str = "delta"
@@ -173,8 +167,6 @@ class AnytimeConfig:
             raise ConfigurationError(
                 "repartition_threshold must be a fraction in [0, 1]"
             )
-        if not self.strategy_policy:
-            raise ConfigurationError("strategy_policy must be a policy name")
         if self.resilience is None:
             self.resilience = ResilienceConfig()
         if self.health is not None:

@@ -19,7 +19,7 @@ Strategy names: ``"roundrobin"``, ``"cutedge"``, ``"leastloaded"``,
 ``"neighbormajority"`` (anywhere vertex addition with the corresponding
 placement), ``"repartition"`` (Repartition-S), ``"adaptive"`` (CutEdge-PS
 up to ``repartition_threshold * |V|`` new vertices, Repartition-S above),
-``"auto"`` (chosen per batch by ``config.strategy_policy``), or any
+``"auto"`` (chosen per batch by the signal-driven policy), or any
 :class:`DynamicStrategy` instance.
 ``run_baseline_restart`` provides the paper's restart-from-scratch
 comparison point.
@@ -279,8 +279,8 @@ class AnytimeAnywhereCloseness:
         ``strategy`` is a registered name, a
         :class:`DynamicStrategy` instance, or ``"auto"`` — the
         policy-driven adapter that picks a registered strategy per batch
-        from live run signals (``config.strategy_policy`` names the
-        policy).
+        from live run signals (:class:`SignalDrivenPolicy`; pass a
+        :class:`PolicyDrivenStrategy` instance for another policy).
 
         ``budget_modeled_seconds`` exercises the *anytime* property: the
         loop stops once the modeled clock advances by the budget, and the

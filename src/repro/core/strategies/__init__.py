@@ -12,7 +12,6 @@ from .base import DynamicStrategy, ProcessorAssignmentStrategy
 from .edge_addition import EdgeAdditionStrategy, apply_edge_addition
 from .edge_deletion import EdgeDeletionStrategy, apply_edge_deletion
 from .policy import (
-    FixedPolicy,
     PolicyDecision,
     PolicyDrivenStrategy,
     SignalDrivenPolicy,
@@ -20,16 +19,7 @@ from .policy import (
     ThresholdPolicy,
 )
 from .rebalance import RebalancedStrategy, apply_migration, plan_rebalance
-from .registry import (
-    POLICIES,
-    STRATEGIES,
-    PolicyFactory,
-    StrategyFactory,
-    make_policy,
-    make_strategy,
-    register,
-    register_policy,
-)
+from .registry import STRATEGIES, StrategyFactory, make_strategy, register
 from .repartition import RepartitionStrategy
 from .vertex_addition import VertexAdditionStrategy
 from .vertex_deletion import VertexDeletionStrategy, apply_vertex_deletion
@@ -39,13 +29,8 @@ __all__ = [
     "StrategyFactory",
     "register",
     "make_strategy",
-    "POLICIES",
-    "PolicyFactory",
-    "register_policy",
-    "make_policy",
     "StrategyPolicy",
     "PolicyDecision",
-    "FixedPolicy",
     "ThresholdPolicy",
     "SignalDrivenPolicy",
     "PolicyDrivenStrategy",

@@ -12,7 +12,7 @@ and return names resolved through the ordinary strategy registry, so a
 policy can steer anything that is registered — including strategies
 added downstream.  :class:`PolicyDrivenStrategy` adapts a policy back
 into a :class:`DynamicStrategy` — registered as ``"auto"`` (the policy
-``config.strategy_policy`` names) and ``"adaptive"`` (the batch-size
+the signal-driven policy) and ``"adaptive"`` (the batch-size
 :class:`ThresholdPolicy` over CutEdge-PS / Repartition-S) — which is
 what makes both names work everywhere a strategy name is accepted.
 
@@ -41,7 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "PolicyDecision",
     "StrategyPolicy",
-    "FixedPolicy",
     "ThresholdPolicy",
     "SignalDrivenPolicy",
     "PolicyDrivenStrategy",
@@ -102,20 +101,6 @@ class StrategyPolicy(abc.ABC):
         they run on the coordinator between supersteps and must not
         touch cluster state or the modeled clock.
         """
-
-
-class FixedPolicy(StrategyPolicy):
-    """Always choose the same strategy (the non-adaptive baseline)."""
-
-    name = "fixed"
-
-    def __init__(self, strategy: str) -> None:
-        self.strategy = strategy
-
-    def choose(
-        self, signals: SignalView, batch: ChangeBatch, step: int
-    ) -> Tuple[str, str]:
-        return self.strategy, "fixed"
 
 
 class ThresholdPolicy(StrategyPolicy):

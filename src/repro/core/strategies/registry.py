@@ -31,12 +31,7 @@ from .assignment import (
     RoundRobinPS,
 )
 from .base import DynamicStrategy
-from .policy import (
-    PolicyDrivenStrategy,
-    SignalDrivenPolicy,
-    StrategyPolicy,
-    ThresholdPolicy,
-)
+from .policy import PolicyDrivenStrategy, SignalDrivenPolicy, ThresholdPolicy
 from .repartition import RepartitionStrategy
 from .vertex_addition import VertexAdditionStrategy
 
@@ -48,10 +43,6 @@ __all__ = [
     "StrategyFactory",
     "register",
     "make_strategy",
-    "POLICIES",
-    "PolicyFactory",
-    "register_policy",
-    "make_policy",
 ]
 
 #: A factory building a fresh strategy from the engine configuration.
@@ -59,12 +50,6 @@ StrategyFactory = Callable[["AnytimeConfig"], DynamicStrategy]
 
 #: Name -> factory table the engine resolves strategy strings against.
 STRATEGIES: Dict[str, StrategyFactory] = {}
-
-#: A factory building a fresh strategy policy from the configuration.
-PolicyFactory = Callable[["AnytimeConfig"], StrategyPolicy]
-
-#: Name -> factory table ``strategy="auto"`` resolves policies against.
-POLICIES: Dict[str, PolicyFactory] = {}
 
 
 def register(
@@ -101,44 +86,6 @@ def make_strategy(name: str, config: "AnytimeConfig") -> DynamicStrategy:
         raise ConfigurationError(
             f"unknown strategy {name!r}; registered strategies:"
             f" {sorted(STRATEGIES)}"
-        )
-    return factory(config)
-
-
-def register_policy(
-    name: str,
-    factory: Optional[PolicyFactory] = None,
-    *,
-    overwrite: bool = False,
-) -> Callable[[PolicyFactory], PolicyFactory]:
-    """Register a strategy-policy factory; usable as a decorator.
-
-    Policies live in their own namespace next to :data:`STRATEGIES`;
-    ``strategy="auto"`` resolves ``config.strategy_policy`` against this
-    table.  Same duplicate-name discipline as :func:`register`.
-    """
-
-    def _add(fn: PolicyFactory) -> PolicyFactory:
-        if not overwrite and name in POLICIES:
-            raise ConfigurationError(
-                f"policy {name!r} is already registered"
-                " (pass overwrite=True to replace it)"
-            )
-        POLICIES[name] = fn
-        return fn
-
-    if factory is not None:
-        _add(factory)
-    return _add
-
-
-def make_policy(name: str, config: "AnytimeConfig") -> StrategyPolicy:
-    """Build the registered strategy policy ``name`` for ``config``."""
-    factory = POLICIES.get(name)
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown strategy policy {name!r}; registered policies:"
-            f" {sorted(POLICIES)}"
         )
     return factory(config)
 
@@ -189,21 +136,6 @@ def _adaptive(config: "AnytimeConfig") -> DynamicStrategy:
 
 @register("auto")
 def _auto(config: "AnytimeConfig") -> DynamicStrategy:
-    # policy-driven selection: config.strategy_policy names the policy,
-    # and the adapter re-resolves through this registry per batch
-    return PolicyDrivenStrategy(
-        make_policy(config.strategy_policy, config), config
-    )
-
-
-# ----------------------------------------------------------------------
-# built-in strategy policies
-# ----------------------------------------------------------------------
-@register_policy("signals")
-def _signals(config: "AnytimeConfig") -> StrategyPolicy:
-    return SignalDrivenPolicy()
-
-
-@register_policy("threshold")
-def _threshold(config: "AnytimeConfig") -> StrategyPolicy:
-    return ThresholdPolicy(config.repartition_threshold)
+    # policy-driven selection: the adapter re-resolves through this
+    # registry per batch
+    return PolicyDrivenStrategy(SignalDrivenPolicy(), config)

@@ -343,26 +343,26 @@ def fold_events(events: List[Dict[str, Any]], *, top: int = 10) -> Profile:
 # live fold: finished cluster
 # ----------------------------------------------------------------------
 def fold_cluster(cluster: "Cluster", *, top: int = 10) -> Profile:
-    """Fold a finished cluster's tracer records and kernel accumulators.
+    """Fold a finished cluster's per-phase tracer totals and kernel
+    accumulators.
 
     This is the fold behind ``RunResult.profile`` — no event stream is
-    needed, so it works with observers off and costs only bookkeeping.
+    needed, so it works with observers off and costs only bookkeeping:
+    the tracer sums each phase as it ends, so the fold is O(phase names),
+    not O(records), however long the run or serve session.
     """
     tracer = cluster.tracer
     buckets: Dict[str, _Bucket] = {}
-    order: List[str] = []
-    for rec in tracer.records:
-        b = buckets.get(rec.name)
-        if b is None:
-            level = "superstep" if rec.name == "rc_step" else "phase"
-            b = buckets[rec.name] = _Bucket(name=rec.name, level=level)
-            order.append(rec.name)
-        b.count += 1
-        b.modeled_seconds += rec.modeled_total
-        b.comm_seconds += rec.modeled_comm
-        b.wall_seconds += rec.wall_seconds
-        if rec.info.get("aborted"):
-            b.truncated += 1
+    for name, t in tracer.totals.items():
+        buckets[name] = _Bucket(
+            name=name,
+            level="superstep" if name == "rc_step" else "phase",
+            count=t.count,
+            modeled_seconds=t.modeled_seconds,
+            comm_seconds=t.comm_seconds,
+            wall_seconds=t.wall_seconds,
+            truncated=t.aborted,
+        )
     for name, secs in cluster.kernel_charged_by_phase.items():
         b = buckets.get(name)
         if b is not None:
@@ -375,7 +375,7 @@ def fold_cluster(cluster: "Cluster", *, top: int = 10) -> Profile:
     return _finish(
         tracer.modeled_seconds,
         tracer.unattributed_seconds,
-        [buckets[name] for name in order],
+        list(buckets.values()),
         dict(cluster.kernel_metered_by_rank),
         dict(cluster.kernel_charged_by_rank),
         top=top,

@@ -9,7 +9,7 @@ external-row store — live in ``multiprocessing.shared_memory`` (see
 :mod:`repro.runtime.shm`) and travel as segment descriptors, which a
 child attaches once and caches.  What is pickled is the task and its
 outcome: the relaxation's store slots, local rows and edge weights, the
-dirty-column mask, the ``rose`` / ``fell`` masks while set, the local
+dirty-column mask, the fold's kind (``full_repropagate``), the local
 CSR, and the improved row indices back — no received or computed DV
 row.  The matrices are mutated in place by the children and are
 immediately visible to the coordinating process, which runs the

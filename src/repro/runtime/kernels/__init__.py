@@ -19,15 +19,14 @@ computed from task shape only, which is what keeps the modeled clock,
 traces and fault accounting invariant across backends.
 
 :func:`relax_cut_kernel` / :func:`fold` (the propagation fold's one
-entry point) / :func:`minplus_fold` (the rectangle fold) /
-:func:`minplus_fold_changed` (the entry fold) / :func:`minplus_closure`
-(the same fold as one seeded, bit-parallel level sweep over the local
-CSR, which :func:`fold` takes where it is exact and cheaper, and for
-every exact non-push fold) / :func:`minplus_pull` (its dual, the
-deletion repair) / :func:`minplus_fold_pairs` (the fold over fallen
-``local_apsp`` pairs) re-export the oracle implementations for direct
-use and tests.  :func:`relax_edge_kernel` (the per-edge relaxation of
-the dynamic-update path) is called by the worker directly.
+entry point) / :func:`minplus_fold` (the rectangle fold: a full fold
+where the sweep is not exact) / :func:`minplus_fold_changed` (the entry
+push of an incremental fold) / :func:`minplus_closure` (the same folds
+as one seeded, bit-parallel level sweep over the local CSR, which
+:func:`fold` takes where it is exact, and cheaper for a push) re-export
+the oracle implementations for direct use and tests.
+:func:`relax_edge_kernel` (the per-edge relaxation of the dynamic-update
+path) is called by the worker directly.
 """
 
 from __future__ import annotations
@@ -48,8 +47,6 @@ from .oracle import (
     minplus_closure,
     minplus_fold,
     minplus_fold_changed,
-    minplus_fold_pairs,
-    minplus_pull,
     relax_cut_kernel,
     relax_edge_kernel,
 )
@@ -70,8 +67,6 @@ __all__ = [
     "minplus_closure",
     "minplus_fold",
     "minplus_fold_changed",
-    "minplus_fold_pairs",
-    "minplus_pull",
     "relax_cut_kernel",
     "relax_edge_kernel",
 ]
@@ -116,12 +111,11 @@ class KernelTier:
         apsp: FloatArray,
         dv: FloatArray,
         changed: Optional[BoolArray],
-        rose: Optional[BoolArray] = None,
-        fell: Optional[BoolArray] = None,
         graph: Any = None,
     ) -> List[int]:
-        """Min-plus propagation fold (:func:`.oracle.fold`)."""
-        return oracle.fold(apsp, dv, changed, rose, fell, graph)
+        """Min-plus propagation fold (:func:`.oracle.fold`): ``changed``
+        pushed, or the block re-derived when it is ``None``."""
+        return oracle.fold(apsp, dv, changed, graph)
 
     def run_superstep(
         self,
@@ -141,14 +135,14 @@ class KernelTier:
         worker itself is never touched, so the kernel can run anywhere.
 
         The task's flags decide *whether* the fold runs (and is
-        charged); the ``changed`` mask decides *what* it pushes,
-        ``task.fell`` the pairs it folds besides and, in a deletion
-        repair, ``task.rose`` what it pulls first.
-        Because ``local_apsp`` is transitively closed, a single fold
-        from the entries lowered since the last propagation is complete:
-        ``d(x,t) <- min_k apsp(x,k) + d(k,t)`` over the changed sources
-        ``d(k,t)`` cannot be improved by chaining two local hops, and an
-        unchanged ``d(k,t)`` was already folded.
+        charged), and ``task.full_repropagate`` which kind it is: a full
+        fold re-derives the block from every entry; an incremental one
+        pushes what the ``changed`` mask marks.  Because ``local_apsp``
+        is transitively closed, a single push from the entries lowered
+        since the last propagation is complete: ``d(x,t) <- min_k
+        apsp(x,k) + d(k,t)`` over the changed sources ``d(k,t)`` cannot be
+        improved by chaining two local hops, and an unchanged ``d(k,t)``
+        was already folded.
         """
         dirty = task.dirty_cols
         relax_improved = self.relax_cut(dv, changed, dirty, ext, task.relax_items)
@@ -158,9 +152,8 @@ class KernelTier:
             (task.changed_rows or relax_improved) and dirty.any()
         ):
             return SuperstepResult(relax_improved=relax_improved)
-        unknown = task.full_repropagate and task.rose is None
         prop_improved = self.minplus_fold(
-            apsp, dv, None if unknown else changed, task.rose, task.fell, task.graph
+            apsp, dv, None if task.full_repropagate else changed, task.graph
         )
         return SuperstepResult(
             relax_improved=relax_improved,

@@ -14,7 +14,7 @@ arithmetic ran.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -65,13 +65,10 @@ class SuperstepTask:
     #: private copy of the dirty-column mask (the kernel extends it with
     #: the columns the relaxation improves)
     dirty_cols: BoolArray
+    #: the fold's kind: re-derive the block (after a deletion, a
+    #: reweight, a local edge that lowered a pair, a recovery or a
+    #: rebuild), or push the entries ``dv_changed`` marks
     full_repropagate: bool
-    #: with ``full_repropagate``: the entries of ``dv`` raised since the
-    #: last fold (read-only), or ``None`` when what rose is not known
-    rose: Optional[BoolArray] = None
-    #: the ``local_apsp`` pairs lowered since the last fold (read-only),
-    #: or ``None`` when there are none
-    fell: Optional[BoolArray] = None
     #: the local CSR ``local_apsp`` is the closure of (scipy matrix;
     #: picklable); ``None`` only while ``local_apsp`` is not square
     graph: Any = None

@@ -27,8 +27,6 @@ __all__ = [
     "minplus_closure",
     "closure_applies",
     "closure_exact",
-    "minplus_fold_pairs",
-    "minplus_pull",
     "relax_edge_kernel",
 ]
 
@@ -40,9 +38,8 @@ _MINPLUS_BLOCK_ELEMS = 1 << 21
 _MINPLUS_MAX_BLOCK = 64
 
 #: Cap on the float64 element count of the entry folds' gather temporaries
-#: (``n_rows x chunk entries``; the pull fold splits it between its two);
-#: 2**21 elements = 16 MB, the size of the rectangle fold's broadcast
-#: temporary.
+#: (``n_rows x chunk entries``); 2**21 elements = 16 MB, the size of the
+#: rectangle fold's broadcast temporary.
 _ENTRY_CHUNK_ELEMS = 1 << 21
 
 #: Closure fold cost rule: the sweep runs when a fold marks more entries
@@ -262,45 +259,27 @@ def fold(
     apsp: FloatArray,
     dv: FloatArray,
     changed: Optional[BoolArray],
-    rose: Optional[BoolArray] = None,
-    fell: Optional[BoolArray] = None,
     graph: Any = None,
 ) -> List[int]:
     """Min-plus propagation fold; returns the sorted rows improved.
 
-    ``changed`` marks the entries of ``dv`` lowered since the last
-    fold — the only sources that can improve anything while nothing
-    rose and no ``apsp`` pair fell; ``None`` folds every entry
-    (nothing is known about what rose).  ``rose`` marks the entries a
-    deletion raised: they are pulled from every source before
-    ``changed`` is pushed.  ``fell`` marks the ``apsp`` pairs a local
-    edge lowered: every target is folded over them, from the sources
-    as they stood after the pull.  ``graph``, when given, is the CSR
-    ``apsp`` is the closure of: where that is exact, a fold with
-    ``rose`` or ``fell`` set or ``changed=None`` runs as one seeded
-    level sweep over it from every finite entry (the rectangle fold
-    the three add up to), and a push where that is also cheaper.
+    Incremental, ``changed`` marks the entries of ``dv`` lowered since the
+    last fold — the only sources that can improve anything — and the fold
+    pushes them, as one seeded level sweep over ``graph`` (the CSR
+    ``apsp`` is the closure of) where :func:`closure_applies`, else
+    :func:`minplus_fold_changed`.  Full, ``changed`` is ``None`` and the
+    fold re-derives the block: one sweep seeded from every finite entry
+    where :func:`closure_exact` holds, else the rectangle
+    :func:`minplus_fold`.
     """
-    full = changed is None or rose is not None or fell is not None
-    if full and graph is not None and closure_exact(graph, dv):
-        # the rectangle fold that pull, push and pairs add up to, as
-        # one sweep seeded from every finite entry
+    if changed is not None:
+        if graph is not None and closure_applies(graph, dv, changed):
+            return minplus_closure(graph, apsp, dv, changed)
+        return minplus_fold_changed(apsp, dv, changed)
+    if graph is not None and closure_exact(graph, dv):
         return minplus_closure(graph, apsp, dv, dv < np.inf)
-    if changed is None:
-        n, c = dv.shape
-        return minplus_fold(apsp, dv, np.arange(n), np.arange(c))
-    rows: Set[int] = set()
-    if rose is not None:
-        rows.update(minplus_pull(apsp, dv, rose))
-    # the pairs read every source as the push does: as the pull left it
-    src = dv if fell is None else dv.copy()
-    if graph is not None and closure_applies(graph, dv, changed):
-        rows.update(minplus_closure(graph, apsp, dv, changed))
-    else:
-        rows.update(minplus_fold_changed(apsp, dv, changed))
-    if fell is not None:
-        rows.update(minplus_fold_pairs(apsp, dv, fell, src))
-    return sorted(rows)
+    n, c = dv.shape
+    return minplus_fold(apsp, dv, np.arange(n), np.arange(c))
 
 
 def minplus_fold(
@@ -320,10 +299,9 @@ def minplus_fold(
     passes 2 M elements.  Bitwise-identical to a per-source fold: float64
     min is exact and order-independent, and distances never produce NaNs.
 
-    This is the fold of a nothing-known full re-propagation (every row,
-    every column) and the reference the entry folds
-    (:func:`minplus_fold_changed`, :func:`minplus_pull`,
-    :func:`minplus_fold_pairs`) are tested against.
+    This is the full fold where the sweep is not exact (every row, every
+    column) and the reference the entry fold
+    (:func:`minplus_fold_changed`) and the sweep are tested against.
 
     The write-back scatters only the entries that improved instead of
     assigning the whole ``dv[:, cols]`` submatrix — bitwise-equivalent
@@ -558,95 +536,6 @@ def _fold_sweep(
         bits <<= b
         level |= bits
     return np.append(np.inf, t0 + np.arange(top, dtype=np.float64))[level]
-
-
-def minplus_pull(apsp: FloatArray, dv: FloatArray, rose: BoolArray) -> List[int]:
-    """Min-plus pull into the ``rose`` entries; returns the sorted rows improved.
-
-    ``d(x,t) <- min_k apsp(x,k) + d(k,t)`` over every local source ``k``,
-    for the entries ``(x, t)`` set in ``rose`` — the entries of ``dv``
-    raised (by a deletion's witness test) since the last fold.  The dual
-    of :func:`minplus_fold_changed`: that one pushes *from* the entries
-    that fell, this one re-derives the entries that rose.  Followed by
-    that push it equals :func:`minplus_fold` over the whole block provided
-    nothing else fell: an entry outside both masks satisfied
-    ``d(x,t) <= apsp(x,k) + d(k,t)`` before and neither term fell since.
-
-    Entries are taken in column order; each chunk gathers the ``apsp``
-    rows of its targets and the ``dv`` columns of its sources (together
-    at most ``_ENTRY_CHUNK_ELEMS`` elements), adds them and takes the
-    minimum per entry.  ``rose`` is only read.
-    """
-    n = apsp.shape[0]
-    rows = np.flatnonzero(rose.any(axis=1))
-    t_idx, x_idx = np.nonzero(rose[rows].T)
-    if t_idx.size == 0:
-        return []
-    x_idx = rows[x_idx]
-    # np.take gathers along axis 1 of a C-contiguous source: row x of apsp
-    # is column x of this copy (apsp is symmetric only up to rounding)
-    apsp_t = np.ascontiguousarray(apsp.T)
-    improved_rows = np.zeros(n, dtype=np.bool_)
-    chunk = min(t_idx.size, max(1, _ENTRY_CHUNK_ELEMS // (2 * n)))
-    buf = np.empty((2, n * chunk), dtype=np.float64)
-    for e0 in range(0, t_idx.size, chunk):
-        xs = x_idx[e0:e0 + chunk]
-        ts = t_idx[e0:e0 + chunk]
-        through = buf[0, : n * xs.size].reshape(n, xs.size)
-        src = buf[1, : n * xs.size].reshape(n, xs.size)
-        np.take(apsp_t, xs, axis=1, out=through, mode="clip")
-        np.take(dv, ts, axis=1, out=src, mode="clip")
-        through += src
-        cand = through.min(axis=0)
-        better = cand < dv[xs, ts]
-        if better.any():
-            dv[xs[better], ts[better]] = cand[better]
-            improved_rows[xs[better]] = True
-    return [int(r) for r in np.flatnonzero(improved_rows)]
-
-
-def minplus_fold_pairs(
-    apsp: FloatArray, dv: FloatArray, fell: BoolArray, src: FloatArray
-) -> List[int]:
-    """Min-plus fold over the ``fell`` pairs; returns the sorted rows improved.
-
-    ``d(x,t) <- min(d(x,t), apsp(x,k) + src(k,t))`` for every target ``t``
-    and every pair ``(x, k)`` set in ``fell`` — the ``apsp`` entries lowered
-    (by a local edge) since the last fold.  A pair outside the mask was
-    folded at a value no higher than its current one, so together with
-    :func:`minplus_fold_changed` over the entries that fell (and
-    :func:`minplus_pull` over those that rose) this equals
-    :func:`minplus_fold` over the whole block.  ``src`` is ``dv`` as it
-    was when the fold began: every source is read at that value, like the
-    entry fold's, whatever was lowered since.
-
-    Pairs are taken in row order; each chunk gathers the ``src`` rows of
-    its sources (at most ``_ENTRY_CHUNK_ELEMS`` elements), adds the pair
-    lengths, takes the minimum per row ``x`` with ``np.minimum.reduceat``
-    and scatters what improved.  ``fell`` is only read.
-    """
-    n_cols = dv.shape[1]
-    x_idx, k_idx = np.nonzero(fell)  # row-major: grouped by x
-    if x_idx.size == 0:
-        return []
-    lengths = apsp[x_idx, k_idx][:, None]
-    improved_rows = np.zeros(apsp.shape[0], dtype=np.bool_)
-    chunk = min(x_idx.size, max(1, _ENTRY_CHUNK_ELEMS // n_cols))
-    buf = np.empty(chunk * n_cols, dtype=np.float64)
-    for e0 in range(0, x_idx.size, chunk):
-        xs = x_idx[e0:e0 + chunk]
-        through = buf[: xs.size * n_cols].reshape(xs.size, n_cols)
-        np.take(src, k_idx[e0:e0 + chunk], axis=0, out=through, mode="clip")
-        through += lengths[e0:e0 + chunk]
-        starts = np.flatnonzero(np.diff(xs, prepend=-1))
-        cand = np.minimum.reduceat(through, starts, axis=0)  # (g, n_cols)
-        rows = xs[starts]
-        better = cand < dv[rows]
-        if better.any():
-            g_idx, t_idx = np.nonzero(better)
-            dv[rows[g_idx], t_idx] = cand[better]
-            improved_rows[rows[better.any(axis=1)]] = True
-    return [int(r) for r in np.flatnonzero(improved_rows)]
 
 
 def relax_edge_kernel(

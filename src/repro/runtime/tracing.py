@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Union
 from ..obs.events import AttrValue
 from ..obs.observer import NULL_HUB, ObserverHub
 
-__all__ = ["PhaseRecord", "Tracer"]
+__all__ = ["PhaseRecord", "PhaseTotals", "Tracer"]
 
 
 def _span_level(name: str) -> str:
@@ -46,11 +46,27 @@ class PhaseRecord:
         return self.modeled_compute + self.modeled_comm
 
 
+@dataclass
+class PhaseTotals:
+    """The running sums of one phase name's closed records, added in
+    record order (so bitwise the sums over :attr:`Tracer.records`)."""
+
+    count: int = 0
+    modeled_seconds: float = 0.0
+    comm_seconds: float = 0.0
+    wall_seconds: float = 0.0
+    #: records closed by :meth:`Tracer.abort`
+    aborted: int = 0
+
+
 class Tracer:
     """Collects phase records and aggregates the cluster clocks."""
 
     def __init__(self, hub: Optional[ObserverHub] = None) -> None:
         self.records: List[PhaseRecord] = []
+        #: per phase name, in order of first appearance: the totals of its
+        #: closed records, folded as each one ends
+        self.totals: Dict[str, PhaseTotals] = {}
         self.modeled_seconds = 0.0
         self.wall_seconds = 0.0
         self.total_messages = 0
@@ -124,6 +140,15 @@ class Tracer:
         rec = self._require_open()
         rec.wall_seconds = time.perf_counter() - self._open_wall_start
         self.records.append(rec)
+        totals = self.totals.get(rec.name)
+        if totals is None:
+            totals = self.totals[rec.name] = PhaseTotals()
+        totals.count += 1
+        totals.modeled_seconds += rec.modeled_total
+        totals.comm_seconds += rec.modeled_comm
+        totals.wall_seconds += rec.wall_seconds
+        if rec.info.get("aborted"):
+            totals.aborted += 1
         self.modeled_seconds += rec.modeled_total
         self.wall_seconds += rec.wall_seconds
         self.total_messages += rec.messages
@@ -171,10 +196,7 @@ class Tracer:
 
     def by_phase(self) -> Dict[str, float]:
         """Total modeled seconds per phase name."""
-        acc: Dict[str, float] = {}
-        for rec in self.records:
-            acc[rec.name] = acc.get(rec.name, 0.0) + rec.modeled_total
-        return acc
+        return {name: t.modeled_seconds for name, t in self.totals.items()}
 
     def summary(self) -> Dict[str, float]:
         return {

@@ -9,11 +9,9 @@ Each worker owns a block of vertices and maintains:
 * ``dv`` — the distance-vector matrix: ``dv[row_of[v], index.col[t]]`` is
   the current upper bound on ``d(v, t)`` for every global target ``t``,
 * ``dv_changed`` — a bool mask of ``dv``'s shape: the entries lowered
-  since the last propagation fold, which are all that fold has to push,
-* ``dv_rose`` — its dual: the entries a deletion's witness test raised
-  since the last fold, which are all a deletion repair has to pull,
-* ``apsp_fell`` — a bool mask of ``local_apsp``'s shape: the pairs a
-  local edge lowered since the last fold, over which it folds every target,
+  since the last propagation fold, which are all an incremental fold has
+  to push (a full fold, pending after a deletion, a reweight, a local
+  edge that lowered a pair, a recovery or a rebuild, re-derives the block),
 * ``local_csr`` — the local CSR ``local_apsp`` is the closure of, over
   which an exact fold runs as a seeded bit-parallel level sweep; every
   writer of ``local_apsp`` but IA drops it and the next superstep exports
@@ -112,11 +110,6 @@ class Worker:
             np.zeros((0, 0), dtype=np.float64), None
         )
         self._dv_changed: BoolArray = self.allocator.zeros_bool((0, 0))
-        #: entries of ``dv`` *raised* since the last fold (by a deletion's
-        #: witness test).  Never shm: it reaches the kernel inside the task
-        self.dv_rose: BoolArray = np.zeros((0, 0), dtype=np.bool_)
-        #: what :attr:`apsp_fell` holds, ``None`` while no pair is set
-        self._apsp_fell: Optional[BoolArray] = None
         #: the CSR ``local_apsp`` is the closure of (check 10), or ``None``
         #: until :meth:`superstep_prepare` re-exports it.  Never shm: it
         #: reaches the kernel inside the task
@@ -127,14 +120,12 @@ class Worker:
         # --- per-step change tracking ---------------------------------
         # ``_changed_rows`` / ``_dirty_cols`` / ``_full_repropagate``
         # decide *whether* the next superstep folds (and is charged);
-        # ``dv_changed`` decides *what* that fold pushes, ``apsp_fell``
-        # the pairs it folds besides and, unless ``_rises_unknown``,
-        # ``dv_rose`` what a full re-propagation pulls
+        # ``_full_repropagate`` also decides its kind: re-derive the block,
+        # or push what ``dv_changed`` marks
         self._changed_rows: Set[int] = set()
         self._dirty_cols = np.zeros(0, dtype=bool)
         self._fresh_ext: Set[VertexId] = set()
         self._full_repropagate = False
-        self._rises_unknown = False
 
         # --- metering --------------------------------------------------
         self._seconds = 0.0
@@ -177,10 +168,7 @@ class Worker:
     @property
     def local_apsp(self) -> FloatArray:
         """Local all-pairs matrix; assignment re-homes it via the allocator
-        and, on a new shape (a reload, a crash wipe, a restore), clears
-        ``apsp_fell`` — a same-shape recomputation keeps the marks: a
-        deletion may leave a pair below the value it was last folded at.
-        It drops ``local_csr``, which :meth:`superstep_prepare` exports
+        and drops ``local_csr``, which :meth:`superstep_prepare` exports
         afresh from ``local_graph``."""
         return self._local_apsp
 
@@ -188,18 +176,6 @@ class Worker:
     def local_apsp(self, value: FloatArray) -> None:
         self._local_apsp = self.allocator.adopt(value, self._local_apsp)
         self.local_csr = None
-        if self._apsp_fell is not None and self._apsp_fell.shape != value.shape:
-            self._apsp_fell = None
-
-    @property
-    def apsp_fell(self) -> BoolArray:
-        """Pairs of ``local_apsp`` *lowered* since the last fold (by a local
-        edge); ``local_apsp``'s shape, never shm — it reaches the kernel
-        inside the task.  While no pair is set it is a read-only all-False
-        view: a rank that adds no local edge never allocates the mask."""
-        if self._apsp_fell is None:
-            return np.broadcast_to(np.False_, self._local_apsp.shape)
-        return self._apsp_fell
 
     @property
     def dv_changed(self) -> BoolArray:
@@ -208,7 +184,7 @@ class Worker:
         Same shape as ``dv`` on every path that reshapes it; assignment
         re-homes it via the allocator.  Every writer that lowers a
         ``dv`` entry outside a kernel fold sets it here, unless it also
-        requests a full re-propagation (which ignores the mask).
+        requests a full fold (which ignores the mask).
         """
         return self._dv_changed
 
@@ -217,15 +193,14 @@ class Worker:
         self._dv_changed = self.allocator.adopt(value, self._dv_changed)
 
     def _reshape_entries(self, op: Callable[[Any, float], Any]) -> None:
-        """Reshape ``dv`` and its two masks together — the only place any
-        of the three changes shape.  ``op(array, fill)`` returns the new
-        array, new cells holding ``fill`` (+inf; not lowered; not risen)."""
+        """Reshape ``dv`` and its mask together — the only place either
+        changes shape.  ``op(array, fill)`` returns the new array, new
+        cells holding ``fill`` (+inf; not lowered)."""
         self.dv = op(self.dv, np.inf)
         self.dv_changed = op(self.dv_changed, False)
-        self.dv_rose = op(self.dv_rose, False)
 
     def wipe_entries(self, n_cols: int) -> None:
-        """A fresh ``n_local x n_cols`` block: ``dv`` all +inf, masks clear."""
+        """A fresh ``n_local x n_cols`` block: ``dv`` all +inf, mask clear."""
         shape = (self.n_local, n_cols)
         # np.zeros, not np.full(False): calloc'd pages cost nothing unwritten
         self._reshape_entries(
@@ -274,7 +249,6 @@ class Worker:
         self._dirty_cols = np.zeros(n_cols, dtype=bool)
         self._fresh_ext = set()
         self._full_repropagate = False
-        self._rises_unknown = False
 
     def zero_own_distances(self) -> None:
         """``d(v, v) = 0`` for every owned ``v`` — the one DV fact that
@@ -311,14 +285,11 @@ class Worker:
         """Local APSP (multithreaded Dijkstra in the paper) on the sub-graph."""
         self._local_apsp_fold(repropagate=False)
 
-    def recompute_local_apsp(self, *, rises_known: bool = False) -> None:
-        """Full local APSP recomputation (deletions, repartition rebuilds);
-        ``rises_known`` as in :meth:`request_full_repropagate`."""
-        self._local_apsp_fold(repropagate=True, rises_known=rises_known)
+    def recompute_local_apsp(self) -> None:
+        """Full local APSP recomputation (deletions, repartition rebuilds)."""
+        self._local_apsp_fold(repropagate=True)
 
-    def _local_apsp_fold(
-        self, *, repropagate: bool, rises_known: bool = False
-    ) -> None:
+    def _local_apsp_fold(self, *, repropagate: bool) -> None:
         """Shared IA body: CSR build, local APSP, fold into ``dv``.
 
         ``repropagate=False`` is the IA phase proper (seed the change
@@ -330,7 +301,7 @@ class Worker:
         if task is None:
             return
         KERNELS.ia_kernel(task, self.dv, self.local_apsp)
-        self.ia_apply(task, repropagate=repropagate, rises_known=rises_known)
+        self.ia_apply(task, repropagate=repropagate)
 
     def ia_prepare(self) -> Optional[IATask]:
         """Snapshot this rank's IA work; ``None`` when nothing is owned.
@@ -356,9 +327,7 @@ class Worker:
             nnz=int(view.matrix.nnz),
         )
 
-    def ia_apply(
-        self, task: IATask, *, repropagate: bool = False, rises_known: bool = False
-    ) -> None:
+    def ia_apply(self, task: IATask, *, repropagate: bool = False) -> None:
         """Post-kernel charges and bookkeeping for one IA task."""
         n = task.n
         self._charge(
@@ -366,7 +335,7 @@ class Worker:
         )
         self._charge(self.cost.relax_time(n * n))
         if repropagate:
-            self.request_full_repropagate(rises_known=rises_known)
+            self.request_full_repropagate()
             return
         # everything we own changed: queue full boundary DVs for neighbors.
         # The first fold is declared over every row and column, but no
@@ -629,10 +598,6 @@ class Worker:
             changed_rows=sorted(self._changed_rows),
             dirty_cols=self._dirty_cols.copy(),
             full_repropagate=self._full_repropagate,
-            rose=self.dv_rose
-            if self._full_repropagate and not self._rises_unknown
-            else None,
-            fell=self._apsp_fell,
             graph=self.local_csr,
         )
 
@@ -653,13 +618,7 @@ class Worker:
         # a superstep always ends with clean tracking state — the fold
         # either consumed it or had nothing to do — or an empty worker
         # would block the convergence vote forever
-        if self._full_repropagate:
-            # a fresh mask, not an in-place clear: ``task.rose`` is this
-            # array, and a speculative backup re-reads the task after this
-            self.dv_rose = np.zeros(self.dv.shape, dtype=np.bool_)
-        self._apsp_fell = None  # dropped, not cleared, for the same reason
         self._full_repropagate = False
-        self._rises_unknown = False
         self._changed_rows.clear()
         if self._dirty_cols.size:
             self._dirty_cols[:] = False
@@ -669,13 +628,12 @@ class Worker:
             # The paper's recombination strategy performs the full local
             # Floyd–Warshall-style DV update each active RC step, and the
             # modeled cost charges that dense fold whenever the flags
-            # above declared one.  What the kernel visits is narrower and
-            # decided by ``dv_changed`` alone: an entry d(k,t) not lowered
-            # since it was last a fold source already satisfies
-            # d(x,t) <= apsp(x,k) + d(k,t) for every x (local_apsp is
-            # transitively closed) unless the pair (x,k) fell since, so only
-            # the lowered entries are pushed and the fallen pairs folded
-            # (and, in a deletion repair, the risen entries pulled).
+            # above declared one.  What an incremental fold visits is
+            # narrower and decided by ``dv_changed`` alone: an entry d(k,t)
+            # not lowered since it was last a fold source already
+            # satisfies d(x,t) <= apsp(x,k) + d(k,t) for every x
+            # (local_apsp is transitively closed), so only the lowered
+            # entries are pushed.
             self._charge(self.cost.minplus_time(task.n, task.n, self.n_cols))
         # Improved rows need only be *sent* to subscribers, not re-used as
         # local sources: local_apsp is transitively closed, so chaining two
@@ -683,34 +641,15 @@ class Worker:
         self._queue_rows(result.prop_improved)
         return result.improved
 
-    def request_full_repropagate(self, *, rises_known: bool = False) -> None:
-        """Force the next superstep's fold to run, charged over all
-        rows/columns (called after local structural changes invalidate the
-        incremental change tracking).  The delta baselines are invalidated
-        with it: a full re-propagation pairs with a dense boundary refresh.
-
-        ``rises_known`` is the deletion paths' promise that ``dv`` rose
-        only where ``dv_rose`` says and ``local_apsp`` did not fall: the
-        fold then pulls the risen entries and pushes the lowered ones
-        instead of re-deriving the block.  Callers that cannot promise it
-        (recovery, restore, rebuilds) leave it False, and unknown
-        dominates until the fold: a later deletion does not narrow it.
-        """
-        self._rises_unknown |= not rises_known
+    def request_full_repropagate(self) -> None:
+        """Make the next superstep's fold a full one: it re-derives the
+        block and is charged over all rows/columns (called after local
+        structural changes invalidate the incremental change tracking).
+        The delta baselines are invalidated with it: a full re-propagation
+        after a change that may raise entries pairs with a dense boundary
+        refresh."""
         self._full_repropagate = True
         self._reset_baselines()
-
-    def _declare_full_fold(self) -> None:
-        """Declare the next fold over all rows and columns — flags only:
-        it runs and is charged like :meth:`request_full_repropagate`'s, but
-        visits what the masks hold and keeps the delta channels.  For
-        **monotone** changes (a local edge), where every DV entry only
-        decreases and deltas stay valid; paths that can *raise* entries
-        must use :meth:`request_full_repropagate` instead.
-        """
-        self._changed_rows.update(range(self.n_local))
-        if self._dirty_cols.size:
-            self._dirty_cols[:] = True
 
     # ------------------------------------------------------------------
     # dynamic changes: columns and vertices
@@ -770,10 +709,7 @@ class Worker:
         if r:
             apsp[:r, :r] = self.local_apsp
         np.fill_diagonal(apsp, 0.0)
-        fell = self._apsp_fell
-        self.local_apsp = apsp  # a new shape clears the marks: carry them
-        if fell is not None:
-            self._apsp_fell = np.pad(fell, ((0, 1), (0, 1)))
+        self.local_apsp = apsp
         self._charge(self.cost.vertex_time(1) + self.cost.resize_time(1, n))
         self._mark_rows_changed([r])
         return r
@@ -797,9 +733,10 @@ class Worker:
         improved = cand < a
         if improved.any():
             a[improved] = cand[improved]
-            # the pairs that fell are all the next fold must re-fold
-            self._apsp_fell = self.apsp_fell | improved
-            self._declare_full_fold()
+            # entries outside dv_changed may now improve through the pairs
+            # that fell: the next fold re-derives the block.  Every entry
+            # only fell, so the delta channels stay valid
+            self._full_repropagate = True
         # the new edge also immediately improves DV rows through it
         self._relax_dv_with_local_edge(ru, rv, w)
 
@@ -890,9 +827,9 @@ class Worker:
         (either orientation): some shortest path crossed the deleted edge.
         Suspect entries are reset to +inf (except exact local distances and
         the diagonal, which are restored by the caller's local-APSP
-        recomputation), marked in ``dv_rose`` and rebuilt by the next fold
-        and the RC steps after it.  Entries that are not suspect are
-        untouched — their witnessing paths avoid the edge.
+        recomputation) and rebuilt by the next (full) fold and the RC steps
+        after it.  Entries that are not suspect are untouched — their
+        witnessing paths avoid the edge.
         """
         if self.n_local == 0:
             return 0
@@ -904,8 +841,7 @@ class Worker:
         )
 
     def _invalidate(self, through: FloatArray) -> int:
-        """Raise to +inf, and mark in ``dv_rose`` (its one writer on the
-        deletion paths), every finite off-diagonal entry witnessed by a
+        """Raise to +inf every finite off-diagonal entry witnessed by a
         through-path of length ``through``; returns how many."""
         # witnessed == the through-path length matches the stored distance.
         # Compare with a relative tolerance: float sums accumulate in
@@ -919,21 +855,19 @@ class Worker:
         count = int(suspect.sum())
         if count:
             self.dv[suspect] = np.inf
-            self.dv_rose |= suspect
             # entries just *rose*: deltas assume monotone decrease, so every
             # channel restarts dense (the deletion flows queue a full
             # boundary refresh right after this pass)
             self._reset_baselines()
         return count
 
-    def restore_local_baseline(self, *, rises_known: bool = False) -> None:
+    def restore_local_baseline(self) -> None:
         """Re-apply ``local_apsp`` to the owned columns of ``dv``.
 
         Used after an invalidation pass that may have wiped entries that
         are exact within the local sub-graph; also forces the next
-        propagation to be full (``rises_known`` as in
-        :meth:`request_full_repropagate`).  Unlike :meth:`recompute_local_apsp`
-        it does not re-run Dijkstra — the local structure did not change.
+        propagation to be full.  Unlike :meth:`recompute_local_apsp` it does
+        not re-run Dijkstra — the local structure did not change.
         """
         n = self.n_local
         if n == 0:
@@ -945,7 +879,7 @@ class Worker:
         # assign the minimum back explicitly
         self.dv[:, cols] = np.minimum(self.dv[:, cols], self.local_apsp)
         self._charge(self.cost.relax_time(n * n))
-        self.request_full_repropagate(rises_known=rises_known)
+        self.request_full_repropagate()
 
     def invalidate_through_vertex(self, x: VertexId, row_x: FloatArray) -> int:
         """Reset DV entries whose shortest path may route through ``x``.
@@ -1014,12 +948,9 @@ class Worker:
         for vv in self.owned[r:]:
             self.row_of[vv] -= 1
         self._reshape_entries(lambda a, _fill: np.delete(a, r, axis=0))
-        fell = self._apsp_fell
         self.local_apsp = np.delete(
             np.delete(self.local_apsp, r, axis=0), r, axis=1
         )
-        if fell is not None:  # the new shape cleared the marks: carry them
-            self._apsp_fell = np.delete(np.delete(fell, r, axis=0), r, axis=1)
         self.local_graph.remove_vertex(v)
         self.cut_adj.pop(v, None)
         for x in list(self.cut_by_ext):
@@ -1030,9 +961,9 @@ class Worker:
                 self._fresh_ext.discard(x)
         for ch in self.channels:
             ch.forget(v)
-        # row indices shifted; the masks moved with dv: the rises stay known
+        # row indices shifted
         self._changed_rows = set()
-        self.request_full_repropagate(rises_known=True)
+        self.request_full_repropagate()
         self._charge(self.cost.vertex_time(1))
 
     def drop_external_vertex(self, x: VertexId) -> None:

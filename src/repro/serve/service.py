@@ -273,7 +273,7 @@ class UpdateService:
             else None
         )
         clock_before = self.engine.modeled_seconds
-        decisions_before = len(self.policy_decisions)
+        decisions_before = len(self._decisions)
         if batch is not None:
             stream = ChangeStream({self.engine.next_step: batch})
             result = self.engine.run(
@@ -286,7 +286,7 @@ class UpdateService:
         reason = ""
         if batch is not None:
             strategy_name = self._strategy_label
-            decisions = self.policy_decisions
+            decisions = self._decisions
             if len(decisions) > decisions_before:
                 last = decisions[-1]
                 strategy_name = last.strategy
@@ -390,6 +390,12 @@ class UpdateService:
     @property
     def policy_decisions(self) -> List[PolicyDecision]:
         """Decision trace of a policy-driven strategy (else empty)."""
+        return list(self._decisions)
+
+    @property
+    def _decisions(self) -> List[PolicyDecision]:
+        """The strategy's own decision list (not a copy: a tick reads its
+        length and last entry only)."""
         if isinstance(self.strategy, PolicyDrivenStrategy):
-            return list(self.strategy.decisions)
+            return self.strategy.decisions
         return []

@@ -186,10 +186,11 @@ def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant(
     """Additions, deletions and both reweight directions interleaved, two
     deletions ahead of one fold, a repair pending while edges are added,
     and intra-rank edges (shortcuts, a reweight-down, a reweight-up's
-    delete-then-add) whose fallen ``local_apsp`` pairs are folded: pull,
-    push and pairs must give the same bits wherever they run — serial,
-    pool children (the masks ride in the task), and the speculative
-    backup of a straggling rank.  The stream is the harness's
+    delete-then-add) that lower ``local_apsp`` pairs: the full folds and
+    the pushes must give the same bits wherever they run — serial, pool
+    children (the fold's kind rides in the task), and the speculative
+    backup of a straggling rank.  A reweight to 0.5 makes a rank's local
+    weights fractional, so its full folds run the rectangle.  The stream is the harness's
     ``mixed-stream``, run uninterrupted.
 
     Steps 6-9 walk rank 1 through both IA paths: its uniform weights take
@@ -202,12 +203,12 @@ def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant(
     the rank's local CSR — everywhere, pool children included (they fork
     after the patch) — and must track each rebuild and drop of that CSR
     (the harness checks the invariants after every superstep)."""
-    pair_folds = []
-    fold_pairs = oracle.minplus_fold_pairs
+    rectangles = []
+    rectangle = oracle.minplus_fold
 
-    def spy(apsp, dv, fell, src):
-        pair_folds.append(int(fell.sum()))
-        return fold_pairs(apsp, dv, fell, src)
+    def spy(apsp, dv, rows, cols):
+        rectangles.append(len(rows) * len(cols))
+        return rectangle(apsp, dv, rows, cols)
 
     # per in-process local-APSP call: (rank, weights uniform, sweep ran)
     ia_calls = []
@@ -241,13 +242,13 @@ def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant(
 
     monkeypatch.setattr(oracle, "_CLOSURE_MIN_ENTRIES", 0)
     monkeypatch.setattr(oracle, "minplus_closure", closure_spy)
-    monkeypatch.setattr(oracle, "minplus_fold_pairs", spy)
+    monkeypatch.setattr(oracle, "minplus_fold", spy)
     monkeypatch.setattr(Worker, "ia_prepare", prepare_spy)
     monkeypatch.setattr(oracle, "local_apsp_rows", rows_spy)
     monkeypatch.setattr(oracle, "_level_sweep", sweep_spy)
     s = dataclasses.replace(FIXED["mixed-stream"], budget=None)
     assert_backend_invariant(s)
-    assert len(pair_folds) >= 8 and min(pair_folds) > 0  # the in-process runs
+    assert len(rectangles) >= 8 and min(rectangles) > 0  # the in-process runs
     assert closures
     assert all(uniform == swept for _rank, uniform, swept in ia_calls)
     # one serial run, every IA call in process: setup sweeps every rank
@@ -262,10 +263,10 @@ def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant(
 
 def test_float_weight_local_edge_stream_is_exact_and_anytime():
     """General float weights, intra-rank additions and reweight-downs: path
-    sums round, so the pair fold is documented to 1e-9 (not bitwise against
-    the rectangle) — and every interrupted DV stays an upper bound: the
-    harness checks the bound after every superstep, and the run stops
-    after its first step (``step_budget=1``) and resumes."""
+    sums round, so the result is checked to 1e-9, not bitwise — and every
+    interrupted DV stays an upper bound: the harness checks the bound after
+    every superstep, and the run stops after its first step
+    (``step_budget=1``) and resumes."""
     base = random_weights(barabasi_albert(64, 3, seed=12), 0.5, 9.0, seed=19)
     local_absent = same_rank_pairs(base, 4, 5, present=False)
     local_edges = same_rank_pairs(base, 4, 5, present=True)

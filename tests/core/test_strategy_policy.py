@@ -6,19 +6,15 @@ import pytest
 
 from repro import AnytimeConfig
 from repro.core.strategies import (
-    POLICIES,
     PolicyDrivenStrategy,
     SignalDrivenPolicy,
     ThresholdPolicy,
-    make_policy,
     make_strategy,
-    register_policy,
 )
 from repro.core.strategies.policy import (
     batch_attachment_edges,
     batch_intra_edges,
 )
-from repro.errors import ConfigurationError
 from repro.graph.changes import ChangeBatch, VertexAddition
 from repro.obs import registry as series
 from repro.obs.registry import MetricsRegistry, SignalView
@@ -114,30 +110,10 @@ class TestSignalDrivenLadder:
         assert name == "repartition"
 
 
-class TestPolicyRegistry:
-    def test_builtin_policies_registered(self):
-        assert "signals" in POLICIES and "threshold" in POLICIES
-        cfg = AnytimeConfig(nprocs=4)
-        assert isinstance(make_policy("signals", cfg), SignalDrivenPolicy)
-        assert isinstance(make_policy("threshold", cfg), ThresholdPolicy)
-
-    def test_unknown_policy_raises_with_catalog(self):
-        with pytest.raises(ConfigurationError, match="signals"):
-            make_policy("no-such-policy", AnytimeConfig(nprocs=4))
-
-    def test_duplicate_registration_raises(self):
-        with pytest.raises(ConfigurationError):
-            register_policy("signals", lambda cfg: SignalDrivenPolicy())
-
-    def test_auto_strategy_resolves_configured_policy(self):
-        cfg = AnytimeConfig(nprocs=4, strategy_policy="threshold")
-        strat = make_strategy("auto", cfg)
-        assert isinstance(strat, PolicyDrivenStrategy)
-        assert isinstance(strat.policy, ThresholdPolicy)
-
-    def test_blank_strategy_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            AnytimeConfig(nprocs=4, strategy_policy="")
+def test_auto_strategy_runs_the_signal_policy():
+    strat = make_strategy("auto", AnytimeConfig(nprocs=4))
+    assert isinstance(strat, PolicyDrivenStrategy)
+    assert isinstance(strat.policy, SignalDrivenPolicy)
 
 
 def test_threshold_policy_mirrors_adaptive_rule():

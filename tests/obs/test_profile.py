@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro import AnytimeAnywhereCloseness, AnytimeConfig
 from repro.obs import load_events
+from repro.obs import profile as profile_mod
 from repro.obs.profile import (
     Profile,
+    fold_cluster,
     fold_events,
     profile_to_perfetto,
     render_profile,
 )
+from repro.serve import SizeAdmission, UpdateService, synthesize_churn
 
 from .conftest import run_scenario
 
@@ -77,6 +81,66 @@ class TestFoldCluster:
         result, _ = run_scenario("chaos")
         assert result.profile["total_seconds"] == result.modeled_seconds
         assert result.profile["coverage"] > 0.0
+
+
+def _fold_records(cluster) -> dict:
+    """The cluster fold as it was before the tracer kept per-phase totals:
+    one pass over every closed record."""
+    tracer = cluster.tracer
+    buckets = {}
+    for rec in tracer.records:
+        b = buckets.get(rec.name)
+        if b is None:
+            level = "superstep" if rec.name == "rc_step" else "phase"
+            b = buckets[rec.name] = profile_mod._Bucket(name=rec.name, level=level)
+        b.count += 1
+        b.modeled_seconds += rec.modeled_total
+        b.comm_seconds += rec.modeled_comm
+        b.wall_seconds += rec.wall_seconds
+        b.truncated += bool(rec.info.get("aborted"))
+    for name, secs in cluster.kernel_charged_by_phase.items():
+        if name in buckets:
+            buckets[name].kernel_seconds += secs
+    return profile_mod._finish(
+        tracer.modeled_seconds,
+        tracer.unattributed_seconds,
+        list(buckets.values()),
+        dict(cluster.kernel_metered_by_rank),
+        dict(cluster.kernel_charged_by_rank),
+        top=10,
+        meta={
+            "source": "cluster",
+            "barriers": cluster.kernel_barriers,
+            "truncated_spans": sum(b.truncated for b in buckets.values()),
+        },
+    ).to_dict()
+
+
+class _Unreadable(list):
+    def __iter__(self):
+        raise AssertionError("fold_cluster walked the tracer records")
+
+
+def test_serve_profile_reads_phase_totals_not_records():
+    """After a 40-tick serve the cluster fold equals the fold over every
+    record, bit for bit, and reads no record: a tick's profile costs the
+    same at tick 40 as at tick 1."""
+    trace = synthesize_churn("steady-small", n_base=40, ticks=40, seed=1)
+    engine = AnytimeAnywhereCloseness(
+        trace.base, AnytimeConfig(nprocs=4, collect_snapshots=False)
+    )
+    service = UpdateService(engine, admission=SizeAdmission(max_events=3))
+    per_tick = [[] for _ in range(trace.ticks)]
+    for tick, event in trace.events:
+        per_tick[tick].append(event)
+    for events in per_tick:
+        service.feed(events)
+        service.step()
+    cluster = engine.cluster
+    assert len(service.ticks) == 40
+    want = _fold_records(cluster)
+    cluster.tracer.records = _Unreadable(cluster.tracer.records)
+    assert fold_cluster(cluster).to_dict() == want
 
 
 class TestFoldEvents:

@@ -27,32 +27,20 @@ and one compare per destination row and weight) is pinned bitwise against
 ``_reference_relax_cut``: the per-pair loop it replaced, kept here
 statement for statement.
 
-:func:`repro.runtime.kernels.minplus_pull` — the deletion repair —
-re-derives only the entries marked in the risen mask.  On states where
-everything outside that mask only rose (``local_apsp`` included), the
-pull followed by the push over the changed mask must be bitwise-equal to
-the rectangle fold over the whole block.
-
-:func:`repro.runtime.kernels.minplus_fold_pairs` — the fold after a local
-edge — folds every target over the ``local_apsp`` pairs marked in the
-fallen mask.  On states where everything outside the three masks is
-closed, pull + push + pairs (:func:`~repro.runtime.kernels.fold`) must be
-bitwise-equal to the rectangle fold over the whole block.
-
 :func:`repro.runtime.kernels.minplus_closure` — the push as one seeded,
 bit-parallel level sweep over the local CSR — must be bitwise-equal to
 :func:`~repro.runtime.kernels.minplus_fold_changed` on positive integer
 weights and non-negative integer entries, and the fold may take it nowhere
-else; seeded from every finite entry, it is the fold wherever a
-``rose`` or ``fell`` mask is set or nothing is known, and must be
-bitwise-equal to the rectangle fold there.
+else; seeded from every finite entry, it is the full fold (after a
+deletion, a local edge, a recovery or a rebuild) wherever it is exact,
+and must be bitwise-equal to the rectangle fold there.
 """
 
 from __future__ import annotations
 
 import tracemalloc
 import warnings
-from typing import Callable, List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, List, NamedTuple, Set, Tuple
 from unittest import mock
 
 import numpy as np
@@ -515,7 +503,7 @@ class TestEntryFoldOnFloatWeights:
 
 
 # ----------------------------------------------------------------------
-# deletion repair: pull the risen + push the lowered == the rectangle fold
+# full folds: after a deletion or a local edge, the block re-derived
 # ----------------------------------------------------------------------
 def repair_state(
     seed: int,
@@ -526,18 +514,16 @@ def repair_state(
     relowered: int = 3,
     apsp_rises: bool = False,
     **closed: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, sp.csr_matrix]:
-    """``(apsp, dv, changed, rose, graph)`` as a deletion leaves them,
-    integer weights.
+) -> Tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
+    """``(apsp, dv, graph)`` as a deletion leaves them, integer weights.
 
     A :func:`closed_state` in which a ``risen`` share of the entries was
     raised (most to +inf, as the witness test does; some to a larger
-    finite value) and marked in ``rose``, ``apsp`` optionally rose too
-    (doubling ``graph``'s weights keeps it its closure), and then ``relowered``
-    entries — inside the risen set or not — were lowered and marked in
-    ``changed``, as the addition half of a reweight-up does.
+    finite value), ``apsp`` optionally rose too (doubling ``graph``'s
+    weights keeps it its closure), and then ``relowered`` entries — risen
+    or not — were lowered, as the addition half of a reweight-up does.
     """
-    apsp, dv, changed, graph = closed_state(seed, n, n_cols, **closed)
+    apsp, dv, _changed, graph = closed_state(seed, n, n_cols, **closed)
     rng = np.random.default_rng(seed + 1)
     rose = rng.random(dv.shape) < risen
     raised = np.where(
@@ -550,46 +536,80 @@ def repair_state(
         r, c = rng.integers(0, n), rng.integers(0, n_cols)
         old = dv[r, c]
         dv[r, c] = float(rng.integers(0, 20)) if np.isinf(old) else max(old - 2.0, 0.0)
-        changed[r, c] = True
-    return apsp, dv, changed, rose, graph
+    return apsp, dv, graph
 
 
-def assert_repair_matches_rectangle(
-    apsp: np.ndarray,
-    dv: np.ndarray,
-    changed: np.ndarray,
-    rose: Optional[np.ndarray],
-    fell: Optional[np.ndarray] = None,
-    *,
-    graph: Optional[sp.csr_matrix] = None,
+def assert_full_fold_matches_rectangle(
+    apsp: np.ndarray, dv: np.ndarray, graph: sp.csr_matrix
 ) -> List[int]:
-    """``dv`` bytes and returned rows of ``KERNELS.minplus_fold`` — pull, push and
-    pairs — against the rectangle fold over the whole block; returns the
-    rows.  With ``graph``, the CSR ``apsp`` is the closure of, the fold runs
-    again with it: the same bytes and rows, and as one sweep from every
-    entry exactly where a fold with ``rose`` or ``fell`` is exact."""
+    """``dv`` bytes and returned rows of a full ``KERNELS.minplus_fold``
+    (``changed=None``) against the rectangle fold over the whole block;
+    returns the rows.  Without a CSR it is the rectangle; with ``graph``,
+    the CSR ``apsp`` is the closure of, it is one sweep seeded from every
+    finite entry exactly where that is exact."""
     ref = dv.copy()
     n, n_cols = dv.shape
     ref_rows = kernels.minplus_fold(apsp, ref, np.arange(n), np.arange(n_cols))
-    for csr in (None,) if graph is None else (None, graph):
+    for csr in (None, graph):
         got = dv.copy()
-        masks = [None if m is None else m.copy() for m in (changed, rose, fell)]
         with mock.patch.object(
             kernels, "minplus_closure", wraps=kernels.minplus_closure
         ) as closure:
-            got_rows = KERNELS.minplus_fold(apsp, got, *masks, graph=csr)
-        for mask, given in zip(masks, (changed, rose, fell)):
-            assert mask is None or mask.tobytes() == given.tobytes()  # only read
+            got_rows = KERNELS.minplus_fold(apsp, got, None, graph=csr)
         assert got.tobytes() == ref.tobytes()
         assert got_rows == ref_rows
-        if csr is None:
-            assert not closure.called
-        elif rose is not None or fell is not None:
-            assert closure.called == kernels.closure_exact(csr, dv)
+        assert closure.called == (csr is not None and kernels.closure_exact(csr, dv))
     return got_rows
 
 
-class TestPullFold:
+def add_isolated_vertex(
+    apsp: np.ndarray, dv: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Pad the state as ``add_local_vertex`` does: an isolated last row
+    whose one finite entry is a fresh column's ``d(v,v) = 0``."""
+    n, n_cols = dv.shape
+    grown = np.full((n + 1, n + 1), np.inf)
+    grown[:n, :n] = apsp
+    grown[n, n] = 0.0
+    dv = np.pad(dv, ((0, 1), (0, 1)), constant_values=np.inf)
+    dv[n, n_cols] = 0.0
+    return grown, dv
+
+
+def lower_apsp(apsp: np.ndarray, edges: List[Tuple[int, int, float]]) -> np.ndarray:
+    """``apsp`` after ``add_local_edge``'s incremental repair for each
+    ``(u, v, w)`` in turn."""
+    apsp = apsp.copy()
+    for u, v, w in edges:
+        cand = np.minimum(
+            apsp[:, u][:, None] + w + apsp[v][None, :],
+            apsp[:, v][:, None] + w + apsp[u][None, :],
+        )
+        np.minimum(apsp, cand, out=apsp)
+    return apsp
+
+
+def with_edges(
+    graph: sp.csr_matrix, edges: List[Tuple[int, int, float]]
+) -> sp.csr_matrix:
+    """``graph`` with each ``(u, v, w)`` added beside any edge already
+    there, as :func:`lower_apsp` repairs for it (the lighter one counts):
+    the CSR its result is the closure of."""
+    g = graph.tolil(copy=True)
+    for u, v, w in edges:
+        g[u, v] = g[v, u] = min(g[u, v] or np.inf, w)
+    return g.tocsr()
+
+
+def random_edges(seed: int, n: int, count: int) -> List[Tuple[int, int, float]]:
+    rng = np.random.default_rng(seed + 2)
+    if n < 2:
+        return []
+    pairs = (rng.choice(n, size=2, replace=False) for _ in range(count))
+    return [(int(u), int(v), float(rng.integers(1, 4))) for u, v in pairs]
+
+
+class TestFullFold:
     @settings(
         max_examples=80,
         deadline=None,
@@ -606,10 +626,10 @@ class TestPullFold:
         relowered=st.integers(0, 6),
         apsp_rises=st.booleans(),
     )
-    def test_pull_then_push_bitwise_equal_to_rectangle_fold(
+    def test_after_a_deletion_bitwise_equal_to_rectangle_fold(
         self, seed, n, n_cols, p_edge, p_inf, density, risen, relowered, apsp_rises
     ):
-        apsp, dv, changed, rose, graph = repair_state(
+        apsp, dv, graph = repair_state(
             seed,
             n,
             n_cols,
@@ -621,90 +641,52 @@ class TestPullFold:
             density=density,
         )
         assert kernels.closure_exact(graph, dv)  # so the graph run sweeps
-        assert_repair_matches_rectangle(apsp, dv, changed, rose, graph=graph)
+        assert_full_fold_matches_rectangle(apsp, dv, graph)
 
-    def test_empty_mask_touches_nothing(self):
-        apsp, dv, _, _ = closed_state(1, 12, 30, density=0.0)
-        before = dv.copy()
-        assert kernels.minplus_pull(apsp, dv, np.zeros(dv.shape, bool)) == []
-        assert dv.tobytes() == before.tobytes()
-
-    def test_one_entry_is_rederived_and_nothing_else_moves(self):
-        apsp, dv, changed, _ = closed_state(2, 12, 30, p_edge=1.0, p_inf=0.0, density=0.0)
-        before = dv.copy()
-        rose = np.zeros(dv.shape, dtype=bool)
-        rose[3, 7] = True
-        dv[3, 7] = np.inf
-        assert assert_repair_matches_rectangle(apsp, dv, changed, rose) == [3]
-        assert kernels.minplus_pull(apsp, dv, rose) == [3]
-        # a connected block re-derives the entry from its neighbours' rows
-        assert dv.tobytes() == before.tobytes()
-
-    def test_all_true_mask(self):
-        apsp, dv, changed, _, _ = repair_state(3, 16, 36, risen=0.3, p_edge=0.5)
-        assert_repair_matches_rectangle(apsp, dv, changed, np.ones(dv.shape, bool))
-
-    def test_empty_worker(self):
-        assert kernels.minplus_pull(
-            np.zeros((0, 0)), np.zeros((0, 6)), np.zeros((0, 6), dtype=bool)
-        ) == []
-
-    def test_column_split_across_chunks(self, monkeypatch):
-        """A chunk boundary inside one column's entries, and a last chunk
-        shorter than the buffers: same bytes as one chunk."""
-        apsp, dv, changed, rose, _ = repair_state(6, 14, 25, risen=0.5, p_edge=0.6)
-        assert (rose.sum(axis=0) > 5).any()
-        one_chunk = dv.copy()
-        kernels.minplus_pull(apsp, one_chunk, rose)
-        for entries in (1, 3, 5):
-            monkeypatch.setattr(kernels, "_ENTRY_CHUNK_ELEMS", entries * 2 * 14)
-            assert entries == 1 or int(rose.sum()) % entries  # short tail
-            got = dv.copy()
-            kernels.minplus_pull(apsp, got, rose)
-            assert got.tobytes() == one_chunk.tobytes()
-            assert_repair_matches_rectangle(apsp, dv, changed, rose)
-
-    def test_gather_temporaries_stay_under_their_constant(self):
-        """A quarter of a 200 x 800 block is 8 M candidates per gather
-        (128 MB for the two at once): the pull must stream them through its
-        two capped buffers."""
-        rng = np.random.default_rng(7)
-        apsp, dv = rng.random((200, 200)), rng.random((200, 800))
-        rose = rng.random(dv.shape) < 0.25
-        cap = kernels._ENTRY_CHUNK_ELEMS * 8
-        assert 2 * rose.sum() * 200 * 8 > 4 * cap
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            kernels.minplus_pull(apsp, dv, rose)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        # the buffers, plus index vectors, the apsp transpose and results
-        assert peak < cap + cap // 2
-
-    def test_float_weights_agree_with_rectangle_within_closure_rtol(self):
-        """Path sums round on float weights, so chained pulls may differ
-        from the rectangle fold in the last place — never by more than
-        check 9 tolerates, and never below it."""
-        rng = np.random.default_rng(11)
-        for seed in range(5):
-            apsp, dv, changed, rose, _ = repair_state(
-                seed, 20, 45, risen=0.2, p_edge=0.4, p_inf=0.1
-            )
-            scale = rng.uniform(0.1, 3.7)
-            apsp, dv = apsp * scale / 3.0, dv * scale / 7.0
-            # re-close under the float apsp, then re-raise
-            np.minimum(
-                dv, np.min(apsp[:, :, None] + dv[None, :, :], axis=1), out=dv
-            )
-            dv[rose] = np.inf
-            got, ref = dv.copy(), dv.copy()
-            KERNELS.minplus_fold(apsp, got, changed, rose)
-            kernels.minplus_fold(apsp, ref, np.arange(20), np.arange(45))
-            assert np.array_equal(np.isinf(got), np.isinf(ref))
-            np.testing.assert_allclose(got, ref, rtol=1e-12)
+    @settings(
+        max_examples=120,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 24),
+        n_cols=st.integers(1, 40),
+        p_edge=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+        p_inf=st.sampled_from([0.0, 0.3, 0.9]),
+        density=st.sampled_from([0.0, 0.02, 0.5]),
+        risen=st.sampled_from([0.0, 0.1, 0.6]),
+        new_vertex=st.booleans(),
+        local_edges=st.sampled_from([1, 2, 5, "all pairs"]),
+    )
+    def test_after_local_edges_bitwise_equal_to_rectangle_fold(
+        self, seed, n, n_cols, p_edge, p_inf, density, risen, new_vertex, local_edges
+    ):
+        """``p_edge=0`` makes every edge the first of an isolated row,
+        ``p_edge=1`` makes every edge a shortcut; ``new_vertex`` joins a
+        freshly padded row; ``"all pairs"`` halves every local distance."""
+        apsp, dv, graph = repair_state(
+            seed,
+            n,
+            n_cols,
+            risen=risen,
+            apsp_rises=bool(seed % 2),
+            p_edge=p_edge,
+            p_inf=p_inf,
+            density=density,
+        )
+        if new_vertex:
+            apsp, dv = add_isolated_vertex(apsp, dv)
+            graph = sp.block_diag((graph, sp.csr_matrix((1, 1))), format="csr")
+        if local_edges == "all pairs":
+            lowered, graph = apsp * 0.5, graph * 0.5
+        else:
+            edges = random_edges(seed, apsp.shape[0], local_edges)
+            if new_vertex:  # its first edge
+                edges.insert(0, (n, seed % n, 2.0))
+            lowered = lower_apsp(apsp, edges)
+            graph = with_edges(graph, edges)
+        assert_full_fold_matches_rectangle(lowered, dv, graph)
 
 
 class TestDeletionRepairOnFloatWeights:
@@ -748,249 +730,6 @@ class TestDeletionRepairOnFloatWeights:
         for v, c in exact.items():
             assert result.closeness[v] == pytest.approx(c, rel=1e-9)
         engine.close()
-
-
-# ----------------------------------------------------------------------
-# local edges: pull + push + the fallen pairs == the rectangle fold
-# ----------------------------------------------------------------------
-def add_isolated_vertex(
-    apsp: np.ndarray, dv: np.ndarray, *masks: np.ndarray
-) -> Tuple[np.ndarray, ...]:
-    """Pad the state as ``add_local_vertex`` does: an isolated last row
-    whose one finite entry, a fresh column's ``d(v,v) = 0``, is marked in
-    the first mask (``changed``)."""
-    n, n_cols = dv.shape
-    grown = np.full((n + 1, n + 1), np.inf)
-    grown[:n, :n] = apsp
-    grown[n, n] = 0.0
-    dv = np.pad(dv, ((0, 1), (0, 1)), constant_values=np.inf)
-    dv[n, n_cols] = 0.0
-    masks = tuple(np.pad(m, ((0, 1), (0, 1))) for m in masks)
-    masks[0][n, n_cols] = True
-    return (grown, dv) + masks
-
-
-def lower_apsp(
-    apsp: np.ndarray, edges: List[Tuple[int, int, float]]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(apsp, fell)`` after ``add_local_edge``'s incremental repair for
-    each ``(u, v, w)`` in turn: the new closure and the pairs it lowered."""
-    apsp = apsp.copy()
-    fell = np.zeros(apsp.shape, dtype=bool)
-    for u, v, w in edges:
-        cand = np.minimum(
-            apsp[:, u][:, None] + w + apsp[v][None, :],
-            apsp[:, v][:, None] + w + apsp[u][None, :],
-        )
-        improved = cand < apsp
-        apsp[improved] = cand[improved]
-        fell |= improved
-    return apsp, fell
-
-
-def with_edges(
-    graph: sp.csr_matrix, edges: List[Tuple[int, int, float]]
-) -> sp.csr_matrix:
-    """``graph`` with each ``(u, v, w)`` added beside any edge already
-    there, as :func:`lower_apsp` repairs for it (the lighter one counts):
-    the CSR its result is the closure of."""
-    g = graph.tolil(copy=True)
-    for u, v, w in edges:
-        g[u, v] = g[v, u] = min(g[u, v] or np.inf, w)
-    return g.tocsr()
-
-
-def random_edges(seed: int, n: int, count: int) -> List[Tuple[int, int, float]]:
-    rng = np.random.default_rng(seed + 2)
-    if n < 2:
-        return []
-    pairs = (rng.choice(n, size=2, replace=False) for _ in range(count))
-    return [(int(u), int(v), float(rng.integers(1, 4))) for u, v in pairs]
-
-
-class TestPairFold:
-    @settings(
-        max_examples=120,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 24),
-        n_cols=st.integers(1, 40),
-        p_edge=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
-        p_inf=st.sampled_from([0.0, 0.3, 0.9]),
-        density=st.sampled_from([0.0, 0.02, 0.5]),
-        risen=st.sampled_from([None, 0.0, 0.1, 0.6]),
-        new_vertex=st.booleans(),
-        local_edges=st.sampled_from([1, 2, 5, "all pairs"]),
-    )
-    def test_pull_push_and_pairs_bitwise_equal_to_rectangle_fold(
-        self, seed, n, n_cols, p_edge, p_inf, density, risen, new_vertex, local_edges
-    ):
-        """``p_edge=0`` makes every edge the first of an isolated row,
-        ``p_edge=1`` makes every edge a shortcut; ``new_vertex`` joins a
-        freshly padded row; ``"all pairs"`` halves every local distance."""
-        apsp, dv, changed, rose, graph = repair_state(
-            seed,
-            n,
-            n_cols,
-            risen=risen or 0.0,
-            apsp_rises=bool(seed % 2),
-            p_edge=p_edge,
-            p_inf=p_inf,
-            density=density,
-        )
-        if new_vertex:
-            apsp, dv, changed, rose = add_isolated_vertex(apsp, dv, changed, rose)
-            graph = sp.block_diag((graph, sp.csr_matrix((1, 1))), format="csr")
-        if local_edges == "all pairs":
-            lowered, graph = apsp * 0.5, graph * 0.5
-            fell = lowered < apsp
-        else:
-            edges = random_edges(seed, apsp.shape[0], local_edges)
-            if new_vertex:  # its first edge
-                edges.insert(0, (n, seed % n, 2.0))
-            lowered, fell = lower_apsp(apsp, edges)
-            graph = with_edges(graph, edges)
-        # risen=None: no repair pending, the fold does not pull
-        assert_repair_matches_rectangle(
-            lowered, dv, changed, None if risen is None else rose, fell, graph=graph
-        )
-
-    def test_empty_mask_touches_nothing(self):
-        apsp, dv, changed, _ = closed_state(1, 12, 30)
-        fell = np.zeros(apsp.shape, dtype=bool)
-        before = dv.copy()
-        assert kernels.minplus_fold_pairs(apsp, dv, fell, dv.copy()) == []
-        assert dv.tobytes() == before.tobytes()
-        # through the kernel class: the same bytes and rows as with no mask at all
-        rows = KERNELS.minplus_fold(apsp, dv, changed, None, fell)
-        assert rows == KERNELS.minplus_fold(apsp, before, changed)
-        assert dv.tobytes() == before.tobytes()
-
-    def test_one_pair(self):
-        """One directed pair: only its row moves, through its one source."""
-        apsp, dv, changed, _ = closed_state(2, 12, 30, p_edge=1.0, p_inf=0.0, density=0.0)
-        apsp[3, 7] = 0.0
-        fell = np.zeros(apsp.shape, dtype=bool)
-        fell[3, 7] = True
-        before = dv.copy()
-        assert kernels.minplus_fold_pairs(apsp, dv, fell, before) == [3]
-        assert np.array_equal(dv[3], np.minimum(before[3], before[7]))
-        assert np.array_equal(np.delete(dv, 3, 0), np.delete(before, 3, 0))
-
-    def test_first_edge_of_a_new_vertex(self):
-        """The case the all-entries marking paid for: a new vertex's first
-        edge lowers one pair per row and per column — 2(n-1) of n**2 — and
-        the fold must fill the new row and the new column from them."""
-        apsp, dv, changed = add_isolated_vertex(
-            *closed_state(3, 15, 32, p_edge=1.0, p_inf=0.0, density=0.0)[:3]
-        )
-        lowered, fell = lower_apsp(apsp, [(15, 4, 2.0)])
-        assert fell.sum() == 2 * 15 and fell[15, :15].all() and fell[:15, 15].all()
-        rows = assert_repair_matches_rectangle(lowered, dv, changed, None, fell)
-        assert rows == list(range(16))
-
-    def test_all_true_mask(self):
-        """Diagonal and +inf pairs included: inert, as a +inf entry is."""
-        apsp, dv, changed, rose, _ = repair_state(4, 16, 36, risen=0.2, p_edge=0.2)
-        assert np.isinf(apsp).any()
-        lowered, _ = lower_apsp(apsp, random_edges(4, 16, 3))
-        everything = np.ones(apsp.shape, dtype=bool)
-        assert_repair_matches_rectangle(lowered, dv, changed, rose, everything)
-        assert_repair_matches_rectangle(lowered, dv, changed, None, everything)
-
-    def test_empty_worker(self):
-        dv = np.zeros((0, 6))
-        fell = np.zeros((0, 0), dtype=bool)
-        assert kernels.minplus_fold_pairs(np.zeros((0, 0)), dv, fell, dv) == []
-        assert KERNELS.minplus_fold(
-            np.zeros((0, 0)), dv, np.zeros((0, 6), dtype=bool), None, fell
-        ) == []
-
-    def test_row_group_split_across_chunks(self, monkeypatch):
-        """A chunk boundary inside one row's pairs, and a last chunk shorter
-        than the buffer: same bytes as one chunk."""
-        apsp, dv, changed, _ = closed_state(6, 14, 25, p_edge=0.6, density=0.1)
-        lowered, fell = lower_apsp(apsp * 3.0, random_edges(6, 14, 4))
-        assert (fell.sum(axis=1) > 5).any()
-        one_chunk = dv.copy()
-        kernels.minplus_fold_pairs(lowered, one_chunk, fell, dv)
-        for pairs in (1, 3, 5):
-            monkeypatch.setattr(kernels, "_ENTRY_CHUNK_ELEMS", pairs * 25)
-            assert pairs == 1 or int(fell.sum()) % pairs  # short tail
-            got = dv.copy()
-            kernels.minplus_fold_pairs(lowered, got, fell, dv)
-            assert got.tobytes() == one_chunk.tobytes()
-            assert_repair_matches_rectangle(lowered, dv, changed, None, fell)
-
-    def test_sources_are_read_as_the_fold_began(self):
-        """What an earlier chunk (or the push before it) lowered is not a
-        source: every candidate is ``apsp(x,k) + src(k,t)``, one sum."""
-        apsp = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-        src = np.array([[9.0], [9.0], [0.0]])
-        fell = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=bool)
-        dv = src.copy()
-        assert kernels.minplus_fold_pairs(apsp, dv, fell, src) == [1]
-        # row 0 folds over (0,1) only: 1 + src(1) = 10, not 1 + dv(1) = 2
-        assert dv.tolist() == [[9.0], [1.0], [0.0]]
-
-    def test_tier_snapshots_the_sources_before_the_push(self):
-        """Float sums do not re-associate: 0.1 + (0.2 + 0.3) is one ulp below
-        (0.1 + 0.2) + 0.3, so pairs folded from what the push just wrote
-        would undercut the rectangle fold's single sums."""
-        apsp = np.array([[0.0, 0.1, 0.1 + 0.2], [0.1, 0.0, 0.2], [0.1 + 0.2, 0.2, 0.0]])
-        dv = np.array([[np.inf], [np.inf], [0.3]])
-        changed = np.array([[False], [False], [True]])
-        fell = ~np.eye(3, dtype=bool)
-        assert_repair_matches_rectangle(apsp, dv, changed, None, fell)
-        assert 0.1 + (0.2 + 0.3) < (0.1 + 0.2) + 0.3
-
-    def test_gather_temporary_stays_under_its_constant(self):
-        """Every pair of a 200-row block over 800 columns is 32 M candidates
-        (256 MB at once): the fold must stream them through its one capped
-        gather buffer."""
-        rng = np.random.default_rng(7)
-        apsp, dv = rng.random((200, 200)), rng.random((200, 800))
-        fell = np.ones(apsp.shape, dtype=bool)
-        cap = kernels._ENTRY_CHUNK_ELEMS * 8
-        assert fell.sum() * 800 * 8 > 8 * cap
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            kernels.minplus_fold_pairs(apsp, dv, fell, dv.copy())
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        # the buffer, plus the snapshot, index vectors and per-chunk results
-        assert peak < cap + cap // 2
-
-    def test_float_weights_agree_with_rectangle_within_closure_rtol(self):
-        """Path sums round on float weights, so a candidate the pair fold
-        skips as dominated may beat the stored entry in the last place —
-        never by more than check 9 tolerates."""
-        rng = np.random.default_rng(11)
-        for seed in range(5):
-            apsp, dv, changed, rose, _ = repair_state(
-                seed, 20, 45, risen=0.2, p_edge=0.4, p_inf=0.1
-            )
-            scale = rng.uniform(0.1, 3.7)
-            apsp, dv = apsp * scale / 3.0, dv * scale / 7.0
-            # re-close under the float apsp, then re-raise
-            np.minimum(
-                dv, np.min(apsp[:, :, None] + dv[None, :, :], axis=1), out=dv
-            )
-            dv[rose] = np.inf
-            edges = [(u, v, w * scale / 3.0) for u, v, w in random_edges(seed, 20, 3)]
-            lowered, fell = lower_apsp(apsp, edges)
-            assert fell.any()
-            got, ref = dv.copy(), dv.copy()
-            KERNELS.minplus_fold(lowered, got, changed, rose, fell)
-            kernels.minplus_fold(lowered, ref, np.arange(20), np.arange(45))
-            assert np.array_equal(np.isinf(got), np.isinf(ref))
-            np.testing.assert_allclose(got, ref, rtol=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -1917,43 +1656,36 @@ class TestClosureFold:
         n=st.sampled_from([1, 2, 7, 30, 65]),
         n_cols=st.integers(1, 150),
         weights=st.sampled_from(["unit", "three", "int"]),
-        masks=st.sampled_from(["rose", "fell", "rose+fell", "changed", "None"]),
+        full=st.booleans(),
         p_inf=st.sampled_from([0.0, 0.3]),
         seed=st.integers(0, 2**16),
         split=st.booleans(),
     )
     # an isolated last vertex, 150 columns in blocks of 64, 64 and 22
     @example(
-        shape="union", n=65, n_cols=150, weights="int", masks="rose+fell",
+        shape="union", n=65, n_cols=150, weights="int", full=True,
         p_inf=0.3, seed=1, split=True,
     )
     @example(
-        shape="grid", n=30, n_cols=70, weights="three", masks="None",
+        shape="grid", n=30, n_cols=70, weights="three", full=True,
         p_inf=0.0, seed=2, split=True,
     )
     def test_a_full_fold_is_one_sweep_and_the_rectangle_fold(
-        self, shape, n, n_cols, weights, masks, p_inf, seed, split
+        self, shape, n, n_cols, weights, full, p_inf, seed, split
     ):
-        """Given the CSR, a fold with ``rose`` or ``fell`` set or with
-        nothing known (``changed=None``) is one sweep seeded from every
-        finite entry, bitwise the rectangle fold over the whole block —
-        whatever the masks hold, closed block or not; a pure push
-        (``changed``) stays the push.  Each block holds zero diagonals
-        ``d(v,v)`` and +inf columns; ``split`` makes its column blocks 64
-        wide."""
+        """Given the CSR, a full fold (``changed=None``) is one sweep
+        seeded from every finite entry, bitwise the rectangle fold over the
+        whole block, closed block or not; an incremental fold (``changed``)
+        stays the push.  Each block holds zero diagonals ``d(v,v)`` and
+        +inf columns; ``split`` makes its column blocks 64 wide."""
         graph, apsp, dv, changed = closure_state(
             shape, n, n_cols, seed, weights=weights, p_inf=p_inf
         )
         rng = np.random.default_rng(seed)
         dv[:, rng.random(n_cols) < 0.2] = np.inf  # fresh columns
         dv[np.arange(n), np.arange(n) % n_cols] = 0.0
-        given_masks = {
-            "changed": None if masks == "None" else changed,
-            "rose": rng.random(dv.shape) < 0.3 if "rose" in masks else None,
-            "fell": rng.random(apsp.shape) < 0.3 if "fell" in masks else None,
-        }
         ref = dv.copy()
-        if masks == "changed":
+        if not full:
             ref_rows = kernels.minplus_fold_changed(apsp, ref, changed)
         else:
             ref_rows = kernels.minplus_fold(apsp, ref, np.arange(n), np.arange(n_cols))
@@ -1964,10 +1696,10 @@ class TestClosureFold:
             kernels, "minplus_closure", wraps=kernels.minplus_closure
         ) as closure:
             rows = KERNELS.minplus_fold(
-                apsp, got, graph=graph, **given_masks
+                apsp, got, None if full else changed, graph=graph
             )
         assert rows == ref_rows and got.tobytes() == ref.tobytes()
-        if masks == "changed":
+        if not full:
             assert closure.called == kernels.closure_applies(graph, dv, changed)
         else:
             (_g, _a, _d, seeds), _kw = closure.call_args

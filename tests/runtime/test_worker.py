@@ -469,26 +469,27 @@ class TestChangedEntryMask:
         assert w.dv_changed.any()
         assert np.array_equal(w.dv_changed, w.dv < before)
 
-    def test_local_edge_leaves_every_unmarked_entry_closed(self):
+    def test_local_edge_that_lowers_a_pair_makes_the_next_fold_full(self):
         """A bare local edge joining two local components (no edge-row
         relaxation ran first — the Fig. 3 line-26 guard skipped it):
-        ``local_apsp`` drops, the pairs that fell are marked, only the
-        entries actually lowered are sources again — and check 9 (local
-        closure) must hold right away, before any fold."""
+        ``local_apsp`` drops, the entries actually lowered are marked, and
+        the next fold re-derives the block — without a dense boundary
+        refresh, since every entry only fell."""
         cluster = split_cluster()
         w = cluster.workers[0]
-        assert not w.dv_changed.any() and not w.apsp_fell.any()
+        assert not w.dv_changed.any() and not w._full_repropagate
         check_cluster_invariants(cluster)
-        before, apsp_before = w.dv.copy(), w.local_apsp.copy()
+        before = w.dv.copy()
+        baselines = [sorted(ch.sent_rows) for ch in w.channels]
         cluster.graph.add_edge(1, 3, 1.0)
         w.add_local_edge(1, 3, 1.0)
-        assert w.apsp_fell.any()
-        assert np.array_equal(w.apsp_fell, w.local_apsp < apsp_before)
+        assert w._full_repropagate
         assert np.array_equal(w.dv_changed, w.dv < before)
-        assert "local-closure" in check_cluster_invariants(cluster)
+        assert [sorted(ch.sent_rows) for ch in w.channels] == baselines
+        check_cluster_invariants(cluster)
         cluster.exchange_boundary()
         cluster.relax_and_propagate()
-        assert not w.dv_changed.any() and not w.apsp_fell.any()
+        assert not w.dv_changed.any() and not w._full_repropagate
         assert w.dv[w.row_of[0], 4] == 3.0
         check_cluster_invariants(cluster)
 
@@ -498,9 +499,11 @@ class TestChangedEntryMask:
         cluster.graph.add_edge(1, 3, 1.0)
         w.add_local_edge(1, 3, 1.0)
         w.dv_changed[...] = False
+        check_cluster_invariants(cluster)  # a pending full fold ignores the mask
+        w._full_repropagate = False  # as if the edge had not asked for it
         with pytest.raises(AssertionError, match="not marked in dv_changed"):
             check_cluster_invariants(cluster)
-        w.request_full_repropagate()  # a pending full fold ignores the mask
+        w.request_full_repropagate()
         check_cluster_invariants(cluster)
 
 
@@ -515,100 +518,29 @@ def settled_cluster(graph, assignment, nprocs=2):
     return cluster
 
 
-class TestRisenEntryMask:
-    """``dv_rose``: same shape as ``dv`` always, written only by the witness
-    tests, read by the fold only while the rises are all that rose, cleared
-    by the superstep that repairs them."""
+class TestFullFold:
+    """After a deletion, a reweight, a local edge that lowered a pair, a
+    recovery or a rebuild, the next fold re-derives the block: one sweep
+    from every finite entry where that is exact, the rectangle fold where
+    not (float weights, here forced)."""
 
-    def test_invalidation_marks_exactly_what_it_raises(self):
+    def test_invalidation_raises_exactly_what_it_counts(self):
         g = path_graph(4)
         w = make_worker(g, [0, 1, 2, 3], {v: 0 for v in range(4)}, nprocs=1)
         w.run_initial_approximation()
         before = w.dv.copy()
         assert w.invalidate_for_deleted_edge(1, w.dv_row(1), 2, w.dv_row(2), 1.0) == 8
-        assert np.array_equal(w.dv_rose, w.dv > before)
-        marked = w.dv_rose.copy()
+        assert int((w.dv > before).sum()) == 8
         before = w.dv.copy()
         assert w.invalidate_through_vertex(0, w.dv_row(0)) == 0
         assert w.invalidate_through_vertex(3, w.dv_row(3)) == 0
-        assert np.array_equal(w.dv_rose, marked)  # OR-ed into, never cleared
         assert np.array_equal(w.dv, before)
 
-    def test_mask_follows_dv_through_shape_changes_and_resets(self):
-        g, w = path4_worker()
-        w.run_initial_approximation()
-        assert w.dv_rose.shape == w.dv.shape and not w.dv_rose.any()
-        w.dv_rose[1, 2] = True
-        w.index.add(4)
-        w.grow_columns(5)
-        assert w.dv_rose.shape == w.dv.shape == (2, 5)
-        assert w.dv_rose[1, 2] and w.dv_rose.sum() == 1
-        r = w.add_local_vertex(4)
-        assert w.dv_rose.shape == w.dv.shape == (3, 5)
-        assert not w.dv_rose[r].any() and w.dv_rose.sum() == 1
-        w.remove_column(1)
-        assert w.dv_rose.shape == w.dv.shape == (3, 4)
-        assert w.dv_rose[1, 1] and w.dv_rose.sum() == 1
-        w.remove_local_vertex(0)
-        assert w.dv_rose.shape == w.dv.shape == (2, 4)
-        assert w.dv_rose[w.row_of[1], 1] and w.dv_rose.sum() == 1
-        # the superstep that repairs the rises clears them
-        task = w.superstep_prepare()
-        assert task.full_repropagate and task.rose is w.dv_rose
-        w.superstep_apply(task, KERNELS.run_superstep(
-            task, w.dv, w.local_apsp, w.dv_changed, w.ext_store.rows
-        ))
-        assert not w.dv_rose.any()
-        # a reload and a crash wipe start from a clear mask
-        w.dv_rose[0, 0] = True
-        w.wipe_entries(7)
-        assert w.dv_rose.shape == w.dv.shape == (2, 7) and not w.dv_rose.any()
-        assert np.isinf(w.dv).all() and not w.dv_changed.any()
-        w.dv_rose[0, 0] = True
-        w.index = GlobalIndex(g.vertex_list())
-        w.load_subgraph(extract_local_subgraph(g, [0, 1], {0: 0, 1: 0, 2: 1, 3: 1}, 0))
-        assert w.dv_rose.shape == w.dv.shape == (2, 4) and not w.dv_rose.any()
-
-    def test_crash_clears_the_mask(self):
-        cluster = settled_cluster(path_graph(4), {0: 0, 1: 0, 2: 1, 3: 1})
-        w = cluster.workers[0]
-        w.dv_rose[0, 3] = True
-        crash_worker(cluster, 0)
-        assert w.dv_rose.shape == w.dv.shape and not w.dv_rose.any()
-
-    def test_unknown_dominates_known(self):
-        _g, w = path4_worker()
-        w.run_initial_approximation()
-        superstep(w)
-        for requests, known in (
-            ([True], True),
-            ([True, True], True),
-            ([False], False),
-            ([False, True], False),  # a later deletion must not narrow it
-            ([True, False], False),
-        ):
-            for rises_known in requests:
-                w.request_full_repropagate(rises_known=rises_known)
-            task = w.superstep_prepare()
-            assert task.full_repropagate
-            assert (task.rose is not None) == known
-            w.superstep_apply(
-                task,
-                KERNELS.run_superstep(
-                    task, w.dv, w.local_apsp, w.dv_changed, w.ext_store.rows
-                ),
-            )
-            assert w.superstep_prepare().rose is None  # nothing pending
-
-    def test_recovered_rank_keeps_the_rectangle_through_a_later_deletion(
-        self, monkeypatch
-    ):
+    def test_recovery_and_deletion_in_one_tick(self, monkeypatch):
         """Crash-recover then delete in one tick: a rank restored from a
-        checkpoint holds rows that are upper bounds but not closed, so the
-        deletion's known rises must not narrow its pending re-propagation;
-        the other rank repairs.  Where the sweep is exact both folds are the
-        rectangle fold as one sweep; where not (float weights, here
-        forced) rank 1 runs the rectangle and rank 0 the pull."""
+        checkpoint holds rows that are upper bounds but not closed, and
+        the other rank holds the deletion's rises; both folds re-derive
+        their blocks."""
         for exact in (True, False):
             with monkeypatch.context() as m:
                 if not exact:
@@ -620,14 +552,12 @@ class TestRisenEntryMask:
                 crash_worker(cluster, 1)
                 recover_worker_from_snapshot(cluster, 1, saved)
                 apply_edge_deletion(cluster, 1, 2)
-                assert cluster.workers[0].dv_rose.any()
                 tasks = [w.superstep_prepare() for w in cluster.workers]
-                assert tasks[0].rose is cluster.workers[0].dv_rose
-                assert tasks[1].full_repropagate and tasks[1].rose is None
+                assert all(task.full_repropagate for task in tasks)
                 calls = count_folds(
                     m,
                     rectangle="minplus_fold",
-                    pull="minplus_pull",
+                    push="minplus_fold_changed",
                     sweep="minplus_closure",
                 )
                 for w, task in zip(cluster.workers, tasks):
@@ -636,11 +566,9 @@ class TestRisenEntryMask:
                     )
                     assert result.prop_charged
                     w.superstep_apply(task, result)
-                assert calls == (
-                    {"rectangle": 0, "pull": 0, "sweep": 2}
-                    if exact
-                    else {"rectangle": 1, "pull": 1, "sweep": 0}
-                )
+                assert calls == {
+                    "rectangle": 2 * (not exact), "push": 0, "sweep": 2 * exact
+                }
                 while cluster.any_pending():
                     cluster.exchange_boundary()
                     cluster.relax_and_propagate()
@@ -653,9 +581,8 @@ class TestRisenEntryMask:
         self, monkeypatch
     ):
         """The flags decide when: an edge on no shortest path raises nothing
-        anywhere, yet every rank's fold runs — one sweep from every entry,
-        or the pull over an empty mask — and is charged, exactly as the
-        wholesale re-propagation was."""
+        anywhere, yet every rank's fold runs in full and is charged,
+        exactly as the wholesale re-propagation was."""
         for exact in (True, False):
             with monkeypatch.context() as m:
                 if not exact:
@@ -666,12 +593,11 @@ class TestRisenEntryMask:
                 cluster = settled_cluster(g, {0: 0, 1: 0, 2: 1, 3: 1})
                 before = [w.dv.copy() for w in cluster.workers]
                 apply_edge_deletion(cluster, 0, 2)
-                assert not any(w.dv_rose.any() for w in cluster.workers)
+                assert all(
+                    np.array_equal(w.dv, dv) for w, dv in zip(cluster.workers, before)
+                )
                 calls = count_folds(
-                    m,
-                    rectangle="minplus_fold",
-                    pull="minplus_pull",
-                    sweep="minplus_closure",
+                    m, rectangle="minplus_fold", sweep="minplus_closure"
                 )
                 for w, dv in zip(cluster.workers, before):
                     w.take_compute_seconds()  # drain the strategy's charges
@@ -679,120 +605,27 @@ class TestRisenEntryMask:
                     assert result.prop_charged and not result.prop_improved
                     assert w.take_compute_seconds() > 0.0
                     assert np.array_equal(w.dv, dv)
-                assert calls == (
-                    {"rectangle": 0, "pull": 0, "sweep": 2}
-                    if exact
-                    else {"rectangle": 0, "pull": 2, "sweep": 0}
-                )
+                assert calls == {"rectangle": 2 * (not exact), "sweep": 2 * exact}
 
-
-class TestFallenPairMask:
-    """``apsp_fell``: ``local_apsp``'s shape always, written only by
-    ``add_local_edge``, read by the next fold, cleared where ``dv_changed``
-    is — and kept by a same-shape recomputation of ``local_apsp``."""
-
-    def _joined(self):
-        """:func:`split_cluster` after the bare local edge (1, 3): the eight
-        pairs between {0,1} and {3,4} fell; returns the cluster, rank 0."""
-        cluster = split_cluster()
-        w = cluster.workers[0]
-        cluster.graph.add_edge(1, 3, 1.0)
-        w.add_local_edge(1, 3, 1.0)
-        assert w.apsp_fell.sum() == 8 and not w.apsp_fell[:2, :2].any()
-        return cluster, w
-
-    def test_no_local_edge_allocates_no_mask(self):
-        """Static runs and cut-edge-only additions: the mask is an all-False
-        view of the right shape that owns no memory, and nothing travels."""
-        _g, w = path4_worker()
-        w.run_initial_approximation()
-        w.index.add(4)
-        w.grow_columns(5)
-        w.add_local_vertex(4)
-        w.remove_local_vertex(0)
-        assert w.apsp_fell.shape == w.local_apsp.shape == (2, 2)
-        assert not w.apsp_fell.any() and w.apsp_fell.strides == (0, 0)
-        assert w.superstep_prepare().fell is None
-
-    def test_mask_follows_local_apsp_through_shape_changes(self):
-        _cluster, w = self._joined()
-        marks = w.apsp_fell.copy()
-        w.index.add(5)
-        w.grow_columns(6)
-        assert np.array_equal(w.apsp_fell, marks)
-        r = w.add_local_vertex(5)
-        assert w.apsp_fell.shape == w.local_apsp.shape == (5, 5)
-        assert np.array_equal(w.apsp_fell[:r, :r], marks)
-        assert not w.apsp_fell[r].any() and not w.apsp_fell[:, r].any()
-        w.add_local_edge(5, 0, 1.0)  # its first edge: one pair per row, per column
-        assert w.apsp_fell[r, :r].all() and w.apsp_fell[:r, r].all()
-        marks = w.apsp_fell.copy()
-        # a same-shape recomputation keeps the marks: the pairs are still
-        # below the values they were last folded at
-        w.recompute_local_apsp(rises_known=True)
-        assert np.array_equal(w.apsp_fell, marks)
-        w.remove_local_vertex(1)
-        assert w.apsp_fell.shape == w.local_apsp.shape == (4, 4)
-        assert np.array_equal(
-            w.apsp_fell, np.delete(np.delete(marks, 1, axis=0), 1, axis=1)
-        )
-
-    def test_reload_and_crash_start_from_a_clear_mask(self):
-        cluster, w = self._joined()
-        crash_worker(cluster, 0)
-        assert w.apsp_fell.shape == w.local_apsp.shape == (0, 0)
-        cluster, w = self._joined()
-        g = cluster.graph
-        owner = {0: 0, 1: 0, 2: 1, 3: 0, 4: 0}
-        w.load_subgraph(extract_local_subgraph(g, [0, 1, 3, 4], owner, 0))
-        assert w.apsp_fell.shape == w.local_apsp.shape == (0, 0)
-        w.run_initial_approximation()
-        assert w.apsp_fell.shape == w.local_apsp.shape == (4, 4)
-        assert not w.apsp_fell.any()
-
-    def test_fold_consumes_the_mask_and_leaves_the_tasks_copy(self):
-        """The task's array is shared with a speculative backup, which reads
-        it after the apply: the worker drops it instead of clearing it."""
-        _cluster, w = self._joined()
-        task = w.superstep_prepare()
-        assert task.fell is w.apsp_fell and task.rose is None
-        marks = task.fell.copy()
-        result = KERNELS.run_superstep(
-            task, w.dv, w.local_apsp, w.dv_changed, w.ext_store.rows
-        )
-        w.superstep_apply(task, result)
-        assert result.prop_charged and 0 in result.prop_improved
-        assert w.dv[w.row_of[0], 4] == 3.0
-        assert w.apsp_fell is not task.fell and not w.apsp_fell.any()
-        assert np.array_equal(task.fell, marks)
-        assert w.superstep_prepare().fell is None  # no pair set: nothing travels
-
-    def test_nothing_known_pending_drops_the_marks_and_runs_one_rectangle(
-        self, monkeypatch
-    ):
-        """The rectangle fold: as one sweep over the CSR where that is
-        exact, as ``minplus_fold`` where not (float weights, here forced)."""
+    def test_local_edge_runs_one_full_fold(self, monkeypatch):
         for exact in (True, False):
             with monkeypatch.context() as m:
                 if not exact:
                     m.setattr(oracle, "closure_exact", lambda *a: False)
-                cluster, w = self._joined()
-                w.request_full_repropagate()  # e.g. a restore in the same tick
-                check_cluster_invariants(cluster)
+                cluster = split_cluster()
+                w = cluster.workers[0]
+                cluster.graph.add_edge(1, 3, 1.0)
+                w.add_local_edge(1, 3, 1.0)
                 calls = count_folds(
                     m,
                     rectangle="minplus_fold",
                     push="minplus_fold_changed",
-                    pull="minplus_pull",
-                    pairs="minplus_fold_pairs",
                     sweep="minplus_closure",
                 )
                 assert superstep(w).prop_charged
                 assert calls == {
-                    "rectangle": int(not exact), "push": 0, "pull": 0, "pairs": 0,
-                    "sweep": int(exact),
+                    "rectangle": int(not exact), "push": 0, "sweep": int(exact)
                 }
-                assert not w.apsp_fell.any()
                 assert w.dv[w.row_of[0], 4] == 3.0
                 check_cluster_invariants(cluster)
 
@@ -801,7 +634,8 @@ class TestFallenPairMask:
         """Path 0..7 with a heavy chord (2, 5) on no shortest path; rank 0
         owns 0..5.  The bare local edge (0, 4) lowers pairs such as (1, 4),
         and d(1, 6) improves only through that pair; deleting the chord
-        recomputes ``local_apsp`` (same shape) and must keep the marks."""
+        recomputes ``local_apsp``, and the one full fold after both must
+        see that pair."""
         g = path_graph(8)
         g.add_edge(2, 5, 10.0)
         cluster = settled_cluster(g, {v: int(v > 5) for v in range(8)})
@@ -815,13 +649,11 @@ class TestFallenPairMask:
         for op in ops if order == "add-then-delete" else reversed(ops):
             op()
             check_cluster_invariants(cluster)
-        assert w.apsp_fell[1, 4] and w.local_apsp[1, 4] == 2.0
-        assert w._full_repropagate and not w._rises_unknown  # a repair, too
+        assert w.local_apsp[1, 4] == 2.0 and w._full_repropagate
         while cluster.any_pending():
             cluster.exchange_boundary()
             cluster.relax_and_propagate()
             check_cluster_invariants(cluster)
-        assert not w.apsp_fell.any()
         for rank in cluster.workers:
             for v in rank.owned:
                 want = sssp_dijkstra(cluster.graph, v)

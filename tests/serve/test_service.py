@@ -6,6 +6,7 @@ import pytest
 
 from repro import AnytimeAnywhereCloseness, AnytimeConfig
 from repro.centrality import exact_closeness
+from repro.core.strategies import PolicyDrivenStrategy, ThresholdPolicy
 from repro.errors import ConfigurationError
 from repro.graph import barabasi_albert
 from repro.graph.changes import EdgeDeletion, VertexAddition
@@ -109,16 +110,13 @@ def test_policy_switches_strategy_mid_stream():
     route through different strategies (ThresholdPolicy is pure batch
     arithmetic, so the switch is deterministic by construction)."""
     g = barabasi_albert(60, 2, seed=3)
-    eng = AnytimeAnywhereCloseness(
-        g,
-        AnytimeConfig(
-            nprocs=4, seed=3, collect_snapshots=False,
-            strategy_policy="threshold",
-        ),
-    )
+    cfg = AnytimeConfig(nprocs=4, seed=3, collect_snapshots=False)
+    eng = AnytimeAnywhereCloseness(g, cfg)
     eng.setup()
+    policy = ThresholdPolicy(cfg.repartition_threshold)
     svc = UpdateService(
-        eng, admission=SizeAdmission(max_events=2), strategy="auto"
+        eng, admission=SizeAdmission(max_events=2),
+        strategy=PolicyDrivenStrategy(policy, cfg),
     )
     # batch 1: a two-vertex trickle (<= 5% of |V|) -> RoundRobin-PS
     svc.feed([

@@ -39,7 +39,7 @@ from repro.graph import ChangeBatch, Graph, barabasi_albert, random_weights
 from repro.graph.changes import EdgeAddition, EdgeDeletion, EdgeReweight
 from repro.graph.changes import VertexAddition, VertexDeletion
 from repro.partition import MultilevelPartitioner
-from repro.runtime import Cluster, Worker, check_cluster_invariants, worker
+from repro.runtime import Cluster, check_cluster_invariants, worker
 from repro.runtime.backends.base import ExecutionBackend
 from repro.runtime.backends.process import ProcessBackend
 from repro.runtime.chaos import RECOVERY_POLICIES, FaultPlan
@@ -284,17 +284,15 @@ class Monitor:
         return np.ix_(i[keep], i), np.ix_(j[keep], j)
 
     def before_fold(self, cluster: Cluster) -> None:
-        """Marked means in ``dv_changed`` (pushed), in ``dv_rose`` (pulled)
-        or, in an owned column, over a pair in ``apsp_fell`` (folded); a
-        rank that knows nothing re-derives its whole block."""
+        """Every entry lowered since the last fold is in ``dv_changed``
+        (pushed), unless its rank has a full fold pending (which
+        re-derives the whole block)."""
         if self.folded is None:
             return
-        now = self.read(cluster, "dv_changed", "dv_rose")
-        marked = (now[3] == 1) | (now[4] == 1)
+        now = self.read(cluster, "dv_changed")
+        marked = now[3] == 1
         for w in cluster.workers:
-            rows = cluster.index.columns(w.owned)
-            marked[np.ix_(rows, rows)] |= w.apsp_fell
-            marked[rows] |= w._rises_unknown
+            marked[cluster.index.columns(w.owned)] |= w._full_repropagate
         a, b = self.common(now, self.folded)
         # a rebuilt local APSP may sum float paths in another order: check 9's rtol
         lowered = now[2][a] < self.folded[2][b] * (1 - 1e-12)
@@ -498,9 +496,9 @@ def check(s: Scenario) -> None:
 # the paths the fixed examples must take
 # ----------------------------------------------------------------------
 PATHS = (
-    "fold:closure", "fold:push", "fold:pull", "fold:pairs", "fold:rectangle",
+    "fold:closure", "fold:push", "fold:rectangle",
     "ia:sweep", "ia:dijkstra", "edge:dense", "edge:gathered",
-    "speculated-repair", "fell-across-recompute",
+    "speculated-repair",
 )
 
 
@@ -509,7 +507,6 @@ def paths_taken() -> Iterator[Set[str]]:
     """The :data:`PATHS` taken in this process inside the block (not in
     pool children: every scenario runs on ``serial`` too)."""
     taken: Set[str] = set()
-    alive: Dict[Worker, np.ndarray] = {}  # the marks a local APSP rebuild met
 
     def spy(fn, path, when=lambda *args: True):  # type: ignore[no-untyped-def]
         def wrapped(*args, **kwargs):  # type: ignore[no-untyped-def]
@@ -536,32 +533,16 @@ def paths_taken() -> Iterator[Set[str]]:
         taken.update(["ia:sweep"] if done else [])
         return done
 
-    def recompute(w: Worker, **kwargs: Any) -> None:
-        if w.apsp_fell.any():
-            alive[w] = w.apsp_fell.copy()
-        recompute_local_apsp(w, **kwargs)
-
-    def prepare(w: Worker) -> Any:  # the marks reach the fold
-        task = superstep_prepare(w)
-        marks = alive.pop(w, None)
-        if marks is not None and task.fell is not None and task.fell[marks].all():
-            taken.add("fell-across-recompute")
-        return task
-
     def repair(backend):  # type: ignore[no-untyped-def]
         return spy(
             backend.run_speculative, "speculated-repair",
-            lambda _backend, task, *_: task.rose is not None and task.rose.any(),
+            lambda _backend, task, *_: task.full_repropagate,
         )
 
     relax_edge_kernel, sweep = worker.relax_edge_kernel, oracle._level_sweep
-    recompute_local_apsp = Worker.recompute_local_apsp
-    superstep_prepare = Worker.superstep_prepare
     patches = [
         (oracle, "minplus_closure", spy(oracle.minplus_closure, "fold:closure")),
         (oracle, "minplus_fold_changed", spy(oracle.minplus_fold_changed, "fold:push")),
-        (oracle, "minplus_pull", spy(oracle.minplus_pull, "fold:pull")),
-        (oracle, "minplus_fold_pairs", spy(oracle.minplus_fold_pairs, "fold:pairs")),
         (oracle, "minplus_fold", spy(oracle.minplus_fold, "fold:rectangle")),
         (oracle, "csgraph", SimpleNamespace(
             dijkstra=spy(oracle.csgraph.dijkstra, "ia:dijkstra"))),
@@ -569,8 +550,6 @@ def paths_taken() -> Iterator[Set[str]]:
         (worker, "relax_edge_kernel", relax_edge),
         (ExecutionBackend, "run_speculative", repair(ExecutionBackend)),
         (ProcessBackend, "run_speculative", repair(ProcessBackend)),
-        (Worker, "recompute_local_apsp", recompute),
-        (Worker, "superstep_prepare", prepare),
     ]
     with ExitStack() as stack:
         for owner, name, value in patches:
@@ -735,9 +714,10 @@ def faulty_batch() -> Scenario:
 
 def add_and_delete_under_a_crash() -> Scenario:
     """One tick adds an intra-rank edge and deletes another on that rank,
-    so ``apsp_fell`` marks outlive the local APSP rebuild, and deletes a
-    vertex, whose column leaves ``dv`` with the addition's marks; the rank
-    then crashes (float weights, checkpoint recovery, process backend)."""
+    so the local APSP is rebuilt under a pending full fold, and deletes a
+    vertex, whose column leaves ``dv``; on float weights that full fold
+    runs the rectangle.  The rank then crashes (checkpoint recovery,
+    process backend)."""
     base = ba(40, 3, 3, lambda g: random_weights(g, 0.5, 4.0, seed=3))
     absent = same_rank_pairs(base, 3, 0, present=False, rank=0)
     present = same_rank_pairs(base, 3, 0, present=True, rank=0)

@@ -158,12 +158,10 @@ def test_budget_interleaved_with_changes():
 
 
 def test_local_closure_after_every_superstep():
-    """Check 9 (what the entry-level folds rest on) around *every* superstep
-    of one add / delete / reweight / crash-and-recover stream: after the
-    fold, and again before the next exchange, i.e. on whatever the dynamic
-    strategies and the recovery left behind — including, between a deletion
-    strategy and its fold, the pending repair (every entry outside
-    ``dv_rose`` closed under every source outside ``dv_changed``)."""
+    """Check 9 (what the incremental push rests on) around *every*
+    superstep of one add / delete / reweight / crash-and-recover stream:
+    after the fold, and again before the next exchange, i.e. on whatever
+    the dynamic strategies and the recovery left behind."""
     wl = community_workload(90, 12, seed=31, inject_step=1)
     truth = wl.final.copy()
     kept = sorted(wl.base.vertices())
@@ -193,27 +191,16 @@ def test_local_closure_after_every_superstep():
     engine.setup()
     cluster = engine.cluster
     audits = []
-    repairs_audited = {}
     exchange, superstep = cluster.exchange_boundary, cluster.relax_and_propagate
 
     def audited_exchange():
         # between the strategy (end of the previous step) and the fold
-        pending = [
-            w
-            for w in cluster.workers
-            if w._full_repropagate and not w._rises_unknown
-        ]
         check_cluster_invariants(cluster)
-        if pending:
-            repairs_audited[len(audits)] = sum(
-                int(w.dv_rose.sum()) for w in pending
-            )
         return exchange()
 
     def audited_superstep():
         changed = superstep()
         audits.append(check_cluster_invariants(cluster))
-        assert not any(w.dv_rose.any() for w in cluster.workers)
         return changed
 
     cluster.exchange_boundary = audited_exchange
@@ -226,38 +213,4 @@ def test_local_closure_after_every_superstep():
     assert result.converged
     assert len(audits) == engine.next_step > 6
     assert all("local-closure" in checks for checks in audits)
-    # the delete / vertex-delete batch and the reweight-up batch each left
-    # a repair with risen entries pending, and check 9 audited it
-    assert sorted(repairs_audited) == [4, 6]
-    assert all(repairs_audited.values())
     assert_exact(engine, truth)
-
-
-def test_closure_check_fails_when_the_witness_test_forgets_its_marks(monkeypatch):
-    """Mutation check for the test above: an invalidation that raises
-    entries without marking them in ``dv_rose`` leaves a pending repair
-    that would not pull them — check 9 must name it before the fold runs."""
-    from repro.runtime import Worker
-
-    invalidate = Worker._invalidate
-
-    def forgetful(self, suspect):
-        marks = self.dv_rose.copy()
-        count = invalidate(self, suspect)
-        self.dv_rose = marks
-        return count
-
-    monkeypatch.setattr(Worker, "_invalidate", forgetful)
-    g = barabasi_albert(60, 3, seed=4)
-    u, v, _w = g.edge_list()[7]
-    engine = AnytimeAnywhereCloseness(
-        g, AnytimeConfig(nprocs=4, collect_snapshots=False)
-    )
-    engine.setup()
-    engine.run(
-        changes=ChangeStream({1: ChangeBatch(edge_deletions=[EdgeDeletion(u, v)])}),
-        strategy="auto",
-        step_budget=2,
-    )
-    with pytest.raises(AssertionError, match="not marked in dv_rose"):
-        check_cluster_invariants(engine.cluster)
