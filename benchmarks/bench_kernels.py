@@ -2,10 +2,11 @@
 
 These are classic pytest-benchmark timing loops over the kernels that
 dominate the pipeline's Python runtime: the IA-phase local APSP, the
-per-edge broadcast relaxation, the boundary-DV cut relaxation and the
-RC step's propagation fold.
+edge-batch relaxation, the boundary-DV cut relaxation and the RC step's
+propagation fold.
 """
 
+import time
 from collections import Counter
 
 import numpy as np
@@ -95,35 +96,60 @@ def settled_worker(scale):
     return graph, w
 
 
-@pytest.mark.parametrize("rectangle", ["dense", "thin"])
-def test_edge_row_relaxation_kernel(benchmark, scale, rectangle):
-    """Both sides of ``relax_edge_kernel``'s rectangle rule.
+def edge_batch_calls(scale, monkeypatch):
+    """Every rank's relaxation of ``batch-add``'s injected batch (the BA
+    community batch of :func:`after_injection_state`) with the block it
+    ran on: ``[(worker, dv, changed, dirty, args)]``."""
+    n_base, n_new = (150, 15) if scale.n_base < 400 else (700, 70)
+    wl = community_workload(n_base, n_new, seed=1, inject_step=2)
+    engine = AnytimeAnywhereCloseness(
+        wl.base, AnytimeConfig(nprocs=4, backend="serial", collect_snapshots=False)
+    )
+    seen = []
+    real = Worker.relax_with_edge_rows
 
-    ``dense`` relaxes through two settled vertices (whole block, in
-    place, both orientations); ``thin`` through a freshly added isolated
-    vertex — one finite row, one finite column, the first edge of every
-    vertex addition.  The block is restored before each round, so every
-    round times the first, improving relaxation (a second one would find
-    column ``a`` finite and go dense).
-    """
-    graph, w = settled_worker(scale)
-    a, b = w.owned[0], w.owned[-1]
-    if rectangle == "thin":
-        a = max(graph.vertices()) + 1
-        w.index.add(a)
-        w.grow_columns(len(w.index))
-        w.add_local_vertex(a)
-    row_a, row_b = w.dv_row(a), w.dv_row(b)
-    settled = w.dv.copy()
+    def spy(w, *args):
+        seen.append((w, w.dv.copy(), w.dv_changed.copy(), w._dirty_cols.copy(), args))
+        return real(w, *args)
+
+    with engine, monkeypatch.context() as patch:
+        patch.setattr(Worker, "relax_with_edge_rows", spy)
+        engine.setup()
+        engine.run(changes=wl.stream, strategy="cutedge")
+    return seen
+
+
+def test_edge_batch_relaxation_kernel(benchmark, scale, monkeypatch):
+    """The whole injected batch on every rank, each block restored before
+    each round.  Checked once before timing: one call per rank, and the
+    batch has fewer endpoints ``|H|`` than twice its edges (what one
+    closure over the endpoints saves over a relaxation per edge)."""
+    calls = edge_batch_calls(scale, monkeypatch)
+    cols, _closure, rows, edges = calls[0][4]
+    assert len(calls) == 4 and cols.size < 2 * edges
 
     def restore():
-        w.dv[:, :] = settled
+        for w, dv, changed, dirty, _args in calls:
+            w.dv[...] = dv
+            w.dv_changed[...] = changed
+            w._dirty_cols[...] = dirty
+
+    per_rank = []
+    for w, *_block, args in calls:
+        restore()
+        start = time.perf_counter()
+        w.relax_with_edge_rows(*args)
+        per_rank.append(round(time.perf_counter() - start, 6))
 
     benchmark.pedantic(
-        lambda: w.relax_with_edge_rows(a, row_a, b, row_b, 0.5),
+        lambda: [w.relax_with_edge_rows(*args) for w, *_block, args in calls],
         setup=restore,
-        rounds=50,
+        rounds=20,
     )
+    benchmark.extra_info["edges"] = edges
+    benchmark.extra_info["endpoints"] = int(cols.size)
+    benchmark.extra_info["finite_rows"] = int((np.isfinite(rows).sum(axis=1) > 1).sum())
+    benchmark.extra_info["per_rank_s"] = per_rank
 
 
 def test_dv_gather_kernel(benchmark, scale):

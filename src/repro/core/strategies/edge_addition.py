@@ -1,25 +1,33 @@
 """Anywhere edge addition (Santos et al. 2016 [9]) — shared machinery.
 
-Adding edge ``(a, b, w)``:
+Adding a batch of edges ``(a, b, w)``, with ``H`` the endpoints of the
+edges that can shorten a path:
 
 1. the owners of ``a`` and ``b`` broadcast their current DV rows
-   (binomial tree, Fig. 3 line 22),
-2. every processor relaxes all of its rows through the new edge:
-   ``d(x,t) <- min(d(x,t), d(x,a)+w+d(b,t), d(x,b)+w+d(a,t))``
-   (Fig. 3 lines 26-34),
-3. the edge joins the owning sub-graph(s): an intra-partition edge repairs
+   (binomial tree, Fig. 3 line 22), read once per endpoint at the start
+   of the batch,
+2. the coordinator closes the batch as a sub-graph: the ``|H| x |H|``
+   distances ``C = min(w, row_a(b), row_b(a))`` (zero diagonal), closed by
+   Floyd-Warshall,
+3. every processor relaxes all of its rows through the closure:
+   ``d(x,t) <- min(d(x,t), min_h (d(x,.) (+) closure)(h) + row_h(t))``
+   (Fig. 3 lines 26-34 for every edge at once), an upper bound no looser
+   than relaxing the edges one at a time,
+4. each edge joins the owning sub-graph(s): an intra-partition edge repairs
    the owner's local APSP incrementally; a cut edge registers on both
    sides and opens DV-row subscriptions (Fig. 3 lines 35-42).
 
-The vertex-addition strategy reuses this for every edge of a new vertex.
+The vertex-addition strategy passes every edge of its batch in one call.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
+
+import numpy as np
 
 from ...graph.changes import ChangeBatch
-from ...types import VertexId
+from ...types import FloatArray, VertexId
 from .base import DynamicStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -27,45 +35,68 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["apply_edge_addition", "EdgeAdditionStrategy"]
 
+Edge = Tuple[VertexId, VertexId, float]
 
-def apply_edge_addition(
-    cluster: "Cluster", a: VertexId, b: VertexId, w: float, *,
-    update_graph: bool = True,
-) -> None:
-    """Incorporate one new edge into the running computation.
 
-    ``update_graph=False`` lets callers that already applied the batch to
-    the global graph (repartition, batch appliers) skip the double insert.
-    """
-    if update_graph:
-        if cluster.graph.has_edge(a, b):
-            # parallel edges collapse to the lighter one; a heavier
-            # duplicate changes nothing (weight *increases* must go through
-            # the deletion path, which re-validates affected distances)
-            if w >= cluster.graph.weight(a, b):
-                return
+def apply_edge_addition(cluster: "Cluster", edges: Iterable[Edge]) -> None:
+    """Incorporate a batch of new edges into the running computation."""
+    applied: List[Edge] = []
+    for a, b, w in edges:
+        # parallel edges collapse to the lighter one; a heavier duplicate
+        # changes nothing (weight *increases* must go through the deletion
+        # path, which re-validates affected distances)
+        if cluster.graph.has_edge(a, b) and w >= cluster.graph.weight(a, b):
+            continue
         cluster.graph.add_edge(a, b, w)
-    rank_a = cluster.owner_of(a)
-    rank_b = cluster.owner_of(b)
-    row_a = cluster.broadcast_row(a)
-    row_b = cluster.broadcast_row(b)
-    # Fig. 3 line 26 guard: if the current distance d(a, b) is already no
-    # worse than the new edge, no path through it can improve anything
-    # *now*; the edge still joins the structure below, so any future
-    # improvements route through it during normal RC propagation.
-    if row_a[cluster.index.column(b)] > w:
+        applied.append((a, b, w))
+    rows: Dict[VertexId, FloatArray] = {}
+    relaxed: List[Edge] = []
+    for a, b, w in applied:
+        row_a = rows.setdefault(a, cluster.broadcast_row(a))
+        rows.setdefault(b, cluster.broadcast_row(b))
+        # Fig. 3 line 26 guard, on the rows at the start of the batch: if
+        # d(a, b) is already no worse than the new edge, no path through
+        # it can improve anything *now*; the edge still joins the
+        # structure below, so any future improvements route through it
+        # during normal RC propagation
+        if row_a[cluster.index.column(b)] > w:
+            relaxed.append((a, b, w))
+    if relaxed:
+        ends = list(dict.fromkeys(v for a, b, _w in relaxed for v in (a, b)))
+        cols = np.array(cluster.index.columns(ends), dtype=np.intp)
+        block = np.stack([rows.pop(v) for v in ends])  # one copy lives on
+        closure = _closure(block[:, cols], ends, relaxed)
         for worker in cluster.workers:
-            worker.relax_with_edge_rows(a, row_a, b, row_b, w)
+            worker.relax_with_edge_rows(cols, closure, block, len(relaxed))
     # structural bookkeeping (Fig. 3 lines 35-42)
-    if rank_a == rank_b:
-        cluster.workers[rank_a].add_local_edge(a, b, w)
-    else:
-        wa, wb = cluster.workers[rank_a], cluster.workers[rank_b]
-        wa.add_cut_edge(a, b, w)
-        wb.add_cut_edge(b, a, w)
-        # each side now needs the other's row stream
-        wa.subscribe(a, rank_b)
-        wb.subscribe(b, rank_a)
+    for a, b, w in applied:
+        rank_a = cluster.owner_of(a)
+        rank_b = cluster.owner_of(b)
+        if rank_a == rank_b:
+            cluster.workers[rank_a].add_local_edge(a, b, w)
+        else:
+            wa, wb = cluster.workers[rank_a], cluster.workers[rank_b]
+            wa.add_cut_edge(a, b, w)
+            wb.add_cut_edge(b, a, w)
+            # each side now needs the other's row stream
+            wa.subscribe(a, rank_b)
+            wb.subscribe(b, rank_a)
+
+
+def _closure(
+    between: FloatArray, ends: List[VertexId], edges: List[Edge]
+) -> FloatArray:
+    """Closed distances among ``ends`` through ``edges`` and the DV
+    distances ``between[i, j] = row_i(j)`` (Floyd-Warshall)."""
+    pos = {v: i for i, v in enumerate(ends)}
+    dist = np.minimum(between, between.T)
+    for a, b, w in edges:
+        i, j = pos[a], pos[b]
+        dist[i, j] = dist[j, i] = min(dist[i, j], w)
+    np.fill_diagonal(dist, 0.0)
+    for k in range(len(ends)):
+        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+    return dist
 
 
 class EdgeAdditionStrategy(DynamicStrategy):
@@ -83,6 +114,7 @@ class EdgeAdditionStrategy(DynamicStrategy):
             raise ValueError(
                 "EdgeAdditionStrategy cannot handle deletions/reweights"
             )
-        for ea in batch.edge_additions:
-            apply_edge_addition(cluster, ea.u, ea.v, ea.weight)
+        apply_edge_addition(
+            cluster, [(ea.u, ea.v, ea.weight) for ea in batch.edge_additions]
+        )
         cluster.sync_compute()

@@ -84,15 +84,15 @@ class EdgeDeletionStrategy(DynamicStrategy):
             )
         # additions first, as the composite applies a batch and as
         # ``ChangeBatch.validate`` checks it: a batch may delete what it adds
-        for ea in batch.edge_additions:
-            apply_edge_addition(cluster, ea.u, ea.v, ea.weight)
+        apply_edge_addition(
+            cluster, [(ea.u, ea.v, ea.weight) for ea in batch.edge_additions]
+        )
         for ed in batch.edge_deletions:
             apply_edge_deletion(cluster, ed.u, ed.v)
         for er in batch.edge_reweights:
             old = cluster.graph.weight(er.u, er.v)
-            if er.weight < old:
-                apply_edge_addition(cluster, er.u, er.v, er.weight)
-            elif er.weight > old:
+            if er.weight > old:
                 apply_edge_deletion(cluster, er.u, er.v)
-                apply_edge_addition(cluster, er.u, er.v, er.weight)
+            if er.weight != old:
+                apply_edge_addition(cluster, [(er.u, er.v, er.weight)])
         cluster.sync_compute()

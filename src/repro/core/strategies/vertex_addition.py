@@ -8,8 +8,8 @@ The strategy template of Fig. 2:
 
    a. every worker's DV grows a column per new vertex; the owning worker
       adds a row (Fig. 3 lines 10-18),
-   b. every new edge runs the anywhere edge-addition relaxation with
-      tree-broadcast endpoint rows (Fig. 3 lines 19-44).
+   b. the batch's new edges run the anywhere edge-addition relaxation
+      with tree-broadcast endpoint rows, as one batch (Fig. 3 lines 19-44).
 
 The partition's assignment map is extended with the new vertices; existing
 vertices are never migrated (the paper defers migration to Repartition-S).
@@ -65,9 +65,8 @@ class VertexAdditionStrategy(DynamicStrategy):
         cluster.sync_compute()
 
         # ---- add edges (Fig. 3 lines 19-44) ---------------------------
-        for va in batch.vertex_additions:
-            for t, w in va.edges:
-                apply_edge_addition(cluster, va.vertex, t, w)
-        for ea in batch.edge_additions:
-            apply_edge_addition(cluster, ea.u, ea.v, ea.weight)
+        apply_edge_addition(cluster, [
+            *((va.vertex, t, w) for va in batch.vertex_additions for t, w in va.edges),
+            *((ea.u, ea.v, ea.weight) for ea in batch.edge_additions),
+        ])
         cluster.sync_compute()

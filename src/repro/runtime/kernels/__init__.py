@@ -25,8 +25,8 @@ push of an incremental fold) / :func:`minplus_closure` (the same folds
 as one seeded, bit-parallel level sweep over the local CSR, which
 :func:`fold` takes where it is exact, and cheaper for a push) re-export
 the oracle implementations for direct use and tests.
-:func:`relax_edge_kernel` (the per-edge relaxation of the dynamic-update
-path) is called by the worker directly.
+:func:`relax_edge_batch_kernel` (the edge-addition relaxation of a whole
+batch of new edges) is called by the worker directly.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .oracle import (
     minplus_fold,
     minplus_fold_changed,
     relax_cut_kernel,
-    relax_edge_kernel,
+    relax_edge_batch_kernel,
 )
 
 # read only by benchmarks/e2e/run.py::_host, which this tree may not edit;
@@ -68,7 +68,7 @@ __all__ = [
     "minplus_fold",
     "minplus_fold_changed",
     "relax_cut_kernel",
-    "relax_edge_kernel",
+    "relax_edge_batch_kernel",
 ]
 
 

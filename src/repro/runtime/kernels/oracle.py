@@ -27,7 +27,7 @@ __all__ = [
     "minplus_closure",
     "closure_applies",
     "closure_exact",
-    "relax_edge_kernel",
+    "relax_edge_batch_kernel",
 ]
 
 #: Cap on the float64 element count of the batched min-plus broadcast
@@ -48,14 +48,12 @@ _ENTRY_CHUNK_ELEMS = 1 << 21
 #: captured folds it wins from 3-6 entries per column (EXPERIMENTS.md).
 _CLOSURE_MIN_ENTRIES = 8
 
-#: Edge-row relaxation: an orientation whose finite rectangle covers more
-#: than ``1 / _EDGE_DENSE_DIV`` of the ``n_local x n_cols`` block is
-#: relaxed over the whole block in place; a thinner one is gathered, so
-#: the first edge of a new vertex (one finite row or column) stays
-#: O(n + c).  Measured rectangles are bimodal (< 10 % or > 50 % of the
-#: block), so any divisor between 2 and 10 selects identically.
-_EDGE_DENSE_DIV = 4
-
+#: Rows x columns of one tile of the edge-batch relaxation's candidate
+#: buffer: every endpoint's candidates meet a tile while it sits in cache,
+#: and no temporary spans the block (2**16 float64 = 512 KB; a third less
+#: wall than one block-wide buffer on the captured ``batch-add`` batches,
+#: EXPERIMENTS.md).
+_EDGE_TILE_ELEMS = 1 << 16
 
 #: The last level (IA) or tick (closure fold) a bit sweep may reach: its
 #: uint8 level counts run one past it.
@@ -538,55 +536,64 @@ def _fold_sweep(
     return np.append(np.inf, t0 + np.arange(top, dtype=np.float64))[level]
 
 
-def relax_edge_kernel(
+def relax_edge_batch_kernel(
     dv: FloatArray,
     changed: BoolArray,
     dirty_cols: BoolArray,
-    col_a: int,
-    row_a: FloatArray,
-    col_b: int,
-    row_b: FloatArray,
-    w: float,
+    cols: IndexArray,
+    closure: FloatArray,
+    rows: FloatArray,
 ) -> IndexArray:
-    """Edge-addition relaxation through the new edge ``(a, b, w)`` [paper 9].
+    """Edge-addition relaxation of a whole batch of new edges [paper 9].
 
-    ``d(x,t) <- min(d(x,t), d(x,a) + w + d(b,t), d(x,b) + w + d(a,t))``
-    for every local row ``x`` and every target ``t`` (Fig. 3 lines 26-34),
-    as two sequential orientations: through ``a`` with the broadcast
-    ``row_b``, then through ``b`` (column ``b`` re-read after the first
-    orientation relaxed it) with ``row_a``.  Mutates ``dv``, ``changed``
-    (the entries lowered) and ``dirty_cols`` in place; returns the sorted
-    local rows that improved.
+    ``cols`` are the ``dv`` columns of the batch's endpoints ``H``,
+    ``closure`` the closed ``|H| x |H|`` distances among them (through the
+    new edges and the endpoint rows) and ``rows`` the endpoints' DV rows
+    as broadcast at the start of the batch.  With ``Y = dv[:, H]``
+    min-plus ``closure``:
 
-    +inf rows/columns need no filter: ``inf + x`` is ``inf``, ``inf < y``
-    is false, and weights are positive and finite so no NaN arises — a
-    dense orientation is relaxed over the whole block with no gather or
-    scatter, and ``through < dv`` masks exactly the entries a gathered
-    relaxation improves.
+        d(x,h) <- min(d(x,h), Y(x,h))
+        d(x,t) <- min(d(x,t), min_h Y(x,h) + row_h(t))
+
+    for every local row ``x`` and target ``t`` (Fig. 3 lines 26-34 for
+    every edge of the batch at once).  A row tile at a time, the
+    candidates of every endpoint whose row is finite beyond its own column
+    are folded into one reused candidate buffer, which then meets the
+    tile of ``dv`` with one compare and one write.  Mutates
+    ``dv``, ``changed`` (the entries lowered) and ``dirty_cols`` in place;
+    returns the sorted local rows that improved.  +inf needs no filter:
+    ``inf + x`` is ``inf`` and weights are positive and finite, so no NaN
+    arises.
     """
-    improved = np.zeros(dv.shape[0], dtype=np.bool_)
-    for col_src, row in ((col_a, row_b), (col_b, row_a)):
-        src_col = dv[:, col_src]
-        rows_f = np.flatnonzero(np.isfinite(src_col))
-        cols_f = np.flatnonzero(np.isfinite(row))
-        if _EDGE_DENSE_DIV * rows_f.size * cols_f.size > dv.size:
-            through = src_col[:, None] + (w + row)[None, :]
-            mask = through < dv
-            rows = mask.any(axis=1)
-            if rows.any():
-                np.copyto(dv, through, where=mask)
-                changed |= mask
-                dirty_cols |= mask.any(axis=0)
-                improved |= rows
-            continue
-        sub = dv[np.ix_(rows_f, cols_f)]
-        through = src_col[rows_f][:, None] + (w + row[cols_f])[None, :]
-        mask = through < sub
-        if mask.any():
-            sub[mask] = through[mask]
-            dv[np.ix_(rows_f, cols_f)] = sub
-            r_idx, c_idx = np.nonzero(mask)
-            changed[rows_f[r_idx], cols_f[c_idx]] = True
-            dirty_cols[cols_f[mask.any(axis=0)]] = True
-            improved[rows_f[mask.any(axis=1)]] = True
+    n_local, n_cols = dv.shape
+    if n_local == 0 or cols.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    src = dv[:, cols]
+    y = np.full((n_local, cols.size), np.inf)
+    tmp = np.empty_like(y)
+    for i in np.flatnonzero(np.isfinite(src).any(axis=0)):
+        np.add(src[:, i, None], closure[i], out=tmp)
+        np.minimum(y, tmp, out=y)
+    through = np.flatnonzero(np.isfinite(rows).sum(axis=1) > 1)
+    y_t = y[:, through].T.copy()  # one contiguous column per endpoint
+    tile = max(1, _EDGE_TILE_ELEMS // n_cols)
+    cand = np.empty((min(tile, n_local), n_cols))
+    buf = np.empty_like(cand)
+    improved = np.zeros(n_local, dtype=np.bool_)
+    for lo in range(0, n_local, tile):
+        hi = min(lo + tile, n_local)
+        block, part = cand[:hi - lo], buf[:hi - lo]
+        block.fill(np.inf)
+        block[:, cols] = y[lo:hi]
+        for k, h in enumerate(through):
+            np.copyto(part, rows[h])
+            np.add(part, y_t[k, lo:hi, None], out=part)
+            np.minimum(block, part, out=block)
+        mask = block < dv[lo:hi]
+        lowered = mask.any(axis=1)
+        if lowered.any():
+            np.copyto(dv[lo:hi], block, where=mask)
+            changed[lo:hi] |= mask
+            dirty_cols |= mask.any(axis=0)
+            improved[lo:hi] = lowered
     return np.flatnonzero(improved)

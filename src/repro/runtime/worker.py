@@ -51,10 +51,11 @@ from .index import GlobalIndex
 from .kernels import (
     KERNELS,
     IATask,
+    IndexArray,
     RelaxItems,
     SuperstepResult,
     SuperstepTask,
-    relax_edge_kernel,
+    relax_edge_batch_kernel,
 )
 from .message import DeltaRows, delta_row_words, dense_row_words
 from .shm import ArrayAllocator
@@ -781,37 +782,33 @@ class Worker:
     # ------------------------------------------------------------------
     def relax_with_edge_rows(
         self,
-        a: VertexId,
-        row_a: FloatArray,
-        b: VertexId,
-        row_b: FloatArray,
-        w: float,
+        cols: IndexArray,
+        closure: FloatArray,
+        rows: FloatArray,
+        edges: int,
     ) -> bool:
-        """Edge-addition relaxation from broadcast endpoint rows [paper 9].
+        """Edge-addition relaxation of a batch from broadcast endpoint rows
+        [paper 9].
 
-        ``d(x,t) <- min(d(x,t), d(x,a) + w + d(b,t), d(x,b) + w + d(a,t))``
-        for every owned ``x`` and every target ``t`` (Fig. 3 lines 26-34).
+        ``cols`` are the columns of the batch's endpoints, ``closure``
+        their closed distances through the new edges and ``rows`` their DV
+        rows at the start of the batch (:func:`relax_edge_batch_kernel`):
+        every owned ``x`` and target ``t`` take ``min_h d(x,h) (+)
+        closure + row_h(t)`` (Fig. 3 lines 26-34 for every edge at once).
         """
         if self.n_local == 0:
             return False
-        # The paper's relaxation is dense (every owned row x every target),
-        # and the modeled cost charges that once per orientation whatever
-        # the kernel skips — two additions, because the modeled clock is
-        # pinned bitwise.
-        self._charge(self.cost.relax_time(self.n_local * self.n_cols))
-        self._charge(self.cost.relax_time(self.n_local * self.n_cols))
-        rows = relax_edge_kernel(
-            self.dv,
-            self.dv_changed,
-            self._dirty_cols,
-            self.index.column(a),
-            row_a,
-            self.index.column(b),
-            row_b,
-            w,
+        # The paper relaxes each of the batch's ``edges`` densely (every
+        # owned row x every target), and the modeled cost charges that
+        # once per orientation whatever the kernel skips — two additions
+        # per edge, as Fig. 3 has them.
+        for _ in range(2 * edges):
+            self._charge(self.cost.relax_time(self.n_local * self.n_cols))
+        rows_improved = relax_edge_batch_kernel(
+            self.dv, self.dv_changed, self._dirty_cols, cols, closure, rows
         )
-        self._mark_rows_changed(rows.tolist())
-        return bool(rows.size)
+        self._mark_rows_changed(rows_improved.tolist())
+        return bool(rows_improved.size)
 
     def invalidate_for_deleted_edge(
         self,

@@ -93,11 +93,13 @@ def test_composite_routes_mixed_batch():
 #: ``result_pin`` and the strategy chosen, recorded at b230718 — the last
 #: commit where ``"adaptive"`` was a class of its own that counted the
 #: batch and the graph itself; the threshold policy must do the same work
-#: to the bit.  Keys: (new vertices, threshold, seed) on
+#: to the bit.  The three ``cutedge`` pins were re-pinned once when the
+#: edge batch became one closure and one product per rank (same steps and
+#: closeness).  Keys: (new vertices, threshold, seed) on
 #: ``community_workload(100, k, inject_step=1)``, or ("mixed", threshold).
 ADAPTIVE_PINS = {
-    (5, 0.10, 1): ("5|0x1.43b1f179ce1acp-7|46706|44851|47db5161510c1078", "cutedge"),
-    (5, 0.10, 2): ("4|0x1.2655054bce3e7p-7|41180|39304|b23839f9ebc83086", "cutedge"),
+    (5, 0.10, 1): ("5|0x1.43a0ee6103b85p-7|46694|44839|47db5161510c1078", "cutedge"),
+    (5, 0.10, 2): ("4|0x1.261ba03686eabp-7|41142|39266|b23839f9ebc83086", "cutedge"),
     (40, 0.10, 1): ("7|0x1.144bfe398c00bp-6|96154|83862|7dc5fa1bb46e76b6", "repartition"),
     (40, 0.10, 2): ("7|0x1.0d95a7611e521p-6|92155|81813|5fe088ece4c94b88", "repartition"),
     (12, 0.05, 1): ("6|0x1.96508a6c1a277p-7|66574|57852|90375e7aca8c9cfb", "repartition"),
@@ -105,7 +107,7 @@ ADAPTIVE_PINS = {
     (3, 0.0, 1): ("5|0x1.4e3b6eb3d5072p-7|60406|51815|ebf91c9cbfddba1b", "repartition"),
     (3, 0.0, 2): ("6|0x1.69f07fe6f203cp-7|58958|50444|b1b4a196777f9f1c", "repartition"),
     ("mixed", 0.01): ("6|0x1.860a515e8e3cfp-8|10215|9682|b169941f19cc870c", "repartition"),
-    ("mixed", 0.5): ("5|0x1.7beaab1236197p-8|10078|9496|b169941f19cc870c", "cutedge"),
+    ("mixed", 0.5): ("5|0x1.7bb8117324571p-8|10034|9452|b169941f19cc870c", "cutedge"),
 }
 
 

@@ -17,10 +17,11 @@ the changed mask.  On states whose unmarked entries are closed under
 are exact (integer weights) it must be bitwise-equal to the rectangle
 fold over any rectangle that contains the mask.
 
-:func:`repro.runtime.kernels.relax_edge_kernel` (per orientation dense
-in place, or gathered when the finite rectangle is thin) is pinned bitwise
-against ``_reference_relax_edge``: the per-orientation gather/scatter
-loop it replaced, kept here statement for statement.
+:func:`repro.runtime.kernels.relax_edge_batch_kernel` (a whole batch of
+new edges as one closure and one product per rank) must be at most the
+per-edge sequence it replaced (``tests/edge_reference.py``, kept there
+statement for statement) and at least the exact distances, and must mark
+exactly the entries it lowers.
 
 :func:`repro.runtime.kernels.relax_cut_kernel` (one min-reduced candidate
 and one compare per destination row and weight) is pinned bitwise against
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import tracemalloc
 import warnings
-from typing import Callable, List, NamedTuple, Set, Tuple
+from typing import List, NamedTuple, Set, Tuple
 from unittest import mock
 
 import numpy as np
@@ -52,7 +53,12 @@ from hypothesis import strategies as st
 
 import repro.runtime.kernels.oracle as kernels
 from repro import AnytimeAnywhereCloseness, AnytimeConfig, ChangeStream
-from repro.centrality import exact_closeness, sssp_dijkstra
+from repro.centrality import apsp_dijkstra, exact_closeness, sssp_dijkstra
+from repro.core.strategies import (
+    RoundRobinPS,
+    VertexAdditionStrategy,
+    apply_edge_addition,
+)
 from repro.graph import (
     ChangeBatch,
     Graph,
@@ -79,7 +85,9 @@ from repro.runtime.shm import (
     detach_shm,
 )
 
+from .. import edge_reference as reference
 from ..conftest import cycle_graph, grid_graph, path_graph, superstep
+from ..test_harness import WEIGHTS, connected_graphs
 
 
 def unblocked_reference(
@@ -733,46 +741,8 @@ class TestDeletionRepairOnFloatWeights:
 
 
 # ----------------------------------------------------------------------
-# edge-row relaxation: relax_edge_kernel == the loop it replaced, bitwise
+# edge-row relaxation: the batch kernel <= the per-edge sequence it replaced
 # ----------------------------------------------------------------------
-def _reference_relax_edge(
-    dv: np.ndarray,
-    dirty_cols: np.ndarray,
-    col_a: int,
-    row_a: np.ndarray,
-    col_b: int,
-    row_b: np.ndarray,
-    w: float,
-    charge: Callable[[], None],
-    mark_rows_changed: Callable[[np.ndarray], None],
-) -> bool:
-    """``Worker.relax_with_edge_rows`` as of the commit before the kernel.
-
-    The loop body is verbatim; only ``self.dv`` / ``self._dirty_cols``
-    became parameters and the two ``self`` calls became callbacks
-    (``charge()`` stands for
-    ``self._charge(self.cost.relax_time(self.n_local * self.n_cols))``).
-    """
-    improved_any = False
-    for col_src, row in ((col_a, row_b), (col_b, row_a)):
-        charge()
-        src_col = dv[:, col_src]
-        rows_f = np.flatnonzero(np.isfinite(src_col)).astype(np.int64)
-        cols_f = np.flatnonzero(np.isfinite(row))
-        if rows_f.size == 0 or cols_f.size == 0:
-            continue
-        sub = dv[np.ix_(rows_f, cols_f)]
-        through = src_col[rows_f][:, None] + (w + row[cols_f])[None, :]
-        mask = through < sub
-        if mask.any():
-            sub[mask] = through[mask]
-            dv[np.ix_(rows_f, cols_f)] = sub
-            dirty_cols[cols_f[mask.any(axis=0)]] = True
-            mark_rows_changed(rows_f[mask.any(axis=1)])
-            improved_any = True
-    return improved_any
-
-
 class EdgeCase(NamedTuple):
     """One relaxation: the worker owns vertices (= columns) ``0..n_local-1``."""
 
@@ -784,7 +754,8 @@ class EdgeCase(NamedTuple):
     w: float
 
     def dense(self) -> Tuple[bool, bool]:
-        """Which orientations relax a finite rectangle above the quarter."""
+        """Which orientations of the per-edge reference relax a finite
+        rectangle above the quarter (densely)."""
         src_a = self.dv[:, self.col_a]
         src_b = np.minimum(
             self.dv[:, self.col_b], src_a + (self.w + self.row_b[self.col_b])
@@ -867,47 +838,40 @@ def block_worker(dv: np.ndarray, seed: int, allocator=None) -> Worker:
     return w
 
 
-def assert_kernel_matches_reference(case: EdgeCase, seed: int = 0) -> bool:
-    """Kernel level, then through a Worker; returns whether it improved."""
+def assert_batch_within_reference(case: EdgeCase, seed: int = 0) -> bool:
+    """The one-edge batch of ``case`` — kernel level, then through a
+    Worker — is at most the per-edge reference and at most the block, and
+    marks exactly what it lowers; returns whether it improved."""
     n_local, n_cols = case.dv.shape
-    args = (case.col_a, case.row_a, case.col_b, case.row_b, case.w)
-
-    ref_dv, ref_dirty = case.dv.copy(), np.zeros(n_cols, dtype=bool)
-    ref_rows: List[int] = []
-    ref_improved = _reference_relax_edge(
-        ref_dv, ref_dirty, *args,
-        charge=lambda: None,
-        mark_rows_changed=lambda rows: ref_rows.extend(rows.tolist()),
+    ref_dv = case.dv.copy()
+    reference.relax_edge_kernel(
+        ref_dv, np.zeros(ref_dv.shape, dtype=bool), np.zeros(n_cols, dtype=bool),
+        *case[1:],
     )
+    batch = reference.one_edge_batch(*case[1:])
     dv, dirty = case.dv.copy(), np.zeros(n_cols, dtype=bool)
     changed = np.zeros(dv.shape, dtype=bool)
-    rows = kernels.relax_edge_kernel(dv, changed, dirty, *args)
-    assert dv.tobytes() == ref_dv.tobytes()
+    rows = kernels.relax_edge_batch_kernel(dv, changed, dirty, *batch)
+    assert reference.at_most(dv, ref_dv, exact=False)
+    assert (dv <= case.dv).all()
     assert np.array_equal(changed, dv < case.dv)  # exactly what was lowered
-    assert dirty.tobytes() == ref_dirty.tobytes()
-    assert rows.tolist() == sorted(set(ref_rows))
-    assert bool(rows.size) == ref_improved
+    assert np.array_equal(dirty, changed.any(axis=0))
+    assert rows.tolist() == np.flatnonzero(changed.any(axis=1)).tolist()
 
     ref_w, new_w = block_worker(case.dv, seed), block_worker(case.dv, seed)
-    assert _reference_relax_edge(
-        ref_w.dv, ref_w._dirty_cols, *args,
-        charge=lambda: ref_w._charge(
-            ref_w.cost.relax_time(ref_w.n_local * ref_w.n_cols)
-        ),
-        mark_rows_changed=lambda rows: ref_w._mark_rows_changed(rows.tolist()),
-    ) is ref_improved
-    assert new_w.relax_with_edge_rows(
-        case.col_a, case.row_a, case.col_b, case.row_b, case.w
-    ) is ref_improved
-    assert new_w.dv.tobytes() == ref_dv.tobytes()
+    for _ in range(2 if n_local else 0):  # one edge: two dense orientations
+        ref_w._charge(ref_w.cost.relax_time(n_local * n_cols))
+    ref_w._mark_rows_changed(rows.tolist())
+    assert new_w.relax_with_edge_rows(*batch, 1) is bool(rows.size)
+    assert new_w.dv.tobytes() == dv.tobytes()
     assert np.array_equal(new_w.dv_changed, changed)
-    assert new_w._dirty_cols.tobytes() == ref_w._dirty_cols.tobytes()
-    assert new_w._changed_rows == ref_w._changed_rows == set(rows.tolist())
+    assert new_w._dirty_cols.tobytes() == dirty.tobytes()
+    assert new_w._changed_rows == set(rows.tolist())
     assert [ch.pending for ch in new_w.channels] == [
         ch.pending for ch in ref_w.channels
     ]
     assert new_w._seconds.hex() == ref_w._seconds.hex()
-    return ref_improved
+    return bool(rows.size)
 
 
 _SHARES = st.sampled_from([0.0, 0.05, 0.3, 0.9, 1.0])
@@ -916,7 +880,7 @@ _SHARES = st.sampled_from([0.0, 0.05, 0.3, 0.9, 1.0])
 @st.composite
 def edge_cases(draw) -> EdgeCase:
     n_cols = draw(st.integers(2, 60))
-    n_local = draw(st.integers(1, min(40, n_cols)))
+    n_local = draw(st.integers(0, min(40, n_cols)))  # 0: an empty rank
     col_a = draw(st.integers(0, n_cols - 1))
     col_b = draw(st.integers(0, n_cols - 2))
     return edge_case(
@@ -935,18 +899,95 @@ def edge_cases(draw) -> EdgeCase:
     )
 
 
+@st.composite
+def edge_batches(draw):
+    """``(graph, nprocs, new vertices, edges, dv, seed, exact)``: a batch of
+    1-8 edges among the old vertices and 0-2 new ones (pairs may repeat
+    and may be edges already: parallel edges), and a DV of upper bounds —
+    the exact distances plus noise, with a share of +inf entries and
+    +inf rows."""
+    kind = draw(st.sampled_from(sorted(WEIGHTS)))
+    g = draw(connected_graphs(WEIGHTS[kind], 4, 16))
+    n = g.num_vertices
+    new = list(range(n, n + draw(st.integers(0, 2))))
+    ends = st.integers(0, n + len(new) - 1)
+    edges = draw(st.lists(
+        st.tuples(ends, ends, WEIGHTS[kind]).filter(lambda e: e[0] != e[1]),
+        min_size=1, max_size=8,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dv = apsp_dijkstra(g, order=list(range(n)))[0]
+    noise = rng.integers(0, 3, size=dv.shape).astype(float)
+    dv += noise if kind != "float" else noise * rng.random(dv.shape)
+    p_inf, p_dead = draw(st.sampled_from([(0.0, 0.0), (0.3, 0.0), (0.6, 0.4)]))
+    dv[rng.random(dv.shape) < p_inf] = np.inf
+    dv[rng.random(n) < p_dead] = np.inf
+    np.fill_diagonal(dv, 0.0)
+    return g, draw(st.integers(1, 4)), new, edges, dv, draw(st.integers(0, 3)), kind != "float"
+
+
 class TestRelaxEdgeKernel:
+    """The edge-batch relaxation (``relax_edge_batch_kernel`` through
+    ``Worker.relax_with_edge_rows``) against the per-edge reference."""
+
     @settings(
         max_examples=150,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(case=edge_cases(), seed=st.integers(0, 1000))
-    def test_bitwise_equal_to_reference(self, case, seed):
-        assert_kernel_matches_reference(case, seed)
+    def test_at_most_the_per_edge_reference(self, case, seed):
+        assert_batch_within_reference(case, seed)
 
-    # (finite shares of col a, col b, row a, row b) -> (dense 1, dense 2);
-    # endpoints 30 / 31 are external to the 24 x 40 block, 3 / 5 owned
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(drawn=edge_batches())
+    def test_a_batch_between_the_exact_distances_and_the_per_edge_sequence(
+        self, drawn
+    ):
+        """Multi-rank: after ``apply_edge_addition``, every rank's DV is at
+        most the per-edge sequence's (exactly on integer weights) and at
+        least the exact distances; the marks, the dirty columns and the
+        improved rows are exactly the entries the call lowered."""
+        g, nprocs, new, edges, dv, seed, exact = drawn
+        cfg = AnytimeConfig(nprocs=nprocs, seed=seed, collect_snapshots=False)
+        with AnytimeAnywhereCloseness(g, cfg) as engine:
+            engine.setup()
+            cluster = engine.cluster
+            VertexAdditionStrategy(RoundRobinPS()).apply(
+                cluster,
+                ChangeBatch(vertex_additions=[VertexAddition(v, ()) for v in new]),
+                0,
+            )
+            n = g.num_vertices
+            cols = cluster.index.columns(range(n))
+            for w in cluster.workers:
+                old = [r for r, v in enumerate(w.owned) if v < n]
+                w.dv[np.ix_(old, cols)] = dv[[w.owned[r] for r in old]]
+                w.dv_changed[...] = False
+                w._dirty_cols[...] = False
+                w._changed_rows.clear()
+            ref = reference.reference_blocks(cluster, edges)
+            before = [w.dv.copy() for w in cluster.workers]
+            apply_edge_addition(cluster, edges)
+            exact_new = apsp_dijkstra(cluster.graph, order=cluster.index.ids)[0]
+            for w, want, was in zip(cluster.workers, ref, before):
+                assert reference.at_most(w.dv, want, exact)
+                floor = exact_new[cluster.index.columns(w.owned)]
+                assert (w.dv >= (floor if exact else floor * (1 - 1e-12))).all()
+                lowered = w.dv < was
+                assert np.array_equal(w.dv_changed, lowered)
+                assert np.array_equal(w._dirty_cols, lowered.any(axis=0))
+                assert w._changed_rows == set(
+                    np.flatnonzero(lowered.any(axis=1)).tolist()
+                )
+
+    # (finite shares of col a, col b, row a, row b) -> the reference's
+    # (dense 1, dense 2); endpoints 30 / 31 are external to the 24 x 40
+    # block, 3 / 5 owned
     @pytest.mark.parametrize(
         "shares, cols, expected",
         [
@@ -961,6 +1002,7 @@ class TestRelaxEdgeKernel:
         ],
     )
     def test_every_rectangle_regime(self, shares, cols, expected):
+        """Within the reference in each regime of its rectangle rule."""
         fa, fb, ra, rb = shares
         for seed in range(5):
             case = edge_case(
@@ -969,39 +1011,51 @@ class TestRelaxEdgeKernel:
                 finite_row_a=ra, finite_row_b=rb,
             )
             assert case.dense() == expected
-            assert_kernel_matches_reference(case, seed)
+            assert_batch_within_reference(case, seed)
 
     def test_orientation_two_reads_column_b_after_orientation_one(self):
-        # d(x, b) is unknown everywhere, so only orientation 1 (through
-        # a, arriving at b itself) makes column b finite — and only then
-        # can orientation 2 improve anything through it
+        # d(x, b) is unknown everywhere, so only the path through a (the
+        # reference's orientation 1) makes column b finite; the closure
+        # takes it in the same pass as what then goes on through b
         case = edge_case(7, 24, 40, 30, 31, p_inf=0.0, finite_col_b=0.0)
         assert not np.isfinite(case.dv[:, 31]).any()
         without_a = case._replace(
             dv=np.where(np.arange(40) == 30, np.inf, case.dv)
         )
-        assert not assert_kernel_matches_reference(without_a)
+        assert not assert_batch_within_reference(without_a)
         assert case.dense() == (True, True)
-        assert assert_kernel_matches_reference(case)
+        assert assert_batch_within_reference(case)
+        dv, changed = case.dv.copy(), np.zeros(case.dv.shape, dtype=bool)
+        kernels.relax_edge_batch_kernel(
+            dv, changed, np.zeros(40, dtype=bool),
+            *reference.one_edge_batch(*case[1:]),
+        )
+        assert np.isfinite(dv[:, 31]).all()
         thin = edge_case(
             7, 24, 40, 30, 31, p_inf=0.0, finite_col_b=0.0, finite_row_a=0.05
         )
         assert thin.dense() == (True, False)
-        assert assert_kernel_matches_reference(thin)
+        assert assert_batch_within_reference(thin)
 
     def test_no_improvement_leaves_everything_untouched(self):
+        # every finite distance is 1 (0 to itself): no path through a or b
+        # is shorter, however the rows are shaped
         for share, dense in ((1.0, True), (0.05, False)):
-            case = edge_case(
+            drawn = edge_case(
                 3, 24, 40, 30, 31, w=1e6, p_inf=0.0,
                 finite_row_a=share, finite_row_b=share,
             )
+            flat = lambda m: np.where(np.isfinite(m), np.minimum(m, 1.0), np.inf)
+            case = drawn._replace(
+                dv=flat(drawn.dv), row_a=flat(drawn.row_a), row_b=flat(drawn.row_b)
+            )
             assert case.dense() == (dense, dense)
             before = case.dv.copy()
-            assert not assert_kernel_matches_reference(case)
+            assert not assert_batch_within_reference(case)
             dirty = np.zeros(40, dtype=bool)
             changed = np.zeros(case.dv.shape, dtype=bool)
-            rows = kernels.relax_edge_kernel(
-                case.dv, changed, dirty, 30, case.row_a, 31, case.row_b, case.w
+            rows = kernels.relax_edge_batch_kernel(
+                case.dv, changed, dirty, *reference.one_edge_batch(*case[1:])
             )
             assert rows.size == 0 and not dirty.any() and not changed.any()
             assert case.dv.tobytes() == before.tobytes()
@@ -1010,12 +1064,13 @@ class TestRelaxEdgeKernel:
         w = block_worker(np.empty((0, 6)), seed=0)
         seconds = w._seconds
         row = np.arange(6, dtype=np.float64)
-        assert w.relax_with_edge_rows(2, row, 4, row, 1.0) is False
+        batch = reference.one_edge_batch(2, row, 4, row, 1.0)
+        assert w.relax_with_edge_rows(*batch, 1) is False
         assert w._seconds == seconds
         assert not w._changed_rows and not w.pending_row_count()
-        rows = kernels.relax_edge_kernel(
+        rows = kernels.relax_edge_batch_kernel(
             np.empty((0, 6)), np.zeros((0, 6), dtype=bool),
-            np.zeros(6, dtype=bool), 2, row, 4, row, 1.0,
+            np.zeros(6, dtype=bool), *batch,
         )
         assert rows.size == 0
 
@@ -1024,18 +1079,19 @@ class TestRelaxEdgeKernel:
         """The process backend's pool reads ``dv`` through its own mapping
         of the segment: the relaxation must write into it, not re-home it."""
         case = edge_case(11, 24, 40, 30, 31, finite_row_a=finite_row_a)
+        batch = reference.one_edge_batch(*case[1:])
         expected = case.dv.copy()
-        assert _reference_relax_edge(
-            expected, np.zeros(40, dtype=bool), *case[1:],
-            charge=lambda: None, mark_rows_changed=lambda rows: None,
-        )
+        assert kernels.relax_edge_batch_kernel(
+            expected, np.zeros(expected.shape, dtype=bool),
+            np.zeros(40, dtype=bool), *batch,
+        ).size
         allocator = SharedMemoryAllocator()
         try:
             w = block_worker(case.dv, 0, allocator)
             resident = w.dv
             shm, pool_view = attach_shm_array(allocator.descriptor(resident))
             try:
-                assert w.relax_with_edge_rows(30, case.row_a, 31, case.row_b, case.w)
+                assert w.relax_with_edge_rows(*batch, 1)
                 assert w.dv is resident
                 assert pool_view.tobytes() == expected.tobytes()
             finally:
@@ -1044,40 +1100,33 @@ class TestRelaxEdgeKernel:
         finally:
             allocator.release_all()
 
-    def test_thin_rectangle_allocates_far_less_than_the_block(self):
-        """First edge of a new vertex: one finite row x one finite column.
-
-        An always-dense kernel would allocate whole-block temporaries
-        here (30 % of serve-churn's orientations are this shape); the
-        gather path must stay O(n_local + n_cols).
-        """
-        n_local, n_cols, a, b = 200, 800, 7, 650
+    def test_no_temporary_of_the_block_times_the_endpoints(self):
+        """A batch of 40 endpoints on a 200 x 800 block: a candidate
+        temporary per endpoint (``n_local x |H| x n_cols``, 51 MB) would
+        show; the kernel holds tiles of the block, not the block."""
+        n_local, n_cols, n_h = 200, 800, 40
         rng = np.random.default_rng(0)
         dv = rng.uniform(1.0, 20.0, size=(n_local, n_cols))
-        dv[:, a] = np.inf          # nobody reaches the new vertex yet ...
-        dv[a, :] = np.inf          # ... and it reaches nobody
-        dv[a, a] = 0.0
-        row_a = dv[a].copy()
-        row_b = rng.uniform(1.0, 20.0, size=n_cols)
-        row_b[[a, b]] = np.inf, 0.0
-        case = EdgeCase(dv, a, row_a, b, row_b, 1.0)
-        assert case.dense() == (False, False)
-        assert assert_kernel_matches_reference(case)
-        dirty = np.zeros(n_cols, dtype=bool)
+        cols = rng.choice(n_cols, size=n_h, replace=False).astype(np.intp)
+        rows = rng.uniform(1.0, 20.0, size=(n_h, n_cols))
+        rows[np.arange(n_h), cols] = 0.0
+        closure = rng.uniform(0.5, 5.0, size=(n_h, n_h))
+        closure = np.minimum(closure, closure.T)
+        np.fill_diagonal(closure, 0.0)
         changed = np.zeros(dv.shape, dtype=bool)
-        work = dv.copy()
+        dirty = np.zeros(n_cols, dtype=bool)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            rows = kernels.relax_edge_kernel(
-                work, changed, dirty, a, row_a, b, row_b, 1.0
+            rows_improved = kernels.relax_edge_batch_kernel(
+                dv, changed, dirty, cols, closure, rows
             )
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert rows.tolist() == list(range(n_local))  # everyone reaches a now
-        assert peak < n_local * n_cols * 8 // 4
+        assert rows_improved.size
+        assert peak < 2 * dv.nbytes < n_local * n_h * n_cols * 8 // 10
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from repro.runtime.kernels import KERNELS
 from repro.runtime.shm import SharedMemoryAllocator
 
 from ..conftest import path_graph, superstep
+from ..edge_reference import one_edge_batch
 
 
 def make_worker(graph, owned, owner_map, rank=0, nprocs=2, index=None):
@@ -279,7 +280,7 @@ class TestEdgeRowRelaxation:
         w.run_initial_approximation()
         row0 = w.dv_row(0)
         row3 = w.dv_row(3)
-        assert w.relax_with_edge_rows(0, row0, 3, row3, 1.0)
+        assert w.relax_with_edge_rows(*one_edge_batch(0, row0, 3, row3, 1.0), 1)
         assert w.dv[w.row_of[0], 3] == 1.0
         assert w.dv[w.row_of[1], 3] == 2.0
 
@@ -289,7 +290,7 @@ class TestEdgeRowRelaxation:
         w = make_worker(g, [0, 1, 2], owner, nprocs=1)
         w.run_initial_approximation()
         row0, row1 = w.dv_row(0), w.dv_row(1)
-        assert not w.relax_with_edge_rows(0, row0, 1, row1, 5.0)
+        assert not w.relax_with_edge_rows(*one_edge_batch(0, row0, 1, row1, 5.0), 1)
 
 
 class TestDeletionKernels:
@@ -465,7 +466,7 @@ class TestChangedEntryMask:
         before = w.dv.copy()
         row_0 = before[w.row_of[0]].copy()
         row_3 = np.array([np.inf, np.inf, 1.0, 0.0])
-        assert w.relax_with_edge_rows(0, row_0, 3, row_3, 1.0)
+        assert w.relax_with_edge_rows(*one_edge_batch(0, row_0, 3, row_3, 1.0), 1)
         assert w.dv_changed.any()
         assert np.array_equal(w.dv_changed, w.dv < before)
 

@@ -111,8 +111,10 @@ def test_closure_runs_are_backend_and_tier_invariant(config, closure_calls) -> N
     assert closure_calls()
 
 
-#: the ``batch-add`` input, recorded at ef93848 under serial/numpy
-BATCH_ADD_PIN = "5|0x1.bd7952775d2edp-1|2451745|2129583|60e7d7a004222c4f"
+#: the ``batch-add`` input, recorded at ef93848 under serial/numpy and
+#: re-pinned once when the edge batch became one closure and one product
+#: per rank (same steps and closeness)
+BATCH_ADD_PIN = "5|0x1.bd5a4bbac450bp-1|2451367|2129205|60e7d7a004222c4f"
 
 
 @pytest.mark.parametrize(
@@ -135,8 +137,9 @@ def test_batch_add_run_matches_pin(config, closure_calls) -> None:
     assert sorted(closure_calls())[-4:] == [(770, True)] * 4
 
 
-#: the churn pin, recorded at 609c7bc under serial/numpy
-CHURN_PIN = "27|0x1.de154e800909cp-5|128150|111363|b6b6ab18a7163f3c"
+#: the churn pin, recorded at 609c7bc under serial/numpy and re-pinned
+#: once with the edge batch (same steps and closeness)
+CHURN_PIN = "27|0x1.de059a6926d64p-5|128062|111275|b6b6ab18a7163f3c"
 
 
 @pytest.mark.parametrize(

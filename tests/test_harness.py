@@ -3,7 +3,9 @@ format x fault plan x budget: the paper's promise (PAPER.md §1) that any
 batch on any rank still converges to exact closeness, and that an
 interrupted run's distances are upper bounds.  :func:`check` holds a
 :class:`Scenario` to one oracle stack — around every superstep
-(:class:`Monitor`), at the end of each run, and against its twins:
+(:class:`Monitor`), after every edge batch (at most the per-edge
+sequence of ``tests/edge_reference.py``), at the end of each run, and
+against its twins:
 ``serial`` ≡ ``process``, ``dense`` ≡ ``delta``, a budgeted run resumed ≡
 the uninterrupted one, :class:`UpdateService` tick by tick ≡ an engine fed
 one paced step at a time; no ``process`` run leaves a shared-memory
@@ -34,6 +36,7 @@ from repro.centrality import apsp_dijkstra, exact_closeness
 from repro.core.strategies import CompositeStrategy, DynamicStrategy
 from repro.core.strategies import PolicyDrivenStrategy, RebalancedStrategy
 from repro.core.strategies import RoundRobinPS, VertexAdditionStrategy
+from repro.core.strategies import edge_addition, edge_deletion, vertex_addition
 from repro.errors import ChangeStreamError
 from repro.graph import ChangeBatch, Graph, barabasi_albert, random_weights
 from repro.graph.changes import EdgeAddition, EdgeDeletion, EdgeReweight
@@ -46,6 +49,7 @@ from repro.runtime.chaos import RECOVERY_POLICIES, FaultPlan
 from repro.runtime.shm import SharedMemoryAllocator
 from repro.serve import UpdateService
 
+from . import edge_reference as reference
 from .graph.test_changes import INVALID
 
 STRATEGIES = (
@@ -72,6 +76,9 @@ class Scenario:
     resilience: Optional[ResilienceConfig] = None
     health: Optional[HealthPolicy] = None
     budget: Optional[int] = None
+    #: intra-rank edge additions join their rank bare: its structure
+    #: only, with no DV row relaxed through them (:func:`join_bare`)
+    bare: bool = False
 
     @property
     def graph(self) -> Graph:
@@ -232,6 +239,7 @@ def scenarios(
         backend=draw(backend),
         wire=draw(st.sampled_from(("delta", "dense"))),
         resilience=resilience, health=health, budget=draw(budget),
+        bare=draw(st.booleans()),
     )
 
 
@@ -252,13 +260,13 @@ class Monitor:
         self.prev: Any = None  # (ids, rank, dv) since the last raising batch
         self.folded: Any = None  # (ids, rank, dv) after the last fold
 
-    def watch(self, strategy: DynamicStrategy) -> DynamicStrategy:
+    def watch(self, strategy: DynamicStrategy, bare: bool = False) -> DynamicStrategy:
         apply = strategy.apply
 
         def apply_and_note(cluster: Cluster, batch: ChangeBatch, step: int) -> None:
             if batch.edge_deletions or batch.edge_reweights or batch.vertex_deletions:
                 self.prev = None
-            apply(cluster, batch, step)
+            apply(cluster, join_bare(cluster, batch) if bare else batch, step)
 
         strategy.apply = apply_and_note  # type: ignore[method-assign]
         return strategy
@@ -313,9 +321,50 @@ class Monitor:
         self.prev = self.folded = now
 
 
+def join_bare(cluster: Cluster, batch: ChangeBatch) -> ChangeBatch:
+    """Add ``batch``'s intra-rank edges to the graph and their rank's
+    structure (local graph and APSP) only, relaxing no DV row through
+    them — neither the edge batch's relaxation nor ``add_local_edge``'s
+    own — so that the fold the rank asks for must bring them in.  Returns
+    the rest of the batch, for the strategy."""
+    owner = cluster.partition.assignment
+    rest = []
+    for ea in batch.edge_additions:
+        rank = owner.get(ea.u)
+        if rank is None or rank != owner.get(ea.v):
+            rest.append(ea)
+        elif not cluster.graph.has_edge(ea.u, ea.v) or (
+            ea.weight < cluster.graph.weight(ea.u, ea.v)
+        ):
+            cluster.graph.add_edge(ea.u, ea.v, ea.weight)
+            relax = mock.patch.object(
+                worker.Worker, "_relax_dv_with_local_edge", lambda *_: None
+            )
+            with relax:
+                cluster.workers[rank].add_local_edge(ea.u, ea.v, ea.weight)
+    return dataclasses.replace(batch, edge_additions=rest)
+
+
+def within_reference(apply):  # type: ignore[no-untyped-def]
+    """``apply_edge_addition`` checked on copies: afterwards, every rank's
+    DV is at most the per-edge sequence's (exactly on integer weights)."""
+
+    def checked(cluster: Cluster, edges) -> None:  # type: ignore[no-untyped-def]
+        edges = list(edges)
+        weights = [w for *_uv, w in cluster.graph.edge_list() + edges]
+        exact = all(float(w).is_integer() for w in weights)
+        want = reference.reference_blocks(cluster, edges)
+        apply(cluster, edges)
+        for w, block in zip(cluster.workers, want):
+            assert reference.at_most(w.dv, block, exact), "above the per-edge DV"
+
+    return checked
+
+
 @contextmanager
 def audited(crashed: Set[int]) -> Iterator[Monitor]:
-    """Run :class:`Monitor` around every superstep of every cluster."""
+    """Run :class:`Monitor` around every superstep of every cluster, and
+    hold every edge batch to the per-edge sequence."""
     monitor = Monitor(crashed)
     relax_and_propagate = Cluster.relax_and_propagate
 
@@ -325,7 +374,15 @@ def audited(crashed: Set[int]) -> Iterator[Monitor]:
         monitor(cluster)
         return improved
 
-    with mock.patch.object(Cluster, "relax_and_propagate", wrapped):
+    with ExitStack() as stack:
+        stack.enter_context(
+            mock.patch.object(Cluster, "relax_and_propagate", wrapped)
+        )
+        for module in (edge_addition, vertex_addition, edge_deletion):
+            stack.enter_context(mock.patch.object(
+                module, "apply_edge_addition",
+                within_reference(module.apply_edge_addition),
+            ))
         yield monitor
 
 
@@ -412,7 +469,7 @@ def run(
     with audited(crashed) as monitor, engine_cm as engine:
         kwargs = dict(
             changes=ChangeStream({i: b for i, b in enumerate(s.schedule) if b}),
-            strategy=monitor.watch(strategy_for(s, engine)),
+            strategy=monitor.watch(strategy_for(s, engine), s.bare),
             resilience=s.resilience,
         )
         steps, result = 0, None
@@ -445,7 +502,7 @@ def served(s: Scenario, per_tick_engine: bool) -> Tuple[bytes, int, str]:
     flushed per tick, then drained — or through a bare engine fed the
     same batches one ``step_budget=1`` call at a time."""
     with audited(set()) as monitor, engine_for(s, s.backend, s.wire) as engine:
-        strategy = monitor.watch(strategy_for(s, engine))
+        strategy = monitor.watch(strategy_for(s, engine), s.bare)
         if per_tick_engine:
             steps = 0
             for batch in s.schedule:
@@ -497,7 +554,8 @@ def check(s: Scenario) -> None:
 # ----------------------------------------------------------------------
 PATHS = (
     "fold:closure", "fold:push", "fold:rectangle",
-    "ia:sweep", "ia:dijkstra", "edge:dense", "edge:gathered",
+    "ia:sweep", "ia:dijkstra", "edge:old-endpoint", "edge:new-endpoint",
+    "edge:reweight",
     "speculated-repair",
 )
 
@@ -515,18 +573,19 @@ def paths_taken() -> Iterator[Set[str]]:
             return fn(*args, **kwargs)
         return wrapped
 
-    def dense(dv, col, row) -> bool:  # the kernel's regime rule
-        finite = np.isfinite(dv[:, col]).sum() * np.isfinite(row).sum()
-        return oracle._EDGE_DENSE_DIV * finite > dv.size
+    def relax_edges(dv, changed, dirty, cols, closure, rows):  # type: ignore[no-untyped-def]
+        # an old endpoint's row is finite beyond its own column; a vertex
+        # added in this batch knows only itself
+        beyond = np.isfinite(rows).sum(axis=1) > 1
+        taken.update(["edge:old-endpoint"] if beyond.any() else [])
+        taken.update(["edge:new-endpoint"] if not beyond.all() else [])
+        return relax_edge_batch(dv, changed, dirty, cols, closure, rows)
 
-    def relax_edge(dv, changed, dirty, a, row_a, b, row_b, w):  # type: ignore[no-untyped-def]
-        first = dense(dv, a, row_b)
-        out = relax_edge_kernel(dv, changed, dirty, a, row_a, b, row_b, w)
-        # orientation two read column b as orientation one left it, and
-        # cannot lower column b itself
-        for regime in (first, dense(dv, b, row_a)):
-            taken.add("edge:dense" if regime else "edge:gathered")
-        return out
+    def lowers_a_weight(cluster, edges) -> bool:  # type: ignore[no-untyped-def]
+        if len(edges) != 1:  # a reweight down is a one-edge batch
+            return False
+        u, v, w = edges[0]
+        return cluster.graph.has_edge(u, v) and w < cluster.graph.weight(u, v)
 
     def level_sweep(*args):  # type: ignore[no-untyped-def]
         done = sweep(*args)
@@ -539,7 +598,7 @@ def paths_taken() -> Iterator[Set[str]]:
             lambda _backend, task, *_: task.full_repropagate,
         )
 
-    relax_edge_kernel, sweep = worker.relax_edge_kernel, oracle._level_sweep
+    relax_edge_batch, sweep = worker.relax_edge_batch_kernel, oracle._level_sweep
     patches = [
         (oracle, "minplus_closure", spy(oracle.minplus_closure, "fold:closure")),
         (oracle, "minplus_fold_changed", spy(oracle.minplus_fold_changed, "fold:push")),
@@ -547,7 +606,9 @@ def paths_taken() -> Iterator[Set[str]]:
         (oracle, "csgraph", SimpleNamespace(
             dijkstra=spy(oracle.csgraph.dijkstra, "ia:dijkstra"))),
         (oracle, "_level_sweep", level_sweep),
-        (worker, "relax_edge_kernel", relax_edge),
+        (worker, "relax_edge_batch_kernel", relax_edges),
+        (edge_deletion, "apply_edge_addition", spy(
+            edge_deletion.apply_edge_addition, "edge:reweight", lowers_a_weight)),
         (ExecutionBackend, "run_speculative", repair(ExecutionBackend)),
         (ProcessBackend, "run_speculative", repair(ProcessBackend)),
     ]
@@ -735,8 +796,19 @@ def add_and_delete_under_a_crash() -> Scenario:
     )
 
 
+def bare_local_edges() -> Scenario:
+    """Intra-rank edges join their rank bare at RC step 1, before the run
+    has converged: only the full fold ``add_local_edge`` asks for brings
+    the paths through them into the block."""
+    base = ba(64, 3, 12)
+    pairs = same_rank_pairs(base, 4, 5, present=False)[::40]
+    tick = ChangeBatch(edge_additions=[EdgeAddition(*p, 1.0) for p in pairs])
+    return Scenario(tuple(base.edge_list()), (tick,), nprocs=4, seed=5, bare=True)
+
+
 FIXED = {
     "mixed-stream": mixed_stream(),
+    "bare-local-edges": bare_local_edges(),
     "vertex-deletions": vertex_deletion_stream(),
     "escalation-regression": escalation_regression(),
     "faulty-batch": faulty_batch(),
