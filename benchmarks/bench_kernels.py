@@ -57,9 +57,7 @@ def build(scale, graph=None):
 def superstep(w):
     """One RC superstep on a lone worker: prepare -> kernel -> apply."""
     task = w.superstep_prepare()
-    result = KERNELS.run_superstep(
-        task, w.dv, w.local_apsp, w.dv_changed, w.ext_store.rows
-    )
+    result = KERNELS.run_superstep(task, *w.entries.kernel_arrays())
     w.superstep_apply(task, result)
 
 
@@ -109,7 +107,8 @@ def edge_batch_calls(scale, monkeypatch):
     real = Worker.relax_with_edge_rows
 
     def spy(w, *args):
-        seen.append((w, w.dv.copy(), w.dv_changed.copy(), w._dirty_cols.copy(), args))
+        dirty = w.entries.dirty_cols.copy()
+        seen.append((w, w.dv.copy(), w.dv_changed.copy(), dirty, args))
         return real(w, *args)
 
     with engine, monkeypatch.context() as patch:
@@ -132,7 +131,7 @@ def test_edge_batch_relaxation_kernel(benchmark, scale, monkeypatch):
         for w, dv, changed, dirty, _args in calls:
             w.dv[...] = dv
             w.dv_changed[...] = changed
-            w._dirty_cols[...] = dirty
+            w.entries.dirty_cols[...] = dirty
 
     per_rank = []
     for w, *_block, args in calls:
@@ -185,10 +184,11 @@ def first_fold_state(scale, weights=None):
     tasks = first_superstep(scale, weights)
     for w, task in tasks:
         KERNELS.relax_cut(
-            w.dv, w.dv_changed, task.dirty_cols, w.ext_store.rows, task.relax_items
+            w.dv, w.dv_changed, task.dirty_cols, w.entries.rows, task.relax_items
         )
     w = max((w for w, _task in tasks), key=lambda w: int(w.dv_changed.sum()))
-    return w, w.local_apsp.copy(), w.dv.copy(), w.dv_changed.copy(), w.local_csr
+    apsp, dv, changed = w.local_apsp.copy(), w.dv.copy(), w.dv_changed.copy()
+    return w, apsp, dv, changed, w.entries.local_csr
 
 
 def test_cut_relaxation_kernel(benchmark, scale):
@@ -210,7 +210,7 @@ def test_cut_relaxation_kernel(benchmark, scale):
 
     benchmark.pedantic(
         lambda: KERNELS.relax_cut(
-            dv, changed, dirty, w.ext_store.rows, task.relax_items
+            dv, changed, dirty, w.entries.rows, task.relax_items
         ),
         setup=restore,
         rounds=50,

@@ -42,9 +42,7 @@ COLUMNS = ["variant", "seconds_per_fold"]
 def superstep(w):
     """One RC superstep on a lone worker: prepare -> kernel -> apply."""
     task = w.superstep_prepare()
-    result = KERNELS.run_superstep(
-        task, w.dv, w.local_apsp, w.dv_changed, w.ext_store.rows
-    )
+    result = KERNELS.run_superstep(task, *w.entries.kernel_arrays())
     w.superstep_apply(task, result)
 
 
@@ -71,7 +69,7 @@ def perturb(w, k=4):
         w.dv[r, cols] = np.maximum(w.dv[r, cols] * 0.5, 0.0)
         w.dv_changed[r, cols] = True
         w._mark_rows_changed([r])
-        w._dirty_cols[cols] = True
+        w.entries.dirty_cols[cols] = True
 
 
 def run(benchmark, scale, fold):
@@ -80,7 +78,7 @@ def run(benchmark, scale, fold):
 
     def setup():
         w._changed_rows.clear()
-        w._dirty_cols[:] = False
+        w.entries.dirty_cols[:] = False
         w.dv_changed[...] = False
         perturb(w)
 
@@ -103,7 +101,7 @@ def test_rectangle_fold(benchmark, scale):
             w.local_apsp,
             w.dv,
             sorted(w._changed_rows),
-            np.flatnonzero(w._dirty_cols),
+            np.flatnonzero(w.entries.dirty_cols),
         ),
     )
 

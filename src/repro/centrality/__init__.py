@@ -1,6 +1,5 @@
 """Centrality measures, exact references, and solution-quality metrics."""
 
-from .betweenness import approximate_betweenness, exact_betweenness
 from .closeness import closeness_from_matrix, closeness_from_row, rank_vertices
 from .error import (
     closeness_error,
@@ -8,7 +7,6 @@ from .error import (
     rank_correlation,
     top_k_overlap,
 )
-from .landmarks import landmark_closeness, top_k_closeness
 from .measures import (
     degree_centrality,
     eccentricity_from_matrix,
@@ -42,10 +40,6 @@ __all__ = [
     "exact_eccentricity",
     "radius_diameter",
     "degree_centrality",
-    "exact_betweenness",
-    "approximate_betweenness",
-    "landmark_closeness",
-    "top_k_closeness",
     "distance_error",
     "closeness_error",
     "rank_correlation",

@@ -186,8 +186,6 @@ class AnytimeAnywhereCloseness:
         self.obs: ObserverHub = build_hub(tuple(self.config.observers))
         self.cluster: Optional[Cluster] = None
         self.snapshots: List[AnytimeSnapshot] = []
-        #: per-RC-step load snapshots (populated when collecting snapshots)
-        self.load_history: List[LoadSnapshot] = []
         self._next_step = 0
 
     # ------------------------------------------------------------------
@@ -208,7 +206,6 @@ class AnytimeAnywhereCloseness:
             self.cluster.tracer.modeled_seconds,
         )
         self.snapshots = []
-        self.load_history = [snapshot_load(self.cluster)]
         self._next_step = 0
         if cfg.collect_snapshots:
             self.snapshots.append(
@@ -330,7 +327,6 @@ class AnytimeAnywhereCloseness:
                 self.snapshots.append(
                     take_snapshot(cluster, step, wf_improved=cfg.wf_improved)
                 )
-                self.load_history.append(snapshot_load(cluster))
 
         obs_on = self.obs.enabled
         if obs_on:

@@ -11,7 +11,6 @@ from .changes import (
     batch_from_subgraph,
     diff_graphs,
 )
-from .cliques import degeneracy_ordering, max_clique, maximal_cliques
 from .communities import louvain_communities, modularity
 from .generators import (
     barabasi_albert,
@@ -56,9 +55,6 @@ __all__ = [
     "lfr_benchmark",
     "random_weights",
     "louvain_communities",
-    "maximal_cliques",
-    "max_clique",
-    "degeneracy_ordering",
     "modularity",
     "connected_components",
     "is_connected",

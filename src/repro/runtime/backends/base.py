@@ -22,7 +22,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import List, Optional
 
-from ...types import BoolArray, FloatArray
+from ..entries import KernelArrays
 from ..kernels import KERNELS, IATask, SuperstepResult, SuperstepTask
 from ..shm import ArrayAllocator
 from ..worker import Worker
@@ -36,8 +36,8 @@ class ExecutionBackend(ABC):
     #: short identifier, e.g. ``"serial"`` / ``"process"``
     name: str = "base"
 
-    #: allocator workers must use for ``dv`` / ``local_apsp`` /
-    #: ``dv_changed`` and the external-row store
+    #: allocator every worker's :class:`~repro.runtime.entries.EntryStore`
+    #: allocates its matrices through
     allocator: ArrayAllocator
 
     @abstractmethod
@@ -55,24 +55,20 @@ class ExecutionBackend(ABC):
         matrices; returns the outcomes in rank order."""
 
     def run_speculative(
-        self,
-        task: SuperstepTask,
-        dv: FloatArray,
-        apsp: FloatArray,
-        changed: BoolArray,
-        ext: FloatArray,
+        self, task: SuperstepTask, arrays: KernelArrays
     ) -> SuperstepResult:
         """Re-execute one rank's superstep on private array copies.
 
         The straggler-mitigation backup: runs the exact superstep kernel
-        against the caller's copies of ``dv`` / ``local_apsp`` /
-        ``dv_changed`` so the result can be verified bitwise-identical
-        against the straggling rank's own outcome.  ``ext`` is the rank's
-        own external-row store, not a copy: the kernel only reads it.
-        Backends may run it anywhere (the process backend ships it to a
-        pool child); the default runs in-process.
+        against ``EntryStore.kernel_arrays(private=True)`` — copies of
+        ``dv`` / ``local_apsp`` / ``dv_changed`` — so the result can be
+        verified bitwise-identical against the straggling rank's own
+        outcome; ``arrays.ext`` is the rank's own external-row matrix, not
+        a copy: the kernel only reads it.  Backends may run it anywhere
+        (the process backend ships it to a pool child); the default runs
+        in-process.
         """
-        return KERNELS.run_superstep(task, dv, apsp, changed, ext)
+        return KERNELS.run_superstep(task, *arrays)
 
     def close(self) -> None:
         """Release backend resources (shared memory, pool slots)."""

@@ -3,11 +3,13 @@
 Between two BSP barriers every rank's kernels are independent, so each
 superstep fans its :class:`~repro.runtime.kernels.IATask` /
 :class:`~repro.runtime.kernels.SuperstepTask` out to a persistent
-``ProcessPoolExecutor`` (one slot per rank).  The heavy matrices —
-``dv``, ``local_apsp``, the ``dv``-shaped changed-entry mask and the
-external-row store — live in ``multiprocessing.shared_memory`` (see
-:mod:`repro.runtime.shm`) and travel as segment descriptors, which a
-child attaches once and caches.  What is pickled is the task and its
+``ProcessPoolExecutor`` (one slot per rank).  The heavy matrices of each
+rank's :class:`~repro.runtime.entries.EntryStore` — ``dv``,
+``local_apsp``, the ``dv``-shaped changed-entry mask and the external
+rows — live in ``multiprocessing.shared_memory`` (see
+:mod:`repro.runtime.shm`) and travel as one tuple of segment descriptors
+(``EntryStore.descriptors()``), which a child attaches once and caches.
+What is pickled is the task and its
 outcome: the relaxation's store slots, local rows and edge weights, the
 dirty-column mask, the fold's kind (``full_repropagate``), the local
 CSR, and the improved row indices back — no received or computed DV
@@ -29,13 +31,14 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import Future, ProcessPoolExecutor
 from multiprocessing.shared_memory import SharedMemory
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import DTypeLike, NDArray
 
 from ...errors import ConfigurationError
 from ...types import BoolArray, FloatArray
+from ..entries import KernelArrays
 from ..kernels import KERNELS, IATask, SuperstepResult, SuperstepTask
 from ..shm import (
     SharedMemoryAllocator,
@@ -77,29 +80,25 @@ def _attached(
     return arr
 
 
-def _child_ia(
-    rank: int, dv_desc: ShmDescriptor, apsp_desc: ShmDescriptor, task: IATask
-) -> None:
-    KERNELS.ia_kernel(
-        task, _attached((rank, "dv"), dv_desc), _attached((rank, "apsp"), apsp_desc)
-    )
+#: role and dtype of each kernel array, in ``KernelArrays`` order
+_ROLES: Tuple[Tuple[str, DTypeLike], ...] = (
+    ("dv", np.float64), ("apsp", np.float64), ("changed", np.bool_), ("ext", np.float64)
+)
+
+
+def _attach_all(rank: int, descs: Sequence[ShmDescriptor]) -> List[NDArray[Any]]:
+    """A rank's arrays from (a prefix of) its ``EntryStore.descriptors()``."""
+    return [_attached((rank, role), d, dt) for (role, dt), d in zip(_ROLES, descs)]
+
+
+def _child_ia(rank: int, descs: Sequence[ShmDescriptor], task: IATask) -> None:
+    KERNELS.ia_kernel(task, *_attach_all(rank, descs[:2]))
 
 
 def _child_superstep(
-    rank: int,
-    dv_desc: ShmDescriptor,
-    apsp_desc: ShmDescriptor,
-    changed_desc: ShmDescriptor,
-    ext_desc: ShmDescriptor,
-    task: SuperstepTask,
+    rank: int, descs: Sequence[ShmDescriptor], task: SuperstepTask
 ) -> SuperstepResult:
-    return KERNELS.run_superstep(
-        task,
-        _attached((rank, "dv"), dv_desc),
-        _attached((rank, "apsp"), apsp_desc),
-        _attached((rank, "changed"), changed_desc, np.bool_),
-        _attached((rank, "ext"), ext_desc),
-    )
+    return KERNELS.run_superstep(task, *_attach_all(rank, descs))
 
 
 def _child_speculative(
@@ -165,14 +164,6 @@ class ProcessBackend(ExecutionBackend):
         self.nprocs = nprocs
         self.allocator = SharedMemoryAllocator()
 
-    def _descriptors(
-        self, w: Worker
-    ) -> Tuple[ShmDescriptor, ShmDescriptor]:
-        return (
-            self.allocator.descriptor(w.dv),
-            self.allocator.descriptor(w.local_apsp),
-        )
-
     def run_ia(
         self, workers: List[Worker], tasks: List[Optional[IATask]]
     ) -> None:
@@ -181,7 +172,7 @@ class ProcessBackend(ExecutionBackend):
         for w, task in zip(workers, tasks):
             if task is not None:
                 futures.append(
-                    pool.submit(_child_ia, w.rank, *self._descriptors(w), task)
+                    pool.submit(_child_ia, w.rank, w.entries.descriptors(), task)
                 )
         for fut in futures:
             fut.result()
@@ -201,16 +192,9 @@ class ProcessBackend(ExecutionBackend):
                 # return an empty result, so skip the round trip
                 futures.append(None)
                 continue
-            dv_desc, apsp_desc = self._descriptors(w)
             futures.append(
                 pool.submit(
-                    _child_superstep,
-                    w.rank,
-                    dv_desc,
-                    apsp_desc,
-                    self.allocator.descriptor(w.dv_changed),
-                    self.allocator.descriptor(w.ext_store.rows),
-                    task,
+                    _child_superstep, w.rank, w.entries.descriptors(), task
                 )
             )
         return [
@@ -219,25 +203,20 @@ class ProcessBackend(ExecutionBackend):
         ]
 
     def run_speculative(
-        self,
-        task: SuperstepTask,
-        dv: FloatArray,
-        apsp: FloatArray,
-        changed: BoolArray,
-        ext: FloatArray,
+        self, task: SuperstepTask, arrays: KernelArrays
     ) -> SuperstepResult:
         pool = _get_pool(max(self.nprocs, 1))
         result, out_dv = pool.submit(
             _child_speculative,
             task,
-            dv,
-            apsp,
-            changed,
-            self.allocator.descriptor(ext),
+            arrays.dv,
+            arrays.apsp,
+            arrays.changed,
+            self.allocator.descriptor(arrays.ext),
         ).result()
         # the child mutated its own pickled copy; mirror it into the
         # caller's array so the identity check sees the backup's outcome
-        dv[:, :] = out_dv
+        arrays.dv[:, :] = out_dv
         return result
 
     def close(self) -> None:

@@ -31,8 +31,6 @@ class SerialBackend(ExecutionBackend):
         self, workers: List[Worker], tasks: List[SuperstepTask]
     ) -> List[SuperstepResult]:
         return [
-            KERNELS.run_superstep(
-                task, w.dv, w.local_apsp, w.dv_changed, w.ext_store.rows
-            )
+            KERNELS.run_superstep(task, *w.entries.kernel_arrays())
             for w, task in zip(workers, tasks)
         ]

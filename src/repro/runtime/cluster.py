@@ -46,8 +46,9 @@ from ..model.schedules import (
 from ..obs import registry as series
 from ..obs.observer import NULL_HUB, ObserverHub
 from ..partition.base import Partition, Partitioner
-from ..types import BoolArray, FloatArray, Rank, VertexId
+from ..types import FloatArray, Rank, VertexId
 from .backends import BackendSpec, make_backend
+from .entries import KernelArrays
 from .index import GlobalIndex
 from .kernels import SuperstepTask
 from .message import DeltaRows, dense_row_words, dv_payload_words
@@ -59,11 +60,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .health import HealthMonitor
 
 #: per-rank speculative-execution capture: the rank's superstep task plus
-#: private copies of its dv / local_apsp / dv_changed to re-execute the
-#: kernel on, and its external-row store (read-only, so shared)
-SpecContext = Dict[
-    Rank, Tuple[SuperstepTask, FloatArray, FloatArray, BoolArray, FloatArray]
-]
+#: its ``EntryStore.kernel_arrays(private=True)`` to re-execute it on
+SpecContext = Dict[Rank, Tuple[SuperstepTask, KernelArrays]]
 
 __all__ = ["Cluster"]
 
@@ -258,12 +256,10 @@ class Cluster:
                 captured = spec.get(r)
                 if captured is None:
                     continue
-                task, dv_copy, apsp_copy, changed_copy, ext = captured
-                self.backend.run_speculative(
-                    task, dv_copy, apsp_copy, changed_copy, ext
-                )
+                task, arrays = captured
+                self.backend.run_speculative(task, arrays)
                 w = self.workers[r]
-                if not np.array_equal(dv_copy, w.dv):
+                if not np.array_equal(arrays.dv, w.dv):
                     raise RuntimeSimulationError(
                         f"speculative re-execution of rank {r} diverged"
                         " from the straggler's own superstep result"
@@ -504,10 +500,7 @@ class Cluster:
                             replace(
                                 tasks[r], dirty_cols=tasks[r].dirty_cols.copy()
                             ),
-                            w.dv.copy(),
-                            w.local_apsp.copy(),
-                            w.dv_changed.copy(),
-                            w.ext_store.rows,
+                            w.entries.kernel_arrays(private=True),
                         )
             # an empty dict still arms the barrier: the state machine must
             # observe every superstep even when nothing can be speculated

@@ -132,7 +132,7 @@ def check_cluster_invariants(cluster: "Cluster") -> List[str]:
         n = w.n_local
         if n == 0 or w.local_apsp.shape != (n, n):
             continue
-        csr = w.local_csr  # or, dropped, what superstep_prepare will export
+        csr = w.entries.local_csr  # or, dropped, what the next superstep exports
         csr = w.local_graph.to_csr(w.owned).matrix if csr is None else csr
         rtol = 0.0 if closure_exact(csr, np.zeros(0)) else 1e-12
         assert np.allclose(

@@ -1,8 +1,8 @@
 """Array allocation plumbing for the execution backends.
 
-Workers route every (re)allocation of their large matrices — ``dv``,
-``local_apsp``, the ``dv``-shaped changed-entry mask and the external-row
-store (:mod:`repro.runtime.ext_rows`) — through an
+Each worker's :class:`~repro.runtime.entries.EntryStore` routes every
+(re)allocation of its large matrices — ``dv``, ``local_apsp``, the
+``dv``-shaped changed-entry mask and the external rows — through an
 :class:`ArrayAllocator`.  The default
 allocator hands out ordinary NumPy arrays, which keeps the serial
 backend byte-for-byte what it always was.  The process backend installs
@@ -13,11 +13,10 @@ indices and :class:`~repro.runtime.message.DeltaRows`, never matrices.
 
 Lifecycle rules:
 
-* The allocator owns the segments.  ``adopt`` is called by the worker's
-  ``dv`` / ``local_apsp`` / ``dv_changed`` property setters and by the
-  external-row store on every reshape: an array the
-  allocator already owns is kept as-is, anything else (``np.hstack`` results,
-  checkpoint restores, crash wipes) is copied into a fresh segment.
+* The allocator owns the segments.  ``adopt`` is called by the entry
+  store, and only there, on every reshape: an array the allocator already
+  owns is kept as-is, anything else (``np.hstack`` results, checkpoint
+  restores, crash wipes) is copied into a fresh segment.
   The replaced segment is unlinked immediately.
 * Unlinking only removes the name; existing NumPy views (e.g. rows a
   recovery path saved before a repartition) stay readable until they

@@ -4,22 +4,14 @@ Each worker owns a block of vertices and maintains:
 
 * ``local_graph`` — the induced graph on its owned vertices,
 * ``cut_adj`` — cut edges to *external boundary* vertices owned elsewhere,
-* ``local_apsp`` — all-pairs shortest paths **within** the local sub-graph
-  (the IA-phase partial result, kept exact under incremental additions),
-* ``dv`` — the distance-vector matrix: ``dv[row_of[v], index.col[t]]`` is
-  the current upper bound on ``d(v, t)`` for every global target ``t``,
-* ``dv_changed`` — a bool mask of ``dv``'s shape: the entries lowered
-  since the last propagation fold, which are all an incremental fold has
-  to push (a full fold, pending after a deletion, a reweight, a local
-  edge that lowered a pair, a recovery or a rebuild, re-derives the block),
-* ``local_csr`` — the local CSR ``local_apsp`` is the closure of, over
-  which an exact fold runs as a seeded bit-parallel level sweep; every
-  writer of ``local_apsp`` but IA drops it and the next superstep exports
-  ``local_graph``'s afresh, so every fold sees a current one,
-* ``ext_store`` — the last received DV row of every external boundary
-  vertex, one allocator-owned matrix indexed by slot
-  (:class:`~repro.runtime.ext_rows.ExternalRowStore`), which the cut-edge
-  relaxation reads in place,
+* ``entries`` — its :class:`~repro.runtime.entries.EntryStore`, which
+  owns the matrices and every change of their shape: ``dv``
+  (``dv[row_of[v], index.col[t]]`` bounds ``d(v, t)``), ``dv_changed``
+  (the entries lowered since the last fold, all an incremental fold
+  pushes; a full fold re-derives the block), ``local_apsp`` (exact
+  distances **within** the local sub-graph) and the last received row of
+  every external boundary vertex; ``dv`` / ``local_apsp`` /
+  ``dv_changed`` read through to it,
 * ``channels`` — one :class:`~repro.runtime.channel.Channel` per peer
   rank: subscriptions, the pending queue, delta baselines, and the
   sequence / ack / dedup state of the boundary exchange.
@@ -36,7 +28,7 @@ error shrinks monotonically.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -46,7 +38,7 @@ from ..graph.views import LocalSubgraph
 from ..model.cost import CostModel
 from ..types import BoolArray, FloatArray, Rank, VertexId
 from .channel import Channel
-from .ext_rows import ExternalRowStore
+from .entries import EntryStore
 from .index import GlobalIndex
 from .kernels import (
     KERNELS,
@@ -78,10 +70,6 @@ class Worker:
     ) -> None:
         if wire_format not in ("dense", "delta"):
             raise WorkerError(f"unknown wire format {wire_format!r}")
-        #: where ``dv`` / ``local_apsp`` / ``dv_changed`` / the external-row
-        #: store live; the process backend passes a shared-memory allocator
-        #: so kernel subprocesses can attach
-        self.allocator = allocator if allocator is not None else ArrayAllocator()
         self.rank = rank
         self.nprocs = nprocs
         self.index = index
@@ -104,27 +92,16 @@ class Worker:
         #: the boundary channel to each peer rank, indexed by rank
         self.channels: List[Channel] = [Channel() for _ in range(nprocs)]
 
-        self._dv: FloatArray = self.allocator.adopt(
-            np.zeros((0, 0), dtype=np.float64), None
-        )
-        self._local_apsp: FloatArray = self.allocator.adopt(
-            np.zeros((0, 0), dtype=np.float64), None
-        )
-        self._dv_changed: BoolArray = self.allocator.zeros_bool((0, 0))
-        #: the CSR ``local_apsp`` is the closure of (check 10), or ``None``
-        #: until :meth:`superstep_prepare` re-exports it.  Never shm: it
-        #: reaches the kernel inside the task
-        self.local_csr: Any = None
-        #: last received DV rows of external boundary vertices
-        self.ext_store = ExternalRowStore(self.allocator)
+        #: the matrices, in the allocator's residency: the process backend
+        #: passes a shared-memory one so kernel subprocesses can attach
+        self.entries = EntryStore(allocator or ArrayAllocator())
 
         # --- per-step change tracking ---------------------------------
-        # ``_changed_rows`` / ``_dirty_cols`` / ``_full_repropagate``
+        # ``_changed_rows`` / ``entries.dirty_cols`` / ``_full_repropagate``
         # decide *whether* the next superstep folds (and is charged);
         # ``_full_repropagate`` also decides its kind: re-derive the block,
         # or push what ``dv_changed`` marks
         self._changed_rows: Set[int] = set()
-        self._dirty_cols = np.zeros(0, dtype=bool)
         self._fresh_ext: Set[VertexId] = set()
         self._full_repropagate = False
 
@@ -154,59 +131,20 @@ class Worker:
     def n_cols(self) -> int:
         return self.dv.shape[1]
 
-    # ------------------------------------------------------------------
-    # matrix residency (routed through the backend's allocator)
-    # ------------------------------------------------------------------
+    # the store's arrays, read through (each changes shape in the store)
     @property
     def dv(self) -> FloatArray:
-        """Distance-vector matrix; assignment re-homes it via the allocator."""
-        return self._dv
-
-    @dv.setter
-    def dv(self, value: FloatArray) -> None:
-        self._dv = self.allocator.adopt(value, self._dv)
+        return self.entries.dv
 
     @property
     def local_apsp(self) -> FloatArray:
-        """Local all-pairs matrix; assignment re-homes it via the allocator
-        and drops ``local_csr``, which :meth:`superstep_prepare` exports
-        afresh from ``local_graph``."""
-        return self._local_apsp
-
-    @local_apsp.setter
-    def local_apsp(self, value: FloatArray) -> None:
-        self._local_apsp = self.allocator.adopt(value, self._local_apsp)
-        self.local_csr = None
+        return self.entries.local_apsp
 
     @property
     def dv_changed(self) -> BoolArray:
-        """Entries of ``dv`` lowered since the last propagation fold.
-
-        Same shape as ``dv`` on every path that reshapes it; assignment
-        re-homes it via the allocator.  Every writer that lowers a
-        ``dv`` entry outside a kernel fold sets it here, unless it also
-        requests a full fold (which ignores the mask).
-        """
-        return self._dv_changed
-
-    @dv_changed.setter
-    def dv_changed(self, value: BoolArray) -> None:
-        self._dv_changed = self.allocator.adopt(value, self._dv_changed)
-
-    def _reshape_entries(self, op: Callable[[Any, float], Any]) -> None:
-        """Reshape ``dv`` and its mask together — the only place either
-        changes shape.  ``op(array, fill)`` returns the new array, new
-        cells holding ``fill`` (+inf; not lowered)."""
-        self.dv = op(self.dv, np.inf)
-        self.dv_changed = op(self.dv_changed, False)
-
-    def wipe_entries(self, n_cols: int) -> None:
-        """A fresh ``n_local x n_cols`` block: ``dv`` all +inf, mask clear."""
-        shape = (self.n_local, n_cols)
-        # np.zeros, not np.full(False): calloc'd pages cost nothing unwritten
-        self._reshape_entries(
-            lambda a, fill: np.full(shape, fill) if fill else np.zeros(shape, a.dtype)
-        )
+        """Every writer that lowers a ``dv`` entry outside a kernel fold
+        marks it here, unless it also requests a full fold."""
+        return self.entries.dv_changed
 
     # ------------------------------------------------------------------
     # loading / domain decomposition
@@ -232,7 +170,7 @@ class Worker:
             self.cut_by_ext.setdefault(x, []).append((u, w))
         self.channels = [Channel() for _ in range(self.nprocs)]
         n_cols = len(self.index)
-        self.wipe_entries(n_cols)
+        self.entries.reset(self.n_local, n_cols)
         self.zero_own_distances()
         if seed_rows:
             for v, row in seed_rows.items():
@@ -244,10 +182,7 @@ class Worker:
                         f"seed row for {v} has {row.size} cols, expected {n_cols}"
                     )
                 np.minimum(self.dv[r], row, out=self.dv[r])
-        self.ext_store.clear(n_cols)
-        self.local_apsp = np.zeros((0, 0), dtype=np.float64)
         self._changed_rows = set()
-        self._dirty_cols = np.zeros(n_cols, dtype=bool)
         self._fresh_ext = set()
         self._full_repropagate = False
 
@@ -273,7 +208,7 @@ class Worker:
             np.minimum(prefix, saved_dv, out=prefix)
         n = self.n_local
         if saved_apsp is not None and saved_apsp.shape == (n, n):
-            self.local_apsp = saved_apsp
+            self.entries.adopt_apsp(saved_apsp)
             self.restore_local_baseline()
         else:
             self.recompute_local_apsp()
@@ -313,14 +248,13 @@ class Worker:
         """
         n = self.n_local
         if n == 0:
-            self.local_apsp = np.zeros((0, 0), dtype=np.float64)
+            self.entries.adopt_apsp(np.zeros((0, 0), dtype=np.float64))
             return None
         view = self.local_graph.to_csr(self.owned)
         cols = np.fromiter(
             (self.index.column(v) for v in self.owned), dtype=np.intp, count=n
         )
-        self.local_apsp = self.allocator.empty((n, n))
-        self.local_csr = view.matrix
+        self.entries.adopt_apsp(self.entries.allocator.empty((n, n)), view.matrix)
         return IATask(
             matrix=view.matrix,
             cols=cols,
@@ -344,7 +278,7 @@ class Worker:
         # closed under ``local_apsp``, so that fold visits only what the
         # first cut-edge relaxation lowers.
         self._changed_rows = set(range(n))
-        self._dirty_cols[:] = True
+        self.entries.dirty_cols[:] = True
         self._queue_rows(range(n))
 
     # ------------------------------------------------------------------
@@ -460,8 +394,8 @@ class Worker:
         (re-subscription, recovery, full refresh) forces a dense resend.
         """
         dense = rows.dense if isinstance(rows, DeltaRows) else rows
-        store = self.ext_store
-        store.reserve(sum(1 for v in dense if v not in store))
+        store = self.entries
+        store.reserve(sum(1 for v in dense if v not in store.slot_of))
         for v, row in dense.items():
             if row.size != self.n_cols:
                 raise WorkerError(
@@ -581,13 +515,13 @@ class Worker:
         hash order: min() is order-independent per entry, but the compute
         charges are traced per relaxation in loop order.
         """
-        n = self.n_local
-        if self.local_csr is None and n and self.local_apsp.shape == (n, n):
-            self.local_csr = self.local_graph.to_csr(self.owned).matrix
+        n, store = self.n_local, self.entries
+        if store.local_csr is None and n and store.local_apsp.shape == (n, n):
+            store.local_csr = self.local_graph.to_csr(self.owned).matrix
         fresh = self._fresh_ext
         self._fresh_ext = set()
         items: RelaxItems = []
-        slot_of = self.ext_store.slot_of
+        slot_of = store.slot_of
         for x in sorted(fresh):
             pairs = self.cut_by_ext.get(x)
             slot = slot_of.get(x)
@@ -597,9 +531,9 @@ class Worker:
             n=n,
             relax_items=items,
             changed_rows=sorted(self._changed_rows),
-            dirty_cols=self._dirty_cols.copy(),
+            dirty_cols=store.dirty_cols.copy(),
             full_repropagate=self._full_repropagate,
-            graph=self.local_csr,
+            graph=store.local_csr,
         )
 
     def superstep_apply(
@@ -621,10 +555,10 @@ class Worker:
         # would block the convergence vote forever
         self._full_repropagate = False
         self._changed_rows.clear()
-        if self._dirty_cols.size:
-            self._dirty_cols[:] = False
-        if self._dv_changed.size:
-            self._dv_changed[...] = False
+        if self.entries.dirty_cols.size:
+            self.entries.dirty_cols[:] = False
+        if self.dv_changed.size:
+            self.dv_changed[...] = False
         if result.prop_charged:
             # The paper's recombination strategy performs the full local
             # Floyd–Warshall-style DV update each active RC step, and the
@@ -666,14 +600,7 @@ class Worker:
             raise WorkerError("columns cannot shrink via grow_columns")
         if added == 0:
             return
-        shape = (self.n_local, added)
-        self._reshape_entries(
-            lambda a, fill: np.hstack([a, np.full(shape, fill, dtype=a.dtype)])
-        )
-        self._dirty_cols = np.concatenate(
-            [self._dirty_cols, np.zeros(added, dtype=bool)]
-        )
-        self.ext_store.grow_columns(added)
+        self.entries.add_columns(added)
         pad = np.full(added, np.inf, dtype=np.float64)
         # channel baselines grow in lockstep: the new columns are +inf on
         # both endpoints, so they enter future deltas only once they improve
@@ -682,7 +609,7 @@ class Worker:
                 v: np.concatenate([base, pad]) for v, base in ch.sent_rows.items()
             }
         self._charge(
-            self.cost.resize_time(self.n_local + len(self.ext_store), added),
+            self.cost.resize_time(self.n_local + len(self.entries.slot_of), added),
             "dv_resizes",
         )
 
@@ -692,26 +619,15 @@ class Worker:
             raise WorkerError(f"vertex {v} already owned by rank {self.rank}")
         if v not in self.index.col:
             raise WorkerError(f"vertex {v} missing from global index")
-        r = self.n_local
+        r = self.entries.add_row()  # an isolated vertex in local APSP
         self.owned.append(v)
         self.row_of[v] = r
         self.local_graph.add_vertex(v)
-        shape = (1, self.n_cols)
-        self._reshape_entries(
-            lambda a, fill: np.vstack([a, np.full(shape, fill, dtype=a.dtype)])
-        )
         # the new row's one finite entry, d(v,v) = 0, is a new source
         col = self.index.column(v)
         self.dv[r, col] = 0.0
         self.dv_changed[r, col] = True
-        # extend local APSP with an isolated vertex
-        n = r + 1
-        apsp = np.full((n, n), np.inf, dtype=np.float64)
-        if r:
-            apsp[:r, :r] = self.local_apsp
-        np.fill_diagonal(apsp, 0.0)
-        self.local_apsp = apsp
-        self._charge(self.cost.vertex_time(1) + self.cost.resize_time(1, n))
+        self._charge(self.cost.vertex_time(1) + self.cost.resize_time(1, r + 1))
         self._mark_rows_changed([r])
         return r
 
@@ -722,7 +638,7 @@ class Worker:
         through the new edge in either direction.
         """
         self.local_graph.add_edge(u, v, w)
-        self.local_csr = None  # stale: the next superstep re-exports it
+        self.entries.local_csr = None  # stale: the next superstep re-exports it
         ru, rv = self.row_of[u], self.row_of[v]
         a = self.local_apsp
         n = a.shape[0]
@@ -749,7 +665,7 @@ class Worker:
             if mask.any():
                 self.dv[dst][mask] = cand[mask]
                 self.dv_changed[dst] |= mask
-                self._dirty_cols |= mask
+                self.entries.dirty_cols[mask] = True
                 self._mark_rows_changed([dst])
 
     def add_cut_edge(self, u: VertexId, x: VertexId, w: float) -> None:
@@ -761,7 +677,7 @@ class Worker:
         lst[:] = [(a, ww) for a, ww in lst if a != u]  # re-add replaces
         lst.append((u, w))
         self._charge(self.cost.vertex_time(1))
-        if x in self.ext_store:
+        if x in self.entries.slot_of:
             self._fresh_ext.add(x)  # relax against the stored row next step
 
     def remove_cut_edge(self, u: VertexId, x: VertexId) -> None:
@@ -774,7 +690,7 @@ class Worker:
             self.cut_by_ext[x] = [(a, w) for a, w in lst if a != u]
             if not self.cut_by_ext[x]:
                 del self.cut_by_ext[x]
-                self.ext_store.drop(x)
+                self.entries.drop(x)
                 self._fresh_ext.discard(x)
 
     # ------------------------------------------------------------------
@@ -805,7 +721,7 @@ class Worker:
         for _ in range(2 * edges):
             self._charge(self.cost.relax_time(self.n_local * self.n_cols))
         rows_improved = relax_edge_batch_kernel(
-            self.dv, self.dv_changed, self._dirty_cols, cols, closure, rows
+            self.dv, self.dv_changed, self.entries.dirty_cols, cols, closure, rows
         )
         self._mark_rows_changed(rows_improved.tolist())
         return bool(rows_improved.size)
@@ -901,18 +817,15 @@ class Worker:
         external row (their slots freed), no change tracking, no channel
         state (subscriptions included) and no un-synced metering.  The
         caller resets the peers' side of each channel."""
-        self.wipe_entries(n_cols)
-        self.local_apsp = np.zeros((0, 0), dtype=np.float64)
-        self.ext_store.clear(n_cols)
+        self.entries.reset(self.n_local, n_cols)
         self._fresh_ext.clear()
         self._changed_rows.clear()
-        self._dirty_cols = np.zeros(n_cols, dtype=bool)
         self.channels = [Channel() for _ in range(self.nprocs)]
         self.take_compute_seconds()
 
     def clear_external_rows(self) -> None:
         """Drop all stored external boundary rows (stale after deletions)."""
-        self.ext_store.clear()
+        self.entries.clear_rows()
         self._fresh_ext.clear()
 
     def queue_all_boundary_rows(self) -> None:
@@ -931,12 +844,10 @@ class Worker:
     # ------------------------------------------------------------------
     def remove_column(self, col: int) -> None:
         """Compact away a deleted vertex's DV column."""
-        self._reshape_entries(lambda a, _fill: np.delete(a, col, axis=1))
-        self._dirty_cols = np.delete(self._dirty_cols, col)
-        self.ext_store.remove_column(col)
+        self.entries.drop_column(col)
         # column indices shifted under the baselines: start channels dense
         self._reset_baselines()
-        self._charge(self.cost.resize_time(self.n_local + len(self.ext_store), 1))
+        self._charge(self.cost.resize_time(self.n_local + len(self.entries.slot_of), 1))
 
     def remove_local_vertex(self, v: VertexId) -> None:
         """Remove an owned vertex's row and local structure."""
@@ -944,17 +855,14 @@ class Worker:
         self.owned.pop(r)
         for vv in self.owned[r:]:
             self.row_of[vv] -= 1
-        self._reshape_entries(lambda a, _fill: np.delete(a, r, axis=0))
-        self.local_apsp = np.delete(
-            np.delete(self.local_apsp, r, axis=0), r, axis=1
-        )
+        self.entries.drop_row(r)
         self.local_graph.remove_vertex(v)
         self.cut_adj.pop(v, None)
         for x in list(self.cut_by_ext):
             self.cut_by_ext[x] = [(a, w) for a, w in self.cut_by_ext[x] if a != v]
             if not self.cut_by_ext[x]:
                 del self.cut_by_ext[x]
-                self.ext_store.drop(x)
+                self.entries.drop(x)
                 self._fresh_ext.discard(x)
         for ch in self.channels:
             ch.forget(v)
@@ -965,7 +873,7 @@ class Worker:
 
     def drop_external_vertex(self, x: VertexId) -> None:
         """Forget a deleted external vertex entirely."""
-        self.ext_store.drop(x)
+        self.entries.drop(x)
         self._fresh_ext.discard(x)
         self.cut_by_ext.pop(x, None)
         for u in list(self.cut_adj):
@@ -979,7 +887,7 @@ class Worker:
     def ext_row(self, x: VertexId) -> Optional[FloatArray]:
         """The stored DV row of external vertex ``x`` (a view into the
         store), or ``None`` when no row of ``x`` is held."""
-        return self.ext_store.row(x)
+        return self.entries.row(x)
 
     def dv_row(self, v: VertexId) -> FloatArray:
         """A copy of the authoritative DV row of owned vertex ``v``."""

@@ -53,11 +53,6 @@ def normalize_edge(u: VertexId, v: VertexId) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
-def edge_key(u: VertexId, v: VertexId) -> Edge:
-    """Alias of :func:`normalize_edge` kept for readability at call sites."""
-    return normalize_edge(u, v)
-
-
 def check_ranks(ranks: Sequence[Rank], nprocs: int) -> None:
     """Validate that all ranks are within ``[0, nprocs)``.
 

@@ -61,9 +61,7 @@ def superstep(worker):
     """One RC superstep on a lone worker: prepare -> kernel -> apply
     (what ``Cluster.relax_and_propagate`` does for every rank)."""
     task = worker.superstep_prepare()
-    result = KERNELS.run_superstep(
-        task, worker.dv, worker.local_apsp, worker.dv_changed, worker.ext_store.rows
-    )
+    result = KERNELS.run_superstep(task, *worker.entries.kernel_arrays())
     worker.superstep_apply(task, result)
     return result
 

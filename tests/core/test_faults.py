@@ -29,7 +29,7 @@ class TestCrash:
         w = cluster.workers[1]
         assert np.isinf(w.dv).all()
         assert w.local_apsp.size == 0
-        assert len(w.ext_store) == 0 and w.ext_store.top == 0
+        assert len(w.entries.slot_of) == 0 and w.entries.top == 0
         assert not any(ch.subscribed for ch in w.channels)
 
     def test_crash_invalid_rank(self):

@@ -65,18 +65,6 @@ def test_figure6_scenario_small():
     assert all(r["modeled_minutes"] > 0 for r in rows)
 
 
-def test_load_history_tracks_steps():
-    g = barabasi_albert(50, 2, seed=0)
-    engine = AnytimeAnywhereCloseness(
-        g, AnytimeConfig(nprocs=3, collect_snapshots=True)
-    )
-    engine.setup()
-    result = engine.run()
-    # one entry at setup plus one per RC step
-    assert len(engine.load_history) == result.rc_steps + 1
-    assert all(sum(h.vertices) == 50 for h in engine.load_history)
-
-
 def test_snapshot_on_empty_worker():
     """A cluster where some worker owns nothing must still snapshot."""
     g = path_graph(3)

@@ -104,7 +104,7 @@ class TestTasksShipSlots:
                 cluster = engine.cluster
                 assert not any(w.has_work() for w in cluster.workers)
                 w = cluster.workers[1]
-                x = min(w.ext_store.slot_of)
+                x = min(w.entries.slot_of)
                 u = next(u for u in w.owned if x not in w.cut_adj.get(u, {}))
                 w.add_cut_edge(u, x, 0.5)
                 assert w.has_work()

@@ -59,7 +59,7 @@ class TestExchange:
         c.run_initial_approximation()
         delivered = c.exchange_boundary()
         assert delivered > 0
-        got = sum(len(w.ext_store) for w in c.workers)
+        got = sum(len(w.entries.slot_of) for w in c.workers)
         assert got > 0
 
     def test_exchange_charges_comm(self):

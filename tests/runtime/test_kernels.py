@@ -865,7 +865,7 @@ def assert_batch_within_reference(case: EdgeCase, seed: int = 0) -> bool:
     assert new_w.relax_with_edge_rows(*batch, 1) is bool(rows.size)
     assert new_w.dv.tobytes() == dv.tobytes()
     assert np.array_equal(new_w.dv_changed, changed)
-    assert new_w._dirty_cols.tobytes() == dirty.tobytes()
+    assert new_w.entries.dirty_cols.tobytes() == dirty.tobytes()
     assert new_w._changed_rows == set(rows.tolist())
     assert [ch.pending for ch in new_w.channels] == [
         ch.pending for ch in ref_w.channels
@@ -968,7 +968,7 @@ class TestRelaxEdgeKernel:
                 old = [r for r, v in enumerate(w.owned) if v < n]
                 w.dv[np.ix_(old, cols)] = dv[[w.owned[r] for r in old]]
                 w.dv_changed[...] = False
-                w._dirty_cols[...] = False
+                w.entries.dirty_cols[...] = False
                 w._changed_rows.clear()
             ref = reference.reference_blocks(cluster, edges)
             before = [w.dv.copy() for w in cluster.workers]
@@ -980,7 +980,7 @@ class TestRelaxEdgeKernel:
                 assert (w.dv >= (floor if exact else floor * (1 - 1e-12))).all()
                 lowered = w.dv < was
                 assert np.array_equal(w.dv_changed, lowered)
-                assert np.array_equal(w._dirty_cols, lowered.any(axis=0))
+                assert np.array_equal(w.entries.dirty_cols, lowered.any(axis=0))
                 assert w._changed_rows == set(
                     np.flatnonzero(lowered.any(axis=1)).tolist()
                 )

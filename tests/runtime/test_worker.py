@@ -198,11 +198,11 @@ class TestDynamicColumnsAndVertices:
             2: np.array([np.inf, np.inf, 0.0, 1.0]),
             3: np.array([np.inf, np.inf, 1.0, 0.0]),
         })
-        store = w.ext_store
-        assert store.rows.shape == (2, 4) and len(store) == 2
+        store = w.entries
+        assert store.rows.shape == (2, 4) and len(store.slot_of) == 2
         slot = store.slot_of[2]
         w.remove_cut_edge(1, 2)  # 2's last cut edge: its slot is freed
-        assert w.ext_row(2) is None and len(store) == 1
+        assert w.ext_row(2) is None and len(store.slot_of) == 1
         w.add_cut_edge(1, 2, 1.0)
         w.receive_rows({2: np.array([np.inf, 5.0, 0.0, 1.0])})
         assert store.slot_of[2] == slot and store.rows.shape == (2, 4)
@@ -211,7 +211,7 @@ class TestDynamicColumnsAndVertices:
         assert np.array_equal(w.ext_row(2), [np.inf, 5.0, 0.0, 1.0])
         assert np.array_equal(w.ext_row(3), [np.inf, np.inf, 1.0, 0.0])
         w.clear_external_rows()
-        assert len(store) == 0 and store.top == 0
+        assert len(store.slot_of) == 0 and store.top == 0
 
     def test_shrink_rejected(self):
         _g, w = path4_worker()
@@ -562,9 +562,7 @@ class TestFullFold:
                     sweep="minplus_closure",
                 )
                 for w, task in zip(cluster.workers, tasks):
-                    result = KERNELS.run_superstep(
-                        task, w.dv, w.local_apsp, w.dv_changed, w.ext_store.rows
-                    )
+                    result = KERNELS.run_superstep(task, *w.entries.kernel_arrays())
                     assert result.prop_charged
                     w.superstep_apply(task, result)
                 assert calls == {
@@ -680,12 +678,12 @@ class TestLocalCSR:
     def test_every_writer_leaves_a_current_csr(self):
         cluster = split_cluster()
         w = cluster.workers[0]
-        assert w.local_csr is not None  # IA's stash
+        assert w.entries.local_csr is not None  # IA's stash
         self.assert_current(cluster, w)
         cluster.graph.add_edge(1, 3, 1.0)
         w.add_local_edge(1, 3, 1.0)  # repairs local_apsp in place
         self.assert_current(cluster, w)
-        w.local_apsp = w.local_apsp.copy()  # a restore, a migration
+        w.entries.adopt_apsp(w.local_apsp.copy())  # a restore, a migration
         self.assert_current(cluster, w)
         # a new vertex (its row, then its first edge) placed on rank 0
         batch = ChangeBatch(vertex_additions=[VertexAddition(5, ((4, 2.0),))])
@@ -696,15 +694,15 @@ class TestLocalCSR:
         crash_worker(cluster, 0)
         assert w.superstep_prepare().graph is None  # no local_apsp: no CSR
         recover_worker_from_snapshot(cluster, 0, saved)
-        assert w.local_csr is None  # local_apsp restored, not recomputed
+        assert w.entries.local_csr is None  # local_apsp restored, not recomputed
         self.assert_current(cluster, w)
 
     def test_check_sees_a_csr_local_apsp_was_not_computed_from(self):
         cluster = split_cluster()
         w = cluster.workers[0]
-        stale = w.local_csr
+        stale = w.entries.local_csr
         cluster.graph.add_edge(1, 3, 1.0)
         w.add_local_edge(1, 3, 1.0)
-        w.local_csr = stale
+        w.entries.local_csr = stale
         with pytest.raises(AssertionError, match="not the closure of local_csr"):
             check_cluster_invariants(cluster)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -915,6 +916,48 @@ class TestPhaseDiscipline:
         )
         assert codes(found) == ["RPL010"]
         assert "coordinator" in found[0].message
+
+    def test_store_arrays_stay_guarded_under_the_project_registry(
+        self, tmp_path: Path
+    ) -> None:
+        """The project's registry admits the entry store's own shape
+        methods, and nothing else: a whole-array write to the store's
+        arrays from an unregistered function — in the store or in the
+        worker — is still reported."""
+        from repro_lint.config import load_config
+
+        root = Path(__file__).resolve().parent.parent
+        config = replace(load_config(root / "pyproject.toml"), baseline_file="")
+        files = {
+            "src/repro/runtime/entries.py": """
+                import numpy as np
+                class EntryStore:
+                    def reset(self, n_local, n_cols):
+                        self.dv = np.full((n_local, n_cols), np.inf)
+                    def adopt_apsp(self, apsp, csr=None):
+                        self.local_apsp = apsp
+                    def shrink(self):
+                        self.dv = self.dv[:, :-1]
+            """,
+            "src/repro/runtime/worker.py": """
+                import numpy as np
+                class Worker:
+                    def wipe(self, n_cols):
+                        self.entries.dv = np.full((self.n_local, n_cols), np.inf)
+                        self.entries.local_apsp[...] = 0.0
+            """,
+        }
+        found = [
+            f for f in lint_project(tmp_path, files, select=self.SELECT, config=config)
+            if f.path != "pyproject.toml"  # the fixture lacks most registered names
+        ]
+        assert sorted(
+            (f.message.split()[0], f.message.split("'")[1]) for f in found
+        ) == [
+            ("EntryStore.shrink", "dv"),
+            ("Worker.wipe", "dv"),
+            ("Worker.wipe", "local_apsp"),
+        ]
 
     def test_stale_registry_key_flagged(self, tmp_path: Path) -> None:
         """A key that matches no function (the code was removed or the
