@@ -10,24 +10,24 @@ dirty columns, the fold up to PR 14 and today's test reference) and
 runs).  The modeled clock charges the paper's dense cost either way — see
 Worker.superstep_apply.
 
-``test_deletion_repair_fold`` is the kernels-level crossover of the
-deletion repair: the rectangle fold (what a nothing-known full
-re-propagation runs) against pull + push (what a deletion repair runs) on
-a converged block in which 2 % / 16 % / 100 % of the entries rose.  The
-repair wins by an order of magnitude at the shares deletions produce
-(median 1.4 %, max 16 % on ``serve-churn``) and loses 2-3x when everything
-rose — which is why nothing-known callers keep the rectangle.
+``test_deletion_repair_fold`` times the full fold a deletion repair runs
+(``changed=None``: the block re-derived from every finite entry) on a
+converged block in which 2 % / 16 % / 100 % of the entries rose to +inf:
+*sweep* with the local CSR (integer weights: one seeded level sweep) and
+*rectangle* without it (what a float-weight block runs).
 
-``test_local_edge_fold`` is the crossover of the fold after a local edge
-lowered ``local_apsp``: pushing every finite entry (what ``add_local_edge``
-declared up to PR 16) against folding the fallen pairs, after a new
-vertex's first edge (2n of n**2 pairs), a shortcut between the two local
-vertices farthest apart, and every local distance halved (all pairs).
-Pairs loses only near 100 % fallen.
+``test_local_edge_fold`` is the fold after a local edge lowered
+``local_apsp``, after a new vertex's first edge, a shortcut between the
+two local vertices farthest apart, and every local distance halved:
+*full* re-derives the block with the lowered CSR (what ``add_local_edge``
+requests) and *all_entries* pushes every finite entry as ``dv_changed``
+through the same CSR.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from repro import AnytimeAnywhereCloseness, AnytimeConfig
 from repro.graph import barabasi_albert, extract_local_subgraph
@@ -116,9 +116,9 @@ def test_dense_fold(benchmark, scale):
     )
 
 
-@pytest.mark.parametrize("risen", [0.02, 0.16, 1.0])
-@pytest.mark.parametrize("variant", ["rectangle", "pull_push"])
-def test_deletion_repair_fold(benchmark, scale, variant, risen):
+def converged_rank(scale):
+    """Copies of the largest rank of a converged static run: ``(apsp, dv,
+    csr, self_cols)``, ``csr`` the local graph ``apsp`` is the closure of."""
     graph = barabasi_albert(scale.n_base, scale.m, seed=scale.seed)
     config = AnytimeConfig(
         nprocs=scale.nprocs, seed=scale.seed, collect_snapshots=False
@@ -127,22 +127,34 @@ def test_deletion_repair_fold(benchmark, scale, variant, risen):
         engine.setup()
         engine.run()
         w = max(engine.cluster.workers, key=lambda w: w.n_local)
-        converged = w.dv.copy()
-        rose = np.random.default_rng(scale.seed).random(w.dv.shape) < risen
-        rose[np.arange(w.n_local), w.index.columns(w.owned)] = False
-        changed = None if variant == "rectangle" else w.dv_changed
-
-        def setup():
-            w.dv[...] = converged
-            w.dv[rose] = np.inf
-
-        def fold():
-            KERNELS.minplus_fold(w.local_apsp, w.dv, changed, rose)
-
-        benchmark.pedantic(fold, setup=setup, rounds=30)
+        return (
+            w.local_apsp.copy(),
+            w.dv.copy(),
+            w.local_graph.to_csr(w.owned).matrix.copy(),
+            w.index.columns(w.owned),
+        )
 
 
-def _first_edge(apsp, dv):
+@pytest.mark.parametrize("risen", [0.02, 0.16, 1.0])
+@pytest.mark.parametrize("variant", ["rectangle", "sweep"])
+def test_deletion_repair_fold(benchmark, scale, variant, risen):
+    apsp, converged, csr, self_cols = converged_rank(scale)
+    dv = converged.copy()
+    rose = np.random.default_rng(scale.seed).random(dv.shape) < risen
+    rose[np.arange(dv.shape[0]), self_cols] = False
+    graph = csr if variant == "sweep" else None
+
+    def setup():
+        dv[...] = converged
+        dv[rose] = np.inf
+
+    def fold():
+        KERNELS.minplus_fold(apsp, dv, None, graph)
+
+    benchmark.pedantic(fold, setup=setup, rounds=30)
+
+
+def _first_edge(apsp, dv, csr):
     """A new vertex (isolated last row, fresh last column) joined to
     vertex 0: one pair falls per row and per column."""
     n = apsp.shape[0]
@@ -151,32 +163,30 @@ def _first_edge(apsp, dv):
     grown[n, n] = 0.0
     dv = np.pad(dv, ((0, 1), (0, 1)), constant_values=np.inf)
     dv[n, -1] = 0.0
-    return grown, dv, (n, 0)
+    csr = sp.csr_matrix(sp.block_diag([csr, sp.csr_matrix((1, 1))]))
+    return grown, dv, csr, (n, 0)
 
 
-def _shortcut(apsp, dv):
+def _shortcut(apsp, dv, csr):
     far = np.where(np.isfinite(apsp), apsp, -1.0)
-    return apsp, dv, np.unravel_index(np.argmax(far), apsp.shape)
+    u, v = np.unravel_index(np.argmax(far), apsp.shape)
+    return apsp, dv, csr, (int(u), int(v))
 
 
 @pytest.mark.parametrize("case", ["first_edge", "shortcut", "all_pairs"])
-@pytest.mark.parametrize("variant", ["all_entries", "pairs"])
+@pytest.mark.parametrize("variant", ["all_entries", "full"])
 def test_local_edge_fold(benchmark, scale, variant, case):
-    graph = barabasi_albert(scale.n_base, scale.m, seed=scale.seed)
-    config = AnytimeConfig(
-        nprocs=scale.nprocs, seed=scale.seed, collect_snapshots=False
-    )
-    with AnytimeAnywhereCloseness(graph, config) as engine:
-        engine.setup()
-        engine.run()
-        w = max(engine.cluster.workers, key=lambda w: w.n_local)
-        apsp, converged = w.local_apsp.copy(), w.dv.copy()
+    apsp, converged, csr, _self_cols = converged_rank(scale)
     if case == "all_pairs":
-        lowered = apsp * 0.5
+        lowered, graph = apsp * 0.5, csr * 0.5
     else:
-        apsp, converged, (u, v) = (_first_edge if case == "first_edge" else _shortcut)(
-            apsp, converged
-        )
+        apsp, converged, csr, (u, v) = (
+            _first_edge if case == "first_edge" else _shortcut
+        )(apsp, converged, csr)
+        assert csr[u, v] == 0  # a new edge, not a lighter parallel one
+        graph = sp.csr_matrix(csr + sp.csr_matrix(
+            ([1.0, 1.0], ([u, v], [v, u])), shape=csr.shape
+        ))
         # add_local_edge's incremental repair through the unit edge (u, v)
         lowered = np.minimum(
             apsp,
@@ -184,17 +194,16 @@ def test_local_edge_fold(benchmark, scale, variant, case):
                 apsp[:, [u]] + 1.0 + apsp[[v]], apsp[:, [v]] + 1.0 + apsp[[u]]
             ),
         )
+    # the fold's contract: ``lowered`` is the closure of ``graph``
+    assert np.array_equal(lowered, csgraph.dijkstra(graph))
     dv = converged.copy()
-    if variant == "pairs":
-        changed, fell = np.zeros(dv.shape, dtype=bool), lowered < apsp
-    else:
-        changed, fell = np.isfinite(dv), None
 
     def setup():
         dv[...] = converged
 
     def fold():
-        KERNELS.minplus_fold(lowered, dv, changed, None, fell)
+        changed = None if variant == "full" else np.isfinite(dv)
+        KERNELS.minplus_fold(lowered, dv, changed, graph)
 
     benchmark.pedantic(fold, setup=setup, rounds=30)
     benchmark.extra_info["fallen_share"] = float((lowered < apsp).mean())

@@ -10,7 +10,7 @@ comparable across components).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +22,12 @@ __all__ = [
     "closeness_from_rows",
     "rank_vertices",
 ]
+
+
+#: entries of the block one compaction of :func:`closeness_from_rows`
+#: reads (a run of whole rows): its index and compacted temporaries stay
+#: a few hundred KB instead of growing with the block
+_COMPACT_ELEMS = 1 << 17
 
 
 def closeness_from_row(
@@ -59,33 +65,55 @@ def closeness_from_row(
 
 def closeness_from_rows(
     rows: np.ndarray, self_cols: Sequence[int], *, wf_improved: bool = False
-) -> np.ndarray:
-    """:func:`closeness_from_row` of every row of a block, bit for bit.
+) -> Tuple[np.ndarray, int]:
+    """:func:`closeness_from_row` of every row of a block, bit for bit,
+    and the number of entries of the block that are not finite.
 
-    ``self_cols[i]`` is the self column of ``rows[i]``.  Rows are grouped
-    by summand count and each group summed as one compacted
-    ``(rows, count)`` block whose rows are exactly ``row[finite]``: NumPy's
-    pairwise order, which ``np.where(finite, rows, 0).sum(axis=1)`` loses.
+    ``self_cols[i]`` is the self column of ``rows[i]``.  One ``isfinite``
+    pass serves both: the non-finite count is the block's size less the
+    summands and the finite self entries.  Rows are grouped by summand
+    count and each group summed as compacted ``(rows, count)`` blocks
+    whose rows are exactly ``row[finite]``: NumPy's pairwise order,
+    which ``np.where(finite, rows, 0).sum(axis=1)`` loses.  A row's sum
+    does not depend on the rows beside it, so a settled block (one
+    group) is compacted and summed a run of rows at a time.
     """
     m, n = rows.shape
     out = np.zeros(m, dtype=np.float64)
     if n <= 1 or m == 0:
-        return out
+        return out, int(np.count_nonzero(~np.isfinite(rows)))
     finite = np.isfinite(rows)
-    finite[np.arange(m), self_cols] = False
+    on_self = (np.arange(m), self_cols)
+    unresolved = m * n - int(np.count_nonzero(finite[on_self]))
+    finite[on_self] = False
     reached = finite.sum(axis=1, dtype=np.int32)  # 2x faster than intp
+    unresolved -= int(reached.sum())
     total = np.zeros(m, dtype=np.float64)
     for count in np.unique(reached[reached > 0]):
         grp = reached == count
-        # a settled block is one group: compact it without selecting rows
-        block = rows[finite] if grp.all() else rows[grp][finite[grp]]
-        total[grp] = block.reshape(-1, count).sum(axis=1)
+        if not grp.all():
+            total[grp] = rows[grp][finite[grp]].reshape(-1, count).sum(axis=1)
+            continue
+        # a settled block is one group: compact it in row order, a run of
+        # rows at a time, so the compacted rows stay in cache.  A mask that
+        # is nearly all True copies fastest through boolean indexing; a
+        # sparser one through np.compress, which gathers by index instead
+        # of branching on every entry (the same elements either way)
+        dense = count * 16 >= n * 15
+        step = max(1, _COMPACT_ELEMS // n)
+        for lo in range(0, m, step):
+            run = slice(lo, lo + step)
+            if dense:
+                flat = rows[run][finite[run]]
+            else:
+                flat = np.compress(finite[run].ravel(), rows[run].ravel())
+            total[run] = flat.reshape(-1, count).sum(axis=1)
     ok = total > 0.0
     if wf_improved:
         out[ok] = reached[ok] / total[ok] * (reached[ok] / (n - 1))
     else:
         out[ok] = 1.0 / total[ok]
-    return out
+    return out, unresolved
 
 
 def closeness_from_matrix(

@@ -1,7 +1,7 @@
 """Core anytime-anywhere algorithm: DD, IA, RC, strategies, engine."""
 
 from .config import AnytimeConfig
-from .engine import AnytimeAnywhereCloseness, RunResult
+from .engine import AnytimeAnywhereCloseness, RunResult, RunVerdict
 from .recombination import run_recombination
 from .snapshots import AnytimeSnapshot, take_snapshot
 from .strategies import (
@@ -23,6 +23,7 @@ __all__ = [
     "AnytimeConfig",
     "AnytimeAnywhereCloseness",
     "RunResult",
+    "RunVerdict",
     "run_recombination",
     "AnytimeSnapshot",
     "take_snapshot",

@@ -59,7 +59,7 @@ from .strategies import DynamicStrategy, make_strategy
 
 logger = logging.getLogger("repro.engine")
 
-__all__ = ["AnytimeAnywhereCloseness", "RunResult", "closeness"]
+__all__ = ["AnytimeAnywhereCloseness", "RunResult", "RunVerdict", "closeness"]
 
 
 @dataclass
@@ -171,6 +171,20 @@ class RunResult:
     def to_json(self, *, indent: Optional[int] = 2) -> str:
         """:meth:`summary` serialized as deterministic JSON."""
         return json.dumps(self.summary(), indent=indent, sort_keys=True)
+
+
+@dataclass(frozen=True)
+class RunVerdict:
+    """Where :meth:`AnytimeAnywhereCloseness.advance` left the run: the
+    steps taken and the convergence verdict, with no read-out."""
+
+    rc_steps: int
+    modeled_seconds: float
+    converged: bool
+    degraded: bool
+    #: the run context the steps ran under (its fault, recovery and
+    #: health accounting)
+    context: Supervisor
 
 
 class AnytimeAnywhereCloseness:
@@ -308,6 +322,58 @@ class AnytimeAnywhereCloseness:
         budgets degrade the run gracefully — a partial
         ``RunResult(degraded=True)`` with a quantified quality statement
         instead of an exception.
+
+        The steps are :meth:`advance`; the result adds the anytime read
+        of closeness, the load and the cost-attribution profile.
+        """
+        verdict = self.advance(
+            changes=changes,
+            strategy=strategy,
+            budget_modeled_seconds=budget_modeled_seconds,
+            step_budget=step_budget,
+            resilience=resilience,
+        )
+        cluster = self._require_cluster()
+        run = verdict.context
+        return RunResult(
+            closeness=self.current_closeness(),
+            rc_steps=verdict.rc_steps,
+            modeled_seconds=verdict.modeled_seconds,
+            wall_seconds=cluster.tracer.wall_seconds,
+            snapshots=list(self.snapshots),
+            load=snapshot_load(cluster),
+            converged=verdict.converged,
+            degraded=verdict.degraded,
+            quality=self._partial_quality(run) if verdict.degraded else {},
+            wire_words=cluster.tracer.total_words,
+            boundary_words=cluster.boundary_words,
+            boundary_rows_dense=cluster.boundary_rows_dense,
+            boundary_rows_sparse=cluster.boundary_rows_sparse,
+            wire_format=cluster.wire_format,
+            convergence={
+                name: dict(sample)
+                for name, sample in self.obs.last_samples.items()
+            },
+            profile=self._fold_profile(cluster),
+            **run.accounting(),
+        )
+
+    def advance(
+        self,
+        *,
+        changes: Optional[ChangeStream] = None,
+        strategy: Union[str, DynamicStrategy, None] = "roundrobin",
+        budget_modeled_seconds: Optional[float] = None,
+        step_budget: Optional[int] = None,
+        resilience: Optional[ResilienceConfig] = None,
+    ) -> RunVerdict:
+        """The RC steps of :meth:`run`, up to the convergence verdict.
+
+        Same arguments and the same steps as :meth:`run` (strategy,
+        run context, recombination loop, ``run`` span, snapshots when
+        ``config.collect_snapshots``), but nothing is read out
+        afterwards: the serve loop paces the engine with it and reads
+        closeness only where it reports it.
         """
         cluster = self._require_cluster()
         cfg = self.config
@@ -385,27 +451,12 @@ class AnytimeAnywhereCloseness:
             steps, cluster.tracer.modeled_seconds, pending_changes,
             run.degraded_reason or False,
         )
-        return RunResult(
-            closeness=self.current_closeness(),
+        return RunVerdict(
             rc_steps=steps,
             modeled_seconds=cluster.tracer.modeled_seconds,
-            wall_seconds=cluster.tracer.wall_seconds,
-            snapshots=list(self.snapshots),
-            load=snapshot_load(cluster),
             converged=converged,
             degraded=degraded,
-            quality=self._partial_quality(run) if degraded else {},
-            wire_words=cluster.tracer.total_words,
-            boundary_words=cluster.boundary_words,
-            boundary_rows_dense=cluster.boundary_rows_dense,
-            boundary_rows_sparse=cluster.boundary_rows_sparse,
-            wire_format=cluster.wire_format,
-            convergence={
-                name: dict(sample)
-                for name, sample in self.obs.last_samples.items()
-            },
-            profile=self._fold_profile(cluster),
-            **run.accounting(),
+            context=run,
         )
 
     def run_baseline_restart(

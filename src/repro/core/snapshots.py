@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict
 
-import numpy as np
-
 from ..centrality.closeness import closeness_from_rows
 from ..types import VertexId
 
@@ -51,14 +49,14 @@ def take_snapshot(
     modeled clock)."""
     closeness: Dict[VertexId, float] = {}
     unresolved = 0
-    col = cluster.index.col
+    columns = cluster.index.columns
     for w in cluster.workers:
         if w.n_local == 0:
             continue
-        unresolved += w.dv.size - int(np.count_nonzero(np.isfinite(w.dv)))
-        values = closeness_from_rows(
-            w.dv, [col[v] for v in w.owned], wf_improved=wf_improved
+        values, missing = closeness_from_rows(
+            w.dv, columns(w.owned), wf_improved=wf_improved
         )
+        unresolved += missing
         closeness.update(zip(w.owned, values.tolist()))
     return AnytimeSnapshot(
         step=step,

@@ -1,18 +1,24 @@
 """Anywhere edge addition (Santos et al. 2016 [9]) — shared machinery.
 
-Adding a batch of edges ``(a, b, w)``, with ``H`` the endpoints of the
-edges that can shorten a path:
+Adding a batch of edges ``(a, b, w)``:
 
 1. the owners of ``a`` and ``b`` broadcast their current DV rows
    (binomial tree, Fig. 3 line 22), read once per endpoint at the start
-   of the batch,
-2. the coordinator closes the batch as a sub-graph: the ``|H| x |H|``
-   distances ``C = min(w, row_a(b), row_b(a))`` (zero diagonal), closed by
-   Floyd-Warshall,
+   of the batch; the Fig. 3 line-26 guard (``d(a, b) > w`` on those rows)
+   decides whether any edge can shorten a path now,
+2. if one can, the coordinator closes the batch as a sub-graph over the
+   endpoints ``H`` of *every* applied edge: the ``|H| x |H|`` distances
+   ``C = min(w, row_a(b), row_b(a))`` (zero diagonal), closed by
+   Floyd-Warshall.  An edge that fails the guard stays in ``H``: the
+   rows are upper bounds, and a path through it and through an edge
+   that passes can be shorter than anything they hold — the per-edge
+   sequence finds such a path, so the closure must too,
 3. every processor relaxes all of its rows through the closure:
    ``d(x,t) <- min(d(x,t), min_h (d(x,.) (+) closure)(h) + row_h(t))``
-   (Fig. 3 lines 26-34 for every edge at once), an upper bound no looser
-   than relaxing the edges one at a time,
+   (Fig. 3 lines 26-34 for every edge at once).  The closure holds every
+   path through the batch's edges, so the bound is no looser than
+   relaxing the edges one at a time (``tests/edge_reference.py``), and
+   the modeled cost charges the edges that passed the guard,
 4. each edge joins the owning sub-graph(s): an intra-partition edge repairs
    the owner's local APSP incrementally; a cut edge registers on both
    sides and opens DV-row subscriptions (Fig. 3 lines 35-42).
@@ -62,10 +68,12 @@ def apply_edge_addition(cluster: "Cluster", edges: Iterable[Edge]) -> None:
         if row_a[cluster.index.column(b)] > w:
             relaxed.append((a, b, w))
     if relaxed:
-        ends = list(dict.fromkeys(v for a, b, _w in relaxed for v in (a, b)))
+        # the closure runs over every applied edge: one that fails the
+        # guard can still carry a path through one that passes it
+        ends = list(dict.fromkeys(v for a, b, _w in applied for v in (a, b)))
         cols = np.array(cluster.index.columns(ends), dtype=np.intp)
         block = np.stack([rows.pop(v) for v in ends])  # one copy lives on
-        closure = _closure(block[:, cols], ends, relaxed)
+        closure = _closure(block[:, cols], ends, applied)
         for worker in cluster.workers:
             worker.relax_with_edge_rows(cols, closure, block, len(relaxed))
     # structural bookkeeping (Fig. 3 lines 35-42)

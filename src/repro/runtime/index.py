@@ -48,7 +48,11 @@ class GlobalIndex:
             raise VertexNotFound(v) from None
 
     def columns(self, vertices: Iterable[VertexId]) -> List[int]:
-        return [self.column(v) for v in vertices]
+        col = self.col
+        try:
+            return [col[v] for v in vertices]
+        except KeyError as missing:
+            raise VertexNotFound(missing.args[0]) from None
 
     def vertex_at(self, column: int) -> VertexId:
         return self.ids[column]

@@ -4,9 +4,12 @@
 an ingest loop that never "finishes": change events are fed
 continuously, an :class:`~repro.serve.admission.AdmissionPolicy` forms
 batches from the queue, and each batch runs through the engine for one
-paced RC step (``step_budget=1``) under the configured strategy — by
-default ``"auto"``, the policy-driven adapter that picks RoundRobin-PS
-/ CutEdge-PS / Repartition-S per batch from live signals.
+paced RC step under the configured strategy — by default ``"auto"``,
+the policy-driven adapter that picks RoundRobin-PS / CutEdge-PS /
+Repartition-S per batch from live signals.  A tick runs the engine's
+:meth:`~AnytimeAnywhereCloseness.advance` (``step_budget=1``), which
+reads nothing out; closeness is read where it is reported — in a
+summary and in the :meth:`UpdateService.drain` result.
 
 Pacing is entirely on the modeled clock: a service *tick* is one
 admission decision plus one RC step, and every figure the service
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from ..core.engine import AnytimeAnywhereCloseness, RunResult
+from ..core.engine import AnytimeAnywhereCloseness, RunResult, RunVerdict
 from ..core.strategies import (
     CompositeStrategy,
     DynamicStrategy,
@@ -276,12 +279,12 @@ class UpdateService:
         decisions_before = len(self._decisions)
         if batch is not None:
             stream = ChangeStream({self.engine.next_step: batch})
-            result = self.engine.run(
+            verdict = self.engine.advance(
                 changes=stream, strategy=self.strategy, step_budget=1
             )
         else:
             # no batch: one refinement step keeps queued rows draining
-            result = self.engine.run(strategy=self.strategy, step_budget=1)
+            verdict = self.engine.advance(strategy=self.strategy, step_budget=1)
         strategy_name = ""
         reason = ""
         if batch is not None:
@@ -304,22 +307,22 @@ class UpdateService:
             admitted=admitted,
             strategy=strategy_name,
             reason=reason,
-            rc_steps=result.rc_steps,
-            modeled_seconds=result.modeled_seconds,
+            rc_steps=verdict.rc_steps,
+            modeled_seconds=verdict.modeled_seconds,
             pending=len(self._pending),
-            converged=result.converged,
+            converged=verdict.converged,
         )
         self.ticks.append(record)
-        self.rc_steps_total += result.rc_steps
+        self.rc_steps_total += verdict.rc_steps
         if self.slo is not None:
-            self._evaluate_slo(record, result, clock_before)
+            self._evaluate_slo(record, verdict, clock_before)
         self.tick += 1
         if self.summary_interval and self.tick % self.summary_interval == 0:
-            self.summaries.append(self.summarize(result))
+            self.summaries.append(self.summarize())
         return record
 
     def _evaluate_slo(
-        self, record: ServeTick, result: RunResult, clock_before: float
+        self, record: ServeTick, verdict: RunVerdict, clock_before: float
     ) -> None:
         """Judge one tick against the loaded SLOs (read-only).
 
@@ -336,11 +339,11 @@ class UpdateService:
         hit_rate = signals.get(DELTA_HIT_RATE, default=-1.0)
         sample = SLOSample(
             tick=record.tick,
-            t=result.modeled_seconds,
-            tick_seconds=result.modeled_seconds - clock_before,
+            t=verdict.modeled_seconds,
+            tick_seconds=verdict.modeled_seconds - clock_before,
             residual_max=probe.get("residual_max"),
             delta_hit_rate=None if hit_rate < 0.0 else hit_rate,
-            degraded=result.degraded,
+            degraded=verdict.degraded,
             rank_health_max=max(health.values()) if health else None,
         )
         alerts = evaluator.observe(sample)
@@ -361,15 +364,23 @@ class UpdateService:
                 if alert.state == "firing":
                     hub.registry.inc(SLO_VIOLATIONS, slo=alert.slo)
 
-    def summarize(self, result: RunResult) -> ServeSummary:
-        """Digest ``result`` + loop counters into a :class:`ServeSummary`."""
-        closeness = result.closeness
+    def summarize(self, result: Optional[RunResult] = None) -> ServeSummary:
+        """Digest the loop counters and closeness into a
+        :class:`ServeSummary`.
+
+        Closeness is ``result``'s (say the one :meth:`drain` returned),
+        or, without a result, one anytime read of the engine.
+        """
+        if result is None:
+            closeness = self.engine.current_closeness()
+        else:
+            closeness = result.closeness
         mean = (
             sum(closeness.values()) / len(closeness) if closeness else 0.0
         )
         return ServeSummary(
             tick=self.tick,
-            modeled_seconds=result.modeled_seconds,
+            modeled_seconds=self.engine.modeled_seconds,
             num_vertices=len(closeness),
             closeness_mean=mean,
             events_admitted=self.events_admitted,

@@ -1,11 +1,16 @@
 """The anytime property: snapshots are valid and monotonically improving."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import AnytimeAnywhereCloseness, AnytimeConfig
 from repro.bench import community_workload
 from repro.centrality import apsp_dijkstra, closeness_from_row
+import repro.centrality.closeness as closeness_module
 from repro.centrality.closeness import closeness_from_rows
 from repro.core import take_snapshot
 from repro.graph import Graph, barabasi_albert, random_weights
@@ -165,9 +170,151 @@ def test_rows_helper_matches_row_function_on_random_blocks():
         if n:
             rows[np.arange(m), self_cols] = 0.0
         for wf_improved in (False, True):
-            got = closeness_from_rows(rows, self_cols, wf_improved=wf_improved)
+            got, _ = closeness_from_rows(rows, self_cols, wf_improved=wf_improved)
             want = [
                 closeness_from_row(rows[i], self_col=int(self_cols[i]), wf_improved=wf_improved)
                 for i in range(m)
             ]
             assert got.tolist() == want
+
+
+# ----------------------------------------------------------------------
+# the one-pass read-out == the two-pass read-out it replaced, bit for bit
+# ----------------------------------------------------------------------
+def two_pass_closeness_from_rows(rows, self_cols, *, wf_improved=False):
+    """The block read-out before it counted what is unresolved (verbatim)."""
+    m, n = rows.shape
+    out = np.zeros(m, dtype=np.float64)
+    if n <= 1 or m == 0:
+        return out
+    finite = np.isfinite(rows)
+    finite[np.arange(m), self_cols] = False
+    reached = finite.sum(axis=1, dtype=np.int32)  # 2x faster than intp
+    total = np.zeros(m, dtype=np.float64)
+    for count in np.unique(reached[reached > 0]):
+        grp = reached == count
+        # a settled block is one group: compact it without selecting rows
+        block = rows[finite] if grp.all() else rows[grp][finite[grp]]
+        total[grp] = block.reshape(-1, count).sum(axis=1)
+    ok = total > 0.0
+    if wf_improved:
+        out[ok] = reached[ok] / total[ok] * (reached[ok] / (n - 1))
+    else:
+        out[ok] = 1.0 / total[ok]
+    return out
+
+
+def two_pass_snapshot(cluster, wf_improved):
+    """``take_snapshot``'s closeness and unresolved pairs before the
+    read-out became one pass (verbatim, a second ``isfinite`` per rank)."""
+    closeness = {}
+    unresolved = 0
+    col = cluster.index.col
+    for w in cluster.workers:
+        if w.n_local == 0:
+            continue
+        unresolved += w.dv.size - int(np.count_nonzero(np.isfinite(w.dv)))
+        values = two_pass_closeness_from_rows(
+            w.dv, [col[v] for v in w.owned], wf_improved=wf_improved
+        )
+        closeness.update(zip(w.owned, values.tolist()))
+    return closeness, unresolved
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@st.composite
+def readout_blocks(draw):
+    """``(rows, self_cols)``: a rank's block — possibly empty or one
+    column wide — of integer or float entries, a share of them +inf,
+    whole +inf rows, and self entries 0 or +inf (a wiped rank).  A
+    settled block has the same number of finite entries, at different
+    columns, in every row: one summand count, sparse or dense."""
+    m = draw(st.integers(0, 12))
+    n = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rows = rng.integers(1, 9, size=(m, n)).astype(np.float64)
+    else:
+        rows = rng.random((m, n)) * 9 + 0.01
+    self_cols = rng.integers(0, max(n, 1), size=m) if n else np.zeros(0, int)
+    if n and draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        keep = np.zeros((m, n), dtype=bool)
+        for i in range(m):
+            others = np.delete(np.arange(n), self_cols[i])
+            keep[i, rng.choice(others, k, replace=False)] = True
+        rows[~keep] = np.inf
+    else:
+        share = draw(st.sampled_from([0.0, 0.2, 0.7, 1.0]))
+        rows[rng.random((m, n)) < share] = np.inf
+        rows[rng.random(m) < draw(st.sampled_from([0.0, 0.3]))] = np.inf
+    if n:
+        wiped = rng.random(m) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+        rows[np.arange(m), self_cols] = np.where(wiped, np.inf, 0.0)
+    return rows, self_cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    block=readout_blocks(),
+    wf_improved=st.booleans(),
+    compact=st.sampled_from([None, 1, 5, 40]),
+)
+def test_one_pass_block_readout_matches_the_two_pass_one(
+    block, wf_improved, compact
+):
+    """``compact`` shrinks the run of entries one compaction reads, so a
+    settled block is summed over one to many runs of rows."""
+    rows, self_cols = block
+    before = rows.copy()
+    with mock.patch.object(
+        closeness_module, "_COMPACT_ELEMS", compact or closeness_module._COMPACT_ELEMS
+    ):
+        got, unresolved = closeness_from_rows(
+            rows, self_cols, wf_improved=wf_improved
+        )
+    want = two_pass_closeness_from_rows(rows, self_cols, wf_improved=wf_improved)
+    assert bits(got) == bits(want)
+    assert unresolved == rows.size - int(np.count_nonzero(np.isfinite(rows)))
+    assert np.array_equal(rows, before)  # only read
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(3, 30),
+    seed=st.integers(0, 50),
+    nprocs=st.integers(1, 6),
+    float_weights=st.booleans(),
+    wiped=st.sampled_from([None, 0, 1]),
+    steps=st.integers(0, 3),
+    wf_improved=st.booleans(),
+)
+def test_one_pass_snapshot_matches_the_two_pass_one(
+    n, seed, nprocs, float_weights, wiped, steps, wf_improved
+):
+    """Mixed reached counts (interrupted runs), integer and float
+    weights, +inf self entries after a crash wipe, and empty ranks
+    (more ranks than a tiny graph has vertices)."""
+    from repro.runtime.faults import crash_worker
+
+    g = barabasi_albert(n, 2, seed=seed)
+    if float_weights:
+        g = random_weights(g, 0.3, 7.0, seed=seed)
+    engine = AnytimeAnywhereCloseness(
+        g, AnytimeConfig(nprocs=nprocs, seed=seed, collect_snapshots=False)
+    )
+    engine.setup()
+    if steps:
+        engine.run(step_budget=steps)
+    cluster = engine.cluster
+    if wiped is not None and wiped < nprocs:
+        crash_worker(cluster, wiped)
+    want, unresolved = two_pass_snapshot(cluster, wf_improved)
+    snap = take_snapshot(cluster, 0, wf_improved=wf_improved)
+    assert list(snap.closeness) == list(want)
+    assert bits(list(snap.closeness.values())) == bits(list(want.values()))
+    assert snap.unresolved_pairs == unresolved
+    engine.close()

@@ -7,10 +7,11 @@ guard passed, every rank relaxed its whole block through the edge in two
 orientations (:func:`relax_edge_kernel`); an intra-rank edge then relaxed
 its two DV rows through itself (``Worker._relax_dv_with_local_edge``).
 :func:`per_edge_reference` runs those statements, verbatim, on copies of
-the ranks' DV blocks.  The batch call's closure covers every path the
-sequence can build, so its result is at most this one, entry by entry:
-exactly on integer weights, to rounding on float weights (the two sum a
-path in different orders).
+the ranks' DV blocks.  The batch call's closure runs over every applied
+edge, guard or no guard, so it covers every path the sequence can build
+and its result is at most this one, entry by entry: exactly on integer
+weights, to rounding on float weights (the two sum a path in different
+orders).
 """
 
 from __future__ import annotations

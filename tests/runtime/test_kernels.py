@@ -926,6 +926,30 @@ def edge_batches(draw):
     return g, draw(st.integers(1, 4)), new, edges, dv, draw(st.integers(0, 3)), kind != "float"
 
 
+def guard_failing_edge_first():
+    """A unit star on 10 vertices (centre 0, the spoke to 4 weighs 2), one
+    rank, a noisy DV, and the batch ``[(2, 4, 4.0), (0, 4, 1.0)]``: the
+    first edge fails the line-26 guard (``d(2, 4)`` is already 4), yet the
+    per-edge sequence builds the path 0-4-2 through it."""
+    inf = np.inf
+    g = Graph.from_edges(
+        [(0, v, 2.0 if v == 4 else 1.0) for v in range(1, 10)]
+    )
+    dv = np.array([
+        [0, inf, inf, inf, inf, inf, inf, inf, inf, inf],
+        [2, 0, inf, 2, inf, inf, inf, 2, 2, inf],
+        [inf, inf, 0, 4, 4, inf, inf, 2, 4, inf],
+        [inf, inf, 3, 0, inf, inf, inf, 3, 2, inf],
+        [inf, inf, 4, inf, 0, 4, inf, inf, inf, inf],
+        [inf, 3, inf, 4, 3, 0, 3, 3, 2, inf],
+        [inf, inf, inf, inf, 5, inf, 0, inf, 4, inf],
+        [2, 4, inf, inf, inf, inf, 3, 0, inf, inf],
+        [inf, 3, 2, 2, 3, 2, inf, inf, 0, 4],
+        [inf, inf, inf, 2, inf, 4, 2, inf, 4, 0],
+    ])
+    return g, 1, [], [(2, 4, 4.0), (0, 4, 1.0)], dv, 0, True
+
+
 class TestRelaxEdgeKernel:
     """The edge-batch relaxation (``relax_edge_batch_kernel`` through
     ``Worker.relax_with_edge_rows``) against the per-edge reference."""
@@ -945,6 +969,7 @@ class TestRelaxEdgeKernel:
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
     @given(drawn=edge_batches())
+    @example(drawn=guard_failing_edge_first())
     def test_a_batch_between_the_exact_distances_and_the_per_edge_sequence(
         self, drawn
     ):
