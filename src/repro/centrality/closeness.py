@@ -26,7 +26,7 @@ __all__ = [
 
 #: entries of the block one compaction of :func:`closeness_from_rows`
 #: reads (a run of whole rows): its index and compacted temporaries stay
-#: a few hundred KB instead of growing with the block
+#: about a MB instead of growing with the block
 _COMPACT_ELEMS = 1 << 17
 
 
@@ -95,8 +95,9 @@ def closeness_from_rows(
             total[grp] = rows[grp][finite[grp]].reshape(-1, count).sum(axis=1)
             continue
         # a settled block is one group: compact it in row order, a run of
-        # rows at a time, so the compacted rows stay in cache.  A mask that
-        # is nearly all True copies fastest through boolean indexing; a
+        # rows at a time, so the temporaries stay small (np.compress builds
+        # an index array as long as what it selects).  A mask that is
+        # nearly all True copies fastest through boolean indexing; a
         # sparser one through np.compress, which gathers by index instead
         # of branching on every entry (the same elements either way)
         dense = count * 16 >= n * 15
