@@ -2,8 +2,8 @@
 
 These are the ground truth the distributed anytime-anywhere results are
 validated against, and the engine of the Baseline-Restart comparison's
-correctness checks: Dijkstra-based APSP (SciPy CSR) and a pure-NumPy
-Floyd–Warshall.
+correctness checks: Dijkstra-based APSP (SciPy, imported when first
+called) and a pure-NumPy Floyd–Warshall.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse.csgraph as csgraph
 
 from ..graph.graph import Graph
 from ..types import VertexId
@@ -32,6 +31,8 @@ def apsp_dijkstra(
 
     Returns ``(dist, ids)`` with ``dist[i, j] = d(ids[i], ids[j])``.
     """
+    from scipy.sparse import csgraph
+
     view = graph.to_csr(order)
     if len(view) == 0:
         return np.zeros((0, 0)), []
@@ -52,8 +53,9 @@ def apsp_floyd_warshall(
     if n == 0:
         return np.zeros((0, 0)), []
     dist = np.full((n, n), np.inf, dtype=np.float64)
-    m = view.matrix.tocoo()
-    dist[m.row, m.col] = np.minimum(dist[m.row, m.col], m.data)
+    csr = view.csr
+    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+    dist[rows, csr.indices] = csr.data
     np.fill_diagonal(dist, 0.0)
     for k in range(n):
         np.minimum(dist, dist[:, k][:, None] + dist[k][None, :], out=dist)
@@ -62,6 +64,8 @@ def apsp_floyd_warshall(
 
 def sssp_dijkstra(graph: Graph, source: VertexId) -> Dict[VertexId, float]:
     """Single-source shortest paths from ``source`` (reference)."""
+    from scipy.sparse import csgraph
+
     view = graph.to_csr()
     idx = view.index[source]
     dist = csgraph.dijkstra(view.matrix, directed=False, indices=idx)

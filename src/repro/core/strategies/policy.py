@@ -227,10 +227,14 @@ class PolicyDrivenStrategy(DynamicStrategy):
         self.decisions: List[PolicyDecision] = []
 
     def signals(self, cluster: "Cluster", step: int = -1) -> SignalView:
-        """Collect the current signals (also the ``Session.signals`` read)."""
+        """Collect the current signals.  The convergence probe reads every
+        rank's closeness, so its sample is taken only when the policy
+        first reads it (neither built-in policy does)."""
         cluster.collect_signals(self._registry)
-        sample = self._probe.sample(cluster, step)
-        return SignalView(self._registry, {self._probe.name: sample})
+        return SignalView(
+            self._registry,
+            {self._probe.name: lambda: self._probe.sample(cluster, step)},
+        )
 
     def _resolve(self, name: str) -> DynamicStrategy:
         from .registry import make_strategy

@@ -20,7 +20,7 @@ from .generators import (
     random_weights,
     watts_strogatz,
 )
-from .graph import CSRView, Graph
+from .graph import CSR, CSRView, Graph
 from .lfr import lfr_benchmark
 from .io import (
     read_change_stream,
@@ -43,6 +43,7 @@ from .views import LocalSubgraph, extract_local_subgraph, induced_subgraph
 
 __all__ = [
     "Graph",
+    "CSR",
     "CSRView",
     "LocalSubgraph",
     "extract_local_subgraph",

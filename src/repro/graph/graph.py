@@ -6,7 +6,8 @@ It is designed for the access patterns of the anytime-anywhere pipeline:
 * cheap incremental mutation (vertex/edge additions and deletions are the
   whole point of the paper),
 * fast neighborhood iteration for partitioners and relaxations,
-* zero-copy-ish export to SciPy CSR for bulk shortest-path computations.
+* cheap export to CSR arrays (scipy's canonical form) for bulk
+  shortest-path computations, without importing scipy.
 
 Vertices are integer ids.  The structure is undirected: ``add_edge(u, v, w)``
 makes ``v`` a neighbor of ``u`` and vice versa, and the edge is reported once
@@ -15,10 +16,11 @@ by :meth:`Graph.edges` with ``u <= v``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import repeat
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-import scipy.sparse as sp
+from numpy.typing import NDArray
 
 from ..errors import (
     DuplicateVertex,
@@ -28,7 +30,42 @@ from ..errors import (
 )
 from ..types import VertexId, WeightedEdge
 
-__all__ = ["Graph", "CSRView"]
+__all__ = ["CSR", "CSRView", "Graph"]
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+class CSR:
+    """A square sparse matrix as the three CSR arrays, in scipy's canonical
+    form: each row's columns sorted, no duplicates, ``indptr`` and
+    ``indices`` int32 unless ``max(nnz, n)`` needs int64, ``data`` float64.
+
+    This is what the kernels read (``indptr``, ``indices``, ``data``,
+    ``shape``; a ``scipy.sparse.csr_matrix`` has the same attributes and
+    is accepted too) and what a task carries to a pool child.
+    """
+
+    __slots__ = ("indptr", "indices", "data", "shape")
+
+    def __init__(
+        self, indptr: NDArray[Any], indices: NDArray[Any], data: NDArray[np.float64]
+    ) -> None:
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
+        n = len(indptr) - 1
+        self.shape = (n, n)
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries (each undirected edge twice)."""
+        return int(self.data.size)
+
+    def to_scipy(self) -> Any:
+        """A ``scipy.sparse.csr_matrix`` over the same arrays (no copy)."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
 
 
 class CSRView:
@@ -36,20 +73,29 @@ class CSRView:
 
     Attributes
     ----------
-    matrix:
-        ``scipy.sparse.csr_matrix`` of edge weights, shape ``(k, k)``.
+    csr:
+        The :class:`CSR` arrays of edge weights, shape ``(k, k)``.
     order:
         The vertex ids in row/column order.
     index:
         Mapping from vertex id to row index (inverse of ``order``).
     """
 
-    __slots__ = ("matrix", "order", "index")
+    __slots__ = ("csr", "order", "index", "_matrix")
 
-    def __init__(self, matrix: sp.csr_matrix, order: List[VertexId]) -> None:
-        self.matrix = matrix
+    def __init__(self, csr: CSR, order: List[VertexId]) -> None:
+        self.csr = csr
         self.order = order
         self.index = {v: i for i, v in enumerate(order)}
+        self._matrix: Any = None
+
+    @property
+    def matrix(self) -> Any:
+        """``csr`` as a ``scipy.sparse.csr_matrix``, built on first access
+        over the same arrays (imports scipy; the run path never asks)."""
+        if self._matrix is None:
+            self._matrix = self.csr.to_scipy()
+        return self._matrix
 
     def __len__(self) -> int:
         return len(self.order)
@@ -306,7 +352,7 @@ class Graph:
     # bulk export
     # ------------------------------------------------------------------
     def to_csr(self, order: Optional[Sequence[VertexId]] = None) -> CSRView:
-        """Export (a sub-view of) the graph as a SciPy CSR matrix.
+        """Export (a sub-view of) the graph as CSR arrays (:class:`CSR`).
 
         The most recent export is cached and maintained incrementally:
 
@@ -320,7 +366,8 @@ class Graph:
 
         Returned views are immutable snapshots: incremental rebuilds
         allocate fresh arrays, so views handed out earlier never observe
-        later mutations.  Both paths produce bitwise-identical matrices.
+        later mutations.  Both paths produce bitwise-identical arrays, the
+        bytes ``scipy.sparse.csr_matrix`` builds from the same entries.
 
         Parameters
         ----------
@@ -368,22 +415,28 @@ class Graph:
 
     def _csr_build(self, ordered: List[VertexId], index: Dict[VertexId, int]) -> CSRView:
         """Full from-scratch CSR construction (the oracle for the cache)."""
-        rows: List[int] = []
+        n = len(ordered)
+        get = index.get
         cols: List[int] = []
         vals: List[float] = []
-        for v in ordered:
-            i = index[v]
-            for u, w in self._adj[v].items():
-                j = index.get(u)
-                if j is not None:
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(w)
-        n = len(ordered)
-        mat = sp.csr_matrix(
-            (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(n, n)
-        )
-        return CSRView(mat, ordered)
+        lengths = np.empty(n, dtype=np.intp)
+        for i, v in enumerate(ordered):
+            nbrs = self._adj[v]
+            cols.extend(map(get, nbrs, repeat(-1)))  # -1: outside ``order``
+            vals.extend(nbrs.values())
+            lengths[i] = len(nbrs)
+        col = np.array(cols, dtype=np.int64)
+        val = np.array(vals, dtype=np.float64)
+        row = np.repeat(np.arange(n, dtype=np.int64), lengths)
+        keep = col >= 0
+        if not keep.all():
+            row, col, val = row[keep], col[keep], val[keep]
+        # rows arrive in order; sort each row's columns (no duplicates)
+        perm = np.argsort(row * n + col)
+        idx_dtype = np.int32 if max(col.size, n) <= _INT32_MAX else np.int64
+        indptr = np.zeros(n + 1, dtype=idx_dtype)
+        np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+        return CSRView(CSR(indptr, col[perm].astype(idx_dtype), val[perm]), ordered)
 
     def _csr_from_cache(
         self,
@@ -409,7 +462,7 @@ class Graph:
         if n == k and not rebuild:
             return cached
         rebuild.update(appended)
-        old = cached.matrix
+        old = cached.csr
         idx_dtype = old.indices.dtype
         parts_idx: List[np.ndarray] = []
         parts_dat: List[np.ndarray] = []
@@ -439,8 +492,7 @@ class Graph:
         data = (
             np.concatenate(parts_dat) if nnz else np.empty(0, dtype=np.float64)
         )
-        mat = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-        view = CSRView(mat, ordered)
+        view = CSRView(CSR(indptr, indices, data), ordered)
         self._csr_cache = view
         self._csr_dirty.difference_update(rebuild)
         self._csr_added.difference_update(index)

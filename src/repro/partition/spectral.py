@@ -11,8 +11,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..graph.graph import Graph
 from ..types import Rank, VertexId
@@ -23,6 +21,9 @@ __all__ = ["SpectralPartitioner"]
 
 def _fiedler_order(graph: Graph, vertices: List[VertexId], seed: int) -> List[VertexId]:
     """Vertices sorted by their Fiedler-vector value (restricted subgraph)."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     view = graph.to_csr(vertices)
     a = view.matrix
     n = a.shape[0]

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List
 
 import numpy as np
-import scipy.sparse.csgraph as csgraph
 
 from .kernels import minplus_fold_changed
 from .kernels.oracle import closure_exact
@@ -127,16 +126,20 @@ def check_cluster_invariants(cluster: "Cluster") -> List[str]:
     #     premise of the closure fold, which searches the CSR in place of
     #     reading local_apsp.  Bit for bit where the weights are exact for
     #     the sweep; within check 9's rtol on float weights, where
-    #     add_local_edge's in-place repair may round unlike Dijkstra
+    #     add_local_edge's in-place repair may round unlike Dijkstra.
+    #     Checked against scipy's Dijkstra, not the IA kernel under test
+    from scipy.sparse import csgraph
+
     for w in cluster.workers:
         n = w.n_local
         if n == 0 or w.local_apsp.shape != (n, n):
             continue
         csr = w.entries.local_csr  # or, dropped, what the next superstep exports
-        csr = w.local_graph.to_csr(w.owned).matrix if csr is None else csr
+        csr = w.local_graph.to_csr(w.owned).csr if csr is None else csr
         rtol = 0.0 if closure_exact(csr, np.zeros(0)) else 1e-12
         assert np.allclose(
-            csgraph.dijkstra(csr, directed=False), w.local_apsp, rtol=rtol, atol=0.0
+            csgraph.dijkstra(csr.to_scipy(), directed=False), w.local_apsp,
+            rtol=rtol, atol=0.0,
         ), f"rank {w.rank}: local_apsp is not the closure of local_csr"
     checks.append("local-csr-closure")
 

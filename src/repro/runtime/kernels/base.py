@@ -42,7 +42,7 @@ __all__ = [
 class IATask:
     """One rank's IA-phase work: local APSP + fold into owned DV columns."""
 
-    #: local adjacency in CSR form (scipy matrix; picklable)
+    #: local adjacency as CSR arrays (``repro.graph.CSR``; picklable)
     matrix: Any
     #: global DV column of each owned vertex, in row order
     cols: IndexArray
@@ -69,7 +69,7 @@ class SuperstepTask:
     #: reweight, a local edge that lowered a pair, a recovery or a
     #: rebuild), or push the entries ``dv_changed`` marks
     full_repropagate: bool
-    #: the local CSR ``local_apsp`` is the closure of (scipy matrix;
+    #: the local CSR ``local_apsp`` is the closure of (``repro.graph.CSR``;
     #: picklable); ``None`` only while ``local_apsp`` is not square
     graph: Any = None
 

@@ -1,23 +1,25 @@
-"""The per-rank compute kernels: plain NumPy/SciPy module functions.
+"""The per-rank compute kernels: plain NumPy module functions.
 
 :class:`~repro.runtime.kernels.KernelTier` delegates to these, and
 :func:`fold` is the one entry point of the min-plus propagation fold.
 The serial backend and the process backend run the same statements, so
 their results are bitwise-identical to these statements executed in
-serial order.
+serial order.  Only :func:`dijkstra_rows` needs scipy, and imports it
+when first called: unit- and integer-weight runs never do.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+import sys
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
-import scipy.sparse.csgraph as csgraph
 
 from ...types import BoolArray, FloatArray
 from .base import IATask, IndexArray, RelaxItems
 
 __all__ = [
+    "dijkstra_rows",
     "ia_kernel",
     "local_apsp_rows",
     "relax_cut_kernel",
@@ -55,6 +57,10 @@ _CLOSURE_MIN_ENTRIES = 8
 #: EXPERIMENTS.md).
 _EDGE_TILE_ELEMS = 1 << 16
 
+#: :func:`_fold_sweep`'s arcs: per padded arc its gather index into the
+#: tick ring, the rows' starts, and the ring's slot count (:func:`_ring_arcs`)
+RingArcs = Tuple[IndexArray, IndexArray, int]
+
 #: The last level (IA) or tick (closure fold) a bit sweep may reach: its
 #: uint8 level counts run one past it.
 _LEVEL_CAP = 254
@@ -62,6 +68,11 @@ _LEVEL_CAP = 254
 #: Fixed cost of one level of the IA sweep (its numpy calls, 6 us on the
 #: EXPERIMENTS.md host) in the units of :func:`_sweep_budget`.
 _SWEEP_FIXED = 24_000
+
+#: What :func:`dijkstra_rows` costs once more in a process that has not
+#: imported ``scipy.sparse.csgraph`` yet (0.29-0.34 s, EXPERIMENTS.md), in
+#: the units of :func:`_sweep_budget`.
+_SCIPY_IMPORT = 1_200_000_000
 
 
 def _sweep_budget(n: int, s: int, nnz: int) -> int:
@@ -75,12 +86,17 @@ def _sweep_budget(n: int, s: int, nnz: int) -> int:
     measured shapes, rings and ring lattices (80 us per call, 0.19 us per
     source, 19-25 ns per source and vertex).  The sweep's setup and a
     bail-out take one ``_SWEEP_FIXED`` of that, so a sweep stopped at the
-    budget has spent about half of Dijkstra's time.
+    budget has spent about half of Dijkstra's time.  Until this process
+    has imported csgraph, Dijkstra costs ``_SCIPY_IMPORT`` more, which is
+    more than a block's sweep to the cap (a level of a block stays near
+    ``2 * _ENTRY_CHUNK_ELEMS`` units): a sweep then bails out only at the
+    cap, and a unit- or integer-weight run imports no scipy.
     """
     words = -(-s // 64)
+    first = 0 if "scipy.sparse.csgraph" in sys.modules else _SCIPY_IMPORT
     return min(
         _LEVEL_CAP,
-        (5 * _SWEEP_FIXED + s * (450 + 28 * n + 6 * nnz))
+        (5 * _SWEEP_FIXED + first + s * (450 + 28 * n + 6 * nnz))
         // (n * s + (n + nnz) * (8 + 5 * words) + _SWEEP_FIXED),
     )
 
@@ -104,34 +120,97 @@ def ia_kernel(task: IATask, dv: FloatArray, apsp: FloatArray) -> None:
 def local_apsp_rows(matrix: Any, lo: int, hi: int, out: FloatArray) -> None:
     """Shortest-path rows of sources ``[lo, hi)`` into ``out`` (``(hi - lo, n)``).
 
-    Bitwise ``csgraph.dijkstra(matrix, directed=False, indices=range(lo,
-    hi))`` for the symmetric CSR of an undirected sub-graph (what
-    ``Graph.to_csr`` exports).  When every stored weight is one value
-    ``w > 0``, shortest paths are BFS levels, and the rows come from a
-    level-synchronous sweep over all sources at once (:func:`_level_sweep`):
-    an entry reached at level ``k`` is ``((0.0 + w) + w) ... + w`` with
-    ``k`` additions, the left-to-right sum Dijkstra forms along any
-    ``k``-hop path — rounding is monotone, so no longer path sums lower.
-    Mixed weights, and blocks whose sweep outruns Dijkstra's cost (long
-    paths, rings), take ``csgraph.dijkstra``.  Sources are swept in blocks
-    whose temporaries stay under ``_ENTRY_CHUNK_ELEMS`` elements.
+    Bitwise :func:`dijkstra_rows` for the symmetric CSR of an undirected
+    sub-graph (what ``Graph.to_csr`` exports), by one of three paths:
+
+    * every stored weight one value ``w > 0``: shortest paths are BFS
+      levels, and the rows come from a level-synchronous sweep over all
+      sources at once (:func:`_level_sweep`).  An entry reached at level
+      ``k`` is ``((0.0 + w) + w) ... + w`` with ``k`` additions, the
+      left-to-right sum Dijkstra forms along any ``k``-hop path — rounding
+      is monotone, so no longer path sums lower;
+    * positive-integer weights where :func:`closure_exact` holds: Dial's
+      buckets, the fold's :func:`_fold_sweep` seeded at the diagonal.
+      Every path sum is an integer below 2**53, exact in any order;
+    * anything else, and blocks whose sweep outruns Dijkstra's cost (long
+      paths, rings) or the tick cap: :func:`dijkstra_rows`.
+
+    Sources are swept in blocks whose temporaries stay under
+    ``_ENTRY_CHUNK_ELEMS`` elements; the first block that bails out hands
+    it and every later source to Dijkstra.
     """
     n = matrix.shape[0]
     data = matrix.data
     w = float(data[0]) if data.size else 1.0
+    done = lo
     if w > 0 and (data == w).all():
         indices, starts, _ = _padded_rows(matrix)
         # level counts (n bytes per source) and the gathered frontier words
         # (nnz / 8 bytes per source) stay under the element cap
         block = max(64, _ENTRY_CHUNK_ELEMS // (n + data.size // 8) // 64 * 64)
-        for b0 in range(lo, hi, block):
-            b1 = min(b0 + block, hi)
-            if not _level_sweep(indices, starts, w, b0, b1, out[b0 - lo:b1 - lo]):
-                lo, out = b0, out[b0 - lo:]
-                break
-        else:
-            return
-    out[:, :] = csgraph.dijkstra(matrix, directed=False, indices=np.arange(lo, hi))
+        done = _sweep_blocks(
+            lambda b0, b1, rows: _level_sweep(indices, starts, w, b0, b1, rows),
+            block, lo, hi, out,
+        )
+    elif closure_exact(matrix, np.zeros(1)):
+        arcs = _ring_arcs(matrix)
+        if arcs is not None:
+            ring = arcs
+            done = _sweep_blocks(
+                lambda b0, b1, rows: _dial_rows(ring, b0, b1, rows),
+                _closure_block(n, ring), lo, hi, out,
+            )
+    if done < hi:
+        out[done - lo:] = dijkstra_rows(matrix, done, hi)
+
+
+def dijkstra_rows(matrix: Any, lo: int, hi: int) -> FloatArray:
+    """``csgraph.dijkstra(matrix, directed=False, indices=range(lo, hi))``
+    on the CSR arrays of ``matrix`` (a :class:`~repro.graph.graph.CSR` or
+    a scipy matrix): the IA path for non-integer weights and sweeps over
+    budget, and the only one that imports scipy."""
+    from scipy.sparse import csgraph, csr_matrix
+
+    graph = csr_matrix(
+        (matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape
+    )
+    rows: FloatArray = csgraph.dijkstra(
+        graph, directed=False, indices=np.arange(lo, hi)
+    )
+    return rows
+
+
+def _sweep_blocks(
+    sweep: Callable[[int, int, FloatArray], bool],
+    block: int,
+    lo: int,
+    hi: int,
+    out: FloatArray,
+) -> int:
+    """Run ``sweep(b0, b1, rows)`` over ``[lo, hi)`` a block of sources at a
+    time; the first source left undone (``hi`` when every block finished)."""
+    for b0 in range(lo, hi, block):
+        b1 = min(b0 + block, hi)
+        if not sweep(b0, b1, out[b0 - lo:b1 - lo]):
+            return b0
+    return hi
+
+
+def _dial_rows(arcs: RingArcs, lo: int, hi: int, out: FloatArray) -> bool:
+    """Integer-weight shortest paths from sources ``[lo, hi)``: one
+    :func:`_fold_sweep` seeded at ``d(s,s) = 0``, one column per source,
+    stopped at :func:`_sweep_budget` ticks; ``False`` = over budget."""
+    n, s = out.shape[1], hi - lo
+    budget = _sweep_budget(n, s, arcs[0].size)
+    if budget < 1:
+        return False
+    d = np.full((n, s), np.inf)
+    d[np.arange(lo, hi), np.arange(s)] = 0.0
+    dist = _fold_sweep(arcs, d, d == 0.0, budget)
+    if dist is None:
+        return False
+    out[:] = dist.T  # undirected: dist(x, s) is row s's entry x
+    return True
 
 
 def _level_sweep(
@@ -442,17 +521,11 @@ def minplus_closure(
     before any of it is written.  ``changed`` is only read.
     """
     n = dv.shape[0]
-    indices, starts, weights = _padded_rows(graph)
-    size = int(weights.max(initial=1)) + 1  # ring slots: max weight + 1 ticks
-    if size > _LEVEL_CAP:
+    arcs = _ring_arcs(graph)
+    if arcs is None:
         return minplus_fold_changed(apsp, dv, changed)
-    # arc (y, w) of tick j reads row y of ring slot (j - w) % size
-    arcs = (indices - weights.astype(np.intp) * n, starts, size)
     cols = np.flatnonzero(changed.any(axis=0))
-    # per column: four n-entry float64 temporaries, then n / 64 words for
-    # each ring slot, unvisited and 8 level planes, 1 / 64 per gathered arc
-    per_col = 4 * n + ((size + 9) * n + indices.size) // 64
-    block = max(64, _ENTRY_CHUNK_ELEMS // per_col // 64 * 64)
+    block = _closure_block(n, arcs)
     improved_rows = np.zeros(n, dtype=np.bool_)
     for b0 in range(0, cols.size, block):
         block_cols = cols[b0:b0 + block]
@@ -472,12 +545,39 @@ def minplus_closure(
     return [int(r) for r in np.flatnonzero(improved_rows)]
 
 
+def _ring_arcs(graph: Any) -> Optional[RingArcs]:
+    """:func:`_fold_sweep`'s arcs over the CSR ``graph``: the padded rows'
+    starts, a ring of max weight + 1 slots, and per arc ``(y, w)`` its
+    gather index ``y - w * n`` (tick ``j`` reads row ``y`` of ring slot
+    ``(j - w) % size``); ``None`` when the ring passes the tick cap."""
+    n = graph.shape[0]
+    indices, starts, weights = _padded_rows(graph)
+    size = int(weights.max(initial=1)) + 1
+    if size > _LEVEL_CAP:
+        return None
+    return indices - weights.astype(np.intp) * n, starts, size
+
+
+def _closure_block(n: int, arcs: RingArcs) -> int:
+    """Columns :func:`_fold_sweep` takes at once on ``n`` rows: per column
+    four n-entry float64 temporaries, then n / 64 words for each ring
+    slot, unvisited and 8 level planes, 1 / 64 per gathered arc, under
+    ``_ENTRY_CHUNK_ELEMS`` elements."""
+    back, _starts, size = arcs
+    per_col = 4 * n + ((size + 9) * n + back.size) // 64
+    return max(64, _ENTRY_CHUNK_ELEMS // per_col // 64 * 64)
+
+
 def _fold_sweep(
-    arcs: Tuple[IndexArray, IndexArray, int], d: FloatArray, seeds: BoolArray
+    arcs: RingArcs,
+    d: FloatArray,
+    seeds: BoolArray,
+    cap: int = _LEVEL_CAP,
 ) -> Optional[FloatArray]:
     """``min_k dist(x,k) + d(k,t)`` over the finite ``seeds`` ``(k, t)`` of
-    ``d``, for every row ``x`` and column ``t``; ``None`` past the tick cap
-    (or with no finite seed: the push has nothing to do either).
+    ``d``, for every row ``x`` and column ``t``; ``None`` when an entry is
+    first reached past tick ``cap`` (at most the tick cap ``_LEVEL_CAP``),
+    or with no finite seed: the push has nothing to do either.
 
     Dial's buckets with the columns as bits: entry ``(k, t)`` starts at
     tick ``d(k,t) - T0`` (``T0`` the smallest seed); the frontier of tick
@@ -516,7 +616,7 @@ def _fold_sweep(
         ring[j % size] = frontier
         ring[(j + 1) % size] = 0  # tick j read tick j + 1 - size for the last time
         if frontier.any():
-            if j > _LEVEL_CAP:
+            if j > cap:
                 return None
             unvisited ^= frontier
             for b in range((j + 1).bit_length()):

@@ -250,17 +250,12 @@ class Worker:
         if n == 0:
             self.entries.adopt_apsp(np.zeros((0, 0), dtype=np.float64))
             return None
-        view = self.local_graph.to_csr(self.owned)
+        csr = self.local_graph.to_csr(self.owned).csr
         cols = np.fromiter(
             (self.index.column(v) for v in self.owned), dtype=np.intp, count=n
         )
-        self.entries.adopt_apsp(self.entries.allocator.empty((n, n)), view.matrix)
-        return IATask(
-            matrix=view.matrix,
-            cols=cols,
-            n=n,
-            nnz=int(view.matrix.nnz),
-        )
+        self.entries.adopt_apsp(self.entries.allocator.empty((n, n)), csr)
+        return IATask(matrix=csr, cols=cols, n=n, nnz=csr.nnz)
 
     def ia_apply(self, task: IATask, *, repropagate: bool = False) -> None:
         """Post-kernel charges and bookkeeping for one IA task."""
@@ -517,7 +512,7 @@ class Worker:
         """
         n, store = self.n_local, self.entries
         if store.local_csr is None and n and store.local_apsp.shape == (n, n):
-            store.local_csr = self.local_graph.to_csr(self.owned).matrix
+            store.local_csr = self.local_graph.to_csr(self.owned).csr
         fresh = self._fresh_ext
         self._fresh_ext = set()
         items: RelaxItems = []

@@ -193,10 +193,11 @@ def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant(
     weights fractional, so its full folds run the rectangle.  The stream is the harness's
     ``mixed-stream``, run uninterrupted.
 
-    Steps 6-9 walk rank 1 through both IA paths: its uniform weights take
-    the level sweep at setup; a reweight-up leaves it mixed, so the next
-    local-APSP rebuild (after a deletion) takes Dijkstra; a reweight back
-    to the common weight returns the rebuild after that to the sweep.
+    Steps 6-9 walk rank 1 through both sweeps of IA: its uniform weights
+    take the level sweep at setup; a reweight-up leaves it mixed integers,
+    so the next local-APSP rebuild (after a deletion) takes the Dial sweep;
+    a reweight back to the common weight returns the rebuild after that to
+    the level sweep.
 
     The closure fold's cost rule is switched off, so every push on a rank
     whose weights and entries are integral runs as the seeded sweep over
@@ -210,11 +211,13 @@ def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant(
         rectangles.append(len(rows) * len(cols))
         return rectangle(apsp, dv, rows, cols)
 
-    # per in-process local-APSP call: (rank, weights uniform, sweep ran)
+    # per in-process local-APSP call: (rank, weights uniform, level sweep
+    # ran, Dial sweep finished)
     ia_calls = []
     rank_of_matrix = {}
-    ia_prepare, apsp_rows, level_sweep = (
-        Worker.ia_prepare, oracle.local_apsp_rows, oracle._level_sweep
+    ia_prepare, apsp_rows, level_sweep, dial_rows = (
+        Worker.ia_prepare, oracle.local_apsp_rows, oracle._level_sweep,
+        oracle._dial_rows,
     )
 
     def prepare_spy(worker):
@@ -226,12 +229,18 @@ def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant(
     def rows_spy(matrix, lo, hi, out):
         data = matrix.data
         # (a pool child holds an unpickled copy: no rank, and its list is its own)
-        ia_calls.append([rank_of_matrix.get(id(matrix)), (data == data[0]).all(), False])
+        ia_calls.append(
+            [rank_of_matrix.get(id(matrix)), (data == data[0]).all(), False, False]
+        )
         apsp_rows(matrix, lo, hi, out)
 
     def sweep_spy(*args):
         ia_calls[-1][2] = True
         return level_sweep(*args)
+
+    def dial_spy(*args):
+        ia_calls[-1][3] = dial_rows(*args)
+        return ia_calls[-1][3]
 
     closures = []
     closure = oracle.minplus_closure
@@ -246,19 +255,20 @@ def test_mixed_add_delete_reweight_stream_is_backend_and_tier_invariant(
     monkeypatch.setattr(Worker, "ia_prepare", prepare_spy)
     monkeypatch.setattr(oracle, "local_apsp_rows", rows_spy)
     monkeypatch.setattr(oracle, "_level_sweep", sweep_spy)
+    monkeypatch.setattr(oracle, "_dial_rows", dial_spy)
     s = dataclasses.replace(FIXED["mixed-stream"], budget=None)
     assert_backend_invariant(s)
     assert len(rectangles) >= 8 and min(rectangles) > 0  # the in-process runs
     assert closures
-    assert all(uniform == swept for _rank, uniform, swept in ia_calls)
+    assert all(uniform == swept for _rank, uniform, swept, _dial in ia_calls)
     # one serial run, every IA call in process: setup sweeps every rank
     ia_calls.clear()
     run(s, "serial", "delta", None)
-    assert [c[1:] for c in ia_calls[:4]] == [[True, True]] * 4
-    assert all(uniform == swept for _rank, uniform, swept in ia_calls)
-    on_rank1 = [uniform for rank, uniform, _swept in ia_calls if rank == 1]
-    mixed = on_rank1.index(False)  # after step 6: Dijkstra
-    assert True in on_rank1[mixed:]  # after step 8: the sweep again
+    assert [c[1:] for c in ia_calls[:4]] == [[True, True, False]] * 4
+    assert all(uniform == swept for _rank, uniform, swept, _dial in ia_calls)
+    on_rank1 = [c[1:] for c in ia_calls if c[0] == 1]
+    mixed = on_rank1.index([False, False, True])  # after step 6: the Dial sweep
+    assert [True, True, False] in on_rank1[mixed:]  # after step 8: the level sweep
 
 
 def test_float_weight_local_edge_stream_is_exact_and_anytime():

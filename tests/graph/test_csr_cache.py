@@ -6,12 +6,15 @@ prefix-extending order after vertex additions splices only the new and
 dirty rows, and deletions (or any non-prefix order) fall back to a full
 rebuild.  Every cached path must produce a matrix bitwise-identical to
 a from-scratch build, and views handed out earlier must stay frozen
-snapshots.
+snapshots.  The arrays are scipy's canonical CSR of the same entries
+(shape, dtypes and bytes), and ``view.matrix`` is scipy's matrix over them.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -25,8 +28,26 @@ def fresh_bits(g: Graph, order):
     return view_bits(view)
 
 
+def scipy_bits(g: Graph, order):
+    """What scipy builds from the same entries (COO to canonical CSR)."""
+    index = {v: i for i, v in enumerate(order)}
+    rows, cols, vals = [], [], []
+    for v in order:
+        for u, w in g.neighbor_items(v):
+            if u in index:
+                rows.append(index[v])
+                cols.append(index[u])
+                vals.append(w)
+    n = len(order)
+    m = sp.csr_matrix((np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(n, n))
+    return arrays_bits(m, order)
+
+
 def view_bits(view):
-    m = view.matrix
+    return arrays_bits(view.csr, view.order)
+
+
+def arrays_bits(m, order):
     return (
         m.shape,
         m.indptr.dtype,
@@ -35,7 +56,7 @@ def view_bits(view):
         m.indptr.tobytes(),
         m.indices.tobytes(),
         m.data.tobytes(),
-        list(view.order),
+        list(order),
     )
 
 
@@ -227,6 +248,7 @@ def test_cache_always_matches_fresh_build(seed, script):
         if op == "export":
             order = g.vertex_list()
             assert view_bits(g.to_csr(order)) == fresh_bits(g, order)
+            assert view_bits(g.to_csr(order)) == scipy_bits(g, order)
         elif op == "add_vertex":
             g.add_vertex(next_id)
             # keep it reachable so later edge ops have targets
@@ -246,3 +268,41 @@ def test_cache_always_matches_fresh_build(seed, script):
                 g.remove_vertex(vs[a % len(vs)])
     order = g.vertex_list()
     assert view_bits(g.to_csr(order)) == fresh_bits(g, order)
+
+
+class TestScipyCanonicalForm:
+    """The exported arrays are the bytes scipy builds from the same entries."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 30, 300])
+    def test_a_fresh_export(self, n):
+        g = sample_graph(n, seed=n) if n > 2 else Graph.from_edges([], range(n))
+        g.add_vertex(n + 5)  # isolated, and past every other id
+        for order in (g.vertex_list(), g.vertex_list()[::-1][: max(1, n // 2)]):
+            assert view_bits(g.copy().to_csr(order)) == scipy_bits(g, order)
+
+    def test_a_spliced_export(self, monkeypatch):
+        g = sample_graph(40, seed=2)
+        g.to_csr()
+        g.add_vertex(40)
+        g.add_edge(40, 3, 2.5)
+        g.add_edge(7, 9, 4.0)
+        monkeypatch.setattr(Graph, "_csr_build", None)  # the splice, or fail
+        order = g.vertex_list()
+        assert view_bits(g.to_csr(order)) == scipy_bits(g, order)
+
+    def test_an_export_after_a_deletion(self):
+        g = sample_graph(40, seed=3)
+        g.to_csr()
+        u, v, _w = g.edge_list()[5]
+        g.remove_edge(u, v)
+        g.remove_vertex(11)
+        order = g.vertex_list()
+        assert view_bits(g.to_csr(order)) == scipy_bits(g, order)
+
+    def test_matrix_is_scipys_over_the_same_arrays(self):
+        view = sample_graph(20, seed=4).to_csr()
+        m = view.matrix
+        assert isinstance(m, sp.csr_matrix) and m is view.matrix
+        for name in ("indptr", "indices", "data"):
+            assert np.shares_memory(getattr(m, name), getattr(view.csr, name))
+        assert m.nnz == view.csr.nnz and m.shape == view.csr.shape

@@ -39,6 +39,7 @@ and must be bitwise-equal to the rectangle fold there.
 
 from __future__ import annotations
 
+import sys
 import tracemalloc
 import warnings
 from typing import List, NamedTuple, Set, Tuple
@@ -1451,11 +1452,87 @@ class _Spy:
         monkeypatch.setattr(module, name, spy)
 
 
+def integer_csr(g: Graph, top: int, seed: int, isolated: int):
+    """The CSR of ``g`` plus ``isolated`` vertices, with weights drawn from
+    ``1 .. top`` and at least two distinct weights when ``g`` has two
+    edges (so the weights are integer and not uniform)."""
+    rng = np.random.default_rng(seed)
+    h = Graph()
+    for v in range(g.num_vertices + isolated):
+        h.add_vertex(v)
+    edges = g.edge_list()
+    for k, (u, v, _w) in enumerate(edges):
+        h.add_edge(u, v, float(1 + k % 2 if k < 2 else rng.integers(1, top + 1)))
+    return h.to_csr(list(range(h.num_vertices))).csr
+
+
 class TestLocalAPSPRows:
     """``oracle.local_apsp_rows`` is bitwise ``csgraph.dijkstra(directed=False,
     indices=range(lo, hi))`` whichever path it takes: the level sweep on
-    uniform weights (forced past its level budget, or left to choose), and
-    Dijkstra for mixed weights and sweeps that would outrun it."""
+    uniform weights (forced past its level budget, or left to choose), the
+    Dial sweep on positive-integer weights, and Dijkstra
+    (``oracle.dijkstra_rows``) for other weights and sweeps that would
+    outrun it or pass the tick cap."""
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow, HealthCheck.function_scoped_fixture
+        ],
+    )
+    @given(
+        shape=st.sampled_from(SWEEP_SHAPES),
+        n=st.sampled_from(SWEEP_SIZES),
+        top=st.integers(2, 8),
+        isolated=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+        ends=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+    )
+    @example(shape="union", n=65, top=8, isolated=2, seed=1, ends=(0.0, 1.0))
+    @example(shape="path", n=300, top=2, isolated=0, seed=0, ends=(0.0, 1.0))
+    def test_integer_weights_are_dijkstras_bitwise(
+        self, monkeypatch, shape, n, top, isolated, seed, ends
+    ):
+        """Weights 1 .. ``top``, disconnected parts and isolated vertices,
+        with the sweep's budget at the tick cap: the Dial sweep answers
+        unless a row's farthest vertex lies past the cap; then Dijkstra."""
+        matrix = integer_csr(sweep_graph(shape, n, seed), top, seed, isolated)
+        size = matrix.shape[0]
+        lo = min(int(min(ends) * size), size - 1)
+        hi = max(lo + 1, int(max(ends) * size))
+        dial = _Spy(monkeypatch, kernels, "_dial_rows")
+        dijkstra = _Spy(monkeypatch, kernels, "dijkstra_rows")
+        with mock.patch.object(kernels, "_sweep_budget", lambda n, s, nnz: 254):
+            want = assert_rows_are_dijkstras(matrix.to_scipy(), lo, hi)
+        if len(set(matrix.data.tolist())) < 2:
+            return  # uniform: the level sweep's
+        far = want[np.isfinite(want)].max()
+        assert dial.results[:1] == [far <= kernels._LEVEL_CAP]
+        assert len(dijkstra.calls) == (far > kernels._LEVEL_CAP)
+
+    def test_a_path_past_the_tick_cap_takes_the_seam(self, monkeypatch):
+        """Weights 1 and 2 along a 200-vertex path: the far end is 299 ticks
+        away, so the sweep gives the block up at the cap."""
+        g = Graph.from_edges([(i, i + 1, 1.0 + i % 2) for i in range(199)])
+        dial = _Spy(monkeypatch, kernels, "_dial_rows")
+        dijkstra = _Spy(monkeypatch, kernels, "dijkstra_rows")
+        assert_rows_are_dijkstras(g.to_csr().matrix, 0, 200)
+        assert dial.results == [False] and len(dijkstra.calls) == 1
+
+    def test_non_integer_weights_take_the_seam(self, monkeypatch):
+        g = Graph.from_edges([(i, i + 1, 1.0 + (i % 2) / 2) for i in range(40)])
+        dial = _Spy(monkeypatch, kernels, "_dial_rows")
+        dijkstra = _Spy(monkeypatch, kernels, "dijkstra_rows")
+        assert_rows_are_dijkstras(g.to_csr().matrix, 0, 41)
+        assert dial.calls == [] and len(dijkstra.calls) == 1
+
+    def test_dijkstra_costs_its_import_until_scipy_is_loaded(self, monkeypatch):
+        """A 31-vertex rank's sweep may run 6 levels against a loaded
+        csgraph, and to the tick cap in a process that never imported it."""
+        assert kernels._sweep_budget(31, 31, 80) == 6
+        monkeypatch.delitem(sys.modules, "scipy.sparse.csgraph")
+        assert kernels._sweep_budget(31, 31, 80) == kernels._LEVEL_CAP
 
     @settings(
         max_examples=200,
@@ -1484,7 +1561,7 @@ class TestLocalAPSPRows:
     def test_uniform_scale_free_never_calls_dijkstra(self, monkeypatch):
         matrix = uniform_csr(barabasi_albert(300, 2, seed=3), 1.0)
         want = csgraph.dijkstra(matrix, directed=False)
-        dijkstra = _Spy(monkeypatch, kernels.csgraph, "dijkstra")
+        dijkstra = _Spy(monkeypatch, kernels, "dijkstra_rows")
         out = np.empty((300, 300))
         kernels.local_apsp_rows(matrix, 0, 300, out)
         assert out.tobytes() == want.tobytes()
@@ -1493,17 +1570,17 @@ class TestLocalAPSPRows:
     def test_mixed_weights_take_dijkstra(self, monkeypatch):
         g = random_weights(barabasi_albert(300, 2, seed=3), 1.0, 5.0, seed=4)
         sweep = _Spy(monkeypatch, kernels, "_level_sweep")
-        dijkstra = _Spy(monkeypatch, kernels.csgraph, "dijkstra")
+        dijkstra = _Spy(monkeypatch, kernels, "dijkstra_rows")
         assert_rows_are_dijkstras(g.to_csr().matrix, 7, 293)
-        assert sweep.calls == [] and len(dijkstra.calls) == 2  # kernel + reference
+        assert sweep.calls == [] and len(dijkstra.calls) == 1
 
     def test_long_path_bails_out_to_dijkstra(self, monkeypatch):
         """299 levels: the sweep stops at its budget and Dijkstra redoes the
         block — still the same bits."""
         sweep = _Spy(monkeypatch, kernels, "_level_sweep")
-        dijkstra = _Spy(monkeypatch, kernels.csgraph, "dijkstra")
+        dijkstra = _Spy(monkeypatch, kernels, "dijkstra_rows")
         assert_rows_are_dijkstras(uniform_csr(path_graph(300), 1.0), 3, 300)
-        assert sweep.results == [False] and len(dijkstra.calls) == 2
+        assert sweep.results == [False] and len(dijkstra.calls) == 1
 
     def test_source_blocks_split_the_range(self, monkeypatch):
         """A 64-source block cap: five blocks, the first and last partial."""
@@ -1525,10 +1602,10 @@ class TestLocalAPSPRows:
         )
         budgets = iter([254, 0])
         monkeypatch.setattr(kernels, "_sweep_budget", lambda n, s, nnz: next(budgets))
-        dijkstra = _Spy(monkeypatch, kernels.csgraph, "dijkstra")
+        dijkstra = _Spy(monkeypatch, kernels, "dijkstra_rows")
         assert_rows_are_dijkstras(matrix, 10, 200)
-        # the reference's call comes first, then the kernel's from block 2 on
-        assert dijkstra.calls[1][1]["indices"].tolist() == list(range(74, 200))
+        # the kernel's one call, from block 2 on
+        assert [args[1:] for args, _kw in dijkstra.calls] == [(74, 200)]
 
     def test_peak_memory_stays_under_dijkstras_result(self, monkeypatch):
         """One call on a 600-vertex BA rank peaks at most 1.25x the n x s
@@ -1536,7 +1613,7 @@ class TestLocalAPSPRows:
         caller's)."""
         n = 600
         matrix = uniform_csr(barabasi_albert(n, 2, seed=7), 1.0)
-        dijkstra = _Spy(monkeypatch, kernels.csgraph, "dijkstra")
+        dijkstra = _Spy(monkeypatch, kernels, "dijkstra_rows")
         out = np.empty((n, n))
         tracemalloc.start()
         try:
@@ -1918,7 +1995,7 @@ class TestClosureFold:
         def checked(graph, apsp, dv, changed, _real=kernels.minplus_closure):
             ref = dv.copy()
             ref_rows = kernels.minplus_fold_changed(
-                csgraph.dijkstra(graph, directed=False), ref, changed
+                csgraph.dijkstra(graph.to_scipy(), directed=False), ref, changed
             )
             calls.append(_real(graph, apsp, dv, changed))
             assert calls[-1] == ref_rows and dv.tobytes() == ref.tobytes()

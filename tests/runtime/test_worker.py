@@ -671,8 +671,10 @@ class TestLocalCSR:
     @staticmethod
     def assert_current(cluster, w):
         graph = w.superstep_prepare().graph
-        want = w.local_graph.to_csr(w.owned).matrix
-        assert graph.shape == want.shape and (graph != want).nnz == 0
+        want = w.local_graph.to_csr(w.owned).csr
+        assert graph.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            assert getattr(graph, name).tobytes() == getattr(want, name).tobytes()
         assert "local-csr-closure" in check_cluster_invariants(cluster)
 
     def test_every_writer_leaves_a_current_csr(self):

@@ -20,7 +20,6 @@ import dataclasses
 import struct
 from contextlib import ExitStack, contextmanager
 from multiprocessing.shared_memory import SharedMemory
-from types import SimpleNamespace
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 from unittest import mock
 
@@ -554,7 +553,7 @@ def check(s: Scenario) -> None:
 # ----------------------------------------------------------------------
 PATHS = (
     "fold:closure", "fold:push", "fold:rectangle",
-    "ia:sweep", "ia:dijkstra", "edge:old-endpoint", "edge:new-endpoint",
+    "ia:sweep", "ia:dial", "ia:dijkstra", "edge:old-endpoint", "edge:new-endpoint",
     "edge:reweight",
     "speculated-repair",
 )
@@ -592,20 +591,26 @@ def paths_taken() -> Iterator[Set[str]]:
         taken.update(["ia:sweep"] if done else [])
         return done
 
+    def dial_rows(*args):  # type: ignore[no-untyped-def]
+        done = dial(*args)
+        taken.update(["ia:dial"] if done else [])
+        return done
+
     def repair(backend):  # type: ignore[no-untyped-def]
         return spy(
             backend.run_speculative, "speculated-repair",
             lambda _backend, task, *_: task.full_repropagate,
         )
 
-    relax_edge_batch, sweep = worker.relax_edge_batch_kernel, oracle._level_sweep
+    relax_edge_batch = worker.relax_edge_batch_kernel
+    sweep, dial = oracle._level_sweep, oracle._dial_rows
     patches = [
         (oracle, "minplus_closure", spy(oracle.minplus_closure, "fold:closure")),
         (oracle, "minplus_fold_changed", spy(oracle.minplus_fold_changed, "fold:push")),
         (oracle, "minplus_fold", spy(oracle.minplus_fold, "fold:rectangle")),
-        (oracle, "csgraph", SimpleNamespace(
-            dijkstra=spy(oracle.csgraph.dijkstra, "ia:dijkstra"))),
+        (oracle, "dijkstra_rows", spy(oracle.dijkstra_rows, "ia:dijkstra")),
         (oracle, "_level_sweep", level_sweep),
+        (oracle, "_dial_rows", dial_rows),
         (worker, "relax_edge_batch_kernel", relax_edges),
         (edge_deletion, "apply_edge_addition", spy(
             edge_deletion.apply_edge_addition, "edge:reweight", lowers_a_weight)),
@@ -659,9 +664,10 @@ def ba(n: int, m: int, seed: int, weights=None) -> Graph:  # type: ignore[no-unt
 
 def mixed_stream() -> Scenario:
     """Additions, deletions and reweights interleaved, resumed after a
-    3-step budget.  Steps 6-9 walk rank 1 through both IA paths: a reweight
-    up leaves its unit weights mixed, so the rebuild after the next
-    deletion takes Dijkstra; a reweight back returns it to the sweep."""
+    3-step budget.  Steps 6-9 walk rank 1 through two IA paths: a reweight
+    up leaves its unit weights mixed integers, so the rebuild after the
+    next deletion takes the Dial sweep; a reweight back returns it to the
+    level sweep."""
     base = ba(64, 3, 12)
     edges = [(u, v) for u, v, _w in base.edge_list()]
     absent = [
