@@ -12,10 +12,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-# loaded up front: the sweeps' level budget then weighs Dijkstra's run time
-# alone, not its first import, whichever case runs first
-import scipy.sparse.csgraph  # noqa: F401
-
 import repro.runtime.kernels.oracle as oracle
 from repro import AnytimeAnywhereCloseness, AnytimeConfig
 from repro.bench.workloads import community_workload
@@ -39,9 +35,10 @@ IA_GRAPHS = {
     "weighted": lambda s: random_weights(
         barabasi_albert(s.n_base, s.m, seed=s.seed), 1.0, 5.0, seed=s.seed
     ),
-    # unit weights, a rank holds an arc of the ring: the sweep outruns its
-    # level budget and bails out to Dijkstra
-    "ring-lattice": lambda s: watts_strogatz(s.n_base, 4, 0.0, seed=s.seed),
+    # unit weights, a rank holds a long arc of a ring: the sweep outruns
+    # its level budget and bails out to Dijkstra (an arc of a ring of
+    # n_base vertices is swept whole within the budget's floor)
+    "ring-lattice": lambda s: watts_strogatz(8 * s.n_base, 4, 0.0, seed=s.seed),
 }
 
 

@@ -30,7 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from repro import AnytimeAnywhereCloseness, AnytimeConfig
-from repro.graph import barabasi_albert, extract_local_subgraph
+from repro.graph import CSR, barabasi_albert, extract_local_subgraph
 from repro.model import DEFAULT_COST
 from repro.partition import MultilevelPartitioner
 from repro.runtime import GlobalIndex, Worker
@@ -142,7 +142,7 @@ def test_deletion_repair_fold(benchmark, scale, variant, risen):
     dv = converged.copy()
     rose = np.random.default_rng(scale.seed).random(dv.shape) < risen
     rose[np.arange(dv.shape[0]), self_cols] = False
-    graph = csr if variant == "sweep" else None
+    graph = CSR(csr.indptr, csr.indices, csr.data) if variant == "sweep" else None
 
     def setup():
         dv[...] = converged
@@ -196,6 +196,7 @@ def test_local_edge_fold(benchmark, scale, variant, case):
         )
     # the fold's contract: ``lowered`` is the closure of ``graph``
     assert np.array_equal(lowered, csgraph.dijkstra(graph))
+    graph = CSR(graph.indptr, graph.indices, graph.data)
     dv = converged.copy()
 
     def setup():

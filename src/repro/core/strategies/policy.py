@@ -227,14 +227,10 @@ class PolicyDrivenStrategy(DynamicStrategy):
         self.decisions: List[PolicyDecision] = []
 
     def signals(self, cluster: "Cluster", step: int = -1) -> SignalView:
-        """Collect the current signals.  The convergence probe reads every
-        rank's closeness, so its sample is taken only when the policy
-        first reads it (neither built-in policy does)."""
+        """Collect the current signals (also the ``Session.signals`` read)."""
         cluster.collect_signals(self._registry)
-        return SignalView(
-            self._registry,
-            {self._probe.name: lambda: self._probe.sample(cluster, step)},
-        )
+        sample = self._probe.sample(cluster, step)
+        return SignalView(self._registry, {self._probe.name: sample})
 
     def _resolve(self, name: str) -> DynamicStrategy:
         from .registry import make_strategy

@@ -40,9 +40,8 @@ class CSR:
     form: each row's columns sorted, no duplicates, ``indptr`` and
     ``indices`` int32 unless ``max(nnz, n)`` needs int64, ``data`` float64.
 
-    This is what the kernels read (``indptr``, ``indices``, ``data``,
-    ``shape``; a ``scipy.sparse.csr_matrix`` has the same attributes and
-    is accepted too) and what a task carries to a pool child.
+    This is what the kernels read and what a task carries to a pool
+    child; :meth:`to_scipy` wraps it for scipy.
     """
 
     __slots__ = ("indptr", "indices", "data", "shape")

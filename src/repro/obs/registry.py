@@ -17,7 +17,7 @@ rendered dump is byte-identical across runs and backends.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "ACTIVE_WORKERS",
@@ -43,9 +43,6 @@ __all__ = [
     "MetricsRegistry",
     "SignalView",
 ]
-
-#: a convergence-probe sample, or a callable that takes it when first read
-ProbeSample = Union[Mapping[str, float], Callable[[], Mapping[str, float]]]
 
 # --- well-known series ------------------------------------------------
 #: total words charged to the modeled wire (counter)
@@ -276,11 +273,11 @@ class SignalView:
     def __init__(
         self,
         registry: MetricsRegistry,
-        samples: Optional[Mapping[str, ProbeSample]] = None,
+        samples: Optional[Mapping[str, Mapping[str, float]]] = None,
     ) -> None:
         self._registry = registry
-        self._samples: Dict[str, ProbeSample] = {
-            name: sample if callable(sample) else dict(sample)
+        self._samples: Dict[str, Dict[str, float]] = {
+            name: dict(sample)
             for name, sample in (samples or {}).items()
         }
 
@@ -300,14 +297,8 @@ class SignalView:
         return out
 
     def sample(self, probe: str = "convergence") -> Dict[str, float]:
-        """Latest sample of a convergence probe (empty if not attached).
-
-        A sample given as a callable is taken on the first read, once.
-        """
-        sample = self._samples.get(probe, {})
-        if callable(sample):
-            sample = self._samples[probe] = dict(sample())
-        return dict(sample)
+        """Latest sample of a convergence probe (empty if not attached)."""
+        return dict(self._samples.get(probe, {}))
 
     def snapshot(self) -> Dict[str, float]:
         """All scalar series, sorted by key (debugging/reporting aid)."""

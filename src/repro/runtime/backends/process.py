@@ -39,7 +39,7 @@ from numpy.typing import DTypeLike, NDArray
 from ...errors import ConfigurationError
 from ...types import BoolArray, FloatArray
 from ..entries import KernelArrays
-from ..kernels import KERNELS, IATask, SuperstepResult, SuperstepTask
+from ..kernels import KERNELS, IATask, SuperstepResult, SuperstepTask, oracle
 from ..shm import (
     SharedMemoryAllocator,
     ShmDescriptor,
@@ -167,6 +167,10 @@ class ProcessBackend(ExecutionBackend):
     def run_ia(
         self, workers: List[Worker], tasks: List[Optional[IATask]]
     ) -> None:
+        if any(t is not None and oracle.dijkstra_weights(t.matrix) for t in tasks):
+            # the children are forks of this process: loading scipy here
+            # first lets them share it, not each import it at its first call
+            import scipy.sparse.csgraph  # noqa: F401
         pool = _get_pool(max(self.nprocs, len(workers)))
         futures: List["Future[None]"] = []
         for w, task in zip(workers, tasks):

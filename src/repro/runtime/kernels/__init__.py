@@ -31,8 +31,9 @@ batch of new edges) is called by the worker directly.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import List, Optional
 
+from ...graph.graph import CSR
 from ...types import BoolArray, FloatArray
 from . import oracle
 from .base import (
@@ -111,7 +112,7 @@ class KernelTier:
         apsp: FloatArray,
         dv: FloatArray,
         changed: Optional[BoolArray],
-        graph: Any = None,
+        graph: Optional[CSR] = None,
     ) -> List[int]:
         """Min-plus propagation fold (:func:`.oracle.fold`): ``changed``
         pushed, or the block re-derived when it is ``None``."""

@@ -14,11 +14,12 @@ arithmetic ran.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
+from ...graph.graph import CSR
 from ...types import BoolArray
 
 #: DV column indices as produced by ``np.flatnonzero`` / index building.
@@ -42,8 +43,8 @@ __all__ = [
 class IATask:
     """One rank's IA-phase work: local APSP + fold into owned DV columns."""
 
-    #: local adjacency as CSR arrays (``repro.graph.CSR``; picklable)
-    matrix: Any
+    #: local adjacency (picklable)
+    matrix: CSR
     #: global DV column of each owned vertex, in row order
     cols: IndexArray
     #: number of owned vertices (== rows of ``local_apsp``)
@@ -69,9 +70,9 @@ class SuperstepTask:
     #: reweight, a local edge that lowered a pair, a recovery or a
     #: rebuild), or push the entries ``dv_changed`` marks
     full_repropagate: bool
-    #: the local CSR ``local_apsp`` is the closure of (``repro.graph.CSR``;
-    #: picklable); ``None`` only while ``local_apsp`` is not square
-    graph: Any = None
+    #: the local CSR ``local_apsp`` is the closure of (picklable); ``None``
+    #: only while ``local_apsp`` is not square
+    graph: Optional[CSR] = None
 
     @property
     def n_relaxations(self) -> int:

@@ -4,22 +4,23 @@
 :func:`fold` is the one entry point of the min-plus propagation fold.
 The serial backend and the process backend run the same statements, so
 their results are bitwise-identical to these statements executed in
-serial order.  Only :func:`dijkstra_rows` needs scipy, and imports it
-when first called: unit- and integer-weight runs never do.
+serial order.  Every CSR argument is a :class:`~repro.graph.graph.CSR`.
+Only :func:`dijkstra_rows` needs scipy, and imports it when first called.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
+from ...graph.graph import CSR
 from ...types import BoolArray, FloatArray
 from .base import IATask, IndexArray, RelaxItems
 
 __all__ = [
     "dijkstra_rows",
+    "dijkstra_weights",
     "ia_kernel",
     "local_apsp_rows",
     "relax_cut_kernel",
@@ -69,10 +70,10 @@ _LEVEL_CAP = 254
 #: EXPERIMENTS.md host) in the units of :func:`_sweep_budget`.
 _SWEEP_FIXED = 24_000
 
-#: What :func:`dijkstra_rows` costs once more in a process that has not
-#: imported ``scipy.sparse.csgraph`` yet (0.29-0.34 s, EXPERIMENTS.md), in
-#: the units of :func:`_sweep_budget`.
-_SCIPY_IMPORT = 1_200_000_000
+#: Work a sweep may always spend before it gives a block to Dijkstra, in
+#: the units of :func:`_sweep_budget`: 0.5 ms on the EXPERIMENTS.md host,
+#: four times the deepest sweep of a small rank on the benchmark inputs.
+_SWEEP_FLOOR = 2_000_000
 
 
 def _sweep_budget(n: int, s: int, nnz: int) -> int:
@@ -86,17 +87,17 @@ def _sweep_budget(n: int, s: int, nnz: int) -> int:
     measured shapes, rings and ring lattices (80 us per call, 0.19 us per
     source, 19-25 ns per source and vertex).  The sweep's setup and a
     bail-out take one ``_SWEEP_FIXED`` of that, so a sweep stopped at the
-    budget has spent about half of Dijkstra's time.  Until this process
-    has imported csgraph, Dijkstra costs ``_SCIPY_IMPORT`` more, which is
-    more than a block's sweep to the cap (a level of a block stays near
-    ``2 * _ENTRY_CHUNK_ELEMS`` units): a sweep then bails out only at the
-    cap, and a unit- or integer-weight run imports no scipy.
+    budget has spent about half of Dijkstra's time.  Whatever the model
+    says, a sweep may spend ``_SWEEP_FLOOR``: on a small rank that costs
+    at most 0.7 ms more than Dijkstra, and it spares a unit- or
+    integer-weight run the import of scipy (0.3 s) that Dijkstra's first
+    call in a process pays.
     """
     words = -(-s // 64)
-    first = 0 if "scipy.sparse.csgraph" in sys.modules else _SCIPY_IMPORT
+    dijkstra = 5 * _SWEEP_FIXED + s * (450 + 28 * n + 6 * nnz)
     return min(
         _LEVEL_CAP,
-        (5 * _SWEEP_FIXED + first + s * (450 + 28 * n + 6 * nnz))
+        max(dijkstra, _SWEEP_FLOOR)
         // (n * s + (n + nnz) * (8 + 5 * words) + _SWEEP_FIXED),
     )
 
@@ -117,7 +118,7 @@ def ia_kernel(task: IATask, dv: FloatArray, apsp: FloatArray) -> None:
         row[cols] = np.minimum(row[cols], local)
 
 
-def local_apsp_rows(matrix: Any, lo: int, hi: int, out: FloatArray) -> None:
+def local_apsp_rows(matrix: CSR, lo: int, hi: int, out: FloatArray) -> None:
     """Shortest-path rows of sources ``[lo, hi)`` into ``out`` (``(hi - lo, n)``).
 
     Bitwise :func:`dijkstra_rows` for the symmetric CSR of an undirected
@@ -164,20 +165,26 @@ def local_apsp_rows(matrix: Any, lo: int, hi: int, out: FloatArray) -> None:
         out[done - lo:] = dijkstra_rows(matrix, done, hi)
 
 
-def dijkstra_rows(matrix: Any, lo: int, hi: int) -> FloatArray:
-    """``csgraph.dijkstra(matrix, directed=False, indices=range(lo, hi))``
-    on the CSR arrays of ``matrix`` (a :class:`~repro.graph.graph.CSR` or
-    a scipy matrix): the IA path for non-integer weights and sweeps over
-    budget, and the only one that imports scipy."""
-    from scipy.sparse import csgraph, csr_matrix
+def dijkstra_rows(matrix: CSR, lo: int, hi: int) -> FloatArray:
+    """``csgraph.dijkstra(matrix, directed=False, indices=range(lo, hi))``:
+    the IA path for non-integer weights and sweeps over budget, and the
+    only one that imports scipy."""
+    from scipy.sparse import csgraph
 
-    graph = csr_matrix(
-        (matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape
-    )
     rows: FloatArray = csgraph.dijkstra(
-        graph, directed=False, indices=np.arange(lo, hi)
+        matrix.to_scipy(), directed=False, indices=np.arange(lo, hi)
     )
     return rows
+
+
+def dijkstra_weights(matrix: CSR) -> bool:
+    """Whether :func:`local_apsp_rows` gives every row of ``matrix`` to
+    :func:`dijkstra_rows` for its weights alone: they are neither one
+    positive value nor positive integers whose ring fits the tick cap."""
+    data = matrix.data
+    if data.size == 0 or (data[0] > 0 and (data == data[0]).all()):
+        return False
+    return not closure_exact(matrix, np.zeros(1)) or data.max() >= _LEVEL_CAP
 
 
 def _sweep_blocks(
@@ -258,7 +265,7 @@ def _level_sweep(
     return True
 
 
-def _padded_rows(matrix: Any) -> Tuple[IndexArray, IndexArray, FloatArray]:
+def _padded_rows(matrix: CSR) -> Tuple[IndexArray, IndexArray, FloatArray]:
     """``(indices, starts, weights)`` of a CSR with every row non-empty,
     for :func:`_expand`.
 
@@ -336,7 +343,7 @@ def fold(
     apsp: FloatArray,
     dv: FloatArray,
     changed: Optional[BoolArray],
-    graph: Any = None,
+    graph: Optional[CSR] = None,
 ) -> List[int]:
     """Min-plus propagation fold; returns the sorted rows improved.
 
@@ -470,7 +477,7 @@ def minplus_fold_changed(
     return [int(r) for r in np.flatnonzero(improved_rows)]
 
 
-def closure_applies(graph: Any, dv: FloatArray, changed: BoolArray) -> bool:
+def closure_applies(graph: CSR, dv: FloatArray, changed: BoolArray) -> bool:
     """Whether :func:`minplus_closure` may stand in for
     :func:`minplus_fold_changed` on this fold: it pays, and it is exact.
 
@@ -486,7 +493,7 @@ def closure_applies(graph: Any, dv: FloatArray, changed: BoolArray) -> bool:
     return closure_exact(graph, dv[changed])
 
 
-def closure_exact(graph: Any, entries: FloatArray) -> bool:
+def closure_exact(graph: CSR, entries: FloatArray) -> bool:
     """Whether a sweep over ``graph`` from ``entries`` is bitwise the push:
     every stored weight is a positive integer, every finite entry a
     non-negative integer (the only zero is a diagonal ``d(v,v)``) and ``max
@@ -506,7 +513,7 @@ def closure_exact(graph: Any, entries: FloatArray) -> bool:
 
 
 def minplus_closure(
-    graph: Any, apsp: FloatArray, dv: FloatArray, changed: BoolArray
+    graph: CSR, apsp: FloatArray, dv: FloatArray, changed: BoolArray
 ) -> List[int]:
     """:func:`minplus_fold_changed` as one seeded, bit-parallel level sweep.
 
@@ -545,7 +552,7 @@ def minplus_closure(
     return [int(r) for r in np.flatnonzero(improved_rows)]
 
 
-def _ring_arcs(graph: Any) -> Optional[RingArcs]:
+def _ring_arcs(graph: CSR) -> Optional[RingArcs]:
     """:func:`_fold_sweep`'s arcs over the CSR ``graph``: the padded rows'
     starts, a ring of max weight + 1 slots, and per arc ``(y, w)`` its
     gather index ``y - w * n`` (tick ``j`` reads row ``y`` of ring slot

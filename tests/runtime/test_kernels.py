@@ -39,7 +39,6 @@ and must be bitwise-equal to the rectangle fold there.
 
 from __future__ import annotations
 
-import sys
 import tracemalloc
 import warnings
 from typing import List, NamedTuple, Set, Tuple
@@ -61,6 +60,7 @@ from repro.core.strategies import (
     apply_edge_addition,
 )
 from repro.graph import (
+    CSR,
     ChangeBatch,
     Graph,
     barabasi_albert,
@@ -303,6 +303,11 @@ def closed_state(
     )
     dv[changed] = lowered[changed]
     return apsp, dv, changed, graph
+
+
+def as_csr(matrix: sp.csr_matrix) -> CSR:
+    """The kernels' CSR over a scipy matrix's arrays."""
+    return CSR(matrix.indptr, matrix.indices, matrix.data)
 
 
 def assert_entry_fold_matches_rectangle(
@@ -559,7 +564,7 @@ def assert_full_fold_matches_rectangle(
     ref = dv.copy()
     n, n_cols = dv.shape
     ref_rows = kernels.minplus_fold(apsp, ref, np.arange(n), np.arange(n_cols))
-    for csr in (None, graph):
+    for csr in (None, as_csr(graph)):
         got = dv.copy()
         with mock.patch.object(
             kernels, "minplus_closure", wraps=kernels.minplus_closure
@@ -649,7 +654,7 @@ class TestFullFold:
             p_inf=p_inf,
             density=density,
         )
-        assert kernels.closure_exact(graph, dv)  # so the graph run sweeps
+        assert kernels.closure_exact(as_csr(graph), dv)  # so the graph run sweeps
         assert_full_fold_matches_rectangle(apsp, dv, graph)
 
     @settings(
@@ -1421,14 +1426,15 @@ def sweep_graph(shape: str, n: int, seed: int) -> Graph:
     return g
 
 
-def uniform_csr(g: Graph, w: float):
-    matrix = g.to_csr().matrix.copy()
-    matrix.data[:] = w
-    return matrix
+def uniform_csr(g: Graph, w: float) -> CSR:
+    csr = g.to_csr().csr
+    return CSR(csr.indptr, csr.indices, np.full_like(csr.data, w))
 
 
-def assert_rows_are_dijkstras(matrix, lo: int, hi: int) -> np.ndarray:
-    want = csgraph.dijkstra(matrix, directed=False, indices=np.arange(lo, hi))
+def assert_rows_are_dijkstras(matrix: CSR, lo: int, hi: int) -> np.ndarray:
+    want = csgraph.dijkstra(
+        matrix.to_scipy(), directed=False, indices=np.arange(lo, hi)
+    )
     out = np.full((hi - lo, matrix.shape[0]), -1.0)
     kernels.local_apsp_rows(matrix, lo, hi, out)
     assert out.tobytes() == want.tobytes()
@@ -1504,7 +1510,7 @@ class TestLocalAPSPRows:
         dial = _Spy(monkeypatch, kernels, "_dial_rows")
         dijkstra = _Spy(monkeypatch, kernels, "dijkstra_rows")
         with mock.patch.object(kernels, "_sweep_budget", lambda n, s, nnz: 254):
-            want = assert_rows_are_dijkstras(matrix.to_scipy(), lo, hi)
+            want = assert_rows_are_dijkstras(matrix, lo, hi)
         if len(set(matrix.data.tolist())) < 2:
             return  # uniform: the level sweep's
         far = want[np.isfinite(want)].max()
@@ -1517,22 +1523,29 @@ class TestLocalAPSPRows:
         g = Graph.from_edges([(i, i + 1, 1.0 + i % 2) for i in range(199)])
         dial = _Spy(monkeypatch, kernels, "_dial_rows")
         dijkstra = _Spy(monkeypatch, kernels, "dijkstra_rows")
-        assert_rows_are_dijkstras(g.to_csr().matrix, 0, 200)
+        assert_rows_are_dijkstras(g.to_csr().csr, 0, 200)
         assert dial.results == [False] and len(dijkstra.calls) == 1
 
     def test_non_integer_weights_take_the_seam(self, monkeypatch):
         g = Graph.from_edges([(i, i + 1, 1.0 + (i % 2) / 2) for i in range(40)])
         dial = _Spy(monkeypatch, kernels, "_dial_rows")
         dijkstra = _Spy(monkeypatch, kernels, "dijkstra_rows")
-        assert_rows_are_dijkstras(g.to_csr().matrix, 0, 41)
+        assert_rows_are_dijkstras(g.to_csr().csr, 0, 41)
         assert dial.calls == [] and len(dijkstra.calls) == 1
 
-    def test_dijkstra_costs_its_import_until_scipy_is_loaded(self, monkeypatch):
-        """A 31-vertex rank's sweep may run 6 levels against a loaded
-        csgraph, and to the tick cap in a process that never imported it."""
-        assert kernels._sweep_budget(31, 31, 80) == 6
-        monkeypatch.delitem(sys.modules, "scipy.sparse.csgraph")
-        assert kernels._sweep_budget(31, 31, 80) == kernels._LEVEL_CAP
+    def test_the_budget_has_a_floor(self):
+        """Dijkstra's model alone gives a 31-vertex block 6 levels, the
+        floor 75; a 1000-vertex block keeps the model's 35 (the floor's
+        would be 1)."""
+        assert kernels._sweep_budget(31, 31, 80) == 75
+        assert kernels._sweep_budget(1000, 1000, 4000) == 35
+
+    def test_a_small_rank_sweeps_past_dijkstras_model(self, monkeypatch):
+        """A 12-vertex path: 11 levels, past the 5 Dijkstra's model allows."""
+        sweep = _Spy(monkeypatch, kernels, "_level_sweep")
+        dijkstra = _Spy(monkeypatch, kernels, "dijkstra_rows")
+        assert_rows_are_dijkstras(uniform_csr(path_graph(12), 1.0), 0, 12)
+        assert sweep.results == [True] and dijkstra.calls == []
 
     @settings(
         max_examples=200,
@@ -1560,7 +1573,7 @@ class TestLocalAPSPRows:
 
     def test_uniform_scale_free_never_calls_dijkstra(self, monkeypatch):
         matrix = uniform_csr(barabasi_albert(300, 2, seed=3), 1.0)
-        want = csgraph.dijkstra(matrix, directed=False)
+        want = csgraph.dijkstra(matrix.to_scipy(), directed=False)
         dijkstra = _Spy(monkeypatch, kernels, "dijkstra_rows")
         out = np.empty((300, 300))
         kernels.local_apsp_rows(matrix, 0, 300, out)
@@ -1571,7 +1584,7 @@ class TestLocalAPSPRows:
         g = random_weights(barabasi_albert(300, 2, seed=3), 1.0, 5.0, seed=4)
         sweep = _Spy(monkeypatch, kernels, "_level_sweep")
         dijkstra = _Spy(monkeypatch, kernels, "dijkstra_rows")
-        assert_rows_are_dijkstras(g.to_csr().matrix, 7, 293)
+        assert_rows_are_dijkstras(g.to_csr().csr, 7, 293)
         assert sweep.calls == [] and len(dijkstra.calls) == 1
 
     def test_long_path_bails_out_to_dijkstra(self, monkeypatch):
@@ -1634,13 +1647,13 @@ class TestLocalAPSPRows:
         g = barabasi_albert(200, 2, seed=3)
         if weights == "random":
             g = random_weights(g, 0.5, 9.0, seed=4)
-        matrix = g.to_csr().matrix
+        matrix = g.to_csr().csr
         if weights != "random":
-            matrix.data[:] = 1.0 if weights == "unit" else 0.1
+            matrix = uniform_csr(g, 1.0 if weights == "unit" else 0.1)
         n = matrix.shape[0]
         task = IATask(matrix=matrix, cols=np.arange(n), n=n, nnz=matrix.nnz)
         dv = np.random.default_rng(3).uniform(0.5, 30.0, size=(n, n))
-        apsp_want = csgraph.dijkstra(matrix, directed=False)
+        apsp_want = csgraph.dijkstra(matrix.to_scipy(), directed=False)
         dv_want = np.minimum(dv, apsp_want)
         apsp = np.zeros((n, n))
         KERNELS.ia_kernel(task, dv, apsp)
@@ -1683,8 +1696,8 @@ def closure_state(
         g.add_vertex(v)
     for u, v, _w in sweep_graph(shape, n, seed).edges():
         g.add_edge(u, v, CLOSURE_WEIGHTS[weights](rng))
-    graph = g.to_csr(list(range(n))).matrix
-    apsp = csgraph.dijkstra(graph, directed=False)
+    graph = g.to_csr(list(range(n))).csr
+    apsp = csgraph.dijkstra(graph.to_scipy(), directed=False)
     dv = rng.integers(1, 60, size=(n, n_cols)).astype(np.float64)
     dv[rng.random(dv.shape) < p_inf] = np.inf
     changed = rng.random(dv.shape) < density
@@ -1914,7 +1927,7 @@ class TestClosureFold:
             dv[0], dv[1] = 1.0, 256.0 if case == "seed span" else 255.0
         if case == "weight":
             graph.data[0] = 300.0
-            apsp = csgraph.dijkstra(graph, directed=False)
+            apsp = csgraph.dijkstra(graph.to_scipy(), directed=False)
         got, start = dv.copy(), dv.copy()
         untouched = []
         push = kernels.minplus_fold_changed

@@ -1,11 +1,9 @@
 """Serve ticks read closeness only where they report it.
 
 A tick runs :meth:`AnytimeAnywhereCloseness.advance`, which reads
-nothing out.  The reads left are the ones somebody uses: a summary on
-each ``summary_interval`` tick and the result of
-:meth:`UpdateService.drain`.  The ``auto`` policy's convergence probe
-reads only when a policy asks for its sample, which neither built-in
-policy does.
+nothing out.  The reads left are the ones somebody uses: the ``auto``
+policy's convergence probe on a batch tick, a summary on each
+``summary_interval`` tick and the result of :meth:`UpdateService.drain`.
 The tick records, summaries and final closeness are those of the same
 loop run through ``engine.run(step_budget=1)`` per tick.
 """
@@ -17,7 +15,6 @@ import pytest
 
 import repro.core.snapshots as snapshots
 from repro import AnytimeAnywhereCloseness, AnytimeConfig
-from repro.core.strategies.policy import PolicyDrivenStrategy, SignalDrivenPolicy
 from repro.serve import HybridAdmission, UpdateService, synthesize_churn
 
 NPROCS = 4
@@ -39,18 +36,10 @@ class RunPerTick:
         return self._results[-1]
 
 
-class ResidualPolicy(SignalDrivenPolicy):
-    """The ``auto`` policy, reading the convergence probe's residual first."""
-
-    def choose(self, signals, batch, step):
-        assert signals.residual_max >= 0.0
-        return super().choose(signals, batch, step)
-
-
-def _serve(monkeypatch=None, *, through_run=False, policy=None):
+def _serve(monkeypatch=None, *, through_run=False):
     """Serve a bursty churn trace; returns the service, the final result,
     the read-outs made on each tick and in the drain, and (through_run)
-    each tick's ``RunResult``.  ``policy`` replaces the ``auto`` one."""
+    each tick's ``RunResult``."""
     trace = synthesize_churn("bursty-communities", n_base=40, ticks=12, seed=6)
     engine = AnytimeAnywhereCloseness(
         trace.base,
@@ -70,9 +59,7 @@ def _serve(monkeypatch=None, *, through_run=False, policy=None):
     svc = UpdateService(
         RunPerTick(engine, results) if through_run else engine,
         admission=HybridAdmission(max_events=6, max_delay_ticks=3),
-        strategy="auto" if policy is None else PolicyDrivenStrategy(
-            policy, engine.config
-        ),
+        strategy="auto",
         summary_interval=INTERVAL,
     )
     reads = []
@@ -102,22 +89,16 @@ def test_a_tick_reads_only_what_it_reports(monkeypatch):
     svc, _final, reads, drained, _ = _serve(monkeypatch)
     # every rank holds vertices throughout, so one read-out is NPROCS calls
     assert all(r == int(r) for r in reads)
-    want = [1 if (tick.tick + 1) % INTERVAL == 0 else 0 for tick in svc.ticks]
+    want = [
+        (1 if tick.admitted else 0) + (1 if (tick.tick + 1) % INTERVAL == 0 else 0)
+        for tick in svc.ticks
+    ]
     assert reads == want
     assert drained == 1
     # the stream exercised every kind of tick
     assert 0 in want and 1 in want
     assert any(tick.admitted for tick in svc.ticks)
     assert any(not tick.admitted for tick in svc.ticks)
-
-
-def test_a_policy_that_reads_the_probe_reads_once_per_batch(monkeypatch):
-    svc, _final, reads, _drained, _ = _serve(monkeypatch, policy=ResidualPolicy())
-    want = [
-        (1 if tick.admitted else 0) + (1 if (tick.tick + 1) % INTERVAL == 0 else 0)
-        for tick in svc.ticks
-    ]
-    assert reads == want
 
 
 def test_ticks_summaries_and_closeness_equal_the_run_per_tick_twin():

@@ -6,7 +6,8 @@ run on either backend and an ``auto`` serve of a churn stream whose
 reweights leave integer weights, ``scipy`` is in neither the process's
 ``sys.modules`` nor any pool child's.  A float-weight run imports it at
 its first Dijkstra (:func:`repro.runtime.kernels.oracle.dijkstra_rows`),
-and not before.
+and not before; on the process backend the coordinator loads it before
+the pool forks, so the children inherit it rather than each import it.
 
 Cases that leave the backend to ``AnytimeConfig`` follow ``REPRO_BACKEND``.
 """
@@ -118,6 +119,30 @@ with AnytimeAnywhereCloseness(g, config) as engine:
 """
 
 
+FLOAT_POOL = """
+from repro import AnytimeAnywhereCloseness, AnytimeConfig
+from repro.graph import barabasi_albert, random_weights
+
+AT_FORK = []
+os.register_at_fork(
+    after_in_child=lambda: AT_FORK.append("scipy.sparse.csgraph" in sys.modules)
+)
+
+
+def loaded_at_fork():
+    return AT_FORK
+
+
+g = random_weights(barabasi_albert(80, 2, seed=3), 0.5, 4.0, seed=4)
+config = AnytimeConfig(nprocs=2, backend="process", collect_snapshots=False)
+with AnytimeAnywhereCloseness(g, config) as engine:
+    assert "scipy" not in sys.modules and process._POOL is None
+    engine.setup()
+    forks = [process._POOL.submit(loaded_at_fork) for _ in range(8)]
+    assert all(f.result() == [True] for f in forks)
+"""
+
+
 def run_case(body: str) -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -146,3 +171,7 @@ def test_an_integer_reweight_serve() -> None:
 
 def test_a_float_weight_run_imports_scipy_at_its_first_dijkstra() -> None:
     run_case(FLOAT)
+
+
+def test_a_float_weight_pool_forks_with_scipy_loaded() -> None:
+    run_case(FLOAT_POOL)
