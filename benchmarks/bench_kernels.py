@@ -81,20 +81,6 @@ def test_initial_approximation_kernel(benchmark, scale, monkeypatch, graph, swee
     benchmark(w.run_initial_approximation)
 
 
-def settled_worker(scale):
-    """A worker mid-RC: every external boundary row known, DV all finite."""
-    graph, w = build(scale)
-    w.run_initial_approximation()
-    superstep(w)
-    rng = np.random.default_rng(1)
-    w.receive_rows(
-        {x: rng.uniform(1.0, 10.0, size=w.n_cols) for x in w.cut_by_ext}
-    )
-    superstep(w)
-    assert np.isfinite(w.dv).all()
-    return graph, w
-
-
 def edge_batch_calls(scale, monkeypatch):
     """Every rank's relaxation of ``batch-add``'s injected batch (the BA
     community batch of :func:`after_injection_state`) with the block it

@@ -63,7 +63,7 @@ def build_worker(scale):
 def perturb(w, k=4):
     """Improve a few boundary rows as an RC step's cut relaxation would."""
     rng = np.random.default_rng(0)
-    for v in list(w.cut_adj)[:k]:
+    for v in sorted({u for edges in w.cut.values() for u in edges})[:k]:
         r = w.row_of[v]
         cols = rng.integers(0, w.n_cols, size=8)
         w.dv[r, cols] = np.maximum(w.dv[r, cols] * 0.5, 0.0)

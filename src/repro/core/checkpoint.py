@@ -42,6 +42,7 @@ from ..graph.graph import Graph
 from ..partition.base import Partition
 from ..runtime.cluster import Cluster
 from ..runtime.message import dense_row_words
+from ..runtime.worker import Worker
 from ..types import FloatArray, Rank, VertexId
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -95,6 +96,17 @@ class ClusterStateSnapshot:
         return n_rows * dense_row_words(n_cols) + (
             0 if apsp is None else apsp.size
         )
+
+    def saved_apsp(self, worker: Worker) -> Optional[FloatArray]:
+        """A copy of ``worker``'s saved local APSP (the snapshot may serve
+        a later recovery too), or None once its local sub-graph changed:
+        Dijkstra is due then."""
+        apsp = self.apsp.get(worker.rank)
+        if apsp is None or self.local_edges.get(worker.rank) != (
+            worker.local_graph.num_edges
+        ):
+            return None
+        return apsp.copy()
 
     def compatible_with(self, cluster: Cluster) -> bool:
         """Whether restored rows would align with the cluster's columns.

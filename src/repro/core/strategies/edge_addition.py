@@ -78,17 +78,7 @@ def apply_edge_addition(cluster: "Cluster", edges: Iterable[Edge]) -> None:
             worker.relax_with_edge_rows(cols, closure, block, len(relaxed))
     # structural bookkeeping (Fig. 3 lines 35-42)
     for a, b, w in applied:
-        rank_a = cluster.owner_of(a)
-        rank_b = cluster.owner_of(b)
-        if rank_a == rank_b:
-            cluster.workers[rank_a].add_local_edge(a, b, w)
-        else:
-            wa, wb = cluster.workers[rank_a], cluster.workers[rank_b]
-            wa.add_cut_edge(a, b, w)
-            wb.add_cut_edge(b, a, w)
-            # each side now needs the other's row stream
-            wa.subscribe(a, rank_b)
-            wb.subscribe(b, rank_a)
+        cluster.link_edge(a, b, w)
 
 
 def _closure(

@@ -22,10 +22,10 @@ addition (relax-only), a weight increase is delete-then-add.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Container
 
 from ...graph.changes import ChangeBatch
-from ...types import VertexId
+from ...types import Rank, VertexId
 from .base import DynamicStrategy
 from .edge_addition import apply_edge_addition
 
@@ -38,8 +38,6 @@ __all__ = ["apply_edge_deletion", "EdgeDeletionStrategy"]
 def apply_edge_deletion(cluster: "Cluster", u: VertexId, v: VertexId) -> None:
     """Remove edge ``(u, v)`` and invalidate dependent distances."""
     w = cluster.graph.weight(u, v)
-    rank_u = cluster.owner_of(u)
-    rank_v = cluster.owner_of(v)
     row_u = cluster.broadcast_row(u)
     row_v = cluster.broadcast_row(v)
 
@@ -51,22 +49,18 @@ def apply_edge_deletion(cluster: "Cluster", u: VertexId, v: VertexId) -> None:
         worker.clear_external_rows()
 
     # phase 2: structural repair
-    dirty_rank = None
-    if rank_u == rank_v:
-        wk = cluster.workers[rank_u]
-        wk.local_graph.remove_edge(u, v)
-        dirty_rank = rank_u
-    else:
-        cluster.workers[rank_u].remove_cut_edge(u, v)
-        cluster.workers[rank_v].remove_cut_edge(v, u)
-        # the owners keep both ranks subscribed, so each endpoint's rows
-        # keep flowing to the other rank even with no cut edge left to
-        # relax them through: harmless to the result, but wire words
-    # invalidation may have wiped locally-exact entries; restore them and
-    # schedule a full re-propagation + boundary refresh on every worker
+    repair_after_deletion(cluster, cluster.unlink_edge(u, v))
+
+
+def repair_after_deletion(cluster: "Cluster", recompute: Container[Rank]) -> None:
+    """The repair tail of every deletion: the ranks in ``recompute``
+    (their local structure changed) rerun their local APSP, every other
+    rank re-applies its own, since invalidation may have wiped locally
+    exact entries; each schedules a full fold and re-queues its boundary
+    rows for a dense refresh."""
     for worker in cluster.workers:
-        if worker.rank == dirty_rank:
-            worker.recompute_local_apsp()  # structure changed
+        if worker.rank in recompute:
+            worker.recompute_local_apsp()
         else:
             worker.restore_local_baseline()
         worker.queue_all_boundary_rows()

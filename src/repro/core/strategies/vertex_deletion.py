@@ -15,11 +15,12 @@ Deleting vertex ``x``:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Set
+from typing import TYPE_CHECKING
 
 from ...graph.changes import ChangeBatch
-from ...types import Rank, VertexId
+from ...types import VertexId
 from .base import DynamicStrategy
+from .edge_deletion import repair_after_deletion
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...runtime.cluster import Cluster
@@ -29,8 +30,6 @@ __all__ = ["apply_vertex_deletion", "VertexDeletionStrategy"]
 
 def apply_vertex_deletion(cluster: "Cluster", x: VertexId) -> None:
     """Remove vertex ``x`` (and its edges) from the running computation."""
-    owner_rank = cluster.owner_of(x)
-    owner = cluster.workers[owner_rank]
     row_x = cluster.broadcast_row(x)
 
     # phase 1: invalidate entries routed through x
@@ -39,27 +38,11 @@ def apply_vertex_deletion(cluster: "Cluster", x: VertexId) -> None:
         worker.clear_external_rows()
 
     # phase 2: structural removal
-    removed_edges = cluster.graph.remove_vertex(x)
-    neighbor_ranks: Set[Rank] = set()
-    for _x, t, _w in removed_edges:
-        neighbor_ranks.add(cluster.owner_of(t))
-    owner.remove_local_vertex(x)
-    for r in sorted(neighbor_ranks):
-        if r != owner_rank:
-            cluster.workers[r].drop_external_vertex(x)
-    col = cluster.index.remove(x)
-    for worker in cluster.workers:
-        worker.remove_column(col)
-    if cluster.partition is not None:
-        del cluster.partition.assignment[x]
+    cluster.graph.remove_vertex(x)
+    recompute = cluster.drop_vertex(x)
 
     # phase 3: repair and refresh
-    for worker in cluster.workers:
-        if worker.rank == owner_rank or worker.rank in neighbor_ranks:
-            worker.recompute_local_apsp()
-        else:
-            worker.restore_local_baseline()
-        worker.queue_all_boundary_rows()
+    repair_after_deletion(cluster, recompute)
 
 
 class VertexDeletionStrategy(DynamicStrategy):

@@ -23,11 +23,9 @@ from .generators import (
 from .graph import CSR, CSRView, Graph
 from .lfr import lfr_benchmark
 from .io import (
-    read_change_stream,
     read_edge_list,
     read_metis,
     read_pajek,
-    write_change_stream,
     write_edge_list,
     write_metis,
     write_pajek,
@@ -77,6 +75,4 @@ __all__ = [
     "write_pajek",
     "read_metis",
     "write_metis",
-    "read_change_stream",
-    "write_change_stream",
 ]

@@ -1,4 +1,4 @@
-"""Graph and change-stream serialization.
+"""Graph serialization.
 
 Formats:
 
@@ -6,25 +6,18 @@ Formats:
   optional ``%%vertices n`` header for isolated vertices.
 * **Pajek .net** — the format of the tool the paper used to generate its
   scale-free inputs (``*Vertices`` / ``*Edges`` sections, 1-based ids).
-* **JSON change streams** — batches of dynamic changes keyed by RC step.
+* **METIS .graph** — the input format of the DD-phase partitioner.
+
+Change streams are written and read as the JSONL change trace of
+:mod:`repro.serve.traces`.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, Union
 
-from ..errors import ChangeStreamError, GraphError
-from .changes import (
-    ChangeBatch,
-    ChangeStream,
-    EdgeAddition,
-    EdgeDeletion,
-    EdgeReweight,
-    VertexAddition,
-    VertexDeletion,
-)
+from ..errors import GraphError
 from .graph import Graph
 
 __all__ = [
@@ -34,8 +27,6 @@ __all__ = [
     "read_pajek",
     "write_metis",
     "read_metis",
-    "write_change_stream",
-    "read_change_stream",
 ]
 
 _PathLike = Union[str, Path]
@@ -215,64 +206,3 @@ def read_metis(path: _PathLike) -> Graph:
             f"{p}: header says {m} edges but {g.num_edges} were read"
         )
     return g
-
-
-# ----------------------------------------------------------------------
-# change streams
-# ----------------------------------------------------------------------
-
-def _batch_to_json(batch: ChangeBatch) -> dict:
-    return {
-        "vertex_additions": [
-            {"vertex": va.vertex, "edges": [[t, w] for t, w in va.edges]}
-            for va in batch.vertex_additions
-        ],
-        "edge_additions": [[e.u, e.v, e.weight] for e in batch.edge_additions],
-        "edge_deletions": [[e.u, e.v] for e in batch.edge_deletions],
-        "edge_reweights": [[e.u, e.v, e.weight] for e in batch.edge_reweights],
-        "vertex_deletions": [d.vertex for d in batch.vertex_deletions],
-    }
-
-
-def _batch_from_json(obj: dict) -> ChangeBatch:
-    try:
-        return ChangeBatch(
-            vertex_additions=[
-                VertexAddition(
-                    vertex=int(va["vertex"]),
-                    edges=tuple((int(t), float(w)) for t, w in va.get("edges", [])),
-                )
-                for va in obj.get("vertex_additions", [])
-            ],
-            edge_additions=[
-                EdgeAddition(int(u), int(v), float(w))
-                for u, v, w in obj.get("edge_additions", [])
-            ],
-            edge_deletions=[
-                EdgeDeletion(int(u), int(v)) for u, v in obj.get("edge_deletions", [])
-            ],
-            edge_reweights=[
-                EdgeReweight(int(u), int(v), float(w))
-                for u, v, w in obj.get("edge_reweights", [])
-            ],
-            vertex_deletions=[
-                VertexDeletion(int(v)) for v in obj.get("vertex_deletions", [])
-            ],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ChangeStreamError(f"malformed change batch: {exc}") from exc
-
-
-def write_change_stream(stream: ChangeStream, path: _PathLike) -> None:
-    """Serialize a :class:`ChangeStream` to JSON."""
-    payload = {str(step): _batch_to_json(batch) for step, batch in stream}
-    Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
-
-
-def read_change_stream(path: _PathLike) -> ChangeStream:
-    """Deserialize a :class:`ChangeStream` from JSON."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    stream = ChangeStream()
-    for step_str, batch_obj in raw.items():
-        stream.schedule(int(step_str), _batch_from_json(batch_obj))
-    return stream

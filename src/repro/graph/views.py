@@ -10,7 +10,7 @@ neighboring sub-graphs to the vertices in the local sub-graph").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from ..types import VertexId
 from .graph import Graph
@@ -42,31 +42,14 @@ class LocalSubgraph:
     local_graph:
         Induced graph on ``owned`` (internal edges only).
     cut_edges:
-        Edges ``(u, x, w)`` with ``u`` owned here and ``x`` owned elsewhere.
-    external_boundary:
-        ``B_i``: the set of remote endpoints of cut edges.
-    local_boundary:
-        Owned vertices incident to at least one cut edge (``b_i`` counts
-        these in the paper's analysis).
+        Edges ``(u, x, w)`` with ``u`` owned here and ``x`` owned elsewhere;
+        the remote endpoints ``x`` are the paper's external boundary
+        ``B_i``.
     """
 
     owned: List[VertexId]
     local_graph: Graph
     cut_edges: List[Tuple[VertexId, VertexId, float]] = field(default_factory=list)
-    external_boundary: FrozenSet[VertexId] = frozenset()
-    local_boundary: FrozenSet[VertexId] = frozenset()
-
-    @property
-    def cut_size(self) -> int:
-        """Number of cut edges incident to this sub-graph."""
-        return len(self.cut_edges)
-
-    def cut_edges_by_local(self) -> Dict[VertexId, List[Tuple[VertexId, float]]]:
-        """Group cut edges by their *local* endpoint: ``u -> [(x, w), ...]``."""
-        grouped: Dict[VertexId, List[Tuple[VertexId, float]]] = {}
-        for u, x, w in self.cut_edges:
-            grouped.setdefault(u, []).append((x, w))
-        return grouped
 
 
 def extract_local_subgraph(
@@ -91,8 +74,6 @@ def extract_local_subgraph(
     for v in owned_list:
         local.add_vertex(v)
     cut: List[Tuple[VertexId, VertexId, float]] = []
-    ext: Set[VertexId] = set()
-    loc_bnd: Set[VertexId] = set()
     for v in owned_list:
         for u, w in graph.neighbor_items(v):
             if u in owned_set:
@@ -107,12 +88,4 @@ def extract_local_subgraph(
                         " owned set"
                     )
                 cut.append((v, u, w))
-                ext.add(u)
-                loc_bnd.add(v)
-    return LocalSubgraph(
-        owned=owned_list,
-        local_graph=local,
-        cut_edges=cut,
-        external_boundary=frozenset(ext),
-        local_boundary=frozenset(loc_bnd),
-    )
+    return LocalSubgraph(owned=owned_list, local_graph=local, cut_edges=cut)

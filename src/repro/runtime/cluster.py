@@ -13,7 +13,11 @@ phases (``repro.core``) orchestrate:
 * :meth:`sync_compute` — BSP-style barrier: charges the *max* of the
   workers' metered compute to the modeled clock,
 * :meth:`migrate` — move to a new partition keeping every partial result
-  (Repartition-S, rebalancing, degraded-mode recovery).
+  (Repartition-S, rebalancing, degraded-mode recovery),
+* :meth:`link_edge`, :meth:`unlink_edge`, :meth:`drop_vertex` and
+  :meth:`wire_subscriptions` — every structural change that spans ranks:
+  both sides of a cut edge, the subscriptions it needs, and a vertex's
+  row, entries and column wherever they live.
 
 Time accounting convention: any sequence of worker-side kernels between two
 :meth:`sync_compute` calls is one superstep; its modeled duration is the
@@ -25,7 +29,9 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Collection, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
@@ -321,7 +327,7 @@ class Cluster:
             dist_msgs.append((0, r, words))
         self.charge_comm_words(dist_msgs)
         rec.info["edge_cut"] = float(
-            sum(len(d) for wk in self.workers for d in wk.cut_adj.values()) / 2
+            sum(len(d) for wk in self.workers for d in wk.cut.values()) / 2
         )
         self.tracer.end()
         return part
@@ -348,7 +354,23 @@ class Cluster:
                     v: seed_rows[v] for v in blocks[r] if v in seed_rows
                 }
             self.workers[r].load_subgraph(sub, seed_rows=rows)
-        self._wire_subscriptions()
+        self.wire_subscriptions(range(self.nprocs))
+
+    def reload_rank(self, rank: Rank) -> None:
+        """Re-ship ``rank``'s sub-graph from the coordinator's durable
+        input and reload it (crash recovery): one word per vertex and
+        three per local or cut edge."""
+        if self.partition is None:
+            raise RuntimeSimulationError(
+                "cluster has no installed partition to re-ship"
+            )
+        owned = self.partition.block(rank)
+        sub = extract_local_subgraph(
+            self.graph, owned, self.partition.assignment, rank
+        )
+        words = len(owned) + 3 * sub.local_graph.num_edges + 3 * len(sub.cut_edges)
+        self.charge_comm_words([(0, rank, words)])
+        self.workers[rank].load_subgraph(sub)
 
     def migrate(self, part: Partition, *, keep_local_apsp: bool = True) -> None:
         """Move to ``part`` keeping every partial result (anytime reuse).
@@ -375,11 +397,87 @@ class Cluster:
             w.restore_state(kept.get(w.rank))
         self.sync_compute()
 
-    def _wire_subscriptions(self) -> None:
-        """Every worker subscribes to the owners of its external boundary."""
+    def wire_subscriptions(self, ranks: Collection[Rank]) -> None:
+        """Wire the boundary subscriptions of freshly loaded ``ranks``, in
+        both directions: the owner of each external boundary vertex ``x``
+        of a rank subscribes that rank to ``x``'s row, and each loaded
+        rank subscribes every peer whose boundary holds one of its
+        vertices.  Subscribing queues the row, dense.
+
+        A peer outside ``ranks`` first forgets what it published to a
+        loaded rank, so a repeated reload of one rank (crash, recovery)
+        leaves no stale subscription; loaded ranks start with fresh
+        channels.
+        """
+        for peer in self.workers:
+            if peer.rank not in ranks:
+                for r in ranks:
+                    peer.channels[r].unsubscribe()
         for w in self.workers:
-            for x in w.cut_by_ext:
-                self.workers[self.owner_of(x)].subscribe(x, w.rank)
+            for x in w.cut:
+                owner = self.owner_of(x)
+                if w.rank in ranks or owner in ranks:
+                    self.workers[owner].subscribe(x, w.rank)
+
+    # ------------------------------------------------------------------
+    # structural changes across ranks (Fig. 3 lines 35-42, deletions)
+    # ------------------------------------------------------------------
+    def link_edge(self, a: VertexId, b: VertexId, w: float) -> None:
+        """Join edge ``(a, b, w)`` to the distributed structure.
+
+        An intra-partition edge repairs its owner's local APSP; a cut edge
+        registers on both sides, and each side then needs the other's row
+        stream (Fig. 3 lines 35-42).  Re-linking an edge replaces its
+        weight.
+        """
+        rank_a, rank_b = self.owner_of(a), self.owner_of(b)
+        wa = self.workers[rank_a]
+        if rank_a == rank_b:
+            wa.add_local_edge(a, b, w)
+            return
+        wb = self.workers[rank_b]
+        wa.add_cut_edge(a, b, w)
+        wb.add_cut_edge(b, a, w)
+        wa.subscribe(a, rank_b)
+        wb.subscribe(b, rank_a)
+
+    def unlink_edge(self, u: VertexId, v: VertexId) -> Set[Rank]:
+        """Take edge ``(u, v)`` out of the distributed structure; returns
+        the ranks whose local sub-graph lost it (their local APSP is stale
+        until the caller recomputes it).
+
+        A cut edge leaves both sides, but the owners keep both
+        subscriptions: each endpoint's row keeps flowing to the other rank
+        with no cut edge left to relax it through — harmless to the
+        result, but wire words.
+        """
+        rank_u, rank_v = self.owner_of(u), self.owner_of(v)
+        if rank_u == rank_v:
+            self.workers[rank_u].local_graph.remove_edge(u, v)
+            return {rank_u}
+        self.workers[rank_u].remove_cut_edge(u, v)
+        self.workers[rank_v].remove_cut_edge(v, u)
+        return set()
+
+    def drop_vertex(self, x: VertexId) -> Set[Rank]:
+        """Take vertex ``x`` out of the distributed structure: the owner's
+        row and local edges, the neighbour ranks' cut edges to it, its
+        column on every rank, the index and the partition.  Returns the
+        owner and the ranks that held an edge to ``x``.
+        """
+        owner_rank = self.owner_of(x)
+        owner = self.workers[owner_rank]
+        ranks = {owner_rank}
+        ranks.update(self.owner_of(y) for y, edges in owner.cut.items() if x in edges)
+        owner.remove_local_vertex(x)
+        for r in sorted(ranks - {owner_rank}):
+            self.workers[r].drop_external_vertex(x)
+        col = self.index.remove(x)
+        for w in self.workers:
+            w.remove_column(col)
+        assert self.partition is not None  # owner_of found one
+        del self.partition.assignment[x]
+        return ranks
 
     # ------------------------------------------------------------------
     # IA phase

@@ -66,10 +66,11 @@ def check_cluster_invariants(cluster: "Cluster") -> List[str]:
 
     # 5. cut edges match the global graph and ownership
     for w in cluster.workers:
-        for u, nbrs in w.cut_adj.items():
-            assert u in w.row_of
-            for x, weight in nbrs.items():
-                assert cluster.owner_of(x) != w.rank, f"cut edge to own {x}"
+        for x, edges in w.cut.items():
+            assert edges, f"rank {w.rank} keeps an empty cut entry for {x}"
+            assert cluster.owner_of(x) != w.rank, f"cut edge to own {x}"
+            for u, weight in edges.items():
+                assert u in w.row_of
                 assert cluster.graph.has_edge(u, x), f"ghost cut ({u},{x})"
                 assert cluster.graph.weight(u, x) == weight
     checks.append("cut-edges-consistent")
@@ -79,14 +80,14 @@ def check_cluster_invariants(cluster: "Cluster") -> List[str]:
         ru, rv = cluster.owner_of(u), cluster.owner_of(v)
         if ru == rv:
             continue
-        assert cluster.workers[ru].cut_adj.get(u, {}).get(v) == weight
-        assert cluster.workers[rv].cut_adj.get(v, {}).get(u) == weight
+        assert cluster.workers[ru].cut.get(v, {}).get(u) == weight
+        assert cluster.workers[rv].cut.get(u, {}).get(v) == weight
     checks.append("cut-edges-bidirectional")
 
     # 7. subscriptions: whoever lists x as external boundary is subscribed
     #    at x's owner
     for w in cluster.workers:
-        for x in w.cut_by_ext:
+        for x in w.cut:
             owner = cluster.workers[cluster.owner_of(x)]
             assert x in owner.channels[w.rank].subscribed, (
                 f"rank {w.rank} not subscribed to {x}"

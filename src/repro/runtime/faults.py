@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Container, Dict
 
 from ..errors import RuntimeSimulationError
-from ..graph.views import LocalSubgraph, extract_local_subgraph
 from ..partition.base import Partition
 from ..types import Rank
 from .debug import check_cluster_invariants
@@ -90,7 +89,7 @@ def abandon_worker(cluster: "Cluster", rank: Rank) -> None:
     for peer in cluster.workers:
         if peer.rank == rank:
             continue
-        for x in peer.cut_by_ext:
+        for x in peer.cut:
             if cluster.owner_of(x) == rank:
                 w.channels[peer.rank].subscribed.add(x)
 
@@ -109,10 +108,9 @@ def recover_worker(cluster: "Cluster", rank: Rank) -> None:
     """
     if cluster.partition is None:
         raise RuntimeSimulationError("cluster has not been decomposed")
-    w = cluster.workers[rank]
-    _reship_subgraph(cluster, rank)
-    w.run_initial_approximation()
-    _rewire_rank(cluster, rank)
+    cluster.reload_rank(rank)
+    cluster.workers[rank].run_initial_approximation()
+    cluster.wire_subscriptions([rank])
     cluster.sync_compute()
     check_cluster_invariants(cluster)
 
@@ -141,7 +139,7 @@ def recover_worker_from_snapshot(
     if saved_dv is None or saved_owned is None:
         raise RuntimeSimulationError(f"snapshot holds no state for {rank}")
     w = cluster.workers[rank]
-    sub = _reship_subgraph(cluster, rank)
+    cluster.reload_rank(rank)
     if tuple(w.owned) != saved_owned:
         raise RuntimeSimulationError(
             f"snapshot block for rank {rank} no longer matches the partition"
@@ -150,12 +148,8 @@ def recover_worker_from_snapshot(
     buddy = (rank + 1) % cluster.nprocs
     if buddy != rank:
         cluster.charge_comm_words([(buddy, rank, snapshot.words(rank))])
-    saved_apsp = snapshot.apsp.get(rank)
-    if snapshot.local_edges.get(rank) != sub.local_graph.num_edges:
-        saved_apsp = None  # local structure changed: Dijkstra is due
-    # a copy: the snapshot may serve a later recovery too
-    w.restore_state(None if saved_apsp is None else saved_apsp.copy(), saved_dv)
-    _rewire_rank(cluster, rank)
+    w.restore_state(snapshot.saved_apsp(w), saved_dv)
+    cluster.wire_subscriptions([rank])
     # everything restored must flow to the re-wired subscribers
     w.queue_all_boundary_rows()
     cluster.sync_compute()
@@ -235,47 +229,3 @@ def crash_and_recover(cluster: "Cluster", rank: Rank) -> None:
     recover_worker(cluster, rank)
     if rec_open:
         cluster.tracer.end()
-
-
-# ----------------------------------------------------------------------
-# shared recovery plumbing
-# ----------------------------------------------------------------------
-def _reship_subgraph(cluster: "Cluster", rank: Rank) -> LocalSubgraph:
-    """Re-ship ``rank``'s sub-graph from the coordinator and reload it."""
-    w = cluster.workers[rank]
-    if cluster.partition is None:
-        raise RuntimeSimulationError(
-            "cluster has no installed partition to re-ship"
-        )
-    owned = cluster.partition.block(rank)
-    sub = extract_local_subgraph(
-        cluster.graph, owned, cluster.partition.assignment, rank
-    )
-    words = len(owned) + 3 * sub.local_graph.num_edges + 3 * len(sub.cut_edges)
-    cluster.charge_comm_words([(0, rank, words)])
-    w.load_subgraph(sub)
-    return sub
-
-
-def _rewire_rank(cluster: "Cluster", rank: Rank) -> None:
-    """Re-wire boundary subscriptions of ``rank`` in both directions.
-
-    Peers' stale subscription entries naming ``rank`` are cleared first so
-    repeated crash/recover of the same rank cannot accumulate duplicate
-    subscriptions or resurrect queues aimed at the dead incarnation.
-    """
-    w = cluster.workers[rank]
-    for peer in cluster.workers:
-        if peer.rank != rank:
-            peer.channels[rank].unsubscribe()
-    # cut_by_ext iterates in load_subgraph's insertion order, which is a
-    # pure function of the (sorted) local sub-graph — deterministic, and
-    # subscribe() itself is order-insensitive (a set per channel)
-    for x in w.cut_by_ext:
-        cluster.workers[cluster.owner_of(x)].subscribe(x, rank)
-    for peer in cluster.workers:
-        if peer.rank == rank:
-            continue
-        for x in peer.cut_by_ext:
-            if cluster.owner_of(x) == rank:
-                w.subscribe(x, peer.rank)

@@ -51,6 +51,6 @@ def snapshot_load(cluster: Cluster) -> LoadSnapshot:
     return LoadSnapshot(
         vertices=[w.n_local for w in cluster.workers],
         cut_edges=[
-            sum(len(d) for d in w.cut_adj.values()) for w in cluster.workers
+            sum(len(d) for d in w.cut.values()) for w in cluster.workers
         ],
     )

@@ -3,7 +3,8 @@
 Each worker owns a block of vertices and maintains:
 
 * ``local_graph`` — the induced graph on its owned vertices,
-* ``cut_adj`` — cut edges to *external boundary* vertices owned elsewhere,
+* ``cut`` — its cut edges, indexed by their *external boundary* endpoint
+  (owned elsewhere): ``cut[x][u]`` is the weight of edge ``(u, x)``,
 * ``entries`` — its :class:`~repro.runtime.entries.EntryStore`, which
   owns the matrices and every change of their shape: ``dv``
   (``dv[row_of[v], index.col[t]]`` bounds ``d(v, t)``), ``dv_changed``
@@ -28,7 +29,7 @@ error shrinks monotonically.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -85,10 +86,8 @@ class Worker:
         self.owned: List[VertexId] = []
         self.row_of: Dict[VertexId, int] = {}
         self.local_graph = Graph()
-        #: local vertex -> {external vertex: weight}
-        self.cut_adj: Dict[VertexId, Dict[VertexId, float]] = {}
-        #: external vertex -> [(local vertex, weight), ...]
-        self.cut_by_ext: Dict[VertexId, List[Tuple[VertexId, float]]] = {}
+        #: external vertex -> {local vertex: weight}, one entry per cut edge
+        self.cut: Dict[VertexId, Dict[VertexId, float]] = {}
         #: the boundary channel to each peer rank, indexed by rank
         self.channels: List[Channel] = [Channel() for _ in range(nprocs)]
 
@@ -163,11 +162,9 @@ class Worker:
         self.owned = list(sub.owned)
         self.row_of = {v: i for i, v in enumerate(self.owned)}
         self.local_graph = sub.local_graph.copy()
-        self.cut_adj = {}
-        self.cut_by_ext = {}
+        self.cut = {}
         for u, x, w in sub.cut_edges:
-            self.cut_adj.setdefault(u, {})[x] = w
-            self.cut_by_ext.setdefault(x, []).append((u, w))
+            self.cut.setdefault(x, {})[u] = w
         self.channels = [Channel() for _ in range(self.nprocs)]
         n_cols = len(self.index)
         self.entries.reset(self.n_local, n_cols)
@@ -375,9 +372,7 @@ class Worker:
         ch.pending.clear()
         return out
 
-    def receive_rows(
-        self, rows: Union[Dict[VertexId, FloatArray], DeltaRows]
-    ) -> None:
+    def receive_rows(self, rows: DeltaRows) -> None:
         """Store freshly received external boundary DV rows.
 
         Dense rows are copied over the stored row, into a slot taken on
@@ -388,7 +383,7 @@ class Worker:
         longer tracks it, and every path that re-creates the need
         (re-subscription, recovery, full refresh) forces a dense resend.
         """
-        dense = rows.dense if isinstance(rows, DeltaRows) else rows
+        dense = rows.dense
         store = self.entries
         store.reserve(sum(1 for v in dense if v not in store.slot_of))
         for v, row in dense.items():
@@ -398,8 +393,6 @@ class Worker:
                 )
             store.put(v, row)
             self._fresh_ext.add(v)
-        if not isinstance(rows, DeltaRows):
-            return
         for v, (cols, vals) in rows.sparse.items():
             stored = store.row(v)
             if stored is None:
@@ -464,7 +457,7 @@ class Worker:
         self,
         src: Rank,
         seq: int,
-        rows: Union[Dict[VertexId, FloatArray], DeltaRows],
+        rows: DeltaRows,
         floor: int = 0,
     ) -> bool:
         """Deliver a sequenced packet; returns False for a duplicate.
@@ -518,10 +511,10 @@ class Worker:
         items: RelaxItems = []
         slot_of = store.slot_of
         for x in sorted(fresh):
-            pairs = self.cut_by_ext.get(x)
+            edges = self.cut.get(x)
             slot = slot_of.get(x)
-            if pairs and slot is not None:
-                items.append((slot, [(self.row_of[u], w) for u, w in pairs]))
+            if edges and slot is not None:
+                items.append((slot, [(self.row_of[u], w) for u, w in edges.items()]))
         return SuperstepTask(
             n=n,
             relax_items=items,
@@ -664,29 +657,23 @@ class Worker:
                 self._mark_rows_changed([dst])
 
     def add_cut_edge(self, u: VertexId, x: VertexId, w: float) -> None:
-        """Register a new cut edge from owned ``u`` to external ``x``."""
+        """Register the cut edge from owned ``u`` to external ``x``; a
+        re-add replaces its weight."""
         if u not in self.row_of:
             raise WorkerError(f"rank {self.rank} does not own {u}")
-        self.cut_adj.setdefault(u, {})[x] = w
-        lst = self.cut_by_ext.setdefault(x, [])
-        lst[:] = [(a, ww) for a, ww in lst if a != u]  # re-add replaces
-        lst.append((u, w))
+        self.cut.setdefault(x, {})[u] = w
         self._charge(self.cost.vertex_time(1))
         if x in self.entries.slot_of:
             self._fresh_ext.add(x)  # relax against the stored row next step
 
     def remove_cut_edge(self, u: VertexId, x: VertexId) -> None:
-        nbrs = self.cut_adj.get(u, {})
-        nbrs.pop(x, None)
-        if not nbrs:
-            self.cut_adj.pop(u, None)
-        lst = self.cut_by_ext.get(x)
-        if lst is not None:
-            self.cut_by_ext[x] = [(a, w) for a, w in lst if a != u]
-            if not self.cut_by_ext[x]:
-                del self.cut_by_ext[x]
-                self.entries.drop(x)
-                self._fresh_ext.discard(x)
+        """Forget the cut edge from ``u`` to ``x``; the last one to ``x``
+        frees ``x``'s stored row."""
+        edges = self.cut.get(x)
+        if edges is not None:
+            edges.pop(u, None)
+            if not edges:
+                self.drop_external_vertex(x)
 
     # ------------------------------------------------------------------
     # edge-addition / deletion relaxations (distributed, row broadcasts)
@@ -852,13 +839,8 @@ class Worker:
             self.row_of[vv] -= 1
         self.entries.drop_row(r)
         self.local_graph.remove_vertex(v)
-        self.cut_adj.pop(v, None)
-        for x in list(self.cut_by_ext):
-            self.cut_by_ext[x] = [(a, w) for a, w in self.cut_by_ext[x] if a != v]
-            if not self.cut_by_ext[x]:
-                del self.cut_by_ext[x]
-                self.entries.drop(x)
-                self._fresh_ext.discard(x)
+        for x in list(self.cut):
+            self.remove_cut_edge(v, x)
         for ch in self.channels:
             ch.forget(v)
         # row indices shifted
@@ -867,14 +849,10 @@ class Worker:
         self._charge(self.cost.vertex_time(1))
 
     def drop_external_vertex(self, x: VertexId) -> None:
-        """Forget a deleted external vertex entirely."""
+        """Forget external ``x``: its cut edges and its stored row."""
+        self.cut.pop(x, None)
         self.entries.drop(x)
         self._fresh_ext.discard(x)
-        self.cut_by_ext.pop(x, None)
-        for u in list(self.cut_adj):
-            self.cut_adj[u].pop(x, None)
-            if not self.cut_adj[u]:
-                del self.cut_adj[u]
 
     # ------------------------------------------------------------------
     # queries
@@ -892,12 +870,8 @@ class Worker:
         """Copies of DV rows for migration (Repartition-S)."""
         return {v: self.dv[self.row_of[v]].copy() for v in vertices}
 
-    def local_boundary_vertices(self) -> List[VertexId]:
-        """Owned vertices incident to at least one cut edge."""
-        return sorted(self.cut_adj)
-
     def __repr__(self) -> str:
         return (
             f"Worker(rank={self.rank}, owned={self.n_local},"
-            f" cut={sum(len(d) for d in self.cut_adj.values())})"
+            f" cut={sum(len(d) for d in self.cut.values())})"
         )

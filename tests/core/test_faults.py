@@ -96,13 +96,13 @@ class TestRecovery:
         crash_and_recover(cluster, 1)
         w = cluster.workers[1]
         # recovered worker is re-subscribed at its boundary owners
-        for x in w.cut_by_ext:
+        for x in w.cut:
             assert x in cluster.workers[cluster.owner_of(x)].channels[1].subscribed
         # and peers are re-subscribed at the recovered worker
         for peer in cluster.workers:
             if peer.rank == 1:
                 continue
-            for x in peer.cut_by_ext:
+            for x in peer.cut:
                 if cluster.owner_of(x) == 1:
                     assert x in w.channels[peer.rank].subscribed
 

@@ -1,26 +1,15 @@
-"""Round-trip tests for graph and change-stream IO."""
+"""Round-trip tests for graph IO."""
 
 import pytest
 
-from repro.errors import ChangeStreamError, GraphError
+from repro.errors import GraphError
 from repro.graph import (
-    ChangeBatch,
-    ChangeStream,
     Graph,
     barabasi_albert,
-    read_change_stream,
     read_edge_list,
     read_pajek,
-    write_change_stream,
     write_edge_list,
     write_pajek,
-)
-from repro.graph.changes import (
-    EdgeAddition,
-    EdgeDeletion,
-    EdgeReweight,
-    VertexAddition,
-    VertexDeletion,
 )
 
 
@@ -85,41 +74,3 @@ class TestPajek:
         p.write_text("*Edges\n1\n")
         with pytest.raises(GraphError):
             read_pajek(p)
-
-
-class TestChangeStreamIO:
-    def make_stream(self):
-        return ChangeStream(
-            {
-                0: ChangeBatch(
-                    vertex_additions=[VertexAddition(9, edges=((0, 1.5),))],
-                    edge_additions=[EdgeAddition(1, 2, 2.0)],
-                ),
-                4: ChangeBatch(
-                    edge_deletions=[EdgeDeletion(0, 1)],
-                    edge_reweights=[EdgeReweight(2, 3, 7.0)],
-                    vertex_deletions=[VertexDeletion(5)],
-                ),
-            }
-        )
-
-    def test_roundtrip(self, tmp_path):
-        stream = self.make_stream()
-        p = tmp_path / "changes.json"
-        write_change_stream(stream, p)
-        back = read_change_stream(p)
-        assert back.steps() == [0, 4]
-        b0 = back.at_step(0)
-        assert b0.vertex_additions[0].vertex == 9
-        assert b0.vertex_additions[0].edges == ((0, 1.5),)
-        assert b0.edge_additions[0] == EdgeAddition(1, 2, 2.0)
-        b4 = back.at_step(4)
-        assert b4.edge_deletions[0] == EdgeDeletion(0, 1)
-        assert b4.edge_reweights[0] == EdgeReweight(2, 3, 7.0)
-        assert b4.vertex_deletions[0] == VertexDeletion(5)
-
-    def test_malformed_json(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text('{"0": {"vertex_additions": [{"no_vertex": 1}]}}')
-        with pytest.raises(ChangeStreamError):
-            read_change_stream(p)

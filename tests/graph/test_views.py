@@ -40,16 +40,12 @@ class TestExtractLocalSubgraph:
         g = path_graph(4)
         sub = extract_local_subgraph(g, [0, 1], self.owner_map(), 0)
         assert sub.cut_edges == [(1, 2, 1.0)]
-        assert sub.external_boundary == frozenset({2})
-        assert sub.local_boundary == frozenset({1})
-        assert sub.cut_size == 1
-
-    def test_cut_edges_by_local(self):
-        g = complete_graph(4)
-        sub = extract_local_subgraph(g, [0, 1], self.owner_map(), 0)
-        grouped = sub.cut_edges_by_local()
-        assert set(grouped) == {0, 1}
-        assert sorted(x for x, _w in grouped[0]) == [2, 3]
+        # every cut edge once from the local side, in owned-vertex order
+        sub = extract_local_subgraph(complete_graph(4), [0, 1], self.owner_map(), 0)
+        assert sorted(sub.cut_edges) == [
+            (0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0)
+        ]
+        assert [u for u, _x, _w in sub.cut_edges] == [0, 0, 1, 1]
 
     def test_inconsistent_assignment_detected(self):
         g = path_graph(3)

@@ -105,7 +105,7 @@ class TestTasksShipSlots:
                 assert not any(w.has_work() for w in cluster.workers)
                 w = cluster.workers[1]
                 x = min(w.entries.slot_of)
-                u = next(u for u in w.owned if x not in w.cut_adj.get(u, {}))
+                u = next(u for u in w.owned if u not in w.cut.get(x, {}))
                 w.add_cut_edge(u, x, 0.5)
                 assert w.has_work()
                 improved = cluster.relax_and_propagate()

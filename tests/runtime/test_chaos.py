@@ -15,6 +15,7 @@ from repro.centrality import exact_closeness
 from repro.errors import ConfigurationError, WorkerError
 from repro.graph import barabasi_albert
 from repro.runtime.chaos import RECOVERY_POLICIES, FaultInjector
+from repro.runtime.message import DeltaRows
 from repro.runtime.supervisor import Supervisor
 
 
@@ -168,7 +169,7 @@ class TestLossyExchange:
         src, dst = 0, 1
         w = engine.cluster.workers[dst]
         v = engine.cluster.workers[src].owned[0]
-        rows = {v: engine.cluster.workers[src].dv_row(v)}
+        rows = DeltaRows(dense={v: engine.cluster.workers[src].dv_row(v)})
         assert w.receive_packet(src, 7, rows)
         assert not w.receive_packet(src, 7, rows)
 
@@ -257,7 +258,7 @@ class TestSequencedChannelState:
         src, dst = 0, 1
         w = engine.cluster.workers[dst]
         v = engine.cluster.workers[src].owned[0]
-        rows = {v: engine.cluster.workers[src].dv_row(v)}
+        rows = DeltaRows(dense={v: engine.cluster.workers[src].dv_row(v)})
         lost = w.channels[src].seen_floor + 1  # a packet the network dropped
         # the next packet overtakes it, and that one's ack is lost too
         assert w.receive_packet(src, lost + 1, rows, floor=lost)

@@ -42,7 +42,7 @@ class TestDecompose:
     def test_subscriptions_wired(self):
         c = make_cluster()
         for w in c.workers:
-            for x in w.cut_by_ext:
+            for x in w.cut:
                 owner = c.workers[c.owner_of(x)]
                 assert x in owner.channels[w.rank].subscribed
 

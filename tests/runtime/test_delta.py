@@ -138,7 +138,7 @@ class TestReceiveDelta:
         _g, w = delta_worker()
         stored = np.full(12, np.inf)
         stored[0] = 3.0
-        w.receive_rows({100: stored.copy()})
+        w.receive_rows(DeltaRows(dense={100: stored.copy()}))
         rows = DeltaRows(
             sparse={
                 100: (
@@ -163,7 +163,7 @@ class TestReceiveDelta:
 
     def test_sparse_out_of_range_column_rejected(self):
         _g, w = delta_worker()
-        w.receive_rows({100: np.full(12, np.inf)})
+        w.receive_rows(DeltaRows(dense={100: np.full(12, np.inf)}))
         rows = DeltaRows(
             sparse={100: (np.array([99], dtype=np.int64), np.array([1.0]))}
         )

@@ -16,10 +16,16 @@ from repro.partition import Partition
 from repro.runtime import Cluster, GlobalIndex, Worker, check_cluster_invariants
 from repro.runtime.faults import crash_worker, recover_worker_from_snapshot
 from repro.runtime.kernels import KERNELS
+from repro.runtime.message import DeltaRows
 from repro.runtime.shm import SharedMemoryAllocator
 
 from ..conftest import path_graph, superstep
 from ..edge_reference import one_edge_batch
+
+
+def dense(rows):
+    """``rows`` as the cluster delivers them: dense rows of a ``DeltaRows``."""
+    return DeltaRows(dense=rows)
 
 
 def make_worker(graph, owned, owner_map, rank=0, nprocs=2, index=None):
@@ -100,14 +106,14 @@ class TestMessaging:
         w.build_payload(1)
         # a fresh external row improving vertex 1 re-queues it
         row2 = np.array([np.inf, np.inf, 0.0, 1.0])
-        w.receive_rows({2: row2})
+        w.receive_rows(dense({2: row2}))
         assert superstep(w).relax_improved
         assert 1 in w.build_payload(1)
 
     def test_receive_wrong_width_rejected(self):
         _g, w = path4_worker()
         with pytest.raises(WorkerError):
-            w.receive_rows({2: np.zeros(3)})
+            w.receive_rows(dense({2: np.zeros(3)}))
 
     def test_unsubscribe_rank(self):
         _g, w = path4_worker()
@@ -137,7 +143,7 @@ class TestRelaxAndPropagate:
         _g, w = path4_worker()
         w.run_initial_approximation()
         row2 = np.array([np.inf, np.inf, 0.0, 1.0])
-        w.receive_rows({2: row2})
+        w.receive_rows(dense({2: row2}))
         assert superstep(w).relax_improved
         assert w.dv[w.row_of[1], 2] == 1.0  # 1 -(1)- 2
         assert w.dv[w.row_of[1], 3] == 2.0
@@ -146,7 +152,7 @@ class TestRelaxAndPropagate:
         _g, w = path4_worker()
         w.run_initial_approximation()
         superstep(w)  # consume IA's changed rows
-        w.receive_rows({2: np.array([np.inf, np.inf, 0.0, 1.0])})
+        w.receive_rows(dense({2: np.array([np.inf, np.inf, 0.0, 1.0])}))
         assert superstep(w).prop_improved
         assert w.dv[w.row_of[0], 2] == 2.0  # 0-1 + cut edge 1-2
         assert w.dv[w.row_of[0], 3] == 3.0
@@ -154,7 +160,7 @@ class TestRelaxAndPropagate:
     def test_stale_external_rows_not_rerelaxed(self):
         _g, w = path4_worker()
         w.run_initial_approximation()
-        w.receive_rows({2: np.array([np.inf, np.inf, 0.0, 1.0])})
+        w.receive_rows(dense({2: np.array([np.inf, np.inf, 0.0, 1.0])}))
         assert superstep(w).relax_improved
         assert not superstep(w).relax_improved  # nothing fresh
 
@@ -168,7 +174,7 @@ class TestRelaxAndPropagate:
         _g, w = path4_worker()
         w.run_initial_approximation()
         before = w.dv.copy()
-        w.receive_rows({2: np.array([np.inf, np.inf, 0.0, 1.0])})
+        w.receive_rows(dense({2: np.array([np.inf, np.inf, 0.0, 1.0])}))
         superstep(w)
         assert np.all(w.dv <= before)
 
@@ -185,7 +191,7 @@ class TestDynamicColumnsAndVertices:
     def test_grow_columns_pads_external_rows(self):
         _g, w = path4_worker()
         w.run_initial_approximation()
-        w.receive_rows({2: np.array([np.inf, np.inf, 0.0, 1.0])})
+        w.receive_rows(dense({2: np.array([np.inf, np.inf, 0.0, 1.0])}))
         w.index.add(4)
         w.grow_columns(5)
         assert np.array_equal(w.ext_row(2), [np.inf, np.inf, 0.0, 1.0, np.inf])
@@ -194,19 +200,19 @@ class TestDynamicColumnsAndVertices:
         _g, w = path4_worker()
         w.run_initial_approximation()
         w.add_cut_edge(0, 3, 2.0)
-        w.receive_rows({
+        w.receive_rows(dense({
             2: np.array([np.inf, np.inf, 0.0, 1.0]),
             3: np.array([np.inf, np.inf, 1.0, 0.0]),
-        })
+        }))
         store = w.entries
         assert store.rows.shape == (2, 4) and len(store.slot_of) == 2
         slot = store.slot_of[2]
         w.remove_cut_edge(1, 2)  # 2's last cut edge: its slot is freed
         assert w.ext_row(2) is None and len(store.slot_of) == 1
         w.add_cut_edge(1, 2, 1.0)
-        w.receive_rows({2: np.array([np.inf, 5.0, 0.0, 1.0])})
+        w.receive_rows(dense({2: np.array([np.inf, 5.0, 0.0, 1.0])}))
         assert store.slot_of[2] == slot and store.rows.shape == (2, 4)
-        w.receive_rows({77: np.zeros(4)})  # a full store doubles
+        w.receive_rows(dense({77: np.zeros(4)}))  # a full store doubles
         assert store.rows.shape == (4, 4) and store.top == 3
         assert np.array_equal(w.ext_row(2), [np.inf, 5.0, 0.0, 1.0])
         assert np.array_equal(w.ext_row(3), [np.inf, np.inf, 1.0, 0.0])
@@ -254,21 +260,20 @@ class TestDynamicColumnsAndVertices:
         _g, w = path4_worker()
         w.run_initial_approximation()
         w.add_cut_edge(0, 3, 2.0)
-        assert (0, 2.0) in w.cut_by_ext[3]
-        assert w.cut_adj[0][3] == 2.0
+        assert w.cut == {2: {1: 1.0}, 3: {0: 2.0}}
 
     def test_add_cut_edge_replaces_duplicate(self):
         _g, w = path4_worker()
         w.add_cut_edge(0, 3, 2.0)
         w.add_cut_edge(0, 3, 1.0)
-        assert w.cut_by_ext[3] == [(0, 1.0)]
+        assert w.cut[3] == {0: 1.0}
 
     def test_remove_cut_edge_cleans_up(self):
         _g, w = path4_worker()
         w.run_initial_approximation()
-        w.receive_rows({2: np.array([np.inf, np.inf, 0.0, 1.0])})
+        w.receive_rows(dense({2: np.array([np.inf, np.inf, 0.0, 1.0])}))
         w.remove_cut_edge(1, 2)
-        assert 2 not in w.cut_by_ext
+        assert w.cut == {}
         assert w.ext_row(2) is None
 
 
@@ -331,7 +336,7 @@ class TestDeletionKernels:
     def test_remove_column(self):
         _g, w = path4_worker()
         w.run_initial_approximation()
-        w.receive_rows({2: np.array([np.inf, np.inf, 0.0, 1.0])})
+        w.receive_rows(dense({2: np.array([np.inf, np.inf, 0.0, 1.0])}))
         w.remove_column(3)
         assert w.dv.shape == (2, 3)
         assert np.array_equal(w.ext_row(2), [np.inf, np.inf, 0.0])
@@ -350,11 +355,10 @@ class TestDeletionKernels:
     def test_drop_external_vertex(self):
         _g, w = path4_worker()
         w.run_initial_approximation()
-        w.receive_rows({2: np.array([np.inf, np.inf, 0.0, 1.0])})
+        w.receive_rows(dense({2: np.array([np.inf, np.inf, 0.0, 1.0])}))
         w.drop_external_vertex(2)
         assert w.ext_row(2) is None
-        assert 2 not in w.cut_by_ext
-        assert not any(2 in d for d in w.cut_adj.values())
+        assert w.cut == {}
 
 
 class TestQueries:
@@ -370,10 +374,6 @@ class TestQueries:
         w.run_initial_approximation()
         rows = w.extract_rows([0, 1])
         assert set(rows) == {0, 1}
-
-    def test_local_boundary_vertices(self):
-        _g, w = path4_worker()
-        assert w.local_boundary_vertices() == [1]
 
     def test_repr(self):
         _g, w = path4_worker()

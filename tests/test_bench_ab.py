@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from bench_ab import failed_verdict, judge_claim, parse_result, quartiles, worse_by
+from bench_ab import (
+    failed_verdict, judge_claim, parse_result, quartiles, unresolved, worse_by,
+)
 
 BASE = [2.00, 2.02, 2.04, 2.06, 2.08, 2.10, 2.12, 2.14, 2.16, 2.18]
 
@@ -72,6 +74,29 @@ class TestWorseBy:
     def test_zero_base(self):
         assert worse_by(0.0, 0.0, "lower") == 0.0
         assert worse_by(0.0, 1.0, "lower") == float("inf")
+
+
+class TestUnresolved:
+    #: a setup time that reads about 8 or about 13 ms by process
+    BIMODAL = [0.0080, 0.0082, 0.0085, 0.0088, 0.0090, 0.0125, 0.0128, 0.0130,
+               0.0131, 0.0133]
+
+    def test_a_spread_within_the_bound_resolves(self):
+        assert not unresolved(BASE, shifted(+0.3), "lower", 0.25)
+
+    def test_a_spread_wider_than_the_bound_is_unresolved(self):
+        q1, median, q3 = quartiles(self.BIMODAL)
+        assert q3 - q1 > 0.25 * median
+        for head in (self.BIMODAL, shifted(+0.001, self.BIMODAL)):
+            assert unresolved(self.BIMODAL, head, "lower", 0.25)
+        assert unresolved(self.BIMODAL, self.BIMODAL, "higher", 0.25)
+
+    def test_unless_every_head_run_reads_better(self):
+        faster = [b - 0.0054 for b in self.BIMODAL]  # max 0.0079 < min 0.0080
+        assert not unresolved(self.BIMODAL, faster, "lower", 0.25)
+        assert unresolved(self.BIMODAL, faster, "higher", 0.25)
+        higher = [b + 0.0054 for b in self.BIMODAL]
+        assert not unresolved(self.BIMODAL, higher, "higher", 0.25)
 
 
 def run_result(failed=0, attempted=8):

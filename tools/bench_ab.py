@@ -26,6 +26,12 @@ wins/pairs, and exits 1 when
   section 8) is not met: at least ten pairs, HEAD better in at least
   nine tenths of all pairs run (ties count for neither side), and the
   medians apart by more than the distance between BASE's own quartiles.
+
+A metric whose BASE quartiles lie further apart than its bound (as a
+share of BASE's median) is labelled ``unresolved``: a move inside that
+spread cannot be told from noise, so it reads neither as unchanged nor
+as worse — unless every HEAD run reads better than every BASE run.  The
+label changes no exit status.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ __all__ = [
     "main",
     "parse_result",
     "quartiles",
+    "unresolved",
     "worse_by",
 ]
 
@@ -108,6 +115,20 @@ def worse_by(base_median: float, head_median: float, better: str) -> float:
         return 0.0 if head_median == base_median else float("inf")
     change = (head_median - base_median) / abs(base_median)
     return change if better == "lower" else -change
+
+
+def unresolved(
+    base: Sequence[float], head: Sequence[float], better: str, bound: float
+) -> bool:
+    """Whether BASE's own spread hides a move of ``bound``: its quartile
+    distance is wider than ``bound`` x its median, and not every HEAD run
+    reads better than every BASE run."""
+    q1, median, q3 = quartiles(base)
+    if q3 - q1 <= bound * abs(median):
+        return False
+    if better == "lower":
+        return max(head) >= min(base)
+    return min(head) <= max(base)
 
 
 def failed_verdict(
@@ -225,6 +246,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         verdict = judge_claim(samples["base"], samples["head"], meta["better"])
         worse = worse_by(verdict.base_median, verdict.head_median, meta["better"])
         notes = []
+        if unresolved(samples["base"], samples["head"], meta["better"],
+                      meta["bound"]):
+            notes.append(
+                f"unresolved: base IQR {verdict.base_iqr:.5g} exceeds the"
+                f" {meta['bound']:.0%} bound"
+            )
         if worse > meta["bound"]:
             notes.append(f"WORSE by more than the {meta['bound']:.0%} bound")
             failed = True
